@@ -155,7 +155,7 @@ func BenchmarkAblationSamplePeriod(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(len(r.Out.Trace.Events)), "event-records")
+				b.ReportMetric(float64(countRecords(b, r.Out.Streams).events), "event-records")
 				b.ReportMetric(float64(r.Out.Result.Prof.FlushedBytes), "flushed-bytes")
 			}
 		})

@@ -98,6 +98,10 @@ func main() {
 		fatal(err)
 	}
 
+	summary, err := api.NewRunSummary(p, out)
+	if err != nil {
+		fatal(err)
+	}
 	if *asJSON {
 		// The same versioned document nymbled persists as summary.json
 		// (and serves inside the job body), byte for byte; the trace list
@@ -105,7 +109,7 @@ func main() {
 		doc := api.StoredRun{
 			SchemaVersion: api.Version,
 			Kernel:        p.Kernel.Name,
-			Summary:       api.NewRunSummary(p, out),
+			Summary:       summary,
 		}
 		if out.Streams != nil {
 			doc.Trace = []string{"trace.prv", "trace.prv.gz", "trace.pcf", "trace.row"}
@@ -113,7 +117,7 @@ func main() {
 		if err := api.Encode(os.Stdout, doc); err != nil {
 			fatal(err)
 		}
-		if out.Trace != nil {
+		if out.Streams != nil {
 			name := *base
 			if name == "" {
 				name = p.Kernel.Name
@@ -158,11 +162,11 @@ func main() {
 	for name, v := range r.ScalarsOutInt {
 		fmt.Printf("result %s = %d\n", name, v)
 	}
-	if out.Trace != nil {
-		bw := analysis.AvgBandwidthBytesPerCycle(out.Trace)
+	if out.Streams != nil {
+		bw := summary.BWBytesPerCycle
 		fmt.Printf("avg external bandwidth: %.3f B/cycle (%.2f GB/s)\n",
 			bw, analysis.BandwidthGBs(bw, out.FmaxMHz))
-		fmt.Printf("sustained compute: %.3f GFLOP/s\n", analysis.GFlops(out.Trace, out.FmaxMHz))
+		fmt.Printf("sustained compute: %.3f GFLOP/s\n", summary.GFlops)
 		name := *base
 		if name == "" {
 			name = p.Kernel.Name
@@ -222,17 +226,18 @@ func runSweep(ctx context.Context, src string, defines cli.Defines, spec string,
 		if err != nil {
 			return fmt.Errorf("%s=%s: %w", name, vals[i], err)
 		}
-		pt := point{
+		summary, err := api.NewRunSummary(p, out)
+		if err != nil {
+			return fmt.Errorf("%s=%s: %w", name, vals[i], err)
+		}
+		pts[i] = point{
 			cycles:  out.Result.Cycles,
 			stalls:  out.Result.TotalStalls(),
 			threads: p.Kernel.NumThreads,
+			bw:      summary.BWBytesPerCycle,
+			gflops:  summary.GFlops,
 			fmax:    out.FmaxMHz,
 		}
-		if out.Trace != nil {
-			pt.bw = analysis.AvgBandwidthBytesPerCycle(out.Trace)
-			pt.gflops = analysis.GFlops(out.Trace, out.FmaxMHz)
-		}
-		pts[i] = pt
 		return nil
 	})
 	if err != nil {

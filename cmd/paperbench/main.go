@@ -5,7 +5,6 @@
 //
 //	paperbench [-exp all|overhead|fig6|fig7|speedup|fig8|fig9|pi|threads|bounds|serving|depend]
 //	           [-dim N] [-pisteps a,b,c] [-quiet] [-j N] [-interp]
-//	           [-benchjson path]
 //
 // -exp bounds runs the static-bounds cross-validation (E10); -exp
 // serving measures the nymbled serving path (E11: cold-miss vs
@@ -20,27 +19,18 @@
 // byte-identical across releases. -interp forces the interpreted
 // per-op engine instead of the specialized stage closures (the output
 // must be byte-identical either way — the interpreter is the
-// differential-testing oracle). -benchjson records each experiment's
-// wall time and allocation profile as machine-readable JSON (BENCH_6
-// and BENCH_7 in CI); in that mode every simulating experiment is
-// timed under both engines, so the file carries per-workload before
-// (interp) and after (specialized) wall times, and -exp serving emits
-// one record per serving phase (serving/cold, serving/warm,
-// serving/burst).
+// differential-testing oracle). Timing lives in benchmark/, not here.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"paravis/internal/experiments"
 	"paravis/internal/parallel"
@@ -53,7 +43,6 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress ASCII timeline/sparkline views")
 	workers := flag.Int("j", 0, "max design points simulated concurrently (0 = GOMAXPROCS)")
 	interp := flag.Bool("interp", false, "force the interpreted engine (per-op dispatch) instead of specialized stage closures")
-	benchJSON := flag.String("benchjson", "", "write per-experiment timing/allocation stats as JSON to this path")
 	optBudget := flag.Int("optbudget", 32, "simulator-confirmation budget for -exp optimize")
 	flag.Parse()
 
@@ -76,56 +65,27 @@ func main() {
 		opts.PiSteps = append(opts.PiSteps, n)
 	}
 
-	var bench []benchRecord
-	// run executes one experiment, printing its formatted report. With
-	// -benchjson the experiment is additionally re-run (silently) under
-	// the other engine, so the JSON records before/after pairs:
-	// "<name>/interp" is the interpreted (pre-specialization) time,
-	// "<name>/spec" the specialized one. Compiles are shared through the
-	// experiments build cache, so the rerun only re-simulates.
-	run := func(name string, sims bool, fn func(o experiments.Options) (string, error)) {
+	// run executes one experiment and prints its formatted report.
+	run := func(name string, fn func(o experiments.Options) (string, error)) {
 		if *exp != "all" && *exp != name {
 			return
 		}
-		recName := name
-		if sims {
-			recName = name + engineSuffix(opts.SimCfg.Interp)
-		}
-		rec, err := timed(recName, func() error {
-			out, err := fn(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-			return nil
-		})
+		out, err := fn(opts)
 		if err != nil {
 			fatal(err)
 		}
-		bench = append(bench, rec)
-		if *benchJSON != "" && sims {
-			other := opts
-			other.SimCfg.Interp = !opts.SimCfg.Interp
-			rec2, err := timed(name+engineSuffix(other.SimCfg.Interp), func() error {
-				_, err := fn(other)
-				return err
-			})
-			if err != nil {
-				fatal(err)
-			}
-			bench = append(bench, rec2)
-		}
+		fmt.Print(out)
 		fmt.Println()
 	}
 
-	run("overhead", false, func(o experiments.Options) (string, error) {
+	run("overhead", func(o experiments.Options) (string, error) {
 		r, err := experiments.RunOverhead(ctx, o.Threads, o.Workers)
 		if err != nil {
 			return "", err
 		}
 		return r.Format(), nil
 	})
-	run("fig6", true, func(o experiments.Options) (string, error) {
+	run("fig6", func(o experiments.Options) (string, error) {
 		r, err := experiments.RunFig6(ctx, o)
 		if err != nil {
 			return "", err
@@ -141,9 +101,9 @@ func main() {
 	}
 	switch *exp {
 	case "all", "speedup":
-		run("speedup", true, speedups)
+		run("speedup", speedups)
 	case "fig7":
-		run("fig7", true, speedups)
+		run("fig7", speedups)
 	}
 	phases := func(o experiments.Options) (string, error) {
 		r, err := experiments.RunPhases(ctx, o)
@@ -152,18 +112,18 @@ func main() {
 		}
 		return r.Format(), nil
 	}
-	run("fig8", true, phases)
+	run("fig8", phases)
 	if *exp == "fig9" {
-		run("fig9", true, phases)
+		run("fig9", phases)
 	}
-	run("pi", true, func(o experiments.Options) (string, error) {
+	run("pi", func(o experiments.Options) (string, error) {
 		r, err := experiments.RunPi(ctx, o)
 		if err != nil {
 			return "", err
 		}
 		return r.Format(), nil
 	})
-	run("threads", true, func(o experiments.Options) (string, error) {
+	run("threads", func(o experiments.Options) (string, error) {
 		r, err := experiments.RunThreadScaling(ctx, o, []int{1, 2, 4, 8, 12, 16})
 		if err != nil {
 			return "", err
@@ -173,7 +133,7 @@ func main() {
 	// The bounds cross-validation is opt-in only: keeping it out of
 	// "-exp all" keeps the default trace byte-identical to the seed.
 	if *exp == "bounds" {
-		run("bounds", true, func(o experiments.Options) (string, error) {
+		run("bounds", func(o experiments.Options) (string, error) {
 			r, err := experiments.RunBounds(ctx, o)
 			if err != nil {
 				return "", err
@@ -184,7 +144,7 @@ func main() {
 	// The dependence cross-validation (E12) is opt-in for the same
 	// reason as bounds: the default trace stays byte-identical.
 	if *exp == "depend" {
-		run("depend", true, func(o experiments.Options) (string, error) {
+		run("depend", func(o experiments.Options) (string, error) {
 			r, err := experiments.RunDepend(ctx, o)
 			if err != nil {
 				return "", err
@@ -192,100 +152,29 @@ func main() {
 			return r.Format(), nil
 		})
 	}
-	// The transformation-search study (E13) is opt-in like bounds; its
-	// record set carries the search wall time plus the budget contract
-	// (budget vs sims actually spent) that benchgate's -ratio asserts on.
+	// The transformation-search study (E13) is opt-in like bounds.
 	if *exp == "optimize" {
-		rec, err := timed("optimize/search", func() error {
-			res, err := experiments.RunOptimize(ctx, opts, *optBudget)
+		run("optimize", func(o experiments.Options) (string, error) {
+			r, err := experiments.RunOptimize(ctx, o, *optBudget)
 			if err != nil {
-				return err
+				return "", err
 			}
-			fmt.Print(res.Format())
-			bench = append(bench,
-				benchRecord{Name: "optimize/budget", Iterations: 1, NsPerOp: int64(*optBudget)},
-				benchRecord{Name: "optimize/sims", Iterations: 1, NsPerOp: int64(res.Found.SimsRun)},
-			)
-			return nil
+			return r.Format(), nil
 		})
-		if err != nil {
-			fatal(err)
-		}
-		bench = append(bench, rec)
-		fmt.Println()
 	}
-	// The serving-path benchmark (E11) is opt-in like bounds, and unlike
-	// the others its record set is per-phase: the cold/warm ratio is what
-	// benchgate's -ratio flag asserts on.
+	// The serving-path study (E11) is opt-in like bounds.
 	if *exp == "serving" {
-		res, err := experiments.RunServing(ctx, opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Println()
-		bench = append(bench,
-			benchRecord{Name: "serving/cold", Iterations: 1, NsPerOp: res.Cold.Nanoseconds()},
-			benchRecord{Name: "serving/warm", Iterations: res.WarmRuns, NsPerOp: res.Warm.Nanoseconds()},
-			benchRecord{Name: "serving/burst", Iterations: res.BurstSize, NsPerOp: res.Burst.Nanoseconds()},
-		)
+		run("serving", func(o experiments.Options) (string, error) {
+			r, err := experiments.RunServing(ctx, o)
+			if err != nil {
+				return "", err
+			}
+			return r.Format(), nil
+		})
 	}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, bench); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-func engineSuffix(interp bool) string {
-	if interp {
-		return "/interp"
-	}
-	return "/spec"
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "paperbench:", err)
 	os.Exit(1)
-}
-
-// benchRecord is one experiment's timing in the go-bench-like JSON
-// schema (name, iterations, ns/op, allocs/op, bytes/op).
-type benchRecord struct {
-	Name        string `json:"name"`
-	Iterations  int    `json:"iterations"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
-	BytesPerOp  int64  `json:"bytes_per_op"`
-}
-
-// timed runs one experiment once, recording wall time and the allocation
-// deltas around it.
-func timed(name string, fn func() error) (benchRecord, error) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	err := fn()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return benchRecord{
-		Name:        name,
-		Iterations:  1,
-		NsPerOp:     elapsed.Nanoseconds(),
-		AllocsPerOp: int64(after.Mallocs - before.Mallocs),
-		BytesPerOp:  int64(after.TotalAlloc - before.TotalAlloc),
-	}, err
-}
-
-// writeBenchJSON writes the recorded experiment timings.
-func writeBenchJSON(path string, recs []benchRecord) error {
-	report := struct {
-		Version    int           `json:"version"`
-		Benchmarks []benchRecord `json:"benchmarks"`
-	}{Version: 3, Benchmarks: recs}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

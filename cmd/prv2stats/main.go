@@ -87,8 +87,8 @@ func main() {
 	}
 
 	fmt.Printf("memory throughput |%s|\n", analysis.RenderSeries(st.MemSeries(), *bins))
-	fmt.Printf("compute (FLOPs)   |%s|\n", analysis.RenderSeries(st.FlopSeries(), *bins))
-	fmt.Printf("pipeline stalls   |%s|\n\n", analysis.RenderSeries(st.StallSeries(), *bins))
+	fmt.Printf("compute (FLOPs)   |%s|\n", analysis.RenderSeries(st.Series(paraver.EventFpOps), *bins))
+	fmt.Printf("pipeline stalls   |%s|\n\n", analysis.RenderSeries(st.Series(paraver.EventStalls), *bins))
 
 	bw := st.AvgBandwidthBytesPerCycle()
 	fmt.Printf("totals: %d B read, %d B written, %d FLOPs, %d stalls\n",

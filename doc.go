@@ -15,12 +15,14 @@
 //   - internal/mem      — Avalon/DRAM/BRAM/preloader memory system
 //   - internal/hwsem    — hardware semaphore and barrier
 //   - internal/profile  — the paper's profiling unit (states + event counters)
-//   - internal/paraver  — .prv/.pcf/.row writer, parser and view analysis
+//   - internal/paraver  — the streaming trace: .prv/.pcf/.row writer, scanner
+//     and (in analysis) the one fold every view and statistic is read off
 //   - internal/area     — ALM/register/Fmax model for the overhead study
 //   - internal/host     — host-side interpreter for code around the region
 //   - internal/core     — the public facade tying the flow together
 //
 // See README.md for a walkthrough, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for the paper-vs-measured record of every table and
-// figure. The benchmarks in bench_test.go regenerate each experiment.
+// figure. The benchmarks in bench_test.go regenerate each experiment; the
+// layered performance benchmark is the benchmark/ module (BENCHMARK.json).
 package paravis

@@ -62,16 +62,19 @@ func main() {
 	fmt.Printf("halo transfers: %d messages over a %d-cycle link\n\n",
 		res.HaloTransfers, cfg.LinkLatency)
 
+	stats := analysis.NewStreamStats(0, 0)
+	if err := res.Streams.Scan(stats); err != nil {
+		log.Fatal(err)
+	}
 	for f := 0; f < res.FPGAs; f++ {
-		view := res.Trace.TaskView(f)
-		prof := analysis.StateProfileOf(view)
+		prof := stats.StateProfileTask(f)
 		fmt.Printf("FPGA %d: %.1f%% of the timeline running (rest idle between sweeps)\n",
 			f, 100*prof.TotalFraction[1])
 	}
 	fmt.Println("\nfirst halo exchanges in the trace (Paraver record type 3):")
-	for i, c := range res.Trace.Comms {
+	for i, c := range res.Streams.Comms {
 		if i >= 4 {
-			fmt.Printf("  ... %d more\n", len(res.Trace.Comms)-4)
+			fmt.Printf("  ... %d more\n", len(res.Streams.Comms)-4)
 			break
 		}
 		fmt.Printf("  sweep %d: FPGA%d -> FPGA%d, %dB, sent @%d, received @%d\n",

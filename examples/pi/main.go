@@ -52,11 +52,15 @@ func main() {
 		}
 		estimate := ret.AsFloat() / float64(steps)
 		r := out.Result
-		gflops := analysis.GFlops(out.Trace, out.FmaxMHz)
+		stats := analysis.NewStreamStats(88, 0)
+		if err := out.Streams.Scan(stats); err != nil {
+			log.Fatal(err)
+		}
+		gflops := stats.GFlops(out.FmaxMHz)
 		fmt.Printf("steps=%-9d pi=%.6f (err %.2e)  %d cycles  %.3f GFLOP/s\n",
 			steps, estimate, math.Abs(estimate-math.Pi), r.Cycles, gflops)
 		fmt.Println("  thread activity (R=Running C=Critical S=Spinning .=Idle):")
-		for _, row := range analysis.RenderStateTimeline(out.Trace, 88) {
+		for _, row := range stats.TimelineTask(0) {
 			fmt.Println("    " + row)
 		}
 		if *traces != "" {

@@ -72,10 +72,14 @@ func main() {
 	r := out.Result
 	fmt.Printf("execution: %d cycles (%.1f us at %.0f MHz), %d pipeline stalls\n",
 		r.Cycles, 1e6*out.Seconds(r.Cycles), out.FmaxMHz, r.TotalStalls())
-	bw := analysis.AvgBandwidthBytesPerCycle(out.Trace)
+	stats := analysis.NewStreamStats(72, 0)
+	if err := out.Streams.Scan(stats); err != nil {
+		log.Fatal(err)
+	}
+	bw := stats.AvgBandwidthBytesPerCycle()
 	fmt.Printf("memory: %.3f B/cycle (%.2f GB/s)\n", bw, analysis.BandwidthGBs(bw, out.FmaxMHz))
 	fmt.Println("state timeline (R=Running .=Idle):")
-	for _, row := range analysis.RenderStateTimeline(out.Trace, 72) {
+	for _, row := range stats.TimelineTask(0) {
 		fmt.Println("  " + row)
 	}
 

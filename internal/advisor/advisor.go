@@ -15,6 +15,7 @@
 package advisor
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -22,6 +23,7 @@ import (
 	"paravis/internal/absint"
 	"paravis/internal/core"
 	"paravis/internal/depend"
+	"paravis/internal/paraver"
 	"paravis/internal/paraver/analysis"
 	"paravis/internal/profile"
 	"paravis/internal/staticcheck"
@@ -176,18 +178,24 @@ func (t Thresholds) withDefaults() Thresholds {
 func Advise(out *core.RunOutput, th Thresholds) []Finding {
 	th = th.withDefaults()
 	var findings []Finding
-	tr := out.Trace
 	r := out.Result
-	if tr == nil || r == nil {
+	// One fold serves every trace-derived rule: state residency, total
+	// traffic, and thread 0's event series in 256-cycle windows (rule 4).
+	ss := analysis.NewStreamStatsWidth(0, 256, 0)
+	err := errors.New("no trace available (profiling disabled)")
+	if out.Streams != nil && r != nil {
+		err = out.Streams.Scan(ss)
+	}
+	if err != nil {
 		return []Finding{{
 			Kind: KindHealthy, Severity: Info,
-			Evidence: "no trace available (profiling disabled)",
+			Evidence: err.Error(),
 			Remedy:   Remedy{Action: "enable the profiling unit to collect states and events"},
 		}}
 	}
 
 	// Rule 1: serialization through the hardware semaphore (Fig. 6).
-	prof := analysis.StateProfileOf(tr)
+	prof := ss.StateProfileTask(0)
 	spinPct := 100 * prof.TotalFraction[profile.StateSpinning]
 	critPct := 100 * prof.TotalFraction[profile.StateCritical]
 	if spinPct+critPct > th.SpinCriticalPct && r.LockAcquisitions > 0 {
@@ -261,8 +269,7 @@ func Advise(out *core.RunOutput, th Thresholds) []Finding {
 	}
 
 	// Rule 4: distinct load/compute phases without prefetch (Fig. 8).
-	binW := int64(256)
-	ph := analysis.PhaseStatsThread(tr, binW, 0.05, 0.05, 0)
+	ph := analysis.ClassifyPhases(ss.MemSeries(), ss.Series(paraver.EventFpOps), 0.05, 0.05)
 	active := ph.MemOnly + ph.ComputeOnly + ph.Both
 	if active > 10 && ph.MemOnly > active/10 && ph.Overlap() < th.OverlapFrac {
 		findings = append(findings, Finding{
@@ -332,7 +339,7 @@ func Advise(out *core.RunOutput, th Thresholds) []Finding {
 		findings = append(findings, Finding{
 			Kind: KindHealthy, Severity: Info,
 			Evidence: fmt.Sprintf("no dominant bottleneck: %.2f%% lock time, %.3f B/cycle sustained",
-				spinPct+critPct, analysis.AvgBandwidthBytesPerCycle(tr)),
+				spinPct+critPct, ss.AvgBandwidthBytesPerCycle()),
 			Remedy: Remedy{Action: "profile at a larger problem size or a finer sampling period to expose secondary effects"},
 		})
 	}

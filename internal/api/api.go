@@ -574,8 +574,9 @@ type RunSummary struct {
 	GFlops          float64 `json:"gflops,omitempty"`
 }
 
-// NewRunSummary assembles the summary for a finished run.
-func NewRunSummary(p *core.Program, out *core.RunOutput) *RunSummary {
+// NewRunSummary assembles the summary for a finished run, folding the
+// trace (when the run has one) for its bandwidth and GFLOP/s figures.
+func NewRunSummary(p *core.Program, out *core.RunOutput) (*RunSummary, error) {
 	r := out.Result
 	s := &RunSummary{
 		Kernel:           p.Kernel.Name,
@@ -594,9 +595,13 @@ func NewRunSummary(p *core.Program, out *core.RunOutput) *RunSummary {
 		ScalarsOut:       r.ScalarsOut,
 		ScalarsOutInt:    r.ScalarsOutInt,
 	}
-	if out.Trace != nil {
-		s.BWBytesPerCycle = analysis.AvgBandwidthBytesPerCycle(out.Trace)
-		s.GFlops = analysis.GFlops(out.Trace, out.FmaxMHz)
+	if out.Streams != nil {
+		ss := analysis.NewStreamStats(0, 0)
+		if err := out.Streams.Scan(ss); err != nil {
+			return nil, err
+		}
+		s.BWBytesPerCycle = ss.AvgBandwidthBytesPerCycle()
+		s.GFlops = ss.GFlops(out.FmaxMHz)
 	}
-	return s
+	return s, nil
 }

@@ -86,12 +86,9 @@ type Result struct {
 	ExchangeCycles int64
 	// PerStep records each sweep's global duration.
 	PerStep []int64
-	// Streams is the merged multi-task trace in streaming form; bundles
-	// write directly from it without materializing record lists.
+	// Streams is the merged multi-task Paraver trace with comm records;
+	// bundles write from it and Streams.Scan feeds the analyses.
 	Streams *paraver.StreamTrace
-	// Trace is the merged multi-task Paraver trace with comm records (a
-	// thin materialized view over Streams, for the analyses).
-	Trace *paraver.Trace
 	// Final holds the smoothed field after all sweeps.
 	Final []float32
 	// HaloTransfers counts FPGA-to-FPGA messages.
@@ -267,8 +264,7 @@ func RunStencil(ctx context.Context, initial []float32, steps int, cfg Config) (
 	}
 	paraver.SortCommRecs(merged.Comms)
 	res.Streams = merged
-	res.Trace = merged.Trace()
-	if err := res.Trace.Validate(); err != nil {
+	if err := merged.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: merged trace invalid: %w", err)
 	}
 

@@ -7,6 +7,7 @@ import (
 
 	"paravis/internal/core"
 	"paravis/internal/paraver"
+	"paravis/internal/paraver/analysis"
 )
 
 func ramp(n int) []float32 {
@@ -58,8 +59,8 @@ func TestStencilFourFPGAs(t *testing.T) {
 	if res.HaloTransfers != 18 {
 		t.Errorf("halo transfers = %d, want 18", res.HaloTransfers)
 	}
-	if res.Trace.NumTasks() != 4 {
-		t.Errorf("tasks = %d", res.Trace.NumTasks())
+	if res.Streams.TaskCount != 4 {
+		t.Errorf("tasks = %d", res.Streams.TaskCount)
 	}
 }
 
@@ -70,7 +71,7 @@ func TestStencilTraceWellFormed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := res.Trace
+	tr := res.Streams
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +87,14 @@ func TestStencilTraceWellFormed(t *testing.T) {
 		}
 	}
 	// Both tasks must have state records.
-	seen := map[int]bool{}
-	for _, s := range tr.States {
-		seen[s.Task] = true
+	stats := analysis.NewStreamStats(0, 0)
+	if err := tr.Scan(stats); err != nil {
+		t.Fatal(err)
 	}
-	if !seen[0] || !seen[1] {
-		t.Errorf("missing per-task states: %v", seen)
+	for task := 0; task < 2; task++ {
+		if stats.StateProfileTask(task).TotalFraction[1] == 0 {
+			t.Errorf("task %d never runs in the trace", task)
+		}
 	}
 }
 
@@ -103,7 +106,7 @@ func TestStencilSingleFPGA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.HaloTransfers != 0 || len(res.Trace.Comms) != 0 {
+	if res.HaloTransfers != 0 || len(res.Streams.Comms) != 0 {
 		t.Error("single FPGA should not communicate")
 	}
 	want := Reference(initial, 3)
@@ -155,16 +158,21 @@ func TestWriteClusterBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	prv, err := res.Trace.WriteBundle(dir, "cluster")
+	prv, err := res.Streams.WriteBundle(dir, "cluster")
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := paraver.ParsePRVFile(prv)
+	r, err := paraver.OpenPRV(prv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumTasks() != 2 || len(back.Comms) != len(res.Trace.Comms) {
-		t.Errorf("round trip lost records: %d tasks %d comms", back.NumTasks(), len(back.Comms))
+	defer r.Close()
+	back := analysis.NewStreamStats(0, 0)
+	if err := paraver.ScanPRV(r, back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Hdr.Tasks != 2 || back.CommCount != len(res.Streams.Comms) {
+		t.Errorf("round trip lost records: %d tasks %d comms", back.Hdr.Tasks, back.CommCount)
 	}
 }
 

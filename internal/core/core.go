@@ -128,13 +128,10 @@ func Vet(file, src string, opts BuildOptions) []staticcheck.Diagnostic {
 // RunOutput bundles a simulation's results with its trace and reports.
 type RunOutput struct {
 	Result *sim.Result
-	// Streams is the zero-copy streaming view of the profiling unit's
-	// records (nil when profiling is disabled); WriteTrace emits the
-	// Paraver bundle directly from it without materializing record lists.
+	// Streams is the run's Paraver trace, a zero-copy view of the
+	// profiling unit's records (nil when profiling is disabled): WriteTrace
+	// emits the bundle from it and Streams.Scan feeds the analyses.
 	Streams *paraver.StreamTrace
-	// Trace is the materialized Paraver trace (nil when profiling is
-	// disabled), a thin view over the same streams for the analyses.
-	Trace *paraver.Trace
 	// Area is the footprint estimate of the design as simulated (with or
 	// without the profiling unit, per the run's config).
 	Area area.Report
@@ -160,8 +157,7 @@ func (p *Program) Run(ctx context.Context, args sim.Args, cfg sim.Config) (*RunO
 	out.Area = area.Estimate(p.Kernel, p.Sched, cfg.Profile, p.coeffs)
 	out.FmaxMHz = out.Area.FmaxMHz
 	if res.Prof != nil {
-		out.Streams = paraver.StreamFromProfile(res.Prof, p.Kernel.Name, res.Cycles)
-		out.Trace = out.Streams.Trace()
+		out.Streams = paraver.StreamOf(res.Prof, p.Kernel.Name, res.Cycles)
 	}
 	return out, nil
 }

@@ -48,10 +48,10 @@ func TestBuildAndRunGEMM(t *testing.T) {
 			t.Fatalf("C[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if out.Trace == nil {
+	if out.Streams == nil {
 		t.Fatal("no trace")
 	}
-	if err := out.Trace.Validate(); err != nil {
+	if err := out.Streams.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if out.FmaxMHz < 50 {
@@ -81,7 +81,11 @@ func TestTraceShowsCriticalAndSpin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := analysis.StateProfileOf(out.Trace)
+	stats := analysis.NewStreamStats(0, 0)
+	if err := out.Streams.Scan(stats); err != nil {
+		t.Fatal(err)
+	}
+	prof := stats.StateProfileTask(0)
 	if prof.TotalFraction[profile.StateCritical] == 0 {
 		t.Error("no critical time in trace (Fig. 6 expects some)")
 	}
@@ -107,12 +111,17 @@ func TestWriteTraceBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := paraver.ParsePRVFile(prv)
+	r, err := paraver.OpenPRV(prv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumThreads != 8 {
-		t.Errorf("threads = %d", back.NumThreads)
+	defer r.Close()
+	back := analysis.NewStreamStats(0, 0)
+	if err := paraver.ScanPRV(r, back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Hdr.NumThreads != 8 {
+		t.Errorf("threads = %d", back.Hdr.NumThreads)
 	}
 	for _, ext := range []string{".pcf", ".row"} {
 		if _, err := os.Stat(filepath.Join(dir, "pi"+ext)); err != nil {
@@ -181,7 +190,7 @@ func TestRunWithoutProfilingHasNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Trace != nil {
+	if out.Streams != nil {
 		t.Error("trace produced with profiling disabled")
 	}
 	if _, err := out.WriteTrace(t.TempDir(), "x"); err == nil {

@@ -84,8 +84,11 @@ type GEMMRun struct {
 	Cycles  int64
 	// Program is the compiled kernel the run executed; consumers use it
 	// for source-level analyses (dependence-gated advice).
-	Program         *core.Program
-	Out             *core.RunOutput
+	Program *core.Program
+	Out     *core.RunOutput
+	// Stats is the trace fold (nil without profiling): a 96-column state
+	// view and all-thread event series in 64 bins.
+	Stats           *analysis.StreamStats
 	BWBytesPerCycle float64
 	BWGBs           float64
 	GFlops          float64
@@ -123,10 +126,14 @@ func RunGEMM(ctx context.Context, v workloads.GEMMVersion, dim, threads int, cfg
 	r := &GEMMRun{
 		Version: v, Dim: dim, Cycles: out.Result.Cycles, Program: p, Out: out, Correct: correct,
 	}
-	if out.Trace != nil {
-		r.BWBytesPerCycle = analysis.AvgBandwidthBytesPerCycle(out.Trace)
+	if out.Streams != nil {
+		r.Stats = analysis.NewStreamStats(96, 64)
+		if err := out.Streams.Scan(r.Stats); err != nil {
+			return nil, fmt.Errorf("%s: %w", v, err)
+		}
+		r.BWBytesPerCycle = r.Stats.AvgBandwidthBytesPerCycle()
 		r.BWGBs = analysis.BandwidthGBs(r.BWBytesPerCycle, out.FmaxMHz)
-		r.GFlops = analysis.GFlops(out.Trace, out.FmaxMHz)
+		r.GFlops = r.Stats.GFlops(out.FmaxMHz)
 	}
 	return r, nil
 }
@@ -232,10 +239,10 @@ func RunFig6(ctx context.Context, opts Options) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if run.Out.Trace == nil {
+	if run.Stats == nil {
 		return nil, fmt.Errorf("fig6 needs profiling enabled")
 	}
-	prof := analysis.StateProfileOf(run.Out.Trace)
+	prof := run.Stats.StateProfileTask(0)
 	res := &Fig6Result{
 		Run:         run,
 		Profile:     prof,
@@ -243,27 +250,39 @@ func RunFig6(ctx context.Context, opts Options) (*Fig6Result, error) {
 		SpinningPct: 100 * prof.TotalFraction[profile.StateSpinning],
 	}
 	if !opts.Quiet {
-		res.Timeline = analysis.RenderStateTimeline(run.Out.Trace, 96)
+		res.Timeline = run.Stats.TimelineTask(0)
 	}
 	// Zoom evidence: find a moment where one thread is Critical while
 	// another Spins (the paper zooms on thread 7 spinning on thread 6).
-	res.ZoomEvidence = findSpinWhileCritical(run.Out.Trace)
+	var lockStates lockIntervals
+	if err := run.Out.Streams.Scan(&lockStates); err != nil {
+		return nil, err
+	}
+	res.ZoomEvidence = lockStates.findSpinWhileCritical()
 	return res, nil
 }
 
-// findSpinWhileCritical locates overlapping Critical/Spinning intervals.
-func findSpinWhileCritical(tr *paraver.Trace) string {
-	var crit, spin []paraver.StateRec
-	for _, s := range tr.States {
-		switch s.State {
-		case int(profile.StateCritical):
-			crit = append(crit, s)
-		case int(profile.StateSpinning):
-			spin = append(spin, s)
-		}
+// lockIntervals is a trace visitor keeping the Critical and Spinning
+// intervals, the only records the Fig. 6 zoom needs.
+type lockIntervals struct {
+	paraver.Discard
+	crit, spin []paraver.StateRec
+}
+
+func (l *lockIntervals) State(s paraver.StateRec) error {
+	switch s.State {
+	case int(profile.StateCritical):
+		l.crit = append(l.crit, s)
+	case int(profile.StateSpinning):
+		l.spin = append(l.spin, s)
 	}
-	for _, c := range crit {
-		for _, s := range spin {
+	return nil
+}
+
+// findSpinWhileCritical locates overlapping Critical/Spinning intervals.
+func (l *lockIntervals) findSpinWhileCritical() string {
+	for _, c := range l.crit {
+		for _, s := range l.spin {
 			if s.Thread != c.Thread && s.Begin < c.End && c.Begin < s.End {
 				return fmt.Sprintf("cycle %d: thread %d spinning on the lock held by thread %d (in critical)",
 					maxI64(s.Begin, c.Begin), s.Thread, c.Thread)
@@ -332,13 +351,8 @@ func RunSpeedups(ctx context.Context, opts Options) (*SpeedupResult, error) {
 			return fmt.Errorf("%s produced wrong results", v)
 		}
 		res.Runs[i] = run
-		if !opts.Quiet && run.Out.Trace != nil {
-			bins := run.Cycles / 64
-			if bins < 1 {
-				bins = 1
-			}
-			s := analysis.MemorySeries(run.Out.Trace, bins)
-			res.BWSeries[i] = analysis.RenderSeries(s, 64)
+		if !opts.Quiet && run.Stats != nil {
+			res.BWSeries[i] = analysis.RenderSeries(run.Stats.MemSeries(), 64)
 		}
 		return nil
 	})
@@ -408,32 +422,35 @@ func RunPhases(ctx context.Context, opts Options) (*PhaseResult, error) {
 	}
 	blocked, double := runs[0], runs[1]
 	res := &PhaseResult{Blocked: blocked, DoubleBuffered: double}
-	bin := cfg.Profile.SamplePeriod
-	const thread = 0
-	res.BlockedStats = analysis.PhaseStatsThread(blocked.Out.Trace, bin, 0.05, 0.05, thread)
-	res.DoubleStats = analysis.PhaseStatsThread(double.Out.Trace, bin, 0.05, 0.05, thread)
-	if !opts.Quiet {
-		width := 72
-		bb := blocked.Cycles / 96
-		if bb < 1 {
-			bb = 1
-		}
-		db := double.Cycles / 96
-		if db < 1 {
-			db = 1
-		}
-		mem := func(r *GEMMRun, b int64) string {
-			return analysis.RenderSeries(analysis.EventSeriesThread(r.Out.Trace, paraver.EventReadBytes, b, thread), width)
-		}
-		fp := func(r *GEMMRun, b int64) string {
-			return analysis.RenderSeries(analysis.EventSeriesThread(r.Out.Trace, paraver.EventFpOps, b, thread), width)
-		}
-		res.BlockedMemSpark = mem(blocked, bb)
-		res.BlockedFpSpark = fp(blocked, bb)
-		res.DoubleMemSpark = mem(double, db)
-		res.DoubleFpSpark = fp(double, db)
+	period := cfg.Profile.SamplePeriod
+	if res.BlockedStats, res.BlockedMemSpark, res.BlockedFpSpark, err = phaseView(blocked, period, opts.Quiet); err != nil {
+		return nil, err
+	}
+	if res.DoubleStats, res.DoubleMemSpark, res.DoubleFpSpark, err = phaseView(double, period, opts.Quiet); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// phaseView folds one run's thread-0 events twice: binned at the sampling
+// period for the phase classification and, unless quiet, at cycles/96 for
+// the read-traffic and FLOP sparklines.
+func phaseView(r *GEMMRun, period int64, quiet bool) (st analysis.PhaseStats, memSpark, fpSpark string, err error) {
+	ss := analysis.NewStreamStatsWidth(0, period, 0)
+	if err = r.Out.Streams.Scan(ss); err != nil {
+		return
+	}
+	st = analysis.ClassifyPhases(ss.MemSeries(), ss.Series(paraver.EventFpOps), 0.05, 0.05)
+	if quiet {
+		return
+	}
+	ss = analysis.NewStreamStatsWidth(0, r.Cycles/96, 0)
+	if err = r.Out.Streams.Scan(ss); err != nil {
+		return
+	}
+	memSpark = analysis.RenderSeries(ss.Series(paraver.EventReadBytes), 72)
+	fpSpark = analysis.RenderSeries(ss.Series(paraver.EventFpOps), 72)
+	return
 }
 
 // Format renders E6/E7.
@@ -500,8 +517,15 @@ func RunPi(ctx context.Context, opts Options) (*PiResult, error) {
 			return fmt.Errorf("pi %d: %w", steps, err)
 		}
 		run := &PiRun{Steps: steps, Cycles: out.Result.Cycles, Out: out}
-		if out.Trace != nil {
-			run.GFlops = analysis.GFlops(out.Trace, out.FmaxMHz)
+		if out.Streams != nil {
+			ss := analysis.NewStreamStats(96, 0)
+			if err := out.Streams.Scan(ss); err != nil {
+				return fmt.Errorf("pi %d: %w", steps, err)
+			}
+			run.GFlops = ss.GFlops(out.FmaxMHz)
+			if !opts.Quiet {
+				run.Timeline = ss.TimelineTask(0)
+			}
 		}
 		r := out.Result
 		run.DisjointThreads = r.ThreadEnd[0] < r.ThreadStart[len(r.ThreadStart)-1]
@@ -517,9 +541,6 @@ func RunPi(ctx context.Context, opts Options) (*PiResult, error) {
 		}
 		got := r.ScalarsOut["final_sum"] / float64(steps)
 		run.Correct = got > 3.13 && got < 3.15
-		if !opts.Quiet && out.Trace != nil {
-			run.Timeline = analysis.RenderStateTimeline(out.Trace, 96)
-		}
 		res.Runs[i] = run
 		return nil
 	})

@@ -2,14 +2,14 @@
 // uses: the state timeline (Fig. 6, 11-13), per-thread state residency
 // percentages, and time-binned event series for memory throughput and
 // compute performance (Figs. 7-9). Since this reproduction has no GUI, each
-// view is a data structure (plus an ASCII rendering for the state view).
+// view is a data structure (plus an ASCII rendering for the state view),
+// and every one of them is read off a single fold over the record stream:
+// StreamStats.
 package analysis
 
 import (
 	"fmt"
 	"strings"
-
-	"paravis/internal/paraver"
 )
 
 // StateProfile summarizes per-thread state residency.
@@ -22,32 +22,6 @@ type StateProfile struct {
 	Fraction [][4]float64
 	// TotalFraction[s] aggregates over threads.
 	TotalFraction [4]float64
-}
-
-// StateProfileOf integrates the trace's state intervals.
-func StateProfileOf(tr *paraver.Trace) StateProfile {
-	p := StateProfile{
-		NumThreads: tr.NumThreads,
-		EndTime:    tr.EndTime,
-		Cycles:     make([][4]int64, tr.NumThreads),
-		Fraction:   make([][4]float64, tr.NumThreads),
-	}
-	for _, s := range tr.States {
-		p.Cycles[s.Thread][s.State] += s.End - s.Begin
-	}
-	if tr.EndTime > 0 {
-		var totals [4]int64
-		for t := 0; t < tr.NumThreads; t++ {
-			for st := 0; st < 4; st++ {
-				p.Fraction[t][st] = float64(p.Cycles[t][st]) / float64(tr.EndTime)
-				totals[st] += p.Cycles[t][st]
-			}
-		}
-		for st := 0; st < 4; st++ {
-			p.TotalFraction[st] = float64(totals[st]) / float64(tr.EndTime*int64(tr.NumThreads))
-		}
-	}
-	return p
 }
 
 // Series is a time-binned event aggregation.
@@ -80,87 +54,9 @@ func (s Series) Max() float64 {
 	return m
 }
 
-// EventSeries bins one event type across all threads.
-func EventSeries(tr *paraver.Trace, eventType int, binWidth int64) Series {
-	return EventSeriesThread(tr, eventType, binWidth, -1)
-}
-
-// EventSeriesThread bins one event type for a single thread (-1 = all
-// threads). Per-thread series reproduce the zoomed single-thread views of
-// Figs. 8-9, where the load/compute phase structure is visible.
-func EventSeriesThread(tr *paraver.Trace, eventType int, binWidth int64, thread int) Series {
-	if binWidth <= 0 {
-		binWidth = 1
-	}
-	nBins := int((tr.EndTime + binWidth - 1) / binWidth)
-	if nBins == 0 {
-		nBins = 1
-	}
-	s := Series{BinWidth: binWidth, Values: make([]float64, nBins)}
-	for _, ev := range tr.Events {
-		if ev.Type != eventType || (thread >= 0 && ev.Thread != thread) {
-			continue
-		}
-		bin := int(ev.Time / binWidth)
-		if bin >= nBins {
-			bin = nBins - 1
-		}
-		s.Values[bin] += float64(ev.Value)
-	}
-	return s
-}
-
-// MemorySeries returns the combined read+write byte series (the throughput
-// view of Fig. 7).
-func MemorySeries(tr *paraver.Trace, binWidth int64) Series {
-	rd := EventSeries(tr, paraver.EventReadBytes, binWidth)
-	wr := EventSeries(tr, paraver.EventWriteBytes, binWidth)
-	for i := range rd.Values {
-		rd.Values[i] += wr.Values[i]
-	}
-	return rd
-}
-
-// FlopSeries returns the floating-point-operation series (the compute
-// performance view of Figs. 8-9).
-func FlopSeries(tr *paraver.Trace, binWidth int64) Series {
-	return EventSeries(tr, paraver.EventFpOps, binWidth)
-}
-
-// Totals sums an event type over the whole trace.
-func Totals(tr *paraver.Trace, eventType int) int64 {
-	var t int64
-	for _, ev := range tr.Events {
-		if ev.Type == eventType {
-			t += ev.Value
-		}
-	}
-	return t
-}
-
-// AvgBandwidthBytesPerCycle is total traffic divided by execution time.
-func AvgBandwidthBytesPerCycle(tr *paraver.Trace) float64 {
-	if tr.EndTime == 0 {
-		return 0
-	}
-	total := Totals(tr, paraver.EventReadBytes) + Totals(tr, paraver.EventWriteBytes)
-	return float64(total) / float64(tr.EndTime)
-}
-
 // BandwidthGBs converts bytes/cycle to GB/s at the given clock.
 func BandwidthGBs(bytesPerCycle float64, freqMHz float64) float64 {
 	return bytesPerCycle * freqMHz * 1e6 / 1e9
-}
-
-// GFlops computes sustained GFLOP/s over the trace at the given clock (the
-// pi case-study metric).
-func GFlops(tr *paraver.Trace, freqMHz float64) float64 {
-	if tr.EndTime == 0 {
-		return 0
-	}
-	flops := Totals(tr, paraver.EventFpOps)
-	seconds := float64(tr.EndTime) / (freqMHz * 1e6)
-	return float64(flops) / seconds / 1e9
 }
 
 // PhaseStats classifies bins by activity, quantifying the load/compute
@@ -184,35 +80,21 @@ func (p PhaseStats) Overlap() float64 {
 	return float64(p.Both) / float64(active)
 }
 
-// Alternations counts mem-only <-> compute-only transitions (high for
-// distinct phases, low for overlapped execution).
 func (p PhaseStats) String() string {
 	return fmt.Sprintf("bins=%d mem-only=%d compute-only=%d both=%d idle=%d overlap=%.2f",
 		p.Bins, p.MemOnly, p.ComputeOnly, p.Both, p.Idle, p.Overlap())
 }
 
-// PhaseStatsOf bins the trace and classifies each bin. The thresholds are
-// fractions of the respective series peak (0 disables a threshold).
-func PhaseStatsOf(tr *paraver.Trace, binWidth int64, memFrac, fpFrac float64) PhaseStats {
-	return PhaseStatsThread(tr, binWidth, memFrac, fpFrac, -1)
-}
-
-// PhaseStatsThread classifies bins of a single thread's activity (-1 =
-// aggregate). The paper's Figs. 8-9 compare one thread's iterations, where
-// the blocked version shows disjoint load/compute phases and the
-// double-buffered version overlaps them.
-func PhaseStatsThread(tr *paraver.Trace, binWidth int64, memFrac, fpFrac float64, thread int) PhaseStats {
-	rd := EventSeriesThread(tr, paraver.EventReadBytes, binWidth, thread)
-	wr := EventSeriesThread(tr, paraver.EventWriteBytes, binWidth, thread)
-	mem := rd
-	for i := range mem.Values {
-		mem.Values[i] += wr.Values[i]
-	}
-	fp := EventSeriesThread(tr, paraver.EventFpOps, binWidth, thread)
+// ClassifyPhases classifies each bin of two equally binned series as
+// memory-only, compute-only, both or idle. The thresholds are fractions of
+// the respective series peak (0 counts any activity). The paper's Figs. 8-9
+// compare one thread's iterations, where the blocked version shows
+// disjoint load/compute phases and the double-buffered version overlaps
+// them.
+func ClassifyPhases(mem, fp Series, memFrac, fpFrac float64) PhaseStats {
 	memThresh := mem.Max() * memFrac
 	fpThresh := fp.Max() * fpFrac
-	var st PhaseStats
-	st.Bins = len(mem.Values)
+	st := PhaseStats{Bins: len(mem.Values)}
 	for i := range mem.Values {
 		m := mem.Values[i] > memThresh
 		c := fp.Values[i] > fpThresh
@@ -228,56 +110,6 @@ func PhaseStatsThread(tr *paraver.Trace, binWidth int64, memFrac, fpFrac float64
 		}
 	}
 	return st
-}
-
-// stateGlyphs renders each state as one character: Idle '.', Running 'R',
-// Critical 'C', Spinning 'S'.
-var stateGlyphs = [4]byte{'.', 'R', 'C', 'S'}
-
-// RenderStateTimeline draws the Paraver state view as ASCII art: one row
-// per thread, width columns covering [0, EndTime).
-func RenderStateTimeline(tr *paraver.Trace, width int) []string {
-	if width <= 0 {
-		width = 80
-	}
-	rows := make([][]byte, tr.NumThreads)
-	for t := range rows {
-		rows[t] = []byte(strings.Repeat(".", width))
-	}
-	if tr.EndTime == 0 {
-		return rowsToStrings(rows)
-	}
-	for _, s := range tr.States {
-		lo := int(s.Begin * int64(width) / tr.EndTime)
-		hi := int((s.End*int64(width) + int64(tr.EndTime) - 1) / tr.EndTime)
-		if hi > width {
-			hi = width
-		}
-		if hi <= lo {
-			hi = lo + 1
-			if hi > width {
-				continue
-			}
-		}
-		// Later records overwrite earlier ones only with "louder" states
-		// so short critical/spin bursts stay visible at coarse scale.
-		for c := lo; c < hi; c++ {
-			cur := rows[s.Thread][c]
-			g := stateGlyphs[s.State]
-			if cur == '.' || g == 'S' || (g == 'C' && cur != 'S') || (g == 'R' && cur == '.') {
-				rows[s.Thread][c] = g
-			}
-		}
-	}
-	return rowsToStrings(rows)
-}
-
-func rowsToStrings(rows [][]byte) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = fmt.Sprintf("T%d |%s|", i, string(r))
-	}
-	return out
 }
 
 // RenderSeries draws a series as a one-line sparkline using eight shading

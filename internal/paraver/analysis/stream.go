@@ -1,39 +1,39 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 
 	"paravis/internal/paraver"
 )
 
-// StreamStats is a paraver.Visitor that computes every view prv2stats
-// prints — state residency, ASCII timelines, binned event series, totals
-// and communication statistics — in a single pass over the record stream,
-// holding only fixed-size accumulators. It also validates the same
-// invariants Trace.Validate checks, so feeding it a corrupt trace fails
-// at the offending record instead of after materialization. Memory use is
+// numEventTypes is the count of event types, EventStalls..EventWriteBytes.
+const numEventTypes = 5
+
+// StreamStats is the paraver.Visitor behind every number and view this
+// reproduction reads off a trace — state residency, ASCII timelines, binned
+// event series, totals and communication statistics — computed in a single
+// pass over the record stream into fixed-size accumulators. The same fold
+// serves a live run (StreamTrace.Scan) and a .prv file (ScanPRV); both
+// deliver only records that passed the trace invariants, so the
+// accumulators index by task and thread unchecked. Memory use is
 // O(tasks*threads*timelineWidth + bins), independent of the trace length,
 // so traces larger than RAM stream through.
 type StreamStats struct {
 	Hdr paraver.Header
 
 	timelineWidth int
-	bins          int
+	bins          int   // series resolution; 0 when binWidth was given
+	binWidth      int64 // cycles per series bin
+	thread        int   // the series cover this thread only; -1 for all
 
-	cycles  [][4]int64 // per (task*NumThreads+thread) slot
-	rows    [][]byte   // timeline rows, same slot indexing
-	lastEnd []int64    // per-slot monotonicity check
+	cycles [][4]int64 // per (task*NumThreads+thread) slot
+	rows   []byte     // timeline rows, timelineWidth columns per slot
 
-	binWidth int64
-	mem      Series
-	fp       Series
-	stalls   Series
-
-	readBytes   int64
-	writeBytes  int64
-	fpOps       int64
-	intOps      int64
-	stallsTotal int64
+	// series and totals are indexed by event type - EventStalls; totals
+	// always cover every thread.
+	series [numEventTypes][]float64
+	totals [numEventTypes]int64
 
 	CommCount      int
 	CommBytes      int64
@@ -41,7 +41,7 @@ type StreamStats struct {
 }
 
 // NewStreamStats builds an aggregator rendering timelines timelineWidth
-// columns wide and binning event series into bins buckets.
+// columns wide and binning every thread's events into bins buckets.
 func NewStreamStats(timelineWidth, bins int) *StreamStats {
 	if timelineWidth <= 0 {
 		timelineWidth = 80
@@ -49,40 +49,39 @@ func NewStreamStats(timelineWidth, bins int) *StreamStats {
 	if bins <= 0 {
 		bins = 64
 	}
-	return &StreamStats{timelineWidth: timelineWidth, bins: bins}
+	return &StreamStats{timelineWidth: timelineWidth, bins: bins, thread: -1}
+}
+
+// NewStreamStatsWidth is NewStreamStats with the bin width given in cycles
+// (the sampling period, say) and the series restricted to one thread (-1
+// for all). Per-thread series reproduce the zoomed single-thread views of
+// Figs. 8-9, where the load/compute phase structure is visible.
+func NewStreamStatsWidth(timelineWidth int, binWidth int64, thread int) *StreamStats {
+	st := NewStreamStats(timelineWidth, 0)
+	st.bins, st.binWidth, st.thread = 0, max(binWidth, 1), thread
+	return st
 }
 
 // Header sizes the accumulators from the trace dimensions.
 func (st *StreamStats) Header(h paraver.Header) error {
-	if h.Tasks <= 0 {
-		h.Tasks = 1
-	}
 	st.Hdr = h
 	slots := h.Tasks * h.NumThreads
 	st.cycles = make([][4]int64, slots)
-	st.rows = make([][]byte, slots)
-	for i := range st.rows {
-		row := make([]byte, st.timelineWidth)
-		for j := range row {
-			row[j] = '.'
+	st.rows = bytes.Repeat([]byte{'.'}, slots*st.timelineWidth)
+	if st.bins > 0 {
+		st.binWidth = h.EndTime / int64(st.bins)
+		if st.binWidth < 1 {
+			st.binWidth = 1
 		}
-		st.rows[i] = row
-	}
-	st.lastEnd = make([]int64, slots)
-	for i := range st.lastEnd {
-		st.lastEnd[i] = -1
-	}
-	st.binWidth = h.EndTime / int64(st.bins)
-	if st.binWidth < 1 {
-		st.binWidth = 1
 	}
 	nBins := int((h.EndTime + st.binWidth - 1) / st.binWidth)
 	if nBins == 0 {
 		nBins = 1
 	}
-	st.mem = Series{BinWidth: st.binWidth, Values: make([]float64, nBins)}
-	st.fp = Series{BinWidth: st.binWidth, Values: make([]float64, nBins)}
-	st.stalls = Series{BinWidth: st.binWidth, Values: make([]float64, nBins)}
+	vals := make([]float64, numEventTypes*nBins)
+	for i := range st.series {
+		st.series[i] = vals[i*nBins : (i+1)*nBins]
+	}
 	return nil
 }
 
@@ -90,32 +89,15 @@ func (st *StreamStats) slot(task, thread int) int {
 	return task*st.Hdr.NumThreads + thread
 }
 
-// State validates and accumulates one state interval.
+// stateGlyphs renders each state as one character: Idle '.', Running 'R',
+// Critical 'C', Spinning 'S'.
+var stateGlyphs = [4]byte{'.', 'R', 'C', 'S'}
+
+// State accumulates one state interval and paints it on the timeline.
 func (st *StreamStats) State(s paraver.StateRec) error {
-	if s.Task < 0 || s.Task >= st.Hdr.Tasks {
-		return fmt.Errorf("state record task %d out of range", s.Task)
-	}
-	if s.Thread < 0 || s.Thread >= st.Hdr.NumThreads {
-		return fmt.Errorf("state record thread %d out of range", s.Thread)
-	}
-	if s.Begin < 0 || s.End > st.Hdr.EndTime || s.End <= s.Begin {
-		return fmt.Errorf("bad state interval [%d,%d) (end %d)", s.Begin, s.End, st.Hdr.EndTime)
-	}
-	if s.State < 0 || s.State > 3 {
-		return fmt.Errorf("unknown state %d", s.State)
-	}
 	slot := st.slot(s.Task, s.Thread)
-	if st.lastEnd[slot] > s.Begin {
-		return fmt.Errorf("overlapping intervals for task %d thread %d at %d", s.Task, s.Thread, s.Begin)
-	}
-	st.lastEnd[slot] = s.End
 	st.cycles[slot][s.State] += s.End - s.Begin
 
-	// Paint the timeline row with RenderStateTimeline's overwrite rule:
-	// louder states win (Spinning > Critical > Running > Idle).
-	if st.Hdr.EndTime == 0 {
-		return nil
-	}
 	width := int64(st.timelineWidth)
 	lo := int(s.Begin * width / st.Hdr.EndTime)
 	hi := int((s.End*width + st.Hdr.EndTime - 1) / st.Hdr.EndTime)
@@ -128,7 +110,10 @@ func (st *StreamStats) State(s paraver.StateRec) error {
 			return nil
 		}
 	}
-	row := st.rows[slot]
+	// Later records overwrite earlier ones only with "louder" states
+	// (Spinning > Critical > Running > Idle) so short critical/spin bursts
+	// stay visible at coarse scale.
+	row := st.rows[slot*st.timelineWidth : (slot+1)*st.timelineWidth]
 	g := stateGlyphs[s.State]
 	for c := lo; c < hi; c++ {
 		cur := row[c]
@@ -139,60 +124,27 @@ func (st *StreamStats) State(s paraver.StateRec) error {
 	return nil
 }
 
-// Event validates and bins one event sample.
+// Event totals and bins one event sample; unknown event types are ignored.
 func (st *StreamStats) Event(e paraver.EventRec) error {
-	if e.Task < 0 || e.Task >= st.Hdr.Tasks {
-		return fmt.Errorf("event task %d out of range", e.Task)
+	i := uint(e.Type - paraver.EventStalls)
+	if i >= numEventTypes {
+		return nil
 	}
-	if e.Thread < 0 || e.Thread >= st.Hdr.NumThreads {
-		return fmt.Errorf("event thread %d out of range", e.Thread)
+	st.totals[i] += e.Value
+	if st.thread >= 0 && e.Thread != st.thread {
+		return nil
 	}
-	if e.Time < 0 || e.Time > st.Hdr.EndTime {
-		return fmt.Errorf("event time %d outside [0,%d]", e.Time, st.Hdr.EndTime)
-	}
+	vals := st.series[i]
 	bin := int(e.Time / st.binWidth)
-	if bin >= len(st.mem.Values) {
-		bin = len(st.mem.Values) - 1
+	if bin >= len(vals) {
+		bin = len(vals) - 1
 	}
-	v := float64(e.Value)
-	switch e.Type {
-	case paraver.EventReadBytes:
-		st.readBytes += e.Value
-		st.mem.Values[bin] += v
-	case paraver.EventWriteBytes:
-		st.writeBytes += e.Value
-		st.mem.Values[bin] += v
-	case paraver.EventFpOps:
-		st.fpOps += e.Value
-		st.fp.Values[bin] += v
-	case paraver.EventIntOps:
-		st.intOps += e.Value
-	case paraver.EventStalls:
-		st.stallsTotal += e.Value
-		st.stalls.Values[bin] += v
-	}
+	vals[bin] += float64(e.Value)
 	return nil
 }
 
-// Comm validates and counts one communication record.
+// Comm counts one communication record.
 func (st *StreamStats) Comm(c paraver.CommRec) error {
-	if c.SendTask < 0 || c.SendTask >= st.Hdr.Tasks ||
-		c.RecvTask < 0 || c.RecvTask >= st.Hdr.Tasks {
-		return fmt.Errorf("comm task out of range: %+v", c)
-	}
-	if c.SendThread < 0 || c.SendThread >= st.Hdr.NumThreads ||
-		c.RecvThread < 0 || c.RecvThread >= st.Hdr.NumThreads {
-		return fmt.Errorf("comm thread out of range: %+v", c)
-	}
-	if c.RecvTime < c.SendTime {
-		return fmt.Errorf("comm received before sent: %+v", c)
-	}
-	if c.SendTime < 0 || c.RecvTime > st.Hdr.EndTime {
-		return fmt.Errorf("comm outside trace window: %+v", c)
-	}
-	if c.Size <= 0 {
-		return fmt.Errorf("comm with size %d", c.Size)
-	}
 	st.CommCount++
 	st.CommBytes += c.Size
 	if l := c.RecvTime - c.SendTime; l > st.CommMaxLatency {
@@ -201,67 +153,61 @@ func (st *StreamStats) Comm(c paraver.CommRec) error {
 	return nil
 }
 
-// StateProfileTask returns one task's residency profile, matching
-// StateProfileOf on the task's materialized view.
+// StateProfileTask integrates one task's state intervals into its
+// per-thread residency profile.
 func (st *StreamStats) StateProfileTask(task int) StateProfile {
+	n, end := st.Hdr.NumThreads, st.Hdr.EndTime
 	p := StateProfile{
-		NumThreads: st.Hdr.NumThreads,
-		EndTime:    st.Hdr.EndTime,
-		Cycles:     make([][4]int64, st.Hdr.NumThreads),
-		Fraction:   make([][4]float64, st.Hdr.NumThreads),
+		NumThreads: n,
+		EndTime:    end,
+		Cycles:     st.cycles[st.slot(task, 0):st.slot(task, n)],
+		Fraction:   make([][4]float64, n),
 	}
-	for t := 0; t < st.Hdr.NumThreads; t++ {
-		p.Cycles[t] = st.cycles[st.slot(task, t)]
-	}
-	if st.Hdr.EndTime > 0 {
+	if end > 0 {
 		var totals [4]int64
-		for t := 0; t < st.Hdr.NumThreads; t++ {
+		for t := 0; t < n; t++ {
 			for s := 0; s < 4; s++ {
-				p.Fraction[t][s] = float64(p.Cycles[t][s]) / float64(st.Hdr.EndTime)
+				p.Fraction[t][s] = float64(p.Cycles[t][s]) / float64(end)
 				totals[s] += p.Cycles[t][s]
 			}
 		}
 		for s := 0; s < 4; s++ {
-			p.TotalFraction[s] = float64(totals[s]) / float64(st.Hdr.EndTime*int64(st.Hdr.NumThreads))
+			p.TotalFraction[s] = float64(totals[s]) / float64(end*int64(n))
 		}
 	}
 	return p
 }
 
-// TimelineTask renders one task's accumulated state timeline, matching
-// RenderStateTimeline on the task's materialized view.
+// TimelineTask renders one task's state view as ASCII art: one row per
+// thread, timelineWidth columns covering [0, EndTime).
 func (st *StreamStats) TimelineTask(task int) []string {
-	rows := make([][]byte, st.Hdr.NumThreads)
-	for t := range rows {
-		rows[t] = st.rows[st.slot(task, t)]
+	out := make([]string, st.Hdr.NumThreads)
+	for t := range out {
+		off := st.slot(task, t) * st.timelineWidth
+		out[t] = fmt.Sprintf("T%d |%s|", t, st.rows[off:off+st.timelineWidth])
 	}
-	return rowsToStrings(rows)
+	return out
 }
 
-// MemSeries is the combined read+write byte series.
-func (st *StreamStats) MemSeries() Series { return st.mem }
+// Series is the binned series of one event type.
+func (st *StreamStats) Series(eventType int) Series {
+	return Series{BinWidth: st.binWidth, Values: st.series[eventType-paraver.EventStalls]}
+}
 
-// FlopSeries is the floating-point-operation series.
-func (st *StreamStats) FlopSeries() Series { return st.fp }
-
-// StallSeries is the pipeline-stall series.
-func (st *StreamStats) StallSeries() Series { return st.stalls }
+// MemSeries is the combined read+write byte series (the throughput view
+// of Fig. 7).
+func (st *StreamStats) MemSeries() Series {
+	rd, wr := st.Series(paraver.EventReadBytes), st.Series(paraver.EventWriteBytes)
+	mem := Series{BinWidth: st.binWidth, Values: make([]float64, len(rd.Values))}
+	for i := range mem.Values {
+		mem.Values[i] = rd.Values[i] + wr.Values[i]
+	}
+	return mem
+}
 
 // Total sums one event type over the whole trace.
 func (st *StreamStats) Total(eventType int) int64 {
-	switch eventType {
-	case paraver.EventReadBytes:
-		return st.readBytes
-	case paraver.EventWriteBytes:
-		return st.writeBytes
-	case paraver.EventFpOps:
-		return st.fpOps
-	case paraver.EventIntOps:
-		return st.intOps
-	case paraver.EventStalls:
-		return st.stallsTotal
-	}
-	return 0
+	return st.totals[eventType-paraver.EventStalls]
 }
 
 // AvgBandwidthBytesPerCycle is total traffic divided by execution time.
@@ -269,14 +215,15 @@ func (st *StreamStats) AvgBandwidthBytesPerCycle() float64 {
 	if st.Hdr.EndTime == 0 {
 		return 0
 	}
-	return float64(st.readBytes+st.writeBytes) / float64(st.Hdr.EndTime)
+	return float64(st.Total(paraver.EventReadBytes)+st.Total(paraver.EventWriteBytes)) / float64(st.Hdr.EndTime)
 }
 
-// GFlops is the sustained GFLOP/s over the trace at the given clock.
+// GFlops is the sustained GFLOP/s over the trace at the given clock (the
+// pi case-study metric).
 func (st *StreamStats) GFlops(freqMHz float64) float64 {
 	if st.Hdr.EndTime == 0 {
 		return 0
 	}
 	seconds := float64(st.Hdr.EndTime) / (freqMHz * 1e6)
-	return float64(st.fpOps) / seconds / 1e9
+	return float64(st.Total(paraver.EventFpOps)) / seconds / 1e9
 }

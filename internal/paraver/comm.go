@@ -28,27 +28,10 @@ type CommRec struct {
 	Tag        int64
 }
 
-// NumTasks returns the task count of the trace (1 for single-accelerator
-// traces; the Task fields of records select the task).
-func (t *Trace) NumTasks() int {
-	if t.Tasks <= 0 {
-		return 1
-	}
-	return t.Tasks
-}
-
 // cpuID maps (task, thread) to a global 1-based CPU id.
 func cpuID(task, thread, nThreads int) int {
 	return task*nThreads + thread + 1
 }
-
-// cpuOf maps (task, thread) to a global 1-based CPU id.
-func (t *Trace) cpuOf(task, thread int) int {
-	return cpuID(task, thread, t.NumThreads)
-}
-
-// totalCPUs is the node's CPU count across all tasks.
-func (t *Trace) totalCPUs() int { return t.NumTasks() * t.NumThreads }
 
 // applList renders the header's application list: one application whose
 // tasks each have nThreads threads on node 1.
@@ -72,61 +55,4 @@ func SortCommRecs(comms []CommRec) {
 		}
 		return comms[i].RecvTime < comms[j].RecvTime
 	})
-}
-
-// SortComms orders communication records by send time.
-func (t *Trace) SortComms() { SortCommRecs(t.Comms) }
-
-// ValidateComms checks communication-record invariants.
-func (t *Trace) ValidateComms() error {
-	for _, c := range t.Comms {
-		if c.SendTask < 0 || c.SendTask >= t.NumTasks() ||
-			c.RecvTask < 0 || c.RecvTask >= t.NumTasks() {
-			return fmt.Errorf("paraver: comm task out of range: %+v", c)
-		}
-		if c.SendThread < 0 || c.SendThread >= t.NumThreads ||
-			c.RecvThread < 0 || c.RecvThread >= t.NumThreads {
-			return fmt.Errorf("paraver: comm thread out of range: %+v", c)
-		}
-		if c.RecvTime < c.SendTime {
-			return fmt.Errorf("paraver: comm received before sent: %+v", c)
-		}
-		if c.SendTime < 0 || c.RecvTime > t.EndTime {
-			return fmt.Errorf("paraver: comm outside trace window: %+v", c)
-		}
-		if c.Size <= 0 {
-			return fmt.Errorf("paraver: comm with size %d", c.Size)
-		}
-	}
-	return nil
-}
-
-// MergeTask copies another single-task trace into this one as task `task`,
-// shifting its records by offset cycles. The receiver's NumThreads must
-// match. EndTime grows as needed.
-func (t *Trace) MergeTask(src *Trace, task int, offset int64) error {
-	if src.NumThreads != t.NumThreads {
-		return fmt.Errorf("paraver: thread count mismatch (%d vs %d)", src.NumThreads, t.NumThreads)
-	}
-	if task >= t.NumTasks() {
-		return fmt.Errorf("paraver: task %d beyond %d", task, t.NumTasks())
-	}
-	for _, s := range src.States {
-		s.Task = task
-		s.Begin += offset
-		s.End += offset
-		if s.End > t.EndTime {
-			t.EndTime = s.End
-		}
-		t.States = append(t.States, s)
-	}
-	for _, ev := range src.Events {
-		ev.Task = task
-		ev.Time += offset
-		if ev.Time > t.EndTime {
-			t.EndTime = ev.Time
-		}
-		t.Events = append(t.Events, ev)
-	}
-	return nil
 }

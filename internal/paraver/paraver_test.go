@@ -2,6 +2,7 @@ package paraver
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,8 +12,8 @@ import (
 	"paravis/internal/profile"
 )
 
-func sampleTrace() *Trace {
-	tr := &Trace{
+func sampleTrace() *recTrace {
+	tr := &recTrace{
 		AppName:    "test",
 		NumThreads: 2,
 		EndTime:    1000,
@@ -29,17 +30,17 @@ func sampleTrace() *Trace {
 			{Thread: 1, Time: 200, Type: EventReadBytes, Value: 256},
 		},
 	}
-	tr.Normalize()
+	tr.normalize()
 	return tr
 }
 
 func TestWriteParseRoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := tr.WritePRV(&buf); err != nil {
+	if err := tr.stream().WritePRV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParsePRV(&buf)
+	got, err := parsePRV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 func TestPRVFormatLines(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := tr.WritePRV(&buf); err != nil {
+	if err := tr.stream().WritePRV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -97,7 +98,7 @@ func TestPRVFormatLines(t *testing.T) {
 }
 
 func TestPCFAndROW(t *testing.T) {
-	tr := sampleTrace()
+	tr := sampleTrace().stream()
 	var pcf, row bytes.Buffer
 	if err := tr.WritePCF(&pcf); err != nil {
 		t.Fatal(err)
@@ -119,13 +120,13 @@ func TestPCFAndROW(t *testing.T) {
 
 func TestParseRejectsMalformedComm(t *testing.T) {
 	src := "#Paraver (01/01/00 at 00:00):100:1(2):1:1(2:1)\n3:1:1:1:1:0:1:1:1:0:0:0:0\n"
-	if _, err := ParsePRV(strings.NewReader(src)); err == nil {
+	if _, err := parsePRV(strings.NewReader(src)); err == nil {
 		t.Fatal("expected error for truncated communication record")
 	}
 }
 
-func multiTaskTrace() *Trace {
-	tr := &Trace{
+func multiTaskTrace() *recTrace {
+	tr := &recTrace{
 		AppName:    "cluster",
 		Tasks:      2,
 		NumThreads: 2,
@@ -147,17 +148,17 @@ func multiTaskTrace() *Trace {
 				SendTime: 260, RecvTime: 310, Size: 16, Tag: 8},
 		},
 	}
-	tr.Normalize()
+	tr.normalize()
 	return tr
 }
 
 func TestMultiTaskRoundTrip(t *testing.T) {
 	tr := multiTaskTrace()
-	if err := tr.Validate(); err != nil {
+	if err := tr.stream().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.WritePRV(&buf); err != nil {
+	if err := tr.stream().WritePRV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -172,12 +173,12 @@ func TestMultiTaskRoundTrip(t *testing.T) {
 	if !strings.Contains(text, "3:1:1:1:1:250:250:3:1:2:1:300:300:16:7") {
 		t.Errorf("comm record wrong:\n%s", text)
 	}
-	got, err := ParsePRV(&buf)
+	got, err := parsePRV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumTasks() != 2 || got.NumThreads != 2 {
-		t.Fatalf("parsed %d tasks x %d threads", got.NumTasks(), got.NumThreads)
+	if got.numTasks() != 2 || got.NumThreads != 2 {
+		t.Fatalf("parsed %d tasks x %d threads", got.numTasks(), got.NumThreads)
 	}
 	if len(got.States) != len(tr.States) || len(got.Events) != len(tr.Events) || len(got.Comms) != len(tr.Comms) {
 		t.Fatalf("record counts: %d/%d/%d", len(got.States), len(got.Events), len(got.Comms))
@@ -194,91 +195,93 @@ func TestMultiTaskRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTaskView(t *testing.T) {
-	tr := multiTaskTrace()
-	v := tr.TaskView(1)
-	if len(v.States) != 2 || len(v.Events) != 1 {
-		t.Fatalf("view records: %d states %d events", len(v.States), len(v.Events))
-	}
-	for _, s := range v.States {
-		if s.Task != 0 {
-			t.Error("task view must renumber to task 0")
-		}
-	}
-}
-
-func TestMergeTask(t *testing.T) {
-	single := sampleTrace() // 2 threads, end 1000
-	merged := &Trace{Tasks: 2, NumThreads: 2}
-	if err := merged.MergeTask(single, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.MergeTask(single, 1, 500); err != nil {
-		t.Fatal(err)
-	}
-	merged.Normalize()
-	if merged.EndTime != 1500 {
-		t.Errorf("end = %d", merged.EndTime)
-	}
-	if err := merged.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Mismatched thread counts rejected.
-	bad := &Trace{Tasks: 2, NumThreads: 3}
-	if err := bad.MergeTask(single, 0, 0); err == nil {
-		t.Error("expected thread-count mismatch error")
-	}
-}
-
 func TestValidateCommErrors(t *testing.T) {
 	tr := multiTaskTrace()
 	tr.Comms = append(tr.Comms, CommRec{SendTask: 0, RecvTask: 1, SendTime: 400, RecvTime: 300, Size: 8})
-	if err := tr.Validate(); err == nil {
+	if err := tr.stream().Validate(); err == nil {
 		t.Error("expected recv-before-send error")
 	}
 	tr = multiTaskTrace()
 	tr.Comms = append(tr.Comms, CommRec{SendTask: 5, RecvTask: 1, SendTime: 10, RecvTime: 20, Size: 8})
-	if err := tr.Validate(); err == nil {
+	if err := tr.stream().Validate(); err == nil {
 		t.Error("expected task-range error")
 	}
 	tr = multiTaskTrace()
 	tr.Comms = append(tr.Comms, CommRec{SendTask: 0, RecvTask: 1, SendTime: 10, RecvTime: 20, Size: 0})
-	if err := tr.Validate(); err == nil {
+	if err := tr.stream().Validate(); err == nil {
 		t.Error("expected size error")
 	}
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"not a header\n",
-		"#Paraver (x):abc:1(2):1:1(2:1)\n",
-		"#Paraver (01/01/00 at 00:00):100:1(2):1:1(2:1)\n1:1:1:1:1:0:50\n",      // short state
-		"#Paraver (01/01/00 at 00:00):100:1(2):1:1(2:1)\n9:1:1:1:1:0:50:1\n",    // unknown type
-		"#Paraver (01/01/00 at 00:00):100:1(2):1:1(2:1)\n2:1:1:1:1:10:100001\n", // odd event fields
+	const hdr = "#Paraver (01/01/00 at 00:00):100:1(2):1:1(2:1)\n"
+	cases := []struct {
+		src  string
+		want string // substring the error must carry ("" = any error)
+	}{
+		{"", ""},
+		{"not a header\n", ""},
+		{"#Paraver (x):abc:1(2):1:1(2:1)\n", ""},
+		{hdr + "1:1:1:1:1:0:50\n", ""},      // short state
+		{hdr + "9:1:1:1:1:0:50:1\n", ""},    // unknown type
+		{hdr + "2:1:1:1:1:10:100001\n", ""}, // odd event fields
+		// Headers that used to reach a makeslice panic in the stats fold.
+		{"#Paraver (01/01/00 at 00:00):-100:1(1):1:1(1:1)\n", `bad end time "-100" in header`},
+		{"#Paraver (01/01/00 at 00:00):100:1(1):1:4000000000(4000000000:1)\n", "4000000000 tasks x 4000000000 threads"},
+		{"#Paraver (01/01/00 at 00:00):9223372036854775807:1(1):1:1(1:1)\n", "bad end time"},
+		// 2^64+100 used to wrap to End=100 and pass as a clean interval.
+		{hdr + "1:1:1:1:1:0:18446744073709551716:1\n", "line 2: integer field overflows"},
+		{hdr + "1:1:1:1:1:0:50:1\n1:1:1:1:1:0:-9223372036854775808:1\n", "line 3: integer field overflows"},
+		// Every trace invariant fails at the offending line.
+		{hdr + "1:3:1:1:3:0:50:1\n", "line 2: state record task 0 thread 2 out of range"},
+		{hdr + "1:3:1:2:1:0:50:1\n", "line 2: state record task 1 thread 0 out of range"},
+		{hdr + "1:1:1:1:1:0:101:1\n", "line 2: bad state interval"},
+		{hdr + "1:1:1:1:1:50:50:1\n", "line 2: bad state interval"},
+		{hdr + "1:1:1:1:1:0:50:4\n", "line 2: unknown state 4"},
+		{hdr + "1:1:1:1:1:0:50:1\n1:1:1:1:1:40:60:1\n", "line 3: overlapping intervals"},
+		{hdr + "2:1:1:1:1:101:100001:5\n", "line 2: event time 101 outside"},
+		{hdr + "2:1:1:1:0:10:100001:5\n", "line 2: event task 0 thread -1 out of range"},
+		{hdr + "3:1:1:1:1:20:20:2:1:1:2:10:10:4:0\n", "line 2: comm received before sent"},
+		{hdr + "3:1:1:1:1:20:20:2:1:1:2:30:30:0:0\n", "line 2: comm with size 0"},
+		{hdr + "3:1:1:1:1:20:20:2:1:1:2:130:130:4:0\n", "line 2: comm outside trace window"},
+		{hdr + "3:1:1:1:1:20:20:5:1:3:1:30:30:4:0\n", "line 2: comm endpoint out of range"},
 	}
-	for _, src := range cases {
-		if _, err := ParsePRV(strings.NewReader(src)); err == nil {
-			t.Errorf("ParsePRV(%q) should fail", src)
+	for _, c := range cases {
+		_, err := parsePRV(strings.NewReader(c.src))
+		if err == nil {
+			t.Errorf("parsePRV(%q) should fail", c.src)
+		} else if !strings.HasPrefix(err.Error(), "paraver: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("parsePRV(%q) = %q, want a paraver error carrying %q", c.src, err, c.want)
 		}
+	}
+	// The largest representable values still parse.
+	ok := "#Paraver (01/01/00 at 00:00):9007199254740992:1(2):1:1(2:1)\n2:1:1:1:1:10:100001:9223372036854775807\n"
+	tr, err := parsePRV(strings.NewReader(ok))
+	if err != nil || len(tr.Events) != 1 || tr.Events[0].Value != math.MaxInt64 {
+		t.Errorf("parsePRV(%q) = %+v, %v", ok, tr, err)
 	}
 }
 
 func TestValidate(t *testing.T) {
 	tr := sampleTrace()
-	if err := tr.Validate(); err != nil {
+	if err := tr.stream().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := *tr
 	bad.States = append([]StateRec{}, tr.States...)
 	bad.States[0].End = 2000 // beyond EndTime
-	if err := bad.Validate(); err == nil {
+	if err := bad.stream().Validate(); err == nil {
 		t.Error("expected validation error for out-of-range interval")
+	}
+	// A scan stops at the first bad record: the visitor never sees it.
+	var got recTrace
+	if err := bad.stream().Scan(&got); err == nil || len(got.States) != 0 {
+		t.Errorf("scan delivered %d states, err %v", len(got.States), err)
 	}
 }
 
 func TestNormalizeCoalesces(t *testing.T) {
-	tr := &Trace{
+	tr := &recTrace{
 		NumThreads: 1,
 		EndTime:    100,
 		States: []StateRec{
@@ -286,7 +289,7 @@ func TestNormalizeCoalesces(t *testing.T) {
 			{Thread: 0, Begin: 50, End: 100, State: 1},
 		},
 	}
-	tr.Normalize()
+	tr.normalize()
 	if len(tr.States) != 1 {
 		t.Fatalf("coalesce failed: %d records", len(tr.States))
 	}
@@ -306,8 +309,8 @@ func TestFromProfile(t *testing.T) {
 	u.AddStalls(1, 7)
 	u.Finalize(2000)
 
-	tr := FromProfile(u, "app", 2000)
-	if err := tr.Validate(); err != nil {
+	tr := &recTrace{}
+	if err := StreamOf(u, "app", 2000).Scan(tr); err != nil {
 		t.Fatal(err)
 	}
 	// Thread 0: idle [0,0)(empty), running [0,50), spin [50,60), crit
@@ -354,7 +357,7 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 			return v % n
 		}
-		tr := &Trace{NumThreads: 4, EndTime: 10000}
+		tr := &recTrace{NumThreads: 4, EndTime: 10000}
 		for th := 0; th < 4; th++ {
 			cur := int64(0)
 			for i := 0; i < int(nIntervals%8)+1 && cur < 9000; i++ {
@@ -371,15 +374,18 @@ func TestRoundTripProperty(t *testing.T) {
 				Type: EventStalls + int(next(5)), Value: next(1 << 30),
 			})
 		}
-		tr.Normalize()
-		if tr.Validate() != nil {
+		tr.normalize()
+		if tr.stream().Validate() != nil {
 			return true // skip degenerate
 		}
-		var buf bytes.Buffer
-		if tr.WritePRV(&buf) != nil {
+		var buf, streamed bytes.Buffer
+		if tr.writePRV(&buf) != nil || tr.stream().WritePRV(&streamed) != nil {
 			return false
 		}
-		got, err := ParsePRV(&buf)
+		if !bytes.Equal(buf.Bytes(), streamed.Bytes()) {
+			return false
+		}
+		got, err := parsePRV(&buf)
 		if err != nil {
 			return false
 		}
@@ -406,18 +412,25 @@ func TestRoundTripProperty(t *testing.T) {
 func TestGzipBundleRoundTrip(t *testing.T) {
 	tr := multiTaskTrace()
 	dir := t.TempDir()
-	path, err := tr.WriteBundleGz(dir, "z")
+	path, err := tr.stream().WriteBundleGz(dir, "z")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasSuffix(path, ".prv.gz") {
 		t.Fatalf("path = %s", path)
 	}
-	got, err := ParsePRVGzFile(path)
+	r, err := OpenPRV(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumTasks() != tr.NumTasks() || len(got.States) != len(tr.States) ||
+	got, err := parsePRV(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got.numTasks() != tr.numTasks() || len(got.States) != len(tr.States) ||
 		len(got.Comms) != len(tr.Comms) {
 		t.Fatalf("round trip lost records")
 	}
@@ -428,16 +441,16 @@ func TestGzipBundleRoundTrip(t *testing.T) {
 		}
 	}
 	// Compressed body must be smaller than plain for a nontrivial trace.
-	big := &Trace{NumThreads: 2, EndTime: 1_000_000}
+	big := &recTrace{NumThreads: 2, EndTime: 1_000_000}
 	for i := int64(0); i < 2000; i++ {
 		big.States = append(big.States, StateRec{Thread: int(i % 2), Begin: i * 100, End: i*100 + 100, State: int(i % 4)})
 	}
-	big.Normalize()
+	big.normalize()
 	var plain bytes.Buffer
-	if err := big.WritePRV(&plain); err != nil {
+	if err := big.stream().WritePRV(&plain); err != nil {
 		t.Fatal(err)
 	}
-	gzPath, err := big.WriteBundleGz(dir, "big")
+	gzPath, err := big.stream().WriteBundleGz(dir, "big")
 	if err != nil {
 		t.Fatal(err)
 	}

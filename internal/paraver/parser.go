@@ -6,31 +6,19 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 )
 
-// Header carries the trace-wide facts decoded from the #Paraver line.
-type Header struct {
-	Tasks      int
-	NumThreads int
-	EndTime    int64
-}
-
-// Visitor receives trace records in file order as ScanPRV decodes them.
-// Grouped event lines (2:...:type:value:type:value) are delivered as one
-// Event call per type/value pair. Returning an error aborts the scan.
-type Visitor interface {
-	Header(h Header) error
-	State(s StateRec) error
-	Event(e EventRec) error
-	Comm(c CommRec) error
-}
-
-// ScanPRV reads a .prv stream record by record, calling the visitor for
-// each one. It holds only the current line in memory, so traces larger
-// than RAM stream through in one pass with no per-record allocations.
+// ScanPRV reads a .prv stream record by record, checking the trace
+// invariants and calling the visitor for each one; grouped event lines
+// (2:...:type:value:type:value) are delivered as one Event call per
+// type/value pair. It accepts the subset this package writes (state, event
+// and communication records) and holds only the current line in memory, so
+// traces larger than RAM stream through in one pass with no per-record
+// allocations.
 func ScanPRV(r io.Reader, v Visitor) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -47,6 +35,7 @@ func ScanPRV(r io.Reader, v Visitor) error {
 	if err := v.Header(hdr); err != nil {
 		return err
 	}
+	c := newChecker(hdr)
 	fields := make([]int64, 0, 16)
 	lineNo := 1
 	for sc.Scan() {
@@ -64,13 +53,16 @@ func ScanPRV(r io.Reader, v Visitor) error {
 			if len(fields) != 8 {
 				return fmt.Errorf("paraver: line %d: state record needs 8 fields, got %d", lineNo, len(fields))
 			}
-			err = v.State(StateRec{
+			s := StateRec{
 				Task:   int(fields[3]) - 1,
 				Thread: int(fields[4]) - 1,
 				Begin:  fields[5],
 				End:    fields[6],
 				State:  int(fields[7]),
-			})
+			}
+			if err = c.state(&s); err == nil {
+				err = v.State(s)
+			}
 		case 2:
 			if len(fields) < 8 || (len(fields)-6)%2 != 0 {
 				return fmt.Errorf("paraver: line %d: malformed event record", lineNo)
@@ -78,6 +70,7 @@ func ScanPRV(r io.Reader, v Visitor) error {
 			task := int(fields[3]) - 1
 			thread := int(fields[4]) - 1
 			time := fields[5]
+			err = c.event(task, thread, time)
 			for i := 6; i+1 < len(fields) && err == nil; i += 2 {
 				err = v.Event(EventRec{
 					Task: task, Thread: thread, Time: time,
@@ -88,7 +81,7 @@ func ScanPRV(r io.Reader, v Visitor) error {
 			if len(fields) != 15 {
 				return fmt.Errorf("paraver: line %d: communication record needs 15 fields, got %d", lineNo, len(fields))
 			}
-			err = v.Comm(CommRec{
+			m := CommRec{
 				SendTask:   int(fields[3]) - 1,
 				SendThread: int(fields[4]) - 1,
 				SendTime:   fields[5],
@@ -97,7 +90,10 @@ func ScanPRV(r io.Reader, v Visitor) error {
 				RecvTime:   fields[11],
 				Size:       fields[13],
 				Tag:        fields[14],
-			})
+			}
+			if err = c.comm(&m); err == nil {
+				err = v.Comm(m)
+			}
 		default:
 			return fmt.Errorf("paraver: line %d: unknown record type %d", lineNo, fields[0])
 		}
@@ -106,45 +102,6 @@ func ScanPRV(r io.Reader, v Visitor) error {
 		}
 	}
 	return sc.Err()
-}
-
-// collectTrace is the Visitor behind ParsePRV: it materializes every
-// record into a Trace.
-type collectTrace struct {
-	tr *Trace
-}
-
-func (c *collectTrace) Header(h Header) error {
-	c.tr = &Trace{Tasks: h.Tasks, NumThreads: h.NumThreads, EndTime: h.EndTime}
-	return nil
-}
-
-func (c *collectTrace) State(s StateRec) error {
-	c.tr.States = append(c.tr.States, s)
-	return nil
-}
-
-func (c *collectTrace) Event(e EventRec) error {
-	c.tr.Events = append(c.tr.Events, e)
-	return nil
-}
-
-func (c *collectTrace) Comm(cm CommRec) error {
-	c.tr.Comms = append(c.tr.Comms, cm)
-	return nil
-}
-
-// ParsePRV reads a .prv stream back into a materialized Trace, in
-// canonical (Normalize) order. It accepts the subset this package writes
-// (state, event and communication records). For traces that do not fit in
-// memory, use ScanPRV with a streaming visitor instead.
-func ParsePRV(r io.Reader) (*Trace, error) {
-	var c collectTrace
-	if err := ScanPRV(r, &c); err != nil {
-		return nil, err
-	}
-	c.tr.Normalize()
-	return c.tr, nil
 }
 
 // OpenPRV opens a .prv or .prv.gz trace for reading, transparently
@@ -181,17 +138,18 @@ func (g *gzReadCloser) Close() error {
 	return err
 }
 
-// ParsePRVFile parses a .prv (or .prv.gz) file from disk.
-func ParsePRVFile(path string) (*Trace, error) {
-	r, err := OpenPRV(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return ParsePRV(r)
-}
+// Caps on the header of a file from outside. Every scan sizes per-thread
+// state from the task x thread product, so an absurd count must fail here
+// instead of reaching an allocation (real bundles carry one task per FPGA
+// and eight threads per task); and times up to 2^53 cycles (years of
+// simulated time) convert to float64 exactly and leave visitors ten bits
+// of headroom to scale them without overflow.
+const (
+	maxCPUs    = 1 << 16
+	maxEndTime = 1 << 53
+)
 
-// parseHeader decodes "#Paraver (...):endTime:1(N):1:1(N:1)".
+// parseHeader decodes "#Paraver (...):endTime:1(N):1:K(N:1,...)".
 func parseHeader(h string) (Header, error) {
 	if !strings.HasPrefix(h, "#Paraver") {
 		return Header{}, fmt.Errorf("paraver: missing #Paraver header")
@@ -206,8 +164,8 @@ func parseHeader(h string) (Header, error) {
 		return Header{}, fmt.Errorf("paraver: header needs endTime:nodes:nAppl:appl, got %q", rest)
 	}
 	endTime, err := strconv.ParseInt(parts[0], 10, 64)
-	if err != nil {
-		return Header{}, fmt.Errorf("paraver: bad end time %q", parts[0])
+	if err != nil || endTime < 0 || endTime > maxEndTime {
+		return Header{}, fmt.Errorf("paraver: bad end time %q in header %q", parts[0], h)
 	}
 	// Task and thread counts from the application list "K(N:1,N:1,...)".
 	appl := parts[3]
@@ -228,46 +186,40 @@ func parseHeader(h string) (Header, error) {
 	if err != nil || n <= 0 {
 		return Header{}, fmt.Errorf("paraver: bad thread count in %q", appl)
 	}
+	if tasks > maxCPUs || n > maxCPUs || tasks*n > maxCPUs {
+		return Header{}, fmt.Errorf("paraver: header %q declares %d tasks x %d threads, more than %d", h, tasks, n, maxCPUs)
+	}
 	return Header{Tasks: tasks, NumThreads: n, EndTime: endTime}, nil
 }
 
 // parseIntFields decodes a colon-separated all-integer record line into
 // buf without allocating.
 func parseIntFields(line []byte, buf []int64) ([]int64, error) {
-	var (
-		n      int64
-		neg    bool
-		seen   bool
-		digits bool
-	)
-	flush := func() error {
-		if !digits {
-			return fmt.Errorf("empty integer field")
+	for i := 0; ; i++ { // each pass decodes one field and steps over its ':'
+		neg := i < len(line) && line[i] == '-'
+		if neg {
+			i++
+		}
+		start := i
+		var n int64
+		for ; i < len(line) && line[i] >= '0' && line[i] <= '9'; i++ {
+			if n > math.MaxInt64/10 || (n == math.MaxInt64/10 && line[i] > '7') {
+				return nil, fmt.Errorf("integer field overflows int64 in %q", line)
+			}
+			n = n*10 + int64(line[i]-'0')
+		}
+		switch {
+		case i < len(line) && line[i] != ':':
+			return nil, fmt.Errorf("bad integer field in %q", line)
+		case i == start:
+			return nil, fmt.Errorf("empty integer field")
 		}
 		if neg {
 			n = -n
 		}
 		buf = append(buf, n)
-		n, neg, seen, digits = 0, false, false, false
-		return nil
-	}
-	for _, c := range line {
-		switch {
-		case c == ':':
-			if err := flush(); err != nil {
-				return nil, err
-			}
-		case c == '-' && !seen:
-			neg, seen = true, true
-		case c >= '0' && c <= '9':
-			n = n*10 + int64(c-'0')
-			seen, digits = true, true
-		default:
-			return nil, fmt.Errorf("bad integer field in %q", line)
+		if i == len(line) {
+			return buf, nil
 		}
 	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }

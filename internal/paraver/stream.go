@@ -2,19 +2,19 @@ package paraver
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"strconv"
 
 	"paravis/internal/profile"
 )
 
-// StreamTrace is the streaming, columnar representation of a Paraver
-// trace: per-(task,thread) state-run and event-sample streams, each sorted
-// by construction. WritePRV k-way-merges the streams straight into the
-// .prv writer — no intermediate []StateRec/[]EventRec materialization and
-// no global sorts — using a strconv.AppendInt fast path into a reused
-// line buffer. Trace() materializes the classic record-list view for the
-// analysis passes; both produce byte-identical .prv output.
+// StreamTrace is the in-memory Paraver trace: per-(task,thread) state-run
+// and event-sample streams in columnar form, each sorted by construction.
+// WritePRV k-way-merges the streams straight into the .prv writer — no
+// record lists and no global sorts — using a strconv.AppendInt fast path
+// into a reused line buffer; Scan walks the same merge into a Visitor, so
+// an analysis reads a live run exactly as ScanPRV would read its .prv file.
 type StreamTrace struct {
 	AppName    string
 	TaskCount  int // >= 1
@@ -38,11 +38,11 @@ type threadStream struct {
 	samples []profile.EventSample
 }
 
-// StreamFromProfile wraps a finalized profiling unit as a streaming trace
-// without copying any records: the state-run and event-sample slices are
-// borrowed from the unit, so they stay valid only while the unit records
-// nothing further. endTime is the final cycle of the run.
-func StreamFromProfile(u *profile.Unit, appName string, endTime int64) *StreamTrace {
+// StreamOf wraps a finalized profiling unit as a streaming trace without
+// copying any records: the state-run and event-sample slices are borrowed
+// from the unit, so they stay valid only while the unit records nothing
+// further. endTime is the final cycle of the run.
+func StreamOf(u *profile.Unit, appName string, endTime int64) *StreamTrace {
 	n := u.NumThreads()
 	st := &StreamTrace{
 		AppName:    appName,
@@ -113,36 +113,83 @@ func (ts *threadStream) appendRun(r profile.StateRun) {
 	ts.closed = append(ts.closed, r)
 }
 
-// forEachRun yields the thread's runs in canonical order: empty runs
-// skipped, adjacent contiguous equal-state runs coalesced (including the
-// borrowed open tail, which can repeat the last closed run's state after a
-// same-cycle state bounce).
-func (ts *threadStream) forEachRun(yield func(profile.StateRun)) {
+// forEachRun yields the thread's runs in canonical order until yield
+// returns false: empty runs skipped, adjacent contiguous equal-state runs
+// coalesced (including the borrowed open tail, which can repeat the last
+// closed run's state after a same-cycle state bounce).
+func (ts *threadStream) forEachRun(yield func(profile.StateRun) bool) {
 	var pend profile.StateRun
 	have := false
-	put := func(r profile.StateRun) {
+	put := func(r profile.StateRun) bool {
 		if r.End <= r.Begin {
-			return
+			return true
 		}
 		if have && pend.State == r.State && pend.End == r.Begin {
 			pend.End = r.End
-			return
+			return true
 		}
-		if have {
-			yield(pend)
-		}
+		ok := !have || yield(pend)
 		pend = r
 		have = true
+		return ok
 	}
 	for _, r := range ts.closed {
-		put(r)
+		if !put(r) {
+			return
+		}
 	}
-	if ts.hasTail {
-		put(ts.tail)
+	if ts.hasTail && !put(ts.tail) {
+		return
 	}
 	if have {
 		yield(pend)
 	}
+}
+
+// sampleMerge k-way-merges the per-thread sample streams by (clamped
+// time, task, thread). This is the event order of a .prv file — the one a
+// global stable sort of the expanded records would produce.
+type sampleMerge struct {
+	st  *StreamTrace
+	idx []int // per thread slot: next unmerged sample
+}
+
+func (st *StreamTrace) mergeSamples() sampleMerge {
+	return sampleMerge{st: st, idx: make([]int, len(st.threads))}
+}
+
+// next returns one group per (thread slot, time): the consecutive samples
+// of that thread sharing the clamped time; ok is false once every stream
+// is drained.
+func (m *sampleMerge) next() (slot int, time int64, group []profile.EventSample, ok bool) {
+	end := m.st.EndTime
+	clamp := func(t int64) int64 {
+		if t > end {
+			return end
+		}
+		return t
+	}
+	slot = -1
+	for i := range m.idx {
+		if m.idx[i] >= len(m.st.threads[i].samples) {
+			continue
+		}
+		t := clamp(m.st.threads[i].samples[m.idx[i]].End)
+		if slot < 0 || t < time {
+			slot, time = i, t
+		}
+	}
+	if slot < 0 {
+		return 0, 0, nil, false
+	}
+	ss := m.st.threads[slot].samples
+	j := m.idx[slot]
+	k := j + 1
+	for k < len(ss) && clamp(ss[k].End) == time {
+		k++
+	}
+	m.idx[slot] = k
+	return slot, time, ss[j:k], true
 }
 
 // sampleValue returns the counter of the given event-type index (in
@@ -185,8 +232,17 @@ func (p *prvWriter) str(s string)   { p.buf = append(p.buf, s...) }
 func (p *prvWriter) int(v int64)    { p.buf = strconv.AppendInt(p.buf, v, 10) }
 func (p *prvWriter) colInt(v int64) { p.buf = append(p.buf, ':'); p.int(v) }
 
-// WritePRV streams the trace body in Paraver .prv format, byte-identical
-// to Trace.WritePRV on the materialized view of the same streams.
+// WritePRV streams the trace body in Paraver .prv format:
+//
+//	#Paraver (dd/mm/yy at hh:mm):endTime:nNodes(nCpus):nAppl:applList
+//	1:cpu:appl:task:thread:begin:end:state
+//	2:cpu:appl:task:thread:time:type:value[:type:value...]
+//
+// One node, one application, one task per accelerator of NumThreads
+// threads; thread i of task k runs on cpu k*NumThreads+i+1. The timestamp
+// in the header is fixed for reproducibility (Paraver ignores it). Write
+// errors are sticky: the first one (e.g. a full disk) aborts the walk, so
+// a truncated .prv can never be reported as success.
 func (st *StreamTrace) WritePRV(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	p := &prvWriter{bw: bw, buf: make([]byte, 0, 256)}
@@ -218,7 +274,7 @@ func (st *StreamTrace) writeStates(p *prvWriter) {
 			return
 		}
 		task, th := ti/st.NumThreads, ti%st.NumThreads
-		st.threads[ti].forEachRun(func(r profile.StateRun) {
+		st.threads[ti].forEachRun(func(r profile.StateRun) bool {
 			p.str("1:")
 			p.int(int64(cpuID(task, th, st.NumThreads)))
 			p.str(":1")
@@ -228,57 +284,29 @@ func (st *StreamTrace) writeStates(p *prvWriter) {
 			p.colInt(r.End)
 			p.colInt(int64(r.State))
 			p.line()
+			return p.err == nil
 		})
 	}
 }
 
-// writeEvents k-way-merges the per-thread sample streams by (clamped
-// time, task, thread) and emits one grouped record per (task, thread,
-// time), expanding each sample's counters in event-type order and
-// skipping zeros — exactly the grouping the materialized writer produces
-// after its global stable sort.
+// writeEvents emits one grouped record per sample group, expanding each
+// sample's counters in event-type order and skipping zeros.
 func (st *StreamTrace) writeEvents(p *prvWriter) {
-	n := len(st.threads)
-	idx := make([]int, n)
-	clamp := func(t int64) int64 {
-		if t > st.EndTime {
-			return st.EndTime
-		}
-		return t
-	}
-	for p.err == nil {
-		best := -1
-		var bestT int64
-		for i := 0; i < n; i++ {
-			if idx[i] >= len(st.threads[i].samples) {
-				continue
-			}
-			t := clamp(st.threads[i].samples[idx[i]].End)
-			if best < 0 || t < bestT {
-				best, bestT = i, t
-			}
-		}
-		if best < 0 {
+	for m := st.mergeSamples(); p.err == nil; {
+		slot, time, group, ok := m.next()
+		if !ok {
 			return
 		}
-		ss := st.threads[best].samples
-		j := idx[best]
-		k := j + 1
-		for k < len(ss) && clamp(ss[k].End) == bestT {
-			k++
-		}
-		idx[best] = k
-
-		task, th := best/st.NumThreads, best%st.NumThreads
+		task, th := slot/st.NumThreads, slot%st.NumThreads
 		p.str("2:")
 		p.int(int64(cpuID(task, th, st.NumThreads)))
 		p.str(":1")
 		p.colInt(int64(task + 1))
 		p.colInt(int64(th + 1))
-		p.colInt(bestT)
+		p.colInt(time)
 		for typeIdx := 0; typeIdx < 5; typeIdx++ {
-			for gi := j; gi < k; gi++ {
-				if v := sampleValue(&ss[gi], typeIdx); v != 0 {
+			for gi := range group {
+				if v := sampleValue(&group[gi], typeIdx); v != 0 {
 					p.colInt(int64(EventStalls + typeIdx))
 					p.colInt(v)
 				}
@@ -313,111 +341,51 @@ func (st *StreamTrace) writeComms(p *prvWriter) {
 	}
 }
 
-// Trace materializes the classic record-list view of the same streams, in
-// the canonical order Normalize would produce — built by the same merge
-// the streaming writer uses, so no global sorts are run.
-func (st *StreamTrace) Trace() *Trace {
-	tr := &Trace{
-		AppName:    st.AppName,
-		Tasks:      st.TaskCount,
-		NumThreads: st.NumThreads,
-		EndTime:    st.EndTime,
-	}
-
-	nRuns := 0
-	for ti := range st.threads {
-		nRuns += len(st.threads[ti].closed)
-		if st.threads[ti].hasTail {
-			nRuns++
-		}
-	}
-	tr.States = make([]StateRec, 0, nRuns)
-	for ti := range st.threads {
+// Scan delivers the trace to v in exactly the order WritePRV writes it and
+// ScanPRV re-reads it — header, states, merged events (one call per
+// non-zero counter), communication records — checking the trace
+// invariants on the way, so a visitor written for .prv files reads a live
+// run unchanged and a malformed merge fails at the offending record.
+func (st *StreamTrace) Scan(v Visitor) error {
+	h := Header{Tasks: st.TaskCount, NumThreads: st.NumThreads, EndTime: st.EndTime}
+	c := newChecker(h)
+	err := v.Header(h)
+	for ti := 0; ti < len(st.threads) && err == nil; ti++ {
 		task, th := ti/st.NumThreads, ti%st.NumThreads
-		st.threads[ti].forEachRun(func(r profile.StateRun) {
-			tr.States = append(tr.States, StateRec{
-				Task: task, Thread: th, Begin: r.Begin, End: r.End, State: int(r.State),
-			})
+		st.threads[ti].forEachRun(func(r profile.StateRun) bool {
+			s := StateRec{Task: task, Thread: th, Begin: r.Begin, End: r.End, State: int(r.State)}
+			if err = c.state(&s); err == nil {
+				err = v.State(s)
+			}
+			return err == nil
 		})
 	}
-
-	nEvents := 0
-	for ti := range st.threads {
-		for si := range st.threads[ti].samples {
-			s := &st.threads[ti].samples[si]
-			for typeIdx := 0; typeIdx < 5; typeIdx++ {
-				if sampleValue(s, typeIdx) != 0 {
-					nEvents++
-				}
-			}
-		}
-	}
-	tr.Events = make([]EventRec, 0, nEvents)
-
-	n := len(st.threads)
-	idx := make([]int, n)
-	clamp := func(t int64) int64 {
-		if t > st.EndTime {
-			return st.EndTime
-		}
-		return t
-	}
-	for {
-		best := -1
-		var bestT int64
-		for i := 0; i < n; i++ {
-			if idx[i] >= len(st.threads[i].samples) {
-				continue
-			}
-			t := clamp(st.threads[i].samples[idx[i]].End)
-			if best < 0 || t < bestT {
-				best, bestT = i, t
-			}
-		}
-		if best < 0 {
+	for m := st.mergeSamples(); err == nil; {
+		slot, time, group, ok := m.next()
+		if !ok {
 			break
 		}
-		ss := st.threads[best].samples
-		j := idx[best]
-		k := j + 1
-		for k < len(ss) && clamp(ss[k].End) == bestT {
-			k++
-		}
-		idx[best] = k
-		task, th := best/st.NumThreads, best%st.NumThreads
+		task, th := slot/st.NumThreads, slot%st.NumThreads
+		err = c.event(task, th, time)
 		for typeIdx := 0; typeIdx < 5; typeIdx++ {
-			for gi := j; gi < k; gi++ {
-				if v := sampleValue(&ss[gi], typeIdx); v != 0 {
-					tr.Events = append(tr.Events, EventRec{
-						Task: task, Thread: th, Time: bestT,
-						Type: EventStalls + typeIdx, Value: v,
-					})
+			for gi := 0; gi < len(group) && err == nil; gi++ {
+				if val := sampleValue(&group[gi], typeIdx); val != 0 {
+					err = v.Event(EventRec{Task: task, Thread: th, Time: time, Type: EventStalls + typeIdx, Value: val})
 				}
 			}
 		}
 	}
-
-	tr.Comms = append([]CommRec(nil), st.Comms...)
-	return tr
+	for i := 0; i < len(st.Comms) && err == nil; i++ {
+		if err = c.comm(&st.Comms[i]); err == nil {
+			err = v.Comm(st.Comms[i])
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("paraver: %w", err)
+	}
+	return nil
 }
 
-// WritePCF writes the Paraver configuration file for this trace.
-func (st *StreamTrace) WritePCF(w io.Writer) error { return writePCFTo(w) }
-
-// WriteROW writes the Paraver label file for this trace.
-func (st *StreamTrace) WriteROW(w io.Writer) error {
-	return writeROWTo(w, st.TaskCount, st.NumThreads)
-}
-
-// WriteBundle streams trace.prv/.pcf/.row under dir with the given base
-// name and returns the .prv path.
-func (st *StreamTrace) WriteBundle(dir, base string) (string, error) {
-	return writeBundleFiles(dir, base, false, st.WritePRV, st.WritePCF, st.WriteROW)
-}
-
-// WriteBundleGz streams the bundle with a gzip-compressed trace body
-// (trace.prv.gz + plain .pcf/.row); the records never exist uncompressed
-// on disk or in memory.
-func (st *StreamTrace) WriteBundleGz(dir, base string) (string, error) {
-	return writeBundleFiles(dir, base, true, st.WritePRV, st.WritePCF, st.WriteROW)
-}
+// Validate checks the trace invariants over every record, for producers
+// that assemble a trace from parts (the cluster merge).
+func (st *StreamTrace) Validate() error { return st.Scan(Discard{}) }

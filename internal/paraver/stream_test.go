@@ -47,43 +47,49 @@ func fuzzUnit(seed int64, nThreads int, samplePeriod int64) (*profile.Unit, int6
 	return u, end
 }
 
-// TestStreamingMatchesMaterializedFuzz checks the tentpole invariant: the
-// streaming writer and the materialized reference writer produce
-// byte-identical .prv output for arbitrary profiles.
+// TestStreamingMatchesMaterializedFuzz checks the streaming path against
+// the oracle for arbitrary profiles: the merge-based writer and the
+// sort-based reference writer produce byte-identical .prv output, and Scan
+// delivers exactly the oracle's records.
 func TestStreamingMatchesMaterializedFuzz(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		u, end := fuzzUnit(seed, 1+int(seed%7), 64)
-		st := StreamFromProfile(u, "fuzz", end)
+		st := StreamOf(u, "fuzz", end)
+		want := fromProfile(u, "fuzz", end)
 		var streamed, materialized bytes.Buffer
 		if err := st.WritePRV(&streamed); err != nil {
 			t.Fatalf("seed %d: streaming write: %v", seed, err)
 		}
-		if err := st.Trace().WritePRV(&materialized); err != nil {
+		if err := want.writePRV(&materialized); err != nil {
 			t.Fatalf("seed %d: materialized write: %v", seed, err)
 		}
 		if !bytes.Equal(streamed.Bytes(), materialized.Bytes()) {
 			t.Fatalf("seed %d: streaming and materialized .prv bytes differ", seed)
 		}
+		var got recTrace
+		if err := st.Scan(&got); err != nil {
+			t.Fatalf("seed %d: scan: %v", seed, err)
+		}
+		if !reflect.DeepEqual(got.States, want.States) || !reflect.DeepEqual(got.Events, want.Events) {
+			t.Fatalf("seed %d: scanned records differ from the oracle's", seed)
+		}
 	}
 }
 
 // TestGoldenRoundTripSingleTask writes a real profile's trace, parses it
-// back, validates it and checks the records survive unchanged.
+// back (which validates it) and checks the records survive unchanged.
 func TestGoldenRoundTripSingleTask(t *testing.T) {
 	u, end := fuzzUnit(42, 4, 128)
-	tr := FromProfile(u, "roundtrip", end)
+	tr := fromProfile(u, "roundtrip", end)
 	var buf bytes.Buffer
-	if err := tr.WritePRV(&buf); err != nil {
+	if err := StreamOf(u, "roundtrip", end).WritePRV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParsePRV(&buf)
+	got, err := parsePRV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("parsed trace invalid: %v", err)
-	}
-	if got.NumTasks() != tr.NumTasks() || got.NumThreads != tr.NumThreads || got.EndTime != tr.EndTime {
+	if got.numTasks() != tr.numTasks() || got.NumThreads != tr.NumThreads || got.EndTime != tr.EndTime {
 		t.Fatalf("header mismatch: got %+v", got)
 	}
 	if !reflect.DeepEqual(got.States, tr.States) {
@@ -95,7 +101,8 @@ func TestGoldenRoundTripSingleTask(t *testing.T) {
 }
 
 // TestGoldenRoundTripMultiTask does the same for a merged multi-task
-// trace with communication records.
+// trace with communication records: Scan and ScanPRV of the written bytes
+// deliver the same records in the same order.
 func TestGoldenRoundTripMultiTask(t *testing.T) {
 	const tasks = 3
 	st := NewStreamTrace("multi", tasks, 2)
@@ -114,59 +121,49 @@ func TestGoldenRoundTripMultiTask(t *testing.T) {
 	)
 	SortCommRecs(st.Comms)
 
-	tr := st.Trace()
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("materialized view invalid: %v", err)
+	tr := &recTrace{AppName: "multi"}
+	if err := st.Scan(tr); err != nil {
+		t.Fatalf("merged trace invalid: %v", err)
 	}
 	var streamed, materialized bytes.Buffer
 	if err := st.WritePRV(&streamed); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WritePRV(&materialized); err != nil {
+	if err := tr.writePRV(&materialized); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(streamed.Bytes(), materialized.Bytes()) {
 		t.Fatal("multi-task streaming and materialized .prv bytes differ")
 	}
 
-	got, err := ParsePRV(bytes.NewReader(streamed.Bytes()))
-	if err != nil {
+	got := &recTrace{AppName: "multi"}
+	if err := ScanPRV(bytes.NewReader(streamed.Bytes()), got); err != nil {
 		t.Fatal(err)
 	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("parsed trace invalid: %v", err)
+	if !reflect.DeepEqual(got, tr) {
+		t.Errorf("records differ after round trip:\ngot  %+v\nwant %+v", got, tr)
 	}
-	if got.NumTasks() != tasks || got.NumThreads != tr.NumThreads || got.EndTime != tr.EndTime {
-		t.Fatalf("header mismatch: got %+v", got)
-	}
-	if !reflect.DeepEqual(got.States, tr.States) {
-		t.Errorf("states differ after round trip")
-	}
-	if !reflect.DeepEqual(got.Events, tr.Events) {
-		t.Errorf("events differ after round trip")
-	}
-	if !reflect.DeepEqual(got.Comms, tr.Comms) {
-		t.Errorf("comms differ after round trip: got %+v want %+v", got.Comms, tr.Comms)
+	if got.Tasks != tasks || len(got.Comms) != 2 {
+		t.Errorf("parsed %d tasks, %d comms", got.Tasks, len(got.Comms))
 	}
 }
 
-// TestNormalizeIdempotent checks Normalize is a fixed point on its own
-// output for arbitrary profiles.
+// TestNormalizeIdempotent checks the oracle's normalize is a fixed point on
+// its own output for arbitrary profiles.
 func TestNormalizeIdempotent(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		u, end := fuzzUnit(1000+seed, 1+int(seed%5), 96)
-		tr := FromProfile(u, "idem", end)
-		tr.Normalize()
-		once := &Trace{
+		tr := fromProfile(u, "idem", end)
+		once := &recTrace{
 			States: append([]StateRec(nil), tr.States...),
 			Events: append([]EventRec(nil), tr.Events...),
 			Comms:  append([]CommRec(nil), tr.Comms...),
 		}
-		tr.Normalize()
+		tr.normalize()
 		if !reflect.DeepEqual(once.States, tr.States) ||
 			!reflect.DeepEqual(once.Events, tr.Events) ||
 			!reflect.DeepEqual(once.Comms, tr.Comms) {
-			t.Fatalf("seed %d: Normalize not idempotent", seed)
+			t.Fatalf("seed %d: normalize not idempotent", seed)
 		}
 	}
 }
@@ -175,25 +172,25 @@ func TestNormalizeIdempotent(t *testing.T) {
 // that grouped event lines fan out to one call per pair.
 func TestScanPRVStreams(t *testing.T) {
 	u, end := fuzzUnit(7, 2, 64)
-	st := StreamFromProfile(u, "scan", end)
+	st := StreamOf(u, "scan", end)
 	var buf bytes.Buffer
 	if err := st.WritePRV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var c collectTrace
+	var c recTrace
 	if err := ScanPRV(bytes.NewReader(buf.Bytes()), &c); err != nil {
 		t.Fatal(err)
 	}
-	tr := st.Trace()
-	if c.tr.EndTime != tr.EndTime || c.tr.NumThreads != tr.NumThreads {
-		t.Fatalf("header mismatch: %+v", c.tr)
+	tr := fromProfile(u, "scan", end)
+	if c.EndTime != tr.EndTime || c.NumThreads != tr.NumThreads {
+		t.Fatalf("header mismatch: %+v", c)
 	}
-	// The writer emits canonical order, so even without Normalize the
-	// collected records must match the materialized view exactly.
-	if !reflect.DeepEqual(c.tr.States, tr.States) {
-		t.Errorf("scanned states differ from materialized view")
+	// The writer emits canonical order, so even without normalize the
+	// collected records must match the oracle exactly.
+	if !reflect.DeepEqual(c.States, tr.States) {
+		t.Errorf("scanned states differ from the oracle's")
 	}
-	if !reflect.DeepEqual(c.tr.Events, tr.Events) {
-		t.Errorf("scanned events differ from materialized view")
+	if !reflect.DeepEqual(c.Events, tr.Events) {
+		t.Errorf("scanned events differ from the oracle's")
 	}
 }

@@ -6,12 +6,7 @@
 // cycles").
 package paraver
 
-import (
-	"fmt"
-	"sort"
-
-	"paravis/internal/profile"
-)
+import "fmt"
 
 // Event type identifiers used in .prv/.pcf files. The numbering follows
 // Paraver conventions for user-defined counters.
@@ -64,127 +59,98 @@ type EventRec struct {
 	Value  int64
 }
 
-// Trace is an in-memory Paraver trace: one application with Tasks tasks
-// (one per accelerator; 0 means 1) of NumThreads hardware threads each.
-// Communication records connect tasks in multi-FPGA traces.
-type Trace struct {
-	AppName    string
-	Tasks      int // 0 or 1 = single accelerator
+// Header carries the trace-wide facts of the #Paraver line: one
+// application with Tasks tasks (one per accelerator) of NumThreads hardware
+// threads each, ending at EndTime.
+type Header struct {
+	Tasks      int
 	NumThreads int
 	EndTime    int64
-	States     []StateRec
-	Events     []EventRec
-	Comms      []CommRec
 }
 
-// FromProfile converts the profiling unit's per-thread record streams into
-// a trace. endTime is the final cycle of the run. It is a thin view over
-// the same streams StreamFromProfile exposes: the records come out in
-// canonical (Normalize) order directly, with no global sorts.
-func FromProfile(u *profile.Unit, appName string, endTime int64) *Trace {
-	return StreamFromProfile(u, appName, endTime).Trace()
+// Visitor receives a trace's records in canonical .prv order: the header,
+// every state interval by (task, thread, begin), every event by (time,
+// task, thread, type), then the communication records. StreamTrace.Scan
+// delivers a live run and ScanPRV a .prv file in exactly the same order,
+// and both check the trace invariants before each call, so a visitor only
+// ever sees in-range, well-ordered records. Returning an error aborts the
+// scan.
+type Visitor interface {
+	Header(h Header) error
+	State(s StateRec) error
+	Event(e EventRec) error
+	Comm(c CommRec) error
 }
 
-// Normalize sorts records into canonical order (time-major, then thread)
-// and coalesces adjacent equal-state intervals per thread.
-func (t *Trace) Normalize() {
-	sort.SliceStable(t.States, func(i, j int) bool {
-		a, b := t.States[i], t.States[j]
-		if a.Task != b.Task {
-			return a.Task < b.Task
-		}
-		if a.Thread != b.Thread {
-			return a.Thread < b.Thread
-		}
-		return a.Begin < b.Begin
-	})
-	merged := t.States[:0]
-	for _, s := range t.States {
-		if s.End <= s.Begin {
-			continue
-		}
-		if len(merged) > 0 {
-			last := &merged[len(merged)-1]
-			if last.Task == s.Task && last.Thread == s.Thread && last.State == s.State && last.End == s.Begin {
-				last.End = s.End
-				continue
-			}
-		}
-		merged = append(merged, s)
-	}
-	t.States = merged
-	sort.SliceStable(t.Events, func(i, j int) bool {
-		a, b := t.Events[i], t.Events[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.Task != b.Task {
-			return a.Task < b.Task
-		}
-		if a.Thread != b.Thread {
-			return a.Thread < b.Thread
-		}
-		return a.Type < b.Type
-	})
-	t.SortComms()
+// Discard is the Visitor that ignores every record: embed it to implement
+// only the methods a fold needs, or scan into it to run the invariant
+// checks alone.
+type Discard struct{}
+
+func (Discard) Header(Header) error  { return nil }
+func (Discard) State(StateRec) error { return nil }
+func (Discard) Event(EventRec) error { return nil }
+func (Discard) Comm(CommRec) error   { return nil }
+
+// checker holds the trace invariants, the one place they are written:
+// tasks and threads in range, state intervals inside [0, EndTime], non-empty
+// and non-overlapping per (task, thread), known state codes, event times
+// inside the trace window, and communication-record sanity. Both scan
+// entry points run every record through it before the visitor sees it.
+type checker struct {
+	h       Header
+	lastEnd []int64 // per (task, thread): end of the latest state interval
 }
 
-// Validate checks trace invariants: intervals within [0, EndTime], tasks
-// and threads in range, per-(task,thread) interval monotonicity, and
-// communication-record sanity.
-func (t *Trace) Validate() error {
-	lastEnd := make([]int64, t.NumTasks()*t.NumThreads)
-	for i := range lastEnd {
-		lastEnd[i] = -1
-	}
-	for _, s := range t.States {
-		if s.Task < 0 || s.Task >= t.NumTasks() {
-			return fmt.Errorf("paraver: state record task %d out of range", s.Task)
-		}
-		if s.Thread < 0 || s.Thread >= t.NumThreads {
-			return fmt.Errorf("paraver: state record thread %d out of range", s.Thread)
-		}
-		if s.Begin < 0 || s.End > t.EndTime || s.End <= s.Begin {
-			return fmt.Errorf("paraver: bad state interval [%d,%d) (end %d)", s.Begin, s.End, t.EndTime)
-		}
-		if s.State < 0 || s.State > 3 {
-			return fmt.Errorf("paraver: unknown state %d", s.State)
-		}
-		slot := s.Task*t.NumThreads + s.Thread
-		if lastEnd[slot] > s.Begin {
-			return fmt.Errorf("paraver: overlapping intervals for task %d thread %d at %d", s.Task, s.Thread, s.Begin)
-		}
-		lastEnd[slot] = s.End
-	}
-	for _, ev := range t.Events {
-		if ev.Task < 0 || ev.Task >= t.NumTasks() {
-			return fmt.Errorf("paraver: event task %d out of range", ev.Task)
-		}
-		if ev.Thread < 0 || ev.Thread >= t.NumThreads {
-			return fmt.Errorf("paraver: event thread %d out of range", ev.Thread)
-		}
-		if ev.Time < 0 || ev.Time > t.EndTime {
-			return fmt.Errorf("paraver: event time %d outside [0,%d]", ev.Time, t.EndTime)
-		}
-	}
-	return t.ValidateComms()
+func newChecker(h Header) *checker {
+	return &checker{h: h, lastEnd: make([]int64, h.Tasks*h.NumThreads)}
 }
 
-// TaskView extracts one task's records as a single-task trace, for the
-// per-accelerator analyses (state profiles, event series).
-func (t *Trace) TaskView(task int) *Trace {
-	out := &Trace{AppName: t.AppName, NumThreads: t.NumThreads, EndTime: t.EndTime}
-	for _, s := range t.States {
-		if s.Task == task {
-			s.Task = 0
-			out.States = append(out.States, s)
-		}
+func (c *checker) inRange(task, thread int) bool {
+	return task >= 0 && task < c.h.Tasks && thread >= 0 && thread < c.h.NumThreads
+}
+
+func (c *checker) state(s *StateRec) error {
+	if !c.inRange(s.Task, s.Thread) {
+		return fmt.Errorf("state record task %d thread %d out of range", s.Task, s.Thread)
 	}
-	for _, ev := range t.Events {
-		if ev.Task == task {
-			ev.Task = 0
-			out.Events = append(out.Events, ev)
-		}
+	if s.Begin < 0 || s.End > c.h.EndTime || s.End <= s.Begin {
+		return fmt.Errorf("bad state interval [%d,%d) (end %d)", s.Begin, s.End, c.h.EndTime)
 	}
-	return out
+	if s.State < 0 || s.State > 3 {
+		return fmt.Errorf("unknown state %d", s.State)
+	}
+	slot := s.Task*c.h.NumThreads + s.Thread
+	if c.lastEnd[slot] > s.Begin {
+		return fmt.Errorf("overlapping intervals for task %d thread %d at %d", s.Task, s.Thread, s.Begin)
+	}
+	c.lastEnd[slot] = s.End
+	return nil
+}
+
+// event checks the (task, thread, time) shared by one sample's events.
+func (c *checker) event(task, thread int, time int64) error {
+	if !c.inRange(task, thread) {
+		return fmt.Errorf("event task %d thread %d out of range", task, thread)
+	}
+	if time < 0 || time > c.h.EndTime {
+		return fmt.Errorf("event time %d outside [0,%d]", time, c.h.EndTime)
+	}
+	return nil
+}
+
+func (c *checker) comm(m *CommRec) error {
+	if !c.inRange(m.SendTask, m.SendThread) || !c.inRange(m.RecvTask, m.RecvThread) {
+		return fmt.Errorf("comm endpoint out of range: %+v", *m)
+	}
+	if m.RecvTime < m.SendTime {
+		return fmt.Errorf("comm received before sent: %+v", *m)
+	}
+	if m.SendTime < 0 || m.RecvTime > c.h.EndTime {
+		return fmt.Errorf("comm outside trace window: %+v", *m)
+	}
+	if m.Size <= 0 {
+		return fmt.Errorf("comm with size %d", m.Size)
+	}
+	return nil
 }

@@ -7,67 +7,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
-// WritePRV writes the trace body in Paraver .prv format:
-//
-//	#Paraver (dd/mm/yy at hh:mm):endTime:nNodes(nCpus):nAppl:applList
-//	1:cpu:appl:task:thread:begin:end:state
-//	2:cpu:appl:task:thread:time:type:value[:type:value...]
-//
-// One node with NumThreads CPUs, one application with one task of
-// NumThreads threads; thread i runs on cpu i+1. The timestamp in the header
-// is fixed for reproducibility (Paraver ignores it).
-//
-// This is the reference writer over the materialized record lists; the
-// streaming StreamTrace.WritePRV produces byte-identical output without
-// materializing the lists, and the equivalence is asserted by tests. Write
-// errors are sticky: the first one (e.g. a full disk) aborts the walk, so
-// a truncated .prv can never be reported as success.
-func (t *Trace) WritePRV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "#Paraver (01/01/00 at 00:00):%d:1(%d):1:%s\n",
-		t.EndTime, t.totalCPUs(), applList(t.NumTasks(), t.NumThreads)); err != nil {
-		return err
-	}
-	for _, s := range t.States {
-		if _, err := fmt.Fprintf(bw, "1:%d:1:%d:%d:%d:%d:%d\n",
-			t.cpuOf(s.Task, s.Thread), s.Task+1, s.Thread+1, s.Begin, s.End, s.State); err != nil {
-			return err
-		}
-	}
-	// Group events that share (task, thread, time) into one record.
-	i := 0
-	for i < len(t.Events) {
-		ev := t.Events[i]
-		j := i
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "2:%d:1:%d:%d:%d", t.cpuOf(ev.Task, ev.Thread), ev.Task+1, ev.Thread+1, ev.Time)
-		for j < len(t.Events) && t.Events[j].Task == ev.Task && t.Events[j].Thread == ev.Thread && t.Events[j].Time == ev.Time {
-			fmt.Fprintf(&sb, ":%d:%d", t.Events[j].Type, t.Events[j].Value)
-			j++
-		}
-		sb.WriteByte('\n')
-		if _, err := bw.WriteString(sb.String()); err != nil {
-			return err
-		}
-		i = j
-	}
-	for _, c := range t.Comms {
-		if _, err := fmt.Fprintf(bw, "3:%d:1:%d:%d:%d:%d:%d:1:%d:%d:%d:%d:%d:%d\n",
-			t.cpuOf(c.SendTask, c.SendThread), c.SendTask+1, c.SendThread+1, c.SendTime, c.SendTime,
-			t.cpuOf(c.RecvTask, c.RecvThread), c.RecvTask+1, c.RecvThread+1, c.RecvTime, c.RecvTime,
-			c.Size, c.Tag); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// writePCFTo writes the Paraver configuration file describing states,
+// WritePCF writes the Paraver configuration file describing states,
 // their colors, and the event types (trace-independent).
-func writePCFTo(w io.Writer) error {
+func (st *StreamTrace) WritePCF(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "DEFAULT_OPTIONS")
 	fmt.Fprintln(bw, "")
@@ -101,9 +45,10 @@ func writePCFTo(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeROWTo writes the Paraver label file naming CPUs, nodes and threads.
-func writeROWTo(w io.Writer, tasks, nThreads int) error {
+// WriteROW writes the Paraver label file naming CPUs, nodes and threads.
+func (st *StreamTrace) WriteROW(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	tasks, nThreads := st.TaskCount, st.NumThreads
 	total := tasks * nThreads
 	fmt.Fprintf(bw, "LEVEL CPU SIZE %d\n", total)
 	for i := 0; i < total; i++ {
@@ -122,20 +67,25 @@ func writeROWTo(w io.Writer, tasks, nThreads int) error {
 	return bw.Flush()
 }
 
-// WritePCF writes the Paraver configuration file describing states, their
-// colors, and the event types.
-func (t *Trace) WritePCF(w io.Writer) error { return writePCFTo(w) }
-
-// WriteROW writes the Paraver label file naming CPUs, nodes and threads.
-func (t *Trace) WriteROW(w io.Writer) error {
-	return writeROWTo(w, t.NumTasks(), t.NumThreads)
+// WriteBundle streams trace.prv/.pcf/.row under dir with the given base
+// name and returns the .prv path.
+func (st *StreamTrace) WriteBundle(dir, base string) (string, error) {
+	return st.writeBundle(dir, base, false)
 }
 
-// writeBundleFiles writes the three bundle files under dir, gzipping the
-// .prv body when gz is set. Close errors are propagated: a short write
-// that only surfaces at close (e.g. a full disk) fails the bundle.
-func writeBundleFiles(dir, base string, gz bool,
-	prv, pcf, row func(io.Writer) error) (string, error) {
+// WriteBundleGz streams the bundle with a gzip-compressed trace body
+// (trace.prv.gz + plain .pcf/.row), addressing the trace-volume problem the
+// paper's background section raises ("how to manage the often tens of GBs
+// of trace-data") — Paraver's wxparaver opens .prv.gz directly. The records
+// never exist uncompressed on disk or in memory.
+func (st *StreamTrace) WriteBundleGz(dir, base string) (string, error) {
+	return st.writeBundle(dir, base, true)
+}
+
+// writeBundle writes the three bundle files under dir, gzipping the .prv
+// body when gz is set. Close errors are propagated: a short write that
+// only surfaces at close (e.g. a full disk) fails the bundle.
+func (st *StreamTrace) writeBundle(dir, base string, gz bool) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
@@ -151,7 +101,7 @@ func writeBundleFiles(dir, base string, gz bool,
 		return f.Close()
 	}
 	prvExt := ".prv"
-	writePRV := prv
+	writePRV := st.WritePRV
 	if gz {
 		prvExt = ".prv.gz"
 		writePRV = func(w io.Writer) error {
@@ -159,7 +109,7 @@ func writeBundleFiles(dir, base string, gz bool,
 			if err != nil {
 				return err
 			}
-			if err := prv(zw); err != nil {
+			if err := st.WritePRV(zw); err != nil {
 				zw.Close()
 				return err
 			}
@@ -169,17 +119,11 @@ func writeBundleFiles(dir, base string, gz bool,
 	if err := write(prvExt, writePRV); err != nil {
 		return "", err
 	}
-	if err := write(".pcf", pcf); err != nil {
+	if err := write(".pcf", st.WritePCF); err != nil {
 		return "", err
 	}
-	if err := write(".row", row); err != nil {
+	if err := write(".row", st.WriteROW); err != nil {
 		return "", err
 	}
 	return filepath.Join(dir, base+prvExt), nil
-}
-
-// WriteBundle writes trace.prv/.pcf/.row under dir with the given base
-// name and returns the .prv path.
-func (t *Trace) WriteBundle(dir, base string) (string, error) {
-	return writeBundleFiles(dir, base, false, t.WritePRV, t.WritePCF, t.WriteROW)
 }

@@ -456,11 +456,13 @@ func (s *Server) runJob(ctx context.Context, j *job, p *core.Program, args sim.A
 		return res
 	}
 	res.state = api.JobDone
-	res.summary = api.NewRunSummary(p, out)
-	files, rerr := renderArtifact(out)
-	if rerr != nil {
+	var files map[string][]byte
+	if res.summary, err = api.NewRunSummary(p, out); err == nil {
+		files, err = renderArtifact(out)
+	}
+	if err != nil {
 		res.state = api.JobFailed
-		res.errMsg = rerr.Error()
+		res.errMsg = err.Error()
 		res.errKind = "run_error"
 		j.fill(res)
 		return res

@@ -343,14 +343,20 @@ func TestCoalesceSaturationSheds(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	// Unblock the leader so Shutdown is quick.
+	// Unblock the leader so Shutdown is quick. Its flight exists before
+	// its job is published, so wait for the job to appear.
 	jobs := 0
-	s.jobs.Range(func(_, v any) bool {
-		jobs++
-		v.(*job).cancel(context.Canceled)
-		v.(*job).markCanceled("test teardown")
-		return true
-	})
+	for jobs == 0 && time.Now().Before(deadline) {
+		s.jobs.Range(func(_, v any) bool {
+			jobs++
+			v.(*job).cancel(context.Canceled)
+			v.(*job).markCanceled("test teardown")
+			return true
+		})
+		if jobs == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
 	if jobs == 0 {
 		t.Error("no jobs registered")
 	}
