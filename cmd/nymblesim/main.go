@@ -26,6 +26,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -138,22 +139,7 @@ func main() {
 		p.Kernel.Name, r.Cycles, 1e3*out.Seconds(r.Cycles), out.FmaxMHz, p.Kernel.NumThreads)
 	fmt.Printf("stalls: %d, FLOPs: %d, lock acquisitions: %d (contended %d)\n",
 		r.TotalStalls(), r.TotalFpOps(), r.LockAcquisitions, r.LockContended)
-	if len(r.StallsByLoop) > 0 {
-		fmt.Println("stall hotspots by source loop:")
-		type row struct {
-			name string
-			n    int64
-		}
-		var rows []row
-		for name, n := range r.StallsByLoop {
-			rows = append(rows, row{name, n})
-		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].n > rows[j].n })
-		for _, rw := range rows {
-			fmt.Printf("  %-20s %12d stall cycles (%.1f%%)\n",
-				rw.name, rw.n, 100*float64(rw.n)/float64(r.TotalStalls()))
-		}
-	}
+	printStallHotspots(os.Stdout, r.StallsByLoop, r.TotalStalls())
 	fmt.Printf("DRAM: %d transactions, %d B read, %d B written\n",
 		r.DRAM.Transactions, r.DRAM.ReadWordsMoved*4, r.DRAM.WriteWordsMoved*4)
 	for name, v := range r.ScalarsOut {
@@ -260,4 +246,28 @@ func runSweep(ctx context.Context, src string, defines cli.Defines, spec string,
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "nymblesim:", err)
 	os.Exit(1)
+}
+
+// printStallHotspots lists the loops that stalled, most stall cycles
+// first; loops with equal counts are ordered by name so the table does not
+// depend on map iteration.
+func printStallHotspots(w io.Writer, byLoop map[string]int64, total int64) {
+	if len(byLoop) == 0 {
+		return
+	}
+	fmt.Fprintln(w, "stall hotspots by source loop:")
+	names := make([]string, 0, len(byLoop))
+	for name := range byLoop {
+		names = append(names, name)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		if byLoop[names[i]] != byLoop[names[j]] {
+			return byLoop[names[i]] > byLoop[names[j]]
+		}
+		return names[i] < names[j]
+	})
+	for _, name := range names {
+		fmt.Fprintf(w, "  %-20s %12d stall cycles (%.1f%%)\n",
+			name, byLoop[name], 100*float64(byLoop[name])/float64(total))
+	}
 }

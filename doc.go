@@ -6,7 +6,9 @@
 // accelerator carries a hardware profiling unit whose records convert into
 // Paraver traces. This module rebuilds the entire stack in Go:
 //
-//   - internal/minic    — C-subset + OpenMP 4.0 frontend (lexer/parser/sema)
+//   - internal/minic    — C-subset + OpenMP 4.0 frontend (lexer/parser/sema) and
+//     the AST front end the analyses share: traversal, name binding,
+//     counted-loop shape, loop names (DESIGN.md §3a)
 //   - internal/ir       — dataflow IR with loop nests as variable-latency ops
 //   - internal/lower    — AST -> IR: SSA, if-conversion, unrolling, deps
 //   - internal/schedule — static pipeline scheduling (Nymble's synthesis step)

@@ -1,7 +1,6 @@
 package absint
 
 import (
-	"fmt"
 	"sort"
 
 	"paravis/internal/minic"
@@ -183,7 +182,7 @@ func Analyze(fn *minic.FuncDecl, opts Options) *Result {
 		a:   a,
 		acc: map[minic.Expr]*accRec{},
 		div: map[*minic.Binary]Val{},
-		win: map[string]*winRec{},
+		win: map[minic.Decl]*winRec{},
 	}
 	for _, bl := range a.g.rpo {
 		in, reach := a.in[bl]
@@ -223,7 +222,7 @@ type collector struct {
 	a   *analysis
 	acc map[minic.Expr]*accRec
 	div map[*minic.Binary]Val
-	win map[string]*winRec
+	win map[minic.Decl]*winRec
 }
 
 func (c *collector) record(node minic.Expr, vals []Val, write bool) {
@@ -266,21 +265,19 @@ func (c *collector) mapWindow(mc *minic.MapClause, low, length Val) {
 	if mc.Low == nil {
 		return
 	}
-	if w, ok := c.win[mc.Name]; ok {
+	if w, ok := c.win[mc.Decl]; ok {
 		w.low = w.low.join(low)
 		w.len = w.len.join(length)
 	} else {
-		c.win[mc.Name] = &winRec{low: low, len: length}
+		c.win[mc.Decl] = &winRec{low: low, len: length}
 	}
 }
 
 // --- loops ---
 
-func loopName(st *minic.ForStmt) string { return fmt.Sprintf("for@%s", st.Pos) }
-
 func (c *collector) finishLoops(res *Result) {
 	for st, head := range c.a.g.heads {
-		lf := &LoopFact{Loop: st, Name: loopName(st), Pos: st.Pos}
+		lf := &LoopFact{Loop: st, Name: minic.LoopName(st), Pos: st.Pos}
 		res.Loops[st] = lf
 		if _, ok := c.a.in[head]; !ok {
 			lf.Trips = Exact(0)
@@ -326,97 +323,51 @@ func (c *collector) finishLoops(res *Result) {
 }
 
 // recognizedTrips brackets the per-entry trip count of a canonical
-// counted loop: a single induction variable stepped by an invariant
-// constant in the post clause and tested against an invariant bound.
+// counted loop (minic.Counted): the induction variable stepped by an
+// invariant constant and tested against an invariant bound.
 func (c *collector) recognizedTrips(st *minic.ForStmt, head *block) (Interval, bool) {
 	if impure(st.Cond) {
 		return Top(), false
 	}
-	ivName, step, stepStmt, stepExpr := recognizeStepStmt(st)
-	if ivName == "" {
+	cl := minic.Counted(st)
+	if cl == nil {
 		return Top(), false
 	}
-	// The induction variable must be an analyzable scalar and must not
-	// be touched anywhere else in the loop.
-	iv := c.lookupAt(st, ivName)
+	// The induction variable must be an analyzable scalar.
+	iv := c.a.res.byDecl[cl.IV]
 	if iv == nil || !iv.tracked || (iv.sharedMut && head.inRegion) {
 		return Top(), false
 	}
-	mut := mutatedNames(st, stepStmt)
-	if mut[ivName] {
-		return Top(), false
-	}
-
 	pre, have := c.a.inFlow(head, head.latch)
 	if !have {
 		return Top(), false
 	}
 	ev := &evaluator{a: c.a, st: cloneState(pre), inRegion: head.inRegion}
 
-	// The step must be an invariant constant.
-	if stepExpr != nil {
-		if !c.invariant(stepExpr, mut, head.inRegion) {
+	// Step and bound must not depend on anything the loop writes, the
+	// induction variable included.
+	mut := minic.LoopAssigned(st)
+	step := cl.Sign
+	if cl.Step != nil {
+		if !c.invariant(cl.Step, mut, head.inRegion) {
 			return Top(), false
 		}
-		sc, ok := ev.expr(stepExpr).constVal()
+		sc, ok := ev.expr(cl.Step).constVal()
 		if !ok || sc == 0 {
 			return Top(), false
 		}
-		if step < 0 {
-			sc = -sc
-		}
-		step = sc
+		step *= sc
 	}
-	if step == 0 {
+	adj, ok := cl.ExclusiveBound(step)
+	if !ok || !c.invariant(cl.Bound, mut, head.inRegion) {
 		return Top(), false
 	}
-
-	// Match the bound: iv OP bound with OP agreeing with the step sign.
-	b, ok := st.Cond.(*minic.Binary)
-	if !ok {
-		return Top(), false
-	}
-	op := b.Op
-	var boundExpr minic.Expr
-	switch {
-	case isIdentName(b.L, ivName):
-		boundExpr = b.R
-	case isIdentName(b.R, ivName):
-		boundExpr = b.L
-		switch op {
-		case minic.OpLt:
-			op = minic.OpGt
-		case minic.OpLe:
-			op = minic.OpGe
-		case minic.OpGt:
-			op = minic.OpLt
-		case minic.OpGe:
-			op = minic.OpLe
-		}
-	default:
-		return Top(), false
-	}
-	if !c.invariant(boundExpr, mut, head.inRegion) {
-		return Top(), false
-	}
-	bound := ev.expr(boundExpr).I
+	bound := ev.expr(cl.Bound).I
 	init := ev.get(iv).I
 	if bound.Empty || init.Empty {
 		return Top(), false
 	}
-
-	// Normalize to an exclusive upper bound for positive steps (iv < B)
-	// and an exclusive lower bound for negative steps (iv > B).
-	switch {
-	case step > 0 && op == minic.OpLt:
-	case step > 0 && op == minic.OpLe:
-		bound = bound.Add(Exact(1))
-	case step < 0 && op == minic.OpGt:
-	case step < 0 && op == minic.OpGe:
-		bound = bound.Add(Exact(-1))
-	default:
-		return Top(), false
-	}
+	bound = bound.Add(Exact(adj))
 
 	// trips = max(0, ceil((B - I) / S)) for S > 0, and the mirrored form
 	// for S < 0; interval ends pair the extremes soundly.
@@ -457,190 +408,24 @@ func ceilDiv(a, b int64) int64 {
 	return q
 }
 
-// recognizeStepStmt finds the post clause stepping the candidate
-// induction variable: `iv++`, `iv--`, `iv += e`, `iv -= e`, or
-// `iv = iv + e` (and the commuted/subtracted forms). step carries the
-// sign for the IncDec forms and the +-1/-1 direction otherwise (the
-// caller folds the expression value in).
-func recognizeStepStmt(st *minic.ForStmt) (ivName string, step int64, stepStmt minic.Stmt, stepExpr minic.Expr) {
-	for _, s := range st.Post {
-		es, ok := s.(*minic.ExprStmt)
-		if !ok {
-			continue
-		}
-		switch x := es.X.(type) {
-		case *minic.IncDec:
-			if id, ok := x.X.(*minic.Ident); ok && condMentions(st.Cond, id.Name) {
-				if x.Inc {
-					return id.Name, 1, s, nil
-				}
-				return id.Name, -1, s, nil
-			}
-		case *minic.AssignExpr:
-			id, ok := x.LHS.(*minic.Ident)
-			if !ok || !condMentions(st.Cond, id.Name) {
-				continue
-			}
-			if x.Op != nil && (*x.Op == minic.OpAdd || *x.Op == minic.OpSub) {
-				dir := int64(1)
-				if *x.Op == minic.OpSub {
-					dir = -1
-				}
-				return id.Name, dir, s, x.RHS
-			}
-			if x.Op == nil {
-				if b, ok := x.RHS.(*minic.Binary); ok {
-					switch {
-					case b.Op == minic.OpAdd && isIdentName(b.L, id.Name):
-						return id.Name, 1, s, b.R
-					case b.Op == minic.OpAdd && isIdentName(b.R, id.Name):
-						return id.Name, 1, s, b.L
-					case b.Op == minic.OpSub && isIdentName(b.L, id.Name):
-						return id.Name, -1, s, b.R
-					}
-				}
-			}
-		}
-	}
-	return "", 0, nil, nil
-}
-
-func isIdentName(e minic.Expr, name string) bool {
-	id, ok := e.(*minic.Ident)
-	return ok && id.Name == name
-}
-
-func condMentions(cond minic.Expr, name string) bool {
-	b, ok := cond.(*minic.Binary)
-	if !ok || !b.Op.IsComparison() {
-		return false
-	}
-	return isIdentName(b.L, name) || isIdentName(b.R, name)
-}
-
-// lookupAt resolves name as seen by the loop condition (any Ident of
-// that name inside the condition or body shares the resolution).
-func (c *collector) lookupAt(st *minic.ForStmt, name string) *variable {
-	var found *variable
-	var scan func(e minic.Expr)
-	scan = func(e minic.Expr) {
-		if found != nil || e == nil {
-			return
-		}
-		if id, ok := e.(*minic.Ident); ok {
-			if id.Name == name {
-				found = c.a.res.useOf[id]
-			}
-			return
-		}
-		for _, sub := range children(e) {
-			scan(sub)
-		}
-	}
-	scan(st.Cond)
-	return found
-}
-
-// mutatedNames collects every name assigned (or declared, which shadows)
-// inside the loop body, condition and post clauses, except the
-// recognized step statement itself.
-func mutatedNames(st *minic.ForStmt, skip minic.Stmt) map[string]bool {
-	mut := map[string]bool{}
-	var walkS func(s minic.Stmt)
-	var walkE func(e minic.Expr)
-	walkE = func(e minic.Expr) {
-		if e == nil {
-			return
-		}
-		switch x := e.(type) {
-		case *minic.AssignExpr:
-			if id, ok := x.LHS.(*minic.Ident); ok {
-				mut[id.Name] = true
-			}
-		case *minic.IncDec:
-			if id, ok := x.X.(*minic.Ident); ok {
-				mut[id.Name] = true
-			}
-		}
-		for _, sub := range children(e) {
-			walkE(sub)
-		}
-	}
-	walkS = func(s minic.Stmt) {
-		if s == skip {
-			return
-		}
-		switch x := s.(type) {
-		case *minic.BlockStmt:
-			for _, cs := range x.Stmts {
-				walkS(cs)
-			}
-		case *minic.DeclStmt:
-			mut[x.Name] = true
-			walkE(x.Init)
-		case *minic.ExprStmt:
-			walkE(x.X)
-		case *minic.ForStmt:
-			for _, cs := range x.Init {
-				walkS(cs)
-			}
-			walkE(x.Cond)
-			walkS(x.Body)
-			for _, cs := range x.Post {
-				walkS(cs)
-			}
-		case *minic.IfStmt:
-			walkE(x.Cond)
-			walkS(x.Then)
-			if x.Else != nil {
-				walkS(x.Else)
-			}
-		case *minic.ReturnStmt:
-			walkE(x.X)
-		case *minic.CriticalStmt:
-			walkS(x.Body)
-		case *minic.TargetStmt:
-			walkS(x.Body)
-		}
-	}
-	walkE(st.Cond)
-	walkS(st.Body)
-	for _, s := range st.Post {
-		walkS(s)
-	}
-	return mut
-}
-
 // invariant reports whether e evaluates to the same value on every
 // iteration: all free identifiers unmutated in the loop and (inside a
 // region) not shared-mutable, and all calls the omp builtins.
-func (c *collector) invariant(e minic.Expr, mut map[string]bool, inRegion bool) bool {
-	switch x := e.(type) {
-	case nil:
-		return true
-	case *minic.Ident:
-		if mut[x.Name] {
-			return false
+func (c *collector) invariant(e minic.Expr, mut map[minic.Decl]bool, inRegion bool) bool {
+	ok := true
+	minic.Inspect(e, func(n minic.Node) bool {
+		switch x := n.(type) {
+		case *minic.Ident:
+			v := c.a.res.byDecl[x.Decl]
+			ok = ok && !mut[x.Decl] && !(v != nil && v.sharedMut && inRegion)
+		case *minic.Call:
+			ok = ok && (x.Name == "omp_get_thread_num" || x.Name == "omp_get_num_threads")
+		case *minic.AssignExpr, *minic.IncDec:
+			ok = false
 		}
-		v := c.a.res.useOf[x]
-		if v != nil && v.sharedMut && inRegion {
-			return false
-		}
-		return true
-	case *minic.Call:
-		if x.Name != "omp_get_thread_num" && x.Name != "omp_get_num_threads" {
-			return false
-		}
-		return true
-	case *minic.AssignExpr, *minic.IncDec:
-		return false
-	}
-	for _, sub := range children(e) {
-		if !c.invariant(sub, mut, inRegion) {
-			return false
-		}
-	}
-	return true
+		return ok
+	})
+	return ok
 }
 
 // --- conditions ---
@@ -731,7 +516,7 @@ func (c *collector) finalizeAccess(node minic.Expr, rec *accRec) *AccessFact {
 			return f
 		}
 		f.Array = id.Name
-		v := c.a.res.useOf[id]
+		v := c.a.res.byDecl[id.Decl]
 		if v == nil {
 			f.Verdict = Unchecked
 			return f
@@ -746,7 +531,7 @@ func (c *collector) finalizeAccess(node minic.Expr, rec *accRec) *AccessFact {
 			f.BadDim, f.DimSize = -1, total
 			return f
 		}
-		if lo, hi, ok := c.window(id.Name); ok {
+		if lo, hi, ok := c.window(id.Decl); ok {
 			f.Verdict, f.Index = judge(rec.vals[0], lo, hi-f.Width+1)
 			f.BadDim, f.DimSize = -1, hi-lo+1
 			return f
@@ -765,7 +550,7 @@ func (c *collector) finalizeIndex(x *minic.Index, rec *accRec) *AccessFact {
 		return f
 	}
 	f.Array = id.Name
-	v := c.a.res.useOf[id]
+	v := c.a.res.byDecl[id.Decl]
 	if v == nil {
 		f.Verdict = Unchecked
 		return f
@@ -774,7 +559,7 @@ func (c *collector) finalizeIndex(x *minic.Index, rec *accRec) *AccessFact {
 	switch {
 	case dram && len(x.Idx) == 1:
 		f.Elem, f.ElemOK = rec.vals[0].I, true
-		if lo, hi, ok := c.window(id.Name); ok {
+		if lo, hi, ok := c.window(id.Decl); ok {
 			f.Verdict, f.Index = judge(rec.vals[0], lo, hi)
 			f.BadDim, f.DimSize = 0, hi-lo+1
 		} else {
@@ -861,8 +646,8 @@ func linearizeVals(vals []Val, dims []int, lanes int64) Val {
 
 // window returns the mapped DRAM window [lo, hi] for a pointer
 // parameter when the map clause extent was a compile-time constant.
-func (c *collector) window(name string) (lo, hi int64, ok bool) {
-	w, found := c.win[name]
+func (c *collector) window(d minic.Decl) (lo, hi int64, ok bool) {
+	w, found := c.win[d]
 	if !found {
 		return 0, 0, false
 	}

@@ -98,60 +98,17 @@ func thresholds(fn *minic.FuncDecl, env map[string]int64, nt int) []int64 {
 	for _, v := range env {
 		addC(v)
 	}
-	var walkS func(s minic.Stmt)
-	var walkE func(e minic.Expr)
-	walkE = func(e minic.Expr) {
-		if e == nil {
-			return
-		}
-		if lit, ok := e.(*minic.IntLit); ok {
-			addC(lit.Value)
-		}
-		for _, sub := range children(e) {
-			walkE(sub)
-		}
-	}
-	walkS = func(s minic.Stmt) {
-		switch st := s.(type) {
-		case *minic.BlockStmt:
-			for _, c := range st.Stmts {
-				walkS(c)
-			}
+	minic.Inspect(fn.Body, func(n minic.Node) bool {
+		switch x := n.(type) {
+		case *minic.IntLit:
+			addC(x.Value)
 		case *minic.DeclStmt:
-			for _, d := range st.Typ.Dims {
+			for _, d := range x.Typ.Dims {
 				addC(int64(d))
 			}
-			walkE(st.Init)
-		case *minic.ExprStmt:
-			walkE(st.X)
-		case *minic.ForStmt:
-			for _, c := range st.Init {
-				walkS(c)
-			}
-			walkE(st.Cond)
-			walkS(st.Body)
-			for _, c := range st.Post {
-				walkS(c)
-			}
-		case *minic.IfStmt:
-			walkE(st.Cond)
-			walkS(st.Then)
-			if st.Else != nil {
-				walkS(st.Else)
-			}
-		case *minic.ReturnStmt:
-			walkE(st.X)
-		case *minic.CriticalStmt:
-			walkS(st.Body)
-		case *minic.TargetStmt:
-			for i := range st.Maps {
-				walkE(st.Maps[i].Low)
-				walkE(st.Maps[i].Len)
-			}
-			walkS(st.Body)
 		}
-	}
-	walkS(fn.Body)
+		return true
+	})
 	out := make([]int64, 0, len(set))
 	for v := range set {
 		out = append(out, v)
@@ -339,7 +296,7 @@ func (ev *evaluator) instr(ins instr) {
 			} else {
 				v = topVal()
 			}
-			if vr := ev.a.res.declOf[st]; vr != nil && vr.tracked {
+			if vr := ev.a.res.byDecl[st]; vr != nil && vr.tracked {
 				ev.set(vr, v)
 			}
 		case *minic.ExprStmt:
@@ -376,7 +333,7 @@ func (ev *evaluator) instr(ins instr) {
 			if mc.Dir == minic.MapTo {
 				continue
 			}
-			if v, ok := ev.a.res.mapOf[mc.Name]; ok && v.tracked {
+			if v := ev.a.res.byDecl[mc.Decl]; v != nil && v.tracked {
 				delete(ev.st, v.id)
 			}
 		}
@@ -421,7 +378,7 @@ func (ev *evaluator) expr(e minic.Expr) Val {
 	case *minic.FloatLit:
 		return topVal()
 	case *minic.Ident:
-		return ev.get(ev.a.res.useOf[x])
+		return ev.get(ev.a.res.byDecl[x.Decl])
 	case *minic.Call:
 		for _, arg := range x.Args {
 			ev.expr(arg)
@@ -487,7 +444,7 @@ func (ev *evaluator) expr(e minic.Expr) Val {
 			return topVal()
 		}
 		if id, ok := x.X.(*minic.Ident); ok {
-			v := ev.a.res.useOf[id]
+			v := ev.a.res.byDecl[id.Decl]
 			cur := ev.get(v)
 			d := exactVal(1)
 			if !x.Inc {
@@ -619,7 +576,7 @@ func (ev *evaluator) assign(x *minic.AssignExpr) Val {
 	rhs := ev.expr(x.RHS)
 	switch lhs := x.LHS.(type) {
 	case *minic.Ident:
-		v := ev.a.res.useOf[lhs]
+		v := ev.a.res.byDecl[lhs.Decl]
 		nv := rhs
 		if x.Op != nil {
 			cur := ev.get(v)

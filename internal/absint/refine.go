@@ -25,16 +25,15 @@ func refine(a *analysis, out state, cond minic.Expr, sense bool, inRegion bool) 
 
 // impure reports whether evaluating e could change tracked state.
 func impure(e minic.Expr) bool {
-	switch e.(type) {
-	case *minic.AssignExpr, *minic.IncDec:
-		return true
-	}
-	for _, sub := range children(e) {
-		if impure(sub) {
-			return true
+	found := false
+	minic.Inspect(e, func(n minic.Node) bool {
+		switch n.(type) {
+		case *minic.AssignExpr, *minic.IncDec:
+			found = true
 		}
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // refineInto narrows st in place; false means contradiction (dead edge).
@@ -63,7 +62,7 @@ func refineInto(a *analysis, st state, cond minic.Expr, sense bool, inRegion boo
 		}
 	case *minic.Ident:
 		// `if (x)` — true excludes 0, false pins to 0.
-		v := a.res.useOf[x]
+		v := a.res.byDecl[x.Decl]
 		if v == nil || !v.tracked || (v.sharedMut && inRegion) {
 			return true
 		}
@@ -247,7 +246,7 @@ func refinable(a *analysis, e minic.Expr, inRegion bool) *variable {
 	if !ok {
 		return nil
 	}
-	v := a.res.useOf[id]
+	v := a.res.byDecl[id.Decl]
 	if v == nil || !v.tracked || (v.sharedMut && inRegion) {
 		return nil
 	}

@@ -2,7 +2,7 @@ package absint
 
 import "paravis/internal/minic"
 
-// variable is one resolved declaration (parameter or local).
+// variable is the analysis view of one declaration (parameter or local).
 type variable struct {
 	id      int
 	name    string
@@ -22,41 +22,21 @@ type variable struct {
 	dims  []int
 }
 
-// resolution binds identifiers to variables with C block scoping. Sema
-// has already rejected undeclared names, so lookups cannot fail for
-// well-typed programs; unresolved identifiers simply evaluate to top.
+// resolution is the per-function variable table, keyed by the
+// declaration sema bound every identifier and map clause to. Nodes sema
+// never saw (none in parsed programs) look up nil and evaluate to top.
 type resolution struct {
 	vars   []*variable
-	useOf  map[*minic.Ident]*variable
-	declOf map[*minic.DeclStmt]*variable
-	mapOf  map[string]*variable // parameter name -> variable, for map clauses
-	target *minic.TargetStmt
+	byDecl map[minic.Decl]*variable
 	nt     int // omp thread count (1 when no target or unspecified)
 }
 
 func resolveFn(fn *minic.FuncDecl) *resolution {
-	r := &resolution{
-		useOf:  map[*minic.Ident]*variable{},
-		declOf: map[*minic.DeclStmt]*variable{},
-		mapOf:  map[string]*variable{},
-		nt:     1,
-	}
-	scopes := []map[string]*variable{{}}
-	declare := func(v *variable) {
-		v.id = len(r.vars)
-		r.vars = append(r.vars, v)
-		scopes[len(scopes)-1][v.name] = v
-	}
-	lookup := func(name string) *variable {
-		for i := len(scopes) - 1; i >= 0; i-- {
-			if v, ok := scopes[i][name]; ok {
-				return v
-			}
-		}
-		return nil
-	}
-	newVar := func(name string, typ *minic.Type, isParam, inRegion bool) *variable {
-		v := &variable{name: name, typ: typ, isParam: isParam, declaredInRegion: inRegion}
+	r := &resolution{byDecl: map[minic.Decl]*variable{}, nt: 1}
+	declare := func(d minic.Decl) {
+		typ := d.DeclType()
+		_, isParam := d.(*minic.Param)
+		v := &variable{id: len(r.vars), name: d.DeclName(), typ: typ, isParam: isParam}
 		v.tracked = typ.IsScalar() && typ.Basic == minic.Int
 		if typ.IsVector() {
 			v.lanes = typ.Lanes
@@ -68,172 +48,35 @@ func resolveFn(fn *minic.FuncDecl) *resolution {
 				v.lanes = typ.Elem.Lanes
 			}
 		}
-		return v
+		r.vars = append(r.vars, v)
+		r.byDecl[d] = v
 	}
 	for _, p := range fn.Params {
-		v := newVar(p.Name, p.Type, true, false)
-		declare(v)
-		r.mapOf[p.Name] = v
+		declare(p)
 	}
-
-	inRegion := false
-	var walkS func(s minic.Stmt)
-	var walkE func(e minic.Expr)
-	walkE = func(e minic.Expr) {
-		if e == nil {
-			return
+	minic.Inspect(fn.Body, func(n minic.Node) bool {
+		if d, ok := n.(*minic.DeclStmt); ok {
+			declare(d)
 		}
-		switch x := e.(type) {
-		case *minic.Ident:
-			if v := lookup(x.Name); v != nil {
-				r.useOf[x] = v
-			}
-			return
-		case *minic.AssignExpr:
-			if id, ok := x.LHS.(*minic.Ident); ok && inRegion {
-				if v := lookup(id.Name); v != nil && !v.declaredInRegion {
-					v.sharedMut = true
-				}
-			}
-		case *minic.IncDec:
-			if id, ok := x.X.(*minic.Ident); ok && inRegion {
-				if v := lookup(id.Name); v != nil && !v.declaredInRegion {
-					v.sharedMut = true
-				}
-			}
+		return true
+	})
+	target := minic.TargetOf(fn)
+	if target == nil {
+		return r
+	}
+	if target.NumThreads > 0 {
+		r.nt = target.NumThreads
+	}
+	minic.Inspect(target.Body, func(n minic.Node) bool {
+		if d, ok := n.(*minic.DeclStmt); ok {
+			r.byDecl[d].declaredInRegion = true
 		}
-		for _, sub := range children(e) {
-			walkE(sub)
+		return true
+	})
+	for d := range minic.Assigned(target.Body) {
+		if v := r.byDecl[d]; v != nil && !v.declaredInRegion {
+			v.sharedMut = true
 		}
 	}
-	walkS = func(s minic.Stmt) {
-		switch st := s.(type) {
-		case *minic.BlockStmt:
-			scopes = append(scopes, map[string]*variable{})
-			for _, c := range st.Stmts {
-				walkS(c)
-			}
-			scopes = scopes[:len(scopes)-1]
-		case *minic.DeclStmt:
-			walkE(st.Init)
-			v := newVar(st.Name, st.Typ, false, inRegion)
-			declare(v)
-			r.declOf[st] = v
-		case *minic.ExprStmt:
-			walkE(st.X)
-		case *minic.ForStmt:
-			scopes = append(scopes, map[string]*variable{})
-			for _, c := range st.Init {
-				walkS(c)
-			}
-			walkE(st.Cond)
-			walkS(st.Body)
-			for _, c := range st.Post {
-				walkS(c)
-			}
-			scopes = scopes[:len(scopes)-1]
-		case *minic.IfStmt:
-			walkE(st.Cond)
-			walkS(st.Then)
-			if st.Else != nil {
-				walkS(st.Else)
-			}
-		case *minic.ReturnStmt:
-			walkE(st.X)
-		case *minic.CriticalStmt:
-			walkS(st.Body)
-		case *minic.TargetStmt:
-			r.target = st
-			r.nt = st.NumThreads
-			if r.nt <= 0 {
-				r.nt = 1
-			}
-			for i := range st.Maps {
-				walkE(st.Maps[i].Low)
-				walkE(st.Maps[i].Len)
-			}
-			inRegion = true
-			walkS(st.Body)
-			inRegion = false
-		}
-	}
-	walkS(fn.Body)
 	return r
-}
-
-// children returns the direct subexpressions of e, nils omitted.
-func children(e minic.Expr) []minic.Expr {
-	var out []minic.Expr
-	add := func(es ...minic.Expr) {
-		for _, x := range es {
-			if x != nil {
-				out = append(out, x)
-			}
-		}
-	}
-	switch x := e.(type) {
-	case *minic.Binary:
-		add(x.L, x.R)
-	case *minic.Unary:
-		add(x.X)
-	case *minic.Cond:
-		add(x.C, x.A, x.B)
-	case *minic.Index:
-		add(x.Base)
-		add(x.Idx...)
-	case *minic.VecElem:
-		add(x.Vec, x.Idx)
-	case *minic.VecLoad:
-		add(x.Base, x.Idx)
-	case *minic.AssignExpr:
-		add(x.LHS, x.RHS)
-	case *minic.IncDec:
-		add(x.X)
-	case *minic.Call:
-		add(x.Args...)
-	case *minic.Cast:
-		add(x.X)
-	case *minic.AddrOf:
-		add(x.X)
-	case *minic.InitList:
-		add(x.Elems...)
-	}
-	return out
-}
-
-// exprPos extracts a source position from any expression node.
-func exprPos(e minic.Expr) minic.Pos {
-	switch x := e.(type) {
-	case *minic.Ident:
-		return x.Pos
-	case *minic.IntLit:
-		return x.Pos
-	case *minic.FloatLit:
-		return x.Pos
-	case *minic.Binary:
-		return x.Pos
-	case *minic.Unary:
-		return x.Pos
-	case *minic.Cond:
-		return x.Pos
-	case *minic.Index:
-		return x.Pos
-	case *minic.VecElem:
-		return x.Pos
-	case *minic.VecLoad:
-		return x.Pos
-	case *minic.AssignExpr:
-		return x.Pos
-	case *minic.IncDec:
-		return x.Pos
-	case *minic.Call:
-		return x.Pos
-	case *minic.Cast:
-		return x.Pos
-	case *minic.AddrOf:
-		return x.Pos
-	case *minic.InitList:
-		return x.Pos
-	}
-	return minic.Pos{}
 }

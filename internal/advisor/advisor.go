@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strings"
 
-	"paravis/internal/absint"
 	"paravis/internal/core"
 	"paravis/internal/depend"
 	"paravis/internal/paraver"
@@ -369,11 +368,7 @@ func AdviseProgram(p *core.Program, out *core.RunOutput, th Thresholds) []Findin
 	if p == nil || p.Fn == nil {
 		return findings
 	}
-	var ranges depend.RangeFn
-	if ai := absint.Analyze(p.Fn, absint.Options{}); ai.OK {
-		ranges = ai.IndexRange
-	}
-	rep := depend.AnalyzeRanges(p.Fn, nil, ranges)
+	rep := transform.LegalityReport(p.Fn, nil)
 	for i := range findings {
 		gateFinding(&findings[i], rep)
 	}

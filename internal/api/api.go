@@ -21,13 +21,13 @@ import (
 	"paravis/internal/absint"
 	"paravis/internal/area"
 	"paravis/internal/core"
-	"paravis/internal/depend"
 	"paravis/internal/minic"
 	"paravis/internal/paraver/analysis"
 	"paravis/internal/perfbound"
 	"paravis/internal/profile"
 	"paravis/internal/staticcheck"
 	"paravis/internal/store"
+	"paravis/internal/transform"
 )
 
 // Version is the schema version stamped into every top-level report.
@@ -321,11 +321,7 @@ func NewDependSummary(fn *minic.FuncDecl, env map[string]int64) []DependLoop {
 	if fn == nil {
 		return nil
 	}
-	var ranges depend.RangeFn
-	if ai := absint.Analyze(fn, absint.Options{Env: env}); ai.OK {
-		ranges = ai.IndexRange
-	}
-	rep := depend.AnalyzeRanges(fn, env, ranges)
+	rep := transform.LegalityReport(fn, env)
 	var out []DependLoop
 	for _, l := range rep.Loops {
 		dl := DependLoop{

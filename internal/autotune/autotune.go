@@ -394,22 +394,16 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 		Params:      opts.Params,
 	}
 
-	// Canonicalize: the search state is always in printed form so loop
-	// names are stable across rounds and defines are folded once.
-	prog0, err := minic.Parse(src, minic.Options{Defines: opts.Defines, VectorLanes: opts.VectorLanes})
+	// The search state is always in canonical printed form so loop names
+	// are stable across rounds; the defines are folded away by it, and
+	// later parses only need the lane count.
+	baseSrc, lanes, err := transform.Canonical(src, topts)
 	if err != nil {
 		return nil, fmt.Errorf("autotune: %w", err)
 	}
-	re, err := minic.Parse(minic.Print(prog0), minic.Options{VectorLanes: lanesOf(opts)})
-	if err != nil {
-		return nil, fmt.Errorf("autotune: canonical source does not re-parse: %w", err)
-	}
-	baseSrc := minic.Print(re)
-	// After canonicalization the defines are folded away; later parses
-	// only need the lane count.
 	topts.Defines = nil
-	topts.VectorLanes = lanesOf(opts)
-	canonOpts := core.BuildOptions{VectorLanes: lanesOf(opts)}
+	topts.VectorLanes = lanes
+	canonOpts := core.BuildOptions{VectorLanes: lanes}
 
 	baseProg, _, err := cache.Build(ctx, baseSrc, canonOpts)
 	if err != nil {
@@ -598,20 +592,6 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 		res.WinnerUpperKnown = best.bounds.UpperKnown
 	}
 	return res, nil
-}
-
-func lanesOf(opts Options) int {
-	if opts.VectorLanes > 0 {
-		return opts.VectorLanes
-	}
-	if v, ok := opts.Defines["VECTOR_LEN"]; ok {
-		var n int
-		fmt.Sscanf(v, "%d", &n)
-		if n > 0 {
-			return n
-		}
-	}
-	return 4
 }
 
 func isNotProven(err error) bool {

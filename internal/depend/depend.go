@@ -184,7 +184,7 @@ func Analyze(fn *minic.FuncDecl, env map[string]int64) *Report {
 // the pair cannot alias and the dependence is dropped. Only unproven
 // ("may") verdicts are ever refined — a proven dependence stands.
 func AnalyzeRanges(fn *minic.FuncDecl, env map[string]int64, ranges RangeFn) *Report {
-	ts := findTarget(fn.Body)
+	ts := minic.TargetOf(fn)
 	if ts == nil {
 		return &Report{}
 	}
@@ -192,27 +192,10 @@ func AnalyzeRanges(fn *minic.FuncDecl, env map[string]int64, ranges RangeFn) *Re
 	if nt <= 0 {
 		nt = 1
 	}
-	w := newWalker(fn, ts, nt, env)
+	w := newWalker(fn, nt, env)
 	w.ranges = ranges
 	w.block(ts.Body)
 	return w.assemble()
-}
-
-func findTarget(b *minic.BlockStmt) *minic.TargetStmt {
-	if b == nil {
-		return nil
-	}
-	for _, s := range b.Stmts {
-		switch st := s.(type) {
-		case *minic.TargetStmt:
-			return st
-		case *minic.BlockStmt:
-			if ts := findTarget(st); ts != nil {
-				return ts
-			}
-		}
-	}
-	return nil
 }
 
 // assemble builds the per-loop report from the collected accesses.

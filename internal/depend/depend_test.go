@@ -15,7 +15,7 @@ func analyzeSrc(t *testing.T, src string, defines map[string]string, env map[str
 		t.Fatalf("parse: %v", err)
 	}
 	for _, fn := range prog.Funcs {
-		if findTarget(fn.Body) != nil {
+		if minic.TargetOf(fn) != nil {
 			return Analyze(fn, env)
 		}
 	}

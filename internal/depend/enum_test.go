@@ -605,7 +605,7 @@ func enumCompare(t *testing.T, label, src string, defines map[string]string, env
 	var fn *minic.FuncDecl
 	var ts *minic.TargetStmt
 	for _, f := range prog.Funcs {
-		if target := findTarget(f.Body); target != nil {
+		if target := minic.TargetOf(f); target != nil {
 			fn, ts = f, target
 			break
 		}

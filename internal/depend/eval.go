@@ -4,37 +4,38 @@ import (
 	"paravis/internal/minic"
 )
 
-// lookup resolves a scalar name to its affine value. Names mutated
-// inside any enclosing loop body vary per iteration in ways the domain
-// does not track (the recognized induction variables are the exception
-// and are excluded from the assigned sets), so they evaluate to bottom.
-func (w *walker) lookup(name string) aff {
+// lookup resolves a scalar to its affine value. Scalars mutated inside
+// any enclosing loop vary per iteration in ways the domain does not
+// track (the recognized induction variables are the exception and are
+// excluded from the assigned sets), so they evaluate to bottom.
+func (w *walker) lookup(d minic.Decl) aff {
 	// An active loop's recognized induction variable is tracked exactly
 	// (it necessarily appears in enclosing loops' assigned sets via its
-	// own step); the innermost binding in syms is the current one.
+	// own step).
 	for i := len(w.loops) - 1; i >= 0; i-- {
-		if l := w.loops[i]; l.hasIV && l.ivName == name {
-			if a, ok := w.syms[name]; ok {
+		if l := w.loops[i]; l.hasIV && l.iv == d {
+			if a, ok := w.syms[d]; ok {
 				return a
 			}
 			break
 		}
 	}
 	for _, l := range w.loops {
-		if l.assigned[name] {
+		if l.assigned[d] {
 			return affBottom()
 		}
 	}
-	if a, ok := w.syms[name]; ok {
+	if a, ok := w.syms[d]; ok {
 		return a
 	}
-	if w.env != nil {
-		if v, ok := w.env[name]; ok {
-			return affConst(v)
-		}
+	if d == nil {
+		return affBottom()
 	}
-	if w.params[name] {
-		return affPoly(polySym(name))
+	if v, ok := w.env[d.DeclName()]; ok {
+		return affConst(v)
+	}
+	if _, isParam := d.(*minic.Param); isParam {
+		return affPoly(polySym(d.DeclName()))
 	}
 	return affBottom()
 }
@@ -46,7 +47,7 @@ func (w *walker) evalAff(e minic.Expr) aff {
 	case *minic.IntLit:
 		return affConst(x.Value)
 	case *minic.Ident:
-		return w.lookup(x.Name)
+		return w.lookup(x.Decl)
 	case *minic.Unary:
 		if x.Neg {
 			return w.evalAff(x.X).negate()
@@ -89,15 +90,15 @@ func (w *walker) expr(e minic.Expr) {
 	case *minic.IncDec:
 		switch t := x.X.(type) {
 		case *minic.Ident:
-			cur := w.lookup(t.Name)
+			cur := w.lookup(t.Decl)
 			if w.predDepth > 0 || !cur.ok {
-				w.syms[t.Name] = affBottom()
+				w.syms[t.Decl] = affBottom()
 			} else {
 				d := int64(1)
 				if !x.Inc {
 					d = -1
 				}
-				w.syms[t.Name] = cur.add(affConst(d))
+				w.syms[t.Decl] = cur.add(affConst(d))
 			}
 		case *minic.Index:
 			w.walkSubscripts(t)
@@ -110,29 +111,10 @@ func (w *walker) expr(e minic.Expr) {
 	case *minic.VecLoad:
 		w.expr(x.Idx)
 		w.recordVec(x, false)
-	case *minic.VecElem:
-		w.expr(x.Vec)
-		w.expr(x.Idx)
-	case *minic.Binary:
-		w.expr(x.L)
-		w.expr(x.R)
-	case *minic.Unary:
-		w.expr(x.X)
-	case *minic.Cond:
-		w.expr(x.C)
-		w.expr(x.A)
-		w.expr(x.B)
-	case *minic.Call:
-		for _, a := range x.Args {
-			w.expr(a)
-		}
-	case *minic.Cast:
-		w.expr(x.X)
-	case *minic.AddrOf:
-		w.expr(x.X)
-	case *minic.InitList:
-		for _, el := range x.Elems {
-			w.expr(el)
+	default:
+		// Everything else only holds subexpressions.
+		for _, c := range minic.Children(e) {
+			w.expr(c.(minic.Expr))
 		}
 	}
 }
@@ -142,9 +124,9 @@ func (w *walker) assign(x *minic.AssignExpr) {
 	switch lhs := x.LHS.(type) {
 	case *minic.Ident:
 		if w.predDepth > 0 {
-			w.syms[lhs.Name] = affBottom()
+			w.syms[lhs.Decl] = affBottom()
 		} else {
-			w.syms[lhs.Name] = w.evalAff(x.RHS)
+			w.syms[lhs.Decl] = w.evalAff(x.RHS)
 		}
 	case *minic.Index:
 		w.walkSubscripts(lhs)
@@ -181,7 +163,7 @@ func (w *walker) recordIndex(x *minic.Index, write bool) {
 	if !ok {
 		return
 	}
-	arr, ok := w.arrays[id.Name]
+	arr, ok := w.arrays[id.Decl]
 	if !ok {
 		return
 	}
@@ -213,7 +195,7 @@ func (w *walker) recordVec(x *minic.VecLoad, write bool) {
 	if !ok {
 		return
 	}
-	arr, ok := w.arrays[id.Name]
+	arr, ok := w.arrays[id.Decl]
 	if !ok {
 		return
 	}

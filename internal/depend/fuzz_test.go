@@ -50,7 +50,7 @@ void mm(float* A, float* B, float* C, int D) {
 		var fn *minic.FuncDecl
 		var ts *minic.TargetStmt
 		for _, fd := range prog.Funcs {
-			if target := findTarget(fd.Body); target != nil {
+			if target := minic.TargetOf(fd); target != nil {
 				fn, ts = fd, target
 				break
 			}

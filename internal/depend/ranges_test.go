@@ -37,7 +37,7 @@ func parseTargetFn(t *testing.T, src string) (*minic.FuncDecl, *minic.TargetStmt
 		t.Fatalf("parse: %v", err)
 	}
 	for _, fn := range prog.Funcs {
-		if ts := findTarget(fn.Body); ts != nil {
+		if ts := minic.TargetOf(fn); ts != nil {
 			return fn, ts
 		}
 	}

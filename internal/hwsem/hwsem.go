@@ -83,6 +83,3 @@ func (b *Barrier) Arrive() int64 {
 
 // Generation returns the current barrier generation.
 func (b *Barrier) Generation() int64 { return b.gen }
-
-// Expected returns the number of participating threads.
-func (b *Barrier) Expected() int { return b.expected }

@@ -118,7 +118,7 @@ func (lw *lowerer) lowerFor(g *gctx, st *minic.ForStmt) error {
 	// Determine carried slots: free variables assigned inside body/post
 	// that resolve to SSA slots declared outside the loop graph.
 	assigned := assignedFreeVars(append(append([]minic.Stmt{}, st.Body.Stmts...), st.Post...))
-	sub := lw.newGctx(g, fmt.Sprintf("for@%s", st.Pos))
+	sub := lw.newGctx(g, minic.LoopName(st))
 	var carrySlots []*slot
 	for _, name := range assigned {
 		sl := lw.scope.lookup(name)

@@ -251,13 +251,8 @@ func (d *DRAM) Release() {
 // Config returns the active configuration.
 func (d *DRAM) Config() DRAMConfig { return d.cfg }
 
-// Stats returns a copy of the traffic counters. Hot loops should use
-// StatsRef instead.
+// Stats returns a copy of the traffic counters.
 func (d *DRAM) Stats() DRAMStats { return d.stats }
-
-// StatsRef returns the live traffic counters without copying. The pointee
-// mutates as the simulation advances; callers needing a snapshot copy it.
-func (d *DRAM) StatsRef() *DRAMStats { return &d.stats }
 
 // AddListener registers a snoop on accepted requests.
 func (d *DRAM) AddListener(l AccessListener) { d.listeners = append(d.listeners, l) }

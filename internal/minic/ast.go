@@ -33,6 +33,23 @@ type Param struct {
 	Pos  Pos
 }
 
+// Decl is what an identifier binds to: a *Param or a *DeclStmt. Semantic
+// analysis records the binding on every Ident and MapClause, so consumers
+// key per-variable facts by declaration and never re-derive C scoping.
+type Decl interface {
+	DeclName() string
+	DeclType() *Type
+	DeclPos() Pos
+}
+
+func (p *Param) DeclName() string { return p.Name }
+func (p *Param) DeclType() *Type  { return p.Type }
+func (p *Param) DeclPos() Pos     { return p.Pos }
+
+func (d *DeclStmt) DeclName() string { return d.Name }
+func (d *DeclStmt) DeclType() *Type  { return d.Typ }
+func (d *DeclStmt) DeclPos() Pos     { return d.Pos }
+
 // Stmt is implemented by all statement nodes.
 type Stmt interface{ stmtNode() }
 
@@ -155,6 +172,7 @@ func (d MapDir) String() string {
 type MapClause struct {
 	Dir  MapDir
 	Name string
+	Decl Decl // the mapped variable's declaration, set by sema
 	Low  Expr // nil for scalar maps
 	Len  Expr // nil for scalar maps
 	Pos  Pos
@@ -166,6 +184,7 @@ type MapClause struct {
 type Ident struct {
 	exprBase
 	Name string
+	Decl Decl // the declaration the name resolves to, set by sema
 	Pos  Pos
 }
 

@@ -31,25 +31,27 @@ func Analyze(prog *Program, lanes int) error {
 	return nil
 }
 
+// scope is the one implementation of C block scoping: every identifier
+// and map clause leaves analysis pointing at the declaration found here.
 type scope struct {
-	vars   map[string]*Type
+	vars   map[string]Decl
 	parent *scope
 }
 
-func (s *scope) lookup(name string) (*Type, bool) {
+func (s *scope) lookup(name string) Decl {
 	for c := s; c != nil; c = c.parent {
-		if t, ok := c.vars[name]; ok {
-			return t, true
+		if d, ok := c.vars[name]; ok {
+			return d
 		}
 	}
-	return nil, false
+	return nil
 }
 
-func (s *scope) declare(name string, t *Type) bool {
-	if _, exists := s.vars[name]; exists {
+func (s *scope) declare(d Decl) bool {
+	if _, exists := s.vars[d.DeclName()]; exists {
 		return false
 	}
-	s.vars[name] = t
+	s.vars[d.DeclName()] = d
 	return true
 }
 
@@ -66,12 +68,12 @@ func (a *analyzer) errf(p Pos, format string, args ...any) error {
 
 func (a *analyzer) checkFunc(f *FuncDecl) error {
 	a.fn = f
-	sc := &scope{vars: map[string]*Type{}}
+	sc := &scope{vars: map[string]Decl{}}
 	for _, prm := range f.Params {
 		if prm.Type.Basic == Void && !prm.Type.Ptr {
 			return a.errf(prm.Pos, "parameter %s has void type", prm.Name)
 		}
-		if !sc.declare(prm.Name, prm.Type) {
+		if !sc.declare(prm) {
 			return a.errf(prm.Pos, "duplicate parameter %s", prm.Name)
 		}
 	}
@@ -79,7 +81,7 @@ func (a *analyzer) checkFunc(f *FuncDecl) error {
 }
 
 func (a *analyzer) checkBlock(b *BlockStmt, parent *scope) error {
-	sc := &scope{vars: map[string]*Type{}, parent: parent}
+	sc := &scope{vars: map[string]Decl{}, parent: parent}
 	for _, s := range b.Stmts {
 		if err := a.checkStmt(s, sc); err != nil {
 			return err
@@ -107,7 +109,7 @@ func (a *analyzer) checkStmt(s Stmt, sc *scope) error {
 		st.X = x
 		return nil
 	case *ForStmt:
-		inner := &scope{vars: map[string]*Type{}, parent: sc}
+		inner := &scope{vars: map[string]Decl{}, parent: sc}
 		for _, is := range st.Init {
 			if err := a.checkStmt(is, inner); err != nil {
 				return err
@@ -222,17 +224,18 @@ func (a *analyzer) checkDecl(st *DeclStmt, sc *scope) error {
 			st.Init = a.convertTo(x, st.Typ)
 		}
 	}
-	if !sc.declare(st.Name, st.Typ) {
+	if !sc.declare(st) {
 		return a.errf(st.Pos, "redeclaration of %s in the same scope", st.Name)
 	}
 	return nil
 }
 
 func (a *analyzer) checkMap(mc *MapClause, sc *scope) error {
-	t, ok := sc.lookup(mc.Name)
-	if !ok {
+	mc.Decl = sc.lookup(mc.Name)
+	if mc.Decl == nil {
 		return a.errf(mc.Pos, "map clause references unknown variable %s", mc.Name)
 	}
+	t := mc.Decl.DeclType()
 	if mc.Low != nil {
 		low, err := a.checkExpr(mc.Low, sc)
 		if err != nil {
@@ -277,11 +280,11 @@ func (a *analyzer) checkExpr(e Expr, sc *scope) (Expr, error) {
 		x.SetType(TypeFloat())
 		return x, nil
 	case *Ident:
-		t, ok := sc.lookup(x.Name)
-		if !ok {
+		x.Decl = sc.lookup(x.Name)
+		if x.Decl == nil {
 			return nil, a.errf(x.Pos, "undeclared identifier %s", x.Name)
 		}
-		x.SetType(t)
+		x.SetType(x.Decl.DeclType())
 		return x, nil
 	case *Unary:
 		inner, err := a.checkExpr(x.X, sc)
@@ -541,36 +544,22 @@ func (a *analyzer) checkAssign(x *AssignExpr, sc *scope) (Expr, error) {
 // function containing it. It returns an error if none exists.
 func FindTarget(prog *Program) (*FuncDecl, *TargetStmt, error) {
 	for _, f := range prog.Funcs {
-		if ts := findTargetInBlock(f.Body); ts != nil {
+		if ts := TargetOf(f); ts != nil {
 			return f, ts, nil
 		}
 	}
 	return nil, nil, fmt.Errorf("no #pragma omp target parallel region found")
 }
 
-func findTargetInBlock(b *BlockStmt) *TargetStmt {
-	for _, s := range b.Stmts {
-		switch st := s.(type) {
-		case *TargetStmt:
-			return st
-		case *BlockStmt:
-			if ts := findTargetInBlock(st); ts != nil {
-				return ts
-			}
-		case *ForStmt:
-			if ts := findTargetInBlock(st.Body); ts != nil {
-				return ts
-			}
-		case *IfStmt:
-			if ts := findTargetInBlock(st.Then); ts != nil {
-				return ts
-			}
-			if st.Else != nil {
-				if ts := findTargetInBlock(st.Else); ts != nil {
-					return ts
-				}
-			}
+// TargetOf returns the function's target region, or nil. Sema guarantees
+// at most one per program.
+func TargetOf(f *FuncDecl) *TargetStmt {
+	var found *TargetStmt
+	Inspect(f.Body, func(n Node) bool {
+		if ts, ok := n.(*TargetStmt); ok {
+			found = ts
 		}
-	}
-	return nil
+		return found == nil
+	})
+	return found
 }

@@ -91,9 +91,3 @@ func ForEach(workers, n int, fn func(i int) error) error {
 	}
 	return nil
 }
-
-// Do runs the given functions concurrently on a pool of DefaultWorkers()
-// goroutines and returns the first (lowest-index) error.
-func Do(fns ...func() error) error {
-	return ForEach(0, len(fns), func(i int) error { return fns[i]() })
-}

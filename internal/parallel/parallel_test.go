@@ -88,20 +88,6 @@ func TestForEachZeroItems(t *testing.T) {
 	}
 }
 
-func TestDo(t *testing.T) {
-	var a, b atomic.Bool
-	err := Do(
-		func() error { a.Store(true); return nil },
-		func() error { b.Store(true); return errors.New("second") },
-	)
-	if err == nil || err.Error() != "second" {
-		t.Fatalf("got %v", err)
-	}
-	if !a.Load() || !b.Load() {
-		t.Fatal("not all funcs ran")
-	}
-}
-
 func TestDefaultWorkersOverride(t *testing.T) {
 	defer SetDefaultWorkers(0)
 	SetDefaultWorkers(5)

@@ -9,9 +9,9 @@ import (
 // exempt (they document the call signature even when ignored).
 func checkUnused(file string, res *resolution, ds *[]Diagnostic) {
 	for _, d := range res.decls {
-		if d.decl != nil && d.uses == 0 {
-			*ds = append(*ds, diag(file, d.pos, RuleUnusedVar, SevWarning,
-				"%q is declared but never used", d.name))
+		if !d.isParam() && d.uses == 0 {
+			*ds = append(*ds, diag(file, d.DeclPos(), RuleUnusedVar, SevWarning,
+				"%q is declared but never used", d.DeclName()))
 		}
 	}
 }
@@ -44,7 +44,7 @@ func checkUninit(file string, res *resolution, ds *[]Diagnostic) {
 		if maybe[d] && !reported[d] {
 			reported[d] = true
 			*ds = append(*ds, diag(file, id.Pos, RuleUseBeforeInit, SevWarning,
-				"%q may be read before it is initialized", d.name))
+				"%q may be read before it is initialized", d.DeclName()))
 		}
 	}
 	readExpr = func(e minic.Expr) {
@@ -52,16 +52,16 @@ func checkUninit(file string, res *resolution, ds *[]Diagnostic) {
 		case nil:
 			return
 		case *minic.Ident:
-			report(x, res.use[x])
+			report(x, res.info[x.Decl])
 		case *minic.AssignExpr:
 			readExpr(x.RHS)
 			// Index/lane expressions on the target are reads.
 			switch t := x.LHS.(type) {
 			case *minic.Ident:
 				if x.Op != nil {
-					report(t, res.use[t])
+					report(t, res.info[t.Decl])
 				}
-				markInit(res.use[t])
+				markInit(res.info[t.Decl])
 			case *minic.Index:
 				for _, ix := range t.Idx {
 					readExpr(ix)
@@ -75,9 +75,9 @@ func checkUninit(file string, res *resolution, ds *[]Diagnostic) {
 				// (lane-by-lane fill is a common idiom).
 				if v, ok := t.Vec.(*minic.Ident); ok {
 					if x.Op != nil {
-						report(v, res.use[v])
+						report(v, res.info[v.Decl])
 					}
-					markInit(res.use[v])
+					markInit(res.info[v.Decl])
 				} else {
 					readExpr(t.Vec)
 				}
@@ -91,14 +91,14 @@ func checkUninit(file string, res *resolution, ds *[]Diagnostic) {
 			}
 		case *minic.IncDec:
 			if id, ok := x.X.(*minic.Ident); ok {
-				report(id, res.use[id])
-				markInit(res.use[id])
+				report(id, res.info[id.Decl])
+				markInit(res.info[id.Decl])
 			} else {
 				readExpr(x.X)
 			}
 		default:
-			for _, sub := range childExprs(e) {
-				readExpr(sub)
+			for _, sub := range minic.Children(e) {
+				readExpr(sub.(minic.Expr))
 			}
 		}
 	}
@@ -112,7 +112,7 @@ func checkUninit(file string, res *resolution, ds *[]Diagnostic) {
 			}
 		case *minic.DeclStmt:
 			readExpr(st.Init)
-			if d := res.byDecl[st]; d != nil && d.trackedScalar() {
+			if d := res.info[st]; d != nil && d.trackedScalar() {
 				if st.Init != nil {
 					delete(maybe, d)
 				} else {
@@ -185,17 +185,15 @@ func checkDeadStores(file string, res *resolution, ai *absint.Result, ds *[]Diag
 		}
 	}
 	exempt := func(d *declInfo) bool { return !d.trackedScalar() || d.inMap }
-	addUses := func(e minic.Expr, live set) {
-		walkExpr(e, func(x minic.Expr) {
+	addUses := func(n minic.Node, live set) {
+		minic.Inspect(n, func(x minic.Node) bool {
 			if id, ok := x.(*minic.Ident); ok {
-				if d := res.use[id]; d != nil {
+				if d := res.info[id.Decl]; d != nil {
 					live[d] = true
 				}
 			}
+			return true
 		})
-	}
-	mentioned := func(s minic.Stmt, live set) {
-		stmtExprs(s, func(e minic.Expr) { addUses(e, live) })
 	}
 
 	var backExpr func(e minic.Expr, live set)
@@ -206,10 +204,10 @@ func checkDeadStores(file string, res *resolution, ai *absint.Result, ds *[]Diag
 			return
 		}
 		if t, ok := as.LHS.(*minic.Ident); ok {
-			d := res.use[t]
+			d := res.info[t.Decl]
 			if d != nil && as.Op == nil && !exempt(d) && !live[d] {
 				*ds = append(*ds, diag(file, as.Pos, RuleDeadStore, SevWarning,
-					"value assigned to %q is never used", d.name))
+					"value assigned to %q is never used", d.DeclName()))
 			}
 			if d != nil && as.Op == nil {
 				delete(live, d)
@@ -232,7 +230,7 @@ func checkDeadStores(file string, res *resolution, ai *absint.Result, ds *[]Diag
 				back(st.Stmts[i], live)
 			}
 		case *minic.DeclStmt:
-			if d := res.byDecl[st]; d != nil {
+			if d := res.info[st]; d != nil {
 				delete(live, d)
 			}
 			addUses(st.Init, live)
@@ -248,7 +246,7 @@ func checkDeadStores(file string, res *resolution, ai *absint.Result, ds *[]Diag
 			addUses(st.Cond, live)
 		case *minic.ForStmt:
 			entry := clone(live)
-			mentioned(st, live)
+			addUses(st, live)
 			for i := len(st.Post) - 1; i >= 0; i-- {
 				back(st.Post[i], live)
 			}

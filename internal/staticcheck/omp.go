@@ -18,7 +18,7 @@ type access struct {
 func collectAccesses(res *resolution, ts *minic.TargetStmt) []access {
 	var out []access
 	record := func(id *minic.Ident, pos minic.Pos, write bool, idx []minic.Expr, crit bool) {
-		if d := res.use[id]; d != nil {
+		if d := res.info[id.Decl]; d != nil {
 			out = append(out, access{d: d, pos: pos, write: write, idx: idx, inCrit: crit})
 		}
 	}
@@ -53,8 +53,8 @@ func collectAccesses(res *resolution, ts *minic.TargetStmt) []access {
 		case *minic.IncDec:
 			assign(x.X, x.Pos, true, crit)
 		default:
-			for _, sub := range childExprs(e) {
-				readExpr(sub, crit)
+			for _, sub := range minic.Children(e) {
+				readExpr(sub.(minic.Expr), crit)
 			}
 		}
 	}
@@ -118,38 +118,40 @@ func collectAccesses(res *resolution, ts *minic.TargetStmt) []access {
 		}
 	}
 
-	var walkS func(s minic.Stmt, crit bool)
-	walkS = func(s minic.Stmt, crit bool) {
-		switch st := s.(type) {
-		case *minic.BlockStmt:
-			for _, c := range st.Stmts {
-				walkS(c, crit)
+	// Statements only carry the critical-section context down to their
+	// top-level expressions; readExpr classifies from there.
+	var walkS func(root minic.Node, crit bool)
+	walkS = func(root minic.Node, crit bool) {
+		minic.Inspect(root, func(n minic.Node) bool {
+			switch x := n.(type) {
+			case *minic.CriticalStmt:
+				walkS(x.Body, true)
+				return false
+			case minic.Expr:
+				readExpr(x, crit)
+				return false
 			}
-		case *minic.DeclStmt:
-			readExpr(st.Init, crit)
-		case *minic.ExprStmt:
-			readExpr(st.X, crit)
-		case *minic.ForStmt:
-			for _, c := range st.Init {
-				walkS(c, crit)
-			}
-			readExpr(st.Cond, crit)
-			walkS(st.Body, crit)
-			for _, c := range st.Post {
-				walkS(c, crit)
-			}
-		case *minic.IfStmt:
-			readExpr(st.Cond, crit)
-			walkS(st.Then, crit)
-			if st.Else != nil {
-				walkS(st.Else, crit)
-			}
-		case *minic.CriticalStmt:
-			walkS(st.Body, true)
-		}
+			return true
+		})
 	}
 	walkS(ts.Body, false)
 	return out
+}
+
+// tainted reports whether e reads omp_get_thread_num() or a variable in
+// the taint set.
+func tainted(res *resolution, taint map[*declInfo]bool, e minic.Expr) bool {
+	hit := false
+	minic.Inspect(e, func(n minic.Node) bool {
+		switch v := n.(type) {
+		case *minic.Call:
+			hit = hit || v.Name == "omp_get_thread_num"
+		case *minic.Ident:
+			hit = hit || taint[res.info[v.Decl]]
+		}
+		return !hit
+	})
+	return hit
 }
 
 // threadTaint computes, to a fixpoint, the set of region variables whose
@@ -158,23 +160,6 @@ func collectAccesses(res *resolution, ts *minic.TargetStmt) []access {
 // indices derived from it alone are NOT thread-disjoint.
 func threadTaint(res *resolution, ts *minic.TargetStmt) map[*declInfo]bool {
 	taint := map[*declInfo]bool{}
-	var tainted func(e minic.Expr) bool
-	tainted = func(e minic.Expr) bool {
-		hit := false
-		walkExpr(e, func(x minic.Expr) {
-			switch v := x.(type) {
-			case *minic.Call:
-				if v.Name == "omp_get_thread_num" {
-					hit = true
-				}
-			case *minic.Ident:
-				if d := res.use[v]; d != nil && taint[d] {
-					hit = true
-				}
-			}
-		})
-		return hit
-	}
 	for {
 		changed := false
 		mark := func(d *declInfo) {
@@ -183,51 +168,27 @@ func threadTaint(res *resolution, ts *minic.TargetStmt) map[*declInfo]bool {
 				changed = true
 			}
 		}
-		stmtExprs(ts, func(top minic.Expr) {
-			walkExpr(top, func(e minic.Expr) {
-				as, ok := e.(*minic.AssignExpr)
-				if !ok {
-					return
+		minic.Inspect(ts.Body, func(n minic.Node) bool {
+			switch x := n.(type) {
+			case *minic.AssignExpr:
+				if !tainted(res, taint, x.RHS) {
+					break
 				}
-				if !tainted(as.RHS) {
-					return
-				}
-				switch t := as.LHS.(type) {
+				switch t := x.LHS.(type) {
 				case *minic.Ident:
-					mark(res.use[t])
+					mark(res.info[t.Decl])
 				case *minic.VecElem:
 					if v, ok := t.Vec.(*minic.Ident); ok {
-						mark(res.use[v])
+						mark(res.info[v.Decl])
 					}
 				}
-			})
-		})
-		var scanDecl func(s minic.Stmt)
-		scanDecl = func(s minic.Stmt) {
-			switch st := s.(type) {
-			case *minic.BlockStmt:
-				for _, c := range st.Stmts {
-					scanDecl(c)
-				}
 			case *minic.DeclStmt:
-				if st.Init != nil && tainted(st.Init) {
-					mark(res.byDecl[st])
+				if tainted(res, taint, x.Init) {
+					mark(res.info[x])
 				}
-			case *minic.ForStmt:
-				for _, c := range st.Init {
-					scanDecl(c)
-				}
-				scanDecl(st.Body)
-			case *minic.IfStmt:
-				scanDecl(st.Then)
-				if st.Else != nil {
-					scanDecl(st.Else)
-				}
-			case *minic.CriticalStmt:
-				scanDecl(st.Body)
 			}
-		}
-		scanDecl(ts.Body)
+			return true
+		})
 		if !changed {
 			return taint
 		}
@@ -238,39 +199,19 @@ func threadTaint(res *resolution, ts *minic.TargetStmt) map[*declInfo]bool {
 // (including for-init declarations) — per-thread private variables.
 func regionLocals(res *resolution, ts *minic.TargetStmt) map[*declInfo]bool {
 	local := map[*declInfo]bool{}
-	var scan func(s minic.Stmt)
-	scan = func(s minic.Stmt) {
-		switch st := s.(type) {
-		case *minic.BlockStmt:
-			for _, c := range st.Stmts {
-				scan(c)
-			}
-		case *minic.DeclStmt:
-			if d := res.byDecl[st]; d != nil {
-				local[d] = true
-			}
-		case *minic.ForStmt:
-			for _, c := range st.Init {
-				scan(c)
-			}
-			scan(st.Body)
-		case *minic.IfStmt:
-			scan(st.Then)
-			if st.Else != nil {
-				scan(st.Else)
-			}
-		case *minic.CriticalStmt:
-			scan(st.Body)
+	minic.Inspect(ts.Body, func(n minic.Node) bool {
+		if st, ok := n.(*minic.DeclStmt); ok {
+			local[res.info[st]] = true
 		}
-	}
-	scan(ts.Body)
+		return true
+	})
 	return local
 }
 
 // mapClauseOf returns the map clause naming d, or nil.
 func mapClauseOf(res *resolution, ts *minic.TargetStmt, d *declInfo) *minic.MapClause {
 	for i := range ts.Maps {
-		if res.mapRef[&ts.Maps[i]] == d {
+		if res.info[ts.Maps[i].Decl] == d {
 			return &ts.Maps[i]
 		}
 	}
@@ -285,20 +226,7 @@ func checkOMP(file string, res *resolution, ts *minic.TargetStmt, ds *[]Diagnost
 
 	idxTainted := func(idx []minic.Expr) bool {
 		for _, e := range idx {
-			hit := false
-			walkExpr(e, func(x minic.Expr) {
-				switch v := x.(type) {
-				case *minic.Call:
-					if v.Name == "omp_get_thread_num" {
-						hit = true
-					}
-				case *minic.Ident:
-					if d := res.use[v]; d != nil && taint[d] {
-						hit = true
-					}
-				}
-			})
-			if hit {
+			if tainted(res, taint, e) {
 				return true
 			}
 		}
@@ -335,43 +263,43 @@ func checkOMP(file string, res *resolution, ts *minic.TargetStmt, ds *[]Diagnost
 			continue
 		}
 		switch {
-		case d.isParam && (d.typ.IsScalar() || d.typ.IsVector()):
+		case d.isParam() && (d.DeclType().IsScalar() || d.DeclType().IsVector()):
 			// Implicitly firstprivate; reads are fine, writes are lost.
 			if a.write {
 				vs.reported = true
 				*ds = append(*ds, diag(file, a.pos, RuleOMPMap, SevError,
-					"scalar %q is written in the target region but is firstprivate (map(to:) or implicit); the host never sees the write — map it tofrom", d.name))
+					"scalar %q is written in the target region but is firstprivate (map(to:) or implicit); the host never sees the write — map it tofrom", d.DeclName()))
 			}
-		case d.isParam:
+		case d.isParam():
 			vs.reported = true
 			*ds = append(*ds, diag(file, a.pos, RuleOMPMap, SevError,
-				"%q is referenced in the target region but has no map clause; add map(to: %s[0:len]) or map(tofrom: %s[0:len])", d.name, d.name, d.name))
+				"%q is referenced in the target region but has no map clause; add map(to: %s[0:len]) or map(tofrom: %s[0:len])", d.DeclName(), d.DeclName(), d.DeclName()))
 		default:
 			vs.reported = true
 			*ds = append(*ds, diag(file, a.pos, RuleOMPMap, SevError,
-				"host variable %q is referenced in the target region but has no map clause; only scalar function parameters are implicitly firstprivate", d.name))
+				"host variable %q is referenced in the target region but has no map clause; only scalar function parameters are implicitly firstprivate", d.DeclName()))
 		}
 	}
 	for i := range ts.Maps {
 		mc := &ts.Maps[i]
-		d := res.mapRef[mc]
+		d := res.info[mc.Decl]
 		if d == nil {
 			continue
 		}
 		vs := st(d)
-		isArray := mc.Low != nil || d.typ.IsPointer() || d.typ.IsArray()
+		isArray := mc.Low != nil || d.DeclType().IsPointer() || d.DeclType().IsArray()
 		if vs.written && mc.Dir == minic.MapTo {
 			if isArray {
 				*ds = append(*ds, diag(file, mc.Pos, RuleOMPMap, SevWarning,
-					"%q is written in the target region but mapped 'to'; device writes are never copied back — map it tofrom", d.name))
+					"%q is written in the target region but mapped 'to'; device writes are never copied back — map it tofrom", d.DeclName()))
 			} else {
 				*ds = append(*ds, diag(file, mc.Pos, RuleOMPMap, SevError,
-					"scalar %q is written in the target region but is firstprivate (map(to:) or implicit); the host never sees the write — map it tofrom", d.name))
+					"scalar %q is written in the target region but is firstprivate (map(to:) or implicit); the host never sees the write — map it tofrom", d.DeclName()))
 			}
 		}
 		if !vs.written && mc.Dir == minic.MapFrom {
 			*ds = append(*ds, diag(file, mc.Pos, RuleOMPMap, SevWarning,
-				"%q is mapped 'from' but never written in the target region; the host reads back unmodified data", d.name))
+				"%q is mapped 'from' but never written in the target region; the host reads back unmodified data", d.DeclName()))
 		}
 	}
 
@@ -397,11 +325,11 @@ func checkOMP(file string, res *resolution, ts *minic.TargetStmt, ds *[]Diagnost
 		case scalarShared && a.idx == nil:
 			raceReported[d] = true
 			*ds = append(*ds, diag(file, a.pos, RuleOMPRace, SevError,
-				"unprotected write to shared scalar %q in a %d-thread region; wrap it in '#pragma omp critical'", d.name, ts.NumThreads))
+				"unprotected write to shared scalar %q in a %d-thread region; wrap it in '#pragma omp critical'", d.DeclName(), ts.NumThreads))
 		case arrayShared && a.idx != nil && !idxTainted(a.idx):
 			raceReported[d] = true
 			*ds = append(*ds, diag(file, a.pos, RuleOMPRace, SevError,
-				"unprotected write to shared array %q with a thread-invariant index; all %d threads store to the same element — derive the index from omp_get_thread_num() or wrap the write in '#pragma omp critical'", d.name, ts.NumThreads))
+				"unprotected write to shared array %q with a thread-invariant index; all %d threads store to the same element — derive the index from omp_get_thread_num() or wrap the write in '#pragma omp critical'", d.DeclName(), ts.NumThreads))
 		}
 	}
 }

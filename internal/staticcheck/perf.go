@@ -1,9 +1,6 @@
 package staticcheck
 
 import (
-	"strconv"
-	"strings"
-
 	"paravis/internal/ir"
 	"paravis/internal/minic"
 	"paravis/internal/perfbound"
@@ -24,7 +21,8 @@ func CheckPerf(file string, k *ir.Kernel, s *schedule.Schedule, env map[string]i
 func perfDiags(file string, rep *perfbound.Report) []Diagnostic {
 	var ds []Diagnostic
 	for _, l := range rep.Loops {
-		pos := loopPos(l.Name)
+		// Unparsable names (none today) report at position 0:0.
+		pos, _ := minic.ParseLoopName(l.Name)
 		for _, pc := range l.PortConflicts {
 			ds = append(ds, diag(file, pos, RulePerfBound, SevInfo,
 				"achievable II limited to %d by port conflict on array %s (single BRAM port, %d accesses per iteration)",
@@ -58,23 +56,4 @@ func perfDiags(file string, rep *perfbound.Report) []Diagnostic {
 	}
 	Sort(ds)
 	return ds
-}
-
-// loopPos recovers the source position from a loop graph's canonical
-// "for@line:col" name; unparsable names map to position 0:0.
-func loopPos(name string) minic.Pos {
-	_, at, ok := strings.Cut(name, "@")
-	if !ok {
-		return minic.Pos{}
-	}
-	ls, cs, ok := strings.Cut(at, ":")
-	if !ok {
-		return minic.Pos{}
-	}
-	line, err1 := strconv.Atoi(ls)
-	col, err2 := strconv.Atoi(cs)
-	if err1 != nil || err2 != nil {
-		return minic.Pos{}
-	}
-	return minic.Pos{Line: line, Col: col}
 }

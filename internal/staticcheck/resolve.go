@@ -2,222 +2,61 @@ package staticcheck
 
 import "paravis/internal/minic"
 
-// declInfo is one resolved declaration: a function parameter or a local
-// DeclStmt, wherever it appears (host code, target region, for-init).
+// declInfo carries the per-declaration attributes the rules need on top
+// of what the declaration itself says (name, type, position).
 type declInfo struct {
-	name    string
-	typ     *minic.Type
-	pos     minic.Pos
-	isParam bool
-	decl    *minic.DeclStmt // nil for parameters
-	uses    int             // identifier references (reads and writes)
-	inMap   bool            // named by a map clause
+	minic.Decl
+	uses  int  // identifier and map-clause references (reads and writes)
+	inMap bool // named by a map clause
+}
+
+func (d *declInfo) isParam() bool {
+	_, ok := d.Decl.(*minic.Param)
+	return ok
 }
 
 // trackedScalar reports whether the variable participates in the scalar
 // def-use analyses: plain int/float/vector locals (not params, arrays or
 // pointers).
 func (d *declInfo) trackedScalar() bool {
-	return !d.isParam && (d.typ.IsScalar() || d.typ.IsVector())
+	return !d.isParam() && (d.DeclType().IsScalar() || d.DeclType().IsVector())
 }
 
-// resolution binds every identifier and map clause in one function to its
-// declaration, honoring C block scoping (sema has already rejected
-// undeclared names and redeclarations, so resolution cannot fail).
+// resolution is the attribute table of one function, keyed by the
+// declaration sema bound each identifier and map clause to.
 type resolution struct {
-	fn     *minic.FuncDecl
-	decls  []*declInfo
-	use    map[*minic.Ident]*declInfo
-	mapRef map[*minic.MapClause]*declInfo
-	byDecl map[*minic.DeclStmt]*declInfo
+	fn    *minic.FuncDecl
+	decls []*declInfo // parameters, then locals in source order
+	info  map[minic.Decl]*declInfo
 }
 
 func resolve(fn *minic.FuncDecl) *resolution {
-	r := &resolution{
-		fn:     fn,
-		use:    map[*minic.Ident]*declInfo{},
-		mapRef: map[*minic.MapClause]*declInfo{},
-		byDecl: map[*minic.DeclStmt]*declInfo{},
-	}
-	scopes := []map[string]*declInfo{{}}
-	declare := func(d *declInfo) {
-		r.decls = append(r.decls, d)
-		scopes[len(scopes)-1][d.name] = d
-	}
-	lookup := func(name string) *declInfo {
-		for i := len(scopes) - 1; i >= 0; i-- {
-			if d, ok := scopes[i][name]; ok {
-				return d
-			}
-		}
-		return nil
+	r := &resolution{fn: fn, info: map[minic.Decl]*declInfo{}}
+	declare := func(d minic.Decl) {
+		di := &declInfo{Decl: d}
+		r.decls = append(r.decls, di)
+		r.info[d] = di
 	}
 	for _, p := range fn.Params {
-		declare(&declInfo{name: p.Name, typ: p.Type, pos: p.Pos, isParam: true})
+		declare(p)
 	}
-
-	var walkS func(s minic.Stmt)
-	var walkE func(e minic.Expr)
-	walkE = func(e minic.Expr) {
-		if id, ok := e.(*minic.Ident); ok {
-			if d := lookup(id.Name); d != nil {
-				r.use[id] = d
+	minic.Inspect(fn.Body, func(n minic.Node) bool {
+		switch x := n.(type) {
+		case *minic.DeclStmt:
+			declare(x)
+		case *minic.Ident:
+			if d := r.info[x.Decl]; d != nil {
 				d.uses++
 			}
-			return
-		}
-		for _, sub := range childExprs(e) {
-			walkE(sub)
-		}
-	}
-	walkS = func(s minic.Stmt) {
-		switch st := s.(type) {
-		case *minic.BlockStmt:
-			scopes = append(scopes, map[string]*declInfo{})
-			for _, c := range st.Stmts {
-				walkS(c)
-			}
-			scopes = scopes[:len(scopes)-1]
-		case *minic.DeclStmt:
-			walkE(st.Init)
-			d := &declInfo{name: st.Name, typ: st.Typ, pos: st.Pos, decl: st}
-			declare(d)
-			r.byDecl[st] = d
-		case *minic.ExprStmt:
-			walkE(st.X)
-		case *minic.ForStmt:
-			scopes = append(scopes, map[string]*declInfo{})
-			for _, c := range st.Init {
-				walkS(c)
-			}
-			walkE(st.Cond)
-			walkS(st.Body)
-			for _, c := range st.Post {
-				walkS(c)
-			}
-			scopes = scopes[:len(scopes)-1]
-		case *minic.IfStmt:
-			walkE(st.Cond)
-			walkS(st.Then)
-			if st.Else != nil {
-				walkS(st.Else)
-			}
-		case *minic.ReturnStmt:
-			walkE(st.X)
-		case *minic.CriticalStmt:
-			walkS(st.Body)
 		case *minic.TargetStmt:
-			for i := range st.Maps {
-				mc := &st.Maps[i]
-				if d := lookup(mc.Name); d != nil {
-					r.mapRef[mc] = d
+			for i := range x.Maps {
+				if d := r.info[x.Maps[i].Decl]; d != nil {
 					d.uses++
 					d.inMap = true
 				}
-				walkE(mc.Low)
-				walkE(mc.Len)
 			}
-			walkS(st.Body)
 		}
-	}
-	walkS(fn.Body)
+		return true
+	})
 	return r
-}
-
-// childExprs returns the direct subexpressions of e. nil expressions are
-// omitted.
-func childExprs(e minic.Expr) []minic.Expr {
-	var out []minic.Expr
-	add := func(es ...minic.Expr) {
-		for _, x := range es {
-			if x != nil {
-				out = append(out, x)
-			}
-		}
-	}
-	switch x := e.(type) {
-	case *minic.Binary:
-		add(x.L, x.R)
-	case *minic.Unary:
-		add(x.X)
-	case *minic.Cond:
-		add(x.C, x.A, x.B)
-	case *minic.Index:
-		add(x.Base)
-		add(x.Idx...)
-	case *minic.VecElem:
-		add(x.Vec, x.Idx)
-	case *minic.VecLoad:
-		add(x.Base, x.Idx)
-	case *minic.AssignExpr:
-		add(x.LHS, x.RHS)
-	case *minic.IncDec:
-		add(x.X)
-	case *minic.Call:
-		add(x.Args...)
-	case *minic.Cast:
-		add(x.X)
-	case *minic.AddrOf:
-		add(x.X)
-	case *minic.InitList:
-		add(x.Elems...)
-	}
-	return out
-}
-
-// walkExpr visits e and every subexpression, pre-order.
-func walkExpr(e minic.Expr, f func(minic.Expr)) {
-	if e == nil {
-		return
-	}
-	f(e)
-	for _, sub := range childExprs(e) {
-		walkExpr(sub, f)
-	}
-}
-
-// stmtExprs calls f with every top-level expression in the statement
-// subtree rooted at s (initializers, conditions, expression statements);
-// f can recurse with walkExpr.
-func stmtExprs(s minic.Stmt, f func(minic.Expr)) {
-	emit := func(e minic.Expr) {
-		if e != nil {
-			f(e)
-		}
-	}
-	switch st := s.(type) {
-	case *minic.BlockStmt:
-		for _, c := range st.Stmts {
-			stmtExprs(c, f)
-		}
-	case *minic.DeclStmt:
-		emit(st.Init)
-	case *minic.ExprStmt:
-		emit(st.X)
-	case *minic.ForStmt:
-		for _, c := range st.Init {
-			stmtExprs(c, f)
-		}
-		emit(st.Cond)
-		stmtExprs(st.Body, f)
-		for _, c := range st.Post {
-			stmtExprs(c, f)
-		}
-	case *minic.IfStmt:
-		emit(st.Cond)
-		stmtExprs(st.Then, f)
-		if st.Else != nil {
-			stmtExprs(st.Else, f)
-		}
-	case *minic.ReturnStmt:
-		emit(st.X)
-	case *minic.CriticalStmt:
-		stmtExprs(st.Body, f)
-	case *minic.TargetStmt:
-		for i := range st.Maps {
-			emit(st.Maps[i].Low)
-			emit(st.Maps[i].Len)
-		}
-		stmtExprs(st.Body, f)
-	}
 }

@@ -9,84 +9,51 @@ import "paravis/internal/minic"
 // wording verbatim so the two can be cross-checked.
 func checkStalls(file string, res *resolution, ts *minic.TargetStmt, ds *[]Diagnostic) {
 	mappedArray := func(d *declInfo) bool {
-		return d != nil && d.inMap && (d.typ.IsPointer() || d.typ.IsArray())
+		return d != nil && d.inMap && (d.DeclType().IsPointer() || d.DeclType().IsArray())
 	}
 
 	// Report one diagnostic per (loop, array), at the first scalar access.
 	checkLoop := func(loop *minic.ForStmt) {
 		seen := map[*declInfo]bool{}
-		stmtExprs(loop.Body, func(top minic.Expr) {
-			walkExpr(top, func(e minic.Expr) {
-				ix, ok := e.(*minic.Index)
-				if !ok {
-					return
-				}
-				b, ok := ix.Base.(*minic.Ident)
-				if !ok {
-					return
-				}
-				d := res.use[b]
-				if !mappedArray(d) || seen[d] {
-					return
-				}
-				// A subscript that still yields a vector (array-of-vector
-				// element) moves a full bus line; only scalar-element
-				// accesses are narrow.
-				if t := ix.Type(); t != nil && t.IsVector() {
-					return
-				}
-				seen[d] = true
-				*ds = append(*ds, diag(file, ix.Pos, RuleStallLint, SevInfo,
-					"scalar access to DRAM-backed %q in an innermost loop body; %s", d.name, ActionNarrowAccesses))
-			})
+		minic.Inspect(loop.Body, func(n minic.Node) bool {
+			ix, ok := n.(*minic.Index)
+			if !ok {
+				return true
+			}
+			b, ok := ix.Base.(*minic.Ident)
+			if !ok {
+				return true
+			}
+			d := res.info[b.Decl]
+			if !mappedArray(d) || seen[d] {
+				return true
+			}
+			// A subscript that still yields a vector (array-of-vector
+			// element) moves a full bus line; only scalar-element
+			// accesses are narrow.
+			if t := ix.Type(); t != nil && t.IsVector() {
+				return true
+			}
+			seen[d] = true
+			*ds = append(*ds, diag(file, ix.Pos, RuleStallLint, SevInfo,
+				"scalar access to DRAM-backed %q in an innermost loop body; %s", d.DeclName(), ActionNarrowAccesses))
+			return true
 		})
 	}
 
-	var hasLoop func(s minic.Stmt) bool
-	hasLoop = func(s minic.Stmt) bool {
-		switch st := s.(type) {
-		case *minic.BlockStmt:
-			for _, c := range st.Stmts {
-				if hasLoop(c) {
-					return true
-				}
-			}
-		case *minic.ForStmt:
-			return true
-		case *minic.IfStmt:
-			if hasLoop(st.Then) {
-				return true
-			}
-			if st.Else != nil {
-				return hasLoop(st.Else)
-			}
-		case *minic.CriticalStmt:
-			return hasLoop(st.Body)
-		}
-		return false
+	hasLoop := func(b *minic.BlockStmt) bool {
+		found := false
+		minic.Inspect(b, func(n minic.Node) bool {
+			_, isFor := n.(*minic.ForStmt)
+			found = found || isFor
+			return !found
+		})
+		return found
 	}
-
-	var scan func(s minic.Stmt)
-	scan = func(s minic.Stmt) {
-		switch st := s.(type) {
-		case *minic.BlockStmt:
-			for _, c := range st.Stmts {
-				scan(c)
-			}
-		case *minic.ForStmt:
-			if hasLoop(st.Body) {
-				scan(st.Body)
-			} else {
-				checkLoop(st)
-			}
-		case *minic.IfStmt:
-			scan(st.Then)
-			if st.Else != nil {
-				scan(st.Else)
-			}
-		case *minic.CriticalStmt:
-			scan(st.Body)
+	minic.Inspect(ts.Body, func(n minic.Node) bool {
+		if loop, ok := n.(*minic.ForStmt); ok && !hasLoop(loop.Body) {
+			checkLoop(loop)
 		}
-	}
-	scan(ts.Body)
+		return true
+	})
 }

@@ -206,7 +206,7 @@ func CheckProgram(file string, prog *minic.Program) []Diagnostic {
 		checkUninit(file, res, &ds)
 		checkDeadStores(file, res, ai, &ds)
 		checkAbsint(file, ai, &ds)
-		if ts := findTargetStmt(fn); ts != nil {
+		if ts := minic.TargetOf(fn); ts != nil {
 			checkOMP(file, res, ts, &ds)
 			checkStalls(file, res, ts, &ds)
 			checkDepend(file, fn, ai, &ds)
@@ -293,35 +293,4 @@ func frontendDiag(file string, err error) Diagnostic {
 		pos, msg = le.Pos, le.Msg
 	}
 	return diag(file, pos, RuleFrontend, SevError, "%s", msg)
-}
-
-// findTargetStmt returns the function's target region, or nil. Sema
-// guarantees at most one per program.
-func findTargetStmt(fn *minic.FuncDecl) *minic.TargetStmt {
-	var found *minic.TargetStmt
-	var scan func(s minic.Stmt)
-	scan = func(s minic.Stmt) {
-		if found != nil {
-			return
-		}
-		switch st := s.(type) {
-		case *minic.TargetStmt:
-			found = st
-		case *minic.BlockStmt:
-			for _, c := range st.Stmts {
-				scan(c)
-			}
-		case *minic.ForStmt:
-			scan(st.Body)
-		case *minic.IfStmt:
-			scan(st.Then)
-			if st.Else != nil {
-				scan(st.Else)
-			}
-		case *minic.CriticalStmt:
-			scan(st.Body)
-		}
-	}
-	scan(fn.Body)
-	return found
 }

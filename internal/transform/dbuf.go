@@ -57,99 +57,39 @@ func (rw *rwState) lvalue(e minic.Expr, compound bool) {
 		}
 	case *minic.Index:
 		for _, i := range x.Idx {
-			rw.expr(i)
+			rw.node(i)
 		}
 		rw.lvalue(x.Base, compound)
 	case *minic.VecElem:
-		rw.expr(x.Idx)
+		rw.node(x.Idx)
 		rw.lvalue(x.Vec, compound)
 	case *minic.VecLoad:
-		rw.expr(x.Idx)
+		rw.node(x.Idx)
 		rw.lvalue(x.Base, compound)
 	default:
-		rw.expr(e)
+		rw.node(e)
 	}
 }
 
-func (rw *rwState) expr(e minic.Expr) {
-	switch x := e.(type) {
-	case nil:
+// node classifies the accesses under one statement or expression. Only
+// identifiers, stores and declarations mean something here; every other
+// node just holds children.
+func (rw *rwState) node(n minic.Node) {
+	switch x := n.(type) {
 	case *minic.Ident:
 		rw.read(x.Name)
-	case *minic.Binary:
-		rw.expr(x.L)
-		rw.expr(x.R)
-	case *minic.Unary:
-		rw.expr(x.X)
-	case *minic.Cond:
-		rw.expr(x.C)
-		rw.expr(x.A)
-		rw.expr(x.B)
-	case *minic.Index:
-		rw.expr(x.Base)
-		for _, i := range x.Idx {
-			rw.expr(i)
-		}
-	case *minic.VecElem:
-		rw.expr(x.Vec)
-		rw.expr(x.Idx)
-	case *minic.VecLoad:
-		rw.expr(x.Base)
-		rw.expr(x.Idx)
 	case *minic.AssignExpr:
-		rw.expr(x.RHS)
+		rw.node(x.RHS)
 		rw.lvalue(x.LHS, x.Op != nil)
 	case *minic.IncDec:
 		rw.lvalue(x.X, true)
-	case *minic.Call:
-		for _, a := range x.Args {
-			rw.expr(a)
-		}
-	case *minic.Cast:
-		rw.expr(x.X)
-	case *minic.AddrOf:
-		rw.expr(x.X)
-	case *minic.InitList:
-		for _, el := range x.Elems {
-			rw.expr(el)
-		}
-	}
-}
-
-func (rw *rwState) stmt(st minic.Stmt) {
-	switch x := st.(type) {
-	case nil:
-	case *minic.BlockStmt:
-		for _, in := range x.Stmts {
-			rw.stmt(in)
-		}
 	case *minic.DeclStmt:
-		rw.expr(x.Init)
+		rw.node(x.Init)
 		rw.local[x.Name] = true
-	case *minic.ExprStmt:
-		rw.expr(x.X)
-	case *minic.ForStmt:
-		for _, in := range x.Init {
-			rw.stmt(in)
+	default:
+		for _, c := range minic.Children(n) {
+			rw.node(c)
 		}
-		rw.expr(x.Cond)
-		for _, ps := range x.Post {
-			rw.stmt(ps)
-		}
-		rw.stmt(x.Body)
-	case *minic.IfStmt:
-		rw.expr(x.Cond)
-		rw.stmt(x.Then)
-		if x.Else != nil {
-			rw.stmt(x.Else)
-		}
-	case *minic.ReturnStmt:
-		rw.expr(x.X)
-	case *minic.CriticalStmt:
-		rw.stmt(x.Body)
-	case *minic.BarrierStmt:
-	case *minic.TargetStmt:
-		rw.stmt(x.Body)
 	}
 }
 
@@ -157,7 +97,7 @@ func (rw *rwState) stmt(st minic.Stmt) {
 func phaseRW(stmts []minic.Stmt) (reads, writes map[string]bool) {
 	rw := newRW()
 	for _, st := range stmts {
-		rw.stmt(st)
+		rw.node(st)
 	}
 	return rw.reads, rw.writes
 }
@@ -172,7 +112,7 @@ func intersects(a, b map[string]bool) bool {
 }
 
 func matchDoubleBuffer(c *passCtx, st *minic.ForStmt) (*dbufMatch, error) {
-	name := loopName(st)
+	name := minic.LoopName(st)
 	fail := func(format string, args ...any) (*dbufMatch, error) {
 		return nil, notApplicable(PassDoubleBuffer, name, format, args...)
 	}
@@ -280,16 +220,15 @@ func doubleBuffer(c *passCtx, st *minic.ForStmt) error {
 	if err != nil {
 		return err
 	}
-	name := loopName(st)
+	name := minic.LoopName(st)
 	// Legality: overlapping iteration t+1's loads with iteration t's
 	// compute needs the DoubleBuffer verdict proven on every loop of the
 	// load phase (the loads being reordered across the tile boundary).
 	for _, ls := range m.load {
-		fors := []*minic.ForStmt{}
-		if f, ok := ls.(*minic.ForStmt); ok {
-			fors = append(append(fors, f), innerFors(f)...)
+		if _, ok := ls.(*minic.ForStmt); !ok {
+			continue
 		}
-		for _, f := range fors {
+		for _, f := range forsUnder(ls) {
 			ld, err := c.loopDeps(PassDoubleBuffer, f)
 			if err != nil {
 				return err
@@ -314,8 +253,8 @@ func doubleBuffer(c *passCtx, st *minic.ForStmt) error {
 		}
 	}
 
-	splice := parentList(c.fn, st)
-	if splice == nil {
+	owner, at := ownerOf(c.fn, st)
+	if owner == nil {
 		return notApplicable(PassDoubleBuffer, name, "loop has no enclosing statement list")
 	}
 
@@ -378,6 +317,6 @@ func doubleBuffer(c *passCtx, st *minic.ForStmt) error {
 	out = append(out, decls1...)
 	out = append(out, prologue...)
 	out = append(out, st)
-	splice(out)
+	splice(owner, at, out...)
 	return nil
 }

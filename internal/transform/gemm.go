@@ -45,20 +45,20 @@ func rowCol(e minic.Expr, d minic.Expr) (row, col string, ok bool) {
 }
 
 // dramIndex unpacks `M[e]` where M is a pointer parameter.
-func dramIndex(fn *minic.FuncDecl, e minic.Expr) (name string, sub minic.Expr, ok bool) {
+func dramIndex(e minic.Expr) (name string, sub minic.Expr, ok bool) {
 	ix, okI := e.(*minic.Index)
 	if !okI || len(ix.Idx) != 1 {
 		return "", nil, false
 	}
 	base, okB := ix.Base.(*minic.Ident)
-	if !okB || !isPointerParam(fn, base.Name) {
+	if !okB || !isPointerParam(base) {
 		return "", nil, false
 	}
 	return base.Name, ix.Idx[0], true
 }
 
 func matchBlockBRAM(c *passCtx, st *minic.ForStmt) (*gemmNest, error) {
-	name := loopName(st)
+	name := minic.LoopName(st)
 	fail := func(format string, args ...any) (*gemmNest, error) {
 		return nil, notApplicable(PassBlockBRAM, name, format, args...)
 	}
@@ -147,11 +147,11 @@ func matchBlockBRAM(c *passCtx, st *minic.ForStmt) (*gemmNest, error) {
 	if !ok || prod.Op != minic.OpMul {
 		return fail("accumulated value is not a product")
 	}
-	aName, ea, ok := dramIndex(c.fn, prod.L)
+	aName, ea, ok := dramIndex(prod.L)
 	if !ok {
 		return fail("left factor is not a DRAM element")
 	}
-	bName, eb, ok := dramIndex(c.fn, prod.R)
+	bName, eb, ok := dramIndex(prod.R)
 	if !ok {
 		return fail("right factor is not a DRAM element")
 	}
@@ -164,7 +164,7 @@ func matchBlockBRAM(c *passCtx, st *minic.ForStmt) (*gemmNest, error) {
 	if !ok || store.Op != nil {
 		return fail("store is not a plain assignment")
 	}
-	cName, ec, ok := dramIndex(c.fn, store.LHS)
+	cName, ec, ok := dramIndex(store.LHS)
 	if !ok {
 		return fail("store target is not a DRAM element")
 	}
@@ -209,7 +209,7 @@ func blockBRAM(c *passCtx, st *minic.ForStmt, bs int64, vec bool) error {
 	if err != nil {
 		return err
 	}
-	name := loopName(st)
+	name := minic.LoopName(st)
 	lanes := int64(c.lanes)
 	if bs < 2 {
 		return notApplicable(PassBlockBRAM, name, "block size %d < 2", bs)

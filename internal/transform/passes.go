@@ -1,9 +1,6 @@
 package transform
 
-import (
-	"paravis/internal/depend"
-	"paravis/internal/minic"
-)
+import "paravis/internal/minic"
 
 // loopShape is the canonical counted-loop header the passes understand:
 // `for (int v = init; v < bound; ++v | v += step)`.
@@ -14,43 +11,25 @@ type loopShape struct {
 	step  minic.Expr // nil means ++v (step 1)
 }
 
+// shapeOf narrows minic.Counted to the header the rewrites can rebuild
+// with setHeader: a single `int v = init` clause, a single `++v` or
+// `v += step` clause, and the condition written `v < bound`.
 func shapeOf(st *minic.ForStmt) *loopShape {
-	if len(st.Init) != 1 || st.Cond == nil || len(st.Post) != 1 {
+	cl := minic.Counted(st)
+	if cl == nil || len(st.Init) != 1 || len(st.Post) != 1 || cl.Sign < 0 || cl.Op != minic.OpLt {
 		return nil
 	}
-	d, ok := st.Init[0].(*minic.DeclStmt)
-	if !ok || d.Typ == nil || d.Typ.Basic != minic.Int || d.Typ.IsPointer() || d.Typ.IsArray() || d.Init == nil {
+	d, ok := cl.IV.(*minic.DeclStmt)
+	if !ok || st.Init[0] != minic.Stmt(d) || !d.Typ.IsScalar() || d.Typ.Basic != minic.Int || d.Init == nil {
 		return nil
 	}
-	cond, ok := st.Cond.(*minic.Binary)
-	if !ok || cond.Op != minic.OpLt {
-		return nil
+	if l, ok := st.Cond.(*minic.Binary).L.(*minic.Ident); !ok || l.Decl != cl.IV {
+		return nil // written `bound > v`
 	}
-	cv, ok := cond.L.(*minic.Ident)
-	if !ok || cv.Name != d.Name {
-		return nil
+	if as, ok := cl.Post.X.(*minic.AssignExpr); ok && as.Op == nil {
+		return nil // written `v = v + step`
 	}
-	post, ok := st.Post[0].(*minic.ExprStmt)
-	if !ok {
-		return nil
-	}
-	sh := &loopShape{v: d.Name, init: d.Init, bound: cond.R}
-	switch p := post.X.(type) {
-	case *minic.IncDec:
-		pv, ok := p.X.(*minic.Ident)
-		if !ok || pv.Name != d.Name || !p.Inc {
-			return nil
-		}
-	case *minic.AssignExpr:
-		pv, ok := p.LHS.(*minic.Ident)
-		if !ok || pv.Name != d.Name || p.Op == nil || *p.Op != minic.OpAdd {
-			return nil
-		}
-		sh.step = p.RHS
-	default:
-		return nil
-	}
-	return sh
+	return &loopShape{v: d.Name, init: d.Init, bound: cl.Bound, step: cl.Step}
 }
 
 // stepConst folds the loop's per-iteration stride.
@@ -77,65 +56,13 @@ func postInc(v string) minic.Stmt {
 	return exprStmt(&minic.IncDec{X: id(v), Inc: true})
 }
 
-// identNames collects the identifier names appearing in an expression.
-func identNames(e minic.Expr) map[string]bool {
-	out := map[string]bool{}
-	var walk func(x minic.Expr)
-	walk = func(x minic.Expr) {
-		switch n := x.(type) {
-		case nil:
-		case *minic.Ident:
-			out[n.Name] = true
-		case *minic.Binary:
-			walk(n.L)
-			walk(n.R)
-		case *minic.Unary:
-			walk(n.X)
-		case *minic.Cond:
-			walk(n.C)
-			walk(n.A)
-			walk(n.B)
-		case *minic.Index:
-			walk(n.Base)
-			for _, i := range n.Idx {
-				walk(i)
-			}
-		case *minic.VecElem:
-			walk(n.Vec)
-			walk(n.Idx)
-		case *minic.VecLoad:
-			walk(n.Base)
-			walk(n.Idx)
-		case *minic.AssignExpr:
-			walk(n.LHS)
-			walk(n.RHS)
-		case *minic.IncDec:
-			walk(n.X)
-		case *minic.Call:
-			for _, a := range n.Args {
-				walk(a)
-			}
-		case *minic.Cast:
-			walk(n.X)
-		case *minic.AddrOf:
-			walk(n.X)
-		case *minic.InitList:
-			for _, el := range n.Elems {
-				walk(el)
-			}
-		}
-	}
-	walk(e)
-	return out
-}
-
 // --- unroll -------------------------------------------------------------
 
 // unroll sets the loop's #pragma unroll factor. The lowering expands it
 // as guarded replicas, so any trip count is legal; the gate is purely
 // the dependence verdict.
 func unroll(c *passCtx, st *minic.ForStmt, factor int64) error {
-	name := loopName(st)
+	name := minic.LoopName(st)
 	if factor < 2 {
 		return notApplicable(PassUnroll, name, "factor %d < 2", factor)
 	}
@@ -162,7 +89,7 @@ func unroll(c *passCtx, st *minic.ForStmt, factor int64) error {
 // launch parameters (thread-distributed loops keep their stride and are
 // handled by block-bram instead).
 func matchTile(c *passCtx, st *minic.ForStmt) error {
-	name := loopName(st)
+	name := minic.LoopName(st)
 	sh := shapeOf(st)
 	if sh == nil {
 		return notApplicable(PassTile, name, "loop header is not a plain counted loop")
@@ -189,7 +116,7 @@ func matchTile(c *passCtx, st *minic.ForStmt) error {
 // tiling is trivially semantics-preserving; the Tile legality verdict
 // still gates it because tiling exists to enable reordering.
 func tile(c *passCtx, st *minic.ForStmt, size int64) error {
-	name := loopName(st)
+	name := minic.LoopName(st)
 	if err := matchTile(c, st); err != nil {
 		return err
 	}
@@ -236,11 +163,11 @@ func tile(c *passCtx, st *minic.ForStmt, size int64) error {
 // --- redistribute -------------------------------------------------------
 
 type redistMatch struct {
-	kShape   *loopShape     // the thread-strided reduction loop
-	distLoop *minic.ForStmt // enclosing loop to thread-distribute
-	critical *minic.CriticalStmt
+	kShape   *loopShape        // the thread-strided reduction loop
+	distLoop *minic.ForStmt    // enclosing loop to thread-distribute
 	write    *minic.AssignExpr // C[e] += acc inside the critical
-	splice   func([]minic.Stmt) bool
+	owner    *minic.BlockStmt  // the statement list holding the critical
+	critAt   int               // its index there
 }
 
 // matchRedistribute recognizes the naive GEMM reduction: a
@@ -253,7 +180,7 @@ func matchRedistribute(c *passCtx, st *minic.ForStmt) error {
 }
 
 func findRedistribute(c *passCtx, st *minic.ForStmt) (*redistMatch, error) {
-	name := loopName(st)
+	name := minic.LoopName(st)
 	sh := shapeOf(st)
 	if sh == nil {
 		return nil, notApplicable(PassRedistribute, name, "loop header is not a plain counted loop")
@@ -282,42 +209,7 @@ func findRedistribute(c *passCtx, st *minic.ForStmt) (*redistMatch, error) {
 		return nil, notApplicable(PassRedistribute, name, "accumulator is not a scalar")
 	}
 	// The statement after the loop must be the critical merge.
-	blockOf := func(target minic.Stmt) (*minic.BlockStmt, int) {
-		var owner *minic.BlockStmt
-		var at int
-		var walk func(s minic.Stmt) bool
-		walk = func(s minic.Stmt) bool {
-			switch x := s.(type) {
-			case *minic.BlockStmt:
-				for i, in := range x.Stmts {
-					if in == target {
-						owner, at = x, i
-						return true
-					}
-					if walk(in) {
-						return true
-					}
-				}
-			case *minic.ForStmt:
-				return walk(x.Body)
-			case *minic.IfStmt:
-				if walk(x.Then) {
-					return true
-				}
-				if x.Else != nil {
-					return walk(x.Else)
-				}
-			case *minic.CriticalStmt:
-				return walk(x.Body)
-			case *minic.TargetStmt:
-				return walk(x.Body)
-			}
-			return false
-		}
-		walk(c.fn.Body)
-		return owner, at
-	}
-	owner, at := blockOf(st)
+	owner, at := ownerOf(c.fn, st)
 	if owner == nil || at+1 >= len(owner.Stmts) {
 		return nil, notApplicable(PassRedistribute, name, "no statement follows the reduction loop")
 	}
@@ -354,12 +246,12 @@ func findRedistribute(c *passCtx, st *minic.ForStmt) (*redistMatch, error) {
 		return nil, notApplicable(PassRedistribute, name, "output subscript varies with the reduction variable")
 	}
 	var dist *minic.ForStmt
-	for _, l := range forLoops(c.fn) { // outermost-first
+	for _, l := range forsUnder(c.fn.Body) { // outermost-first
 		lsh := shapeOf(l)
 		if lsh == nil || !subNames[lsh.v] {
 			continue
 		}
-		for _, in := range innerFors(l) {
+		for _, in := range forsUnder(l.Body) {
 			if in == st {
 				dist = l
 				break
@@ -376,19 +268,10 @@ func findRedistribute(c *passCtx, st *minic.ForStmt) (*redistMatch, error) {
 	if dc, ok := dsh.stepConst(c.env); !ok || dc != 1 {
 		return nil, notApplicable(PassRedistribute, name, "enclosing output loop is not unit-stride")
 	}
-	if dld := c.rep.Loop(loopName(dist)); dld == nil || dld.ThreadLoop {
+	if dld := c.rep.Loop(minic.LoopName(dist)); dld == nil || dld.ThreadLoop {
 		return nil, notApplicable(PassRedistribute, name, "enclosing output loop is already thread-distributed")
 	}
-	m := &redistMatch{kShape: sh, distLoop: dist, critical: crit, write: merge}
-	m.splice = func(repl []minic.Stmt) bool {
-		outStmts := make([]minic.Stmt, 0, len(owner.Stmts))
-		outStmts = append(outStmts, owner.Stmts[:at+1]...)
-		outStmts = append(outStmts, repl...)
-		outStmts = append(outStmts, owner.Stmts[at+2:]...)
-		owner.Stmts = outStmts
-		return true
-	}
-	return m, nil
+	return &redistMatch{kShape: sh, distLoop: dist, write: merge, owner: owner, critAt: at + 1}, nil
 }
 
 // redistribute moves the thread distribution from the reduction loop to
@@ -433,7 +316,7 @@ func redistribute(c *passCtx, st *minic.ForStmt) error {
 
 	// The critical merge becomes a plain store of the full sum.
 	m.write.Op = nil
-	m.splice([]minic.Stmt{exprStmt(m.write)})
+	splice(m.owner, m.critAt, exprStmt(m.write))
 	return nil
 }
 
@@ -452,7 +335,7 @@ type vecMatch struct {
 // `for (k) acc += X[base + k] * other` whose widened load stays aligned:
 // the paper's partial-vectorization rung (v2 → v3).
 func matchVectorize(c *passCtx, st *minic.ForStmt) (*vecMatch, error) {
-	name := loopName(st)
+	name := minic.LoopName(st)
 	sh := shapeOf(st)
 	if sh == nil {
 		return nil, notApplicable(PassVectorize, name, "loop header is not a plain counted loop")
@@ -486,7 +369,7 @@ func matchVectorize(c *passCtx, st *minic.ForStmt) (*vecMatch, error) {
 			return nil
 		}
 		base, ok := ix.Base.(*minic.Ident)
-		if !ok || !isPointerParam(c.fn, base.Name) {
+		if !ok || !isPointerParam(base) {
 			return nil
 		}
 		if !unitStrideAligned(ix.Idx[0], sh.v, lanes, c.env) {
@@ -517,13 +400,9 @@ func matchVectorize(c *passCtx, st *minic.ForStmt) (*vecMatch, error) {
 	return m, nil
 }
 
-func isPointerParam(fn *minic.FuncDecl, name string) bool {
-	for _, p := range fn.Params {
-		if p.Name == name {
-			return p.Type.IsPointer()
-		}
-	}
-	return false
+func isPointerParam(id *minic.Ident) bool {
+	p, ok := id.Decl.(*minic.Param)
+	return ok && p.Type.IsPointer()
 }
 
 // unitStrideAligned requires the subscript to be `base + v` with
@@ -614,11 +493,4 @@ func vectorize(c *passCtx, st *minic.ForStmt) error {
 	st.Body = block(decl, inner)
 	st.Post = []minic.Stmt{postAdd(m.sh.v, lit(lanes))}
 	return nil
-}
-
-// tileLegal is a tiny helper for the advisor: it reports whether the
-// named loop's Tile verdict is proven in the given report.
-func tileLegal(rep *depend.Report, loop string) bool {
-	ld := rep.Loop(loop)
-	return ld != nil && ld.Legal.Tile == depend.Proven
 }

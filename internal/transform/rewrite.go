@@ -66,12 +66,6 @@ func stdFor(v string, init, bound minic.Expr, step int64, body ...minic.Stmt) *m
 // substitution site gets a fresh clone so rewrites never share nodes.
 type subst map[string]func() minic.Expr
 
-// replace builds a substitution that rewrites one identifier to a clone
-// of the given expression.
-func replace(name string, e minic.Expr) subst {
-	return subst{name: func() minic.Expr { return cloneExpr(e, nil) }}
-}
-
 func (s subst) with(name string, e minic.Expr) subst {
 	out := subst{}
 	for k, v := range s {
@@ -310,120 +304,50 @@ func isZeroLit(e minic.Expr) bool {
 
 // --- Loop discovery ----------------------------------------------------
 
-func loopName(st *minic.ForStmt) string {
-	return fmt.Sprintf("for@%d:%d", st.Pos.Line, st.Pos.Col)
-}
-
-// forLoops collects every for statement under the function body in
+// forsUnder collects every for statement under n (n itself included) in
 // source (pre-)order.
-func forLoops(fn *minic.FuncDecl) []*minic.ForStmt {
+func forsUnder(n minic.Node) []*minic.ForStmt {
 	var out []*minic.ForStmt
-	var walk func(st minic.Stmt)
-	walk = func(st minic.Stmt) {
-		switch x := st.(type) {
-		case *minic.BlockStmt:
-			for _, in := range x.Stmts {
-				walk(in)
-			}
-		case *minic.ForStmt:
-			out = append(out, x)
-			walk(x.Body)
-		case *minic.IfStmt:
-			walk(x.Then)
-			if x.Else != nil {
-				walk(x.Else)
-			}
-		case *minic.CriticalStmt:
-			walk(x.Body)
-		case *minic.TargetStmt:
-			walk(x.Body)
+	minic.Inspect(n, func(c minic.Node) bool {
+		if f, ok := c.(*minic.ForStmt); ok {
+			out = append(out, f)
 		}
-	}
-	walk(fn.Body)
+		return true
+	})
 	return out
 }
 
 func findLoop(fn *minic.FuncDecl, name string) *minic.ForStmt {
-	for _, l := range forLoops(fn) {
-		if loopName(l) == name {
+	for _, l := range forsUnder(fn.Body) {
+		if minic.LoopName(l) == name {
 			return l
 		}
 	}
 	return nil
 }
 
-// innerFors returns the for statements that are direct or nested children
-// of the loop body.
-func innerFors(st *minic.ForStmt) []*minic.ForStmt {
-	var out []*minic.ForStmt
-	var walk func(s minic.Stmt)
-	walk = func(s minic.Stmt) {
-		switch x := s.(type) {
-		case *minic.BlockStmt:
-			for _, in := range x.Stmts {
-				walk(in)
+// ownerOf finds the block whose statement list holds target and target's
+// index in it; owner is nil when target is not in any list.
+func ownerOf(fn *minic.FuncDecl, target minic.Stmt) (owner *minic.BlockStmt, at int) {
+	minic.Inspect(fn.Body, func(n minic.Node) bool {
+		if b, ok := n.(*minic.BlockStmt); ok && owner == nil {
+			for i, s := range b.Stmts {
+				if s == target {
+					owner, at = b, i
+				}
 			}
-		case *minic.ForStmt:
-			out = append(out, x)
-			walk(x.Body)
-		case *minic.IfStmt:
-			walk(x.Then)
-			if x.Else != nil {
-				walk(x.Else)
-			}
-		case *minic.CriticalStmt:
-			walk(x.Body)
 		}
-	}
-	walk(st.Body)
-	return out
+		return owner == nil
+	})
+	return owner, at
 }
 
-// parentList finds the statement list containing target and returns the
-// list owner setter: calling it splices repl in place of target.
-func parentList(fn *minic.FuncDecl, target minic.Stmt) func(repl []minic.Stmt) bool {
-	var owner *minic.BlockStmt
-	var at int
-	var walk func(st minic.Stmt) bool
-	walk = func(st minic.Stmt) bool {
-		switch x := st.(type) {
-		case *minic.BlockStmt:
-			for i, in := range x.Stmts {
-				if in == target {
-					owner, at = x, i
-					return true
-				}
-				if walk(in) {
-					return true
-				}
-			}
-		case *minic.ForStmt:
-			return walk(x.Body)
-		case *minic.IfStmt:
-			if walk(x.Then) {
-				return true
-			}
-			if x.Else != nil {
-				return walk(x.Else)
-			}
-		case *minic.CriticalStmt:
-			return walk(x.Body)
-		case *minic.TargetStmt:
-			return walk(x.Body)
-		}
-		return false
-	}
-	if !walk(fn.Body) {
-		return nil
-	}
-	return func(repl []minic.Stmt) bool {
-		out := make([]minic.Stmt, 0, len(owner.Stmts)+len(repl)-1)
-		out = append(out, owner.Stmts[:at]...)
-		out = append(out, repl...)
-		out = append(out, owner.Stmts[at+1:]...)
-		owner.Stmts = out
-		return true
-	}
+// splice replaces the statement at index at of b with repl.
+func splice(b *minic.BlockStmt, at int, repl ...minic.Stmt) {
+	out := make([]minic.Stmt, 0, len(b.Stmts)+len(repl)-1)
+	out = append(out, b.Stmts[:at]...)
+	out = append(out, repl...)
+	b.Stmts = append(out, b.Stmts[at+1:]...)
 }
 
 // --- Name hygiene -------------------------------------------------------
@@ -436,96 +360,34 @@ func usedNames(fn *minic.FuncDecl) map[string]bool {
 	for _, p := range fn.Params {
 		used[p.Name] = true
 	}
-	var walkE func(e minic.Expr)
-	walkE = func(e minic.Expr) {
-		switch x := e.(type) {
-		case nil:
+	minic.Inspect(fn.Body, func(n minic.Node) bool {
+		switch x := n.(type) {
 		case *minic.Ident:
 			used[x.Name] = true
-		case *minic.Binary:
-			walkE(x.L)
-			walkE(x.R)
-		case *minic.Unary:
-			walkE(x.X)
-		case *minic.Cond:
-			walkE(x.C)
-			walkE(x.A)
-			walkE(x.B)
-		case *minic.Index:
-			walkE(x.Base)
-			for _, i := range x.Idx {
-				walkE(i)
-			}
-		case *minic.VecElem:
-			walkE(x.Vec)
-			walkE(x.Idx)
-		case *minic.VecLoad:
-			walkE(x.Base)
-			walkE(x.Idx)
-		case *minic.AssignExpr:
-			walkE(x.LHS)
-			walkE(x.RHS)
-		case *minic.IncDec:
-			walkE(x.X)
 		case *minic.Call:
 			used[x.Name] = true
-			for _, a := range x.Args {
-				walkE(a)
-			}
-		case *minic.Cast:
-			walkE(x.X)
-		case *minic.AddrOf:
-			walkE(x.X)
-		case *minic.InitList:
-			for _, el := range x.Elems {
-				walkE(el)
-			}
-		}
-	}
-	var walkS func(st minic.Stmt)
-	walkS = func(st minic.Stmt) {
-		switch x := st.(type) {
-		case nil:
-		case *minic.BlockStmt:
-			for _, in := range x.Stmts {
-				walkS(in)
-			}
 		case *minic.DeclStmt:
 			used[x.Name] = true
-			walkE(x.Init)
-		case *minic.ExprStmt:
-			walkE(x.X)
-		case *minic.ForStmt:
-			for _, in := range x.Init {
-				walkS(in)
-			}
-			walkE(x.Cond)
-			for _, ps := range x.Post {
-				walkS(ps)
-			}
-			walkS(x.Body)
-		case *minic.IfStmt:
-			walkE(x.Cond)
-			walkS(x.Then)
-			if x.Else != nil {
-				walkS(x.Else)
-			}
-		case *minic.ReturnStmt:
-			walkE(x.X)
-		case *minic.CriticalStmt:
-			walkS(x.Body)
-		case *minic.BarrierStmt:
 		case *minic.TargetStmt:
 			for _, m := range x.Maps {
 				used[m.Name] = true
-				walkE(m.Low)
-				walkE(m.Len)
 			}
-			walkS(x.Body)
 		}
-	}
-	walkS(fn.Body)
+		return true
+	})
 	return used
+}
+
+// identNames collects the identifier names appearing in an expression.
+func identNames(e minic.Expr) map[string]bool {
+	out := map[string]bool{}
+	minic.Inspect(e, func(n minic.Node) bool {
+		if id, ok := n.(*minic.Ident); ok {
+			out[id.Name] = true
+		}
+		return true
+	})
+	return out
 }
 
 // fresh picks base if free, else base_2, base_3, ... and records the

@@ -129,9 +129,9 @@ type passCtx struct {
 }
 
 func (c *passCtx) loopDeps(pass string, st *minic.ForStmt) (*depend.LoopDeps, error) {
-	ld := c.rep.Loop(loopName(st))
+	ld := c.rep.Loop(minic.LoopName(st))
 	if ld == nil {
-		return nil, notApplicable(pass, loopName(st), "no dependence record for loop")
+		return nil, notApplicable(pass, minic.LoopName(st), "no dependence record for loop")
 	}
 	return ld, nil
 }
@@ -170,6 +170,36 @@ func Apply(src string, step Step, opts Options) (string, error) {
 	return canonical(prog, ctx.lanes)
 }
 
+// lanes resolves the VECTOR lane count the way minic.Parse does for
+// option-supplied defines: explicit count, then VECTOR_LEN, then 4.
+func (o Options) lanes() int {
+	lanes := o.VectorLanes
+	if lanes == 0 {
+		if v, ok := o.Defines["VECTOR_LEN"]; ok {
+			fmt.Sscanf(v, "%d", &lanes)
+		}
+	}
+	if lanes <= 0 {
+		lanes = 4
+	}
+	return lanes
+}
+
+// Canonical returns src in the canonical printed form every pass emits
+// (defines folded, coercion casts explicit), so loop names stay stable
+// across a chain of Apply calls, and the lane count that later parses of
+// the define-free text must be given. A source that does not compile
+// yields the front end's error unwrapped.
+func Canonical(src string, opts Options) (string, int, error) {
+	prog, err := minic.Parse(src, minic.Options{Defines: opts.Defines, VectorLanes: opts.VectorLanes})
+	if err != nil {
+		return "", 0, err
+	}
+	lanes := opts.lanes()
+	out, err := canonical(prog, lanes)
+	return out, lanes, err
+}
+
 // canonical prints the mutated tree, re-parses it (running sema, which
 // inserts coercion casts) and prints again, so Apply's output is always
 // a printer fixpoint.
@@ -195,15 +225,7 @@ func analyze(src string, opts Options) (*minic.Program, *minic.FuncDecl, *passCt
 	if rep == nil {
 		rep = LegalityReport(fn, opts.Params)
 	}
-	lanes := opts.VectorLanes
-	if lanes == 0 {
-		if v, ok := opts.Defines["VECTOR_LEN"]; ok {
-			fmt.Sscanf(v, "%d", &lanes)
-		}
-	}
-	if lanes <= 0 {
-		lanes = 4
-	}
+	lanes := opts.lanes()
 	ctx := &passCtx{fn: fn, rep: rep, lanes: lanes, env: opts.Params, used: usedNames(fn)}
 	return prog, fn, ctx, nil
 }
@@ -212,11 +234,10 @@ func analyze(src string, opts Options) (*minic.Program, *minic.FuncDecl, *passCt
 // gate on: abstract-interpretation index ranges feeding the dependence
 // solver, exactly as the advisor and the vet report's depend section.
 func LegalityReport(fn *minic.FuncDecl, params map[string]int64) *depend.Report {
-	var ranges depend.RangeFn
-	if ai := absint.Analyze(fn, absint.Options{Env: params}); ai.OK {
-		ranges = ai.IndexRange
-	}
-	return depend.AnalyzeRanges(fn, params, ranges)
+	// IndexRange answers "unknown" for everything when the interpreter
+	// did not converge, so no OK check is needed here.
+	ai := absint.Analyze(fn, absint.Options{Env: params})
+	return depend.AnalyzeRanges(fn, params, ai.IndexRange)
 }
 
 // Targets enumerates the transformation steps whose structural matchers
@@ -230,8 +251,8 @@ func Targets(src string, opts Options) ([]Step, error) {
 		return nil, err
 	}
 	var out []Step
-	for _, st := range forLoops(fn) {
-		name := loopName(st)
+	for _, st := range forsUnder(fn.Body) {
+		name := minic.LoopName(st)
 		if matchRedistribute(ctx, st) == nil {
 			out = append(out, Step{Pass: PassRedistribute, Loop: name})
 		}
@@ -244,7 +265,7 @@ func Targets(src string, opts Options) ([]Step, error) {
 		if _, err := matchVectorize(ctx, st); err == nil {
 			out = append(out, Step{Pass: PassVectorize, Loop: name})
 		}
-		if st.Unroll == 0 && st.Cond != nil && len(st.Post) > 0 && len(innerFors(st)) == 0 {
+		if st.Unroll == 0 && st.Cond != nil && len(st.Post) > 0 && len(forsUnder(st.Body)) == 0 {
 			out = append(out, Step{Pass: PassUnroll, Loop: name})
 		}
 		if matchTile(ctx, st) == nil {
