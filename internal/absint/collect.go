@@ -185,11 +185,12 @@ func Analyze(fn *minic.FuncDecl, opts Options) *Result {
 		win: map[minic.Decl]*winRec{},
 	}
 	for _, bl := range a.g.rpo {
-		in, reach := a.in[bl]
-		if !reach {
+		f := &a.flows[bl.id]
+		if !f.in.live {
 			continue
 		}
-		ev := &evaluator{a: a, st: cloneState(in), inRegion: bl.inRegion, col: col}
+		copy(a.tmpOut, f.in.st)
+		ev := &evaluator{a: a, st: a.tmpOut, inRegion: bl.inRegion, col: col}
 		for _, ins := range bl.instrs {
 			ev.instr(ins)
 		}
@@ -279,7 +280,8 @@ func (c *collector) finishLoops(res *Result) {
 	for st, head := range c.a.g.heads {
 		lf := &LoopFact{Loop: st, Name: minic.LoopName(st), Pos: st.Pos}
 		res.Loops[st] = lf
-		if _, ok := c.a.in[head]; !ok {
+		hf := &c.a.flows[head.id]
+		if !hf.in.live {
 			lf.Trips = Exact(0)
 			continue
 		}
@@ -289,7 +291,7 @@ func (c *collector) finishLoops(res *Result) {
 			lf.Trips = AtLeast(0)
 			continue
 		}
-		_, bodyOK := c.a.outT[head]
+		bodyOK := hf.outT.live
 		lf.BodyReachable = bodyOK
 
 		trips := AtLeast(0)
@@ -300,9 +302,9 @@ func (c *collector) finishLoops(res *Result) {
 				trips = trips.Meet(t)
 			}
 			// First-iteration check on the per-entry preheader state.
-			pre, have := c.a.inFlow(head, head.latch)
-			if have && !impure(st.Cond) {
-				ev := &evaluator{a: c.a, st: cloneState(pre), inRegion: head.inRegion}
+			pre := c.a.tmpIn
+			if c.a.inFlow(pre, head, head.latch) && !impure(st.Cond) {
+				ev := &evaluator{a: c.a, st: pre, inRegion: head.inRegion}
 				switch ev.expr(st.Cond).truth() {
 				case +1:
 					trips = trips.Meet(AtLeast(1))
@@ -338,11 +340,11 @@ func (c *collector) recognizedTrips(st *minic.ForStmt, head *block) (Interval, b
 	if iv == nil || !iv.tracked || (iv.sharedMut && head.inRegion) {
 		return Top(), false
 	}
-	pre, have := c.a.inFlow(head, head.latch)
-	if !have {
+	pre := c.a.tmpIn
+	if !c.a.inFlow(pre, head, head.latch) {
 		return Top(), false
 	}
-	ev := &evaluator{a: c.a, st: cloneState(pre), inRegion: head.inRegion}
+	ev := &evaluator{a: c.a, st: pre, inRegion: head.inRegion}
 
 	// Step and bound must not depend on anything the loop writes, the
 	// induction variable included.
@@ -435,11 +437,11 @@ func (c *collector) finishConds(res *Result) {
 		if bl.cond == nil || bl.condStmt == nil {
 			continue
 		}
-		if _, reach := c.a.in[bl]; !reach {
+		f := &c.a.flows[bl.id]
+		if !f.in.live {
 			continue
 		}
-		_, tOK := c.a.outT[bl]
-		_, fOK := c.a.outF[bl]
+		tOK, fOK := f.outT.live, f.outF.live
 		if tOK == fOK {
 			continue // undecided, or bottom on both edges
 		}

@@ -6,6 +6,8 @@ package absint
 // agree — proven facts from one may not contradict the other's.
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"paravis/internal/minic"
@@ -15,6 +17,22 @@ func FuzzAbsint(f *testing.F) {
 	seeds := []string{
 		tripSrc, strideSrc, laneSrc, oobSrc, refineSrc, deadSrc, divSrc,
 		windowSrc, unreachableLoopSrc,
+	}
+	// testdata/skipped_visit.mc: the i2 head sits clean while the i4 loop
+	// still iterates, and its trip bracket moves if those skipped visits
+	// stop counting toward the widening delay. testdata/dead_edge.mc: the
+	// i > n + n edge is live under the widened i and dies in narrowing.
+	// TestGoldenResults pins both against the round-robin solver's output.
+	files, err := filepath.Glob("testdata/*.mc")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no solver seeds in testdata (%v)", err)
+	}
+	for _, name := range files {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, string(src))
 	}
 	for _, s := range seeds {
 		f.Add(s)

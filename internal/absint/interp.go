@@ -6,44 +6,64 @@ import (
 	"paravis/internal/minic"
 )
 
-// state maps tracked variable ids to non-top abstract values. A missing
-// key means top; unreachable blocks have no state at all.
-type state map[int]Val
+// state holds one abstract value per variable, indexed by variable.id,
+// top where nothing is known. Whether a block or an edge has a state at
+// all (it is reachable, the edge is not provably dead) is recorded
+// beside the buffer, in edgeState.
+type state []Val
 
 func cloneState(s state) state {
-	c := make(state, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
+	return append(state(nil), s...)
 }
 
-// joinStates over-approximates both inputs: keys kept only where known
-// on both sides.
-func joinStates(a, b state) state {
-	r := make(state)
+// norm maps every representation of top to the canonical one, so a
+// joined or widened slot reads like a never-assigned one.
+func norm(v Val) Val {
+	if v.isTop() {
+		return topVal()
+	}
+	return v
+}
+
+// joinStates stores in dst the pointwise join of a and b: a slot is
+// known only where it is known on both sides. dst may alias a or b.
+func joinStates(dst, a, b state) {
 	for k, va := range a {
-		if vb, ok := b[k]; ok {
-			j := va.join(vb)
-			if !j.isTop() {
-				r[k] = j
-			}
+		if vb := b[k]; va.isTop() || vb.isTop() {
+			dst[k] = topVal()
+		} else {
+			dst[k] = norm(va.join(vb))
 		}
 	}
-	return r
 }
 
 func equalStates(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
 	for k, va := range a {
-		vb, ok := b[k]
-		if !ok || !va.equal(vb) {
+		if !va.equal(b[k]) {
 			return false
 		}
 	}
 	return true
+}
+
+// edgeState is a state buffer, allocated once with len(vars) slots and
+// overwritten in place, that is meaningful only while live: a block's in
+// state is live once the block has been reached, an out state while the
+// edge is not provably dead.
+type edgeState struct {
+	st   state
+	live bool
+}
+
+// flow is the solver's record of one block: its in state and one out
+// state per edge kind (outN the unconditional edge, outT and outF the
+// refined branch edges).
+type flow struct {
+	in, outN, outT, outF edgeState
+	// dirty: an in-edge state moved since the block's last visit.
+	dirty bool
+	// reached: the last visit found a live in-edge.
+	reached bool
 }
 
 // analysis is the per-function solver context.
@@ -53,11 +73,9 @@ type analysis struct {
 	env   map[string]int64
 	th    []int64 // sorted widening thresholds
 	delay int     // widening delay (head visits before widening kicks in)
-	in    map[*block]state
-	outN  map[*block]state // unconditional-edge out
-	outT  map[*block]state // refined true-edge out
-	outF  map[*block]state // refined false-edge out
-	ok    bool             // solver converged within budget
+	flows []flow  // indexed by block.id
+	// tmpIn, tmpOut and tmpEdge are the solver's scratch states.
+	tmpIn, tmpOut, tmpEdge state
 }
 
 const (
@@ -71,11 +89,21 @@ func newAnalysis(fn *minic.FuncDecl, res *resolution, env map[string]int64, dela
 		g:     buildCFG(fn),
 		env:   env,
 		delay: delay,
-		in:    map[*block]state{},
-		outN:  map[*block]state{},
-		outT:  map[*block]state{},
-		outF:  map[*block]state{},
 	}
+	// One slab backs every state the solver touches.
+	n := len(res.vars)
+	slab := make([]Val, (4*len(a.g.blocks)+3)*n)
+	carve := func() state {
+		st := state(slab[:n:n])
+		slab = slab[n:]
+		return st
+	}
+	edge := func() edgeState { return edgeState{st: carve()} }
+	a.flows = make([]flow, len(a.g.blocks))
+	for i := range a.flows {
+		a.flows[i] = flow{in: edge(), outN: edge(), outT: edge(), outF: edge()}
+	}
+	a.tmpIn, a.tmpOut, a.tmpEdge = carve(), carve(), carve()
 	a.th = thresholds(fn, env, res.nt)
 	return a
 }
@@ -117,115 +145,145 @@ func thresholds(fn *minic.FuncDecl, env map[string]int64, nt int) []int64 {
 	return out
 }
 
-// entryState seeds the function entry with known parameter values.
-func (a *analysis) entryState() state {
-	st := make(state)
+// entryState seeds dst with the function entry: known parameter values,
+// top everywhere else.
+func (a *analysis) entryState(dst state) {
+	for k := range dst {
+		dst[k] = topVal()
+	}
 	if a.env == nil {
-		return st
+		return
 	}
 	for _, v := range a.res.vars {
 		if v.isParam && v.tracked {
 			if val, ok := a.env[v.name]; ok {
-				st[v.id] = exactVal(val)
+				dst[v.id] = exactVal(val)
 			}
 		}
 	}
-	return st
 }
 
-// inFlow joins the edge-out states of bl's predecessors, skipping any
-// listed in except. The second result is false when no predecessor has
-// produced a state yet (the block is currently unreachable).
-func (a *analysis) inFlow(bl *block, except *block) (state, bool) {
+// inFlow stores in dst the join of the edge-out states of bl's
+// predecessors, skipping any listed in except. It returns false, leaving
+// dst unspecified, when no predecessor has produced a state yet (the
+// block is currently unreachable).
+func (a *analysis) inFlow(dst state, bl *block, except *block) bool {
 	if bl == a.g.entry {
-		return a.entryState(), true
+		a.entryState(dst)
+		return true
 	}
-	var acc state
 	have := false
+	merge := func(e *edgeState) {
+		switch {
+		case !e.live:
+		case !have:
+			copy(dst, e.st)
+			have = true
+		default:
+			joinStates(dst, dst, e.st)
+		}
+	}
 	for _, p := range bl.preds {
 		if p == except {
 			continue
 		}
-		var edges []state
+		f := &a.flows[p.id]
 		if p.cond != nil {
 			if p.tsucc == bl {
-				if s, ok := a.outT[p]; ok {
-					edges = append(edges, s)
-				}
+				merge(&f.outT)
 			}
 			if p.fsucc == bl {
-				if s, ok := a.outF[p]; ok {
-					edges = append(edges, s)
-				}
+				merge(&f.outF)
 			}
 		} else if p.next == bl {
-			if s, ok := a.outN[p]; ok {
-				edges = append(edges, s)
-			}
-		}
-		for _, s := range edges {
-			if !have {
-				acc, have = cloneState(s), true
-			} else {
-				acc = joinStates(acc, s)
-			}
+			merge(&f.outN)
 		}
 	}
-	return acc, have
+	return have
 }
 
-// transfer runs bl's instructions over a copy of in and refreshes the
-// per-edge out states.
-func (a *analysis) transfer(bl *block, in state) {
-	ev := &evaluator{a: a, st: cloneState(in), inRegion: bl.inRegion}
+// transfer runs bl's instructions over a copy of its in state and
+// refreshes the per-edge out states.
+func (a *analysis) transfer(bl *block) {
+	f := &a.flows[bl.id]
+	out := a.tmpOut
+	copy(out, f.in.st)
+	ev := &evaluator{a: a, st: out, inRegion: bl.inRegion}
 	for _, ins := range bl.instrs {
 		ev.instr(ins)
 	}
-	out := ev.st
 	if bl.cond == nil {
-		a.outN[bl] = out
+		a.setEdge(&f.outN, out, true, bl.next)
 		return
 	}
-	if t, ok := refine(a, out, bl.cond, true, bl.inRegion); ok {
-		a.outT[bl] = t
-	} else {
-		delete(a.outT, bl)
+	ok := refine(a, a.tmpEdge, out, bl.cond, true, bl.inRegion)
+	a.setEdge(&f.outT, a.tmpEdge, ok, bl.tsucc)
+	ok = refine(a, a.tmpEdge, out, bl.cond, false, bl.inRegion)
+	a.setEdge(&f.outF, a.tmpEdge, ok, bl.fsucc)
+}
+
+// setEdge publishes one out-edge state (live false: the edge is dead)
+// and marks the successor for a revisit when the edge moved.
+func (a *analysis) setEdge(e *edgeState, st state, live bool, succ *block) {
+	if live == e.live && (!live || equalStates(e.st, st)) {
+		return
 	}
-	if f, ok := refine(a, out, bl.cond, false, bl.inRegion); ok {
-		a.outF[bl] = f
-	} else {
-		delete(a.outF, bl)
+	e.live = live
+	if live {
+		copy(e.st, st)
+	}
+	if succ != nil {
+		a.flows[succ.id].dirty = true
 	}
 }
 
 // solve iterates to a fixpoint with widening at loop heads, then runs
 // two narrowing passes. Returns false if the pass budget ran out (the
 // caller then publishes no facts).
+//
+// Passes sweep the blocks in reverse postorder, but a block is visited
+// only when an in-edge state moved since its last visit. A skipped visit
+// would have been a no-op: with the predecessors' outs unchanged the
+// joined in-flow is what the last visit already folded into the in state,
+// so join(in, in-flow) = in and the visit ends at the equality test.
+// Its one side effect, the loop-head visit count that decides on which
+// pass widening starts, is kept.
 func (a *analysis) solve() bool {
-	visits := map[*block]int{}
+	visits := make([]int, len(a.g.blocks))
+	for i := range a.flows {
+		a.flows[i].dirty = true
+	}
+	in := a.tmpIn
 	for pass := 0; pass < maxPasses; pass++ {
 		changed := false
 		for _, bl := range a.g.rpo {
-			newIn, reach := a.inFlow(bl, nil)
-			if !reach {
+			f := &a.flows[bl.id]
+			if !f.dirty {
+				if bl.isLoopHead && f.reached {
+					visits[bl.id]++
+				}
 				continue
 			}
-			old, had := a.in[bl]
-			if had {
-				merged := joinStates(old, newIn)
+			f.dirty = false
+			f.reached = a.inFlow(in, bl, nil)
+			if !f.reached {
+				continue
+			}
+			if f.in.live {
+				joinStates(in, f.in.st, in)
 				if bl.isLoopHead {
-					visits[bl]++
-					if visits[bl] > a.delay {
-						merged = widenStates(old, merged, a.th)
+					visits[bl.id]++
+					if visits[bl.id] > a.delay {
+						widenStates(in, f.in.st, in, a.th)
 					}
 				}
-				if equalStates(old, merged) {
+				if equalStates(f.in.st, in) {
 					continue
 				}
-				newIn = merged
 			}
-			a.in[bl] = newIn
-			a.transfer(bl, newIn)
+			copy(f.in.st, in)
+			f.in.live = true
+			a.transfer(bl)
 			changed = true
 		}
 		if !changed {
@@ -235,16 +293,13 @@ func (a *analysis) solve() bool {
 			// tightens. Two passes recover most threshold overshoot.
 			for n := 0; n < 2; n++ {
 				for _, bl := range a.g.rpo {
-					newIn, reach := a.inFlow(bl, nil)
-					if !reach {
-						delete(a.in, bl)
-						delete(a.outN, bl)
-						delete(a.outT, bl)
-						delete(a.outF, bl)
+					f := &a.flows[bl.id]
+					f.in.live = a.inFlow(f.in.st, bl, nil)
+					if !f.in.live {
+						f.outN.live, f.outT.live, f.outF.live = false, false, false
 						continue
 					}
-					a.in[bl] = newIn
-					a.transfer(bl, newIn)
+					a.transfer(bl)
 				}
 			}
 			return true
@@ -253,26 +308,17 @@ func (a *analysis) solve() bool {
 	return false
 }
 
-// widenStates widens old toward next per variable. Keys that vanish
-// from next (went to top) stay gone.
-func widenStates(old, next state, th []int64) state {
-	r := make(state, len(next))
+// widenStates stores in dst old widened toward next per variable. Slots
+// that went to top in next stay top. dst may alias next.
+func widenStates(dst, old, next state, th []int64) {
 	for k, nv := range next {
-		if ov, ok := old[k]; ok {
-			w := ov.widen(nv, th)
-			if !w.isTop() {
-				r[k] = w
-			}
+		// A slot unknown in old is known here for the first time: keep
+		// the new value; the join already covered both inputs.
+		if ov := old[k]; !nv.isTop() && !ov.isTop() {
+			nv = norm(ov.widen(nv, th))
 		}
-		// Key absent in old: first time this variable is known here —
-		// keep the new value; the join already covered both inputs.
-		if _, ok := old[k]; !ok {
-			if !nv.isTop() {
-				r[k] = nv
-			}
-		}
+		dst[k] = nv
 	}
-	return r
 }
 
 // evaluator walks statements/expressions over one mutable state. The
@@ -325,7 +371,7 @@ func (ev *evaluator) instr(ins instr) {
 		// outer scope is unknown afterwards, as are from-mapped scalars.
 		for _, v := range ev.a.res.vars {
 			if v.sharedMut {
-				delete(ev.st, v.id)
+				ev.st[v.id] = topVal()
 			}
 		}
 		for i := range ins.ts.Maps {
@@ -334,19 +380,13 @@ func (ev *evaluator) instr(ins instr) {
 				continue
 			}
 			if v := ev.a.res.byDecl[mc.Decl]; v != nil && v.tracked {
-				delete(ev.st, v.id)
+				ev.st[v.id] = topVal()
 			}
 		}
 	}
 }
 
-func (ev *evaluator) set(v *variable, val Val) {
-	if val.isTop() {
-		delete(ev.st, v.id)
-	} else {
-		ev.st[v.id] = val
-	}
-}
+func (ev *evaluator) set(v *variable, val Val) { ev.st[v.id] = norm(val) }
 
 func (ev *evaluator) get(v *variable) Val {
 	if v == nil || !v.tracked {
@@ -356,10 +396,7 @@ func (ev *evaluator) get(v *variable) Val {
 		// Another omp thread may have stored anything here.
 		return topVal()
 	}
-	if val, ok := ev.st[v.id]; ok {
-		return val
-	}
-	return topVal()
+	return ev.st[v.id]
 }
 
 func isIntExpr(e minic.Expr) bool {
@@ -475,9 +512,14 @@ func (ev *evaluator) expr(e minic.Expr) Val {
 
 // index evaluates an Index node's subscripts and records the access.
 func (ev *evaluator) index(x *minic.Index, write bool) {
-	vals := make([]Val, len(x.Idx))
-	for i, ix := range x.Idx {
-		vals[i] = ev.expr(ix)
+	var vals []Val
+	if ev.col != nil { // the solver only needs the subscripts' side effects
+		vals = make([]Val, 0, len(x.Idx))
+	}
+	for _, ix := range x.Idx {
+		if v := ev.expr(ix); ev.col != nil {
+			vals = append(vals, v)
+		}
 	}
 	if _, ok := x.Base.(*minic.Ident); !ok {
 		ev.expr(x.Base)

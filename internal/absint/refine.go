@@ -2,25 +2,21 @@ package absint
 
 import "paravis/internal/minic"
 
-// refine produces the edge state for taking cond with the given truth
-// sense. Returns ok=false when the edge is provably dead (the refined
-// state is bottom). The refinement only narrows identifier values —
+// refine stores in st the edge state for taking cond from out with the
+// given truth sense. Returns false when the edge is provably dead (the
+// refined state is bottom). The refinement only narrows identifier values —
 // everything else stays as computed by the transfer function — so it is
 // always a sound over-approximation of the concrete edge states.
-func refine(a *analysis, out state, cond minic.Expr, sense bool, inRegion bool) (state, bool) {
-	st := cloneState(out)
+func refine(a *analysis, st, out state, cond minic.Expr, sense bool, inRegion bool) bool {
+	copy(st, out)
 	if impure(cond) {
 		// A side-effecting condition (rare): apply its effects once, keep
 		// only the truth-contradiction check, skip narrowing.
 		ev := &evaluator{a: a, st: st, inRegion: inRegion}
 		t := ev.expr(cond).truth()
-		if (sense && t < 0) || (!sense && t > 0) {
-			return st, false
-		}
-		return st, true
+		return !((sense && t < 0) || (!sense && t > 0))
 	}
-	ok := refineInto(a, st, cond, sense, inRegion)
-	return st, ok
+	return refineInto(a, st, cond, sense, inRegion)
 }
 
 // impure reports whether evaluating e could change tracked state.
@@ -66,7 +62,7 @@ func refineInto(a *analysis, st state, cond minic.Expr, sense bool, inRegion boo
 		if v == nil || !v.tracked || (v.sharedMut && inRegion) {
 			return true
 		}
-		cur := stGet(st, v)
+		cur := st[v.id]
 		var nv Val
 		if sense {
 			nv = excludeZero(cur)
@@ -76,7 +72,7 @@ func refineInto(a *analysis, st state, cond minic.Expr, sense bool, inRegion boo
 		if nv.isBottom() {
 			return false
 		}
-		stSet(st, v, nv)
+		st[v.id] = norm(nv)
 		return true
 	}
 	// Generic fallback: evaluate the condition in the current state and
@@ -99,48 +95,16 @@ func refineOr(a *analysis, st state, l minic.Expr, senseL bool, r minic.Expr, se
 	rok := refineInto(a, rs, r, senseR, inRegion)
 	switch {
 	case lok && rok:
-		merged := joinStates(ls, rs)
-		for k := range st {
-			if _, keep := merged[k]; !keep {
-				delete(st, k)
-			}
-		}
-		for k, v := range merged {
-			st[k] = v
-		}
+		joinStates(st, ls, rs)
 		return true
 	case lok:
-		replaceState(st, ls)
+		copy(st, ls)
 		return true
 	case rok:
-		replaceState(st, rs)
+		copy(st, rs)
 		return true
 	}
 	return false
-}
-
-func replaceState(dst, src state) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
-func stGet(st state, v *variable) Val {
-	if val, ok := st[v.id]; ok {
-		return val
-	}
-	return topVal()
-}
-
-func stSet(st state, v *variable, val Val) {
-	if val.isTop() {
-		delete(st, v.id)
-	} else {
-		st[v.id] = val
-	}
 }
 
 // excludeZero trims a zero endpoint off the interval (a full != split
@@ -205,7 +169,7 @@ func refineCmp(a *analysis, st state, x *minic.Binary, sense bool, inRegion bool
 			return false
 		}
 		if v != nil {
-			stSet(st, v, nv)
+			st[v.id] = norm(nv)
 		}
 		return true
 	}

@@ -8,11 +8,21 @@
 // is greedy over rounds: the best simulator-confirmed candidate of a
 // round becomes the base of the next, until no candidate improves on it.
 //
+// A round's candidates are all rewrites of one text, so the round
+// analyses it once (transform.Analyze: parse, legality report, names in
+// use) and every step applies to that transform.Base. The static tier
+// then runs on the worker pool the simulations use: the rewrites in
+// parallel by enumeration index, a serial pass in that order that
+// classifies refusals and drops rewrites whose source was already
+// explored, and build + vet + bracket of the survivors in parallel by
+// index again.
+//
 // Determinism: candidate enumeration follows source order and sorted
-// parameter grids, simulation results are stored by candidate index,
-// and every tie breaks on (cycles, name). The simulator budget bounds
-// the number of confirmation runs, so a search with the same source,
-// options and budget always returns the same report.
+// parameter grids, every parallel step stores its result by candidate
+// index and the de-duplication between them is serial, and every tie
+// breaks on (cycles, name). The simulator budget bounds the number of
+// confirmation runs, so a search with the same source, options and
+// budget always returns the same report, whatever Options.Workers is.
 package autotune
 
 import (
@@ -82,8 +92,9 @@ type Options struct {
 	// Cache shares compiled programs across searches (and with the
 	// daemon); nil builds a private cache.
 	Cache *core.Cache
-	// Workers bounds concurrent simulations (<=0: the parallel
-	// package's default).
+	// Workers bounds the goroutines of both tiers: candidate rewriting
+	// and static ranking, then simulation (<=0: the parallel package's
+	// default). The report does not depend on it.
 	Workers   int
 	Budget    Budget
 	Grid      Grid
@@ -213,15 +224,17 @@ func expand(s transform.Step, g Grid) []transform.Step {
 	}
 }
 
-// vetErrors reports whether the source has error-severity diagnostics.
-func vetErrors(name, src string, opts core.BuildOptions) []staticcheck.Diagnostic {
-	var errs []staticcheck.Diagnostic
-	for _, d := range core.Vet(name, src, opts) {
+// vetError returns the first error-severity diagnostic of a program
+// cache.Build just returned, or nil. Build has already run the IR and
+// schedule verifiers (a failure there is a compile error), so the AST
+// rules are all that is left of a full vet.
+func vetError(name string, p *core.Program) *staticcheck.Diagnostic {
+	for _, d := range staticcheck.CheckProgram(name, p.AST) {
 		if d.Severity == staticcheck.SevError {
-			errs = append(errs, d)
+			return &d
 		}
 	}
-	return errs
+	return nil
 }
 
 // bracket runs the static first-tier cost model: perfbound with absint
@@ -377,7 +390,9 @@ func abs(f float64) float64 {
 
 // Optimize searches the transformation space of one kernel and returns
 // the full exploration report. The returned error covers baseline
-// failures only; per-candidate failures are verdicts in the report.
+// failures and a context that ended before the search did (a search cut
+// short returns the context's error, never a partial report);
+// per-candidate failures are verdicts in the report.
 func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -426,17 +441,34 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 	seen := map[string]bool{baseSrc: true}
 	budget := opts.budgetCandidates()
 
+	workers := parallel.Resolve(opts.Workers)
+	canceled := func() error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("autotune: %w", err)
+		}
+		return nil
+	}
+
 	for round := 1; round <= opts.maxRounds(); round++ {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("autotune: %w", ctx.Err())
+		if err := canceled(); err != nil {
+			return nil, err
 		}
 		res.Rounds = round
-		targets, err := transform.Targets(best.src, topts)
+		// Every candidate of a round rewrites the same text: analyse it once.
+		base, err := transform.Analyze(best.src, topts)
 		if err != nil {
 			return nil, fmt.Errorf("autotune: round %d: %w", round, err)
 		}
+		var steps []transform.Step
+		for _, target := range base.Targets() {
+			steps = append(steps, expand(target, opts.grid())...)
+		}
 
-		// Cheap tier: apply + build + vet + bracket every candidate.
+		// Cheap tier: apply + build + vet + bracket every candidate. The
+		// rewrites and the per-candidate analyses run on the pool, each
+		// writing only its own slot; between them the results are
+		// classified and de-duplicated serially in enumeration order, so
+		// the candidate list does not depend on scheduling.
 		type explored struct {
 			cand   Candidate
 			src    string
@@ -444,55 +476,63 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 			bounds perfbound.CycleBounds
 			ok     bool // eligible for simulation
 		}
-		var cands []*explored
-		for _, target := range targets {
-			for _, step := range expand(target, opts.grid()) {
-				e := &explored{cand: Candidate{
-					Name:  stepName(round, step),
-					Steps: append(append([]transform.Step{}, best.steps...), step),
-				}}
-				out, err := transform.Apply(best.src, step, topts)
-				switch {
-				case err == nil:
-				case isNotProven(err):
-					e.cand.Verdict, e.cand.Note = VerdictNotProven, err.Error()
-					cands = append(cands, e)
-					continue
-				default:
-					e.cand.Verdict, e.cand.Note = VerdictNotApplicable, err.Error()
-					cands = append(cands, e)
-					continue
-				}
-				if seen[out] {
+		type rewrite struct {
+			src string
+			err error
+		}
+		rewrites := make([]rewrite, len(steps))
+		_ = parallel.ForEach(workers, len(steps), func(i int) error {
+			rewrites[i].src, rewrites[i].err = base.Apply(steps[i])
+			return nil
+		})
+		var cands, fresh []*explored
+		for i, step := range steps {
+			e := &explored{cand: Candidate{
+				Name:  stepName(round, step),
+				Steps: append(append([]transform.Step{}, best.steps...), step),
+			}}
+			switch err := rewrites[i].err; {
+			case err == nil:
+				if seen[rewrites[i].src] {
 					continue // an equivalent rewrite was already explored
 				}
-				seen[out] = true
-				e.src = out
-				prog, _, err := cache.Build(ctx, out, canonOpts)
-				if err != nil {
-					e.cand.Verdict, e.cand.Note = VerdictCompileError, err.Error()
-					cands = append(cands, e)
-					continue
-				}
-				if errs := vetErrors(kernel, out, canonOpts); len(errs) > 0 {
-					e.cand.Verdict, e.cand.Note = VerdictVetDirty, errs[0].String()
-					cands = append(cands, e)
-					continue
-				}
-				e.prog = prog
-				e.bounds = bracket(prog, opts.Params, simCfg)
-				e.cand.PredLower = e.bounds.Lower
-				e.cand.PredUpper = e.bounds.Upper
-				e.cand.UpperKnown = e.bounds.UpperKnown
-				if e.bounds.Lower >= best.cycles {
-					e.cand.Verdict = VerdictPruned
-					e.cand.Note = fmt.Sprintf("lower bound %d ≥ best %d", e.bounds.Lower, best.cycles)
-					cands = append(cands, e)
-					continue
-				}
-				e.ok = true
-				cands = append(cands, e)
+				seen[rewrites[i].src] = true
+				e.src = rewrites[i].src
+				fresh = append(fresh, e)
+			case isNotProven(err):
+				e.cand.Verdict, e.cand.Note = VerdictNotProven, err.Error()
+			default:
+				e.cand.Verdict, e.cand.Note = VerdictNotApplicable, err.Error()
 			}
+			cands = append(cands, e)
+		}
+		_ = parallel.ForEach(workers, len(fresh), func(i int) error {
+			e := fresh[i]
+			prog, _, err := cache.Build(ctx, e.src, canonOpts)
+			if err != nil {
+				e.cand.Verdict, e.cand.Note = VerdictCompileError, err.Error()
+				return nil
+			}
+			if d := vetError(kernel, prog); d != nil {
+				e.cand.Verdict, e.cand.Note = VerdictVetDirty, d.String()
+				return nil
+			}
+			e.prog = prog
+			e.bounds = bracket(prog, opts.Params, simCfg)
+			e.cand.PredLower = e.bounds.Lower
+			e.cand.PredUpper = e.bounds.Upper
+			e.cand.UpperKnown = e.bounds.UpperKnown
+			if e.bounds.Lower >= best.cycles {
+				e.cand.Verdict = VerdictPruned
+				e.cand.Note = fmt.Sprintf("lower bound %d ≥ best %d", e.bounds.Lower, best.cycles)
+				return nil
+			}
+			e.ok = true
+			return nil
+		})
+		// A build abandoned by the context reads as a compile error above.
+		if err := canceled(); err != nil {
+			return nil, err
 		}
 
 		// Expensive tier: simulate survivors, cheapest predicted first,
@@ -529,11 +569,16 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 			err    error
 		}
 		outs := make([]simOut, len(toSim))
-		_ = parallel.ForEach(parallel.Resolve(opts.Workers), len(toSim), func(i int) error {
+		_ = parallel.ForEach(workers, len(toSim), func(i int) error {
 			c, r, err := runOnce(ctx, toSim[i].prog, &opts, simCfg)
 			outs[i] = simOut{cycles: c, ref: r, err: err}
 			return nil
 		})
+		// Likewise a simulation the context cut short reads as a sim error:
+		// no winner may be elected from a round that did not finish.
+		if err := canceled(); err != nil {
+			return nil, err
+		}
 		res.SimsRun += len(toSim)
 		for i, e := range toSim {
 			o := outs[i]

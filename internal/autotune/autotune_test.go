@@ -3,7 +3,9 @@ package autotune_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
+	"time"
 
 	"paravis/internal/autotune"
 	"paravis/internal/core"
@@ -85,17 +87,25 @@ func TestGEMMLadderRediscovery(t *testing.T) {
 	}
 }
 
+// gemm16 is the small search the size-independent properties are checked
+// on: naive GEMM at DIM=16.
+func gemm16(ctx context.Context, budget, rounds, workers int) (*autotune.Result, error) {
+	return autotune.Optimize(ctx, "gemm-naive",
+		workloads.GEMMSource(workloads.GEMMNaive),
+		autotune.Options{
+			Defines:   workloads.GEMMDefines(workloads.GEMMNaive),
+			Params:    map[string]int64{"DIM": 16},
+			Budget:    autotune.Budget{Candidates: budget},
+			MaxRounds: rounds,
+			Workers:   workers,
+		})
+}
+
 // TestBudgetRespected pins the hard budget: a search allowed N
 // simulations runs at most N, and every eligible candidate beyond the
 // budget is marked rather than silently dropped.
 func TestBudgetRespected(t *testing.T) {
-	res, err := autotune.Optimize(context.Background(), "gemm-naive",
-		workloads.GEMMSource(workloads.GEMMNaive),
-		autotune.Options{
-			Defines: workloads.GEMMDefines(workloads.GEMMNaive),
-			Params:  map[string]int64{"DIM": 64},
-			Budget:  autotune.Budget{Candidates: 4},
-		})
+	res, err := gemm16(context.Background(), 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,19 +129,13 @@ func TestBudgetRespected(t *testing.T) {
 	}
 }
 
-// TestDeterminism runs the same bounded search twice and requires
-// byte-identical reports.
+// TestDeterminism runs the same bounded search twice on four workers and
+// once on one, and requires byte-identical reports: both tiers fan out by
+// index and the de-duplication between them is serial, so neither
+// scheduling nor the pool width may show.
 func TestDeterminism(t *testing.T) {
-	run := func() []byte {
-		res, err := autotune.Optimize(context.Background(), "gemm-naive",
-			workloads.GEMMSource(workloads.GEMMNaive),
-			autotune.Options{
-				Defines:   workloads.GEMMDefines(workloads.GEMMNaive),
-				Params:    map[string]int64{"DIM": 64},
-				Budget:    autotune.Budget{Candidates: 6},
-				MaxRounds: 1,
-				Workers:   4,
-			})
+	run := func(workers int) []byte {
+		res, err := gemm16(context.Background(), 8, 2, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,9 +145,77 @@ func TestDeterminism(t *testing.T) {
 		}
 		return b
 	}
-	a, b := run(), run()
+	a, b, c := run(4), run(4), run(1)
 	if string(a) != string(b) {
 		t.Errorf("two identical searches produced different reports:\n%s\n%s", a, b)
+	}
+	if string(a) != string(c) {
+		t.Errorf("Workers=4 and Workers=1 produced different reports:\n%s\n%s", a, c)
+	}
+}
+
+// TestDeadlineNeverTruncates sweeps deadlines across the duration of a
+// search: whenever the deadline lands, the outcome is either the context
+// error or the byte-identical full report — never err == nil with the
+// candidates of an interrupted round marked compile-error or sim-error
+// and a winner elected from what was left.
+func TestDeadlineNeverTruncates(t *testing.T) {
+	if _, err := gemm16(context.Background(), 8, 2, 0); err != nil { // warm-up: time the second run
+		t.Fatal(err)
+	}
+	start := time.Now()
+	full, err := gemm16(context.Background(), 8, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+	want, err := json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const points = 8
+	cut := 0
+	for k := 1; k <= points; k++ {
+		ctx, cancel := context.WithTimeout(context.Background(), took*time.Duration(k)/points)
+		res, err := gemm16(ctx, 8, 2, 0)
+		cancel()
+		if err != nil {
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("deadline %d/%d: error %v is not the context's", k, points, err)
+			}
+			cut++
+			continue
+		}
+		got, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("deadline %d/%d of %v: err == nil with a truncated report: winner %q at %d cycles after %d rounds and %d sims, want %q at %d after %d and %d",
+				k, points, took, res.Winner, res.WinnerCycles, res.Rounds, res.SimsRun,
+				full.Winner, full.WinnerCycles, full.Rounds, full.SimsRun)
+		}
+	}
+	if cut == 0 {
+		t.Errorf("no deadline in the sweep cut the search short (full run took %v)", took)
+	}
+}
+
+// TestAllocationCeiling pins the cost of the static tier where a test,
+// not a benchmark, fails. A round analyses its base once: a two-round
+// DIM=16 search on one worker allocates 150,778 objects (a few dozen
+// either way from run to run, 152,726 under the race detector). Deriving
+// the legality report per candidate again costs 168,783, and with the
+// map-state solver as well it was 432,598; the ceiling sits between.
+func TestAllocationCeiling(t *testing.T) {
+	const ceiling = 160000
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := gemm16(context.Background(), 8, 2, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Errorf("two-round DIM=16 search allocates %.0f objects, ceiling %d", allocs, ceiling)
 	}
 }
 

@@ -119,31 +119,19 @@ func (s *Server) runOptimize(ctx context.Context, j *job, req *api.OptimizeReque
 	})
 	s.metrics.simsFinished.Add(1)
 	if err != nil {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if j.canceled {
-			return
-		}
-		j.errMsg = err.Error()
-		j.doneAt = time.Now()
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			j.state = api.JobCanceled
-			j.canceled = true
-			j.errKind = "deadline"
-		case isCtxErr(err):
-			j.state = api.JobCanceled
-			j.canceled = true
-			j.errKind = "canceled"
-		default:
-			j.state = api.JobFailed
-			j.errKind = "compile_error"
-		}
+		j.failOptimize(err)
 		return
 	}
 
 	unit := api.NewOptimizeUnit(name, res, nil)
 	files, names := s.renderOptimizeArtifact(req, unit)
+	// The store answers every later identical request, so only a search
+	// whose context is still live — no deadline passed, no client cancel —
+	// may write to it.
+	if err := ctx.Err(); err != nil {
+		j.failOptimize(fmt.Errorf("optimize: %w", err))
+		return
+	}
 	s.persistOptimize(digest, unit, names, files)
 
 	j.mu.Lock()
@@ -157,6 +145,32 @@ func (s *Server) runOptimize(ctx context.Context, j *job, req *api.OptimizeReque
 	j.artifacts = names
 	j.art = &artifact{files: files}
 	j.doneAt = time.Now()
+}
+
+// failOptimize ends the job with err: a passed deadline or a cancel ends
+// it canceled, anything else failed (no-op if the job was canceled
+// first).
+func (j *job) failOptimize(err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.canceled {
+		return
+	}
+	j.errMsg = err.Error()
+	j.doneAt = time.Now()
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		j.state = api.JobCanceled
+		j.canceled = true
+		j.errKind = "deadline"
+	case isCtxErr(err):
+		j.state = api.JobCanceled
+		j.canceled = true
+		j.errKind = "canceled"
+	default:
+		j.state = api.JobFailed
+		j.errKind = "compile_error"
+	}
 }
 
 // renderOptimizeArtifact assembles the downloadable bundle: the full

@@ -276,3 +276,58 @@ func TestOptimizeCompileErrorFailsJob(t *testing.T) {
 		t.Fatalf("doc = %+v", doc)
 	}
 }
+
+// TestOptimizeDeadlineLeavesNoStoreEntry: timeout_ms is not part of the
+// request digest, so whatever a timed-out search persisted would answer
+// every later identical request. A search whose deadline lands mid-round
+// must end canceled with kind deadline — not done with the interrupted
+// round's candidates marked compile-error and a winner elected from the
+// rest — and must leave nothing in the store. The timeouts span the
+// static and the simulation tiers of the DIM=32 search's early rounds;
+// a machine fast enough to finish inside one must return the full report.
+func TestOptimizeDeadlineLeavesNoStoreEntry(t *testing.T) {
+	s, ts := newStoreServer(t, t.TempDir(), Options{Workers: 2})
+	for i, timeout := range []int64{60, 150, 400} {
+		req := gemmOptimizeRequest(32-i, 0) // a digest of its own per timeout
+		req.Params = map[string]int64{"DIM": 32}
+		req.Wait = true
+		req.TimeoutMs = timeout
+
+		resp := postJSON(t, ts.URL+"/v1/optimize", req)
+		body := readAll(t, resp)
+		var doc api.Job
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatalf("timeout %d ms: %v: %s", timeout, err, body)
+		}
+		digest := resp.Header.Get("X-Nymbled-Run-Digest")
+		if doc.State == api.JobDone {
+			res, err := autotune.Optimize(context.Background(), req.Name, req.Source, autotune.Options{
+				Defines: req.Defines,
+				Params:  req.Params,
+				Budget:  autotune.Budget{Candidates: req.Budget},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := api.NewOptimizeUnit(req.Name, res, nil)
+			gotJSON, _ := json.Marshal(doc.Optimize)
+			wantJSON, _ := json.Marshal(want)
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("timeout %d ms: job done with a report that is not the full search's: winner %q after %d sims, want %q after %d",
+					timeout, doc.Optimize.Winner, doc.Optimize.SimsRun, want.Winner, want.SimsRun)
+			}
+			continue
+		}
+		if doc.State != api.JobCanceled || doc.ErrorKind != "deadline" {
+			t.Errorf("timeout %d ms: state %s kind %q (%s), want canceled/deadline", timeout, doc.State, doc.ErrorKind, doc.Error)
+		}
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Errorf("timeout %d ms: status %d, want 504", timeout, resp.StatusCode)
+		}
+		if ent, ok := s.cfg.Store.Get(digest); ok {
+			if _, err := ent.ReadFile(fileOptDocument); err == nil {
+				t.Errorf("timeout %d ms: the timed-out search left %s in the store", timeout, fileOptDocument)
+			}
+		}
+	}
+}

@@ -13,16 +13,20 @@
 // depend.AnalyzeRanges); tests can inject a doctored depend.Report
 // through Options.Report to prove the gate holds.
 //
-// Apply is the only mutation entry point: parse → gate → rewrite →
+// Base.Apply is the only mutation entry point: parse → gate → rewrite →
 // print → re-parse → print. The double print canonicalizes the output
 // (sema inserts coercion casts on the first re-parse), so applying a
 // pass is idempotent byte-wise: transforming already-transformed source
-// with identity parameters returns the input unchanged.
+// with identity parameters returns the input unchanged. Analyze does the
+// per-source work (the legality report above all) once for any number of
+// steps; the package-level Apply and Targets are Analyze followed by the
+// method.
 package transform
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"paravis/internal/absint"
 	"paravis/internal/depend"
@@ -136,31 +140,81 @@ func (c *passCtx) loopDeps(pass string, st *minic.ForStmt) (*depend.LoopDeps, er
 	return ld, nil
 }
 
-// Apply parses src, applies one transformation step and returns the
+// Base is one source analysed for any number of rewrites of it: the
+// parse, the target lookup, the legality report and the name-conflict
+// set are computed once by Analyze instead of once per step. A legality
+// report is valid only for the exact text it was derived from; holding
+// it beside that text is what lets a search reuse it safely. A Base is
+// read-only once built, so Apply and Targets may run on several
+// goroutines.
+type Base struct {
+	src   string
+	parse minic.Options
+	// ctx is the analysed tree with its report. Targets matches against
+	// it; Apply only borrows the report, lanes, env and used names.
+	ctx passCtx
+}
+
+// Analyze parses src and derives everything a pass needs to know about
+// it (opts.Report, when set, stands in for the derived legality report).
+func Analyze(src string, opts Options) (*Base, error) {
+	b := &Base{src: src, parse: minic.Options{Defines: opts.Defines, VectorLanes: opts.VectorLanes}}
+	_, fn, err := b.target()
+	if err != nil {
+		return nil, err
+	}
+	rep := opts.Report
+	if rep == nil {
+		rep = LegalityReport(fn, opts.Params)
+	}
+	b.ctx = passCtx{fn: fn, rep: rep, lanes: opts.lanes(), env: opts.Params, used: usedNames(fn)}
+	return b, nil
+}
+
+// target parses the base text and finds its kernel function.
+func (b *Base) target() (*minic.Program, *minic.FuncDecl, error) {
+	prog, err := minic.Parse(b.src, b.parse)
+	if err != nil {
+		return nil, nil, fmt.Errorf("transform: %w", err)
+	}
+	fn, _, err := minic.FindTarget(prog)
+	if err != nil {
+		return nil, nil, fmt.Errorf("transform: %w", err)
+	}
+	return prog, fn, nil
+}
+
+// Apply applies one transformation step to the base and returns the
 // canonical printed source. The emitted text is guaranteed to re-parse;
 // building, vetting and simulating it is the caller's business.
-func Apply(src string, step Step, opts Options) (string, error) {
-	prog, fn, ctx, err := analyze(src, opts)
+func (b *Base) Apply(step Step) (string, error) {
+	// Passes rewrite the tree in place, so every step gets a tree of its
+	// own; the report and the used names are keyed by loop and identifier
+	// names, which a re-parse of the same text reproduces.
+	prog, fn, err := b.target()
 	if err != nil {
 		return "", err
 	}
+	ctx := b.ctx
+	ctx.fn = fn
+	ctx.used = maps.Clone(b.ctx.used)
 	st := findLoop(fn, step.Loop)
 	if st == nil {
 		return "", notApplicable(step.Pass, step.Loop, "no such loop")
 	}
 	switch step.Pass {
 	case PassRedistribute:
-		err = redistribute(ctx, st)
+		err = redistribute(&ctx, st)
 	case PassVectorize:
-		err = vectorize(ctx, st)
+		err = vectorize(&ctx, st)
 	case PassUnroll:
-		err = unroll(ctx, st, step.param("factor", int64(ctx.lanes)))
+		err = unroll(&ctx, st, step.param("factor", int64(ctx.lanes)))
 	case PassTile:
-		err = tile(ctx, st, step.param("size", 8))
+		err = tile(&ctx, st, step.param("size", 8))
 	case PassBlockBRAM:
-		err = blockBRAM(ctx, st, step.param("bs", 8), step.param("vec", 1) != 0)
+		err = blockBRAM(&ctx, st, step.param("bs", 8), step.param("vec", 1) != 0)
 	case PassDoubleBuffer:
-		err = doubleBuffer(ctx, st)
+		err = doubleBuffer(&ctx, st)
 	default:
 		return "", fmt.Errorf("transform: unknown pass %q: %w", step.Pass, ErrNotApplicable)
 	}
@@ -168,6 +222,15 @@ func Apply(src string, step Step, opts Options) (string, error) {
 		return "", err
 	}
 	return canonical(prog, ctx.lanes)
+}
+
+// Apply is the one-shot form of Analyze followed by Base.Apply.
+func Apply(src string, step Step, opts Options) (string, error) {
+	b, err := Analyze(src, opts)
+	if err != nil {
+		return "", err
+	}
+	return b.Apply(step)
 }
 
 // lanes resolves the VECTOR lane count the way minic.Parse does for
@@ -212,24 +275,6 @@ func canonical(prog *minic.Program, lanes int) (string, error) {
 	return minic.Print(re), nil
 }
 
-func analyze(src string, opts Options) (*minic.Program, *minic.FuncDecl, *passCtx, error) {
-	prog, err := minic.Parse(src, minic.Options{Defines: opts.Defines, VectorLanes: opts.VectorLanes})
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("transform: %w", err)
-	}
-	fn, _, err := minic.FindTarget(prog)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("transform: %w", err)
-	}
-	rep := opts.Report
-	if rep == nil {
-		rep = LegalityReport(fn, opts.Params)
-	}
-	lanes := opts.lanes()
-	ctx := &passCtx{fn: fn, rep: rep, lanes: lanes, env: opts.Params, used: usedNames(fn)}
-	return prog, fn, ctx, nil
-}
-
 // LegalityReport derives the range-refined dependence report the passes
 // gate on: abstract-interpretation index ranges feeding the dependence
 // solver, exactly as the advisor and the vet report's depend section.
@@ -241,17 +286,14 @@ func LegalityReport(fn *minic.FuncDecl, params map[string]int64) *depend.Report 
 }
 
 // Targets enumerates the transformation steps whose structural matchers
-// fit the current source, in deterministic order (loops in source order,
-// passes in ladder order). Parameters are not filled in: the search
-// driver crosses each target with its parameter grid and lets Apply
-// check legality and divisibility.
-func Targets(src string, opts Options) ([]Step, error) {
-	_, fn, ctx, err := analyze(src, opts)
-	if err != nil {
-		return nil, err
-	}
+// fit the base, in deterministic order (loops in source order, passes in
+// ladder order). Parameters are not filled in: the search driver crosses
+// each target with its parameter grid and lets Apply check legality and
+// divisibility.
+func (b *Base) Targets() []Step {
+	ctx := &b.ctx
 	var out []Step
-	for _, st := range forsUnder(fn.Body) {
+	for _, st := range forsUnder(ctx.fn.Body) {
 		name := minic.LoopName(st)
 		if matchRedistribute(ctx, st) == nil {
 			out = append(out, Step{Pass: PassRedistribute, Loop: name})
@@ -272,5 +314,14 @@ func Targets(src string, opts Options) ([]Step, error) {
 			out = append(out, Step{Pass: PassTile, Loop: name})
 		}
 	}
-	return out, nil
+	return out
+}
+
+// Targets is the one-shot form of Analyze followed by Base.Targets.
+func Targets(src string, opts Options) ([]Step, error) {
+	b, err := Analyze(src, opts)
+	if err != nil {
+		return nil, err
+	}
+	return b.Targets(), nil
 }

@@ -3,6 +3,8 @@ package transform_test
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 
 	"paravis/internal/core"
@@ -348,6 +350,14 @@ func TestLyingLegality(t *testing.T) {
 				if !errors.Is(err, transform.ErrNotProven) {
 					t.Fatalf("%s: want ErrNotProven, got %v", tc.step.Pass, err)
 				}
+				// An analysed base honours the injected report the same way.
+				base, err := transform.Analyze(tc.src, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := base.Apply(tc.step); !errors.Is(err, transform.ErrNotProven) {
+					t.Fatalf("%s through Base: want ErrNotProven, got %v", tc.step.Pass, err)
+				}
 			})
 		}
 	}
@@ -379,4 +389,104 @@ func TestDoubleBufferFlowDep(t *testing.T) {
 	if _, err := transform.Apply(v4, step, opts); !errors.Is(err, transform.ErrNotProven) {
 		t.Fatalf("want ErrNotProven on carried flow through buffer, got %v", err)
 	}
+}
+
+// searchSteps crosses a base's structural targets with the search's
+// default parameter grid, the way autotune enumerates a round.
+func searchSteps(b *transform.Base) []transform.Step {
+	var out []transform.Step
+	for _, tg := range b.Targets() {
+		switch tg.Pass {
+		case transform.PassUnroll:
+			for _, f := range []int64{2, 4} {
+				out = append(out, transform.Step{Pass: tg.Pass, Loop: tg.Loop, Params: map[string]int64{"factor": f}})
+			}
+		case transform.PassTile:
+			for _, sz := range []int64{4, 8, 16} {
+				out = append(out, transform.Step{Pass: tg.Pass, Loop: tg.Loop, Params: map[string]int64{"size": sz}})
+			}
+		case transform.PassBlockBRAM:
+			for _, bs := range []int64{4, 8, 16} {
+				for _, vec := range []int64{1, 0} {
+					out = append(out, transform.Step{Pass: tg.Pass, Loop: tg.Loop, Params: map[string]int64{"bs": bs, "vec": vec}})
+				}
+			}
+		default:
+			out = append(out, tg)
+		}
+	}
+	return out
+}
+
+// TestBaseMatchesOneShot: on every round base of the GEMM ladder search,
+// every enumerated step applied through one shared Base returns what the
+// one-shot Apply returns on the same text, byte for byte, refusal text
+// included — with all of a base's steps applied concurrently, as the
+// search does, and each applied twice, so a step that saw another's
+// rewrite of the tree or its fresh names would show.
+func TestBaseMatchesOneShot(t *testing.T) {
+	opts := transform.Options{VectorLanes: 4, Params: map[string]int64{"DIM": 16}}
+	bases := ladderOutputs(t)
+	bases["naive"] = canonGEMM(t, workloads.GEMMNaive)
+	for name, src := range bases {
+		t.Run(name, func(t *testing.T) {
+			base, err := transform.Analyze(src, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oneShot, err := transform.Targets(src, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := base.Targets(); !reflect.DeepEqual(got, oneShot) {
+				t.Fatalf("Base.Targets = %v, one-shot Targets = %v", got, oneShot)
+			}
+			steps := searchSteps(base)
+			if len(steps) == 0 {
+				t.Fatal("no steps enumerated")
+			}
+			type result struct {
+				out string
+				err error
+			}
+			first := make([]result, len(steps))
+			again := make([]result, len(steps))
+			var wg sync.WaitGroup
+			for i := range steps {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					first[i].out, first[i].err = base.Apply(steps[i])
+					again[i].out, again[i].err = base.Apply(steps[i])
+				}()
+			}
+			wg.Wait()
+			applied := 0
+			for i, step := range steps {
+				want, wantErr := transform.Apply(src, step, opts)
+				for _, got := range []result{first[i], again[i]} {
+					if got.out != want || errText(got.err) != errText(wantErr) {
+						t.Errorf("%s on %s %v: Base.Apply = (%d bytes, %q), one-shot = (%d bytes, %q)",
+							step.Pass, step.Loop, step.Params, len(got.out), errText(got.err), len(want), errText(wantErr))
+					}
+				}
+				if wantErr == nil {
+					applied++
+				}
+			}
+			if applied == 0 {
+				t.Error("every step was refused: the comparison never saw a rewrite")
+			}
+			if got := base.Targets(); !reflect.DeepEqual(got, oneShot) {
+				t.Errorf("Targets changed after Apply: %v, was %v", got, oneShot)
+			}
+		})
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
