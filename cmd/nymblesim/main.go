@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	nymblesim [-D NAME=VALUE]... [-json] [-o dir] [-name base] [-noprofile] [-interp]
+//	nymblesim [-D NAME=VALUE]... [-json] [-o dir] [-name base] [-noprofile]
 //	          [-gzip] [-j N] [-sweep NAME=v1,v2,...] file.mc arg=value...
 //
 // -json replaces the text summary with the versioned run-summary
@@ -49,13 +49,12 @@ func main() {
 	base := flag.String("name", "", "trace base name (default: kernel name)")
 	asJSON := flag.Bool("json", false, "emit the run summary as JSON")
 	noProfile := flag.Bool("noprofile", false, "disable the profiling unit")
-	interp := flag.Bool("interp", false, "force the interpreted engine (per-op dispatch) instead of specialized stage closures")
 	gz := flag.Bool("gzip", false, "gzip-compress the trace body (trace.prv.gz)")
 	sweep := flag.String("sweep", "", "sweep a macro: NAME=v1,v2,... (one design point per value)")
 	workers := flag.Int("j", 0, "max design points simulated concurrently (0 = GOMAXPROCS)")
 	flag.Parse()
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: nymblesim [-D N=V] [-json] [-o dir] [-name base] [-noprofile] [-interp] [-gzip] [-j N] [-sweep NAME=v1,v2,...] file.mc arg=value...")
+		fmt.Fprintln(os.Stderr, "usage: nymblesim [-D N=V] [-json] [-o dir] [-name base] [-noprofile] [-gzip] [-j N] [-sweep NAME=v1,v2,...] file.mc arg=value...")
 		os.Exit(2)
 	}
 	if *workers > 0 {
@@ -76,7 +75,7 @@ func main() {
 	}
 
 	if *sweep != "" {
-		if err := runSweep(ctx, src, defines, *sweep, *workers, ints, floats, bufFiles, *noProfile, *interp); err != nil {
+		if err := runSweep(ctx, src, defines, *sweep, *workers, ints, floats, bufFiles, *noProfile); err != nil {
 			fatal(err)
 		}
 		return
@@ -93,7 +92,6 @@ func main() {
 
 	cfg := sim.DefaultConfig()
 	cfg.Profile.Enabled = !*noProfile
-	cfg.Interp = *interp
 	out, err := p.Run(ctx, args, cfg)
 	if err != nil {
 		fatal(err)
@@ -142,12 +140,7 @@ func main() {
 	printStallHotspots(os.Stdout, r.StallsByLoop, r.TotalStalls())
 	fmt.Printf("DRAM: %d transactions, %d B read, %d B written\n",
 		r.DRAM.Transactions, r.DRAM.ReadWordsMoved*4, r.DRAM.WriteWordsMoved*4)
-	for name, v := range r.ScalarsOut {
-		fmt.Printf("result %s = %g\n", name, v)
-	}
-	for name, v := range r.ScalarsOutInt {
-		fmt.Printf("result %s = %d\n", name, v)
-	}
+	printResults(os.Stdout, r.ScalarsOut, r.ScalarsOutInt)
 	if out.Streams != nil {
 		bw := summary.BWBytesPerCycle
 		fmt.Printf("avg external bandwidth: %.3f B/cycle (%.2f GB/s)\n",
@@ -175,7 +168,7 @@ func main() {
 // macro. Design points are independent, so they run concurrently; the table
 // is printed in the order the values were given.
 func runSweep(ctx context.Context, src string, defines cli.Defines, spec string, workers int,
-	ints map[string]int64, floats map[string]float64, bufFiles map[string]string, noProfile, interp bool) error {
+	ints map[string]int64, floats map[string]float64, bufFiles map[string]string, noProfile bool) error {
 	name, list, found := strings.Cut(spec, "=")
 	if !found || list == "" {
 		return fmt.Errorf("-sweep wants NAME=v1,v2,..., got %q", spec)
@@ -207,7 +200,6 @@ func runSweep(ctx context.Context, src string, defines cli.Defines, spec string,
 		}
 		cfg := sim.DefaultConfig()
 		cfg.Profile.Enabled = !noProfile
-		cfg.Interp = interp
 		out, err := p.Run(ctx, args, cfg)
 		if err != nil {
 			return fmt.Errorf("%s=%s: %w", name, vals[i], err)
@@ -246,6 +238,26 @@ func runSweep(ctx context.Context, src string, defines cli.Defines, spec string,
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "nymblesim:", err)
 	os.Exit(1)
+}
+
+// printResults lists the scalars the kernel wrote back, floats then ints,
+// each group in name order so the output does not depend on map iteration.
+func printResults(w io.Writer, floats map[string]float64, ints map[string]int64) {
+	for _, name := range sortedKeys(floats) {
+		fmt.Fprintf(w, "result %s = %g\n", name, floats[name])
+	}
+	for _, name := range sortedKeys(ints) {
+		fmt.Fprintf(w, "result %s = %d\n", name, ints[name])
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // printStallHotspots lists the loops that stalled, most stall cycles

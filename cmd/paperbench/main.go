@@ -4,7 +4,7 @@
 // Usage:
 //
 //	paperbench [-exp all|overhead|fig6|fig7|speedup|fig8|fig9|pi|threads|bounds|serving|depend]
-//	           [-dim N] [-pisteps a,b,c] [-quiet] [-j N] [-interp]
+//	           [-dim N] [-pisteps a,b,c] [-quiet] [-j N]
 //
 // -exp bounds runs the static-bounds cross-validation (E10); -exp
 // serving measures the nymbled serving path (E11: cold-miss vs
@@ -16,10 +16,7 @@
 // §V-C ladder from the naive GEMM, tabulated against the hand-written
 // versions, with -optbudget capping the simulator confirmations).
 // None of the four is part of -exp all so the default output stays
-// byte-identical across releases. -interp forces the interpreted
-// per-op engine instead of the specialized stage closures (the output
-// must be byte-identical either way — the interpreter is the
-// differential-testing oracle). Timing lives in benchmark/, not here.
+// byte-identical across releases. Timing lives in benchmark/, not here.
 package main
 
 import (
@@ -42,7 +39,6 @@ func main() {
 	piSteps := flag.String("pisteps", "102400,409600,1024000", "comma-separated pi iteration counts")
 	quiet := flag.Bool("quiet", false, "suppress ASCII timeline/sparkline views")
 	workers := flag.Int("j", 0, "max design points simulated concurrently (0 = GOMAXPROCS)")
-	interp := flag.Bool("interp", false, "force the interpreted engine (per-op dispatch) instead of specialized stage closures")
 	optBudget := flag.Int("optbudget", 32, "simulator-confirmation budget for -exp optimize")
 	flag.Parse()
 
@@ -55,7 +51,6 @@ func main() {
 	opts.GEMMDim = *dim
 	opts.Quiet = *quiet
 	opts.Workers = *workers
-	opts.SimCfg.Interp = *interp
 	opts.PiSteps = nil
 	for _, f := range strings.Split(*piSteps, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))

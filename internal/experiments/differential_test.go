@@ -3,106 +3,14 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"paravis/internal/cluster"
-	"paravis/internal/core"
 	"paravis/internal/paraver"
 	"paravis/internal/sim"
 	"paravis/internal/workloads"
 )
-
-// The specialized stage-closure engine must be observationally equal to
-// the interpreted oracle on every seed workload: identical cycle counts,
-// identical kernel outputs, and byte-identical Paraver trace bundles.
-// This is the acceptance gate for the specialization pass — any drift in
-// scheduling, profiling, or evaluation shows up as a trace diff here.
-func TestWorkloadTracesInterpVsSpecialized(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs all six workloads twice")
-	}
-	ctx := context.Background()
-	const dim, threads = 32, 4
-
-	writeTrace := func(t *testing.T, out *core.RunOutput, dir, base string) map[string][]byte {
-		t.Helper()
-		if _, err := out.WriteTrace(dir, base); err != nil {
-			t.Fatalf("write trace: %v", err)
-		}
-		files := map[string][]byte{}
-		for _, ext := range []string{".prv", ".pcf", ".row"} {
-			data, err := os.ReadFile(filepath.Join(dir, base+ext))
-			if err != nil {
-				t.Fatalf("read trace file: %v", err)
-			}
-			files[ext] = data
-		}
-		return files
-	}
-
-	compare := func(t *testing.T, name string, spec, interp *core.RunOutput) {
-		t.Helper()
-		if sc, ic := spec.Result.Cycles, interp.Result.Cycles; sc != ic {
-			t.Errorf("%s: cycles %d (spec) != %d (interp)", name, sc, ic)
-		}
-		sd, id := t.TempDir(), t.TempDir()
-		sf := writeTrace(t, spec, sd, "s")
-		tf := writeTrace(t, interp, id, "s")
-		for ext, sb := range sf {
-			if string(sb) != string(tf[ext]) {
-				t.Errorf("%s: trace %s differs between engines (%d vs %d bytes)",
-					name, ext, len(sb), len(tf[ext]))
-			}
-		}
-	}
-
-	for _, v := range workloads.AllGEMMVersions {
-		v := v
-		t.Run(v.String(), func(t *testing.T) {
-			cfg := sim.DefaultConfig()
-			spec, err := RunGEMM(ctx, v, dim, threads, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Interp = true
-			interp, err := RunGEMM(ctx, v, dim, threads, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !spec.Correct || !interp.Correct {
-				t.Errorf("correctness: spec=%v interp=%v", spec.Correct, interp.Correct)
-			}
-			compare(t, v.String(), spec.Out, interp.Out)
-		})
-	}
-
-	t.Run("pi", func(t *testing.T) {
-		opts := DefaultOptions()
-		opts.Quiet = true
-		opts.PiSteps = []int{25600}
-		spec, err := RunPi(ctx, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.SimCfg.Interp = true
-		interp, err := RunPi(ctx, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sr, ir := spec.Runs[0], interp.Runs[0]
-		if !sr.Correct || !ir.Correct {
-			t.Errorf("pi correctness: spec=%v interp=%v", sr.Correct, ir.Correct)
-		}
-		if sr.Out.Result.ScalarsOut["final_sum"] != ir.Out.Result.ScalarsOut["final_sum"] {
-			t.Errorf("pi sum differs: spec=%v interp=%v",
-				sr.Out.Result.ScalarsOut["final_sum"], ir.Out.Result.ScalarsOut["final_sum"])
-		}
-		compare(t, "pi", sr.Out, ir.Out)
-	})
-}
 
 // recordLog is a trace visitor that keeps every call it receives, in
 // order: the collecting oracle of the scan-equivalence test.

@@ -144,34 +144,51 @@ func fetchTrace(t *testing.T, base, jobID, file string) []byte {
 	return body
 }
 
-// TestDispatchByteIdentity routes one run through the dispatcher and
-// asserts the trace it serves is byte-identical to what a standalone
-// worker produces for the same request — dispatch adds routing, never
-// bytes.
+// TestDispatchByteIdentity routes every seed workload (the five GEMM
+// versions and pi) through the dispatcher and asserts the trace it serves
+// is byte-identical to what a standalone worker produces for the same
+// request — dispatch adds routing, never bytes.
 func TestDispatchByteIdentity(t *testing.T) {
 	_, front, _, _ := newFleet(t, 2, Options{})
 	_, solo := newWorker(t, "")
 
-	req := gemmRunRequest(12)
-	viaFleet := runViaDispatcher(t, front.URL, req, "")
+	reqs := map[string]api.RunRequest{
+		"pi": {
+			SchemaVersion: api.Version,
+			Source:        workloads.PiSource,
+			Defines:       workloads.PiDefines(),
+			Ints:          map[string]int64{"steps": 6400, "threads": 8},
+			Floats:        map[string]float64{"step": 1.0 / 6400, "final_sum": 0},
+			Wait:          true,
+		},
+	}
+	for _, v := range workloads.AllGEMMVersions {
+		req := gemmRunRequest(16)
+		req.Source = workloads.GEMMSource(v)
+		req.Defines = workloads.GEMMDefines(v)
+		reqs[workloads.UnitName(v)] = req
+	}
+	for name, req := range reqs {
+		viaFleet := runViaDispatcher(t, front.URL, req, "")
 
-	resp := postJSON(t, solo.URL+"/v1/run", req, "")
-	var direct api.Job
-	if err := json.Unmarshal(readAll(t, resp), &direct); err != nil {
-		t.Fatal(err)
-	}
-	if direct.State != api.JobDone {
-		t.Fatalf("direct run: state %s, error %q", direct.State, direct.Error)
-	}
+		resp := postJSON(t, solo.URL+"/v1/run", req, "")
+		var direct api.Job
+		if err := json.Unmarshal(readAll(t, resp), &direct); err != nil {
+			t.Fatal(err)
+		}
+		if direct.State != api.JobDone {
+			t.Fatalf("%s: direct run: state %s, error %q", name, direct.State, direct.Error)
+		}
 
-	if len(viaFleet.Trace) == 0 {
-		t.Fatal("fleet run produced no trace files")
-	}
-	for _, file := range viaFleet.Trace {
-		fleetBytes := fetchTrace(t, front.URL, viaFleet.ID, file)
-		soloBytes := fetchTrace(t, solo.URL, direct.ID, file)
-		if !bytes.Equal(fleetBytes, soloBytes) {
-			t.Errorf("trace %s differs through dispatcher (%d vs %d bytes)", file, len(fleetBytes), len(soloBytes))
+		if len(viaFleet.Trace) == 0 {
+			t.Fatalf("%s: fleet run produced no trace files", name)
+		}
+		for _, file := range viaFleet.Trace {
+			fleetBytes := fetchTrace(t, front.URL, viaFleet.ID, file)
+			soloBytes := fetchTrace(t, solo.URL, direct.ID, file)
+			if !bytes.Equal(fleetBytes, soloBytes) {
+				t.Errorf("%s: trace %s differs through dispatcher (%d vs %d bytes)", name, file, len(fleetBytes), len(soloBytes))
+			}
 		}
 	}
 }

@@ -67,8 +67,12 @@ type CNode struct {
 
 // CStage is one pipeline stage of a compiled graph.
 type CStage struct {
-	// Pure lists positions of pure ops evaluated when a token enters.
+	// Pure lists positions of pure ops evaluated when a token enters, in
+	// schedule order.
 	Pure []int32
+	// Eval evaluates them: the closures of the Pure ops fused into one call
+	// (nil for a stage with no pure work).
+	Eval PureFn
 	// Issue lists positions of VLOs issued when a token enters.
 	Issue []int32
 	// IntOps / FpOps / FpLanes are the activation counts reported to the
@@ -133,9 +137,6 @@ type CKernel struct {
 	// GlobalNames maps external-array names to GlobalIdx order.
 	GlobalNames []string
 	Lanes       int
-	// Spec holds the specialized stage-closure programs, indexed like
-	// Graphs; a nil entry means the graph must run interpreted.
-	Spec []*SpecGraph
 }
 
 // GlobalIndex returns the table index of a named global array, or -1.
@@ -175,9 +176,11 @@ func Compile(k *ir.Kernel, s *schedule.Schedule) (*CKernel, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := compileStages(cg); err != nil {
+			return nil, err
+		}
 		ck.Graphs = append(ck.Graphs, cg)
 	}
-	ck.Spec = Specialize(ck)
 	return ck, nil
 }
 

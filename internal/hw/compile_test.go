@@ -1,11 +1,10 @@
 package hw
 
 import (
+	"fmt"
 	"testing"
 
 	"paravis/internal/ir"
-	"paravis/internal/lower"
-	"paravis/internal/minic"
 	"paravis/internal/schedule"
 )
 
@@ -27,19 +26,7 @@ void f(float* A, float* out, int n) {
 
 func compileSum(t testing.TB) *CKernel {
 	t.Helper()
-	prog, err := minic.Parse(sumSrc, minic.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := lower.Lower(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := schedule.Build(k, schedule.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, err := Compile(k, s)
+	ck, err := compileSource(sumSrc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +155,34 @@ func TestStatistics(t *testing.T) {
 	}
 }
 
+// keepLive stores every given value into a local array, so the scheduler
+// places the nodes computing them in a stage instead of dropping them as
+// dead.
+func keepLive(b *ir.Builder, vals ...*ir.Node) {
+	sink := &ir.ArrayRef{Space: ir.SpaceLocal, Name: "sink", ElemWords: 1}
+	idx := b.ConstInt(0)
+	for _, v := range vals {
+		b.Store(sink, idx, v, 1)
+	}
+}
+
+// scheduleHandGraph wraps a single hand-built top graph in a kernel and
+// schedules it.
+func scheduleHandGraph(t *testing.T, b *ir.Builder) (*ir.Kernel, *schedule.Schedule) {
+	t.Helper()
+	k := &ir.Kernel{
+		Name: "t", NumThreads: 1, Top: b.Graph(),
+		Locals: []ir.LocalArray{{Name: "sink", ElemWords: 1, NumElems: 1}},
+	}
+	s, err := schedule.Build(k, schedule.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, s
+}
+
 func TestEvalPureOps(t *testing.T) {
-	// Build a tiny graph by hand to exercise the evaluator.
+	// Build a tiny graph by hand to exercise the stage closures.
 	nextID := 0
 	b := ir.NewBuilder(0, "g", &nextID)
 	ci := b.ConstInt(7)
@@ -190,23 +203,18 @@ func TestEvalPureOps(t *testing.T) {
 	extWrap := b.Extract(ins, b.ConstInt(7)) // wraps to lane 3
 	sel := b.Select(lt, ci, cj)
 	not := b.Not(lt)
+	keepLive(b, add, mul, div, rem, divz, fmul, ext, extWrap, sel, not)
 
-	g := b.Graph()
-	g.Cond = nil
-	k := &ir.Kernel{Name: "t", NumThreads: 1, Top: g}
-	s, err := schedule.Build(k, schedule.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, err := Compile(k, s)
+	ck, err := Compile(scheduleHandGraph(t, b))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cg := ck.Graphs[0]
 	vals := make([]Value, len(cg.Nodes))
-	for i := range cg.Nodes {
-		if err := cg.EvalPure(int32(i), vals, nil, 5, 8); err != nil {
-			t.Fatalf("eval node %d: %v", i, err)
+	env := &ExecEnv{ThreadID: 5, NumThreads: 8}
+	for si := range cg.Stages {
+		if eval := cg.Stages[si].Eval; eval != nil {
+			eval(vals, env)
 		}
 	}
 	at := func(n *ir.Node) Value { return vals[n.ID] }
@@ -236,5 +244,22 @@ func TestEvalPureOps(t *testing.T) {
 	}
 	if at(not).I != 1 {
 		t.Errorf("not = %d", at(not).I)
+	}
+}
+
+// Float modulo has no closure. ir.Validate (run by schedule.Build) rejects
+// it, so the test flips an int remainder to float after scheduling; Compile
+// must fail naming graph and node.
+func TestCompileRejectsFloatRem(t *testing.T) {
+	nextID := 0
+	b := ir.NewBuilder(0, "g", &nextID)
+	rem := b.Bin(ir.OpRem, b.ConstInt(7), b.ConstInt(2))
+	keepLive(b, rem)
+	k, s := scheduleHandGraph(t, b)
+	rem.Kind = ir.KindFloat
+	_, err := Compile(k, s)
+	want := fmt.Sprintf("hw: graph g n@%d: no stage closure for float rem", rem.ID)
+	if err == nil || err.Error() != want {
+		t.Fatalf("Compile error = %v, want %q", err, want)
 	}
 }

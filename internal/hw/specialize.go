@@ -1,79 +1,60 @@
 package hw
 
-import "paravis/internal/ir"
+import (
+	"fmt"
 
-// This file is the kernel-specialization pass: after scheduling, every
-// graph's pure dataflow is compiled once into a flat array of
-// type-specialized stage closures (threaded-code style). Operand positions
-// are resolved to precomputed indices into the frame's flat register file,
-// int/float/vector variants are split at compile time, and the engine's
-// inner loop becomes "call the next closure in the stage array" — no
-// per-cycle switch on Op or Kind, no map lookups, no interface boxing.
-// The interpreted path (EvalPure) stays available behind the simulator's
-// Interp escape hatch and serves as the differential-testing oracle.
+	"paravis/internal/ir"
+)
 
-// ExecEnv carries the run-constant inputs a specialized closure needs
-// beyond the register file: the resolved kernel parameters and the
-// executing hardware thread's identity.
+// This file is the evaluator of pure dataflow: Compile turns every stage's
+// pure ops into one type-specialized closure (threaded-code style) and
+// stores it on the stage as CStage.Eval. Operand positions are resolved to
+// indices into the frame's flat register file, int/float/vector variants
+// are split at compile time, and the engine's stage entry is "call the
+// stage's closure" — no per-cycle switch on Op or Kind, no map lookups, no
+// interface boxing. A pure op without a closure is a Compile error. The
+// per-op reference interpreter the closures are tested against lives in
+// eval_test.go.
+
+// ExecEnv carries the run-constant inputs a stage closure needs beyond the
+// register file: the resolved kernel parameters and the executing hardware
+// thread's identity.
 type ExecEnv struct {
 	Params     []Value
 	ThreadID   int64
 	NumThreads int64
 }
 
-// PureFn executes one pure node against the frame's register file. The
-// node's operand and destination slots are captured at specialization time.
+// PureFn executes pure nodes against the frame's register file. Operand
+// and destination slots are captured at compile time.
 type PureFn func(vals []Value, env *ExecEnv)
 
-// SpecGraph holds one graph's specialized stage program: Fns is the flat
-// closure array, stage s spans Fns[Off[s]:Off[s+1]] in schedule order.
-type SpecGraph struct {
-	Fns []PureFn
-	Off []int32
-	// Fused merges each stage's closures into one (nil for stages with no
-	// pure work), so the engine dispatches a whole stage in at most one
-	// indirect call.
-	Fused []PureFn
-}
-
-// Stage returns the closure slice of one stage.
-func (sg *SpecGraph) Stage(s int32) []PureFn { return sg.Fns[sg.Off[s]:sg.Off[s+1]] }
-
-// Specialize compiles every graph of a compiled kernel into stage-closure
-// form. Graphs containing a pure op the specializer cannot execute (only
-// float/vector modulo, which the interpreter also rejects at runtime) get a
-// nil entry, and the engine falls back to the interpreted path for them.
-func Specialize(ck *CKernel) []*SpecGraph {
-	out := make([]*SpecGraph, len(ck.Graphs))
-	for i, cg := range ck.Graphs {
-		out[i] = specializeGraph(cg)
-	}
-	return out
-}
-
-func specializeGraph(cg *CGraph) *SpecGraph {
-	sg := &SpecGraph{Off: make([]int32, 1, len(cg.Stages)+1)}
+// compileStages sets Eval on every stage of cg. The only pure ops without
+// a closure are float and vector modulo, which sema and ir.Validate already
+// reject, so a failure here means a hand-built or corrupted graph.
+func compileStages(cg *CGraph) error {
+	var fns []PureFn // scratch, reused across stages
 	for si := range cg.Stages {
-		for _, pos := range cg.Stages[si].Pure {
+		st := &cg.Stages[si]
+		fns = fns[:0]
+		for _, pos := range st.Pure {
 			fn, ok := specializeNode(cg, pos)
 			if !ok {
-				return nil
+				n := &cg.Nodes[pos]
+				return fmt.Errorf("hw: graph %s n@%d: no stage closure for %s %s", cg.Name, pos, n.Kind, n.Op)
 			}
 			if fn != nil {
-				sg.Fns = append(sg.Fns, fn)
+				fns = append(fns, fn)
 			}
 		}
-		sg.Off = append(sg.Off, int32(len(sg.Fns)))
+		st.Eval = fuse(fns)
 	}
-	sg.Fused = make([]PureFn, len(cg.Stages))
-	for si := range sg.Fused {
-		sg.Fused[si] = fuse(sg.Stage(int32(si)))
-	}
-	return sg
+	return nil
 }
 
 // fuse folds a stage's closure list into a single call, keeping schedule
-// order. Small counts get unrolled wrappers to avoid loop overhead.
+// order. Small counts get unrolled wrappers to avoid loop overhead. The
+// result does not retain fns.
 func fuse(fns []PureFn) PureFn {
 	switch len(fns) {
 	case 0:
@@ -87,6 +68,7 @@ func fuse(fns []PureFn) PureFn {
 		f0, f1, f2 := fns[0], fns[1], fns[2]
 		return func(v []Value, env *ExecEnv) { f0(v, env); f1(v, env); f2(v, env) }
 	default:
+		fns = append([]PureFn(nil), fns...)
 		return func(v []Value, env *ExecEnv) {
 			for _, fn := range fns {
 				fn(v, env)
@@ -97,7 +79,7 @@ func fuse(fns []PureFn) PureFn {
 
 // specializeNode compiles one pure node into a closure. It returns
 // (nil, true) for nodes that evaluate to nothing (engine-written slots),
-// and (nil, false) when the node cannot be specialized.
+// and (nil, false) when the node has no closure.
 func specializeNode(cg *CGraph, pos int32) (PureFn, bool) {
 	n := &cg.Nodes[pos]
 	p := pos
@@ -263,8 +245,7 @@ func specializeArith(n *CNode, p, a, b int32) (PureFn, bool) {
 			}, true
 		}
 	}
-	// Float/vector modulo: the interpreter rejects it at runtime, so the
-	// whole graph falls back to the interpreted path.
+	// Float/vector modulo.
 	return nil, false
 }
 
@@ -299,4 +280,32 @@ func specializeCmp(cg *CGraph, n *CNode, p, a, b int32) PureFn {
 	default:
 		return func(v []Value, _ *ExecEnv) { v[p].I = boolToInt(v[a].I != v[b].I) }
 	}
+}
+
+// ensureVec makes v.V a lanes-wide scratch slice, reusing prior storage.
+func ensureVec(v *Value, lanes int) []float32 {
+	if cap(v.V) < lanes {
+		v.V = make([]float32, lanes)
+	}
+	v.V = v.V[:lanes]
+	return v.V
+}
+
+// wrapLane reduces a lane select into range, as a hardware mux would.
+func wrapLane(lane int64, n int) int64 {
+	if n <= 0 {
+		return 0
+	}
+	lane %= int64(n)
+	if lane < 0 {
+		lane += int64(n)
+	}
+	return lane
+}
+
+func boolToInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }

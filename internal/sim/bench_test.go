@@ -20,7 +20,9 @@ void bk(float* A, float* B, int n) {
 }
 `
 
-func benchRun(b *testing.B, interp bool) {
+// BenchmarkCompiledKernelStep measures the engine: each op is one full
+// simulation of the kernel through the fused stage closures.
+func BenchmarkCompiledKernelStep(b *testing.B) {
 	ck := compileSrc(b, benchSrc, nil)
 	const n = 512
 	in := make([]float32, n)
@@ -28,7 +30,6 @@ func benchRun(b *testing.B, interp bool) {
 		in[i] = float32(i%7) - 3
 	}
 	cfg := fastConfig()
-	cfg.Interp = interp
 	var cycles int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -45,11 +46,3 @@ func benchRun(b *testing.B, interp bool) {
 	}
 	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
 }
-
-// BenchmarkCompiledKernelStep measures the specialized engine: each op is
-// one full simulation of the kernel through the fused stage closures.
-func BenchmarkCompiledKernelStep(b *testing.B) { benchRun(b, false) }
-
-// BenchmarkEngineStepInterp is the interpreted baseline for the same
-// kernel (per-op switch dispatch), for before/after comparison.
-func BenchmarkEngineStepInterp(b *testing.B) { benchRun(b, true) }

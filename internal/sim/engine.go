@@ -150,10 +150,8 @@ type pending struct {
 
 type frame struct {
 	cg *hw.CGraph
-	// sp is the graph's specialized stage program (nil on the interpreted
-	// path); occ / ow alias the engine's occupancy and occupancy-waiter
-	// rows for this graph.
-	sp      *hw.SpecGraph
+	// occ / ow alias the engine's occupancy and occupancy-waiter rows for
+	// this graph.
 	occ     []int32
 	ow      [][]occWaiter
 	gi      int32
@@ -216,7 +214,7 @@ type thread struct {
 	started  bool
 	done     bool
 	endCycle int64
-	// env feeds the specialized stage closures (run-constant inputs).
+	// env feeds the stage closures (run-constant inputs).
 	env hw.ExecEnv
 	// sleepUntil is the earliest cycle any frame of this thread can act
 	// again: 0 while any frame is awake, the min frame wake-up when all
@@ -1011,9 +1009,6 @@ func (e *engine) frameFor(t *thread, gi int) *frame {
 		carries:   e.allocVals(cg.NumCarry),
 	}
 	f.enterCycle = e.cycle
-	if !e.cfg.Interp {
-		f.sp = e.ck.Spec[gi]
-	}
 	t.cache[gi] = f
 	t.sleepUntil = 0
 	e.lives[t.li].wake = 0

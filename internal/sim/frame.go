@@ -206,19 +206,8 @@ func (e *engine) stepFrame(t *thread, f *frame) bool {
 	st := &cg.Stages[s]
 	t.pendInt += int64(st.IntOps)
 	t.pendFp += int64(st.FpLanes)
-	if f.sp != nil {
-		// Specialized path: the stage is a precompiled (fused) closure
-		// with operand slots resolved at compile time — no op dispatch.
-		if fn := f.sp.Fused[s]; fn != nil {
-			fn(f.vals, &t.env)
-		}
-	} else {
-		for _, pos := range st.Pure {
-			if err := cg.EvalPure(pos, f.vals, e.params, int64(t.id), int64(e.ck.K.NumThreads)); err != nil {
-				e.fail(fmt.Errorf("sim: thread %d graph %s n@%d: %w", t.id, cg.Name, pos, err))
-				return progress
-			}
-		}
+	if st.Eval != nil {
+		st.Eval(f.vals, &t.env)
 	}
 	for _, pos := range st.Issue {
 		ok, err := e.issueVLO(t, f, pos)

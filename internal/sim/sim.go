@@ -35,10 +35,6 @@ type Config struct {
 	Profile profile.Config
 	// MaxCycles aborts runaway simulations (0 = 4e9).
 	MaxCycles int64
-	// Interp forces the interpreted per-op dispatch path instead of the
-	// specialized stage closures. Both paths are cycle- and bit-exact;
-	// the interpreter is kept as the differential-testing oracle.
-	Interp bool
 }
 
 // DefaultConfig returns the configuration used by the paper-reproduction
