@@ -3,6 +3,9 @@ package sim
 import (
 	"context"
 	"testing"
+
+	"paravis/internal/hw"
+	"paravis/internal/workloads"
 )
 
 // benchSrc is a small strided compute kernel: enough arithmetic per stage
@@ -45,4 +48,71 @@ func BenchmarkCompiledKernelStep(b *testing.B) {
 		cycles = r.Cycles
 	}
 	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
+}
+
+// seedUnit is one of the six seed workloads (five GEMM steps and pi) sized
+// for a test or benchmark: the compiled kernel and a constructor of fresh
+// launch arguments, since a run writes its from/tofrom buffers back.
+type seedUnit struct {
+	name string
+	ck   *hw.CKernel
+	args func() Args
+}
+
+// seedUnits compiles the seed workloads at GEMM dimension dim and piSteps
+// series steps (a multiple of threads * BS_compute = 64).
+func seedUnits(tb testing.TB, dim, piSteps int) []seedUnit {
+	tb.Helper()
+	a, b := workloads.GEMMInputs(dim)
+	var us []seedUnit
+	for _, u := range workloads.Units() {
+		su := seedUnit{name: u.Name, ck: compileSrc(tb, u.Source, u.Defines)}
+		if _, gemm := u.Params["DIM"]; gemm {
+			su.args = func() Args {
+				return Args{
+					Ints: map[string]int64{"DIM": int64(dim)},
+					Buffers: map[string]*Buffer{
+						"A": NewFloatBuffer(a), "B": NewFloatBuffer(b), "C": NewZeroBuffer(dim * dim),
+					},
+				}
+			}
+		} else {
+			su.args = func() Args {
+				return Args{
+					Ints:   map[string]int64{"steps": int64(piSteps), "threads": 8},
+					Floats: map[string]float64{"step": 1 / float64(piSteps), "final_sum": 0},
+				}
+			}
+		}
+		us = append(us, su)
+	}
+	return us
+}
+
+// BenchmarkEngineSeeds measures the engine layer alone on the six seed
+// workloads (five GEMM steps at DIM=32, pi at 25 600 steps), profiling on
+// as in a CLI run: simulated Mcycles per host second, host ns per frame
+// step, and frames the scheduler examined per frame it stepped (1 when it
+// steps only what is due).
+func BenchmarkEngineSeeds(b *testing.B) {
+	for _, u := range seedUnits(b, 32, 25600) {
+		b.Run(u.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			var cycles, steps, visits int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := Run(context.Background(), u.ck, u.args(), cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles += r.Cycles
+				steps += r.Steps
+				visits += r.FrameVisits
+			}
+			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+			b.ReportMetric(float64(visits)/float64(steps), "visits/step")
+		})
+	}
 }

@@ -36,42 +36,35 @@ type engine struct {
 	mapLow     map[string]int64
 	mapLen     map[string]int64
 
-	threads []*thread
-	// live is the worklist of started, not-yet-done threads; nextStart
-	// indexes the first unstarted thread (startAt is monotonic in id).
-	// liveIDs mirrors live with thread ids and twake mirrors
-	// thread.sleepUntil by id (MaxInt64 once a thread is done), so the
-	// per-cycle scan reads two compact arrays instead of chasing one
-	// pointer per sleeping thread.
-	// lives is the scan list of started, unfinished threads. Each entry
-	// pairs the thread with its wake cycle (0 while any frame is awake,
-	// min frame wake-up otherwise, MaxInt64 once external-event bound or
-	// done) inline, so the per-cycle scan walks one contiguous array.
-	// thread.li is the entry index, maintained across prunes.
-	lives []liveEnt
-	// minWake lower-bounds every live entry's wake: the per-cycle scan
-	// only runs when minWake <= cycle. Wake paths reset it to 0; the scan
-	// raises it back to the observed minimum.
-	minWake   int64
-	nextStart int
-	// nextStartAt caches threads[nextStart].startAt (MaxInt64 when all
+	// threads holds every hardware thread by id; threads[:nextStart] have
+	// been started by the host (startAt is monotonic in id), the rest not
+	// yet. nextStartAt caches threads[nextStart].startAt (MaxInt64 when all
 	// threads have started): the per-cycle host-start check is one compare.
+	threads     []*thread
+	nextStart   int
 	nextStartAt int64
+	nDone       int // threads whose top region has finished
+	// due is the set of threads with at least one ready frame, by id;
+	// stepDue walks it once per stepped cycle. Wake paths and timed wakes
+	// that have come due add to it (readyFrame); a thread leaves it when
+	// its walk ends with an empty ready set.
+	due ordSet
 	// occ tracks static-stage occupancy: occ[graph][stage] = thread id
 	// or -1. Reordering stages are never tracked (one context per thread).
 	occ [][]int32
-	// occW lists (thread, frame) pairs sleeping on a held static-stage
-	// slot: occW[graph][stage]. freeOcc wakes and clears the slot's list,
-	// so occupancy-blocked frames need not poll every cycle.
-	occW [][][]occWaiter
+	// occW lists the frames sleeping on a held static-stage slot:
+	// occW[graph][stage]. freeOcc wakes and clears the slot's list, so
+	// occupancy-blocked frames need not poll every cycle.
+	occW [][][]*frame
 
-	// wakes is a min-heap of future cycles at which some sleeping frame
-	// has a timed wake-up (pending retry, timed-VLO completion). Entries
-	// may be stale (the frame was woken early); stale entries are popped
-	// lazily. woken flags that an external wake (DRAM completion, barrier
-	// release, child finish) fired this cycle, so a fast-forward jump must
-	// not skip the next cycle.
-	wakes []int64
+	// wakes is a min-heap of timed wake-ups (pending retry, timed-VLO
+	// completion), each carrying the frame it is for; fireTimedWakes pops
+	// the due ones at the start of a cycle and readies their frames. An
+	// entry whose frame was woken early is stale and dropped when popped.
+	// woken flags that an external wake (DRAM completion, barrier release,
+	// child finish) fired this cycle, so a fast-forward jump must not skip
+	// the next cycle.
+	wakes []timedWake
 	woken bool
 	// nPortSleep counts frames asleep on a busy memory port. While any
 	// exist, fast-forward jumps are capped at the next sample-window
@@ -114,6 +107,9 @@ type engine struct {
 	// out-of-bounds access); the main loop stops on it.
 	runErr error
 
+	// Scheduler work counters, published on the Result (see Result.Steps).
+	steps, failedSteps, frameVisits, threadVisits, jumps int64
+
 	args Args
 }
 
@@ -152,9 +148,13 @@ type frame struct {
 	cg *hw.CGraph
 	// occ / ow alias the engine's occupancy and occupancy-waiter rows for
 	// this graph.
-	occ     []int32
-	ow      [][]occWaiter
-	gi      int32
+	occ []int32
+	ow  [][]*frame
+	gi  int32
+	// t is the owning thread and ai the frame's index in t.active (and so
+	// in t.ready); both are set when the frame is activated.
+	t       *thread
+	ai      int32
 	vals    []hw.Value
 	carries []hw.Value
 	// stage is the token position: -1 = about to start an iteration.
@@ -181,8 +181,9 @@ type frame struct {
 	// finished marks the frame for removal from the thread's active list.
 	finished bool
 
-	// Sleep bookkeeping: a blocked frame that cannot change state on its
-	// own goes to sleep until sleepUntil (math.MaxInt64 when only an
+	// Sleep bookkeeping: sleepUntil is 0 while the frame is in its thread's
+	// ready set. A blocked frame that cannot change state on its own leaves
+	// the set and sleeps until sleepUntil (math.MaxInt64 when only an
 	// external event can wake it). sleepFrom records the cycle it slept;
 	// if sleepStall is set, the skipped cycles are charged as stalls when
 	// the frame next steps, reproducing the 1-stall-per-blocked-cycle
@@ -201,28 +202,13 @@ type frame struct {
 	holdsOcc bool
 }
 
-// liveEnt is one scan-list entry: the wake cycle inline with the thread
-// pointer (see engine.lives).
-type liveEnt struct {
-	wake int64
-	t    *thread
-}
-
 type thread struct {
 	id       int
 	startAt  int64
-	started  bool
 	done     bool
 	endCycle int64
 	// env feeds the stage closures (run-constant inputs).
 	env hw.ExecEnv
-	// sleepUntil is the earliest cycle any frame of this thread can act
-	// again: 0 while any frame is awake, the min frame wake-up when all
-	// are asleep. The engine skips whole threads on it, so a 16-thread
-	// sweep does not re-scan 15 sleeping pipelines every cycle.
-	sleepUntil int64
-	// li is this thread's index in engine.lives (-1 when not listed).
-	li int
 	// pendInt/pendFp accumulate compute-op counts locally; the engine
 	// flushes them to the profiling unit at window boundaries (and at
 	// thread end), which is equivalent to per-stage AddCompute calls
@@ -233,7 +219,11 @@ type thread struct {
 	// any in-flight loop instances. Independent sibling loops execute
 	// concurrently (the dataflow permitting), which is what lets the
 	// double-buffered GEMM overlap its prefetch and compute loops.
-	active   []*frame
+	active []*frame
+	// ready is the set of indices into active of the frames that step on
+	// the thread's next walk, in issue order. A frame leaves it when it
+	// goes to sleep or finishes and re-enters it through readyFrame.
+	ready    ordSet
 	cache    []*frame
 	extRead  bool
 	extWrite bool
@@ -311,7 +301,7 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 	// graph, so the hot path bumps a counter slot instead of hashing the
 	// loop name into a map).
 	e.occ = make([][]int32, len(ck.Graphs))
-	e.occW = make([][][]occWaiter, len(ck.Graphs))
+	e.occW = make([][][]*frame, len(ck.Graphs))
 	e.siteIDs = make([]int, len(ck.Graphs))
 	e.loopIters = make([]int64, len(ck.Graphs))
 	e.loopExecs = make([]int64, len(ck.Graphs))
@@ -321,7 +311,7 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 		for s := range e.occ[gi] {
 			e.occ[gi][s] = -1
 		}
-		e.occW[gi] = make([][]occWaiter, cg.Depth)
+		e.occW[gi] = make([][]*frame, cg.Depth)
 		e.siteIDs[gi] = e.prof.SiteID(cg.Name)
 	}
 
@@ -337,7 +327,6 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 	for t := 0; t < n; t++ {
 		e.threads = append(e.threads, &thread{
 			id:      t,
-			li:      -1,
 			startAt: int64(t) * cfg.ThreadStart,
 			cache:   make([]*frame, len(ck.Graphs)),
 			env: hw.ExecEnv{
@@ -347,6 +336,7 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 			},
 		})
 	}
+	e.due = make(ordSet, (n+63)/64)
 	return e, nil
 }
 
@@ -427,13 +417,10 @@ func (e *engine) setupMemory() error {
 // hostWords fetches the host-side initial contents for a to/tofrom map.
 func (e *engine) hostWords(m ir.Map, low, length int64) ([]uint32, error) {
 	if m.Scalar {
-		w := make([]uint32, 1)
 		if m.Float {
-			w = mem.FloatsToWords([]float32{float32(e.args.Floats[m.Name])})
-		} else {
-			w = mem.IntsToWords([]int32{int32(e.args.Ints[m.Name])})
+			return mem.FloatsToWords([]float32{float32(e.args.Floats[m.Name])}), nil
 		}
-		return w, nil
+		return mem.IntsToWords([]int32{int32(e.args.Ints[m.Name])}), nil
 	}
 	buf, ok := e.args.Buffers[m.Name]
 	if !ok {
@@ -512,7 +499,6 @@ func (e *engine) run(ctx context.Context) error {
 	if maxCycles <= 0 {
 		maxCycles = 4_000_000_000
 	}
-	nDone := 0
 	iter := uint64(0)
 	done := ctx.Done()
 	e.profNext = e.prof.NextBoundary()
@@ -521,7 +507,7 @@ func (e *engine) run(ctx context.Context) error {
 		e.nextStartAt = e.threads[e.nextStart].startAt
 	}
 	for {
-		if nDone == len(e.threads) && !e.dram.Busy() {
+		if e.nDone == len(e.threads) && !e.dram.Busy() {
 			break
 		}
 		if iter&ctxCheckMask == 0 && done != nil {
@@ -543,105 +529,12 @@ func (e *engine) run(ctx context.Context) error {
 				e.nextStartAt = e.threads[e.nextStart].startAt
 			}
 		}
-		finished := false
-		if e.minWake <= e.cycle {
-			// MaxInt64 during the scan, so a mid-scan wake (which sets
-			// minWake to 0) survives the post-scan minimum update.
-			e.minWake = math.MaxInt64
-			next := int64(math.MaxInt64)
-			for li := range e.lives {
-				if w := e.lives[li].wake; w > e.cycle {
-					if w < next {
-						next = w
-					}
-					continue
-				}
-				t := e.lives[li].t
-				if t.done {
-					continue
-				}
-				// Step the thread (hand-inlined: this runs once per due
-				// thread per stepped cycle): advance every active frame by
-				// at most one stage; frames spawned this cycle are not
-				// stepped until the next. While walking, record the
-				// earliest frame wake-up so the scan can skip the whole
-				// thread without re-scanning its pipelines. The sleepUntil
-				// sentinel detects a mid-scan wake of this very thread (a
-				// stepped frame freeing a slot or finishing a child can
-				// wake an already-passed sibling): any wake path writes 0
-				// over it, forcing the thread to stay due.
-				anyFinished := false
-				erred := false
-				n := len(t.active)
-				min := int64(math.MaxInt64)
-				t.sleepUntil = -1
-				for i := 0; i < n; i++ {
-					f := t.active[i]
-					if f.finished {
-						continue
-					}
-					if s := f.sleepUntil; s > e.cycle {
-						if s < min {
-							min = s
-						}
-						continue
-					}
-					if e.stepFrame(t, f) {
-						progress = true
-					}
-					if e.runErr != nil {
-						erred = true
-						break
-					}
-					if f.finished {
-						anyFinished = true
-						continue
-					}
-					if s := f.sleepUntil; s > e.cycle {
-						if s < min {
-							min = s
-						}
-					} else {
-						min = 0
-					}
-				}
-				if erred {
-					min = 0
-				} else {
-					if len(t.active) > n {
-						// Frames spawned this cycle step next cycle.
-						min = 0
-					}
-					if anyFinished {
-						keep := t.active[:0]
-						for _, f := range t.active {
-							if !f.finished {
-								keep = append(keep, f)
-							}
-						}
-						t.active = keep
-					}
-					if len(t.active) == 0 {
-						min = 0
-					}
-					if t.sleepUntil == 0 {
-						min = 0 // woken mid-scan
-					}
-					t.sleepUntil = min
-				}
-				if t.done {
-					nDone++
-					finished = true
-					continue
-				}
-				e.lives[li].wake = min
-				if min < next {
-					next = min
-				}
-			}
-			if next < e.minWake {
-				e.minWake = next
-			}
+		e.fireTimedWakes()
+		if e.stepDue() {
+			progress = true
+		}
+		if e.runErr != nil {
+			return e.runErr
 		}
 		if e.cycle >= e.profNext {
 			// Settle sleeping frames' owed stalls before closing the
@@ -649,8 +542,7 @@ func (e *engine) run(ctx context.Context) error {
 			// per-cycle stepping. The boundary cycle itself is included:
 			// per-cycle stepping charges the stall for cycle c before the
 			// window closing at c is flushed.
-			for li := range e.lives {
-				t := e.lives[li].t
+			for _, t := range e.threads[:e.nextStart] {
 				for _, f := range t.active {
 					if f.sleepStall && f.sleepFrom >= 0 && f.sleepFrom < e.cycle {
 						f.pendStalls += e.cycle - f.sleepFrom
@@ -672,21 +564,6 @@ func (e *engine) run(ctx context.Context) error {
 		if e.dram.Pending(e.cycle) {
 			e.dram.Tick(e.cycle)
 		}
-		if e.runErr != nil {
-			return e.runErr
-		}
-		if finished {
-			keep := e.lives[:0]
-			for _, ent := range e.lives {
-				if ent.t.done {
-					ent.t.li = -1
-					continue
-				}
-				ent.t.li = len(keep)
-				keep = append(keep, ent)
-			}
-			e.lives = keep
-		}
 
 		if !progress {
 			next := e.nextEventCycle()
@@ -700,8 +577,7 @@ func (e *engine) run(ctx context.Context) error {
 				// past the span so their owed-stall settlement covers only
 				// stepped cycles.
 				skip := next - e.cycle - 1
-				for li := range e.lives {
-					t := e.lives[li].t
+				for _, t := range e.threads[:e.nextStart] {
 					var last *frame
 					for _, f := range t.active {
 						if f.stalledNow {
@@ -716,6 +592,7 @@ func (e *engine) run(ctx context.Context) error {
 					}
 				}
 				e.cycle = next - 1
+				e.jumps++
 			}
 		}
 		e.cycle++
@@ -733,13 +610,78 @@ func (e *engine) run(ctx context.Context) error {
 	return nil
 }
 
+// stepDue steps what is due this cycle: threads in id order, each thread's
+// ready frames in issue order. Both sets are re-read after every step, so a
+// wake raised by a step reaches a later thread (or a later frame of the
+// stepping thread) this cycle and an earlier one next cycle — the order in
+// which a scan over every thread and frame would have come across it. A
+// thread whose walk leaves it no ready frame drops out of the due set. It
+// stops at the first execution error (engine.runErr).
+func (e *engine) stepDue() (progress bool) {
+	for id := e.due.next(0); id >= 0; id = e.due.next(id + 1) {
+		t := e.threads[id]
+		e.threadVisits++
+		// Frames spawned during the walk are ready but sit past its end,
+		// so they step next cycle. A frame that blocks or finishes takes
+		// itself out of the ready set (sleepFrame, finishGraph).
+		n := len(t.active)
+		retired := false
+		for i := t.ready.next(0); i >= 0 && i < n; i = t.ready.next(i + 1) {
+			f := t.active[i]
+			e.frameVisits++
+			if e.stepFrame(t, f) {
+				progress = true
+			} else {
+				e.failedSteps++
+			}
+			if e.runErr != nil {
+				return progress
+			}
+			if f.finished {
+				retired = true
+			}
+			if i == n-1 {
+				break // usual case: the innermost loop, last in issue order
+			}
+		}
+		if retired {
+			t.compact()
+		}
+		if t.ready.empty() {
+			e.due.del(id)
+		}
+		if id == len(e.threads)-1 {
+			break
+		}
+	}
+	return progress
+}
+
+// compact drops finished frames from the active list and renumbers the
+// survivors; ready membership follows the frames.
+func (t *thread) compact() {
+	keep := t.active[:0]
+	clear(t.ready)
+	for _, f := range t.active {
+		if f.finished {
+			continue
+		}
+		f.ai = int32(len(keep))
+		if f.sleepUntil == 0 {
+			t.ready.add(len(keep))
+		}
+		keep = append(keep, f)
+	}
+	t.active = keep
+}
+
 // nextEventCycle computes the earliest future cycle at which any state can
-// change. On a no-progress cycle every live frame is either asleep (its
-// wake is in the heap, or it waits on an external event such as a DRAM
-// completion, a freed port, or a freed stage slot), so the answer is the
-// earliest of: an external wake that fired this cycle (next cycle), the
-// wake heap top, DRAM activity, or the next thread start. Returns -1 if
-// nothing is pending (deadlock).
+// change. On a no-progress cycle every live frame is asleep (its wake is in
+// the heap, or it waits on an external event such as a DRAM completion, a
+// freed port, or a freed stage slot), so the answer is the earliest of: an
+// external wake that fired this cycle (next cycle), the wake heap top
+// (stale or not: a jump never passes an entry), DRAM activity, or the next
+// thread start. Returns -1 if nothing is pending (deadlock).
 //
 // While any frame sleeps on a busy memory port (nPortSleep > 0) the jump
 // is additionally capped at the next profiling sample-window boundary.
@@ -763,11 +705,8 @@ func (e *engine) nextEventCycle() int64 {
 			next = c
 		}
 	}
-	for len(e.wakes) > 0 && e.wakes[0] <= e.cycle {
-		e.popWake()
-	}
 	if len(e.wakes) > 0 {
-		consider(e.wakes[0])
+		consider(e.wakes[0].at)
 	}
 	if d := e.dram.NextEventCycle(e.cycle); d >= 0 {
 		consider(d)
@@ -781,13 +720,32 @@ func (e *engine) nextEventCycle() int64 {
 	return next
 }
 
+// timedWake is one wake-heap entry: frame f sleeps until cycle at.
+type timedWake struct {
+	at int64
+	f  *frame
+}
+
+// fireTimedWakes pops every heap entry that has come due and readies its
+// frame. An entry is stale when its frame no longer sleeps until exactly
+// that cycle (an external wake got there first, or the frame has since
+// retired); dropping it changes nothing.
+func (e *engine) fireTimedWakes() {
+	for len(e.wakes) > 0 && e.wakes[0].at <= e.cycle {
+		w := e.popWake()
+		if w.f.sleepUntil == w.at {
+			e.readyFrame(w.f)
+		}
+	}
+}
+
 // pushWake / popWake maintain the min-heap of timed frame wake-ups.
-func (e *engine) pushWake(c int64) {
-	h := append(e.wakes, c)
+func (e *engine) pushWake(at int64, f *frame) {
+	h := append(e.wakes, timedWake{at, f})
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if h[p] <= h[i] {
+		if h[p].at <= h[i].at {
 			break
 		}
 		h[p], h[i] = h[i], h[p]
@@ -796,8 +754,9 @@ func (e *engine) pushWake(c int64) {
 	e.wakes = h
 }
 
-func (e *engine) popWake() {
+func (e *engine) popWake() timedWake {
 	h := e.wakes
+	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
 	h = h[:n]
@@ -807,23 +766,24 @@ func (e *engine) popWake() {
 		if l >= n {
 			break
 		}
-		if r := l + 1; r < n && h[r] < h[l] {
+		if r := l + 1; r < n && h[r].at < h[l].at {
 			l = r
 		}
-		if h[i] <= h[l] {
+		if h[i].at <= h[l].at {
 			break
 		}
 		h[i], h[l] = h[l], h[i]
 		i = l
 	}
 	e.wakes = h
+	return top
 }
 
-// sleepFrame puts a blocked frame to sleep until its earliest timed wake
-// (pending retry or timed-VLO completion); frames blocked purely on
-// external events (DRAM ports, async VLOs, barriers, child loops) sleep
-// until woken by the completing event. stall records whether the skipped
-// cycles count as pipeline stalls.
+// sleepFrame takes a blocked frame out of its thread's ready set until its
+// earliest timed wake (pending retry or timed-VLO completion), which goes
+// on the wake heap; frames blocked purely on external events (DRAM ports,
+// async VLOs, barriers, child loops) sleep until woken by the completing
+// event. stall records whether the skipped cycles count as pipeline stalls.
 func (e *engine) sleepFrame(f *frame, stall bool) {
 	wake := int64(math.MaxInt64)
 	port := false
@@ -850,50 +810,35 @@ func (e *engine) sleepFrame(f *frame, stall bool) {
 	f.sleepUntil = wake
 	f.sleepFrom = e.cycle
 	f.sleepStall = stall
+	f.t.ready.del(int(f.ai))
 	if port {
 		f.portSleep = true
 		e.nPortSleep++
 	}
 	if wake < math.MaxInt64 {
-		e.pushWake(wake)
+		e.pushWake(wake, f)
 	}
 }
 
-// occWaiter is one sleeping (thread, frame) pair registered on a held
-// static-stage slot.
-type occWaiter struct {
-	t *thread
-	f *frame
-}
-
-// wakeThread wakes every sleeping frame of a thread (barrier release).
-func (e *engine) wakeThread(t *thread) {
-	for _, f := range t.active {
-		if f.sleepUntil > e.cycle {
-			f.sleepUntil = 0
-		}
-	}
-	t.sleepUntil = 0
-	e.lives[t.li].wake = 0
-	e.minWake = 0
-	e.woken = true
-}
-
-// wakeFrame wakes one sleeping frame (and its thread's scan entry). It is
-// the targeted alternative to wakeThread for completions whose effect is
-// confined to a known frame: sibling frames keep sleeping, skipping the
-// wake->recheck->re-block churn a broadcast wake causes. A suppressed
-// spurious wake only removes steps that could not have changed state (any
-// step that makes progress is armed by its own timed wake), and sleeping
-// frames settle owed stalls on wake and at window boundaries, so targeted
-// and broadcast wakes produce identical traces — targeted is just cheaper.
-func (e *engine) wakeFrame(t *thread, f *frame) {
-	if f.sleepUntil > e.cycle {
+// readyFrame puts a sleeping frame back into its thread's ready set and the
+// thread into the due set; a frame that is already ready is left alone.
+func (e *engine) readyFrame(f *frame) {
+	if f.sleepUntil != 0 {
 		f.sleepUntil = 0
+		f.t.ready.add(int(f.ai))
+		e.due.add(f.t.id)
 	}
-	t.sleepUntil = 0
-	e.lives[t.li].wake = 0
-	e.minWake = 0
+}
+
+// wakeFrame wakes one sleeping frame for a completion whose effect is
+// confined to it (child loop finished, stage slot freed): sibling frames
+// keep sleeping. A wake that is not raised only removes a step that could
+// not have changed state (any step that makes progress is armed by its own
+// timed or targeted wake), and sleeping frames settle owed stalls on wake
+// and at window boundaries, so targeted wakes produce the traces a
+// broadcast would.
+func (e *engine) wakeFrame(f *frame) {
+	e.readyFrame(f)
 	e.woken = true
 }
 
@@ -902,20 +847,25 @@ func (e *engine) wakeFrame(t *thread, f *frame) {
 // freed that port, so their retries can now go out.
 func (e *engine) wakePort(t *thread, target *frame) {
 	for _, f := range t.active {
-		if (f == target || f.portSleep) && f.sleepUntil > e.cycle {
-			f.sleepUntil = 0
+		if f == target || f.portSleep {
+			e.readyFrame(f)
 		}
 	}
-	t.sleepUntil = 0
-	e.lives[t.li].wake = 0
-	e.minWake = 0
+	e.woken = true
+}
+
+// wakeThread wakes every sleeping frame of a thread (barrier release).
+func (e *engine) wakeThread(t *thread) {
+	for _, f := range t.active {
+		e.readyFrame(f)
+	}
 	e.woken = true
 }
 
 // wakeAllThreads wakes every sleeping frame (barrier release).
 func (e *engine) wakeAllThreads() {
-	for li := range e.lives {
-		e.wakeThread(e.lives[li].t)
+	for _, t := range e.threads[:e.nextStart] {
+		e.wakeThread(t)
 	}
 }
 
@@ -960,16 +910,19 @@ func (e *engine) scratch(n int) []uint32 {
 }
 
 func (e *engine) startThread(t *thread) {
-	t.started = true
-	t.li = len(e.lives)
-	e.lives = append(e.lives, liveEnt{wake: 0, t: t})
 	e.prof.SetState(e.cycle, t.id, profile.StateRunning)
 	f := e.frameFor(t, e.ck.TopIdx)
 	f.parent = nil
 	f.loopVLO = nil
-	f.stage = -1
+	e.activate(t, f)
+}
+
+// activate appends a fresh frame to its thread's active list, ready to step.
+func (e *engine) activate(t *thread, f *frame) {
+	f.ai = int32(len(t.active))
 	t.active = append(t.active, f)
-	e.minWake = 0
+	t.ready.add(int(f.ai))
+	e.due.add(t.id)
 }
 
 // frameFor returns the thread's cached frame for a graph, creating it on
@@ -991,28 +944,23 @@ func (e *engine) frameFor(t *thread, gi int) *frame {
 		f.holdsOcc = false
 		f.minWait = math.MaxInt32
 		f.enterCycle = e.cycle
-		t.sleepUntil = 0
-		e.lives[t.li].wake = 0
-		e.minWake = 0
 		return f
 	}
 	cg := e.ck.Graphs[gi]
 	f := &frame{
-		cg:        cg,
-		occ:       e.occ[gi],
-		ow:        e.occW[gi],
-		gi:        int32(gi),
-		stage:     -1,
-		sleepFrom: -1,
-		minWait:   math.MaxInt32,
-		vals:      e.allocVals(len(cg.Nodes)),
-		carries:   e.allocVals(cg.NumCarry),
+		cg:         cg,
+		occ:        e.occ[gi],
+		ow:         e.occW[gi],
+		gi:         int32(gi),
+		t:          t,
+		stage:      -1,
+		sleepFrom:  -1,
+		minWait:    math.MaxInt32,
+		vals:       e.allocVals(len(cg.Nodes)),
+		carries:    e.allocVals(cg.NumCarry),
+		enterCycle: e.cycle,
 	}
-	f.enterCycle = e.cycle
 	t.cache[gi] = f
-	t.sleepUntil = 0
-	e.lives[t.li].wake = 0
-	e.minWake = 0
 	return f
 }
 
@@ -1043,6 +991,11 @@ func (e *engine) finish() (*Result, error) {
 		TransferToDevBytes:   e.transferTo,
 		TransferFromDevBytes: e.transferFrom,
 		TransferCycles:       e.transferCycles,
+		Steps:                e.steps,
+		FailedSteps:          e.failedSteps,
+		FrameVisits:          e.frameVisits,
+		ThreadVisits:         e.threadVisits,
+		Jumps:                e.jumps,
 	}
 	last := int64(0)
 	for _, t := range e.threads {

@@ -22,14 +22,11 @@ func copyVal(dst *hw.Value, src *hw.Value) {
 	}
 }
 
-// DebugTrace enables verbose per-cycle logging (development aid).
-var DebugTrace = false
-
-// stepFrame advances one frame by at most one stage.
+// stepFrame advances one ready frame (sleepUntil == 0) by at most one
+// stage. It reports whether any state changed; a frame that could not move
+// has put itself to sleep (blockFrame, waitOcc) by the time it returns.
 func (e *engine) stepFrame(t *thread, f *frame) bool {
-	if DebugTrace {
-		fmt.Printf("c%d t%d g%s stage=%d out=%d pend=%d\n", e.cycle, t.id, f.cg.Name, f.stage, len(f.outstanding), len(f.pendings))
-	}
+	e.steps++
 	// Settle sleep bookkeeping: charge the stalls the skipped cycles
 	// would have accrued under per-cycle stepping.
 	if f.sleepFrom >= 0 {
@@ -44,7 +41,6 @@ func (e *engine) stepFrame(t *thread, f *frame) bool {
 		f.portSleep = false
 		e.nPortSleep--
 	}
-	f.sleepUntil = 0
 	f.stalledNow = false
 	progress := false
 
@@ -134,7 +130,7 @@ func (e *engine) stepFrame(t *thread, f *frame) bool {
 		if !ok {
 			e.blockFrame(t, f, stall, !occ)
 			if occ {
-				e.waitOcc(t, f, 0)
+				e.waitOcc(f, 0)
 			}
 			return progress
 		}
@@ -187,7 +183,7 @@ func (e *engine) stepFrame(t *thread, f *frame) bool {
 		if !ok {
 			e.blockFrame(t, f, stall, !occ)
 			if occ {
-				e.waitOcc(t, f, s)
+				e.waitOcc(f, s)
 			}
 			return progress
 		}
@@ -314,7 +310,7 @@ func (e *engine) beginIteration(f *frame) {
 
 // freeOcc releases the token's static-stage slot and wakes the frames
 // sleeping on it. freeOcc only runs on progress paths, so waiters later in
-// the live order still step this cycle — exactly when per-cycle polling
+// the thread order still step this cycle — exactly when per-cycle polling
 // would have observed the freed slot. The holdsOcc guard keeps the call an
 // inlined branch on the (common) non-static stages.
 func (e *engine) freeOcc(t *thread, f *frame) {
@@ -333,27 +329,27 @@ func (e *engine) freeOccSlow(t *thread, f *frame) {
 	f.occ[s] = -1
 	if w := f.ow[s]; len(w) > 0 {
 		for i := range w {
-			e.wakeFrame(w[i].t, w[i].f)
-			w[i] = occWaiter{}
+			e.wakeFrame(w[i])
+			w[i] = nil
 		}
 		f.ow[s] = w[:0]
 	}
 }
 
-// waitOcc registers the blocked thread as a waiter on a held slot so
+// waitOcc registers the blocked frame as a waiter on a held slot so
 // freeOcc can wake it; until then the frame sleeps (sleepFrame arms any
 // earlier timed wake, e.g. a speculative load retiring mid-wait).
-func (e *engine) waitOcc(t *thread, f *frame, s int32) {
+func (e *engine) waitOcc(f *frame, s int32) {
 	e.sleepFrame(f, true)
-	if f.sleepUntil <= e.cycle {
-		return // a retirement is due next cycle; poll instead
+	if f.sleepUntil == 0 {
+		return // still ready: it steps again next cycle
 	}
 	for _, w := range f.ow[s] {
-		if w.t == t {
+		if w == f {
 			return
 		}
 	}
-	f.ow[s] = append(f.ow[s], occWaiter{t: t, f: f})
+	f.ow[s] = append(f.ow[s], f)
 }
 
 // issueVLO attempts to issue one variable-latency operation. It returns
@@ -450,7 +446,7 @@ func (e *engine) issueLoop(t *thread, f *frame, cn *hw.CNode, pos int32) (bool, 
 	for i := 0; i < sub.NumCarry; i++ {
 		copyVal(&child.carries[i], &f.vals[cn.Args[sub.NumLiveIn+i]])
 	}
-	t.active = append(t.active, child)
+	e.activate(t, child)
 	return true, nil
 }
 
@@ -459,7 +455,7 @@ func (e *engine) issueLoop(t *thread, f *frame, cn *hw.CNode, pos int32) (bool, 
 // retired. Finishing the top region ends the thread.
 func (e *engine) finishGraph(t *thread, f *frame) {
 	if f.pendStalls != 0 {
-		// The frame leaves the scan set now; flush its owed stalls into
+		// The frame leaves the active list now; flush its owed stalls into
 		// the still-open window.
 		e.prof.AddStallsSite(t.id, e.siteIDs[f.gi], f.pendStalls)
 		f.pendStalls = 0
@@ -469,11 +465,12 @@ func (e *engine) finishGraph(t *thread, f *frame) {
 	e.loopSpans[f.gi] += e.cycle - f.enterCycle
 	f.stage = -1
 	f.finished = true
+	t.ready.del(int(f.ai))
 	if f.parent == nil {
 		t.done = true
-		e.lives[t.li].wake = math.MaxInt64
+		e.nDone++
 		if t.pendInt != 0 || t.pendFp != 0 {
-			// The thread leaves the scan list now; flush its compute
+			// The thread is never walked again; flush its compute
 			// counts into the still-open window.
 			e.prof.AddCompute(t.id, t.pendInt, t.pendFp)
 			t.pendInt, t.pendFp = 0, 0
@@ -490,7 +487,7 @@ func (e *engine) finishGraph(t *thread, f *frame) {
 	f.loopVLO.done = true
 	f.loopVLO.doneCycle = e.cycle
 	// The parent may be asleep waiting on this child.
-	e.wakeFrame(t, parent)
+	e.wakeFrame(parent)
 }
 
 // issueMem issues a load or store against BRAM or external DRAM.
@@ -572,7 +569,7 @@ func (e *engine) issueMem(t *thread, f *frame, cn *hw.CNode, pos int32) (bool, e
 			t.rdVLO.done = true
 			t.rdVLO.doneCycle = c
 			t.extRead = false
-			e.wakeThread(t)
+			e.wakePort(t, t.rdFrame)
 		}
 	}
 	if err := e.dram.Submit(req); err != nil {

@@ -132,6 +132,15 @@ type Result struct {
 	ItersByLoop  map[string]int64
 	ExecsByLoop  map[string]int64
 	ActiveByLoop map[string]int64
+
+	// Steps .. Jumps count the scheduler's own work, deterministically, so
+	// a test can tell an engine that steps only what is due from one that
+	// polls: Steps is stepFrame calls and FailedSteps those that changed no
+	// state; FrameVisits is frames the per-thread walks examined (they see
+	// ready frames only, so it equals Steps) and ThreadVisits the walks;
+	// Jumps is fast-forwards over idle cycles. They describe the simulator,
+	// not the simulated hardware, and appear in no summary or report.
+	Steps, FailedSteps, FrameVisits, ThreadVisits, Jumps int64
 }
 
 // TotalFpOps sums FLOPs across threads.
