@@ -29,8 +29,6 @@ import (
 	"paravis/internal/api"
 	"paravis/internal/cli"
 	"paravis/internal/core"
-	"paravis/internal/perfbound"
-	"paravis/internal/staticcheck"
 	"paravis/internal/workloads"
 )
 
@@ -105,9 +103,5 @@ func analyzeOne(name, src string, defines map[string]string, params map[string]i
 	if err != nil {
 		return api.NewPerfUnit(name, nil, nil, nil, err)
 	}
-	cfg := perfbound.DefaultConfig()
-	cfg.TripHints = api.AbsintTripHints(prog.Fn, params)
-	rep := perfbound.Analyze(prog.Kernel, prog.Sched, params, cfg)
-	ds := staticcheck.CheckPerf(name, prog.Kernel, prog.Sched, params)
-	return api.NewPerfUnit(name, rep, ds, api.NewDependSummary(prog.Fn, params), nil)
+	return api.AnalyzePerf(name, prog, params)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"paravis/internal/minic"
+	"paravis/internal/workloads"
 )
 
 func analyzeSrc(t *testing.T, src string, env map[string]int64) *Result {
@@ -416,5 +417,49 @@ func TestUnreachableLoop(t *testing.T) {
 	}
 	if c, ok := lf.Trips.Const(); !ok || c != 0 {
 		t.Errorf("unreachable loop trips = %+v", lf.Trips)
+	}
+}
+
+// TestStatesHoldTrackedIntsOnly pins the solver's state layout and cost on
+// the naive GEMM: a flow state has one slot per tracked integer scalar —
+// not one per declared variable, most of which are pointers and floats —
+// and a whole analysis stays under its allocation ceiling (one slab backs
+// every state, so the count does not move with the layout; the bytes do).
+func TestStatesHoldTrackedIntsOnly(t *testing.T) {
+	w := workloads.Units()[0]
+	prog, err := minic.Parse(w.Source, minic.Options{Defines: w.Defines})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, _, err := minic.FindTarget(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := resolveFn(fn)
+	tracked := 0
+	for _, v := range res.vars {
+		if v.tracked {
+			if v.slot != tracked {
+				t.Errorf("%s: slot %d, want %d", v.name, v.slot, tracked)
+			}
+			tracked++
+		}
+	}
+	if res.slots != tracked || tracked == 0 || tracked >= len(res.vars) {
+		t.Fatalf("%d slots for %d tracked of %d variables", res.slots, tracked, len(res.vars))
+	}
+	a := newAnalysis(fn, res, w.Params, defaultWidenDelay)
+	states := []state{a.tmpIn, a.tmpOut, a.tmpEdge}
+	for _, f := range a.flows {
+		states = append(states, f.in.st, f.outN.st, f.outT.st, f.outF.st)
+	}
+	for _, st := range states {
+		if len(st) != tracked {
+			t.Errorf("a state has %d slots, want %d", len(st), tracked)
+		}
+	}
+	const ceiling = 160
+	if got := testing.AllocsPerRun(5, func() { Analyze(fn, Options{Env: w.Params}) }); got > ceiling {
+		t.Errorf("absint.Analyze(gemm-naive): %.0f allocations, ceiling %d", got, ceiling)
 	}
 }

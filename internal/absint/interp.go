@@ -6,7 +6,8 @@ import (
 	"paravis/internal/minic"
 )
 
-// state holds one abstract value per variable, indexed by variable.id,
+// state holds one abstract value per tracked variable (the integer
+// scalars: nothing else ever carries a value), indexed by variable.slot,
 // top where nothing is known. Whether a block or an edge has a state at
 // all (it is reachable, the edge is not provably dead) is recorded
 // beside the buffer, in edgeState.
@@ -46,7 +47,7 @@ func equalStates(a, b state) bool {
 	return true
 }
 
-// edgeState is a state buffer, allocated once with len(vars) slots and
+// edgeState is a state buffer, allocated once with res.slots slots and
 // overwritten in place, that is meaningful only while live: a block's in
 // state is live once the block has been reached, an out state while the
 // edge is not provably dead.
@@ -91,7 +92,7 @@ func newAnalysis(fn *minic.FuncDecl, res *resolution, env map[string]int64, dela
 		delay: delay,
 	}
 	// One slab backs every state the solver touches.
-	n := len(res.vars)
+	n := res.slots
 	slab := make([]Val, (4*len(a.g.blocks)+3)*n)
 	carve := func() state {
 		st := state(slab[:n:n])
@@ -157,7 +158,7 @@ func (a *analysis) entryState(dst state) {
 	for _, v := range a.res.vars {
 		if v.isParam && v.tracked {
 			if val, ok := a.env[v.name]; ok {
-				dst[v.id] = exactVal(val)
+				dst[v.slot] = exactVal(val)
 			}
 		}
 	}
@@ -370,8 +371,8 @@ func (ev *evaluator) instr(ins instr) {
 		// The region ran on NT threads: anything it may have written to
 		// outer scope is unknown afterwards, as are from-mapped scalars.
 		for _, v := range ev.a.res.vars {
-			if v.sharedMut {
-				ev.st[v.id] = topVal()
+			if v.sharedMut && v.tracked {
+				ev.st[v.slot] = topVal()
 			}
 		}
 		for i := range ins.ts.Maps {
@@ -380,13 +381,13 @@ func (ev *evaluator) instr(ins instr) {
 				continue
 			}
 			if v := ev.a.res.byDecl[mc.Decl]; v != nil && v.tracked {
-				ev.st[v.id] = topVal()
+				ev.st[v.slot] = topVal()
 			}
 		}
 	}
 }
 
-func (ev *evaluator) set(v *variable, val Val) { ev.st[v.id] = norm(val) }
+func (ev *evaluator) set(v *variable, val Val) { ev.st[v.slot] = norm(val) }
 
 func (ev *evaluator) get(v *variable) Val {
 	if v == nil || !v.tracked {
@@ -396,7 +397,7 @@ func (ev *evaluator) get(v *variable) Val {
 		// Another omp thread may have stored anything here.
 		return topVal()
 	}
-	return ev.st[v.id]
+	return ev.st[v.slot]
 }
 
 func isIntExpr(e minic.Expr) bool {

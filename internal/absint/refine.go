@@ -62,7 +62,7 @@ func refineInto(a *analysis, st state, cond minic.Expr, sense bool, inRegion boo
 		if v == nil || !v.tracked || (v.sharedMut && inRegion) {
 			return true
 		}
-		cur := st[v.id]
+		cur := st[v.slot]
 		var nv Val
 		if sense {
 			nv = excludeZero(cur)
@@ -72,7 +72,7 @@ func refineInto(a *analysis, st state, cond minic.Expr, sense bool, inRegion boo
 		if nv.isBottom() {
 			return false
 		}
-		st[v.id] = norm(nv)
+		st[v.slot] = norm(nv)
 		return true
 	}
 	// Generic fallback: evaluate the condition in the current state and
@@ -169,7 +169,7 @@ func refineCmp(a *analysis, st state, x *minic.Binary, sense bool, inRegion bool
 			return false
 		}
 		if v != nil {
-			st[v.id] = norm(nv)
+			st[v.slot] = norm(nv)
 		}
 		return true
 	}

@@ -4,12 +4,13 @@ import "paravis/internal/minic"
 
 // variable is the analysis view of one declaration (parameter or local).
 type variable struct {
-	id      int
 	name    string
 	typ     *minic.Type
 	isParam bool
-	// tracked: the flow state carries a value for it (plain int scalar).
+	// tracked: the flow state carries a value for it (plain int scalar),
+	// at index slot.
 	tracked bool
+	slot    int
 	// declaredInRegion: the declaration sits inside the omp target body,
 	// making the variable thread-private.
 	declaredInRegion bool
@@ -28,6 +29,7 @@ type variable struct {
 type resolution struct {
 	vars   []*variable
 	byDecl map[minic.Decl]*variable
+	slots  int // tracked variables: the length of a flow state
 	nt     int // omp thread count (1 when no target or unspecified)
 }
 
@@ -36,8 +38,11 @@ func resolveFn(fn *minic.FuncDecl) *resolution {
 	declare := func(d minic.Decl) {
 		typ := d.DeclType()
 		_, isParam := d.(*minic.Param)
-		v := &variable{id: len(r.vars), name: d.DeclName(), typ: typ, isParam: isParam}
-		v.tracked = typ.IsScalar() && typ.Basic == minic.Int
+		v := &variable{name: d.DeclName(), typ: typ, isParam: isParam}
+		if v.tracked = typ.IsScalar() && typ.Basic == minic.Int; v.tracked {
+			v.slot = r.slots
+			r.slots++
+		}
 		if typ.IsVector() {
 			v.lanes = typ.Lanes
 		}

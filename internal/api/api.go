@@ -398,6 +398,17 @@ func NewPerfUnit(name string, rep *perfbound.Report, ds []staticcheck.Diagnostic
 	return u
 }
 
+// AnalyzePerf is the perf analysis of one built unit as nymbleperf,
+// /v1/perf and the optimize artifacts publish it: the bound report with
+// the abstract interpreter's trip brackets as the folding fallback, the
+// perf-bound diagnostics of that same report, and the dependence summary.
+func AnalyzePerf(name string, prog *core.Program, params map[string]int64) PerfUnit {
+	cfg := perfbound.DefaultConfig()
+	cfg.TripHints = AbsintTripHints(prog.Fn, params)
+	rep := perfbound.Analyze(prog.Kernel, prog.Sched, params, cfg)
+	return NewPerfUnit(name, rep, staticcheck.PerfDiagnostics(name, rep), NewDependSummary(prog.Fn, params), nil)
+}
+
 // PerfReport is nymbleperf's -json output and the daemon's /v1/perf
 // response.
 type PerfReport struct {

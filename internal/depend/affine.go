@@ -39,10 +39,15 @@ func (a aff) add(b aff) aff {
 	if !a.ok || !b.ok {
 		return affBottom()
 	}
-	r := a.clone()
-	r.base = r.base.add(b.base)
-	for l, p := range b.coef {
-		r = r.setCoef(l, r.coefOf(l).add(p))
+	r := aff{ok: true, base: a.base.add(b.base)}
+	if len(a.coef)+len(b.coef) > 0 {
+		r.coef = make(map[*loopInfo]poly, len(a.coef)+len(b.coef))
+		for l, p := range a.coef {
+			r.coef[l] = p
+		}
+		for l, p := range b.coef {
+			r = r.setCoef(l, r.coefOf(l).add(p))
+		}
 	}
 	return r
 }
@@ -85,12 +90,7 @@ func (a aff) mul(b aff) aff {
 	return affBottom()
 }
 
-func (a aff) coefOf(l *loopInfo) poly {
-	if p, ok := a.coef[l]; ok {
-		return p
-	}
-	return poly{}
-}
+func (a aff) coefOf(l *loopInfo) poly { return a.coef[l] }
 
 func (a aff) setCoef(l *loopInfo, p poly) aff {
 	if p.isZero() {
@@ -169,7 +169,7 @@ type interval struct {
 	lo, hi poly
 }
 
-func intervalPoint(p poly) interval { return interval{ok: true, lo: p, hi: p.clone()} }
+func intervalPoint(p poly) interval { return interval{ok: true, lo: p, hi: p} }
 
 func (iv interval) add(o interval) interval {
 	if !iv.ok || !o.ok {

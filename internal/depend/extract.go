@@ -256,7 +256,7 @@ func (w *walker) forStmt(st *minic.ForStmt) {
 	if l.hasIV {
 		iv := l.init.clone()
 		if iv.ok {
-			iv = iv.add(aff{ok: true, base: poly{}}.setCoef(l, polyConst(l.step)))
+			iv = iv.add(aff{ok: true}.setCoef(l, polyConst(l.step)))
 		}
 		w.syms[l.iv] = iv
 	}

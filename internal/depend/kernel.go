@@ -85,7 +85,7 @@ type graff struct {
 }
 
 func gBottom() graff            { return graff{} }
-func gPoly(p poly) graff        { return graff{ok: true, base: p, slope: poly{}} }
+func gPoly(p poly) graff        { return graff{ok: true, base: p} }
 func gConst(c int64) graff      { return gPoly(polyConst(c)) }
 func (a graff) invariant() bool { return a.ok && a.slope.isZero() }
 

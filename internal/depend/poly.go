@@ -12,13 +12,18 @@ import (
 // symbols are assumed non-negative: they are array extents, trip-count
 // parameters or thread ids, and a negative value makes every loop bound
 // in the seed grammar empty (so any dependence claim is vacuous).
+//
+// A poly is never written to once handed out (methods write only to maps
+// they made; a caller that edits one clones it first), so add and sub may
+// return their left operand and affine forms may share coefficients. Any
+// empty map, nil included, is the zero polynomial.
 type poly map[string]int64
 
 const tidSym = "~tid"
 
 func polyConst(c int64) poly {
 	if c == 0 {
-		return poly{}
+		return nil
 	}
 	return poly{"": c}
 }
@@ -34,6 +39,9 @@ func (p poly) clone() poly {
 }
 
 func (p poly) add(q poly) poly {
+	if len(q) == 0 {
+		return p
+	}
 	r := p.clone()
 	for m, c := range q {
 		r[m] += c
@@ -44,7 +52,19 @@ func (p poly) add(q poly) poly {
 	return r
 }
 
-func (p poly) sub(q poly) poly { return p.add(q.negate()) }
+func (p poly) sub(q poly) poly {
+	if len(q) == 0 {
+		return p
+	}
+	r := p.clone()
+	for m, c := range q {
+		r[m] -= c
+		if r[m] == 0 {
+			delete(r, m)
+		}
+	}
+	return r
+}
 
 func (p poly) negate() poly {
 	r := make(poly, len(p))
@@ -55,8 +75,8 @@ func (p poly) negate() poly {
 }
 
 func (p poly) mulInt(k int64) poly {
-	if k == 0 {
-		return poly{}
+	if k == 0 || len(p) == 0 {
+		return nil
 	}
 	r := make(poly, len(p))
 	for m, c := range p {
@@ -80,7 +100,10 @@ func mulMono(a, b string) string {
 }
 
 func (p poly) mul(q poly) poly {
-	r := poly{}
+	if len(p) == 0 || len(q) == 0 {
+		return nil
+	}
+	r := make(poly, len(p)*len(q))
 	for ma, ca := range p {
 		for mb, cb := range q {
 			m := mulMono(ma, mb)
@@ -174,6 +197,9 @@ func (p poly) divInt(m int64) poly {
 // tidSplit separates p into the tid-free part and the coefficient
 // polynomial of tidSym. It fails when tid appears with degree >= 2.
 func (p poly) tidSplit() (rest, tidCoef poly, ok bool) {
+	if !p.hasTid() {
+		return p, nil, true
+	}
 	rest, tidCoef = poly{}, poly{}
 	for m, c := range p {
 		parts := strings.Split(m, "*")

@@ -83,7 +83,7 @@ func carriedAt(f, g *access, L *loopInfo, thread bool, nt int) solveRes {
 
 	// Free variables: loops below L or in disjoint subtrees; each index
 	// ranges over [0, iterLast].
-	free := interval{ok: true, lo: poly{}, hi: poly{}}
+	free := interval{ok: true}
 	nFree := 0
 	addFree := func(sub aff, negate bool) bool {
 		for l2, c := range sub.coef {
@@ -97,7 +97,7 @@ func carriedAt(f, g *access, L *loopInfo, thread bool, nt int) solveRes {
 			if negate {
 				c = c.negate()
 			}
-			term := interval{ok: true, lo: poly{}, hi: u}.mulPoly(c)
+			term := interval{ok: true, hi: u}.mulPoly(c)
 			if !term.ok {
 				return false
 			}

@@ -153,7 +153,11 @@ func completionLess(a, b completion) bool {
 
 // DRAM is the external memory model.
 type DRAM struct {
-	cfg   DRAMConfig
+	cfg DRAMConfig
+	// words backs [0, len(words)) of the cfg.Words-word address space.
+	// Everything above has never been written: it reads as zero, and a
+	// write there grows the backing first. cfg.Words stays the capacity
+	// every bounds check uses.
 	words []uint32
 
 	queue   []*Request
@@ -180,15 +184,12 @@ type DRAM struct {
 
 	listeners []AccessListener
 	stats     DRAMStats
-	// hiWater is the highest written word index + 1; Release zeroes only
-	// this prefix before returning the word slab to the pool.
-	hiWater int64
 }
 
-// wordSlabPool recycles DRAM backing storage across simulations. A sweep
-// point allocating (and page-zeroing) a fresh multi-MiB word array per run
-// showed up as the single largest cost of short simulations; slabs returned
-// here are zeroed up to their high-water mark, so reuse is clean.
+// wordSlabPool recycles DRAM backing storage across simulations. Slabs are
+// sized to what their run touched (a DIM=64 GEMM: 512 KiB of the 64 MiB
+// address space) and are all zero when they enter the pool, so reuse is
+// clean.
 var wordSlabPool sync.Pool
 
 // NewDRAM creates the external memory.
@@ -202,15 +203,8 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	if cfg.Words <= 0 {
 		cfg.Words = 1 << 20
 	}
-	var words []uint32
-	if s, ok := wordSlabPool.Get().(*[]uint32); ok && cap(*s) >= cfg.Words {
-		words = (*s)[:cfg.Words]
-	} else {
-		words = make([]uint32, cfg.Words)
-	}
 	d := &DRAM{
 		cfg:       cfg,
-		words:     words,
 		banks:     make([]bank, cfg.Banks),
 		bkCycle:   make([]int64, cfg.Banks),
 		bkSeq:     make([]int64, cfg.Banks),
@@ -231,21 +225,68 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	return d
 }
 
+// Reserve backs [0, words) (clipped to the capacity), so that writes below
+// it need not grow the store: the simulator reserves the footprint of its
+// map clauses before the run.
+func (d *DRAM) Reserve(words int64) {
+	if words = min(words, int64(d.cfg.Words)); words > int64(len(d.words)) {
+		d.grow(words)
+	}
+}
+
+// grow re-backs the store to at least end words (0 < end <= cfg.Words):
+// the next power of two, so a run grows a handful of times at most, from
+// a pooled slab when one is large enough. Only the backed prefix of a slab
+// is ever written, so that is all a slab needs zeroed to be reused.
+func (d *DRAM) grow(end int64) {
+	n := min(1<<bits.Len64(uint64(end-1)), d.cfg.Words)
+	old := d.words
+	if cap(old) >= n {
+		d.words = old[:n]
+		return
+	}
+	if s, ok := wordSlabPool.Get().(*[]uint32); ok && cap(*s) >= n {
+		d.words = (*s)[:n]
+	} else {
+		d.words = make([]uint32, n)
+	}
+	copy(d.words, old)
+	putSlab(old)
+}
+
+// putSlab zeroes a slab and hands it to the pool.
+func putSlab(words []uint32) {
+	if words != nil {
+		clear(words)
+		wordSlabPool.Put(&words)
+	}
+}
+
 // Release returns the word slab to the recycle pool. Call once when the
 // simulation owning this DRAM has fully completed; the DRAM must not be
 // used afterwards.
 func (d *DRAM) Release() {
-	words := d.words
+	putSlab(d.words)
 	d.words = nil
-	if words == nil {
-		return
+}
+
+// store copies data to [addr, addr+len(data)), which the caller has
+// checked against the capacity.
+func (d *DRAM) store(addr int64, data []uint32) {
+	end := addr + int64(len(data))
+	if end > int64(len(d.words)) {
+		d.grow(end)
 	}
-	hi := d.hiWater
-	if hi > int64(len(words)) {
-		hi = int64(len(words))
+	copy(d.words[addr:], data)
+}
+
+// load fills dst from [addr, addr+len(dst)), zeros above the backing.
+func (d *DRAM) load(dst []uint32, addr int64) {
+	n := 0
+	if addr < int64(len(d.words)) {
+		n = copy(dst, d.words[addr:])
 	}
-	clear(words[:hi])
-	wordSlabPool.Put(&words)
+	clear(dst[n:])
 }
 
 // Config returns the active configuration.
@@ -264,9 +305,9 @@ func (d *DRAM) Submit(r *Request) error {
 	if r.Words <= 0 {
 		return fmt.Errorf("mem: request with %d words", r.Words)
 	}
-	if r.WordAddr < 0 || r.WordAddr+int64(r.Words) > int64(len(d.words)) {
+	if r.WordAddr < 0 || r.WordAddr+int64(r.Words) > int64(d.cfg.Words) {
 		return fmt.Errorf("mem: request [%d,%d) outside capacity %d words",
-			r.WordAddr, r.WordAddr+int64(r.Words), len(d.words))
+			r.WordAddr, r.WordAddr+int64(r.Words), d.cfg.Words)
 	}
 	if r.Write && len(r.Data) != r.Words {
 		return fmt.Errorf("mem: write of %d words with %d data words", r.Words, len(r.Data))
@@ -390,14 +431,11 @@ func (d *DRAM) accept(cycle int64, r *Request) {
 	// Memory order = accept order: mutate/read data now.
 	var value []uint32
 	if r.Write {
-		copy(d.words[r.WordAddr:], r.Data)
-		if end := r.WordAddr + int64(r.Words); end > d.hiWater {
-			d.hiWater = end
-		}
+		d.store(r.WordAddr, r.Data)
 		d.stats.WriteWordsMoved += int64(r.Words)
 	} else {
 		value = d.getValueBuf(r.Words)
-		copy(value, d.words[r.WordAddr:])
+		d.load(value, r.WordAddr)
 		d.stats.ReadWordsMoved += int64(r.Words)
 	}
 
@@ -461,23 +499,20 @@ func (d *DRAM) NextEventCycle(now int64) int64 {
 // WriteWords copies data into memory directly (host DMA outside the
 // simulated accelerator timeline).
 func (d *DRAM) WriteWords(wordAddr int64, data []uint32) error {
-	if wordAddr < 0 || wordAddr+int64(len(data)) > int64(len(d.words)) {
+	if wordAddr < 0 || wordAddr+int64(len(data)) > int64(d.cfg.Words) {
 		return fmt.Errorf("mem: host write [%d,%d) out of range", wordAddr, wordAddr+int64(len(data)))
 	}
-	copy(d.words[wordAddr:], data)
-	if end := wordAddr + int64(len(data)); end > d.hiWater {
-		d.hiWater = end
-	}
+	d.store(wordAddr, data)
 	return nil
 }
 
 // ReadWords copies memory contents out directly.
 func (d *DRAM) ReadWords(wordAddr int64, n int) ([]uint32, error) {
-	if wordAddr < 0 || wordAddr+int64(n) > int64(len(d.words)) {
+	if wordAddr < 0 || wordAddr+int64(n) > int64(d.cfg.Words) {
 		return nil, fmt.Errorf("mem: host read [%d,%d) out of range", wordAddr, wordAddr+int64(n))
 	}
 	out := make([]uint32, n)
-	copy(out, d.words[wordAddr:])
+	d.load(out, wordAddr)
 	return out, nil
 }
 

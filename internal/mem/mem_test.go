@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -353,5 +354,100 @@ func TestFloatWordConversions(t *testing.T) {
 		if iback[i] != is[i] {
 			t.Errorf("int %v -> %v", is[i], iback[i])
 		}
+	}
+}
+
+// TestDRAMBacksOnlyWhatIsTouched: the store holds nothing until written,
+// grows on a write past its backing, reads zeros everywhere else — through
+// the host path and through a timed read into a recycled, dirty value
+// buffer — and hands a clean slab to the next simulation.
+func TestDRAMBacksOnlyWhatIsTouched(t *testing.T) {
+	cfg := DefaultDRAMConfig() // 64 MiB of address space
+	d := NewDRAM(cfg)
+	if len(d.words) != 0 {
+		t.Fatalf("a fresh DRAM backs %d words", len(d.words))
+	}
+	zeros, err := d.ReadWords(int64(cfg.Words)-8, 8)
+	if err != nil || len(zeros) != 8 || zeros[0] != 0 || zeros[7] != 0 {
+		t.Fatalf("untouched top of memory reads %v, %v", zeros, err)
+	}
+	if len(d.words) != 0 {
+		t.Fatalf("a read backed %d words", len(d.words))
+	}
+	d.Reserve(70000)
+	if len(d.words) < 70000 || len(d.words) > 1<<17 {
+		t.Fatalf("Reserve(70000) backs %d words", len(d.words))
+	}
+	if err := d.WriteWords(100, []uint32{7, 8, 9}); err != nil {
+		t.Fatal(err)
+	}
+	backed := len(d.words)
+
+	// A timed write past the backing, then reads that straddle it and lie
+	// wholly above it, all through one recycled value buffer.
+	high := int64(backed) + 5000
+	var reads [][]uint32
+	keep := func(_ int64, v []uint32) { reads = append(reads, append([]uint32(nil), v...)) }
+	for _, r := range []*Request{
+		{WordAddr: 100, Words: 3, OnComplete: keep},
+		{Write: true, WordAddr: high, Words: 2, Data: []uint32{41, 42}},
+		{WordAddr: high, Words: 2, OnComplete: keep},
+		{WordAddr: high + 1, Words: 3, OnComplete: keep},
+		{WordAddr: int64(cfg.Words) - 3, Words: 3, OnComplete: keep},
+	} {
+		if err := d.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+		runUntilIdle(t, d, 0, 1000)
+	}
+	want := [][]uint32{{7, 8, 9}, {41, 42}, {42, 0, 0}, {0, 0, 0}}
+	if fmt.Sprint(reads) != fmt.Sprint(want) {
+		t.Errorf("reads %v, want %v", reads, want)
+	}
+	if int64(len(d.words)) <= high || len(d.words) >= cfg.Words {
+		t.Errorf("after a write at %d the store backs %d words", high, len(d.words))
+	}
+	if got, _ := d.ReadWords(100, 3); fmt.Sprint(got) != "[7 8 9]" {
+		t.Errorf("growth lost earlier data: %v", got)
+	}
+
+	// The recycled slab is clean.
+	d.Release()
+	d2 := NewDRAM(cfg)
+	d2.Reserve(high + 2)
+	for _, addr := range []int64{100, high} {
+		if got, _ := d2.ReadWords(addr, 3); fmt.Sprint(got) != "[0 0 0]" {
+			t.Errorf("recycled slab reads %v at %d", got, addr)
+		}
+	}
+}
+
+// TestDRAMCapacityStillBounds: cfg.Words, not the backing, is what an
+// access is checked against, with the messages the dense store gave.
+func TestDRAMCapacityStillBounds(t *testing.T) {
+	d := NewDRAM(DRAMConfig{LatencyCycles: 5, Words: 4096})
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{d.Submit(&Request{WordAddr: 4090, Words: 8}), "mem: request [4090,4098) outside capacity 4096 words"},
+		{d.Submit(&Request{Write: true, WordAddr: 4096, Words: 1, Data: []uint32{1}}), "mem: request [4096,4097) outside capacity 4096 words"},
+		{d.Submit(&Request{WordAddr: -1, Words: 1}), "mem: request [-1,0) outside capacity 4096 words"},
+		{d.WriteWords(4095, []uint32{1, 2}), "mem: host write [4095,4097) out of range"},
+		{func() error { _, err := d.ReadWords(4000, 97); return err }(), "mem: host read [4000,4097) out of range"},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("got %v, want %s", c.err, c.want)
+		}
+	}
+	if err := d.WriteWords(4094, []uint32{1, 2}); err != nil {
+		t.Errorf("write of the last two words: %v", err)
+	}
+	if len(d.words) != 4096 {
+		t.Errorf("store backs %d words of a 4096-word memory", len(d.words))
+	}
+	d.Reserve(1 << 20)
+	if len(d.words) != 4096 {
+		t.Errorf("Reserve past the capacity backs %d words", len(d.words))
 	}
 }

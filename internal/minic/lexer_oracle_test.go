@@ -1,61 +1,61 @@
 package minic
 
+// The lexer as it stood before it stopped copying its input: the source
+// converted to []rune, token texts copied out of it, the macro table
+// cloned per lexer. Kept verbatim (identifiers prefixed old) as the oracle
+// TestLexerMatchesOracle holds the string lexer against.
+
 import (
 	"fmt"
 	"strings"
 	"unicode"
-	"unicode/utf8"
 )
 
-// LexError describes a lexical error with its source position.
-type LexError struct {
-	Pos Pos
-	Msg string
-}
-
-func (e *LexError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
-
-// Lexer turns MiniC source text into tokens. It handles line ("//") and
+// oldLexer turns MiniC source text into tokens. It handles line ("//") and
 // block ("/* */") comments, object-like "#define NAME value" directives
 // (both in-source and injected, as with -D on a C compiler command line),
 // and passes "#pragma" lines through as PRAGMA tokens for the parser.
-//
-// The lexer reads the source string in place: pos is a byte offset, runes
-// are decoded only off the ASCII path, columns count runes, and identifier
-// and literal texts are substrings of the source.
-type Lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
-	// defines is the caller's table until the source defines a macro of
-	// its own, which clones it first (ownDefines).
-	defines    map[string]string
-	ownDefines bool
+type oldLexer struct {
+	src     []rune
+	pos     int
+	line    int
+	col     int
+	defines map[string]string
 	// expansion guard: names currently being expanded (to reject cycles)
 	expanding map[string]bool
-	// pending[pendPos:] are the tokens of a macro expansion not yet handed
-	// out; the buffer is reused from one expansion to the next.
-	pending []Token
-	pendPos int
+	pending   []Token // tokens produced by macro expansion
+}
+
+// newOldLexer creates a lexer over src. The defines map acts like -D command
+// line definitions; in-source #define directives are added on top and may
+// not redefine an existing name to a different value.
+func newOldLexer(src string, defines map[string]string) *oldLexer {
+	d := make(map[string]string, len(defines))
+	for k, v := range defines {
+		d[k] = v
+	}
+	return &oldLexer{
+		src:       []rune(src),
+		line:      1,
+		col:       1,
+		defines:   d,
+		expanding: make(map[string]bool),
+	}
 }
 
 // Lex returns the full token stream, ending with an EOF token.
-func Lex(src string, defines map[string]string) ([]Token, error) {
-	toks, _, err := LexWithDefines(src, defines)
+func oldLex(src string, defines map[string]string) ([]Token, error) {
+	toks, _, err := oldLexWithDefines(src, defines)
 	return toks, err
 }
 
-// LexWithDefines lexes src and also returns the full macro table after
+// oldLexWithDefines lexes src and also returns the full macro table after
 // in-source #define directives have been processed. The parser needs this
 // table to expand macros inside pragma clause expressions, which the lexer
-// passes through verbatim. The defines map acts like -D command line
-// definitions and is not written to; in-source #define directives are
-// added on top and may not redefine a name to a different value.
-func LexWithDefines(src string, defines map[string]string) ([]Token, map[string]string, error) {
-	lx := &Lexer{src: src, line: 1, col: 1, defines: defines, expanding: map[string]bool{}}
-	// The densest kernel in the tree has one token per 3.5 source bytes.
-	toks := make([]Token, 0, len(src)/3+16)
+// passes through verbatim.
+func oldLexWithDefines(src string, defines map[string]string) ([]Token, map[string]string, error) {
+	lx := newOldLexer(src, defines)
+	var toks []Token
 	for {
 		t, err := lx.Next()
 		if err != nil {
@@ -68,37 +68,27 @@ func LexWithDefines(src string, defines map[string]string) ([]Token, map[string]
 	}
 }
 
-func (l *Lexer) errf(p Pos, format string, args ...any) error {
+func (l *oldLexer) errf(p Pos, format string, args ...any) error {
 	return &LexError{Pos: p, Msg: fmt.Sprintf(format, args...)}
 }
 
-// runeAt decodes the rune at byte offset i (0, width 0 at the end). An
-// invalid byte reads as U+FFFD, one column wide, as it would after a
-// conversion of the source to []rune.
-func (l *Lexer) runeAt(i int) (rune, int) {
-	if i >= len(l.src) {
-		return 0, 0
+func (l *oldLexer) peek() rune {
+	if l.pos >= len(l.src) {
+		return 0
 	}
-	if c := l.src[i]; c < utf8.RuneSelf {
-		return rune(c), 1
+	return l.src[l.pos]
+}
+
+func (l *oldLexer) peek2() rune {
+	if l.pos+1 >= len(l.src) {
+		return 0
 	}
-	return utf8.DecodeRuneInString(l.src[i:])
+	return l.src[l.pos+1]
 }
 
-func (l *Lexer) peek() rune {
-	r, _ := l.runeAt(l.pos)
-	return r
-}
-
-func (l *Lexer) peek2() rune {
-	_, w := l.runeAt(l.pos)
-	r, _ := l.runeAt(l.pos + w)
-	return r
-}
-
-func (l *Lexer) advance() rune {
-	r, w := l.runeAt(l.pos)
-	l.pos += w
+func (l *oldLexer) advance() rune {
+	r := l.src[l.pos]
+	l.pos++
 	if r == '\n' {
 		l.line++
 		l.col = 1
@@ -108,11 +98,11 @@ func (l *Lexer) advance() rune {
 	return r
 }
 
-func (l *Lexer) here() Pos { return Pos{Line: l.line, Col: l.col} }
+func (l *oldLexer) here() Pos { return Pos{Line: l.line, Col: l.col} }
 
 // skipSpaceAndComments consumes whitespace and comments. It returns an
 // error for unterminated block comments.
-func (l *Lexer) skipSpaceAndComments() error {
+func (l *oldLexer) skipSpaceAndComments() error {
 	for l.pos < len(l.src) {
 		r := l.peek()
 		switch {
@@ -148,7 +138,7 @@ func (l *Lexer) skipSpaceAndComments() error {
 
 // readDirectiveLine reads the rest of a '#' line, honoring backslash-newline
 // continuations (the paper's pragmas use them).
-func (l *Lexer) readDirectiveLine() string {
+func (l *oldLexer) readDirectiveLine() string {
 	var b strings.Builder
 	for l.pos < len(l.src) {
 		r := l.peek()
@@ -177,10 +167,10 @@ func (l *Lexer) readDirectiveLine() string {
 }
 
 // Next returns the next token.
-func (l *Lexer) Next() (Token, error) {
-	if l.pendPos < len(l.pending) {
-		t := l.pending[l.pendPos]
-		l.pendPos++
+func (l *oldLexer) Next() (Token, error) {
+	if len(l.pending) > 0 {
+		t := l.pending[0]
+		l.pending = l.pending[1:]
 		return t, nil
 	}
 	if err := l.skipSpaceAndComments(); err != nil {
@@ -203,7 +193,7 @@ func (l *Lexer) Next() (Token, error) {
 	return l.lexOperator(p)
 }
 
-func (l *Lexer) lexDirective(p Pos) (Token, error) {
+func (l *oldLexer) lexDirective(p Pos) (Token, error) {
 	l.advance() // '#'
 	line := l.readDirectiveLine()
 	fields := strings.Fields(line)
@@ -232,13 +222,6 @@ func (l *Lexer) lexDirective(p Pos) (Token, error) {
 		if value == "" {
 			value = "1"
 		}
-		if !l.ownDefines {
-			d := make(map[string]string, len(l.defines)+1)
-			for k, v := range l.defines {
-				d[k] = v
-			}
-			l.defines, l.ownDefines = d, true
-		}
 		l.defines[name] = value
 		return l.Next()
 	default:
@@ -246,7 +229,7 @@ func (l *Lexer) lexDirective(p Pos) (Token, error) {
 	}
 }
 
-func (l *Lexer) lexIdent(p Pos) (Token, error) {
+func (l *oldLexer) lexIdent(p Pos) (Token, error) {
 	start := l.pos
 	for l.pos < len(l.src) {
 		r := l.peek()
@@ -256,7 +239,7 @@ func (l *Lexer) lexIdent(p Pos) (Token, error) {
 			break
 		}
 	}
-	name := l.src[start:l.pos]
+	name := string(l.src[start:l.pos])
 	if kw, ok := keywords[name]; ok {
 		return Token{Kind: kw, Text: name, Pos: p}, nil
 	}
@@ -269,10 +252,9 @@ func (l *Lexer) lexIdent(p Pos) (Token, error) {
 	return Token{Kind: IDENT, Text: name, Pos: p}, nil
 }
 
-// expandMacro lexes the replacement text of an object-like macro into the
-// pending queue. The queue is empty here: Next drains it before it reads
-// source text, and only source text reaches lexIdent.
-func (l *Lexer) expandMacro(name, val string, p Pos) error {
+// expandMacro lexes the replacement text of an object-like macro and
+// prepends the resulting tokens to the pending queue.
+func (l *oldLexer) expandMacro(name, val string, p Pos) error {
 	if l.expanding[name] {
 		return l.errf(p, "recursive macro expansion of %q", name)
 	}
@@ -281,22 +263,25 @@ func (l *Lexer) expandMacro(name, val string, p Pos) error {
 	}
 	l.expanding[name] = true
 	defer delete(l.expanding, name)
-	sub := Lexer{src: val, line: 1, col: 1, defines: l.defines, expanding: l.expanding}
-	l.pending, l.pendPos = l.pending[:0], 0
+	sub := newOldLexer(val, l.defines)
+	sub.expanding = l.expanding
+	var toks []Token
 	for {
 		t, err := sub.Next()
 		if err != nil {
 			return l.errf(p, "in expansion of %q: %v", name, err)
 		}
 		if t.Kind == EOF {
-			return nil
+			break
 		}
 		t.Pos = p
-		l.pending = append(l.pending, t)
+		toks = append(toks, t)
 	}
+	l.pending = append(toks, l.pending...)
+	return nil
 }
 
-func (l *Lexer) lexNumber(p Pos) (Token, error) {
+func (l *oldLexer) lexNumber(p Pos) (Token, error) {
 	start := l.pos
 	isFloat := false
 	for l.pos < len(l.src) && unicode.IsDigit(l.peek()) {
@@ -324,7 +309,7 @@ func (l *Lexer) lexNumber(p Pos) (Token, error) {
 			l.pos = save
 		}
 	}
-	text := l.src[start:l.pos]
+	text := string(l.src[start:l.pos])
 	if l.pos < len(l.src) && (l.peek() == 'f' || l.peek() == 'F') {
 		l.advance() // float suffix, e.g. 0.5f
 		isFloat = true
@@ -335,7 +320,7 @@ func (l *Lexer) lexNumber(p Pos) (Token, error) {
 	return Token{Kind: INTLIT, Text: text, Pos: p}, nil
 }
 
-func (l *Lexer) lexOperator(p Pos) (Token, error) {
+func (l *oldLexer) lexOperator(p Pos) (Token, error) {
 	r := l.advance()
 	two := func(next rune, k2, k1 Kind) Token {
 		if l.peek() == next {

@@ -1,9 +1,17 @@
 package minic
 
 import (
+	"errors"
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"paravis/internal/workloads"
 )
 
 func lexAll(t *testing.T, src string, defines map[string]string) []Token {
@@ -252,4 +260,155 @@ func uintToString(v uint64) string {
 		v /= 10
 	}
 	return string(buf[i:])
+}
+
+// sameAsOracle lexes src with the string lexer and with the []rune lexer it
+// replaced and demands the same tokens (kind, text, position), the same
+// macro table and the same error.
+func sameAsOracle(t *testing.T, name, src string, defines map[string]string) {
+	t.Helper()
+	before := maps.Clone(defines)
+	got, gotDefs, gotErr := LexWithDefines(src, defines)
+	want, wantDefs, wantErr := oldLexWithDefines(src, defines)
+	if !maps.Equal(defines, before) {
+		t.Errorf("%s: the caller's defines were written to", name)
+	}
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Errorf("%s: error %v, oracle %v", name, gotErr, wantErr)
+		return
+	}
+	if gotErr != nil {
+		var le, oe *LexError
+		if !errors.As(gotErr, &le) || !errors.As(wantErr, &oe) || le.Pos != oe.Pos {
+			t.Errorf("%s: error position %v, oracle %v", name, gotErr, wantErr)
+		}
+		return
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: token streams differ:\n got %v\nwant %v", name, got, want)
+	}
+	if !maps.Equal(gotDefs, wantDefs) {
+		t.Errorf("%s: macro table %v, oracle %v", name, gotDefs, wantDefs)
+	}
+}
+
+// TestLexerMatchesOracle runs every kernel in the tree through both
+// lexers: the example and benchmark kernels, the analysis fixtures and the
+// seed workloads under their defines.
+func TestLexerMatchesOracle(t *testing.T) {
+	n := 0
+	for _, pat := range []string{
+		"../../examples/*/*.mc", "../../benchmark/testdata/*.mc",
+		"../staticcheck/testdata/*.mc", "../absint/testdata/*.mc",
+	} {
+		files, err := filepath.Glob(pat)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("glob %s: %v (%d files)", pat, err, len(files))
+		}
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAsOracle(t, f, string(src), nil)
+			sameAsOracle(t, f+" -D", string(src), map[string]string{"NT": "2", "VECTOR_LEN": "8", "DTYPE": "float"})
+			n++
+		}
+	}
+	for _, u := range workloads.Units() {
+		sameAsOracle(t, u.Name, u.Source, u.Defines)
+		n++
+	}
+	if n < 30 {
+		t.Errorf("only %d sources compared", n)
+	}
+}
+
+// lexCorners are the inputs the two lexers could plausibly read
+// differently: bytes outside ASCII (columns count runes, an invalid byte
+// is one column of U+FFFD), macros that fail while nested in other macros,
+// and directives with stray backslashes.
+var lexCorners = []string{
+	"int x; // größe — naïve\nint y;",
+	"/* 行列 × ベクトル */ int x = 1; /* π */ float π2 = 2.0f;",
+	"int größe = 3; @",
+	"int x; /* 未終了",
+	"// résumé\n  /* ü */ $",
+	"int x = 1; // \xff\xfe broken utf-8\n#",
+	"float a\xc3 = 1;",
+	"int \xe2\x82 = 1;",
+	"x\x00y 12\x00",
+	"#define A B\n#define B C\n#define C A\nint x = A;",
+	"#define A (B + B)\n#define B (C * 2)\n#define C 7\nint x = A;",
+	"#define A B\n#define B 1 @ 2\nint x = A;",
+	"#define A B\n#define B 1 /* open\nint x = A;",
+	"#define A | 1\nint é = A;",
+	"#define A #define B 2\nint x = A B;",
+	"#define A #bogus\nint x = A;",
+	"#define A\n#define A 3\n#define A 4\nint x = A;",
+	"#define DIM 64\n#define DIM 32\nint x = DIM;",
+	"#define F(x) x\n",
+	"#define\n",
+	"#pragma omp target \\ map(to:A)\nint x;",
+	"#pragma unroll 4 \\\r\n  \\\n\nint x;",
+	"#pragma é \\",
+	"1.5e+ 2e 3.f .5 5. 1e5f 0x10 1..2",
+	"a+++b---c<=d>=e==f!=g&&h||i&j|k",
+}
+
+func TestLexCornersMatchOracle(t *testing.T) {
+	for _, src := range lexCorners {
+		sameAsOracle(t, strconv.Quote(src), src, nil)
+		sameAsOracle(t, strconv.Quote(src)+" -D", src, map[string]string{"B": "A", "DIM": "16", "x": "größe"})
+	}
+}
+
+// TestLexNonASCIIPositions pins what the oracle comparison relies on:
+// columns count runes, not bytes, in token and in error positions.
+func TestLexNonASCIIPositions(t *testing.T) {
+	toks := lexAll(t, "/* größe */ x\n// π\n  é1 = 2;", nil)
+	if toks[0].Text != "x" || toks[0].Pos != (Pos{Line: 1, Col: 13}) {
+		t.Errorf("x after a non-ASCII comment at %v (%q), want 1:13", toks[0].Pos, toks[0].Text)
+	}
+	if toks[1].Text != "é1" || toks[1].Pos != (Pos{Line: 3, Col: 3}) || toks[2].Pos != (Pos{Line: 3, Col: 6}) {
+		t.Errorf("é1 at %v, = at %v, want 3:3 and 3:6", toks[1].Pos, toks[2].Pos)
+	}
+	for src, want := range map[string]Pos{
+		"/* ü */ @":             {Line: 1, Col: 9},
+		"// ü\n  é = $;":        {Line: 2, Col: 7},
+		"int x; /* ü */ /* 未終了": {Line: 1, Col: 16},
+	} {
+		_, err := Lex(src, nil)
+		var le *LexError
+		if !errors.As(err, &le) || le.Pos != want {
+			t.Errorf("Lex(%q): error %v, want a LexError at %v", src, err, want)
+		}
+	}
+}
+
+// TestLexNestedMacroErrors: an error inside a macro's replacement text is
+// reported at the use site, wrapped once per expansion level; a cycle
+// through several macros is caught wherever it closes.
+func TestLexNestedMacroErrors(t *testing.T) {
+	for src, want := range map[string]string{
+		"#define A B\n#define B C\n#define C A\nint x = A;": `4:9: in expansion of "A": 1:1: in expansion of "B": 1:1: in expansion of "C": 1:1: recursive macro expansion of "A"`,
+		"#define A B\n#define B 1 @ 2\n\n  A":               `4:3: in expansion of "A": 1:1: in expansion of "B": 1:3: unexpected character '@'`,
+		"#define A A\nint A;":                               `2:5: in expansion of "A": 1:1: recursive macro expansion of "A"`,
+	} {
+		_, err := Lex(src, nil)
+		if err == nil || err.Error() != want {
+			t.Errorf("Lex(%q):\n got %v\nwant %s", src, err, want)
+		}
+	}
+}
+
+// FuzzLexOracle holds the two lexers together on arbitrary input; its seed
+// corpus runs with the unit tests.
+func FuzzLexOracle(f *testing.F) {
+	for _, src := range lexCorners {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		sameAsOracle(t, strconv.Quote(src), src, map[string]string{"N": "4", "T": "N N"})
+	})
 }

@@ -3,6 +3,8 @@ package minic
 import (
 	"strings"
 	"testing"
+
+	"paravis/internal/workloads"
 )
 
 // gemmNaive is the paper's Fig. 3 kernel (naive GEMM with a critical
@@ -375,5 +377,22 @@ func TestFindTargetMissing(t *testing.T) {
 	prog := mustParse(t, "void f() { int x = 1; x = x + 1; }", Options{})
 	if _, _, err := FindTarget(prog); err == nil {
 		t.Fatal("expected error for missing target region")
+	}
+}
+
+// TestParseAllocationCeiling: lexing reads the source in place (token
+// texts are substrings, the token slice is sized up front, the macro table
+// is not cloned per lexer), so parsing the naive GEMM with its defines
+// stays under 260 allocations (355 with the []rune lexer).
+func TestParseAllocationCeiling(t *testing.T) {
+	w := workloads.Units()[0]
+	const ceiling = 260
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := Parse(w.Source, Options{Defines: w.Defines}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceiling {
+		t.Errorf("minic.Parse(gemm-naive): %.0f allocations, ceiling %d", got, ceiling)
 	}
 }

@@ -5,144 +5,335 @@ import (
 	"paravis/internal/schedule"
 )
 
-// gctx is the abstract evaluation context of one graph: the thread identity
-// (exact for per-thread analysis, [0, NT-1] for the kernel-wide report) and
-// the live-in / carried-register intervals handed down by the parent.
-type gctx struct {
-	tid      iv
-	nthreads iv
-	liveIn   []iv
-	carry    []iv
+// The interval evaluator runs on a form compiled once per Analyze and
+// re-run for each of its NT+1 thread contexts; a loop trip allocates
+// nothing.
+
+// cop is one IR node compiled for the evaluator. Operands are positions
+// in the owning graph's node list (-1: absent, which evaluates unknown),
+// scalar parameters are already folded against the workload, and a > b is
+// compiled as b < a (>= likewise).
+type cop struct {
+	op      ir.Op
+	a, b, c int32
+	idx     int  // OpLiveIn / OpCarry register
+	val     iv   // OpConstInt / OpParam value
+	intRes  bool // the result is an integer: arithmetic keeps its interval
+	intArg  bool // the first operand is an integer: comparisons fold
 }
 
-// evalNodes abstractly interprets a graph over the interval domain. Nodes
-// are in topological order, so one forward pass suffices. Anything the
-// domain cannot track (floats, loads, loop outputs) evaluates to unknown,
-// which poisons dependent trip counts instead of guessing.
-func evalNodes(g *ir.Graph, ctx *gctx, env map[string]int64) map[*ir.Node]iv {
-	return evalList(g.Nodes, ctx, env)
+// induction is the canonical loop the lowering emits for a minic.Counted
+// header, found in a control slice: Cond = cmp(carry, bound) and
+// CarryUpdate = carry ± step.
+type induction struct {
+	reg         int   // the carried register Cond tests
+	bound, step int32 // positions of Cond's and the update's other operand
+	down        bool  // the register is the greater side: the loop counts down
+	incl        bool  // the comparison admits equality
+	sub         bool  // the update subtracts the step
+	// counted: bound and step are loop-invariant and nothing else in the
+	// slice varies, so exact operands fold by formula (countedTrips).
+	counted bool
 }
 
-// evalList is evalNodes over an arbitrary topologically ordered subset.
-func evalList(nodes []*ir.Node, ctx *gctx, env map[string]int64) map[*ir.Node]iv {
-	vals := make(map[*ir.Node]iv, len(nodes))
-	get := func(n *ir.Node) iv {
-		if n == nil {
-			return unknown()
-		}
-		return vals[n]
+// cgraph is one graph of the loop tree, compiled, with the per-entry
+// results of the latest evalTree and the buffers every evaluation of it
+// reuses. Anything the domain cannot track (floats, loads, loop outputs)
+// evaluates to unknown, which poisons dependent trip counts instead of
+// guessing.
+type cgraph struct {
+	g     *ir.Graph
+	gs    *schedule.GraphSched
+	node  *ir.Node // the LoopOp in the parent; nil for the top region
+	stats gstats
+	ops   []cop              // one per g.Nodes, in the same (topological) order
+	pos   map[*ir.Node]int32 // position + 1, so that a miss reads as at's -1
+	kids  []*cgraph
+
+	// Control slice of a loop graph: the positions the loop-continue
+	// decision transitively depends on — the cond's argument closure plus
+	// the carry updates of every carried register the closure reads — in
+	// topological order, split into the part no carried register reaches
+	// (evaluated once per entry) and the part re-evaluated every trip.
+	invariant, variant []int32
+	cond               int32
+	carries            []int   // tracked carried registers
+	updates            []int32 // position of CarryUpdate[carries[i]]
+	ind                *induction
+
+	trips iv // iterations per entry (top region: exactly 1)
+	entry iv // executions per parent iteration (predication: [0,1])
+
+	vals   []iv // node values of the latest evaluation, by position
+	liveIn []iv
+	init   []iv // carry-init intervals handed down by the parent
+	ranges []iv // per carried register, its value range inside the body
+	state  []iv // carried registers entering the current trip ...
+	next   []iv // ... and the one after: the two swap, so a trip allocates nothing
+}
+
+// at returns n's position in the graph, -1 for nil or a foreign node.
+func (cg *cgraph) at(n *ir.Node) int32 { return cg.pos[n] - 1 }
+
+// val returns n's value in the latest evaluation.
+func (cg *cgraph) val(n *ir.Node) iv { return arg(cg.vals, cg.at(n)) }
+
+// compile builds the evaluator's form of g and, recursively, of the loops
+// nested in it.
+func compile(g *ir.Graph, s *schedule.Schedule, env map[string]int64, beatBytes int) *cgraph {
+	gs := s.ByGraph[g]
+	cg := &cgraph{
+		g: g, gs: gs, stats: statsOf(gs, beatBytes),
+		ops:    make([]cop, len(g.Nodes)),
+		vals:   make([]iv, len(g.Nodes)),
+		liveIn: make([]iv, g.NumLiveIn),
+		pos:    make(map[*ir.Node]int32, len(g.Nodes)),
 	}
-	for _, n := range nodes {
-		var v iv
+	carry := make([]iv, 4*g.NumCarry)
+	nc := g.NumCarry
+	cg.init, cg.ranges, cg.state, cg.next = carry[:nc:nc], carry[nc:2*nc:2*nc], carry[2*nc:3*nc:3*nc], carry[3*nc:]
+
+	for i, n := range g.Nodes {
+		cg.pos[n] = int32(i) + 1
+	}
+	for i, n := range g.Nodes {
+		args := [3]int32{-1, -1, -1}
+		for j, a := range n.Args {
+			if j < len(args) {
+				args[j] = cg.at(a)
+			}
+		}
+		o := cop{op: n.Op, a: args[0], b: args[1], c: args[2], idx: n.Idx, intRes: n.Kind == ir.KindInt}
+		o.intArg = len(n.Args) > 0 && n.Args[0] != nil && n.Args[0].Kind == ir.KindInt
 		switch n.Op {
 		case ir.OpConstInt:
-			v = exact(n.IVal)
+			o.val = exact(n.IVal)
 		case ir.OpParam:
-			if val, ok := env[n.Name]; ok {
-				v = exact(val)
+			if v, ok := env[n.Name]; ok {
+				o.val = exact(v)
 			}
-		case ir.OpThreadID:
-			v = ctx.tid
-		case ir.OpNumThreads:
-			v = ctx.nthreads
-		case ir.OpLiveIn:
-			if n.Idx >= 0 && n.Idx < len(ctx.liveIn) {
-				v = ctx.liveIn[n.Idx]
-			}
-		case ir.OpCarry:
-			if n.Idx >= 0 && n.Idx < len(ctx.carry) {
-				v = ctx.carry[n.Idx]
-			}
-		case ir.OpAdd:
-			v = intOnly(n, get(n.Args[0]).add(get(n.Args[1])))
-		case ir.OpSub:
-			v = intOnly(n, get(n.Args[0]).sub(get(n.Args[1])))
-		case ir.OpMul:
-			v = intOnly(n, get(n.Args[0]).mul(get(n.Args[1])))
-		case ir.OpDiv:
-			v = intOnly(n, get(n.Args[0]).div(get(n.Args[1])))
-		case ir.OpRem:
-			v = intOnly(n, get(n.Args[0]).rem(get(n.Args[1])))
-		case ir.OpLt:
-			v = intCmp(n, get(n.Args[0]).cmpLt(get(n.Args[1])))
-		case ir.OpLe:
-			v = intCmp(n, get(n.Args[0]).cmpLe(get(n.Args[1])))
 		case ir.OpGt:
-			v = intCmp(n, get(n.Args[1]).cmpLt(get(n.Args[0])))
+			o.op, o.a, o.b = ir.OpLt, o.b, o.a
 		case ir.OpGe:
-			v = intCmp(n, get(n.Args[1]).cmpLe(get(n.Args[0])))
-		case ir.OpEq:
-			v = intCmp(n, get(n.Args[0]).cmpEq(get(n.Args[1])))
-		case ir.OpNe:
-			eq := intCmp(n, get(n.Args[0]).cmpEq(get(n.Args[1])))
-			switch {
-			case eq.definitelyTrue():
-				v = exact(0)
-			case eq.definitelyFalse():
-				v = exact(1)
-			default:
-				v = boolIv()
-			}
-		case ir.OpAnd, ir.OpOr, ir.OpNot:
-			v = boolIv()
-			a, b := get(n.Args[0]), iv{}
-			if len(n.Args) > 1 {
-				b = get(n.Args[1])
-			}
-			switch n.Op {
-			case ir.OpAnd:
-				if a.definitelyFalse() || b.definitelyFalse() {
-					v = exact(0)
-				} else if a.definitelyTrue() && b.definitelyTrue() {
-					v = exact(1)
-				}
-			case ir.OpOr:
-				if a.definitelyTrue() || b.definitelyTrue() {
-					v = exact(1)
-				} else if a.definitelyFalse() && b.definitelyFalse() {
-					v = exact(0)
-				}
-			case ir.OpNot:
-				if a.definitelyTrue() {
-					v = exact(0)
-				} else if a.definitelyFalse() {
-					v = exact(1)
-				}
-			}
-		case ir.OpSelect:
-			c := get(n.Args[0])
-			switch {
-			case c.definitelyTrue():
-				v = get(n.Args[1])
-			case c.definitelyFalse():
-				v = get(n.Args[2])
-			default:
-				v = get(n.Args[1]).union(get(n.Args[2]))
-			}
-		default:
-			// Floats, conversions, vector lane ops, memory, sync, loop
-			// outputs: unknown.
+			o.op, o.a, o.b = ir.OpLe, o.b, o.a
 		}
-		vals[n] = v
+		cg.ops[i] = o
 	}
-	return vals
+	if g.Cond != nil {
+		cg.compileSlice()
+	}
+	for _, ln := range g.Loops {
+		kid := compile(ln.Sub, s, env, beatBytes)
+		kid.node = ln
+		cg.kids = append(cg.kids, kid)
+	}
+	return cg
 }
 
-// intOnly keeps an interval only for integer-kinded results.
-func intOnly(n *ir.Node, v iv) iv {
-	if n.Kind != ir.KindInt {
+// compileSlice finds the loop's control slice and recognises the counted
+// form.
+func (cg *cgraph) compileSlice() {
+	g := cg.g
+	need := make([]bool, len(g.Nodes))
+	tracked := make([]bool, g.NumCarry)
+	var visit func(n *ir.Node)
+	visit = func(n *ir.Node) {
+		p := cg.at(n)
+		if p < 0 || need[p] {
+			return
+		}
+		need[p] = true
+		for _, a := range n.Args {
+			visit(a)
+		}
+		visit(n.Pred)
+		if n.Op == ir.OpCarry && n.Idx >= 0 && n.Idx < len(g.CarryUpdate) && n.Idx < len(tracked) && !tracked[n.Idx] {
+			tracked[n.Idx] = true
+			cg.carries = append(cg.carries, n.Idx)
+			cg.updates = append(cg.updates, cg.at(g.CarryUpdate[n.Idx]))
+			visit(g.CarryUpdate[n.Idx])
+		}
+	}
+	visit(g.Cond)
+	cg.cond = cg.at(g.Cond)
+
+	// varies[p]: a carried register reaches the node's value.
+	varies := make([]bool, len(need))
+	for p := range need {
+		if !need[p] {
+			continue
+		}
+		o := &cg.ops[p]
+		varies[p] = o.op == ir.OpCarry ||
+			(o.a >= 0 && varies[o.a]) || (o.b >= 0 && varies[o.b]) || (o.c >= 0 && varies[o.c])
+		if varies[p] {
+			cg.variant = append(cg.variant, int32(p))
+		} else {
+			cg.invariant = append(cg.invariant, int32(p))
+		}
+	}
+	if cg.cond >= 0 {
+		cg.ind = cg.matchInduction(varies)
+	}
+}
+
+// matchInduction recognises the canonical loop in the control slice.
+func (cg *cgraph) matchInduction(varies []bool) *induction {
+	isCarry := func(p int32) bool { return p >= 0 && cg.ops[p].op == ir.OpCarry }
+	// carry < bound, or bound < carry for a loop that counts down.
+	cond := &cg.ops[cg.cond]
+	m := &induction{bound: cond.b, incl: cond.op == ir.OpLe}
+	c := cond.a
+	if !isCarry(c) {
+		c, m.bound, m.down = cond.b, cond.a, true
+	}
+	if (cond.op != ir.OpLt && !m.incl) || cond.b < 0 || cond.c >= 0 || !isCarry(c) || !cg.ops[c].intRes {
+		return nil
+	}
+	if m.reg = cg.ops[c].idx; m.reg < 0 || m.reg >= len(cg.g.CarryUpdate) || m.reg >= len(cg.init) {
+		return nil
+	}
+	// CarryUpdate[reg] = carry + step (or carry - step).
+	up := cg.at(cg.g.CarryUpdate[m.reg])
+	if up < 0 || cg.ops[up].b < 0 || cg.ops[up].c >= 0 {
+		return nil
+	}
+	isReg := func(p int32) bool { return isCarry(p) && cg.ops[p].idx == m.reg }
+	switch u := &cg.ops[up]; {
+	case u.op == ir.OpAdd && isReg(u.a):
+		m.step = u.b
+	case u.op == ir.OpAdd && isReg(u.b):
+		m.step = u.a
+	case u.op == ir.OpSub && isReg(u.a):
+		m.step, m.sub = u.b, true
+	default:
+		return nil
+	}
+	m.counted = len(cg.carries) == 1 && up != cg.cond && cond.intArg && cg.ops[up].intRes &&
+		m.bound >= 0 && m.step >= 0 && !varies[m.bound] && !varies[m.step]
+	for _, p := range cg.variant {
+		m.counted = m.counted && (p == cg.cond || p == up || isReg(p))
+	}
+	return m
+}
+
+// treeCtx is the thread identity one evalTree runs under: exact for the
+// per-thread analysis, [0, NT-1] for the kernel-wide report.
+type treeCtx struct {
+	tid, nthreads iv
+}
+
+func arg(vals []iv, p int32) iv {
+	if p < 0 {
 		return unknown()
 	}
-	return v
+	return vals[p]
 }
 
-// intCmp keeps a comparison interval only when both operands are integers
-// (float compares are outside the domain).
-func intCmp(n *ir.Node, v iv) iv {
-	if n.Args[0].Kind != ir.KindInt {
-		return boolIv()
+// evalAt abstractly interprets the node at position p; its operands are
+// earlier positions, already evaluated.
+func (cg *cgraph) evalAt(p int32, tc *treeCtx, carry []iv) {
+	o, vals := &cg.ops[p], cg.vals
+	var v iv
+	switch o.op {
+	case ir.OpConstInt, ir.OpParam:
+		v = o.val
+	case ir.OpThreadID:
+		v = tc.tid
+	case ir.OpNumThreads:
+		v = tc.nthreads
+	case ir.OpLiveIn:
+		if o.idx >= 0 && o.idx < len(cg.liveIn) {
+			v = cg.liveIn[o.idx]
+		}
+	case ir.OpCarry:
+		if o.idx >= 0 && o.idx < len(carry) {
+			v = carry[o.idx]
+		}
+	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem:
+		if !o.intRes {
+			break
+		}
+		a, b := arg(vals, o.a), arg(vals, o.b)
+		switch o.op {
+		case ir.OpAdd:
+			v = a.add(b)
+		case ir.OpSub:
+			v = a.sub(b)
+		case ir.OpMul:
+			v = a.mul(b)
+		case ir.OpDiv:
+			v = a.div(b)
+		case ir.OpRem:
+			v = a.rem(b)
+		}
+	case ir.OpLt, ir.OpLe, ir.OpEq, ir.OpNe:
+		// Float compares are outside the domain.
+		v = boolIv()
+		if !o.intArg {
+			break
+		}
+		a, b := arg(vals, o.a), arg(vals, o.b)
+		switch o.op {
+		case ir.OpLt:
+			v = a.cmpLt(b)
+		case ir.OpLe:
+			v = a.cmpLe(b)
+		case ir.OpEq:
+			v = a.cmpEq(b)
+		case ir.OpNe:
+			if eq := a.cmpEq(b); eq.definitelyTrue() {
+				v = exact(0)
+			} else if eq.definitelyFalse() {
+				v = exact(1)
+			}
+		}
+	case ir.OpAnd:
+		a, b := arg(vals, o.a), arg(vals, o.b)
+		v = boolIv()
+		if a.definitelyFalse() || b.definitelyFalse() {
+			v = exact(0)
+		} else if a.definitelyTrue() && b.definitelyTrue() {
+			v = exact(1)
+		}
+	case ir.OpOr:
+		a, b := arg(vals, o.a), arg(vals, o.b)
+		v = boolIv()
+		if a.definitelyTrue() || b.definitelyTrue() {
+			v = exact(1)
+		} else if a.definitelyFalse() && b.definitelyFalse() {
+			v = exact(0)
+		}
+	case ir.OpNot:
+		a := arg(vals, o.a)
+		v = boolIv()
+		if a.definitelyTrue() {
+			v = exact(0)
+		} else if a.definitelyFalse() {
+			v = exact(1)
+		}
+	case ir.OpSelect:
+		switch c := arg(vals, o.a); {
+		case c.definitelyTrue():
+			v = arg(vals, o.b)
+		case c.definitelyFalse():
+			v = arg(vals, o.c)
+		default:
+			v = arg(vals, o.b).union(arg(vals, o.c))
+		}
+	default:
+		// Floats, conversions, vector lane ops, memory, sync, loop
+		// outputs: unknown.
 	}
-	return v
+	vals[p] = v
+}
+
+// evalAll evaluates every node of the graph under the given carried
+// registers. Nodes are in topological order, so one forward pass suffices.
+func (cg *cgraph) evalAll(tc *treeCtx, carry []iv) {
+	for p := range cg.ops {
+		cg.evalAt(int32(p), tc, carry)
+	}
 }
 
 // iterBudget caps the concrete trip-count iteration. It comfortably
@@ -150,271 +341,205 @@ func intCmp(n *ir.Node, v iv) iv {
 // while bounding the analysis time of pathological loops.
 const iterBudget = 1 << 17
 
-// condClosure returns, in topological order, the nodes the loop-continue
-// decision transitively depends on — the cond's argument closure plus
-// the carry updates of every carried register the closure reads — and
-// the indices of those tracked carries.
-func condClosure(g *ir.Graph) ([]*ir.Node, []int) {
-	need := make(map[*ir.Node]bool)
-	var carries []int
-	carrySeen := make(map[int]bool)
-	var visit func(n *ir.Node)
-	visit = func(n *ir.Node) {
-		if n == nil || need[n] {
-			return
-		}
-		need[n] = true
-		for _, a := range n.Args {
-			visit(a)
-		}
-		if n.Pred != nil {
-			visit(n.Pred)
-		}
-		if n.Op == ir.OpCarry && !carrySeen[n.Idx] {
-			carrySeen[n.Idx] = true
-			if n.Idx >= 0 && n.Idx < len(g.CarryUpdate) {
-				carries = append(carries, n.Idx)
-				visit(g.CarryUpdate[n.Idx])
-			}
-		}
-	}
-	visit(g.Cond)
-	var order []*ir.Node
-	for _, n := range g.Nodes {
-		if need[n] {
-			order = append(order, n)
-		}
-	}
-	return order, carries
-}
-
-// iterateTrips runs the loop's control slice concretely over the
-// interval domain: starting from the carry-init intervals it re-evaluates
-// the cond and the tracked carry updates until the cond turns definitely
+// foldTrips runs the loop's control slice concretely over the interval
+// domain: starting from the carry-init intervals it re-evaluates the
+// cond and the tracked carry updates until the cond turns definitely
 // false. This handles any loop shape the evaluator can fold — including
 // the select-chain updates partial unrolling emits — not just affine
 // inductions. It fails (ok=false) as soon as the cond becomes
-// undecidable or the budget runs out. The returned ranges are, per
-// carried register, the union of its values over all executed
-// iterations (the register's range inside the body).
-func iterateTrips(g *ir.Graph, ctx *gctx, init []iv, env map[string]int64) (iv, []iv, bool) {
-	nodes, carries := condClosure(g)
-	if len(nodes) == 0 {
-		return unknown(), nil, false
+// undecidable or the budget runs out. On success cg.ranges holds, per
+// carried register, the union of its values over all executed iterations
+// (unknown where untracked). A counted loop whose operands are exact is
+// folded by formula instead of being run.
+func (cg *cgraph) foldTrips(tc *treeCtx) (iv, bool) {
+	if len(cg.invariant)+len(cg.variant) == 0 {
+		return unknown(), false
 	}
-	state := make([]iv, g.NumCarry)
-	copy(state, init)
-	ranges := make([]iv, g.NumCarry)
-	hasRange := make([]bool, g.NumCarry)
-	ictx := *ctx
-	trips := int64(0)
-	for trips <= iterBudget {
-		ictx.carry = state
-		vals := evalList(nodes, &ictx, env)
-		c := vals[g.Cond]
+	for _, p := range cg.invariant {
+		cg.evalAt(p, tc, cg.init)
+	}
+	clear(cg.ranges)
+	if m := cg.ind; m != nil && m.counted {
+		if trips, rng, ok, applies := countedTrips(m.down, m.incl, cg.init[m.reg], cg.vals[m.bound], cg.step()); applies {
+			cg.ranges[m.reg] = rng
+			return trips, ok
+		}
+	}
+	state, next := cg.state, cg.next
+	copy(state, cg.init)
+	clear(next)
+	for trips := int64(0); trips <= iterBudget; {
+		for _, p := range cg.variant {
+			cg.evalAt(p, tc, state)
+		}
+		c := cg.vals[cg.cond]
 		if c.definitelyFalse() {
-			return exact(trips), ranges, true
+			return exact(trips), true
 		}
 		if !c.definitelyTrue() {
-			return unknown(), nil, false
+			break
 		}
 		trips++
-		next := make([]iv, g.NumCarry)
-		for _, i := range carries {
-			if hasRange[i] {
-				ranges[i] = ranges[i].union(state[i])
+		for j, i := range cg.carries {
+			if trips == 1 {
+				cg.ranges[i] = state[i]
 			} else {
-				ranges[i], hasRange[i] = state[i], true
+				cg.ranges[i] = cg.ranges[i].union(state[i])
 			}
-			next[i] = vals[g.CarryUpdate[i]]
+			next[i] = arg(cg.vals, cg.updates[j])
 		}
-		state = next
+		state, next = next, state
+		if trips == 1 {
+			// Only tracked registers are carried on: the others hold their
+			// init on the first trip and are unknown from the second.
+			clear(next)
+		}
 	}
-	return unknown(), nil, false
+	clear(cg.ranges)
+	return unknown(), false
+}
+
+// countedTrips folds the loop `for (i = in; i < bound; i += step)` (down:
+// bound < i; incl: <=) by formula: the trip count and the range of i inside
+// the body that running it trip by trip over the interval domain would
+// produce. ok=false is that run's failure (the cond undecidable on some
+// trip, or the budget spent). applies=false means the formula is not
+// provably the iteration — an operand is unknown or inexact, or large
+// enough for the domain's saturation to take part — and the loop has to be
+// run.
+func countedTrips(down, incl bool, in, bound, step iv) (trips, rng iv, ok, applies bool) {
+	const limit = ivCap >> 2
+	small := func(v int64) bool { return -limit < v && v < limit }
+	if !in.Known || !bound.isExact() || !step.isExact() ||
+		!small(in.Lo) || !small(in.Hi) || !small(bound.Lo) || !small(step.Lo) {
+		return unknown(), unknown(), false, false
+	}
+	// Count up towards an exclusive limit b: a downward loop is mirrored,
+	// an inclusive bound moved by one.
+	lo, hi, b, s := in.Lo, in.Hi, bound.Lo, step.Lo
+	if down {
+		lo, hi, b, s = -hi, -lo, -b, -s
+	}
+	if incl {
+		b++
+	}
+	switch {
+	case lo >= b: // definitely false on entry
+		return exact(0), unknown(), true, true
+	case hi >= b: // undecidable on entry
+		return unknown(), unknown(), false, true
+	case s <= 0: // never leaves: the budget runs out
+		return unknown(), unknown(), false, true
+	}
+	// The cond holds for certain while hi + t*s < b; on the first trip it
+	// does not, it has to fail for certain: lo + t*s >= b.
+	t := (b - hi + s - 1) / s
+	if t > iterBudget || lo+t*s < b {
+		return unknown(), unknown(), false, true
+	}
+	hi += (t - 1) * s
+	if down {
+		lo, hi = -hi, -lo
+	}
+	return exact(t), span(lo, hi), true, true
 }
 
 // loopTrips bounds the body iterations of one loop entry. It first
-// iterates the loop's control slice concretely (precise for every loop
+// folds the loop's control slice concretely (precise for every loop
 // whose control folds to intervals), then falls back to pattern-matching
 // the canonical affine loop the lowerer emits — carry init from the
 // LoopOp args, Cond = cmp(carry, bound), CarryUpdate = carry ± step.
 // Anything that matches neither stays unknown, which is always sound:
-// the cycle bounds simply report "unbounded". The second result gives,
-// per carried register, its value range inside the body (unknown where
+// the cycle bounds simply report "unbounded". cg.ranges receives, per
+// carried register, its value range inside the body (unknown where
 // untracked).
-func loopTrips(g *ir.Graph, ctx *gctx, init []iv, env map[string]int64, hints map[string][2]int64) (iv, []iv) {
-	if trips, ranges, ok := iterateTrips(g, ctx, init, env); ok {
-		return trips, ranges
+func (cg *cgraph) loopTrips(tc *treeCtx, hints map[string][2]int64) iv {
+	if trips, ok := cg.foldTrips(tc); ok {
+		return trips
 	}
-	if trips, ranges := affineTrips(g, ctx, init, env); trips.Known {
-		return trips, ranges
+	if trips := cg.affineTrips(tc); trips.Known {
+		return trips
 	}
 	// Externally proven bracket (abstract interpretation): weakest tier,
 	// consulted only when the folding tiers fail. Carry ranges stay
 	// unknown — the hint bounds iterations, not register values.
-	if h, ok := hints[g.Name]; ok && h[0] <= h[1] {
-		return span(h[0], h[1]), make([]iv, g.NumCarry)
+	clear(cg.ranges)
+	if h, ok := hints[cg.g.Name]; ok && h[0] <= h[1] {
+		return span(h[0], h[1])
 	}
-	return unknown(), make([]iv, g.NumCarry)
+	return unknown()
 }
 
-func affineTrips(g *ir.Graph, ctx *gctx, init []iv, env map[string]int64) (iv, []iv) {
-	none := unknown()
-	noRanges := make([]iv, g.NumCarry)
-	cond := g.Cond
-	if cond == nil || len(cond.Args) != 2 {
-		return none, noRanges
+func (cg *cgraph) affineTrips(tc *treeCtx) iv {
+	clear(cg.ranges)
+	m := cg.ind
+	if m == nil {
+		return unknown()
 	}
 	// Loop-invariant view: carries unknown, live-ins from the parent.
-	inv := *ctx
-	inv.carry = make([]iv, g.NumCarry)
-	vals := evalNodes(g, &inv, env)
-
-	// cmp(carry, bound) possibly with swapped operands.
-	op := cond.Op
-	carryArg, boundArg := cond.Args[0], cond.Args[1]
-	if carryArg.Op != ir.OpCarry {
-		carryArg, boundArg = boundArg, carryArg
-		switch op {
-		case ir.OpLt:
-			op = ir.OpGt
-		case ir.OpLe:
-			op = ir.OpGe
-		case ir.OpGt:
-			op = ir.OpLt
-		case ir.OpGe:
-			op = ir.OpLe
-		}
+	cg.evalAll(tc, cg.ranges)
+	bound, step, in := arg(cg.vals, m.bound), cg.step(), cg.init[m.reg]
+	if !bound.Known || !step.Known || !in.Known {
+		return unknown()
 	}
-	if carryArg.Op != ir.OpCarry || carryArg.Kind != ir.KindInt {
-		return none, noRanges
-	}
-	idx := carryArg.Idx
-	if idx < 0 || idx >= len(g.CarryUpdate) || idx >= len(init) {
-		return none, noRanges
-	}
-	bound := vals[boundArg]
-	if !bound.Known {
-		return none, noRanges
-	}
-
-	// CarryUpdate[idx] = carry + step (or carry - step).
-	upd := g.CarryUpdate[idx]
-	if upd == nil || len(upd.Args) != 2 {
-		return none, noRanges
-	}
-	var step iv
-	isCarry := func(n *ir.Node) bool { return n.Op == ir.OpCarry && n.Idx == idx }
-	switch {
-	case upd.Op == ir.OpAdd && isCarry(upd.Args[0]):
-		step = vals[upd.Args[1]]
-	case upd.Op == ir.OpAdd && isCarry(upd.Args[1]):
-		step = vals[upd.Args[0]]
-	case upd.Op == ir.OpSub && isCarry(upd.Args[0]):
-		step = exact(0).sub(vals[upd.Args[1]])
-	default:
-		return none, noRanges
-	}
-	if !step.Known {
-		return none, noRanges
-	}
-	in := init[idx]
-	if !in.Known {
-		return none, noRanges
-	}
-
-	switch op {
-	case ir.OpLt, ir.OpLe:
-		if step.Lo <= 0 {
-			return none, noRanges // zero or backward step under an upper bound: possibly infinite
-		}
-		b := bound
-		if op == ir.OpLe {
+	switch b := bound; {
+	case !m.down && step.Lo > 0: // a zero or backward step may never reach the bound
+		if m.incl {
 			b = b.add(exact(1)) // i <= B runs while i < B+1
 		}
-		lo := ceilDiv(b.Lo-in.Hi, step.Hi)
-		hi := ceilDiv(b.Hi-in.Lo, step.Lo)
-		rngHi := max64(in.Lo, b.Hi-1)
-		noRanges[idx] = span(in.Lo, rngHi)
-		return span(lo, hi), noRanges
-	case ir.OpGt, ir.OpGe:
-		if step.Hi >= 0 {
-			return none, noRanges
-		}
-		b := bound
-		if op == ir.OpGe {
+		cg.ranges[m.reg] = span(in.Lo, max64(in.Lo, b.Hi-1))
+		return span(ceilDiv(b.Lo-in.Hi, step.Hi), ceilDiv(b.Hi-in.Lo, step.Lo))
+	case m.down && step.Hi < 0:
+		if m.incl {
 			b = b.sub(exact(1)) // i >= B runs while i > B-1
 		}
-		lo := ceilDiv(in.Lo-b.Hi, -step.Lo)
-		hi := ceilDiv(in.Hi-b.Lo, -step.Hi)
-		rngLo := min64(in.Hi, b.Lo+1)
-		noRanges[idx] = span(rngLo, in.Hi)
-		return span(lo, hi), noRanges
+		cg.ranges[m.reg] = span(min64(in.Hi, b.Lo+1), in.Hi)
+		return span(ceilDiv(in.Lo-b.Hi, -step.Lo), ceilDiv(in.Hi-b.Lo, -step.Hi))
 	}
-	return none, noRanges
+	return unknown()
 }
 
-// graphEval is one graph of the loop tree evaluated under a fixed (or
-// interval) thread identity.
-type graphEval struct {
-	g     *ir.Graph
-	gs    *schedule.GraphSched
-	node  *ir.Node // the LoopOp in the parent; nil for the top region
-	trips iv       // iterations per entry (top region: exactly 1)
-	entry iv       // executions per parent iteration (predication: [0,1])
-	vals  map[*ir.Node]iv
-	kids  []*graphEval
+// step returns the latest value of what the induction's update adds.
+func (cg *cgraph) step() iv {
+	step := arg(cg.vals, cg.ind.step)
+	if cg.ind.sub {
+		step = exact(0).sub(step)
+	}
+	return step
 }
 
 // evalTree evaluates the whole loop nest for one thread context, resolving
 // trip counts top-down: a child's carry-init and live-in intervals come
 // from the parent's node values.
-func evalTree(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, hints map[string][2]int64, tid iv) *graphEval {
-	nt := exact(int64(k.NumThreads))
-	var build func(g *ir.Graph, node *ir.Node, ctx gctx, init []iv, entry iv) *graphEval
-	build = func(g *ir.Graph, node *ir.Node, ctx gctx, init []iv, entry iv) *graphEval {
-		ge := &graphEval{g: g, gs: s.ByGraph[g], node: node, entry: entry}
-		if g.Cond == nil {
-			ge.trips = exact(1)
-			ctx.carry = make([]iv, g.NumCarry)
-			ge.vals = evalNodes(g, &ctx, env)
-		} else {
-			trips, ranges := loopTrips(g, &ctx, init, env, hints)
-			ge.trips = trips
-			ctx.carry = make([]iv, g.NumCarry)
-			for i := 0; i < g.NumCarry && i < len(ranges); i++ {
-				ctx.carry[i] = ranges[i]
-			}
-			ge.vals = evalNodes(g, &ctx, env)
-		}
-		for _, ln := range g.Loops {
-			sub := ln.Sub
-			childCtx := gctx{tid: ctx.tid, nthreads: ctx.nthreads}
-			childCtx.liveIn = make([]iv, sub.NumLiveIn)
-			childInit := make([]iv, sub.NumCarry)
-			for i := 0; i < sub.NumLiveIn && i < len(ln.Args); i++ {
-				childCtx.liveIn[i] = ge.vals[ln.Args[i]]
-			}
-			for i := 0; i < sub.NumCarry && sub.NumLiveIn+i < len(ln.Args); i++ {
-				childInit[i] = ge.vals[ln.Args[sub.NumLiveIn+i]]
-			}
-			childEntry := exact(1)
-			if ln.Pred != nil {
-				pv := ge.vals[ln.Pred]
-				switch {
-				case pv.definitelyTrue():
-					childEntry = exact(1)
-				case pv.definitelyFalse():
-					childEntry = exact(0)
-				default:
-					childEntry = span(0, 1)
-				}
-			}
-			ge.kids = append(ge.kids, build(sub, ln, childCtx, childInit, childEntry))
-		}
-		return ge
+func (cg *cgraph) evalTree(tc *treeCtx, hints map[string][2]int64, entry iv) {
+	cg.entry = entry
+	if cg.g.Cond == nil {
+		cg.trips = exact(1)
+		clear(cg.ranges)
+	} else {
+		cg.trips = cg.loopTrips(tc, hints)
 	}
-	top := k.Top
-	ctx := gctx{tid: tid, nthreads: nt}
-	return build(top, nil, ctx, nil, exact(1))
+	cg.evalAll(tc, cg.ranges)
+	for _, kid := range cg.kids {
+		clear(kid.liveIn)
+		clear(kid.init)
+		for i, a := range kid.node.Args {
+			if nl := len(kid.liveIn); i < nl {
+				kid.liveIn[i] = cg.val(a)
+			} else if i-nl < len(kid.init) {
+				kid.init[i-nl] = cg.val(a)
+			}
+		}
+		childEntry := exact(1)
+		if pred := kid.node.Pred; pred != nil {
+			switch pv := cg.val(pred); {
+			case pv.definitelyTrue():
+			case pv.definitelyFalse():
+				childEntry = exact(0)
+			default:
+				childEntry = span(0, 1)
+			}
+		}
+		kid.evalTree(tc, hints, childEntry)
+	}
 }

@@ -15,12 +15,55 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden bound files")
 
+// selectChainSrc is a strided loop partially unrolled by four: the
+// lowering turns the trailing guarded replicas into a select chain on the
+// induction variable, which no affine pattern matches, so its trips fold
+// only by iterating the control slice (n = 1002 leaves the last pass of
+// every thread partly predicated off).
+const selectChainSrc = `
+void scale(float* A, int n) {
+  #pragma omp target parallel map(tofrom:A[0:n]) num_threads(4)
+  {
+    int id = omp_get_thread_num();
+    int nt = omp_get_num_threads();
+    #pragma unroll 4
+    for (int i = id; i < n; i += nt) {
+      A[i] = A[i] * 2.0f;
+    }
+  }
+}
+`
+
+// goldenUnits are the seed workloads plus the three kernels static_sweep
+// adds at its sizes and the select-chain kernel.
+func goldenUnits(t *testing.T) []workloads.Unit {
+	us := workloads.Units()
+	for _, f := range []struct {
+		name, path string
+		params     map[string]int64
+	}{
+		{"dotprod", "../../benchmark/testdata/dotprod.mc", map[string]int64{"n": 16384}},
+		{"saxpy", "../../benchmark/testdata/saxpy.mc", map[string]int64{"n": 16384}},
+		{"gemm-example", "../../examples/gemm/gemm.mc", map[string]int64{"DIM": 64}},
+	} {
+		src, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		us = append(us, workloads.Unit{Name: f.name, Source: string(src), Params: f.params})
+	}
+	return append(us, workloads.Unit{Name: "select-chain", Source: selectChainSrc, Params: map[string]int64{"n": 1002}})
+}
+
 // TestGoldenBounds locks the rendered report of every seed workload
-// (the five GEMM optimization steps and pi) to a golden file. The
-// reports are deterministic, so any analyzer change shows up as a
-// reviewable diff.
+// (the five GEMM optimization steps and pi), of static_sweep's example
+// kernels and of a partially unrolled loop to a golden file. The reports
+// are deterministic, so any analyzer change shows up as a reviewable
+// diff. The goldens were written by the map-based evaluator of the commit
+// before the dense one: never -update them to make an evaluator change
+// pass.
 func TestGoldenBounds(t *testing.T) {
-	for _, w := range workloads.Units() {
+	for _, w := range goldenUnits(t) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			prog, err := core.Build(context.Background(), w.Source, core.BuildOptions{Defines: w.Defines})
@@ -132,5 +175,38 @@ func TestTripCounts(t *testing.T) {
 	}
 	if !rep.Cycles.UpperKnown || rep.Cycles.Lower > rep.Cycles.Upper || rep.Cycles.Lower <= 0 {
 		t.Errorf("bad bounds: %+v", rep.Cycles)
+	}
+}
+
+// TestAnalyzeAllocationsIndependentOfTrips: folding a loop allocates
+// nothing per trip, so the analysis of dotprod costs the same number of
+// allocations at 32 trips per thread as at 512 — and few: the evaluator's
+// compiled form is built once per Analyze and re-run for every thread.
+// (The map-based evaluator allocated 1,422 and 14,384.)
+func TestAnalyzeAllocationsIndependentOfTrips(t *testing.T) {
+	src, err := os.ReadFile("../../benchmark/testdata/dotprod.mc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := core.Build(context.Background(), string(src), core.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int64) float64 {
+		env := map[string]int64{"n": n}
+		return testing.AllocsPerRun(5, func() {
+			perfbound.Analyze(prog.Kernel, prog.Sched, env, perfbound.DefaultConfig())
+		})
+	}
+	small, large := allocs(1024), allocs(16384)
+	t.Logf("perfbound.Analyze(dotprod): %.0f allocations at n=1024, %.0f at n=16384", small, large)
+	// One either way is sync.Pool: under the race detector it drops items
+	// at random. The per-trip evaluator differed by 12,962.
+	if d := small - large; d < -2 || d > 2 {
+		t.Errorf("allocations scale with the trip count: %.0f at n=1024, %.0f at n=16384", small, large)
+	}
+	const ceiling = 150
+	if large > ceiling {
+		t.Errorf("%.0f allocations, ceiling %d", large, ceiling)
 	}
 }

@@ -7,12 +7,15 @@ package perfbound_test
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"paravis/internal/absint"
 	"paravis/internal/core"
 	"paravis/internal/minic"
 	"paravis/internal/perfbound"
+	"paravis/internal/staticcheck"
 )
 
 // absintHints parses src and returns the interpreter's trip brackets
@@ -85,5 +88,41 @@ func TestTripHintsDoNotOverrideFolding(t *testing.T) {
 	rep := perfbound.Analyze(prog.Kernel, prog.Sched, env, cfg)
 	if l := rep.Loops[0]; !l.TripsKnown || l.TripsLo != 16 || l.TripsHi != 16 {
 		t.Errorf("hint overrode folded trips: [%d,%d] known=%v", l.TripsLo, l.TripsHi, l.TripsKnown)
+	}
+}
+
+// TestDiagnosticsQuoteTheHintedReport: on the loop only a hint bounds, the
+// perf-bound findings derived from the hinted report quote its cycle
+// counts. staticcheck.CheckPerf analyses again without hints, which is why
+// /v1/perf, nymbleperf and the optimize artifacts no longer call it beside
+// a hinted report: here it sees no trips at all and says nothing.
+func TestDiagnosticsQuoteTheHintedReport(t *testing.T) {
+	// Sixteen threads at 30000 trips each ask more of the DRAM than a
+	// thread's own pipeline time, so the roofline finding fires.
+	src := strings.Replace(tripSrc, "num_threads(4)", "num_threads(16)", 1)
+	prog, err := core.Build(context.Background(), src, core.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := perfbound.DefaultConfig()
+	cfg.TripHints = absintHints(t, src, map[string]int64{"N": 16 * 30000})
+	rep := perfbound.Analyze(prog.Kernel, prog.Sched, nil, cfg)
+	if l := rep.Loops[0]; !l.TripsKnown || l.TripsLo != 30000 || !rep.Roofline.MemoryBound {
+		t.Fatalf("hinted report: trips [%d,%d] known=%v, roofline %+v", l.TripsLo, l.TripsHi, l.TripsKnown, rep.Roofline)
+	}
+	want := fmt.Sprintf("DRAM needs >= %d cycles vs >= %d compute cycles", rep.Roofline.MemoryCycles, rep.Roofline.ComputeCycles)
+	quoted := func(ds []staticcheck.Diagnostic) bool {
+		for _, d := range ds {
+			if strings.Contains(d.Message, want) {
+				return true
+			}
+		}
+		return false
+	}
+	if ds := staticcheck.PerfDiagnostics("k.mc", rep); !quoted(ds) {
+		t.Errorf("diagnostics of the hinted report do not quote it (%s): %v", want, ds)
+	}
+	if ds := staticcheck.CheckPerf("k.mc", prog.Kernel, prog.Sched, nil); quoted(ds) {
+		t.Errorf("the hint-less analysis agrees with the hinted one; the test no longer separates them: %v", ds)
 	}
 }

@@ -248,25 +248,25 @@ type traffic struct {
 // this graph keeps its thread busy, and accumulates minimum DRAM
 // traffic (scaled by the minimum executions the caller will multiply
 // by — here we return per-execution traffic and let the caller scale).
-func lowerExec(ge *graphEval, stats map[*ir.Graph]gstats) int64 {
+func lowerExec(cg *cgraph) int64 {
 	// Per iteration the frame needs Depth+1 cycles, and every
 	// non-predicated child must complete inside the iteration; children
 	// may overlap each other, so take the max.
-	gs := ge.gs
+	gs := cg.gs
 	inner := int64(gs.Depth) + 1
-	for _, kid := range ge.kids {
+	for _, kid := range cg.kids {
 		if kid.entry.Known && kid.entry.Lo >= 1 {
-			if k := lowerExec(kid, stats); k > inner {
+			if k := lowerExec(kid); k > inner {
 				inner = k
 			}
 		}
 	}
-	if ge.g.Cond == nil {
+	if cg.g.Cond == nil {
 		return inner
 	}
 	trips := int64(0)
-	if ge.trips.Known {
-		trips = ge.trips.Lo
+	if cg.trips.Known {
+		trips = cg.trips.Lo
 	}
 	return checkStage(gs) + 1 + satMul(trips, inner)
 }
@@ -274,13 +274,13 @@ func lowerExec(ge *graphEval, stats map[*ir.Graph]gstats) int64 {
 // addTraffic accumulates one thread's DRAM request/beat/byte totals over
 // the whole loop tree: per-execution traffic times the execution-count
 // interval.
-func addTraffic(ge *graphEval, stats map[*ir.Graph]gstats, execLo, execHi int64, t *traffic) {
-	st := stats[ge.g]
+func addTraffic(cg *cgraph, execLo, execHi int64, t *traffic) {
+	st := &cg.stats
 	tripsLo, tripsHi := int64(0), ivCap
-	if ge.trips.Known {
-		tripsLo, tripsHi = ge.trips.Lo, ge.trips.Hi
+	if cg.trips.Known {
+		tripsLo, tripsHi = cg.trips.Lo, cg.trips.Hi
 	}
-	if ge.g.Cond == nil {
+	if cg.g.Cond == nil {
 		tripsLo, tripsHi = 1, 1
 	}
 	iterLo := satMul(execLo, tripsLo)
@@ -292,12 +292,12 @@ func addTraffic(ge *graphEval, stats map[*ir.Graph]gstats, execLo, execHi int64,
 	t.bytesMin = satAdd(t.bytesMin, satMul(iterLo, st.extBytesMin))
 	t.bytesMax = satAdd(t.bytesMax, satMul(iterHi, st.extBytesMax))
 	t.locksMax = satAdd(t.locksMax, satMul(iterHi, st.locksMax))
-	for _, kid := range ge.kids {
+	for _, kid := range cg.kids {
 		kLo, kHi := int64(0), int64(1)
 		if kid.entry.Known {
 			kLo, kHi = kid.entry.Lo, kid.entry.Hi
 		}
-		addTraffic(kid, stats, satMul(iterLo, kLo), satMul(iterHi, kHi), t)
+		addTraffic(kid, satMul(iterLo, kLo), satMul(iterHi, kHi), t)
 	}
 }
 
@@ -305,9 +305,9 @@ func addTraffic(ge *graphEval, stats map[*ir.Graph]gstats, execLo, execHi int64,
 // execution of this graph charges to its own thread: pipeline time plus
 // the worst-case completion of every VLO it issues, plus its children.
 // known=false when some trip count is unresolved.
-func upperExec(ge *graphEval, stats map[*ir.Graph]gstats, cfg *Config, nt int64) (int64, bool) {
-	gs := ge.gs
-	st := stats[ge.g]
+func upperExec(cg *cgraph, cfg *Config, nt int64) (int64, bool) {
+	gs := cg.gs
+	st := &cg.stats
 	iter := int64(gs.Depth) + 3
 	iter = satAdd(iter, satMul(st.extLoadsMax, int64(cfg.DRAM.LatencyCycles+cfg.DRAM.BankRecovery+2)))
 	iter = satAdd(iter, st.extBeatsMax)
@@ -316,8 +316,8 @@ func upperExec(ge *graphEval, stats map[*ir.Graph]gstats, cfg *Config, nt int64)
 	iter = satAdd(iter, satMul(st.locksMax, int64(cfg.SpinRetry+cfg.Lat.MinLock+2)))
 	iter = satAdd(iter, satMul(st.barriers, satMul(nt, cfg.ThreadStart)))
 	known := true
-	for _, kid := range ge.kids {
-		ku, kk := upperExec(kid, stats, cfg, nt)
+	for _, kid := range cg.kids {
+		ku, kk := upperExec(kid, cfg, nt)
 		if !kk {
 			known = false
 		}
@@ -327,13 +327,13 @@ func upperExec(ge *graphEval, stats map[*ir.Graph]gstats, cfg *Config, nt int64)
 		}
 		iter = satAdd(iter, satMul(hi, ku))
 	}
-	if ge.g.Cond == nil {
+	if cg.g.Cond == nil {
 		return iter, known
 	}
-	if !ge.trips.Known {
+	if !cg.trips.Known {
 		return iter, false
 	}
-	return satAdd(checkStage(gs)+3, satMul(ge.trips.Hi, iter)), known
+	return satAdd(checkStage(gs)+3, satMul(cg.trips.Hi, iter)), known
 }
 
 // Analyze runs the full static model for one scheduled kernel under one
@@ -344,10 +344,7 @@ func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Confi
 		cfg.Slack = 1
 	}
 	nt := int64(k.NumThreads)
-	stats := make(map[*ir.Graph]gstats)
-	for _, g := range k.CollectGraphs() {
-		stats[g] = statsOf(s.ByGraph[g], cfg.DRAM.BeatBytes)
-	}
+	top := compile(k.Top, s, env, cfg.DRAM.BeatBytes)
 
 	// Proven dependence recurrences (per graph), with the schedule's own
 	// latency table so RecMII and the pipeline agree on operation cost.
@@ -365,14 +362,16 @@ func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Confi
 	var tot traffic
 	var sumUpper int64
 	upperKnown := true
+	tc := treeCtx{nthreads: exact(nt)}
 	for t := int64(0); t < nt; t++ {
-		tree := evalTree(k, s, env, cfg.TripHints, exact(t))
-		lb := satAdd(satMul(t, cfg.ThreadStart), lowerExec(tree, stats))
+		tc.tid = exact(t)
+		top.evalTree(&tc, cfg.TripHints, exact(1))
+		lb := satAdd(satMul(t, cfg.ThreadStart), lowerExec(top))
 		if lb > lower {
 			lower = lb
 		}
-		addTraffic(tree, stats, 1, 1, &tot)
-		ub, known := upperExec(tree, stats, &cfg, nt)
+		addTraffic(top, 1, 1, &tot)
+		ub, known := upperExec(top, &cfg, nt)
 		if !known {
 			upperKnown = false
 		}
@@ -412,18 +411,19 @@ func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Confi
 
 	// Kernel-wide loop reports from an interval thread id (covers all
 	// threads at once).
-	all := evalTree(k, s, env, cfg.TripHints, span(0, nt-1))
+	tc.tid = span(0, nt-1)
+	top.evalTree(&tc, cfg.TripHints, exact(1))
 	var loops []LoopReport
-	var walkLoops func(ge *graphEval)
-	walkLoops = func(ge *graphEval) {
-		if ge.g.Cond != nil {
-			loops = append(loops, loopReport(ge, stats[ge.g], deps.ByGraph[ge.g], &cfg, nt))
+	var walkLoops func(cg *cgraph)
+	walkLoops = func(cg *cgraph) {
+		if cg.g.Cond != nil {
+			loops = append(loops, loopReport(cg, deps.ByGraph[cg.g], &cfg, nt))
 		}
-		for _, kid := range ge.kids {
+		for _, kid := range cg.kids {
 			walkLoops(kid)
 		}
 	}
-	walkLoops(all)
+	walkLoops(top)
 
 	// Roofline: does the guaranteed memory time dominate the minimum
 	// compute time? Min-side traffic keeps the verdict sound when some
@@ -520,20 +520,19 @@ func recMII(gd *depend.GraphDeps, cfg *Config) (int64, string) {
 // loopReport builds the per-loop view: achieved and best-case II, trip
 // counts, per-iteration traffic, the limiting resource and the
 // memory-boundedness of this nest in isolation.
-func loopReport(ge *graphEval, st gstats, gd *depend.GraphDeps, cfg *Config, nt int64) LoopReport {
-	gs := ge.gs
+func loopReport(cg *cgraph, gd *depend.GraphDeps, cfg *Config, nt int64) LoopReport {
+	gs, st := cg.gs, &cg.stats
 	r := LoopReport{
-		Name:            ge.g.Name,
+		Name:            cg.g.Name,
 		Depth:           gs.Depth,
 		IIThread:        int64(gs.Depth) + 1,
-		TripsKnown:      ge.trips.Known,
-		ExtBytesPerIter: 0,
+		TripsKnown:      cg.trips.Known,
+		ExtBytesPerIter: st.extBytesMax,
 		ExtReqsPerIter:  st.extLoadsMax + st.extStoresMax,
 		LocalPerIter:    st.localMax,
 	}
-	r.ExtBytesPerIter = st.extBytesMax
-	if ge.trips.Known {
-		r.TripsLo, r.TripsHi = ge.trips.Lo, ge.trips.Hi
+	if cg.trips.Known {
+		r.TripsLo, r.TripsHi = cg.trips.Lo, cg.trips.Hi
 	}
 	// Best pipelined II: floored at 1, limited by single-port arrays
 	// (each port serves one access per cycle) and by the external bus

@@ -13,8 +13,6 @@ import (
 	"paravis/internal/autotune"
 	"paravis/internal/core"
 	"paravis/internal/parallel"
-	"paravis/internal/perfbound"
-	"paravis/internal/staticcheck"
 	"paravis/internal/store"
 )
 
@@ -215,18 +213,10 @@ func (s *Server) perfReportBytes(name, src string, defines map[string]string, la
 	if err != nil {
 		return nil
 	}
-	cfg := perfbound.DefaultConfig()
-	cfg.TripHints = api.AbsintTripHints(prog.Fn, params)
-	rep := perfbound.Analyze(prog.Kernel, prog.Sched, params, cfg)
-	ds := staticcheck.CheckPerf(name, prog.Kernel, prog.Sched, params)
-	var dep []api.DependLoop
-	if prog.Fn != nil {
-		dep = api.NewDependSummary(prog.Fn, params)
-	}
 	var buf bytes.Buffer
 	if err := api.Encode(&buf, api.PerfReport{
 		SchemaVersion: api.Version,
-		Units:         []api.PerfUnit{api.NewPerfUnit(name, rep, ds, dep, nil)},
+		Units:         []api.PerfUnit{api.AnalyzePerf(name, prog, params)},
 	}); err != nil {
 		return nil
 	}

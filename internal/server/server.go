@@ -32,9 +32,7 @@ import (
 	"paravis/internal/core"
 	"paravis/internal/minic"
 	"paravis/internal/parallel"
-	"paravis/internal/perfbound"
 	"paravis/internal/sim"
-	"paravis/internal/staticcheck"
 	"paravis/internal/store"
 )
 
@@ -278,11 +276,7 @@ func (s *Server) handlePerf(w http.ResponseWriter, r *http.Request) {
 		}
 		unit = api.NewPerfUnit(name, nil, nil, nil, err)
 	} else {
-		cfg := perfbound.DefaultConfig()
-		cfg.TripHints = api.AbsintTripHints(p.Fn, req.Params)
-		rep := perfbound.Analyze(p.Kernel, p.Sched, req.Params, cfg)
-		ds := staticcheck.CheckPerf(name, p.Kernel, p.Sched, req.Params)
-		unit = api.NewPerfUnit(name, rep, ds, api.NewDependSummary(p.Fn, req.Params), nil)
+		unit = api.AnalyzePerf(name, p, req.Params)
 	}
 	writeJSON(w, http.StatusOK, api.PerfReport{
 		SchemaVersion: api.Version,

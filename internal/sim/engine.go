@@ -411,6 +411,9 @@ func (e *engine) setupMemory() error {
 	if alloc > int64(e.cfg.DRAM.Words) {
 		return fmt.Errorf("sim: mapped data (%d words) exceeds DRAM capacity (%d words)", alloc, e.cfg.DRAM.Words)
 	}
+	// The kernel and the profiler's flushes stay inside what the map
+	// clauses laid out: back that now and the run never re-backs the store.
+	e.dram.Reserve(alloc)
 	return nil
 }
 

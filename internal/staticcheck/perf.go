@@ -14,11 +14,13 @@ import (
 // fire). All findings are informational or warnings: they describe
 // performance ceilings, not defects.
 func CheckPerf(file string, k *ir.Kernel, s *schedule.Schedule, env map[string]int64) []Diagnostic {
-	return perfDiags(file, perfbound.Analyze(k, s, env, perfbound.DefaultConfig()))
+	return PerfDiagnostics(file, perfbound.Analyze(k, s, env, perfbound.DefaultConfig()))
 }
 
-// perfDiags converts an analysis report into perf-bound diagnostics.
-func perfDiags(file string, rep *perfbound.Report) []Diagnostic {
+// PerfDiagnostics converts an analysis report into perf-bound
+// diagnostics. A caller that publishes the report passes that same report,
+// so the cycle counts the findings quote are the ones beside them.
+func PerfDiagnostics(file string, rep *perfbound.Report) []Diagnostic {
 	var ds []Diagnostic
 	for _, l := range rep.Loops {
 		// Unparsable names (none today) report at position 0:0.
