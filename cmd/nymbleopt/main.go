@@ -37,7 +37,6 @@ import (
 	"paravis/internal/api"
 	"paravis/internal/autotune"
 	"paravis/internal/cli"
-	"paravis/internal/core"
 	"paravis/internal/workloads"
 )
 
@@ -60,11 +59,10 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cache := core.NewCache()
 	var units []api.OptimizeUnit
 	if *wl {
 		for _, w := range workloads.Units() {
-			units = append(units, searchOne(ctx, cache, w.Name, w.Source, autotune.Options{
+			units = append(units, searchOne(ctx, w.Name, w.Source, autotune.Options{
 				Defines: w.Defines,
 				Params:  w.Params,
 				Floats:  w.Floats,
@@ -83,7 +81,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "nymbleopt:", err)
 				os.Exit(2)
 			}
-			units = append(units, searchOne(ctx, cache, path, string(src), autotune.Options{
+			units = append(units, searchOne(ctx, path, string(src), autotune.Options{
 				Defines:   defines,
 				Params:    params,
 				Budget:    autotune.Budget{Candidates: *budget},
@@ -124,8 +122,7 @@ func main() {
 
 // searchOne runs one search; errors become the unit's Error field so a
 // bad file does not abort a multi-file report.
-func searchOne(ctx context.Context, cache *core.Cache, name, src string, opts autotune.Options) api.OptimizeUnit {
-	opts.Cache = cache
+func searchOne(ctx context.Context, name, src string, opts autotune.Options) api.OptimizeUnit {
 	res, err := autotune.Optimize(ctx, name, src, opts)
 	return api.NewOptimizeUnit(name, res, err)
 }

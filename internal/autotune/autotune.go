@@ -89,9 +89,6 @@ type Options struct {
 	// SimCfg overrides the simulator/bound machine model; nil selects
 	// the default model with profiling off.
 	SimCfg *sim.Config
-	// Cache shares compiled programs across searches (and with the
-	// daemon); nil builds a private cache.
-	Cache *core.Cache
 	// Workers bounds the goroutines of both tiers: candidate rewriting
 	// and static ranking, then simulation (<=0: the parallel package's
 	// default). The report does not depend on it.
@@ -225,14 +222,12 @@ func expand(s transform.Step, g Grid) []transform.Step {
 }
 
 // vetError returns the first error-severity diagnostic of a program
-// cache.Build just returned, or nil. Build has already run the IR and
-// schedule verifiers (a failure there is a compile error), so the AST
-// rules are all that is left of a full vet.
+// core.BuildAST just returned, or nil. The build has already run the IR
+// and schedule verifiers (a failure there is a compile error), so the AST
+// rules that can emit errors are all that is left to reject it.
 func vetError(name string, p *core.Program) *staticcheck.Diagnostic {
-	for _, d := range staticcheck.CheckProgram(name, p.AST) {
-		if d.Severity == staticcheck.SevError {
-			return &d
-		}
+	if ds := staticcheck.CheckErrors(name, p.AST); len(ds) > 0 {
+		return &ds[0]
 	}
 	return nil
 }
@@ -398,10 +393,6 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 		ctx = context.Background()
 	}
 	start := time.Now()
-	cache := opts.Cache
-	if cache == nil {
-		cache = core.NewCache()
-	}
 	simCfg := opts.simCfg()
 	topts := transform.Options{
 		Defines:     opts.Defines,
@@ -420,7 +411,7 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 	topts.VectorLanes = lanes
 	canonOpts := core.BuildOptions{VectorLanes: lanes}
 
-	baseProg, _, err := cache.Build(ctx, baseSrc, canonOpts)
+	baseProg, err := core.Build(ctx, baseSrc, canonOpts)
 	if err != nil {
 		return nil, fmt.Errorf("autotune: baseline build: %w", err)
 	}
@@ -472,17 +463,19 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 		type explored struct {
 			cand   Candidate
 			src    string
+			ast    *minic.Program // the parse of src
 			prog   *core.Program
 			bounds perfbound.CycleBounds
 			ok     bool // eligible for simulation
 		}
 		type rewrite struct {
 			src string
+			ast *minic.Program
 			err error
 		}
 		rewrites := make([]rewrite, len(steps))
 		_ = parallel.ForEach(workers, len(steps), func(i int) error {
-			rewrites[i].src, rewrites[i].err = base.Apply(steps[i])
+			rewrites[i].src, rewrites[i].ast, rewrites[i].err = base.Apply(steps[i])
 			return nil
 		})
 		var cands, fresh []*explored
@@ -497,7 +490,7 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 					continue // an equivalent rewrite was already explored
 				}
 				seen[rewrites[i].src] = true
-				e.src = rewrites[i].src
+				e.src, e.ast = rewrites[i].src, rewrites[i].ast
 				fresh = append(fresh, e)
 			case isNotProven(err):
 				e.cand.Verdict, e.cand.Note = VerdictNotProven, err.Error()
@@ -508,7 +501,9 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 		}
 		_ = parallel.ForEach(workers, len(fresh), func(i int) error {
 			e := fresh[i]
-			prog, _, err := cache.Build(ctx, e.src, canonOpts)
+			// The seen set makes every candidate text of a search unique,
+			// so there is nothing to look up: build from the rewrite's tree.
+			prog, err := core.BuildAST(ctx, e.src, e.ast, canonOpts)
 			if err != nil {
 				e.cand.Verdict, e.cand.Note = VerdictCompileError, err.Error()
 				return nil

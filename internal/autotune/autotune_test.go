@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -202,13 +203,14 @@ func TestDeadlineNeverTruncates(t *testing.T) {
 }
 
 // TestAllocationCeiling pins the cost of the static tier where a test,
-// not a benchmark, fails. A round analyses its base once: a two-round
-// DIM=16 search on one worker allocates 150,778 objects (a few dozen
-// either way from run to run, 152,726 under the race detector). Deriving
-// the legality report per candidate again costs 168,783, and with the
-// map-state solver as well it was 432,598; the ceiling sits between.
+// not a benchmark, fails. A two-round DIM=16 search on one worker
+// allocates ~67,690 objects (a few either way from run to run, ~69,100
+// under the race detector). Before a candidate paid only for what can
+// change its verdict — a parse per step refused or not, a third parse in
+// the build, the full vet with its dependence analysis, a fresh scalar
+// type per parse — the same search allocated ~91,520.
 func TestAllocationCeiling(t *testing.T) {
-	const ceiling = 160000
+	const ceiling = 72000
 	allocs := testing.AllocsPerRun(1, func() {
 		if _, err := gemm16(context.Background(), 8, 2, 1); err != nil {
 			t.Fatal(err)
@@ -216,6 +218,37 @@ func TestAllocationCeiling(t *testing.T) {
 	})
 	if allocs > ceiling {
 		t.Errorf("two-round DIM=16 search allocates %.0f objects, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestScalarTypesStayShared: minic.TypeInt and TypeFloat hand out one
+// shared value each, so a write through any scalar *minic.Type would
+// corrupt every later parse. Parse, sema, lowering and a full search over
+// every seed unit (at a small size) must leave both values as built.
+func TestScalarTypesStayShared(t *testing.T) {
+	for _, u := range workloads.Units() {
+		if _, err := core.Build(context.Background(), u.Source, core.BuildOptions{Defines: u.Defines}); err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+		params, floats := map[string]int64{"DIM": 16}, u.Floats
+		if u.Name == "pi" {
+			params = map[string]int64{"steps": 2048, "threads": 8}
+			floats = map[string]float64{"step": 1.0 / 2048, "final_sum": 0}
+		}
+		if _, err := autotune.Optimize(context.Background(), u.Name, u.Source, autotune.Options{
+			Defines: u.Defines, Params: params, Floats: floats, Budget: autotune.Budget{Candidates: 8},
+		}); err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+	}
+	if minic.TypeInt() != minic.TypeInt() || minic.TypeFloat() != minic.TypeFloat() {
+		t.Fatal("TypeInt or TypeFloat no longer returns a shared value")
+	}
+	if got := *minic.TypeInt(); !reflect.DeepEqual(got, minic.Type{Basic: minic.Int}) {
+		t.Errorf("TypeInt() = %+v after the searches", got)
+	}
+	if got := *minic.TypeFloat(); !reflect.DeepEqual(got, minic.Type{Basic: minic.Float}) {
+		t.Errorf("TypeFloat() = %+v after the searches", got)
 	}
 }
 

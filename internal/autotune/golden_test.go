@@ -10,7 +10,6 @@ import (
 
 	"paravis/internal/api"
 	"paravis/internal/autotune"
-	"paravis/internal/core"
 	"paravis/internal/workloads"
 )
 
@@ -27,14 +26,12 @@ func TestGoldenOptimizeReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("searches all seed workloads")
 	}
-	cache := core.NewCache()
 	for _, u := range workloads.Units() {
 		t.Run(u.Name, func(t *testing.T) {
 			res, err := autotune.Optimize(context.Background(), u.Name, u.Source, autotune.Options{
 				Defines: u.Defines,
 				Params:  u.Params,
 				Floats:  u.Floats,
-				Cache:   cache,
 				Budget:  autotune.Budget{Candidates: 4},
 			})
 			unit := api.NewOptimizeUnit(u.Name, res, err)

@@ -56,18 +56,26 @@ type Program struct {
 // server can abandon a build whose client has gone away; ctx may be nil,
 // meaning Background.
 func Build(ctx context.Context, src string, opts BuildOptions) (*Program, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: build canceled: %w", err)
-	}
 	prog, err := minic.Parse(src, minic.Options{
 		Defines:     opts.Defines,
 		VectorLanes: opts.VectorLanes,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	return BuildAST(ctx, src, prog, opts)
+}
+
+// BuildAST is Build from an already parsed and sema-checked program: prog
+// must be what minic.Parse returns for src under opts' defines and lane
+// count. The returned Program holds prog, so the caller must not modify
+// it afterwards.
+func BuildAST(ctx context.Context, src string, prog *minic.Program, opts BuildOptions) (*Program, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: build canceled: %w", err)
 	}
 	fn, ts, err := minic.FindTarget(prog)
 	if err != nil {

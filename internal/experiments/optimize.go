@@ -27,8 +27,10 @@ type OptimizeResult struct {
 }
 
 // RunOptimize runs the autotuner on the naive GEMM and simulates the
-// hand ladder for comparison. The search shares the experiments build
-// cache, so ladder rungs the search re-derives compile only once.
+// hand ladder for comparison. The search builds its candidates outside
+// the experiments build cache: the ladder compiles define-bearing
+// source, the search canonical text, so no key of one ever matches the
+// other.
 func RunOptimize(ctx context.Context, opts Options, budget int) (*OptimizeResult, error) {
 	// The search confirms candidates with profiling off (measurement must
 	// not perturb the ranked quantity); the hand ladder is simulated the
@@ -43,7 +45,6 @@ func RunOptimize(ctx context.Context, opts Options, budget int) (*OptimizeResult
 	found, err := autotune.Optimize(ctx, "gemm-naive", workloads.GEMMSource(workloads.GEMMNaive), autotune.Options{
 		Defines: workloads.GEMMDefinesThreads(workloads.GEMMNaive, opts.Threads),
 		Params:  map[string]int64{"DIM": int64(opts.GEMMDim)},
-		Cache:   buildCache,
 		Budget:  autotune.Budget{Candidates: budget},
 		Workers: opts.Workers,
 	})

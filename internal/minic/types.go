@@ -39,10 +39,17 @@ type Type struct {
 	Elem  *Type // element type for pointers and arrays
 }
 
+// A Type is never modified once built, so the two scalar types every
+// parse, sema pass and lowering asks for are shared values.
+var (
+	typeInt   = &Type{Basic: Int}
+	typeFloat = &Type{Basic: Float}
+)
+
 // Convenience constructors.
 func TypeVoid() *Type  { return &Type{Basic: Void} }
-func TypeInt() *Type   { return &Type{Basic: Int} }
-func TypeFloat() *Type { return &Type{Basic: Float} }
+func TypeInt() *Type   { return typeInt }
+func TypeFloat() *Type { return typeFloat }
 
 // TypeVector returns a float vector type with the given lane count.
 func TypeVector(lanes int) *Type { return &Type{Basic: Float, Lanes: lanes} }

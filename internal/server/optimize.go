@@ -111,7 +111,6 @@ func (s *Server) runOptimize(ctx context.Context, j *job, req *api.OptimizeReque
 		VectorLanes: req.VectorLanes,
 		Params:      req.Params,
 		Floats:      req.Floats,
-		Cache:       s.cache,
 		Budget:      autotune.Budget{Candidates: req.Budget},
 		MaxRounds:   req.MaxRounds,
 	})
@@ -207,9 +206,11 @@ func (s *Server) renderOptimizeArtifact(req *api.OptimizeRequest, unit api.Optim
 
 // perfReportBytes is nymbleperf's analysis rendered to bytes (nil when
 // the source does not build — the optimize report already carries the
-// error).
+// error). It builds outside the compile cache, as the search does: the
+// artifact store answers every repeat of the job, so a cached program
+// would only stay pinned for the life of the daemon.
 func (s *Server) perfReportBytes(name, src string, defines map[string]string, lanes int, params map[string]int64) []byte {
-	prog, err := s.build(context.Background(), nil, src, core.BuildOptions{Defines: defines, VectorLanes: lanes})
+	prog, err := core.Build(context.Background(), src, core.BuildOptions{Defines: defines, VectorLanes: lanes})
 	if err != nil {
 		return nil
 	}

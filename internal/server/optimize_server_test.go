@@ -10,7 +10,6 @@ import (
 
 	"paravis/internal/api"
 	"paravis/internal/autotune"
-	"paravis/internal/core"
 	"paravis/internal/workloads"
 )
 
@@ -38,10 +37,16 @@ func TestOptimizeWaitByteIdenticalToCLI(t *testing.T) {
 	req := gemmOptimizeRequest(4, 2)
 	req.Wait = true
 
+	entries := compileCacheEntries(t, ts.URL)
 	resp := postJSON(t, ts.URL+"/v1/optimize", req)
 	body := readAll(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/optimize = %d: %s", resp.StatusCode, body)
+	}
+	// The search and its perf artifacts build outside the compile cache,
+	// which never evicts: a finished job must leave no program pinned.
+	if after := compileCacheEntries(t, ts.URL); after != entries {
+		t.Errorf("compile cache entries %d -> %d across one optimize job", entries, after)
 	}
 	var doc api.Job
 	if err := json.Unmarshal(body, &doc); err != nil {
@@ -64,7 +69,6 @@ func TestOptimizeWaitByteIdenticalToCLI(t *testing.T) {
 	res, err := autotune.Optimize(context.Background(), req.Name, req.Source, autotune.Options{
 		Defines:   req.Defines,
 		Params:    req.Params,
-		Cache:     core.NewCache(),
 		Budget:    autotune.Budget{Candidates: req.Budget},
 		MaxRounds: req.MaxRounds,
 	})
@@ -135,6 +139,20 @@ func TestOptimizeWaitByteIdenticalToCLI(t *testing.T) {
 	if r404.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown artifact = %d, want 404", r404.StatusCode)
 	}
+}
+
+// compileCacheEntries reads the compile cache's entry count off /healthz.
+func compileCacheEntries(t *testing.T, url string) int {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc api.Health
+	if err := json.Unmarshal(readAll(t, resp), &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.CompileCache.Entries
 }
 
 // TestOptimizeAsyncPollAndStoreHit runs the same search twice against a

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"paravis/internal/absint"
@@ -194,26 +195,82 @@ func HasRule(ds []Diagnostic, rule string) bool {
 	return false
 }
 
-// CheckProgram runs every AST-level rule over a parsed, sema-checked
-// program: def-use dataflow lints on all functions, and the OpenMP and
-// stall rules on the target region if one exists.
-func CheckProgram(file string, prog *minic.Program) []Diagnostic {
+// funcFacts is what the AST-level rules read about one function: its
+// declaration table, its environment-free interpretation and its target
+// region (nil when it has none).
+type funcFacts struct {
+	file string
+	fn   *minic.FuncDecl
+	ts   *minic.TargetStmt
+	res  *resolution
+	ai   *absint.Result
+}
+
+// funcRule is one AST-level check and the rule IDs it may emit.
+type funcRule struct {
+	rules  []string
+	target bool // runs only on a function with a target region
+	check  func(f *funcFacts, ds *[]Diagnostic)
+}
+
+// funcRules are the AST-level checks in the order CheckProgram runs them.
+var funcRules = []funcRule{
+	{rules: []string{RuleUnusedVar}, check: func(f *funcFacts, ds *[]Diagnostic) { checkUnused(f.file, f.res, ds) }},
+	{rules: []string{RuleUseBeforeInit}, check: func(f *funcFacts, ds *[]Diagnostic) { checkUninit(f.file, f.res, ds) }},
+	{rules: []string{RuleDeadStore}, check: func(f *funcFacts, ds *[]Diagnostic) { checkDeadStores(f.file, f.res, f.ai, ds) }},
+	{rules: []string{RuleArrayOOB, RuleArrayOOBMay, RuleDivByZero, RuleDeadBranch},
+		check: func(f *funcFacts, ds *[]Diagnostic) { checkAbsint(f.file, f.ai, ds) }},
+	{rules: []string{RuleOMPRace, RuleOMPMap}, target: true,
+		check: func(f *funcFacts, ds *[]Diagnostic) { checkOMP(f.file, f.res, f.ts, ds) }},
+	{rules: []string{RuleStallLint}, target: true,
+		check: func(f *funcFacts, ds *[]Diagnostic) { checkStalls(f.file, f.res, f.ts, ds) }},
+	{rules: []string{RuleLoopCarriedDep, RuleBankConflict, RuleTransformLegality}, target: true,
+		check: func(f *funcFacts, ds *[]Diagnostic) { checkDepend(f.file, f.fn, f.ai, ds) }},
+}
+
+// canError reports whether the check may emit an error: whether the
+// catalogue grades any of its rules SevError.
+func (r funcRule) canError() bool {
+	for _, info := range AllRules() {
+		if info.DefaultSeverity == SevError && slices.Contains(r.rules, info.ID) {
+			return true
+		}
+	}
+	return false
+}
+
+// runFuncRules runs the selected AST-level checks over every function.
+func runFuncRules(file string, prog *minic.Program, keep func(funcRule) bool) []Diagnostic {
 	var ds []Diagnostic
 	for _, fn := range prog.Funcs {
-		res := resolve(fn)
-		ai := absint.Analyze(fn, absint.Options{})
-		checkUnused(file, res, &ds)
-		checkUninit(file, res, &ds)
-		checkDeadStores(file, res, ai, &ds)
-		checkAbsint(file, ai, &ds)
-		if ts := minic.TargetOf(fn); ts != nil {
-			checkOMP(file, res, ts, &ds)
-			checkStalls(file, res, ts, &ds)
-			checkDepend(file, fn, ai, &ds)
+		f := &funcFacts{file: file, fn: fn, ts: minic.TargetOf(fn), res: resolve(fn),
+			ai: absint.Analyze(fn, absint.Options{})}
+		for _, r := range funcRules {
+			if keep(r) && (!r.target || f.ts != nil) {
+				r.check(f, &ds)
+			}
 		}
 	}
 	Sort(ds)
 	return ds
+}
+
+// CheckProgram runs every AST-level rule over a parsed, sema-checked
+// program: def-use dataflow lints and the abstract-interpretation rules
+// on all functions, and the OpenMP, stall and dependence rules on the
+// target region if one exists.
+func CheckProgram(file string, prog *minic.Program) []Diagnostic {
+	return runFuncRules(file, prog, func(funcRule) bool { return true })
+}
+
+// CheckErrors is the SevError subset of CheckProgram, in the same order:
+// it runs only the checks whose rules can emit errors, so a caller that
+// only asks "does anything reject this program" skips the dependence
+// analysis and the def-use lints.
+func CheckErrors(file string, prog *minic.Program) []Diagnostic {
+	return slices.DeleteFunc(runFuncRules(file, prog, funcRule.canError), func(d Diagnostic) bool {
+		return d.Severity != SevError
+	})
 }
 
 // CheckKernel runs the ir-verify rule: the hardened structural IR

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -165,6 +166,54 @@ func TestStallLintMatchesPaperNarrative(t *testing.T) {
 		want := wantArrays[v]
 		if strings.Join(got, ",") != strings.Join(want, ",") {
 			t.Errorf("%s: stall-lint arrays = %v, want %v", v, got, want)
+		}
+	}
+}
+
+// TestCheckErrorsSkipsNoErrorRule: every catalogue rule the AST checks
+// emit belongs to exactly one check, each check emits only its own
+// rules on the fixtures, and no check CheckErrors skips owns a rule the
+// catalogue grades SevError.
+func TestCheckErrorsSkipsNoErrorRule(t *testing.T) {
+	owner := map[string]int{}
+	for i, r := range funcRules {
+		for _, id := range r.rules {
+			if j, dup := owner[id]; dup {
+				t.Errorf("rule %s belongs to checks %d and %d", id, j, i)
+			}
+			owner[id] = i
+		}
+	}
+	notAST := map[string]bool{RuleIRVerify: true, RuleFrontend: true, RuleLower: true, RulePerfBound: true}
+	for _, info := range AllRules() {
+		i, ok := owner[info.ID]
+		switch {
+		case !ok && !notAST[info.ID]:
+			t.Errorf("rule %s belongs to no AST check", info.ID)
+		case ok && info.DefaultSeverity == SevError && !funcRules[i].canError():
+			t.Errorf("CheckErrors skips check %d, which owns the error rule %s", i, info.ID)
+		}
+	}
+
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.mc"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no fixtures found: %v", err)
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := minic.Parse(string(src), minic.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range funcRules {
+			for _, d := range runFuncRules(path, prog, func(o funcRule) bool { return reflect.DeepEqual(o.rules, r.rules) }) {
+				if owner[d.Rule] != i {
+					t.Errorf("check %d (%v) emitted a finding of another rule: %s", i, r.rules, d)
+				}
+			}
 		}
 	}
 }

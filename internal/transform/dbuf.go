@@ -257,6 +257,9 @@ func doubleBuffer(c *passCtx, st *minic.ForStmt) error {
 	if owner == nil {
 		return notApplicable(PassDoubleBuffer, name, "loop has no enclosing statement list")
 	}
+	if c.readOnly {
+		return nil
+	}
 
 	// Ping-pong declarations: all 0-buffers, then all 1-buffers.
 	ren0, ren1 := subst{}, subst{}

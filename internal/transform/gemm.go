@@ -231,6 +231,9 @@ func blockBRAM(c *passCtx, st *minic.ForStmt, bs int64, vec bool) error {
 			return err
 		}
 	}
+	if c.readOnly {
+		return nil
+	}
 
 	i, j, k := nest.iSh.v, nest.jSh.v, nest.kSh.v
 	d := nest.bound

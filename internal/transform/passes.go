@@ -76,7 +76,7 @@ func unroll(c *passCtx, st *minic.ForStmt, factor int64) error {
 	if err != nil {
 		return err
 	}
-	if err := gate(PassUnroll, ld, ld.Legal.Unroll, ld.Legal.UnrollWhy); err != nil {
+	if err := gate(PassUnroll, ld, ld.Legal.Unroll, ld.Legal.UnrollWhy); err != nil || c.readOnly {
 		return err
 	}
 	st.Unroll = int(factor)
@@ -138,7 +138,7 @@ func tile(c *passCtx, st *minic.ForStmt, size int64) error {
 	if err != nil {
 		return err
 	}
-	if err := gate(PassTile, ld, ld.Legal.Tile, ld.Legal.TileWhy); err != nil {
+	if err := gate(PassTile, ld, ld.Legal.Tile, ld.Legal.TileWhy); err != nil || c.readOnly {
 		return err
 	}
 
@@ -300,7 +300,7 @@ func redistribute(c *passCtx, st *minic.ForStmt) error {
 	if err != nil {
 		return err
 	}
-	if err := gate(PassRedistribute, dld, dld.Legal.Unroll, dld.Legal.UnrollWhy); err != nil {
+	if err := gate(PassRedistribute, dld, dld.Legal.Unroll, dld.Legal.UnrollWhy); err != nil || c.readOnly {
 		return err
 	}
 
@@ -463,7 +463,7 @@ func vectorize(c *passCtx, st *minic.ForStmt) error {
 	// Vectorization executes `lanes` former iterations per new iteration
 	// — exactly the reordering unrolling performs, so it shares the
 	// Unroll verdict (and the advisor's narrow-accesses gate).
-	if err := gate(PassVectorize, ld, ld.Legal.Unroll, ld.Legal.UnrollWhy); err != nil {
+	if err := gate(PassVectorize, ld, ld.Legal.Unroll, ld.Legal.UnrollWhy); err != nil || c.readOnly {
 		return err
 	}
 

@@ -13,14 +13,14 @@
 // depend.AnalyzeRanges); tests can inject a doctored depend.Report
 // through Options.Report to prove the gate holds.
 //
-// Base.Apply is the only mutation entry point: parse → gate → rewrite →
-// print → re-parse → print. The double print canonicalizes the output
-// (sema inserts coercion casts on the first re-parse), so applying a
-// pass is idempotent byte-wise: transforming already-transformed source
-// with identity parameters returns the input unchanged. Analyze does the
-// per-source work (the legality report above all) once for any number of
-// steps; the package-level Apply and Targets are Analyze followed by the
-// method.
+// Base.Apply is the only mutation entry point: match → gate on the shared
+// tree, then parse → rewrite → print → re-parse → print for an accepted
+// step only. The double print canonicalizes the output (sema inserts
+// coercion casts on the first re-parse), so applying a pass is idempotent
+// byte-wise: transforming already-transformed source with identity
+// parameters returns the input unchanged. Analyze does the per-source
+// work (the legality report above all) once for any number of steps; the
+// package-level Apply and Targets are Analyze followed by the method.
 package transform
 
 import (
@@ -123,13 +123,17 @@ func gate(pass string, ld *depend.LoopDeps, verdict depend.Tri, why string) erro
 }
 
 // passCtx carries everything a pass needs: the parsed function, the
-// legality report, the lane count and the fold environment.
+// legality report, the lane count and the fold environment. Every pass
+// decides all of its refusals before its first write; on a read-only
+// context it returns right after the last of them, so a nil error there
+// means the step would be accepted and nothing was touched.
 type passCtx struct {
-	fn    *minic.FuncDecl
-	rep   *depend.Report
-	lanes int
-	env   map[string]int64
-	used  map[string]bool
+	fn       *minic.FuncDecl
+	rep      *depend.Report
+	lanes    int
+	env      map[string]int64
+	used     map[string]bool
+	readOnly bool
 }
 
 func (c *passCtx) loopDeps(pass string, st *minic.ForStmt) (*depend.LoopDeps, error) {
@@ -150,8 +154,9 @@ func (c *passCtx) loopDeps(pass string, st *minic.ForStmt) (*depend.LoopDeps, er
 type Base struct {
 	src   string
 	parse minic.Options
-	// ctx is the analysed tree with its report. Targets matches against
-	// it; Apply only borrows the report, lanes, env and used names.
+	// ctx is the analysed tree with its report, read-only. Targets matches
+	// against it and Apply decides refusals on it; an accepted step borrows
+	// the report, lanes, env and used names for its private tree.
 	ctx passCtx
 }
 
@@ -167,7 +172,7 @@ func Analyze(src string, opts Options) (*Base, error) {
 	if rep == nil {
 		rep = LegalityReport(fn, opts.Params)
 	}
-	b.ctx = passCtx{fn: fn, rep: rep, lanes: opts.lanes(), env: opts.Params, used: usedNames(fn)}
+	b.ctx = passCtx{fn: fn, rep: rep, lanes: opts.lanes(), env: opts.Params, used: usedNames(fn), readOnly: true}
 	return b, nil
 }
 
@@ -185,43 +190,52 @@ func (b *Base) target() (*minic.Program, *minic.FuncDecl, error) {
 }
 
 // Apply applies one transformation step to the base and returns the
-// canonical printed source. The emitted text is guaranteed to re-parse;
+// canonical printed source together with its parse: the tree is exactly
+// what minic.Parse returns for the text at the base's lane count, and it
+// is the caller's own. The emitted text is guaranteed to re-parse;
 // building, vetting and simulating it is the caller's business.
-func (b *Base) Apply(step Step) (string, error) {
-	// Passes rewrite the tree in place, so every step gets a tree of its
-	// own; the report and the used names are keyed by loop and identifier
-	// names, which a re-parse of the same text reproduces.
+func (b *Base) Apply(step Step) (string, *minic.Program, error) {
+	// Every refusal is decided on the shared tree, which the read-only
+	// pass leaves untouched.
+	if err := b.ctx.run(step); err != nil {
+		return "", nil, err
+	}
+	// Passes rewrite the tree in place, so an accepted step gets a tree of
+	// its own; the report and the used names are keyed by loop and
+	// identifier names, which a re-parse of the same text reproduces.
 	prog, fn, err := b.target()
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	ctx := b.ctx
-	ctx.fn = fn
-	ctx.used = maps.Clone(b.ctx.used)
-	st := findLoop(fn, step.Loop)
+	ctx.fn, ctx.used, ctx.readOnly = fn, maps.Clone(b.ctx.used), false
+	if err := ctx.run(step); err != nil {
+		return "", nil, err
+	}
+	return canonical(prog, ctx.lanes)
+}
+
+// run finds the step's loop in c's tree and runs its pass.
+func (c *passCtx) run(step Step) error {
+	st := findLoop(c.fn, step.Loop)
 	if st == nil {
-		return "", notApplicable(step.Pass, step.Loop, "no such loop")
+		return notApplicable(step.Pass, step.Loop, "no such loop")
 	}
 	switch step.Pass {
 	case PassRedistribute:
-		err = redistribute(&ctx, st)
+		return redistribute(c, st)
 	case PassVectorize:
-		err = vectorize(&ctx, st)
+		return vectorize(c, st)
 	case PassUnroll:
-		err = unroll(&ctx, st, step.param("factor", int64(ctx.lanes)))
+		return unroll(c, st, step.param("factor", int64(c.lanes)))
 	case PassTile:
-		err = tile(&ctx, st, step.param("size", 8))
+		return tile(c, st, step.param("size", 8))
 	case PassBlockBRAM:
-		err = blockBRAM(&ctx, st, step.param("bs", 8), step.param("vec", 1) != 0)
+		return blockBRAM(c, st, step.param("bs", 8), step.param("vec", 1) != 0)
 	case PassDoubleBuffer:
-		err = doubleBuffer(&ctx, st)
-	default:
-		return "", fmt.Errorf("transform: unknown pass %q: %w", step.Pass, ErrNotApplicable)
+		return doubleBuffer(c, st)
 	}
-	if err != nil {
-		return "", err
-	}
-	return canonical(prog, ctx.lanes)
+	return fmt.Errorf("transform: unknown pass %q: %w", step.Pass, ErrNotApplicable)
 }
 
 // Apply is the one-shot form of Analyze followed by Base.Apply.
@@ -230,7 +244,8 @@ func Apply(src string, step Step, opts Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return b.Apply(step)
+	out, _, err := b.Apply(step)
+	return out, err
 }
 
 // lanes resolves the VECTOR lane count the way minic.Parse does for
@@ -259,20 +274,29 @@ func Canonical(src string, opts Options) (string, int, error) {
 		return "", 0, err
 	}
 	lanes := opts.lanes()
-	out, err := canonical(prog, lanes)
+	out, _, err := canonical(prog, lanes)
 	return out, lanes, err
 }
 
 // canonical prints the mutated tree, re-parses it (running sema, which
 // inserts coercion casts) and prints again, so Apply's output is always
-// a printer fixpoint.
-func canonical(prog *minic.Program, lanes int) (string, error) {
+// a printer fixpoint. It also returns the parse of that output: the
+// re-parse itself when the first print was already the fixpoint, else
+// one more parse.
+func canonical(prog *minic.Program, lanes int) (string, *minic.Program, error) {
+	popts := minic.Options{VectorLanes: lanes}
 	out := minic.Print(prog)
-	re, err := minic.Parse(out, minic.Options{VectorLanes: lanes})
-	if err != nil {
-		return "", fmt.Errorf("transform: emitted source does not re-parse: %w\n%s", err, out)
+	re, err := minic.Parse(out, popts)
+	if err == nil {
+		if text := minic.Print(re); text != out {
+			out = text
+			re, err = minic.Parse(out, popts)
+		}
 	}
-	return minic.Print(re), nil
+	if err != nil {
+		return "", nil, fmt.Errorf("transform: emitted source does not re-parse: %w\n%s", err, out)
+	}
+	return out, re, nil
 }
 
 // LegalityReport derives the range-refined dependence report the passes

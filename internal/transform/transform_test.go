@@ -355,7 +355,7 @@ func TestLyingLegality(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := base.Apply(tc.step); !errors.Is(err, transform.ErrNotProven) {
+				if _, _, err := base.Apply(tc.step); !errors.Is(err, transform.ErrNotProven) {
 					t.Fatalf("%s through Base: want ErrNotProven, got %v", tc.step.Pass, err)
 				}
 			})
@@ -456,8 +456,8 @@ func TestBaseMatchesOneShot(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					first[i].out, first[i].err = base.Apply(steps[i])
-					again[i].out, again[i].err = base.Apply(steps[i])
+					first[i].out, _, first[i].err = base.Apply(steps[i])
+					again[i].out, _, again[i].err = base.Apply(steps[i])
 				}()
 			}
 			wg.Wait()
