@@ -21,6 +21,7 @@ import (
 	"paravis/internal/absint"
 	"paravis/internal/area"
 	"paravis/internal/core"
+	"paravis/internal/depend"
 	"paravis/internal/minic"
 	"paravis/internal/paraver/analysis"
 	"paravis/internal/perfbound"
@@ -321,7 +322,10 @@ func NewDependSummary(fn *minic.FuncDecl, env map[string]int64) []DependLoop {
 	if fn == nil {
 		return nil
 	}
-	rep := transform.LegalityReport(fn, env)
+	return dependSummary(transform.LegalityReport(fn, env))
+}
+
+func dependSummary(rep *depend.Report) []DependLoop {
 	var out []DependLoop
 	for _, l := range rep.Loops {
 		dl := DependLoop{
@@ -402,11 +406,18 @@ func NewPerfUnit(name string, rep *perfbound.Report, ds []staticcheck.Diagnostic
 // /v1/perf and the optimize artifacts publish it: the bound report with
 // the abstract interpreter's trip brackets as the folding fallback, the
 // perf-bound diagnostics of that same report, and the dependence summary.
+// One abstract interpretation feeds both the trip brackets and the
+// dependence summary's index ranges.
 func AnalyzePerf(name string, prog *core.Program, params map[string]int64) PerfUnit {
 	cfg := perfbound.DefaultConfig()
-	cfg.TripHints = AbsintTripHints(prog.Fn, params)
+	var dep []DependLoop
+	if prog.Fn != nil {
+		ai := absint.Analyze(prog.Fn, absint.Options{Env: params})
+		cfg.TripHints = ai.TripHints()
+		dep = dependSummary(transform.LegalityReportFrom(prog.Fn, params, ai))
+	}
 	rep := perfbound.Analyze(prog.Kernel, prog.Sched, params, cfg)
-	return NewPerfUnit(name, rep, staticcheck.PerfDiagnostics(name, rep), NewDependSummary(prog.Fn, params), nil)
+	return NewPerfUnit(name, rep, staticcheck.PerfDiagnostics(name, rep), dep, nil)
 }
 
 // PerfReport is nymbleperf's -json output and the daemon's /v1/perf

@@ -65,12 +65,16 @@ func sweepUnit(t *testing.T, u workloads.Unit) {
 
 // TestStaticSweepAllocationBudget pins the benchmark claim where tier-1
 // sees it: one static_sweep op — vet and perf reports of the nine kernels —
-// stays under 100 k allocations (380.6 k before the static tier ran on
-// dense per-program forms; the map-based evaluator alone allocated 286 k,
-// one map and one carry slice per loop trip).
+// stays under 55 k allocations. It read 380.6 k before the static tier ran
+// on dense per-program forms (the map-based evaluator alone allocated
+// 286 k, one map and one carry slice per loop trip), then 70,049 while the
+// dependence solver still materialised an overlap interval per (access
+// pair, carrying loop, free loop); with the intervals built in scratch,
+// allocation-free child walks and counted-loop tests, and a per-kernel
+// recurrence scratch it reads about 53.6 k.
 func TestStaticSweepAllocationBudget(t *testing.T) {
 	us := sweepUnits(t)
-	const budget = 100_000
+	const budget = 55_000
 	got := testing.AllocsPerRun(2, func() {
 		for _, u := range us {
 			sweepUnit(t, u)
@@ -135,6 +139,43 @@ func TestAnalyzePerfDiagnosticsAgreeWithReport(t *testing.T) {
 	for _, d := range staticcheck.CheckPerf("clamp.mc", prog.Kernel, prog.Sched, params) {
 		if strings.Contains(d.Message, want) {
 			t.Errorf("CheckPerf agrees with the hinted report; the kernel no longer separates them: %v", d)
+		}
+	}
+}
+
+// TestAnalyzePerfOneAbsint: AnalyzePerf feeds the trip brackets and the
+// dependence summary's index ranges from one abstract interpretation.
+// Its JSON is byte-identical to the composition it replaced, which ran
+// the interpreter once for AbsintTripHints and again inside
+// NewDependSummary, and it allocates less.
+func TestAnalyzePerfOneAbsint(t *testing.T) {
+	encode := func(u PerfUnit) []byte {
+		var buf bytes.Buffer
+		if err := Encode(&buf, PerfReport{SchemaVersion: Version, Units: []PerfUnit{u}}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, u := range sweepUnits(t) {
+		p, err := core.Build(context.Background(), u.Source, core.BuildOptions{Defines: u.Defines})
+		if err != nil {
+			t.Fatal(err)
+		}
+		once := func() PerfUnit { return AnalyzePerf(u.Name, p, u.Params) }
+		twice := func() PerfUnit {
+			cfg := perfbound.DefaultConfig()
+			cfg.TripHints = AbsintTripHints(p.Fn, u.Params)
+			rep := perfbound.Analyze(p.Kernel, p.Sched, u.Params, cfg)
+			return NewPerfUnit(u.Name, rep, staticcheck.PerfDiagnostics(u.Name, rep), NewDependSummary(p.Fn, u.Params), nil)
+		}
+		if got, want := encode(once()), encode(twice()); !bytes.Equal(got, want) {
+			t.Errorf("%s: AnalyzePerf differs from the two-interpretation composition\n got %s\nwant %s", u.Name, got, want)
+		}
+		a1 := testing.AllocsPerRun(2, func() { once() })
+		a2 := testing.AllocsPerRun(2, func() { twice() })
+		t.Logf("%s: %.0f allocations, %.0f with two interpretations", u.Name, a1, a2)
+		if a1 >= a2 {
+			t.Errorf("%s: AnalyzePerf allocates %.0f, no fewer than the two-interpretation %.0f", u.Name, a1, a2)
 		}
 	}
 }

@@ -169,36 +169,6 @@ type interval struct {
 	lo, hi poly
 }
 
-func intervalPoint(p poly) interval { return interval{ok: true, lo: p, hi: p} }
-
-func (iv interval) add(o interval) interval {
-	if !iv.ok || !o.ok {
-		return interval{}
-	}
-	return interval{ok: true, lo: iv.lo.add(o.lo), hi: iv.hi.add(o.hi)}
-}
-
-func (iv interval) widen(loExtra, hiExtra int64) interval {
-	if !iv.ok {
-		return iv
-	}
-	return interval{ok: true, lo: iv.lo.add(polyConst(loExtra)), hi: iv.hi.add(polyConst(hiExtra))}
-}
-
-// mulPoly scales an interval by a polynomial of known sign.
-func (iv interval) mulPoly(p poly) interval {
-	if !iv.ok {
-		return iv
-	}
-	switch {
-	case p.isNonNeg():
-		return interval{ok: true, lo: iv.lo.mul(p), hi: iv.hi.mul(p)}
-	case p.negate().isNonNeg():
-		return interval{ok: true, lo: iv.hi.mul(p), hi: iv.lo.mul(p)}
-	}
-	return interval{}
-}
-
 // provablyBelow reports x < y for all x <= iv.hi when the gap y - hi is
 // provably >= 1.
 func provablyBelow(hi, y poly) bool { return y.sub(hi).sub(polyConst(1)).isNonNeg() }

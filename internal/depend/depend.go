@@ -266,14 +266,16 @@ func (w *walker) accessesUnder(l *loopInfo) []*access {
 // under l, and the cross-thread test when l distributes iterations over
 // omp threads.
 func (w *walker) loopDeps(l *loopInfo, under []*access) []Dep {
-	seen := map[string]bool{}
 	var deps []Dep
+	// Position and the all-iterations flag do not make a dependence new.
+	key := func(d Dep) Dep { d.AllIterations, d.Line, d.Col = false, 0, 0; return d }
 	addDep := func(d Dep) {
-		key := fmt.Sprintf("%s|%s|%v|%v|%d|%v|%v", d.Array, d.Kind, d.Carried, d.DistKnown, d.Distance, d.CrossThread, d.Proven)
-		if !seen[key] {
-			seen[key] = true
-			deps = append(deps, d)
+		for _, e := range deps {
+			if key(e) == key(d) {
+				return
+			}
 		}
+		deps = append(deps, d)
 	}
 	for i, f := range under {
 		for j := i; j < len(under); j++ {
@@ -281,7 +283,7 @@ func (w *walker) loopDeps(l *loopInfo, under []*access) []Dep {
 			if f.arr != g.arr || (!f.write && !g.write) {
 				continue
 			}
-			if d, ok := classify(f, g, w.refineMay(f, g, carriedAt(f, g, l, false, w.nt)), false); ok {
+			if d, ok := classify(f, g, w.refineMay(f, g, w.carriedAt(f, g, l, false)), false); ok {
 				addDep(d)
 			}
 			// Cross-thread: only mapped DRAM arrays are shared between
@@ -289,7 +291,7 @@ func (w *walker) loopDeps(l *loopInfo, under []*access) []Dep {
 			// a critical section are mutex-ordered — the race checker
 			// owns those.
 			if l.threadLoop && f.arr.dram && !(f.critical && g.critical) {
-				if d, ok := classify(f, g, w.refineMay(f, g, carriedAt(f, g, l, true, w.nt)), true); ok {
+				if d, ok := classify(f, g, w.refineMay(f, g, w.carriedAt(f, g, l, true)), true); ok {
 					addDep(d)
 				}
 			}

@@ -627,8 +627,8 @@ func enumCompare(t *testing.T, label, src string, defines map[string]string, env
 	soundCheck(t, label+"/concrete", Analyze(fn, env), events, dram)
 }
 
-func TestEnumerationSoundness(t *testing.T) {
-	const miniGEMM = `
+// The enumeration-only fixtures; the oracle test runs them too.
+const miniGEMMSrc = `
 void mm(float* A, float* B, float* C, int D) {
   #pragma omp target parallel map(from:C[0:D*D]) map(to:A[0:D*D], B[0:D*D]) num_threads(2)
   {
@@ -646,7 +646,8 @@ void mm(float* A, float* B, float* C, int D) {
   }
 }
 `
-	const strided = `
+
+const stridedSrc = `
 void sp(float* A, int n) {
   #pragma omp target parallel map(tofrom:A[0:2*n]) num_threads(1)
   {
@@ -656,7 +657,8 @@ void sp(float* A, int n) {
   }
 }
 `
-	const dist3 = `
+
+const dist3Src = `
 void d3(float* A, int n) {
   #pragma omp target parallel map(tofrom:A[0:n]) num_threads(1)
   {
@@ -666,7 +668,8 @@ void d3(float* A, int n) {
   }
 }
 `
-	const threadClean = `
+
+const threadCleanSrc = `
 void tc(float* A, float* B, int n) {
   #pragma omp target parallel map(tofrom:A[0:n]) map(to:B[0:n]) num_threads(3)
   {
@@ -678,6 +681,8 @@ void tc(float* A, float* B, int n) {
   }
 }
 `
+
+func TestEnumerationSoundness(t *testing.T) {
 	cases := []struct {
 		name    string
 		src     string
@@ -688,12 +693,12 @@ void tc(float* A, float* B, int n) {
 		{"anti", antiSrc, nil, map[string]int64{"n": 8}},
 		{"ziv", zivSrc, nil, map[string]int64{"n": 6}},
 		{"thread-shift", threadShiftSrc, nil, map[string]int64{"n": 11}},
-		{"thread-clean", threadClean, nil, map[string]int64{"n": 10}},
-		{"mini-gemm", miniGEMM, nil, map[string]int64{"D": 4}},
+		{"thread-clean", threadCleanSrc, nil, map[string]int64{"n": 10}},
+		{"mini-gemm", miniGEMMSrc, nil, map[string]int64{"D": 4}},
 		{"triangular", triangularSrc, nil, map[string]int64{"n": 6}},
 		{"div-fold", divFoldSrc, nil, map[string]int64{"n": 16}},
-		{"strided", strided, nil, map[string]int64{"n": 8}},
-		{"dist3", dist3, nil, map[string]int64{"n": 12}},
+		{"strided", stridedSrc, nil, map[string]int64{"n": 8}},
+		{"dist3", dist3Src, nil, map[string]int64{"n": 12}},
 		{"predicated", predicatedSrc, nil, map[string]int64{"n": 7}},
 	}
 	for _, c := range cases {

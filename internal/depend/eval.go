@@ -113,9 +113,7 @@ func (w *walker) expr(e minic.Expr) {
 		w.recordVec(x, false)
 	default:
 		// Everything else only holds subexpressions.
-		for _, c := range minic.Children(e) {
-			w.expr(c.(minic.Expr))
-		}
+		minic.EachChild(e, func(c minic.Node) { w.expr(c.(minic.Expr)) })
 	}
 }
 
@@ -207,6 +205,9 @@ func (w *walker) recordVec(x *minic.VecLoad, write bool) {
 }
 
 func (w *walker) push(a *access) {
+	if a.sub.ok {
+		a.rest, a.tid, a.tidOK = a.sub.base.tidSplit()
+	}
 	a.loops = append([]*loopInfo(nil), w.loops...)
 	a.pred = w.predDepth > 0
 	a.critical = w.critDepth > 0

@@ -19,6 +19,9 @@ type loopInfo struct {
 	init   aff   // iv value at iteration 0, evaluated in the outer context
 	bound  aff   // exclusive bound for step>0 / inclusive handled via boundAdj
 	hasBnd bool
+	// last and lastOK are iterLast's answer, computed once per loop.
+	last   poly
+	lastOK bool
 
 	threadLoop bool
 	// assigned collects scalars written anywhere in the condition, body
@@ -65,6 +68,16 @@ func (l *loopInfo) iterLast() (poly, bool) {
 	return span, true
 }
 
+// encloses reports whether l is L or one of L's ancestors.
+func (l *loopInfo) encloses(L *loopInfo) bool {
+	for p := L; p != nil; p = p.parent {
+		if p == l {
+			return true
+		}
+	}
+	return false
+}
+
 // arrayInfo describes one array (mapped DRAM pointer or local BRAM
 // array).
 type arrayInfo struct {
@@ -88,6 +101,9 @@ type access struct {
 	// node is the AST access node, the key an external range oracle
 	// (internal/absint) uses to attach proven element-index ranges.
 	node minic.Expr
+	// rest and tid are sub.base's tidSplit, made once per access.
+	rest, tid poly
+	tidOK     bool
 }
 
 // walker binds scalars and arrays by declaration, so C scoping needs no
@@ -106,6 +122,9 @@ type walker struct {
 
 	predDepth int
 	critDepth int
+
+	// lo and hi are carriedAt's scratch overlap interval.
+	lo, hi poly
 }
 
 func newWalker(fn *minic.FuncDecl, nt int, env map[string]int64) *walker {
@@ -114,6 +133,8 @@ func newWalker(fn *minic.FuncDecl, nt int, env map[string]int64) *walker {
 		env:    env,
 		arrays: map[minic.Decl]*arrayInfo{},
 		syms:   map[minic.Decl]aff{},
+		lo:     poly{},
+		hi:     poly{},
 	}
 	for _, p := range fn.Params {
 		if p.Type.IsPointer() {
@@ -247,6 +268,7 @@ func (w *walker) forStmt(st *minic.ForStmt) {
 			}
 		}
 	}
+	l.last, l.lastOK = l.iterLast()
 	// Scalars mutated in the loop vary per iteration.
 	l.assigned = minic.LoopAssigned(st)
 	delete(l.assigned, l.iv)

@@ -1,8 +1,9 @@
 package depend
 
 // FuzzDepend feeds arbitrary MiniC sources through the analyzer (no
-// panics allowed) and, whenever the concrete interpreter from
-// enum_test.go can execute the program inside its integer subset,
+// panics allowed), holds every pair verdict and report against the
+// oracle solver of oracle_test.go and, whenever the concrete interpreter
+// from enum_test.go can execute the program inside its integer subset,
 // cross-checks the report against the enumerated ground truth — the
 // same never-under-report contract the fixture harness pins, explored
 // over mutated programs.
@@ -58,6 +59,14 @@ void mm(float* A, float* B, float* C, int D) {
 		if fn == nil {
 			return
 		}
+		env := map[string]int64{}
+		for _, p := range fn.Params {
+			if !p.Type.IsPointer() {
+				env[p.Name] = 5
+			}
+		}
+		compareOracleAll(t, "fuzz", fn, env)
+		checkSmallConsts(t)
 		if ts.NumThreads > 8 {
 			return // bound the enumeration
 		}
@@ -74,12 +83,6 @@ void mm(float* A, float* B, float* C, int D) {
 			return
 		}
 
-		env := map[string]int64{}
-		for _, p := range fn.Params {
-			if !p.Type.IsPointer() {
-				env[p.Name] = 5
-			}
-		}
 		rep := Analyze(fn, nil) // must not panic
 		events, ok := runEnum(fn, ts, env, 50000)
 		if !ok {

@@ -23,6 +23,9 @@ package depend
 // op may not execute, breaking the chain in some iterations.
 
 import (
+	"math"
+	"slices"
+
 	"paravis/internal/ir"
 )
 
@@ -68,8 +71,9 @@ func AnalyzeKernel(k *ir.Kernel, env map[string]int64, lat func(*ir.Node) int) *
 		lat = func(*ir.Node) int { return 0 }
 	}
 	kd := &KernelDeps{ByGraph: make(map[*ir.Graph]*GraphDeps)}
+	var cs cycleScratch
 	for _, g := range k.CollectGraphs() {
-		kd.ByGraph[g] = analyzeGraph(g, k, env, lat)
+		kd.ByGraph[g] = analyzeGraph(g, k, env, lat, &cs)
 	}
 	return kd
 }
@@ -151,7 +155,7 @@ type gEval struct {
 	memo  map[*ir.Node]graff
 }
 
-func analyzeGraph(g *ir.Graph, k *ir.Kernel, env map[string]int64, lat func(*ir.Node) int) *GraphDeps {
+func analyzeGraph(g *ir.Graph, k *ir.Kernel, env map[string]int64, lat func(*ir.Node) int, cs *cycleScratch) *GraphDeps {
 	ev := &gEval{g: g, k: k, env: env, memo: make(map[*ir.Node]graff)}
 	ev.findInductions()
 	gd := &GraphDeps{}
@@ -205,9 +209,8 @@ func analyzeGraph(g *ir.Graph, k *ir.Kernel, env map[string]int64, lat func(*ir.
 		if upd == nil {
 			continue
 		}
-		rec := ev.carryCycle(i, upd, lat)
-		if rec != nil {
-			gd.Scalar = append(gd.Scalar, *rec)
+		if rec, ok := cs.carryCycle(g, i, upd, lat); ok {
+			gd.Scalar = append(gd.Scalar, rec)
 		}
 	}
 	return gd
@@ -325,59 +328,59 @@ func (ev *gEval) evalRaw(n *ir.Node) graff {
 	return gBottom()
 }
 
+// cycleScratch holds carryCycle's path state in dense slices, indexed
+// by node ID minus the graph's lowest ID and reused for every carry of a
+// kernel. IDs are unique per kernel, and a validated graph's arguments
+// and carry updates are its own nodes.
+type cycleScratch struct {
+	lo   int
+	dist []int // longest latency from the carry's read; -1 when none
+	from []*ir.Node
+}
+
 // carryCycle finds the longest-latency path from carry i's reads to its
 // update node through nodes that transitively depend on the carry.
-func (ev *gEval) carryCycle(i int, upd *ir.Node, lat func(*ir.Node) int) *ScalarRec {
-	// onCycle: nodes whose value transitively uses carry i.
-	onCycle := make(map[*ir.Node]bool)
-	for _, n := range ev.g.Nodes { // topological order
-		if n.Op == ir.OpCarry && n.Idx == i {
-			onCycle[n] = true
-			continue
-		}
-		for _, a := range n.Args {
-			if onCycle[a] {
-				onCycle[n] = true
-				break
-			}
-		}
+// Latencies are never negative, so a node depends on the carry exactly
+// when the longest-path pass reaches it.
+func (cs *cycleScratch) carryCycle(g *ir.Graph, i int, upd *ir.Node, lat func(*ir.Node) int) (ScalarRec, bool) {
+	cs.lo = math.MaxInt
+	hi := 0
+	for _, n := range g.Nodes {
+		cs.lo, hi = min(cs.lo, n.ID), max(hi, n.ID+1)
 	}
-	if !onCycle[upd] {
-		return nil
+	cs.dist = slices.Grow(cs.dist[:0], hi-cs.lo)[:hi-cs.lo]
+	cs.from = slices.Grow(cs.from[:0], hi-cs.lo)[:hi-cs.lo]
+	for k := range cs.dist {
+		cs.dist[k], cs.from[k] = -1, nil
 	}
-	// Longest-latency DP along onCycle edges; carry reads cost 0.
-	dist := make(map[*ir.Node]int)
-	from := make(map[*ir.Node]*ir.Node)
-	for _, n := range ev.g.Nodes {
-		if !onCycle[n] {
-			continue
-		}
+	at := func(n *ir.Node) int { return n.ID - cs.lo }
+	for _, n := range g.Nodes { // topological order; carry reads cost 0
 		if n.Op == ir.OpCarry && n.Idx == i {
-			dist[n] = 0
+			cs.dist[at(n)] = 0
 			continue
 		}
 		best, bestFrom := -1, (*ir.Node)(nil)
 		for _, a := range n.Args {
-			if d, ok := dist[a]; ok && d > best {
+			if d := cs.dist[at(a)]; d > best {
 				best, bestFrom = d, a
 			}
 		}
-		if best < 0 {
-			continue
+		if best >= 0 {
+			cs.dist[at(n)], cs.from[at(n)] = best+lat(n), bestFrom
 		}
-		dist[n] = best + lat(n)
-		from[n] = bestFrom
 	}
-	total, ok := dist[upd]
-	if !ok || total <= 0 {
-		return nil
+	total := cs.dist[at(upd)]
+	if total <= 0 {
+		return ScalarRec{}, false
 	}
-	var path []*ir.Node
-	for n := upd; n != nil; n = from[n] {
-		path = append(path, n)
+	n := 0
+	for x := upd; x != nil; x = cs.from[at(x)] {
+		n++
 	}
-	for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
-		path[l], path[r] = path[r], path[l]
+	path := make([]*ir.Node, n)
+	for x := upd; x != nil; x = cs.from[at(x)] {
+		n--
+		path[n] = x
 	}
-	return &ScalarRec{Carry: i, Lat: total, Path: path}
+	return ScalarRec{Carry: i, Lat: total, Path: path}, true
 }

@@ -15,15 +15,28 @@ import (
 //
 // A poly is never written to once handed out (methods write only to maps
 // they made; a caller that edits one clones it first), so add and sub may
-// return their left operand and affine forms may share coefficients. Any
+// return their left operand, affine forms may share coefficients and
+// small constants come from one table. Only the solver's scratch pair
+// (walker.lo, walker.hi) is written in place, by the add* methods. Any
 // empty map, nil included, is the zero polynomial.
 type poly map[string]int64
 
 const tidSym = "~tid"
 
+// smallConsts holds the constant polynomials -16..16, shared by every
+// caller of polyConst.
+var smallConsts = func() (t [33]poly) {
+	for i := range t {
+		if c := int64(i - 16); c != 0 {
+			t[i] = poly{"": c}
+		}
+	}
+	return t
+}()
+
 func polyConst(c int64) poly {
-	if c == 0 {
-		return nil
+	if -16 <= c && c <= 16 {
+		return smallConsts[c+16]
 	}
 	return poly{"": c}
 }
@@ -116,6 +129,32 @@ func (p poly) mul(q poly) poly {
 	return r
 }
 
+// addScaled adds s*q to p in place, leaving zero coefficients for
+// dropZeros; only the solver's scratch polys are written this way.
+func (p poly) addScaled(q poly, s int64) {
+	for m, c := range q {
+		p[m] += s * c
+	}
+}
+
+// addProduct adds s*a*b to p in place, like addScaled.
+func (p poly) addProduct(a, b poly, s int64) {
+	for ma, ca := range a {
+		for mb, cb := range b {
+			p[mulMono(ma, mb)] += s * ca * cb
+		}
+	}
+}
+
+// dropZeros deletes the zero coefficients the add* methods leave.
+func (p poly) dropZeros() {
+	for m, c := range p {
+		if c == 0 {
+			delete(p, m)
+		}
+	}
+}
+
 func (p poly) isZero() bool { return len(p) == 0 }
 
 func (p poly) equal(q poly) bool { return p.sub(q).isZero() }
@@ -134,9 +173,12 @@ func (p poly) constVal() (int64, bool) {
 
 // isNonNeg reports whether p is provably >= 0 for every non-negative
 // assignment of its symbols: true when all coefficients are >= 0.
-func (p poly) isNonNeg() bool {
+func (p poly) isNonNeg() bool { return p.nonNegTimes(1) }
+
+// nonNegTimes is isNonNeg of s*p for s = ±1, without building it.
+func (p poly) nonNegTimes(s int64) bool {
 	for _, c := range p {
-		if c < 0 {
+		if s*c < 0 {
 			return false
 		}
 	}

@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// TestPolyShortcutsMatchDefinitions holds the operand-sharing add, sub and
-// tidSplit against their definitions by map arithmetic, on random small
-// polynomials that include explicit zero coefficients (tidSplit can leave
-// them) and nil, and checks that no operand is ever written to.
+// TestPolyShortcutsMatchDefinitions holds the operand-sharing add, sub
+// and tidSplit, nonNegTimes, and the in-place addScaled, addProduct and
+// dropZeros against their definitions by map arithmetic, on random small
+// polynomials that include explicit zero coefficients (tidSplit can
+// leave them) and nil, and checks that no operand is ever written to.
 func TestPolyShortcutsMatchDefinitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	monos := []string{"", "DIM", "DIM*DIM", "DIM*~tid", "n"}
@@ -67,6 +68,24 @@ func TestPolyShortcutsMatchDefinitions(t *testing.T) {
 		}
 		if got := p.mulInt(k); !maps.Equal(got, mulInt(p, k)) {
 			t.Fatalf("(%v).mulInt(%d) = %v", p, k, got)
+		}
+		for _, s := range []int64{1, -1} {
+			want := true
+			for _, c := range mulInt(p, s) {
+				want = want && c >= 0
+			}
+			if got := p.nonNegTimes(s); got != want {
+				t.Fatalf("(%v).nonNegTimes(%d) = %v", p, s, got)
+			}
+		}
+		inPlace := poly{}
+		inPlace.addScaled(p, k)
+		inPlace.addProduct(p, q, k)
+		inPlace.dropZeros()
+		want := add(mulInt(p, k), mulInt(p.mul(q), k))
+		maps.DeleteFunc(want, func(_ string, c int64) bool { return c == 0 })
+		if !maps.Equal(inPlace, want) {
+			t.Fatalf("%d*(%v) + %d*(%v)*(%v) in place = %v, want %v", k, p, k, p, q, inPlace, want)
 		}
 		if rest, tid, ok := p.tidSplit(); !p.hasTid() && (!ok || !maps.Equal(rest, p) || len(tid) != 0) {
 			t.Fatalf("(%v).tidSplit() = %v, %v, %v", p, rest, tid, ok)

@@ -10,6 +10,7 @@ import (
 
 	"paravis/internal/absint"
 	"paravis/internal/minic"
+	"paravis/internal/workloads"
 )
 
 // disjointSrc writes buf[i] (elements 0..7) and buf[15-i] (elements
@@ -139,5 +140,40 @@ void g(float* A, int n) {
 	}
 	if !found {
 		t.Fatalf("proven distance-1 dependence on buf missing: %+v", bufDeps(rep))
+	}
+}
+
+// TestAnalyzeRangesAllocationCeiling pins what one range-refined analysis
+// allocates, symbolic and at DIM=64, on gemm-naive and on the
+// double-buffered GEMM, whose nest has the most access pairs. The solver
+// builds its overlap intervals in scratch and splits each access's base
+// once, so the count follows the loop nest, not the pairs: gemm-naive
+// went from 218 objects to 170, double buffering from 3,930 to 954 when
+// the intervals stopped being materialised per (pair, carrying loop,
+// free loop). The ceilings leave room for the race detector.
+func TestAnalyzeRangesAllocationCeiling(t *testing.T) {
+	for _, c := range []struct {
+		v       workloads.GEMMVersion
+		ceiling float64
+	}{
+		{workloads.GEMMNaive, 180},
+		{workloads.GEMMDoubleBuffered, 1000},
+	} {
+		prog, err := minic.Parse(workloads.GEMMSource(c.v), minic.Options{Defines: workloads.GEMMDefines(c.v)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, _, err := minic.FindTarget(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, env := range []map[string]int64{nil, {"DIM": 64}} {
+			ai := absint.Analyze(fn, absint.Options{Env: env})
+			got := testing.AllocsPerRun(5, func() { AnalyzeRanges(fn, env, ai.IndexRange) })
+			t.Logf("%s env=%v: %.0f allocations", c.v, env, got)
+			if got > c.ceiling {
+				t.Errorf("%s env=%v: AnalyzeRanges allocates %.0f, ceiling %.0f", c.v, env, got, c.ceiling)
+			}
+		}
 	}
 }

@@ -52,19 +52,17 @@ type solveRes struct {
 const maxBeta = 64
 
 // carriedAt runs the test for the pair (f, g) at loop L. thread selects
-// the cross-thread variant; nt is the omp thread count.
-func carriedAt(f, g *access, L *loopInfo, thread bool, nt int) solveRes {
+// the cross-thread variant. The overlap interval I is built in the
+// walker's two scratch polys, cleared per call: no test keeps it past
+// its return, so one pair of maps serves every pair of the nest.
+func (w *walker) carriedAt(f, g *access, L *loopInfo, thread bool) solveRes {
 	may := solveRes{verdict: vMay}
 	if !f.sub.ok || !g.sub.ok {
 		return may
 	}
-	anc := map[*loopInfo]bool{}
-	for p := L.parent; p != nil; p = p.parent {
-		anc[p] = true
-	}
 	// Ancestor loops hold the same iteration on both sides: their terms
 	// cancel only when the coefficients agree.
-	for p := range anc {
+	for p := L.parent; p != nil; p = p.parent {
 		if !f.sub.coefOf(p).equal(g.sub.coefOf(p)) {
 			return may
 		}
@@ -73,62 +71,49 @@ func carriedAt(f, g *access, L *loopInfo, thread bool, nt int) solveRes {
 	if !A.equal(g.sub.coefOf(L)) {
 		return may
 	}
-	fRest, fTid, ok1 := f.sub.base.tidSplit()
-	gRest, gTid, ok2 := g.sub.base.tidSplit()
-	if !ok1 || !ok2 || !fTid.equal(gTid) {
+	if !f.tidOK || !g.tidOK || !f.tid.equal(g.tid) {
 		return may
 	}
-	Atid := fTid
-	D0 := fRest.sub(gRest)
-
-	// Free variables: loops below L or in disjoint subtrees; each index
-	// ranges over [0, iterLast].
-	free := interval{ok: true}
-	nFree := 0
-	addFree := func(sub aff, negate bool) bool {
-		for l2, c := range sub.coef {
-			if l2 == L || anc[l2] {
-				continue
-			}
-			u, ok := l2.iterLast()
-			if !ok {
-				return false
-			}
-			if negate {
-				c = c.negate()
-			}
-			term := interval{ok: true, hi: u}.mulPoly(c)
-			if !term.ok {
-				return false
-			}
-			free = free.add(term)
-			nFree++
-		}
-		return true
-	}
-	if !addFree(f.sub, false) || !addFree(g.sub, true) {
-		return may
-	}
+	Atid := f.tid
 
 	// Overlap of [addr_f, addr_f+wf-1] and [addr_g, addr_g+wg-1], after
 	// substituting t_g = t_f + X and tau_g = tau_f + sigma:
 	//   A*X + Atid*sigma  in  D0 + free + [-(wf-1), wg-1]  =: I
-	I := intervalPoint(D0).add(free).widen(-(f.width - 1), g.width-1)
-	pointI := nFree == 0 && f.width == 1 && g.width == 1
+	// with D0 the tid-free base difference.
+	I := interval{ok: true, lo: w.lo, hi: w.hi}
+	clear(I.lo)
+	clear(I.hi)
+	I.lo.addScaled(f.rest, 1)
+	I.lo.addScaled(g.rest, -1)
+	I.hi.addScaled(I.lo, 1)
+	nf, ok := addFree(I, f.sub, 1, L)
+	if !ok {
+		return may
+	}
+	ng, ok := addFree(I, g.sub, -1, L)
+	if !ok {
+		return may
+	}
+	I.lo[""] -= f.width - 1
+	I.hi[""] += g.width - 1
+	I.lo.dropZeros()
+	I.hi.dropZeros()
+	// A point interval is D0 itself: the tests below read it as I.lo.
+	pointI := nf+ng == 0 && f.width == 1 && g.width == 1
 
 	if !thread {
 		if A.isZero() {
-			return zivAt(I, D0, pointI)
+			return zivAt(I, pointI)
 		}
-		return solveExist(A, I, pointI, D0, func(y int64) bool { return y != 0 })
+		return solveExist(A, I, pointI, func(y int64) bool { return y != 0 })
 	}
 	// Cross-thread: sigma != 0, X free.
 	if Atid.isZero() {
 		if A.isZero() {
-			return zivAt(I, D0, pointI)
+			return zivAt(I, pointI)
 		}
 		// Any X, including 0, collides two distinct threads.
-		return solveExist(A, I, pointI, D0, func(y int64) bool { return true })
+		return solveExist(A, I, pointI, func(y int64) bool { return true })
 	}
 	var s int64
 	if !A.isZero() {
@@ -138,25 +123,44 @@ func carriedAt(f, g *access, L *loopInfo, thread bool, nt int) solveRes {
 		}
 		s = k
 	}
-	res := solveExist(Atid, I, pointI, D0, func(y int64) bool { return tidAdmissible(y, s, nt) })
+	res := solveExist(Atid, I, pointI, func(y int64) bool { return tidAdmissible(y, s, w.nt) })
 	res.dists = nil // Y mixes sigma and X; no iteration distance to report
 	return res
+}
+
+// addFree adds sign*sub's free terms to I and counts them. A free loop's
+// index ranges over [0, last], so its term sign*c*[0, last] lands on hi
+// when sign*c is non-negative and on lo when it is non-positive; a loop
+// without a bound or a coefficient of mixed sign fails the test.
+func addFree(I interval, sub aff, sign int64, L *loopInfo) (int, bool) {
+	n := 0
+	for l, c := range sub.coef {
+		switch {
+		case l.encloses(L):
+			continue
+		case !l.lastOK:
+			return 0, false
+		case c.nonNegTimes(sign):
+			I.hi.addProduct(l.last, c, sign)
+		case c.nonNegTimes(-sign):
+			I.lo.addProduct(l.last, c, sign)
+		default:
+			return 0, false
+		}
+		n++
+	}
+	return n, true
 }
 
 // zivAt handles an address that does not vary with the carried
 // variable: the dependence exists iff the residual can be zero, and
 // when the residual is exactly zero every iteration pair collides.
-func zivAt(I interval, D0 poly, pointI bool) solveRes {
+func zivAt(I interval, pointI bool) solveRes {
 	if !I.containsZero() {
 		return solveRes{verdict: vNone}
 	}
-	if pointI {
-		if z, ok := D0.constVal(); ok && z == 0 {
-			return solveRes{verdict: vProven, allIters: true}
-		}
-		if D0.isZero() {
-			return solveRes{verdict: vProven, allIters: true}
-		}
+	if pointI && I.lo.isZero() {
+		return solveRes{verdict: vProven, allIters: true}
 	}
 	return solveRes{verdict: vMay}
 }
@@ -186,9 +190,10 @@ func tidAdmissible(y, s int64, nt int) bool {
 }
 
 // solveExist decides existence of an admissible Y with coef*Y in I.
-// pointI marks I as the exact point D0 (no free terms, scalar widths),
-// where membership is symbolic equality and survivors are proven.
-func solveExist(coef poly, I interval, pointI bool, D0 poly, admissible func(int64) bool) solveRes {
+// pointI marks I as the exact point D0 = I.lo = I.hi (no free terms,
+// scalar widths), where membership is symbolic equality and survivors
+// are proven.
+func solveExist(coef poly, I interval, pointI bool, admissible func(int64) bool) solveRes {
 	may := solveRes{verdict: vMay}
 	neg := false
 	if !coef.isNonNeg() {
@@ -202,7 +207,6 @@ func solveExist(coef poly, I interval, pointI bool, D0 poly, admissible func(int
 		// coef*Y in I  <=>  |coef|*Y in -I; Y's sign flips back below.
 		pos = coef.negate()
 		I = interval{ok: I.ok, lo: I.hi.negate(), hi: I.lo.negate()}
-		D0 = D0.negate()
 	}
 	beta := int64(-1)
 	for b := int64(0); b <= maxBeta; b++ {
@@ -227,7 +231,7 @@ func solveExist(coef poly, I interval, pointI bool, D0 poly, admissible func(int
 		}
 		m := pos.mulInt(y)
 		if pointI {
-			if m.equal(D0) {
+			if m.equal(I.lo) {
 				sols = append(sols, yy)
 			}
 			continue

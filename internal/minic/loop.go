@@ -50,14 +50,24 @@ type CountedLoop struct {
 // the induction variable. A variable that anything else in the condition,
 // body or other post clauses assigns does not advance linearly, so such a
 // loop is not counted. Requires a sema-bound tree.
+//
+// Counted is small enough to inline, so a caller that does not keep the
+// result holds it on its own stack: the test allocates nothing.
 func Counted(st *ForStmt) *CountedLoop {
-	cond, ok := st.Cond.(*Binary)
-	if !ok || !cond.Op.IsComparison() {
+	var c CountedLoop
+	if !counted(st, &c) {
 		return nil
 	}
+	return &c
+}
+
+func counted(st *ForStmt, c *CountedLoop) bool {
+	cond, ok := st.Cond.(*Binary)
+	if !ok || !cond.Op.IsComparison() {
+		return false
+	}
 	for _, p := range st.Post {
-		c := stepOf(p)
-		if c == nil {
+		if !stepOf(p, c) {
 			continue
 		}
 		switch c.IV {
@@ -68,26 +78,27 @@ func Counted(st *ForStmt) *CountedLoop {
 		default:
 			continue
 		}
-		if Assigned(repeated(st, p)...)[c.IV] {
-			return nil
+		if assigns(c.IV, st.Cond, st.Body) {
+			return false
 		}
-		return c
+		for _, q := range st.Post {
+			if q != p && assigns(c.IV, q) {
+				return false
+			}
+		}
+		return true
 	}
-	return nil
+	return false
 }
 
 // LoopAssigned is Assigned over the part of a loop that runs once per
 // iteration: condition, body and post clauses, but not the init clauses.
-func LoopAssigned(st *ForStmt) map[Decl]bool { return Assigned(repeated(st, nil)...) }
-
-func repeated(st *ForStmt, except Stmt) []Node {
+func LoopAssigned(st *ForStmt) map[Decl]bool {
 	roots := []Node{st.Cond, st.Body}
 	for _, p := range st.Post {
-		if p != except {
-			roots = append(roots, p)
-		}
+		roots = append(roots, p)
 	}
-	return roots
+	return Assigned(roots...)
 }
 
 // ExclusiveBound normalises the condition for a loop whose folded step is
@@ -113,13 +124,14 @@ func declOf(e Expr) Decl {
 	return nil
 }
 
-// stepOf matches one post clause against the accepted step forms.
-func stepOf(s Stmt) *CountedLoop {
+// stepOf matches one post clause against the accepted step forms,
+// filling c when it does.
+func stepOf(s Stmt, c *CountedLoop) bool {
 	es, ok := s.(*ExprStmt)
 	if !ok {
-		return nil
+		return false
 	}
-	c := &CountedLoop{Post: es, Sign: 1}
+	*c = CountedLoop{Post: es, Sign: 1}
 	switch x := es.X.(type) {
 	case *IncDec:
 		c.IV = declOf(x.X)
@@ -135,7 +147,7 @@ func stepOf(s Stmt) *CountedLoop {
 		case x.Op != nil && *x.Op == OpSub:
 			c.Step, c.Sign = x.RHS, -1
 		case x.Op != nil || rhs == nil:
-			return nil // another compound operator, or `v = e` with e not a sum
+			return false // another compound operator, or `v = e` with e not a sum
 		case rhs.Op == OpAdd && declOf(rhs.L) == c.IV:
 			c.Step = rhs.R
 		case rhs.Op == OpAdd && declOf(rhs.R) == c.IV:
@@ -143,13 +155,10 @@ func stepOf(s Stmt) *CountedLoop {
 		case rhs.Op == OpSub && declOf(rhs.L) == c.IV:
 			c.Step, c.Sign = rhs.R, -1
 		default:
-			return nil
+			return false
 		}
 	}
-	if c.IV == nil {
-		return nil
-	}
-	return c
+	return c.IV != nil
 }
 
 // mirror swaps the operands of an ordering comparison: b op v == v op' b.

@@ -18,26 +18,21 @@ func Inspect(n Node, f func(Node) bool) {
 	if b, isBlock := n.(*BlockStmt); n == nil || isBlock && b == nil {
 		return
 	}
-	var walk func(Node)
-	walk = func(n Node) {
-		if f(n) {
-			eachChild(n, walk)
-		}
+	inspect(n, f)
+}
+
+// inspect recurses through EachChild with a closure that stays on the
+// stack, so a walk allocates nothing of its own.
+func inspect(n Node, f func(Node) bool) {
+	if f(n) {
+		EachChild(n, func(c Node) { inspect(c, f) })
 	}
-	walk(n)
 }
 
-// Children returns the direct children of n in Inspect's order.
-func Children(n Node) []Node {
-	var out []Node
-	eachChild(n, func(c Node) { out = append(out, c) })
-	return out
-}
-
-// eachChild is the single place that knows which fields of which node
-// hold sub-nodes. A target region's map-clause sections come before its
-// body.
-func eachChild(n Node, f func(Node)) {
+// EachChild calls f on each direct child of n, in Inspect's order. It is
+// the single place that knows which fields of which node hold sub-nodes.
+// A target region's map-clause sections come before its body.
+func EachChild(n Node, f func(Node)) {
 	switch x := n.(type) {
 	case *BlockStmt:
 		for _, s := range x.Stmts {
@@ -119,18 +114,37 @@ func Assigned(roots ...Node) map[Decl]bool {
 	out := map[Decl]bool{}
 	for _, r := range roots {
 		Inspect(r, func(n Node) bool {
-			var target Expr
-			switch x := n.(type) {
-			case *AssignExpr:
-				target = x.LHS
-			case *IncDec:
-				target = x.X
-			}
-			if id, ok := target.(*Ident); ok && id.Decl != nil {
-				out[id.Decl] = true
+			if d := assignedDecl(n); d != nil {
+				out[d] = true
 			}
 			return true
 		})
 	}
 	return out
+}
+
+// assigns reports whether any root writes d the way Assigned counts,
+// stopping at the first such write.
+func assigns(d Decl, roots ...Node) bool {
+	found := false
+	for _, r := range roots {
+		Inspect(r, func(n Node) bool {
+			found = found || assignedDecl(n) == d
+			return !found
+		})
+	}
+	return found
+}
+
+// assignedDecl is the declaration n writes through a plain identifier,
+// or nil.
+func assignedDecl(n Node) Decl {
+	var target Expr
+	switch x := n.(type) {
+	case *AssignExpr:
+		target = x.LHS
+	case *IncDec:
+		target = x.X
+	}
+	return declOf(target)
 }

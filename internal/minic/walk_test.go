@@ -100,7 +100,7 @@ func reaches(t reflect.Type, seen map[reflect.Type]bool) bool {
 
 // TestInspectVisitsEveryChildField fills every Expr- or Stmt-typed field
 // of every node type with distinct sentinel nodes and checks Inspect and
-// Children reach each of them. A field kind the test does not know how
+// EachChild reach each of them. A field kind the test does not know how
 // to fill fails too, so a new way of holding children cannot go unvisited.
 func TestInspectVisitsEveryChildField(t *testing.T) {
 	for _, n := range allNodes() {
@@ -137,7 +137,7 @@ func TestInspectVisitsEveryChildField(t *testing.T) {
 				mc.Len = expr().Interface().(Expr)
 				f.Set(reflect.ValueOf([]MapClause{mc}))
 			case holdsNodes(ft):
-				t.Fatalf("%s.%s has type %s, which can hold nodes in a way this test (and so perhaps eachChild) does not know", name, v.Type().Field(i).Name, ft)
+				t.Fatalf("%s.%s has type %s, which can hold nodes in a way this test (and so perhaps EachChild) does not know", name, v.Type().Field(i).Name, ft)
 			}
 		}
 		seen := map[Node]bool{}
@@ -149,19 +149,17 @@ func TestInspectVisitsEveryChildField(t *testing.T) {
 			t.Errorf("%s: Inspect did not visit the root", name)
 		}
 		direct := map[Node]bool{}
-		for _, c := range Children(n) {
-			direct[c] = true
-		}
+		EachChild(n, func(c Node) { direct[c] = true })
 		for _, w := range want {
 			if !seen[w] {
 				t.Errorf("%s: Inspect skipped a child of type %T", name, w)
 			}
 			if !direct[w] {
-				t.Errorf("%s: Children omitted a child of type %T", name, w)
+				t.Errorf("%s: EachChild omitted a child of type %T", name, w)
 			}
 		}
 		if len(direct) != len(want) {
-			t.Errorf("%s: Children returned %d nodes, want %d", name, len(direct), len(want))
+			t.Errorf("%s: EachChild visited %d nodes, want %d", name, len(direct), len(want))
 		}
 	}
 }
@@ -323,6 +321,32 @@ func TestAssigned(t *testing.T) {
 	// The repeating part adds the post clause's i but not the init's.
 	if got, want := names(LoopAssigned(loop)), []string{"a@2:6", "b@3:6", "c@9:9", "i@6:11"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("LoopAssigned = %v, want %v", got, want)
+	}
+}
+
+// TestCountedAllocatesNothing: recognising a counted loop, including the
+// walk that checks nothing else in it assigns the induction variable,
+// builds no assigned set and leaves the result on the caller's stack.
+func TestCountedAllocatesNothing(t *testing.T) {
+	prog, err := Parse(`void k(float *A, int n) {
+	int s = 0;
+	for (int i = 0; i < n; i += 2) {
+		s = s + i;
+		if (s > 4) { A[i] = A[i + 1] * 2.0f; }
+	}
+}
+`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := prog.Funcs[0].Body.Stmts[1].(*ForStmt)
+	counted := true
+	got := testing.AllocsPerRun(10, func() { counted = counted && Counted(loop) != nil })
+	if !counted {
+		t.Fatal("the loop is not counted")
+	}
+	if got != 0 {
+		t.Errorf("Counted allocates %.0f objects, want 0", got)
 	}
 }
 

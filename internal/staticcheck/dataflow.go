@@ -97,9 +97,7 @@ func checkUninit(file string, res *resolution, ds *[]Diagnostic) {
 				readExpr(x.X)
 			}
 		default:
-			for _, sub := range minic.Children(e) {
-				readExpr(sub.(minic.Expr))
-			}
+			minic.EachChild(e, func(sub minic.Node) { readExpr(sub.(minic.Expr)) })
 		}
 	}
 

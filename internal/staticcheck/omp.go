@@ -53,9 +53,7 @@ func collectAccesses(res *resolution, ts *minic.TargetStmt) []access {
 		case *minic.IncDec:
 			assign(x.X, x.Pos, true, crit)
 		default:
-			for _, sub := range minic.Children(e) {
-				readExpr(sub.(minic.Expr), crit)
-			}
+			minic.EachChild(e, func(sub minic.Node) { readExpr(sub.(minic.Expr), crit) })
 		}
 	}
 	assign = func(lhs minic.Expr, pos minic.Pos, compound bool, crit bool) {

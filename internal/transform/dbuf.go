@@ -87,9 +87,7 @@ func (rw *rwState) node(n minic.Node) {
 		rw.node(x.Init)
 		rw.local[x.Name] = true
 	default:
-		for _, c := range minic.Children(n) {
-			rw.node(c)
-		}
+		minic.EachChild(n, rw.node)
 	}
 }
 

@@ -303,9 +303,14 @@ func canonical(prog *minic.Program, lanes int) (string, *minic.Program, error) {
 // gate on: abstract-interpretation index ranges feeding the dependence
 // solver, exactly as the advisor and the vet report's depend section.
 func LegalityReport(fn *minic.FuncDecl, params map[string]int64) *depend.Report {
+	return LegalityReportFrom(fn, params, absint.Analyze(fn, absint.Options{Env: params}))
+}
+
+// LegalityReportFrom is LegalityReport over an abstract interpretation
+// of fn under params that the caller already ran.
+func LegalityReportFrom(fn *minic.FuncDecl, params map[string]int64, ai *absint.Result) *depend.Report {
 	// IndexRange answers "unknown" for everything when the interpreter
 	// did not converge, so no OK check is needed here.
-	ai := absint.Analyze(fn, absint.Options{Env: params})
 	return depend.AnalyzeRanges(fn, params, ai.IndexRange)
 }
 
