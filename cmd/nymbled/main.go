@@ -23,23 +23,11 @@
 // in-flight runs coalesce onto one simulation (-coalesce-window /
 // -coalesce-max), and -maxqueue sheds queue overload with 429.
 //
-// Fleet mode: `nymbled -dispatch` serves no simulations itself —
-// instead it routes the whole /v1 API across workers that register
-// with it. A worker joins with `-join http://dispatcher -advertise
-// http://me -node name`. Registration is guarded by a shared secret
-// (-fleet-token / $NYMBLED_FLEET_TOKEN on both sides); running a
-// dispatcher without one is only safe on a trusted network. Run
-// requests route by digest affinity with retries on worker failure;
-// -rps/-burst rate-limit per tenant (X-Nymbled-Tenant header) at the
-// dispatcher.
-//
 // Usage:
 //
-//	nymbled [-addr :8080] [-j N] [-maxcycles N] [-pprof addr]
+//	nymbled [-addr :8080] [-j N] [-maxcycles N] [-drain D] [-pprof addr]
 //	        [-store DIR] [-store-max-bytes N] [-coalesce-window D]
-//	        [-coalesce-max N] [-maxqueue N] [-node NAME]
-//	        [-join URL [-advertise URL] [-fleet-token T]]
-//	nymbled -dispatch [-addr :8080] [-rps N] [-burst N] [-fleet-token T]
+//	        [-coalesce-max N] [-maxqueue N]
 package main
 
 import (
@@ -54,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"paravis/internal/fleet"
 	"paravis/internal/server"
 	"paravis/internal/sim"
 	"paravis/internal/store"
@@ -71,20 +58,7 @@ func main() {
 	coalesceWindow := flag.Duration("coalesce-window", 100*time.Millisecond, "how long a finished run keeps coalescing identical requests")
 	coalesceMax := flag.Int("coalesce-max", 0, "max requests sharing one in-flight run, 429 past it (0 = unlimited)")
 	maxQueue := flag.Int("maxqueue", 0, "max runs queued for a worker slot, 429 past it (0 = unlimited)")
-	node := flag.String("node", "", "node name: makes job IDs fleet-unique and labels /healthz")
-	dispatch := flag.Bool("dispatch", false, "run as a fleet dispatcher instead of a worker")
-	join := flag.String("join", "", "dispatcher URL to register with (worker mode)")
-	advertise := flag.String("advertise", "", "URL the dispatcher should reach this worker at (default http://localhost<addr>)")
-	rps := flag.Float64("rps", 0, "dispatcher: per-tenant requests per second (0 = no rate limit)")
-	burst := flag.Int("burst", 0, "dispatcher: per-tenant burst size (0 = ceil(rps))")
-	fleetToken := flag.String("fleet-token", os.Getenv("NYMBLED_FLEET_TOKEN"),
-		"shared secret for worker registration (dispatcher requires it, worker presents it; default $NYMBLED_FLEET_TOKEN)")
 	flag.Parse()
-
-	if *dispatch {
-		runDispatcher(*addr, *rps, *burst, *fleetToken, *drain)
-		return
-	}
 
 	cfg := sim.DefaultConfig()
 	if *maxCycles > 0 {
@@ -96,7 +70,6 @@ func main() {
 		CoalesceWindow: *coalesceWindow,
 		CoalesceMax:    *coalesceMax,
 		MaxQueue:       *maxQueue,
-		NodeID:         *node,
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, *storeMax)
@@ -129,23 +102,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Worker mode: announce to the dispatcher now and keep heartbeating,
-	// so a restarted dispatcher relearns the fleet by itself.
-	if *join != "" {
-		adv := *advertise
-		if adv == "" {
-			adv = "http://localhost" + *addr
-		}
-		go func() {
-			if err := fleet.Register(ctx, nil, *join, adv, *fleetToken); err != nil {
-				fmt.Fprintln(os.Stderr, "nymbled: fleet register:", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "nymbled: registered with %s as %s\n", *join, adv)
-			}
-			fleet.Heartbeat(ctx, *join, adv, *fleetToken, 5*time.Second)
-		}()
-	}
-
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "nymbled: listening on %s\n", *addr)
@@ -165,39 +121,6 @@ func main() {
 	if err := srv.Shutdown(drainCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "nymbled: job drain:", err)
 	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
-	}
-}
-
-// runDispatcher serves the fleet front end until SIGINT/SIGTERM.
-func runDispatcher(addr string, rps float64, burst int, token string, drain time.Duration) {
-	if token == "" {
-		fmt.Fprintln(os.Stderr, "nymbled: warning: no -fleet-token; worker registration is open to anyone who can reach this dispatcher")
-	}
-	d := fleet.NewDispatcher(fleet.Options{TenantRPS: rps, TenantBurst: burst, RegisterToken: token})
-	httpSrv := &http.Server{Addr: addr, Handler: d.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "nymbled: dispatcher listening on %s\n", addr)
-
-	select {
-	case err := <-errc:
-		fatal(err)
-	case <-ctx.Done():
-	}
-
-	fmt.Fprintln(os.Stderr, "nymbled: dispatcher shutting down")
-	drainCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "nymbled: http shutdown:", err)
-	}
-	d.Close()
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}

@@ -458,9 +458,8 @@ type RunRequest struct {
 // simulation's outcome — scalar arguments, preloaded buffers, the cycle
 // budget and whether the profiling unit is attached. Two RunRequests
 // with equal keys produce byte-identical trace bundles, so the key is
-// what the artifact store and the fleet's digest-affinity routing hash
-// on. Transport fields (Wait, TimeoutMs) deliberately do not
-// participate.
+// what the artifact store hashes on. Transport fields (Wait, TimeoutMs)
+// deliberately do not participate.
 func RunKey(r *RunRequest) string {
 	h := sha256.New()
 	num := func(v uint64) {
@@ -529,13 +528,11 @@ type StoredRun struct {
 // Health is the GET /healthz document: liveness plus the cache-shaped
 // counters of the daemon's long-lived state.
 type Health struct {
-	SchemaVersion int    `json:"version"`
-	Status        string `json:"status"`
-	// Node is the daemon's fleet node ID (empty standalone).
-	Node         string               `json:"node,omitempty"`
-	CompileCache core.CacheStats      `json:"compile_cache"`
-	Store        *store.Stats         `json:"store,omitempty"`
-	Coalescing   *store.CoalesceStats `json:"coalescing,omitempty"`
+	SchemaVersion int                  `json:"version"`
+	Status        string               `json:"status"`
+	CompileCache  core.CacheStats      `json:"compile_cache"`
+	Store         *store.Stats         `json:"store,omitempty"`
+	Coalescing    *store.CoalesceStats `json:"coalescing,omitempty"`
 }
 
 // Job states.

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"paravis/internal/cluster"
 	"paravis/internal/paraver"
 	"paravis/internal/sim"
 	"paravis/internal/workloads"
@@ -25,8 +24,9 @@ func (l *recordLog) Comm(c paraver.CommRec) error   { l.calls = append(l.calls, 
 
 // A live trace and its .prv file must read the same: StreamTrace.Scan
 // delivers, call for call, what ScanPRV delivers from the bytes WritePRV
-// wrote — for all six seed workloads and a two-FPGA cluster trace with
-// communication records. This is what lets one fold serve both.
+// wrote — for all six seed workloads. This is what lets one fold serve
+// both. The multi-task case with communication records is
+// TestGoldenRoundTripMultiTask (internal/paraver).
 func TestScanMatchesScanPRVOnSeedWorkloads(t *testing.T) {
 	ctx := context.Background()
 	traces := map[string]*paraver.StreamTrace{}
@@ -45,18 +45,6 @@ func TestScanMatchesScanPRVOnSeedWorkloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	traces["pi"] = pi.Runs[0].Out.Streams
-	initial := make([]float32, 64)
-	for i := range initial {
-		initial[i] = float32(i % 7)
-	}
-	stencil, err := cluster.RunStencil(ctx, initial, 3, cluster.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stencil.Streams.Comms) == 0 {
-		t.Fatal("cluster trace has no communication records")
-	}
-	traces["cluster"] = stencil.Streams
 
 	for name, st := range traces {
 		var live, file recordLog

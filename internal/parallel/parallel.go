@@ -1,6 +1,6 @@
 // Package parallel provides a small bounded worker pool used to fan out
-// independent design-point simulations (experiment sweeps, cluster FPGAs,
-// parameter sweeps) across OS threads.
+// independent design-point simulations (experiment and parameter sweeps)
+// across OS threads.
 //
 // The pool is deliberately deterministic from the caller's point of view:
 // results are collected by index, every index runs even if an earlier one

@@ -1,20 +1,17 @@
 package paraver
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// This file extends the trace model to multi-task traces with
-// communication records — the paper's stated future work ("we plan to
-// extend our infrastructure for communication between FPGAs in a
-// multi-FPGA setup"). Each FPGA maps to one Paraver task; inter-FPGA
-// transfers become record type 3 lines:
+// This file covers multi-task traces with communication records — the
+// paper's stated future work ("we plan to extend our infrastructure for
+// communication between FPGAs in a multi-FPGA setup"). Each FPGA maps to
+// one Paraver task; inter-task transfers are record type 3 lines:
 //
 //	3:cpuS:1:taskS:thS:ltimeS:ptimeS:cpuR:1:taskR:thR:ltimeR:ptimeR:size:tag
 //
-// with logical and physical times equal (the link model gives physical
-// times directly).
+// with logical and physical times equal. The simulator produces
+// single-task traces only, but WritePRV, Scan and ScanPRV carry comm
+// records through, so .prv files from other producers read unchanged.
 
 // CommRec is one inter-task transfer.
 type CommRec struct {
@@ -44,15 +41,4 @@ func applList(tasks, nThreads int) string {
 		s += fmt.Sprintf("%d:1", nThreads)
 	}
 	return s + ")"
-}
-
-// SortCommRecs orders communication records by send time, then receive
-// time (the canonical .prv order).
-func SortCommRecs(comms []CommRec) {
-	sort.SliceStable(comms, func(i, j int) bool {
-		if comms[i].SendTime != comms[j].SendTime {
-			return comms[i].SendTime < comms[j].SendTime
-		}
-		return comms[i].RecvTime < comms[j].RecvTime
-	})
 }

@@ -121,7 +121,18 @@ func (t *recTrace) normalize() {
 		}
 		return a.Type < b.Type
 	})
-	SortCommRecs(t.Comms)
+	sortCommRecs(t.Comms)
+}
+
+// sortCommRecs orders communication records by send time, then receive
+// time (the canonical .prv order).
+func sortCommRecs(comms []CommRec) {
+	sort.SliceStable(comms, func(i, j int) bool {
+		if comms[i].SendTime != comms[j].SendTime {
+			return comms[i].SendTime < comms[j].SendTime
+		}
+		return comms[i].RecvTime < comms[j].RecvTime
+	})
 }
 
 // writePRV is the reference writer over the record lists.
@@ -157,7 +168,7 @@ func (t *recTrace) writePRV(w io.Writer) error {
 // event, so hand-written traces can drive the production writer, Scan and
 // the invariant checks.
 func (t *recTrace) stream() *StreamTrace {
-	st := NewStreamTrace(t.AppName, t.numTasks(), t.NumThreads)
+	st := newStreamTrace(t.AppName, t.numTasks(), t.NumThreads)
 	st.EndTime = t.EndTime
 	for _, s := range t.States {
 		ts := &st.threads[s.Task*t.NumThreads+s.Thread]
@@ -171,4 +182,56 @@ func (t *recTrace) stream() *StreamTrace {
 	}
 	st.Comms = t.Comms
 	return st
+}
+
+// newStreamTrace allocates an empty multi-task stream trace to be filled
+// with appendProfile (one task per accelerator).
+func newStreamTrace(appName string, tasks, numThreads int) *StreamTrace {
+	if tasks < 1 {
+		tasks = 1
+	}
+	return &StreamTrace{
+		AppName:    appName,
+		TaskCount:  tasks,
+		NumThreads: numThreads,
+		threads:    make([]threadStream, tasks*numThreads),
+	}
+}
+
+// appendProfile appends one accelerator run's streams to task `task`,
+// shifting all times by offset and clamping event times to runEnd (the
+// run's own final cycle). Appends for the same task must arrive in time
+// order; the caller sets EndTime afterwards.
+func (st *StreamTrace) appendProfile(task int, u *profile.Unit, offset, runEnd int64) {
+	for t := 0; t < st.NumThreads; t++ {
+		ts := &st.threads[task*st.NumThreads+t]
+		for _, r := range u.StateRuns(t) {
+			ts.appendRun(profile.StateRun{Begin: r.Begin + offset, End: r.End + offset, State: r.State})
+		}
+		if tail, ok := u.OpenStateRun(t, runEnd); ok {
+			ts.appendRun(profile.StateRun{Begin: tail.Begin + offset, End: tail.End + offset, State: tail.State})
+		}
+		for _, s := range u.ThreadSamples(t) {
+			at := s.End
+			if at > runEnd {
+				at = runEnd
+			}
+			s.Start += offset
+			s.End = at + offset
+			ts.samples = append(ts.samples, s)
+		}
+	}
+}
+
+// appendRun appends a closed run, coalescing with the previous one when
+// contiguous and equal-state.
+func (ts *threadStream) appendRun(r profile.StateRun) {
+	if r.End <= r.Begin {
+		return
+	}
+	if n := len(ts.closed); n > 0 && ts.closed[n-1].State == r.State && ts.closed[n-1].End == r.Begin {
+		ts.closed[n-1].End = r.End
+		return
+	}
+	ts.closed = append(ts.closed, r)
 }

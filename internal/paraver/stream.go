@@ -28,9 +28,8 @@ type StreamTrace struct {
 	threads []threadStream // task-major: threads[task*NumThreads+thread]
 }
 
-// threadStream holds one hardware thread's record streams. For
-// single-accelerator traces the slices are borrowed zero-copy from the
-// profiling unit; multi-task (cluster) traces own concatenated copies.
+// threadStream holds one hardware thread's record streams, borrowed
+// zero-copy from the profiling unit by StreamOf.
 type threadStream struct {
 	closed  []profile.StateRun
 	tail    profile.StateRun
@@ -58,59 +57,6 @@ func StreamOf(u *profile.Unit, appName string, endTime int64) *StreamTrace {
 		ts.samples = u.ThreadSamples(t)
 	}
 	return st
-}
-
-// NewStreamTrace allocates an empty multi-task stream trace to be filled
-// with AppendProfile (one task per accelerator, as in multi-FPGA bundles).
-func NewStreamTrace(appName string, tasks, numThreads int) *StreamTrace {
-	if tasks < 1 {
-		tasks = 1
-	}
-	return &StreamTrace{
-		AppName:    appName,
-		TaskCount:  tasks,
-		NumThreads: numThreads,
-		threads:    make([]threadStream, tasks*numThreads),
-	}
-}
-
-// AppendProfile appends one accelerator run's streams to task `task`,
-// shifting all times by offset and clamping event times to runEnd (the
-// run's own final cycle). Appends for the same task must arrive in time
-// order; appends for different tasks touch disjoint state and are safe to
-// issue concurrently (the caller must grow EndTime itself afterwards).
-func (st *StreamTrace) AppendProfile(task int, u *profile.Unit, offset, runEnd int64) {
-	for t := 0; t < st.NumThreads; t++ {
-		ts := &st.threads[task*st.NumThreads+t]
-		for _, r := range u.StateRuns(t) {
-			ts.appendRun(profile.StateRun{Begin: r.Begin + offset, End: r.End + offset, State: r.State})
-		}
-		if tail, ok := u.OpenStateRun(t, runEnd); ok {
-			ts.appendRun(profile.StateRun{Begin: tail.Begin + offset, End: tail.End + offset, State: tail.State})
-		}
-		for _, s := range u.ThreadSamples(t) {
-			at := s.End
-			if at > runEnd {
-				at = runEnd
-			}
-			s.Start += offset
-			s.End = at + offset
-			ts.samples = append(ts.samples, s)
-		}
-	}
-}
-
-// appendRun appends a closed run, coalescing with the previous one when
-// contiguous and equal-state (e.g. across a lockstep-sweep seam).
-func (ts *threadStream) appendRun(r profile.StateRun) {
-	if r.End <= r.Begin {
-		return
-	}
-	if n := len(ts.closed); n > 0 && ts.closed[n-1].State == r.State && ts.closed[n-1].End == r.Begin {
-		ts.closed[n-1].End = r.End
-		return
-	}
-	ts.closed = append(ts.closed, r)
 }
 
 // forEachRun yields the thread's runs in canonical order until yield
@@ -386,6 +332,6 @@ func (st *StreamTrace) Scan(v Visitor) error {
 	return nil
 }
 
-// Validate checks the trace invariants over every record, for producers
-// that assemble a trace from parts (the cluster merge).
+// Validate checks the trace invariants over every record: the same walk
+// as Scan, into a visitor that keeps nothing.
 func (st *StreamTrace) Validate() error { return st.Scan(Discard{}) }

@@ -100,26 +100,26 @@ func TestGoldenRoundTripSingleTask(t *testing.T) {
 	}
 }
 
-// TestGoldenRoundTripMultiTask does the same for a merged multi-task
-// trace with communication records: Scan and ScanPRV of the written bytes
-// deliver the same records in the same order.
+// TestGoldenRoundTripMultiTask does the same for a multi-task trace with
+// communication records: Scan and ScanPRV of the written bytes deliver
+// the same records in the same order. It is the multi-task-plus-comms
+// case of the Scan ≡ ScanPRV check.
 func TestGoldenRoundTripMultiTask(t *testing.T) {
 	const tasks = 3
-	st := NewStreamTrace("multi", tasks, 2)
+	st := newStreamTrace("multi", tasks, 2)
 	offset := int64(0)
 	for task := 0; task < tasks; task++ {
 		u, end := fuzzUnit(100+int64(task), 2, 64)
-		st.AppendProfile(task, u, offset, end)
+		st.appendProfile(task, u, offset, end)
 		offset += end + 10
 	}
-	// AppendProfile leaves EndTime to the caller (the cluster driver owns
-	// the global clock), so set it explicitly here.
+	// appendProfile leaves EndTime to the caller.
 	st.EndTime = offset
 	st.Comms = append(st.Comms,
 		CommRec{SendTask: 0, RecvTask: 1, SendTime: 5, RecvTime: 50, Size: 4, Tag: 1},
 		CommRec{SendTask: 1, RecvTask: 2, SendTime: 3, RecvTime: 40, Size: 8, Tag: 2},
 	)
-	SortCommRecs(st.Comms)
+	sortCommRecs(st.Comms)
 
 	tr := &recTrace{AppName: "multi"}
 	if err := st.Scan(tr); err != nil {

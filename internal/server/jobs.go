@@ -182,13 +182,8 @@ func (s *Server) newJob(kernel string, cancel context.CancelCauseFunc, f *store.
 	if cancel == nil {
 		cancel = func(error) {}
 	}
-	n := s.jobSeq.next()
-	id := fmt.Sprintf("job-%d", n)
-	if s.cfg.NodeID != "" {
-		id = fmt.Sprintf("job-%s-%d", s.cfg.NodeID, n)
-	}
 	j := &job{
-		id:     id,
+		id:     fmt.Sprintf("job-%d", s.jobSeq.next()),
 		cancel: cancel,
 		done:   make(chan struct{}),
 		state:  api.JobQueued,
@@ -201,18 +196,10 @@ func (s *Server) newJob(kernel string, cancel context.CancelCauseFunc, f *store.
 	return j
 }
 
-// tenantOf labels the request for rate-limit accounting.
-func tenantOf(r *http.Request) string {
-	if t := r.Header.Get("X-Nymbled-Tenant"); t != "" {
-		return t
-	}
-	return "default"
-}
-
-// writeBusy sheds load: 429 with a parseable Retry-After, counted
-// per tenant.
-func (s *Server) writeBusy(w http.ResponseWriter, r *http.Request, err error) {
-	s.metrics.rateLimited(tenantOf(r)).Add(1)
+// writeBusy sheds load: 429 with a parseable Retry-After, counted in
+// nymbled_rate_limited_total.
+func (s *Server) writeBusy(w http.ResponseWriter, err error) {
+	s.metrics.rateLimited.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(1))
 	writeError(w, http.StatusTooManyRequests, "busy", err)
 }
@@ -251,7 +238,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// compiling or consuming a worker slot.
 	f, leader, err := s.coal.Join(digest)
 	if err != nil {
-		s.writeBusy(w, r, err)
+		s.writeBusy(w, err)
 		return
 	}
 	if !leader {
@@ -314,7 +301,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.jobs.Delete(j.id)
 		f.Finish(nil, err)
 		if errors.Is(err, parallel.ErrQueueFull) {
-			s.writeBusy(w, r, err)
+			s.writeBusy(w, err)
 			return
 		}
 		writeError(w, http.StatusServiceUnavailable, "shutting_down", err)

@@ -25,9 +25,8 @@ type routeStats struct {
 // metrics is the daemon's counter set, exposed at /metrics in the
 // Prometheus text format.
 type metrics struct {
-	mu      sync.Mutex
-	routes  map[string]*routeStats
-	tenants map[string]*counter // tenant -> 429s shed
+	mu     sync.Mutex
+	routes map[string]*routeStats
 
 	jobsCreated   counter
 	jobsReaped    counter
@@ -36,6 +35,7 @@ type metrics struct {
 	traceErrors   counter
 	runsFromStore counter
 	storeErrors   counter
+	rateLimited   counter
 }
 
 func (m *metrics) route(name string) *routeStats {
@@ -50,21 +50,6 @@ func (m *metrics) route(name string) *routeStats {
 		m.routes[name] = rs
 	}
 	return rs
-}
-
-// rateLimited returns the 429 counter for one tenant.
-func (m *metrics) rateLimited(tenant string) *counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.tenants == nil {
-		m.tenants = map[string]*counter{}
-	}
-	c, ok := m.tenants[tenant]
-	if !ok {
-		c = &counter{}
-		m.tenants[tenant] = c
-	}
-	return c
 }
 
 // instrument wraps a handler with per-route request counting and
@@ -192,24 +177,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# TYPE nymbled_coalesce_rejected_total counter")
 	fmt.Fprintf(w, "nymbled_coalesce_rejected_total %d\n", cls.Rejected)
 
-	s.metrics.mu.Lock()
-	tenants := make([]string, 0, len(s.metrics.tenants))
-	for t := range s.metrics.tenants {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
-	type trow struct {
-		tenant string
-		shed   int64
-	}
-	trows := make([]trow, 0, len(tenants))
-	for _, t := range tenants {
-		trows = append(trows, trow{t, s.metrics.tenants[t].Load()})
-	}
-	s.metrics.mu.Unlock()
-	fmt.Fprintln(w, "# HELP nymbled_rate_limited_total Requests shed with 429, by tenant.")
+	fmt.Fprintln(w, "# HELP nymbled_rate_limited_total Requests shed with 429.")
 	fmt.Fprintln(w, "# TYPE nymbled_rate_limited_total counter")
-	for _, t := range trows {
-		fmt.Fprintf(w, "nymbled_rate_limited_total{tenant=%q} %d\n", t.tenant, t.shed)
-	}
+	fmt.Fprintf(w, "nymbled_rate_limited_total %d\n", s.metrics.rateLimited.Load())
 }

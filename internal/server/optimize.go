@@ -76,7 +76,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if err := s.pool.TrySubmit(task, s.cfg.MaxQueue); err != nil {
 		s.jobs.Delete(j.id)
 		if errors.Is(err, parallel.ErrQueueFull) {
-			s.writeBusy(w, r, err)
+			s.writeBusy(w, err)
 			return
 		}
 		writeError(w, http.StatusServiceUnavailable, "shutting_down", err)

@@ -57,9 +57,6 @@ type Options struct {
 	// MaxQueue bounds how many runs may wait for a worker (0 =
 	// unlimited); past it POST /v1/run sheds load with 429 + Retry-After.
 	MaxQueue int
-	// NodeID makes job IDs fleet-unique ("job-<node>-<n>") and labels
-	// the node in /healthz. Empty for a standalone daemon.
-	NodeID string
 	// JobTTL is how long a finished job document stays queryable before
 	// the reaper drops it from the registry (0 = 15 min default,
 	// negative = keep forever). Without a TTL a long-running daemon's
@@ -286,12 +283,11 @@ func (s *Server) handlePerf(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz reports liveness plus the cache-shaped counters of the
 // daemon's long-lived state (compile cache, artifact store, coalescer),
-// so a fleet dispatcher's health probe doubles as a stats scrape.
+// so one probe doubles as a stats scrape.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	doc := api.Health{
 		SchemaVersion: api.Version,
 		Status:        "ok",
-		Node:          s.cfg.NodeID,
 		CompileCache:  s.cache.Stats(),
 	}
 	if s.cfg.Store != nil {

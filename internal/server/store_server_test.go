@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -562,5 +563,80 @@ func TestJobReaperDropsFinishedJobs(t *testing.T) {
 	}
 	if got := metricValue(t, ts.URL, "nymbled_jobs_reaped_total"); got < 1 {
 		t.Errorf("nymbled_jobs_reaped_total = %d, want >= 1", got)
+	}
+}
+
+// TestRateLimitedIsOneSeries sheds requests carrying distinct tenant
+// headers: the 429 counter is one unlabelled series, so a client cannot
+// grow /metrics by inventing header values.
+func TestRateLimitedIsOneSeries(t *testing.T) {
+	s, ts := newStoreServer(t, t.TempDir(), Options{CoalesceMax: 1})
+	req := piRunRequest(1 << 20)
+	// An unfinished flight with one waiter saturates the digest, so every
+	// POST below is shed at Join, before any compile or simulation.
+	f, _, err := s.coal.Join(api.RunKey(&req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Finish(nil, context.Canceled)
+
+	const n = 5
+	body, _ := json.Marshal(req)
+	for i := 0; i < n; i++ {
+		r, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/run", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Header.Set("X-Nymbled-Tenant", fmt.Sprintf("tenant-%d", i))
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readAll(t, resp)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("request %d: status %d, want 429", i, resp.StatusCode)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var series []string
+	for _, line := range strings.Split(string(readAll(t, resp)), "\n") {
+		if strings.HasPrefix(line, "nymbled_rate_limited_total") {
+			series = append(series, line)
+		}
+	}
+	if want := fmt.Sprintf("nymbled_rate_limited_total %d", n); len(series) != 1 || series[0] != want {
+		t.Errorf("rate-limit series %q, want exactly [%q]", series, want)
+	}
+}
+
+// TestStandaloneJobIDsAndHealthz pins the daemon's identity surface: job
+// IDs are job-<n> in submission order and /healthz carries no node key.
+func TestStandaloneJobIDsAndHealthz(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	for i := 1; i <= 2; i++ {
+		_, doc := waitRun(t, ts.URL, gemmRunRequest(8))
+		if want := fmt.Sprintf("job-%d", i); doc.ID != want {
+			t.Errorf("run %d: job ID %q, want %q", i, doc.ID, want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(readAll(t, resp), &doc); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(doc))
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, ","), "coalescing,compile_cache,status,version"; got != want {
+		t.Errorf("/healthz keys %s, want %s", got, want)
 	}
 }
