@@ -144,6 +144,10 @@ func TestCountedLoopForms(t *testing.T) {
 func TestOneASTFrontEnd(t *testing.T) {
 	banned := map[string]string{
 		"scopes":            "a lexical scope stack (sema binds every Ident and MapClause to its Decl)",
+		"scopeFrame":        "a lexical scope stack (sema binds every Ident and MapClause to its Decl)",
+		"pushScope":         "a lexical scope stack (sema binds every Ident and MapClause to its Decl)",
+		"popScope":          "a lexical scope stack (sema binds every Ident and MapClause to its Decl)",
+		"hostVarTypes":      "name-keyed host variable types (read MapClause.Decl instead)",
 		"savedSyms":         "scoped save/restore of bindings (key by minic.Decl instead)",
 		"savedArrs":         "scoped save/restore of bindings (key by minic.Decl instead)",
 		"recognizeStep":     "an induction-variable recogniser (use minic.Counted)",
@@ -152,24 +156,7 @@ func TestOneASTFrontEnd(t *testing.T) {
 		"condTests":         "an induction-variable recogniser (use minic.Counted)",
 		"condMentions":      "an induction-variable recogniser (use minic.Counted)",
 	}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "benchmark" || path == filepath.Join("internal", "minic") || strings.HasPrefix(d.Name(), ".") && path != "." {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	eachSourceFile(t, filepath.Join("internal", "minic"), func(fset *token.FileSet, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.BasicLit:
@@ -183,6 +170,60 @@ func TestOneASTFrontEnd(t *testing.T) {
 			}
 			return true
 		})
+	})
+}
+
+// TestOneIntervalLattice keeps absint and perfbound on the one interval
+// type: it fails on any struct outside internal/interval (and outside
+// the benchmark module) that declares int64 fields Lo and Hi.
+func TestOneIntervalLattice(t *testing.T) {
+	eachSourceFile(t, filepath.Join("internal", "interval"), func(fset *token.FileSet, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			bounds := 0
+			for _, field := range st.Fields.List {
+				if typ, ok := field.Type.(*ast.Ident); ok && typ.Name == "int64" {
+					for _, name := range field.Names {
+						if name.Name == "Lo" || name.Name == "Hi" {
+							bounds++
+						}
+					}
+				}
+			}
+			if bounds == 2 {
+				t.Errorf("%s: a struct with int64 Lo and Hi is a private interval type; use interval.Interval", fset.Position(st.Pos()))
+			}
+			return true
+		})
+	})
+}
+
+// eachSourceFile parses every non-test Go file of the module outside
+// skip, the benchmark module and hidden directories, and hands it to fn.
+func eachSourceFile(t *testing.T, skip string, fn func(*token.FileSet, *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || path == skip || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(fset, f)
 		return nil
 	})
 	if err != nil {

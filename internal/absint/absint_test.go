@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"paravis/internal/interval"
 	"paravis/internal/minic"
 	"paravis/internal/workloads"
 )
@@ -68,35 +69,6 @@ func accessAt(t *testing.T, res *Result, src, marker, arr string) *AccessFact {
 
 // --- domain unit tests ---
 
-func TestIntervalOps(t *testing.T) {
-	a := Range(2, 5)
-	b := Range(-1, 3)
-	if j := a.Join(b); j.Lo != -1 || j.Hi != 5 {
-		t.Errorf("join = %+v", j)
-	}
-	if m := a.Meet(b); m.Lo != 2 || m.Hi != 3 {
-		t.Errorf("meet = %+v", m)
-	}
-	if s := a.Add(b); s.Lo != 1 || s.Hi != 8 {
-		t.Errorf("add = %+v", s)
-	}
-	if p := a.Mul(Exact(-2)); p.Lo != -10 || p.Hi != -4 {
-		t.Errorf("mul = %+v", p)
-	}
-	if q := Range(0, 59).Div(Exact(4)); q.Lo != 0 || q.Hi != 14 {
-		t.Errorf("div = %+v", q)
-	}
-	if r := Range(0, 59).Rem(Exact(4)); r.Lo != 0 || r.Hi != 3 {
-		t.Errorf("rem = %+v", r)
-	}
-	if r := Range(-7, -1).Rem(Exact(4)); r.Lo != -3 || r.Hi != 0 {
-		t.Errorf("neg rem = %+v", r)
-	}
-	if !Range(3, 2).Empty {
-		t.Errorf("inverted range should be bottom")
-	}
-}
-
 func TestCongruence(t *testing.T) {
 	// x ≡ 0 (mod 4) joined with x ≡ 2 (mod 4) gives mod 2.
 	j := congMod(4, 0).join(congMod(4, 2))
@@ -109,25 +81,32 @@ func TestCongruence(t *testing.T) {
 		t.Errorf("4k+1 congruence = %+v", v.C)
 	}
 	// Reduction tightens interval ends to congruence members.
-	r := reduce(Val{I: Range(1, 10), C: congMod(4, 0)})
+	r := reduce(Val{I: interval.Range(1, 10), C: congMod(4, 0)})
 	if r.I.Lo != 4 || r.I.Hi != 8 {
 		t.Errorf("reduced = %+v", r.I)
 	}
 	// Disjoint congruence and interval is bottom.
-	if !reduce(Val{I: Range(1, 3), C: congMod(8, 5)}).isBottom() {
+	if !reduce(Val{I: interval.Range(1, 3), C: congMod(8, 5)}).isBottom() {
 		t.Errorf("expected bottom")
 	}
 }
 
+// TestWidenThenNarrow checks the product domain widens only its interval
+// half: a growing bound snaps to the next threshold (or, past the last,
+// is dropped) while the congruence is kept, and meeting the widened value
+// with a guard narrows it back to a congruence member.
 func TestWidenThenNarrow(t *testing.T) {
 	th := []int64{0, 10}
-	w := Range(0, 1).widen(Range(0, 2), th)
-	if !w.HasHi || w.Hi != 10 {
+	even := func(lo, hi int64) Val { return reduce(Val{I: interval.Range(lo, hi), C: congMod(2, 0)}) }
+	w := even(0, 2).widen(even(0, 4), th)
+	if !w.I.HasHi || w.I.Hi != 10 || w.C != congMod(2, 0) {
 		t.Errorf("widen to threshold = %+v", w)
 	}
-	w = Range(0, 10).widen(Range(0, 11), th)
-	if w.HasHi {
-		t.Errorf("widen past last threshold should drop bound: %+v", w)
+	if n := w.meet(intervalVal(interval.AtMost(7))); !n.I.Bounded() || n.I.Lo != 0 || n.I.Hi != 6 {
+		t.Errorf("narrowed = %+v, want [0, 6]", n.I)
+	}
+	if w = even(0, 10).widen(even(0, 12), th); w.I.HasHi || w.C != congMod(2, 0) {
+		t.Errorf("widen past last threshold should drop the bound only: %+v", w)
 	}
 }
 

@@ -3,6 +3,7 @@ package absint
 import (
 	"sort"
 
+	"paravis/internal/interval"
 	"paravis/internal/minic"
 )
 
@@ -51,7 +52,7 @@ type LoopFact struct {
 	// Trips brackets the per-entry iteration count (body executions per
 	// arrival from outside the loop). Always sound; HasHi only when the
 	// induction pattern was recognized with invariant bounds.
-	Trips Interval
+	Trips interval.Interval
 }
 
 // AccessFact is the bounds verdict for one array/vector access site.
@@ -65,11 +66,11 @@ type AccessFact struct {
 	// the first dimension proven out (OOB) or not provable (MayOOB).
 	BadDim  int
 	DimSize int64
-	Index   Interval
+	Index   interval.Interval
 	// Elem is the flattened scalar-word index of the first element
 	// touched, in exactly depend's linearization, with Width words
 	// touched from it. ElemOK gates both.
-	Elem   Interval
+	Elem   interval.Interval
 	Width  int64
 	ElemOK bool
 }
@@ -79,7 +80,7 @@ type DivFact struct {
 	Node       *minic.Binary
 	Pos        minic.Pos
 	IsRem      bool
-	Divisor    Interval
+	Divisor    interval.Interval
 	ProvenZero bool // divisor is the constant 0
 	MayZero    bool // divisor has finite range containing 0
 }
@@ -134,18 +135,18 @@ func (r *Result) IndexRange(e minic.Expr) (lo, hi int64, ok bool) {
 
 // TripHints returns finite per-entry trip brackets keyed by the shared
 // loop name, for perfbound's evaluator.
-func (r *Result) TripHints() map[string][2]int64 {
+func (r *Result) TripHints() map[string]interval.Interval {
 	if r == nil || !r.OK {
 		return nil
 	}
-	h := map[string][2]int64{}
+	h := map[string]interval.Interval{}
 	for _, lf := range r.Loops {
 		if !lf.Reachable {
-			h[lf.Name] = [2]int64{0, 0}
+			h[lf.Name] = interval.Exact(0)
 			continue
 		}
 		if lf.Trips.Bounded() {
-			h[lf.Name] = [2]int64{lf.Trips.Lo, lf.Trips.Hi}
+			h[lf.Name] = lf.Trips
 		}
 	}
 	if len(h) == 0 {
@@ -282,21 +283,21 @@ func (c *collector) finishLoops(res *Result) {
 		res.Loops[st] = lf
 		hf := &c.a.flows[head.id]
 		if !hf.in.live {
-			lf.Trips = Exact(0)
+			lf.Trips = interval.Exact(0)
 			continue
 		}
 		lf.Reachable = true
 		if st.Cond == nil {
 			lf.BodyReachable = true
-			lf.Trips = AtLeast(0)
+			lf.Trips = interval.AtLeast(0)
 			continue
 		}
 		bodyOK := hf.outT.live
 		lf.BodyReachable = bodyOK
 
-		trips := AtLeast(0)
+		trips := interval.AtLeast(0)
 		if !bodyOK {
-			trips = Exact(0)
+			trips = interval.Exact(0)
 		} else {
 			if t, ok := c.recognizedTrips(st, head); ok {
 				trips = trips.Meet(t)
@@ -307,18 +308,18 @@ func (c *collector) finishLoops(res *Result) {
 				ev := &evaluator{a: c.a, st: pre, inRegion: head.inRegion}
 				switch ev.expr(st.Cond).truth() {
 				case +1:
-					trips = trips.Meet(AtLeast(1))
+					trips = trips.Meet(interval.AtLeast(1))
 				case -1:
-					trips = trips.Meet(Exact(0))
+					trips = trips.Meet(interval.Exact(0))
 				}
 			}
 			if head.latch == nil {
 				// Body always returns: no back edge, at most one trip.
-				trips = trips.Meet(Range(0, 1))
+				trips = trips.Meet(interval.Range(0, 1))
 			}
 		}
 		if trips.Empty {
-			trips = AtLeast(0)
+			trips = interval.AtLeast(0)
 		}
 		lf.Trips = trips
 	}
@@ -327,22 +328,22 @@ func (c *collector) finishLoops(res *Result) {
 // recognizedTrips brackets the per-entry trip count of a canonical
 // counted loop (minic.Counted): the induction variable stepped by an
 // invariant constant and tested against an invariant bound.
-func (c *collector) recognizedTrips(st *minic.ForStmt, head *block) (Interval, bool) {
+func (c *collector) recognizedTrips(st *minic.ForStmt, head *block) (interval.Interval, bool) {
 	if impure(st.Cond) {
-		return Top(), false
+		return interval.Top(), false
 	}
 	cl := minic.Counted(st)
 	if cl == nil {
-		return Top(), false
+		return interval.Top(), false
 	}
 	// The induction variable must be an analyzable scalar.
 	iv := c.a.res.byDecl[cl.IV]
 	if iv == nil || !iv.tracked || (iv.sharedMut && head.inRegion) {
-		return Top(), false
+		return interval.Top(), false
 	}
 	pre := c.a.tmpIn
 	if !c.a.inFlow(pre, head, head.latch) {
-		return Top(), false
+		return interval.Top(), false
 	}
 	ev := &evaluator{a: c.a, st: pre, inRegion: head.inRegion}
 
@@ -352,62 +353,20 @@ func (c *collector) recognizedTrips(st *minic.ForStmt, head *block) (Interval, b
 	step := cl.Sign
 	if cl.Step != nil {
 		if !c.invariant(cl.Step, mut, head.inRegion) {
-			return Top(), false
+			return interval.Top(), false
 		}
 		sc, ok := ev.expr(cl.Step).constVal()
 		if !ok || sc == 0 {
-			return Top(), false
+			return interval.Top(), false
 		}
 		step *= sc
 	}
 	adj, ok := cl.ExclusiveBound(step)
 	if !ok || !c.invariant(cl.Bound, mut, head.inRegion) {
-		return Top(), false
+		return interval.Top(), false
 	}
-	bound := ev.expr(cl.Bound).I
-	init := ev.get(iv).I
-	if bound.Empty || init.Empty {
-		return Top(), false
-	}
-	bound = bound.Add(Exact(adj))
-
-	// trips = max(0, ceil((B - I) / S)) for S > 0, and the mirrored form
-	// for S < 0; interval ends pair the extremes soundly.
-	r := Interval{HasLo: true, Lo: 0}
-	if step > 0 {
-		if bound.HasHi && init.HasLo {
-			if d, ok := subOv(bound.Hi, init.Lo); ok {
-				r.HasHi, r.Hi = true, max64(0, ceilDiv(d, step))
-			}
-		}
-		if bound.HasLo && init.HasHi {
-			if d, ok := subOv(bound.Lo, init.Hi); ok {
-				r.Lo = max64(0, ceilDiv(d, step))
-			}
-		}
-	} else {
-		s := -step
-		if init.HasHi && bound.HasLo {
-			if d, ok := subOv(init.Hi, bound.Lo); ok {
-				r.HasHi, r.Hi = true, max64(0, ceilDiv(d, s))
-			}
-		}
-		if init.HasLo && bound.HasHi {
-			if d, ok := subOv(init.Lo, bound.Hi); ok {
-				r.Lo = max64(0, ceilDiv(d, s))
-			}
-		}
-	}
-	return r, true
-}
-
-// ceilDiv returns ceil(a/b) for b > 0.
-func ceilDiv(a, b int64) int64 {
-	q := a / b
-	if a%b > 0 {
-		q++
-	}
-	return q
+	bound := ev.expr(cl.Bound).I.Add(interval.Exact(adj))
+	return interval.Trips(ev.get(iv).I, bound, interval.Exact(step)), true
 }
 
 // invariant reports whether e evaluates to the same value on every
@@ -610,14 +569,14 @@ func (c *collector) finalizeIndex(x *minic.Index, rec *accRec) *AccessFact {
 
 // judge classifies one subscript value against the inclusive safe range
 // [lo, hi]: inside on every execution, provably outside, or undecided.
-func judge(v Val, lo, hi int64) (Verdict, Interval) {
+func judge(v Val, lo, hi int64) (Verdict, interval.Interval) {
 	if lo > hi {
 		return OOB, v.I
 	}
 	if v.I.HasLo && v.I.Lo >= lo && v.I.HasHi && v.I.Hi <= hi {
 		return InBounds, v.I
 	}
-	if v.meet(intervalVal(Range(lo, hi))).isBottom() {
+	if v.meet(intervalVal(interval.Range(lo, hi))).isBottom() {
 		return OOB, v.I
 	}
 	return MayOOB, v.I
@@ -658,18 +617,11 @@ func (c *collector) window(d minic.Decl) (lo, hi int64, ok bool) {
 	if !okL || !okN || n <= 0 {
 		return 0, 0, false
 	}
-	h, okA := addOv(l, n-1)
+	h, okA := interval.CheckedAdd(l, n-1)
 	if !okA {
 		return 0, 0, false
 	}
 	return l, h, true
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- divisions ---

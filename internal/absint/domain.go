@@ -1,438 +1,18 @@
 package absint
 
 // This file implements the product abstract domain the interpreter runs
-// over: machine-integer intervals with explicit missing bounds (so top
-// needs no sentinel values and overflow simply drops a bound) crossed
-// with arithmetic congruences x ≡ Rem (mod Mod) that track strides and
-// parity through division and remainder — the precision the seed
-// kernels' lane arithmetic (v/VECTOR_LEN, v%VECTOR_LEN) needs. The two
-// components exchange information through reduce().
+// over: the intervals of internal/interval (explicit missing bounds, so
+// top needs no sentinel values and overflow simply drops a bound)
+// crossed with arithmetic congruences x ≡ Rem (mod Mod) that track
+// strides and parity through division and remainder — the precision the
+// seed kernels' lane arithmetic (v/VECTOR_LEN, v%VECTOR_LEN) needs. The
+// two components exchange information through reduce().
 
 import (
-	"fmt"
 	"math"
+
+	"paravis/internal/interval"
 )
-
-// Interval is a contiguous set of int64 values. A missing bound
-// (HasLo/HasHi false) means unbounded on that side; Empty marks the
-// bottom element. The zero value is top (all integers).
-type Interval struct {
-	Empty bool
-	HasLo bool
-	HasHi bool
-	Lo    int64
-	Hi    int64
-}
-
-// Top returns the full interval.
-func Top() Interval { return Interval{} }
-
-// Bottom returns the empty interval.
-func Bottom() Interval { return Interval{Empty: true} }
-
-// Exact returns the singleton interval {v}.
-func Exact(v int64) Interval { return Interval{HasLo: true, HasHi: true, Lo: v, Hi: v} }
-
-// Range returns [lo, hi]; lo > hi yields bottom.
-func Range(lo, hi int64) Interval {
-	if lo > hi {
-		return Bottom()
-	}
-	return Interval{HasLo: true, HasHi: true, Lo: lo, Hi: hi}
-}
-
-// AtLeast returns [lo, +inf).
-func AtLeast(lo int64) Interval { return Interval{HasLo: true, Lo: lo} }
-
-// AtMost returns (-inf, hi].
-func AtMost(hi int64) Interval { return Interval{HasHi: true, Hi: hi} }
-
-// IsTop reports whether the interval carries no information.
-func (a Interval) IsTop() bool { return !a.Empty && !a.HasLo && !a.HasHi }
-
-// String renders the interval for diagnostics: a bare number for
-// singletons, "[lo, hi]" otherwise with "-inf"/"+inf" for missing ends.
-func (a Interval) String() string {
-	if a.Empty {
-		return "(empty)"
-	}
-	if c, ok := a.Const(); ok {
-		return fmt.Sprintf("%d", c)
-	}
-	lo, hi := "-inf", "+inf"
-	if a.HasLo {
-		lo = fmt.Sprintf("%d", a.Lo)
-	}
-	if a.HasHi {
-		hi = fmt.Sprintf("%d", a.Hi)
-	}
-	return fmt.Sprintf("[%s, %s]", lo, hi)
-}
-
-// Bounded reports whether both ends are finite.
-func (a Interval) Bounded() bool { return !a.Empty && a.HasLo && a.HasHi }
-
-// Const returns the single value of a singleton interval.
-func (a Interval) Const() (int64, bool) {
-	if a.Bounded() && a.Lo == a.Hi {
-		return a.Lo, true
-	}
-	return 0, false
-}
-
-// Contains reports whether v is a member.
-func (a Interval) Contains(v int64) bool {
-	if a.Empty {
-		return false
-	}
-	if a.HasLo && v < a.Lo {
-		return false
-	}
-	if a.HasHi && v > a.Hi {
-		return false
-	}
-	return true
-}
-
-// Join returns the smallest interval covering both operands.
-func (a Interval) Join(b Interval) Interval {
-	if a.Empty {
-		return b
-	}
-	if b.Empty {
-		return a
-	}
-	var r Interval
-	if a.HasLo && b.HasLo {
-		r.HasLo, r.Lo = true, min64(a.Lo, b.Lo)
-	}
-	if a.HasHi && b.HasHi {
-		r.HasHi, r.Hi = true, max64(a.Hi, b.Hi)
-	}
-	return r
-}
-
-// Meet returns the intersection.
-func (a Interval) Meet(b Interval) Interval {
-	if a.Empty || b.Empty {
-		return Bottom()
-	}
-	r := a
-	if b.HasLo && (!r.HasLo || b.Lo > r.Lo) {
-		r.HasLo, r.Lo = true, b.Lo
-	}
-	if b.HasHi && (!r.HasHi || b.Hi < r.Hi) {
-		r.HasHi, r.Hi = true, b.Hi
-	}
-	if r.HasLo && r.HasHi && r.Lo > r.Hi {
-		return Bottom()
-	}
-	return r
-}
-
-// Equal reports structural equality (bottom compares equal to bottom).
-func (a Interval) Equal(b Interval) bool {
-	if a.Empty || b.Empty {
-		return a.Empty == b.Empty
-	}
-	if a.HasLo != b.HasLo || a.HasHi != b.HasHi {
-		return false
-	}
-	if a.HasLo && a.Lo != b.Lo {
-		return false
-	}
-	if a.HasHi && a.Hi != b.Hi {
-		return false
-	}
-	return true
-}
-
-// widen extrapolates a bound that grew between iterations to the next
-// threshold (or drops it), guaranteeing termination of the ascending
-// chain. next must cover a (callers join first).
-func (a Interval) widen(next Interval, th []int64) Interval {
-	if a.Empty {
-		return next
-	}
-	if next.Empty {
-		return a
-	}
-	r := next
-	if next.HasLo && (!a.HasLo || next.Lo < a.Lo) {
-		// Lower bound decreased: snap down to the largest threshold <= it.
-		r.HasLo = false
-		for i := len(th) - 1; i >= 0; i-- {
-			if th[i] <= next.Lo {
-				r.HasLo, r.Lo = true, th[i]
-				break
-			}
-		}
-	}
-	if next.HasHi && (!a.HasHi || next.Hi > a.Hi) {
-		// Upper bound increased: snap up to the smallest threshold >= it.
-		r.HasHi = false
-		for _, t := range th {
-			if t >= next.Hi {
-				r.HasHi, r.Hi = true, t
-				break
-			}
-		}
-	}
-	return r
-}
-
-func addOv(a, b int64) (int64, bool) {
-	s := a + b
-	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
-		return 0, false
-	}
-	return s, true
-}
-
-func subOv(a, b int64) (int64, bool) {
-	if b == math.MinInt64 {
-		return 0, false
-	}
-	return addOv(a, -b)
-}
-
-func mulOv(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	if a == math.MinInt64 || b == math.MinInt64 {
-		return 0, false
-	}
-	p := a * b
-	if p/b != a {
-		return 0, false
-	}
-	return p, true
-}
-
-// Add returns the interval sum; a bound that overflows is dropped.
-func (a Interval) Add(b Interval) Interval {
-	if a.Empty || b.Empty {
-		return Bottom()
-	}
-	var r Interval
-	if a.HasLo && b.HasLo {
-		if v, ok := addOv(a.Lo, b.Lo); ok {
-			r.HasLo, r.Lo = true, v
-		}
-	}
-	if a.HasHi && b.HasHi {
-		if v, ok := addOv(a.Hi, b.Hi); ok {
-			r.HasHi, r.Hi = true, v
-		}
-	}
-	return r
-}
-
-// Neg returns the negated interval.
-func (a Interval) Neg() Interval {
-	if a.Empty {
-		return Bottom()
-	}
-	var r Interval
-	if a.HasHi && a.Hi != math.MinInt64 {
-		r.HasLo, r.Lo = true, -a.Hi
-	}
-	if a.HasLo && a.Lo != math.MinInt64 {
-		r.HasHi, r.Hi = true, -a.Lo
-	}
-	return r
-}
-
-// Sub returns a - b.
-func (a Interval) Sub(b Interval) Interval { return a.Add(b.Neg()) }
-
-// Mul returns the interval product. Fully bounded operands multiply
-// exactly; half-bounded cases are handled for a constant factor and for
-// non-negative operands; anything else is top.
-func (a Interval) Mul(b Interval) Interval {
-	if a.Empty || b.Empty {
-		return Bottom()
-	}
-	if c, ok := b.Const(); ok {
-		return a.mulConst(c)
-	}
-	if c, ok := a.Const(); ok {
-		return b.mulConst(c)
-	}
-	if a.Bounded() && b.Bounded() {
-		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-		for _, x := range []int64{a.Lo, a.Hi} {
-			for _, y := range []int64{b.Lo, b.Hi} {
-				p, ok := mulOv(x, y)
-				if !ok {
-					return Top()
-				}
-				lo, hi = min64(lo, p), max64(hi, p)
-			}
-		}
-		return Range(lo, hi)
-	}
-	if a.HasLo && a.Lo >= 0 && b.HasLo && b.Lo >= 0 {
-		// Both non-negative: the product is at least Lo*Lo.
-		r := Interval{}
-		if v, ok := mulOv(a.Lo, b.Lo); ok {
-			r.HasLo, r.Lo = true, v
-		} else {
-			r.HasLo, r.Lo = true, 0
-		}
-		return r
-	}
-	return Top()
-}
-
-func (a Interval) mulConst(c int64) Interval {
-	if c == 0 {
-		return Exact(0)
-	}
-	var r Interval
-	scale := func(v int64) (int64, bool) { return mulOv(v, c) }
-	if c > 0 {
-		if a.HasLo {
-			if v, ok := scale(a.Lo); ok {
-				r.HasLo, r.Lo = true, v
-			}
-		}
-		if a.HasHi {
-			if v, ok := scale(a.Hi); ok {
-				r.HasHi, r.Hi = true, v
-			}
-		}
-	} else {
-		if a.HasHi {
-			if v, ok := scale(a.Hi); ok {
-				r.HasLo, r.Lo = true, v
-			}
-		}
-		if a.HasLo {
-			if v, ok := scale(a.Lo); ok {
-				r.HasHi, r.Hi = true, v
-			}
-		}
-	}
-	return r
-}
-
-// Div returns the C (truncating) quotient interval. Precise for a
-// nonzero constant divisor (truncation is monotone); a divisor proven
-// >= 1 pulls the result toward zero; anything else is top.
-func (a Interval) Div(b Interval) Interval {
-	if a.Empty || b.Empty {
-		return Bottom()
-	}
-	if c, ok := b.Const(); ok && c != 0 {
-		var r Interval
-		q := func(v int64) (int64, bool) {
-			if v == math.MinInt64 && c == -1 {
-				return 0, false
-			}
-			return v / c, true
-		}
-		if c > 0 {
-			if a.HasLo {
-				if v, ok := q(a.Lo); ok {
-					r.HasLo, r.Lo = true, v
-				}
-			}
-			if a.HasHi {
-				if v, ok := q(a.Hi); ok {
-					r.HasHi, r.Hi = true, v
-				}
-			}
-		} else {
-			if a.HasHi {
-				if v, ok := q(a.Hi); ok {
-					r.HasLo, r.Lo = true, v
-				}
-			}
-			if a.HasLo {
-				if v, ok := q(a.Lo); ok {
-					r.HasHi, r.Hi = true, v
-				}
-			}
-		}
-		return r
-	}
-	if b.HasLo && b.Lo >= 1 {
-		// Dividing by >= 1 moves the value toward zero.
-		var r Interval
-		if a.HasLo {
-			r.HasLo, r.Lo = true, min64(a.Lo, 0)
-		}
-		if a.HasHi {
-			r.HasHi, r.Hi = true, max64(a.Hi, 0)
-		}
-		return r
-	}
-	return Top()
-}
-
-// Rem returns the C remainder interval (sign follows the dividend).
-func (a Interval) Rem(b Interval) Interval {
-	if a.Empty || b.Empty {
-		return Bottom()
-	}
-	var m int64
-	if c, ok := b.Const(); ok && c != 0 && c != math.MinInt64 {
-		m = c
-		if m < 0 {
-			m = -m
-		}
-		// x fully within [0, m-1] is its own remainder.
-		if a.HasLo && a.Lo >= 0 && a.HasHi && a.Hi < m {
-			return a
-		}
-	} else if b.HasLo && b.Lo >= 1 && b.HasHi {
-		m = b.Hi
-	} else if b.HasLo && b.Lo >= 1 {
-		// Divisor >= 1, unbounded: |x % d| <= |x|.
-		if a.HasLo && a.Lo >= 0 {
-			r := Interval{HasLo: true, Lo: 0}
-			if a.HasHi {
-				r.HasHi, r.Hi = true, a.Hi
-			}
-			return r
-		}
-		return Top()
-	} else {
-		return Top()
-	}
-	switch {
-	case a.HasLo && a.Lo >= 0:
-		hi := m - 1
-		if a.HasHi && a.Hi < hi {
-			hi = a.Hi
-		}
-		return Range(0, hi)
-	case a.HasHi && a.Hi <= 0:
-		lo := -(m - 1)
-		if a.HasLo && a.Lo > lo {
-			lo = a.Lo
-		}
-		return Range(lo, 0)
-	default:
-		return Range(-(m - 1), m-1)
-	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // --- Congruences ---
 
@@ -492,7 +72,7 @@ func gcd64(a, b int64) int64 {
 
 func (c Cong) add(o Cong) Cong {
 	if c.Mod == 0 && o.Mod == 0 {
-		if v, ok := addOv(c.Rem, o.Rem); ok {
+		if v, ok := interval.CheckedAdd(c.Rem, o.Rem); ok {
 			return congConst(v)
 		}
 		return congTop()
@@ -501,7 +81,7 @@ func (c Cong) add(o Cong) Cong {
 	if g == 0 {
 		return congTop()
 	}
-	s, ok := addOv(posMod(c.Rem, g), posMod(o.Rem, g))
+	s, ok := interval.CheckedAdd(posMod(c.Rem, g), posMod(o.Rem, g))
 	if !ok {
 		return congTop()
 	}
@@ -522,15 +102,15 @@ func (c Cong) sub(o Cong) Cong { return c.add(o.neg()) }
 
 func (c Cong) mul(o Cong) Cong {
 	if c.Mod == 0 && o.Mod == 0 {
-		if v, ok := mulOv(c.Rem, o.Rem); ok {
+		if v, ok := interval.CheckedMul(c.Rem, o.Rem); ok {
 			return congConst(v)
 		}
 		return congTop()
 	}
-	mm, ok1 := mulOv(c.Mod, o.Mod)
-	mr, ok2 := mulOv(c.Mod, o.Rem)
-	rm, ok3 := mulOv(c.Rem, o.Mod)
-	rr, ok4 := mulOv(c.Rem, o.Rem)
+	mm, ok1 := interval.CheckedMul(c.Mod, o.Mod)
+	mr, ok2 := interval.CheckedMul(c.Mod, o.Rem)
+	rm, ok3 := interval.CheckedMul(c.Rem, o.Mod)
+	rr, ok4 := interval.CheckedMul(c.Rem, o.Rem)
 	if !ok1 || !ok2 || !ok3 || !ok4 {
 		return congTop()
 	}
@@ -542,7 +122,7 @@ func (c Cong) mul(o Cong) Cong {
 }
 
 func (c Cong) join(o Cong) Cong {
-	d, ok := subOv(c.Rem, o.Rem)
+	d, ok := interval.CheckedSub(c.Rem, o.Rem)
 	if !ok {
 		return congTop()
 	}
@@ -617,14 +197,14 @@ func (c Cong) remConst(d int64, nonNeg bool) (Cong, bool) {
 // Val is one abstract value: an interval refined by a congruence. The
 // bottom element is any Val whose interval is empty.
 type Val struct {
-	I Interval
+	I interval.Interval
 	C Cong
 }
 
-func topVal() Val          { return Val{I: Top(), C: congTop()} }
-func exactVal(v int64) Val { return Val{I: Exact(v), C: congConst(v)} }
-func bottomVal() Val       { return Val{I: Bottom(), C: congTop()} }
-func intervalVal(i Interval) Val {
+func topVal() Val          { return Val{I: interval.Top(), C: congTop()} }
+func exactVal(v int64) Val { return Val{I: interval.Exact(v), C: congConst(v)} }
+func bottomVal() Val       { return Val{I: interval.Bottom(), C: congTop()} }
+func intervalVal(i interval.Interval) Val {
 	return reduce(Val{I: i, C: congTop()})
 }
 
@@ -639,7 +219,7 @@ func reduce(v Val) Val {
 		return bottomVal()
 	}
 	if v.C.Mod == 0 {
-		v.I = v.I.Meet(Exact(v.C.Rem))
+		v.I = v.I.Meet(interval.Exact(v.C.Rem))
 		if v.I.Empty {
 			return bottomVal()
 		}
@@ -654,12 +234,12 @@ func reduce(v Val) Val {
 	}
 	if v.C.Mod > 1 {
 		if v.I.HasLo {
-			if d, ok := subOv(v.C.Rem, v.I.Lo); ok {
+			if d, ok := interval.CheckedSub(v.C.Rem, v.I.Lo); ok {
 				v.I.Lo += posMod(d, v.C.Mod)
 			}
 		}
 		if v.I.HasHi {
-			if d, ok := subOv(v.I.Hi, v.C.Rem); ok {
+			if d, ok := interval.CheckedSub(v.I.Hi, v.C.Rem); ok {
 				v.I.Hi -= posMod(d, v.C.Mod)
 			}
 		}
@@ -727,7 +307,7 @@ func (v Val) widen(next Val, th []int64) Val {
 	}
 	// The congruence lattice has finite descending chains (each join
 	// divides the previous modulus), so only the interval needs widening.
-	return reduce(Val{I: v.I.widen(next.I, th), C: next.C})
+	return reduce(Val{I: v.I.Widen(next.I, th), C: next.C})
 }
 
 func (v Val) equal(o Val) bool {
@@ -742,16 +322,10 @@ func (v Val) constVal() (int64, bool) { return v.I.Const() }
 // truth classifies v as a condition: +1 provably nonzero, -1 provably
 // zero, 0 undecided.
 func (v Val) truth() int {
-	if v.isBottom() {
-		return 0
+	if t := v.I.Truth(); t != 0 || v.isBottom() {
+		return t
 	}
-	if c, ok := v.constVal(); ok {
-		if c == 0 {
-			return -1
-		}
-		return +1
-	}
-	if !v.I.Contains(0) || !v.C.member(0) {
+	if !v.C.member(0) {
 		return +1
 	}
 	return 0
@@ -766,35 +340,12 @@ func boolVal(t int) Val {
 	case t < 0:
 		return exactVal(0)
 	default:
-		return intervalVal(Range(0, 1))
+		return intervalVal(interval.Range(0, 1))
 	}
 }
 
-func cmpLt(a, b Val) Val {
-	if a.isBottom() || b.isBottom() {
-		return bottomVal()
-	}
-	if a.I.HasHi && b.I.HasLo && a.I.Hi < b.I.Lo {
-		return exactVal(1)
-	}
-	if a.I.HasLo && b.I.HasHi && a.I.Lo >= b.I.Hi {
-		return exactVal(0)
-	}
-	return boolVal(0)
-}
-
-func cmpLe(a, b Val) Val {
-	if a.isBottom() || b.isBottom() {
-		return bottomVal()
-	}
-	if a.I.HasHi && b.I.HasLo && a.I.Hi <= b.I.Lo {
-		return exactVal(1)
-	}
-	if a.I.HasLo && b.I.HasHi && a.I.Lo > b.I.Hi {
-		return exactVal(0)
-	}
-	return boolVal(0)
-}
+func cmpLt(a, b Val) Val { return intervalVal(a.I.Lt(b.I)) }
+func cmpLe(a, b Val) Val { return intervalVal(a.I.Le(b.I)) }
 
 func cmpEq(a, b Val) Val {
 	if a.isBottom() || b.isBottom() {

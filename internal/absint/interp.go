@@ -3,6 +3,7 @@ package absint
 import (
 	"sort"
 
+	"paravis/internal/interval"
 	"paravis/internal/minic"
 )
 
@@ -423,7 +424,7 @@ func (ev *evaluator) expr(e minic.Expr) Val {
 		}
 		switch x.Name {
 		case "omp_get_thread_num":
-			return intervalVal(Range(0, int64(ev.a.res.nt)-1))
+			return intervalVal(interval.Range(0, int64(ev.a.res.nt)-1))
 		case "omp_get_num_threads":
 			return exactVal(int64(ev.a.res.nt))
 		}

@@ -1,6 +1,9 @@
 package absint
 
-import "paravis/internal/minic"
+import (
+	"paravis/internal/interval"
+	"paravis/internal/minic"
+)
 
 // refine stores in st the edge state for taking cond from out with the
 // given truth sense. Returns false when the edge is provably dead (the
@@ -114,10 +117,10 @@ func excludeZero(v Val) Val {
 		return v
 	}
 	if v.I.HasLo && v.I.Lo == 0 {
-		return v.meet(intervalVal(AtLeast(1)))
+		return v.meet(intervalVal(interval.AtLeast(1)))
 	}
 	if v.I.HasHi && v.I.Hi == 0 {
-		return v.meet(intervalVal(AtMost(-1)))
+		return v.meet(intervalVal(interval.AtMost(-1)))
 	}
 	if c, ok := v.constVal(); ok && c == 0 {
 		return bottomVal()
@@ -178,19 +181,19 @@ func refineCmp(a *analysis, st state, x *minic.Binary, sense bool, inRegion bool
 	case minic.OpLt: // l < r
 		var nl, nr Val = lv, rv
 		if rv.I.HasHi && rv.I.Hi > -1<<62 {
-			nl = lv.meet(intervalVal(AtMost(rv.I.Hi - 1)))
+			nl = lv.meet(intervalVal(interval.AtMost(rv.I.Hi - 1)))
 		}
 		if lv.I.HasLo && lv.I.Lo < 1<<62 {
-			nr = rv.meet(intervalVal(AtLeast(lv.I.Lo + 1)))
+			nr = rv.meet(intervalVal(interval.AtLeast(lv.I.Lo + 1)))
 		}
 		return apply(lvar, nl) && apply(rvar, nr)
 	case minic.OpLe: // l <= r
 		var nl, nr Val = lv, rv
 		if rv.I.HasHi {
-			nl = lv.meet(intervalVal(AtMost(rv.I.Hi)))
+			nl = lv.meet(intervalVal(interval.AtMost(rv.I.Hi)))
 		}
 		if lv.I.HasLo {
-			nr = rv.meet(intervalVal(AtLeast(lv.I.Lo)))
+			nr = rv.meet(intervalVal(interval.AtLeast(lv.I.Lo)))
 		}
 		return apply(lvar, nl) && apply(rvar, nr)
 	case minic.OpEq:
@@ -229,10 +232,10 @@ func trimNe(a, b Val) Val {
 		return bottomVal()
 	}
 	if a.I.HasLo && a.I.Lo == c {
-		return a.meet(intervalVal(AtLeast(c + 1)))
+		return a.meet(intervalVal(interval.AtLeast(c + 1)))
 	}
 	if a.I.HasHi && a.I.Hi == c {
-		return a.meet(intervalVal(AtMost(c - 1)))
+		return a.meet(intervalVal(interval.AtMost(c - 1)))
 	}
 	return a
 }

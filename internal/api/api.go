@@ -22,6 +22,7 @@ import (
 	"paravis/internal/area"
 	"paravis/internal/core"
 	"paravis/internal/depend"
+	"paravis/internal/interval"
 	"paravis/internal/minic"
 	"paravis/internal/paraver/analysis"
 	"paravis/internal/perfbound"
@@ -354,7 +355,7 @@ func dependSummary(rep *depend.Report) []DependLoop {
 // AbsintTripHints returns the abstract interpreter's proven trip
 // brackets for fn under env (nil when nothing was proven), in the form
 // perfbound.Config.TripHints consumes as a folding fallback.
-func AbsintTripHints(fn *minic.FuncDecl, env map[string]int64) map[string][2]int64 {
+func AbsintTripHints(fn *minic.FuncDecl, env map[string]int64) map[string]interval.Interval {
 	if fn == nil {
 		return nil
 	}

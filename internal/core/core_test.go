@@ -176,6 +176,57 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// TestShadowedVariablesRunCorrectly runs two programs whose variables
+// share a name across nested scopes. The first assigns an outer s in a
+// loop whose body declares an inner s first; the second maps an int s
+// while a float s of an earlier block is out of scope.
+func TestShadowedVariablesRunCorrectly(t *testing.T) {
+	cases := []struct {
+		name, src string
+		ints      map[string]int64
+		want      float32
+	}{
+		{"loop carry", `
+void f(float* Y, int n) {
+  #pragma omp target parallel map(tofrom:Y[0:2]) num_threads(1)
+  {
+    int s = 0;
+    for (int i = 0; i < n; i++) {
+      if (i >= 0) { int s = 5; Y[1] = s; }
+      s = s + 1;
+    }
+    Y[0] = s;
+  }
+}
+`, map[string]int64{"n": 10}, 10},
+		{"host scalar", `
+void f(float* Y, int n) {
+  int s = 3;
+  if (n > 100) { float s = 1.5f; n = n + 1; }
+  #pragma omp target parallel map(to: s) map(tofrom:Y[0:2]) num_threads(1)
+  {
+    Y[0] = s + 1;
+  }
+}
+`, map[string]int64{"n": 10, "s": 3}, 4},
+	}
+	for _, c := range cases {
+		p, err := Build(context.Background(), c.src, BuildOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		y := sim.NewZeroBuffer(2)
+		cfg := fastCfg()
+		cfg.Profile.Enabled = false
+		if _, err := p.Run(context.Background(), sim.Args{Ints: c.ints, Buffers: map[string]*sim.Buffer{"Y": y}}, cfg); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := y.Floats()[0]; got != c.want {
+			t.Errorf("%s: Y[0] = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestRunWithoutProfilingHasNoTrace(t *testing.T) {
 	p, err := Build(context.Background(), workloads.PiSource, BuildOptions{Defines: workloads.PiDefines()})
 	if err != nil {

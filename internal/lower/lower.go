@@ -37,6 +37,7 @@ func Lower(prog *minic.Program) (*ir.Kernel, error) {
 			Name:       fn.Name,
 			NumThreads: ts.NumThreads,
 		},
+		slots:       make(map[minic.Decl]*slot),
 		localByDecl: make(map[*minic.DeclStmt]*ir.ArrayRef),
 	}
 	if lw.k.NumThreads == 0 {
@@ -68,22 +69,6 @@ type slot struct {
 	typ  *minic.Type
 	st   storage
 	arr  *ir.ArrayRef // arrays and scalar globals
-	gdef *gctx        // graph context the SSA value was declared in
-}
-
-// scopeFrame is one lexical scope.
-type scopeFrame struct {
-	vars   map[string]*slot
-	parent *scopeFrame
-}
-
-func (s *scopeFrame) lookup(name string) *slot {
-	for c := s; c != nil; c = c.parent {
-		if sl, ok := c.vars[name]; ok {
-			return sl
-		}
-	}
-	return nil
 }
 
 // effState tracks memory/synchronization ordering within one graph.
@@ -117,8 +102,9 @@ type gctx struct {
 	carryInits []*ir.Node
 	// pred is the current if-conversion predicate (nil = unconditional).
 	pred *ir.Node
-	// writes journals slot writes when a branch is being lowered.
-	writes map[*slot]bool
+	// writes journals slot writes, in order, while a branch is being
+	// lowered (nil otherwise).
+	writes []*slot
 	eff    *effState
 }
 
@@ -146,7 +132,7 @@ func (g *gctx) read(s *slot) (*ir.Node, error) {
 func (g *gctx) write(s *slot, n *ir.Node) {
 	g.local[s] = n
 	if g.writes != nil {
-		g.writes[s] = true
+		g.writes = append(g.writes, s)
 	}
 }
 
@@ -171,23 +157,18 @@ type lowerer struct {
 	nextNodeID  int
 	nextGraphID int
 
-	scope       *scopeFrame
+	// slots binds each declaration sema resolved an identifier or map
+	// clause to. A declaration lowered again (an unrolled replica of a
+	// loop body) is rebound to a fresh slot.
+	slots       map[minic.Decl]*slot
 	localByDecl map[*minic.DeclStmt]*ir.ArrayRef
-
-	// loopEffects caches read/write/sync summaries of lowered loop bodies.
 }
 
 func (lw *lowerer) errf(p minic.Pos, format string, args ...any) error {
 	return &Error{Pos: p, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (lw *lowerer) pushScope() { lw.scope = &scopeFrame{vars: map[string]*slot{}, parent: lw.scope} }
-func (lw *lowerer) popScope()  { lw.scope = lw.scope.parent }
-
 func (lw *lowerer) run() error {
-	lw.pushScope()
-	defer lw.popScope()
-
 	if err := lw.bindParamsAndMaps(); err != nil {
 		return err
 	}
@@ -217,23 +198,22 @@ func (lw *lowerer) newGctx(parent *gctx, name string) *gctx {
 func (lw *lowerer) bindParamsAndMaps() error {
 	lw.k.VectorLanes = lw.vectorLanes()
 
-	mapped := make(map[string]*minic.MapClause)
+	mapped := make(map[minic.Decl]*minic.MapClause)
 	for i := range lw.ts.Maps {
 		mc := &lw.ts.Maps[i]
-		if _, dup := mapped[mc.Name]; dup {
+		if mc.Decl == nil {
+			return lw.errf(mc.Pos, "mapped variable %s is not visible at the target region", mc.Name)
+		}
+		if _, dup := mapped[mc.Decl]; dup {
 			return lw.errf(mc.Pos, "variable %s mapped twice", mc.Name)
 		}
-		mapped[mc.Name] = mc
+		mapped[mc.Decl] = mc
 	}
-
-	// Host-visible scalars: function parameters and locals declared before
-	// the target region. hostVarType finds their types.
-	hostTypes := lw.hostVarTypes()
 
 	// Pointer parameters must be mapped.
 	for _, prm := range lw.fn.Params {
 		if prm.Type.IsPointer() {
-			mc, ok := mapped[prm.Name]
+			mc, ok := mapped[prm]
 			if !ok {
 				// Unmapped pointers are simply not available in the region.
 				continue
@@ -254,17 +234,17 @@ func (lw *lowerer) bindParamsAndMaps() error {
 			lw.k.Maps = append(lw.k.Maps, ir.Map{Dir: dir, Name: prm.Name, Low: low, Len: length})
 			elemWords := 1
 			arr := &ir.ArrayRef{Space: ir.SpaceExternal, Name: prm.Name, ElemWords: elemWords}
-			lw.scope.vars[prm.Name] = &slot{name: prm.Name, typ: prm.Type, st: stGlobalArr, arr: arr}
-			delete(mapped, prm.Name)
+			lw.slots[prm] = &slot{name: prm.Name, typ: prm.Type, st: stGlobalArr, arr: arr}
 		}
 	}
 
 	// Remaining map clauses are scalars (host locals or scalar params).
-	for name, mc := range mapped {
-		t, ok := hostTypes[name]
-		if !ok {
-			return lw.errf(mc.Pos, "mapped variable %s is not visible at the target region", name)
+	for i := range lw.ts.Maps {
+		mc := &lw.ts.Maps[i]
+		if lw.slots[mc.Decl] != nil {
+			continue // a pointer parameter, bound above
 		}
+		name, t := mc.Name, mc.Decl.DeclType()
 		if !t.IsScalar() {
 			return lw.errf(mc.Pos, "mapped variable %s has unsupported type %s", name, t)
 		}
@@ -277,110 +257,54 @@ func (lw *lowerer) bindParamsAndMaps() error {
 			// Firstprivate-style: a scalar kernel argument.
 			lw.k.Params = append(lw.k.Params, ir.Param{Name: name, Float: isFloat})
 			lw.k.Maps = append(lw.k.Maps, ir.Map{Dir: dir, Name: name, Scalar: true, Float: isFloat})
-			lw.scope.vars[name] = &slot{name: name, typ: t, st: stScalarParam}
+			lw.slots[mc.Decl] = &slot{name: name, typ: t, st: stScalarParam}
 		} else {
 			// from/tofrom scalars live in a one-element DRAM buffer so all
 			// threads share them and the host reads the result back.
 			arr := &ir.ArrayRef{Space: ir.SpaceExternal, Name: name, ElemWords: 1}
 			lw.k.Params = append(lw.k.Params, ir.Param{Name: name, Pointer: true})
 			lw.k.Maps = append(lw.k.Maps, ir.Map{Dir: dir, Name: name, Scalar: true, Float: isFloat})
-			lw.scope.vars[name] = &slot{name: name, typ: t, st: stScalarGlobal, arr: arr}
+			lw.slots[mc.Decl] = &slot{name: name, typ: t, st: stScalarGlobal, arr: arr}
 		}
 	}
 
 	// Scalar function parameters referenced inside the region are
-	// implicitly firstprivate (OpenMP default for scalars).
+	// implicitly firstprivate (OpenMP default for scalars). A parameter
+	// whose name a mapped variable already gives the kernel is mapped
+	// itself, or shadowed by the mapped local and so not visible.
+	taken := make(map[string]bool, len(lw.k.Params))
+	for _, p := range lw.k.Params {
+		taken[p.Name] = true
+	}
 	for _, prm := range lw.fn.Params {
-		if prm.Type.IsScalar() {
-			if _, already := lw.scope.vars[prm.Name]; !already {
-				lw.k.Params = append(lw.k.Params, ir.Param{Name: prm.Name, Float: prm.Type.Basic == minic.Float})
-				lw.scope.vars[prm.Name] = &slot{name: prm.Name, typ: prm.Type, st: stScalarParam}
-			}
+		if prm.Type.IsScalar() && !taken[prm.Name] {
+			lw.k.Params = append(lw.k.Params, ir.Param{Name: prm.Name, Float: prm.Type.Basic == minic.Float})
+			lw.slots[prm] = &slot{name: prm.Name, typ: prm.Type, st: stScalarParam}
 		}
 	}
 	return nil
 }
 
+// vectorLanes is the lane count of the first vector the region declares
+// (a vector or an array of vectors), 4 when it declares none.
 func (lw *lowerer) vectorLanes() int {
-	// Find any vector type in the region to learn the configured lane
-	// count; default 4 if the kernel uses no vectors.
-	lanes := 4
-	var scan func(b *minic.BlockStmt)
-	found := false
-	scan = func(b *minic.BlockStmt) {
-		for _, s := range b.Stmts {
-			switch st := s.(type) {
-			case *minic.DeclStmt:
-				t := st.Typ
-				if t.IsVector() {
-					lanes, found = t.Lanes, true
-				}
-				if t.IsArray() && t.Elem.IsVector() {
-					lanes, found = t.Elem.Lanes, true
-				}
-			case *minic.BlockStmt:
-				scan(st)
-			case *minic.ForStmt:
-				for _, is := range st.Init {
-					if d, ok := is.(*minic.DeclStmt); ok && d.Typ.IsVector() {
-						lanes, found = d.Typ.Lanes, true
-					}
-				}
-				scan(st.Body)
-			case *minic.IfStmt:
-				scan(st.Then)
-				if st.Else != nil {
-					scan(st.Else)
-				}
-			case *minic.CriticalStmt:
-				scan(st.Body)
+	lanes := 0
+	minic.Inspect(lw.ts.Body, func(n minic.Node) bool {
+		if d, ok := n.(*minic.DeclStmt); ok {
+			t := d.Typ
+			if t.IsArray() {
+				t = t.Elem
 			}
-			if found {
-				return
+			if t.IsVector() {
+				lanes = t.Lanes
 			}
 		}
+		return lanes == 0
+	})
+	if lanes == 0 {
+		return 4
 	}
-	scan(lw.ts.Body)
 	return lanes
-}
-
-// hostVarTypes collects the types of function parameters and of locals
-// declared in the function body before the target region (the variables a
-// map clause may refer to).
-func (lw *lowerer) hostVarTypes() map[string]*minic.Type {
-	types := make(map[string]*minic.Type)
-	for _, prm := range lw.fn.Params {
-		types[prm.Name] = prm.Type
-	}
-	var walk func(b *minic.BlockStmt) bool // returns true when target found
-	walk = func(b *minic.BlockStmt) bool {
-		for _, s := range b.Stmts {
-			switch st := s.(type) {
-			case *minic.DeclStmt:
-				types[st.Name] = st.Typ
-			case *minic.TargetStmt:
-				return true
-			case *minic.BlockStmt:
-				if walk(st) {
-					return true
-				}
-			case *minic.ForStmt:
-				if walk(st.Body) {
-					return true
-				}
-			case *minic.IfStmt:
-				if walk(st.Then) {
-					return true
-				}
-				if st.Else != nil && walk(st.Else) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	walk(lw.fn.Body)
-	return types
 }
 
 func mapDir(d minic.MapDir) (ir.MapDir, error) {

@@ -1,11 +1,14 @@
 package lower
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"paravis/internal/ir"
 	"paravis/internal/minic"
+	"paravis/internal/workloads"
 )
 
 const gemmNaive = `
@@ -441,10 +444,140 @@ void f(float* A, int n) {
 	}
 }
 
+// TestLowerDumpIsStable lowers every kernel of the repository 20 times:
+// the seed workloads, the example kernels, the benchmark's test data and
+// the staticcheck fixtures. Each must lower to one IR, whatever order Go
+// iterates maps in.
 func TestLowerDumpIsStable(t *testing.T) {
-	k1 := lowerSrc(t, gemmNaive, nil)
-	k2 := lowerSrc(t, gemmNaive, nil)
-	if ir.Dump(k1) != ir.Dump(k2) {
-		t.Error("lowering is not deterministic")
+	type unit struct {
+		name, src string
+		defines   map[string]string
 	}
+	var units []unit
+	for _, u := range workloads.Units() {
+		units = append(units, unit{u.Name, u.Source, u.Defines})
+	}
+	for _, pat := range []string{"../../examples/*/*.mc", "../../benchmark/testdata/*.mc", "../staticcheck/testdata/*.mc"} {
+		files, err := filepath.Glob(pat)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("glob %s: %v (%d files)", pat, err, len(files))
+		}
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			units = append(units, unit{name: f, src: string(src)})
+		}
+	}
+	lowered := 0
+	for _, u := range units {
+		first := ""
+		for run := 0; run < 20; run++ {
+			prog, err := minic.Parse(u.src, minic.Options{Defines: u.defines})
+			if err != nil {
+				break // a fixture that does not compile
+			}
+			k, err := Lower(prog)
+			if err != nil {
+				break
+			}
+			if dump := ir.Dump(k); run == 0 {
+				first = dump
+				lowered++
+			} else if dump != first {
+				t.Errorf("%s: run %d lowered to a different IR", u.name, run+1)
+				break
+			}
+		}
+	}
+	if lowered < 20 {
+		t.Errorf("only %d kernels lowered", lowered)
+	}
+}
+
+// shadowedCarrySrc assigns the outer s in a loop whose body first declares
+// an inner s in a nested block: the outer s is still carried.
+const shadowedCarrySrc = `
+void f(float* Y, int n) {
+  #pragma omp target parallel map(tofrom:Y[0:2]) num_threads(1)
+  {
+    int s = 0;
+    for (int i = 0; i < n; i++) {
+      if (i >= 0) { int s = 5; Y[1] = s; }
+      s = s + 1;
+    }
+    Y[0] = s;
+  }
+}
+`
+
+// shadowedHostSrc maps the host int s while a float s declared in an
+// earlier block has gone out of scope.
+const shadowedHostSrc = `
+void f(float* Y, int n) {
+  int s = 3;
+  if (n > 100) { float s = 1.5f; n = n + 1; }
+  #pragma omp target parallel map(to: s) map(tofrom:Y[0:2]) num_threads(1)
+  {
+    Y[0] = s + 1;
+  }
+}
+`
+
+func TestLowerCarriesShadowedVariable(t *testing.T) {
+	k := lowerSrc(t, shadowedCarrySrc, nil)
+	graphs := k.CollectGraphs()
+	if len(graphs) != 2 {
+		t.Fatalf("graphs = %d, want 2", len(graphs))
+	}
+	if loop := graphs[1]; loop.NumCarry != 2 {
+		t.Errorf("carried = %d, want 2 (the outer s and i)", loop.NumCarry)
+	}
+}
+
+// TestLowerUnrolledNestCarriesNoBodyLocal lowers a loop nest twice over
+// (the outer loop is unrolled): the second copy of the inner loop must not
+// carry t, a variable its own body declares, though t is bound from the
+// first copy by then.
+func TestLowerUnrolledNestCarriesNoBodyLocal(t *testing.T) {
+	src := `
+void f(int* A, int n) {
+  #pragma omp target parallel map(tofrom:A[0:64]) num_threads(1)
+  {
+    #pragma unroll 2
+    for (int i = 0; i < n; i++) {
+      for (int k = 0; k < 4; k++) {
+        int t = k;
+        t += i;
+        A[i * 4 + k] = t;
+      }
+    }
+  }
+}
+`
+	k := lowerSrc(t, src, nil)
+	inner := 0
+	for _, g := range k.CollectGraphs()[2:] {
+		inner++
+		if g.NumCarry != 1 {
+			t.Errorf("inner loop %s carries %d, want 1 (k)", g.Name, g.NumCarry)
+		}
+	}
+	if inner != 2 {
+		t.Errorf("inner loops = %d, want 2 (one per replica)", inner)
+	}
+}
+
+func TestLowerMapsShadowedHostScalar(t *testing.T) {
+	k := lowerSrc(t, shadowedHostSrc, nil)
+	for _, p := range k.Params {
+		if p.Name == "s" {
+			if p.Float || p.Pointer {
+				t.Errorf("param s = %+v, want an int kernel argument", p)
+			}
+			return
+		}
+	}
+	t.Fatalf("no param s in %+v", k.Params)
 }

@@ -2,14 +2,13 @@ package lower
 
 import (
 	"fmt"
+	"slices"
 
 	"paravis/internal/ir"
 	"paravis/internal/minic"
 )
 
 func (lw *lowerer) lowerBlock(g *gctx, b *minic.BlockStmt) error {
-	lw.pushScope()
-	defer lw.popScope()
 	for _, s := range b.Stmts {
 		if err := lw.lowerStmt(g, s); err != nil {
 			return err
@@ -69,10 +68,10 @@ func (lw *lowerer) lowerDecl(g *gctx, st *minic.DeclStmt) error {
 			arr = &ir.ArrayRef{Space: ir.SpaceLocal, Name: st.Name, LocalID: la.ID, ElemWords: elemWords}
 			lw.localByDecl[st] = arr
 		}
-		lw.scope.vars[st.Name] = &slot{name: st.Name, typ: st.Typ, st: stLocalArr, arr: arr}
+		lw.slots[st] = &slot{name: st.Name, typ: st.Typ, st: stLocalArr, arr: arr}
 		return nil
 	}
-	sl := &slot{name: st.Name, typ: st.Typ, st: stSSA, gdef: g}
+	sl := &slot{name: st.Name, typ: st.Typ, st: stSSA}
 	var val *ir.Node
 	var err error
 	if st.Init != nil {
@@ -92,7 +91,7 @@ func (lw *lowerer) lowerDecl(g *gctx, st *minic.DeclStmt) error {
 		}
 	}
 	g.local[sl] = val
-	lw.scope.vars[st.Name] = sl
+	lw.slots[st] = sl
 	return nil
 }
 
@@ -107,8 +106,6 @@ func (lw *lowerer) lowerFor(g *gctx, st *minic.ForStmt) error {
 		st = un
 	}
 
-	lw.pushScope()
-	defer lw.popScope()
 	for _, is := range st.Init {
 		if err := lw.lowerStmt(g, is); err != nil {
 			return err
@@ -117,11 +114,10 @@ func (lw *lowerer) lowerFor(g *gctx, st *minic.ForStmt) error {
 
 	// Determine carried slots: free variables assigned inside body/post
 	// that resolve to SSA slots declared outside the loop graph.
-	assigned := assignedFreeVars(append(append([]minic.Stmt{}, st.Body.Stmts...), st.Post...))
 	sub := lw.newGctx(g, minic.LoopName(st))
 	var carrySlots []*slot
-	for _, name := range assigned {
-		sl := lw.scope.lookup(name)
+	for _, d := range assignedFreeVars(st) {
+		sl := lw.slots[d]
 		if sl == nil || sl.st != stSSA {
 			continue
 		}
@@ -222,108 +218,39 @@ func unrollFor(st *minic.ForStmt) (*minic.ForStmt, error) {
 	}, nil
 }
 
-// assignedFreeVars returns the names assigned anywhere in stmts that are
-// not declared within stmts before the assignment (i.e. variables of an
-// enclosing scope mutated by the loop).
-func assignedFreeVars(stmts []minic.Stmt) []string {
-	declared := map[string]bool{}
-	seen := map[string]bool{}
-	var order []string
-	note := func(name string) {
-		if !declared[name] && !seen[name] {
-			seen[name] = true
-			order = append(order, name)
+// assignedFreeVars returns the variables of enclosing scopes a loop
+// mutates: the declarations its body and post clauses write but do not
+// declare, in first-write order. A lane store v[i] = e writes v, since
+// lowering makes it a new SSA value of the whole vector; element and wide
+// stores write memory, not a variable.
+func assignedFreeVars(st *minic.ForStmt) []minic.Decl {
+	declared := map[minic.Decl]bool{}
+	written := map[minic.Decl]bool{}
+	var order []minic.Decl
+	visit := func(n minic.Node) bool {
+		if d, ok := n.(*minic.DeclStmt); ok {
+			declared[d] = true
 		}
-	}
-	var walkExpr func(e minic.Expr)
-	var walkStmt func(s minic.Stmt)
-	var lvalueRoot func(e minic.Expr)
-	lvalueRoot = func(e minic.Expr) {
-		switch x := e.(type) {
-		case *minic.Ident:
-			note(x.Name)
-		case *minic.VecElem:
-			lvalueRoot(x.Vec)
-		case *minic.Index, *minic.VecLoad:
-			// Memory writes, not SSA writes.
+		var target minic.Expr
+		if as, ok := n.(*minic.AssignExpr); ok {
+			target = as.LHS
+		} else if step, ok := n.(*minic.IncDec); ok {
+			target = step.X
 		}
-	}
-	walkExpr = func(e minic.Expr) {
-		switch x := e.(type) {
-		case *minic.AssignExpr:
-			lvalueRoot(x.LHS)
-			walkExpr(x.RHS)
-		case *minic.IncDec:
-			lvalueRoot(x.X)
-		case *minic.Binary:
-			walkExpr(x.L)
-			walkExpr(x.R)
-		case *minic.Unary:
-			walkExpr(x.X)
-		case *minic.Cond:
-			walkExpr(x.C)
-			walkExpr(x.A)
-			walkExpr(x.B)
-		case *minic.Cast:
-			walkExpr(x.X)
-		case *minic.Index:
-			walkExpr(x.Base)
-			for _, i := range x.Idx {
-				walkExpr(i)
-			}
-		case *minic.VecElem:
-			walkExpr(x.Vec)
-			walkExpr(x.Idx)
-		case *minic.VecLoad:
-			walkExpr(x.Base)
-			walkExpr(x.Idx)
-		case *minic.InitList:
-			for _, el := range x.Elems {
-				walkExpr(el)
-			}
+		if lane, ok := target.(*minic.VecElem); ok {
+			target = lane.Vec
 		}
-	}
-	walkStmt = func(s minic.Stmt) {
-		switch st := s.(type) {
-		case *minic.DeclStmt:
-			if st.Init != nil {
-				walkExpr(st.Init)
-			}
-			declared[st.Name] = true
-		case *minic.ExprStmt:
-			walkExpr(st.X)
-		case *minic.BlockStmt:
-			// Approximation: treat block-local declarations as declared
-			// from here on; shadowing within sibling blocks is rare in
-			// kernel code and extra carries are harmless.
-			for _, inner := range st.Stmts {
-				walkStmt(inner)
-			}
-		case *minic.ForStmt:
-			for _, is := range st.Init {
-				walkStmt(is)
-			}
-			if st.Cond != nil {
-				walkExpr(st.Cond)
-			}
-			for _, ps := range st.Post {
-				walkStmt(ps)
-			}
-			walkStmt(st.Body)
-		case *minic.IfStmt:
-			walkExpr(st.Cond)
-			walkStmt(st.Then)
-			if st.Else != nil {
-				walkStmt(st.Else)
-			}
-		case *minic.CriticalStmt:
-			walkStmt(st.Body)
+		if id, ok := target.(*minic.Ident); ok && !written[id.Decl] {
+			written[id.Decl] = true
+			order = append(order, id.Decl)
 		}
+		return true
 	}
-	for _, s := range stmts {
-		walkStmt(s)
+	minic.Inspect(st.Body, visit)
+	for _, p := range st.Post {
+		minic.Inspect(p, visit)
 	}
-	return order
+	return slices.DeleteFunc(order, func(d minic.Decl) bool { return declared[d] })
 }
 
 // lowerIf if-converts a conditional: both branches are lowered inline with
@@ -351,41 +278,41 @@ func (lw *lowerer) lowerIf(g *gctx, st *minic.IfStmt) error {
 		pre[sl] = v
 	}
 
-	// Then branch.
-	thenWrites := map[*slot]bool{}
-	g.writes = thenWrites
-	g.pred = andPred(cond)
-	if err := lw.lowerBlock(g, st.Then); err != nil {
+	// branch lowers one arm under predicate p and returns the values it
+	// leaves in the slots that existed before it, restoring those; merged
+	// collects the slots in first-write order, so the selects below are
+	// emitted in a fixed order.
+	var merged []*slot
+	branch := func(b *minic.BlockStmt, p *ir.Node) (map[*slot]*ir.Node, error) {
+		g.writes = []*slot{}
+		g.pred = p
+		if err := lw.lowerBlock(g, b); err != nil {
+			return nil, err
+		}
+		vals := make(map[*slot]*ir.Node, len(g.writes))
+		for _, sl := range g.writes {
+			prev, ok := pre[sl]
+			if _, done := vals[sl]; !ok || done {
+				// Not ok: declared within the branch (e.g. a loop counter),
+				// it dies with the branch scope and needs no merge.
+				continue
+			}
+			vals[sl] = g.local[sl]
+			g.local[sl] = prev
+			if !slices.Contains(merged, sl) {
+				merged = append(merged, sl)
+			}
+		}
+		return vals, nil
+	}
+	thenVals, err := branch(st.Then, andPred(cond))
+	if err != nil {
 		return err
 	}
-	thenVals := make(map[*slot]*ir.Node, len(thenWrites))
-	for sl := range thenWrites {
-		prev, ok := pre[sl]
-		if !ok {
-			// Declared within the branch (e.g. a loop counter): it dies
-			// with the branch scope and needs no merge.
-			continue
-		}
-		thenVals[sl] = g.local[sl]
-		g.local[sl] = prev
-	}
-
-	// Else branch.
 	elseVals := map[*slot]*ir.Node{}
 	if st.Else != nil {
-		elseWrites := map[*slot]bool{}
-		g.writes = elseWrites
-		g.pred = andPred(g.b.Not(cond))
-		if err := lw.lowerBlock(g, st.Else); err != nil {
+		if elseVals, err = branch(st.Else, andPred(g.b.Not(cond))); err != nil {
 			return err
-		}
-		for sl := range elseWrites {
-			prev, ok := pre[sl]
-			if !ok {
-				continue // branch-local, no merge needed
-			}
-			elseVals[sl] = g.local[sl]
-			g.local[sl] = prev
 		}
 	}
 
@@ -393,14 +320,7 @@ func (lw *lowerer) lowerIf(g *gctx, st *minic.IfStmt) error {
 	g.writes = outerWrites
 
 	// Merge: slot -> select(cond, thenVal|pre, elseVal|pre).
-	merged := map[*slot]bool{}
-	for sl := range thenVals {
-		merged[sl] = true
-	}
-	for sl := range elseVals {
-		merged[sl] = true
-	}
-	for sl := range merged {
+	for _, sl := range merged {
 		tv, ok := thenVals[sl]
 		if !ok {
 			tv = pre[sl]
@@ -494,7 +414,8 @@ func (lw *lowerer) attachLoop(g *gctx, n *ir.Node, sub *ir.Graph) {
 		}
 	}
 	add(e.lastFence)
-	for key := range writes {
+	// Sorted keys give the dependences a fixed order.
+	for _, key := range sortedKeys(writes) {
 		add(e.lastStore[key])
 		for _, ld := range e.loadsSince[key] {
 			add(ld)
@@ -502,7 +423,7 @@ func (lw *lowerer) attachLoop(g *gctx, n *ir.Node, sub *ir.Graph) {
 		e.lastStore[key] = n
 		e.loadsSince[key] = nil
 	}
-	for key := range reads {
+	for _, key := range sortedKeys(reads) {
 		if writes[key] {
 			continue
 		}
@@ -510,6 +431,15 @@ func (lw *lowerer) attachLoop(g *gctx, n *ir.Node, sub *ir.Graph) {
 		e.loadsSince[key] = append(e.loadsSince[key], n)
 	}
 	e.sinceFence = append(e.sinceFence, n)
+}
+
+func sortedKeys(set map[string]bool) []string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 func arrayKey(a *ir.ArrayRef) string {

@@ -2,10 +2,12 @@ package perfbound
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"paravis/internal/interval"
 	"paravis/internal/ir"
 	"paravis/internal/lower"
 	"paravis/internal/minic"
@@ -83,21 +85,21 @@ func TestDenseTreeMatchesReference(t *testing.T) {
 			continue // fixture that does not compile
 		}
 		compiled++
-		hints := map[string][2]int64{}
+		hints := map[string]interval.Interval{}
 		for _, g := range k.CollectGraphs() {
-			hints[g.Name] = [2]int64{3, 40}
+			hints[g.Name] = interval.Range(3, 40)
 		}
 		for _, env := range []map[string]int64{u.Params, nil} {
-			for _, h := range []map[string][2]int64{nil, hints} {
+			for _, h := range []map[string]interval.Interval{nil, hints} {
 				top := compile(k.Top, s, env, 64)
 				nt := int64(k.NumThreads)
-				tids := []iv{span(0, nt-1)}
+				tids := []interval.Interval{interval.Range(0, nt-1)}
 				for id := int64(0); id < nt; id++ {
-					tids = append(tids, exact(id))
+					tids = append(tids, interval.Exact(id))
 				}
 				for _, tid := range tids {
-					tc := treeCtx{tid: tid, nthreads: exact(nt)}
-					top.evalTree(&tc, h, exact(1))
+					tc := treeCtx{tid: tid, nthreads: interval.Exact(nt)}
+					top.evalTree(&tc, h, interval.Exact(1))
 					ref := refEvalTree(k, s, env, h, tid)
 					sameTree(t, fmt.Sprintf("%s env=%v hints=%v tid=%+v", u.Name, env != nil, h != nil, tid), top, ref)
 				}
@@ -146,8 +148,8 @@ func (sh loopShape) build() (*ir.Graph, *schedule.Schedule) {
 }
 
 type foldResult struct {
-	trips iv
-	rng   iv
+	trips interval.Interval
+	rng   interval.Interval
 	ok    bool
 }
 
@@ -158,24 +160,25 @@ type foldResult struct {
 // register's range. The grid covers all four comparisons in both operand
 // orders, steps of both signs and zero, exact and interval inits,
 // interval bounds and steps (where the formula must stand aside), zero
-// trips, trip counts on either side of the budget and operands near the
-// domain's saturation bound.
+// trips, trip counts on either side of the budget, operands either side
+// of the formula's limit and operands near int64 overflow, where the
+// domain drops a bound.
 func TestCountedFormulaMatchesIteration(t *testing.T) {
 	// Operands are written for the upward loop `i < bound; i += step` and
 	// mirrored per shape, so the same cases reach every spelling.
-	type operands struct{ in, bound, step iv }
-	neg := func(a iv) iv { return iv{Lo: -a.Hi, Hi: -a.Lo, Known: a.Known} }
+	type operands struct{ in, bound, step interval.Interval }
+	exact, span := interval.Exact, interval.Range
 	var grid []operands
-	inits := []iv{exact(-5), exact(0), exact(3), span(0, 3), span(2, 9), span(-9, -2), unknown()}
-	bounds := []iv{exact(-4), exact(0), exact(7), exact(10), exact(100), span(7, 10)}
-	steps := []iv{exact(1), exact(2), exact(4), exact(7), exact(0), exact(-1), exact(-3), span(1, 2)}
+	inits := []interval.Interval{exact(-5), exact(0), exact(3), span(0, 3), span(2, 9), span(-9, -2), interval.Top()}
+	bounds := []interval.Interval{exact(-4), exact(0), exact(7), exact(10), exact(100), span(7, 10)}
+	steps := []interval.Interval{exact(1), exact(2), exact(4), exact(7), exact(0), exact(-1), exact(-3), span(1, 2)}
 	for _, in := range inits {
 		for _, bd := range bounds {
 			for _, st := range steps {
 				// A loop that is entered and steps away from its bound runs
 				// the budget out on every evaluator: those are the few
 				// dedicated cases below.
-				if st.Hi <= 0 && in.Known && in.Lo <= bd.Hi {
+				if st.Hi <= 0 && in.Bounded() && in.Lo <= bd.Hi {
 					continue
 				}
 				grid = append(grid, operands{in, bd, st})
@@ -184,7 +187,7 @@ func TestCountedFormulaMatchesIteration(t *testing.T) {
 	}
 	const lim = ivCap >> 2
 	grid = append(grid,
-		// Near the formula's limit and the domain's saturation bound.
+		// Either side of the formula's limit.
 		operands{exact(lim - 10), exact(lim - 1), exact(3)},
 		operands{exact(lim - 10), exact(lim), exact(3)},
 		operands{exact(lim), exact(lim + 9), exact(3)},
@@ -192,8 +195,12 @@ func TestCountedFormulaMatchesIteration(t *testing.T) {
 		operands{exact(-lim), exact(-lim + 12), exact(5)},
 		operands{exact(5), exact(lim - 3), exact(lim - 1)},
 		operands{exact(5), exact(lim - 3), exact(lim)},
-		operands{exact(-ivCap - 7), exact(-ivCap + 3), exact(2)},
-		operands{exact(0), exact(ivCap - 1), exact(ivCap >> 3)},
+		// The register overflows at or below the bound: its interval loses
+		// both ends and the cond turns undecidable.
+		operands{exact(math.MaxInt64 - 7), exact(math.MaxInt64 - 1), exact(2)},
+		operands{exact(math.MaxInt64 - 7), exact(math.MaxInt64), exact(2)},
+		operands{exact(0), exact(math.MaxInt64 - 1), exact(math.MaxInt64 >> 3)},
+		operands{exact(math.MinInt64 + 7), exact(math.MinInt64 + 12), exact(2)},
 	)
 	// Cases that take 2^17 trips to run (~50 ms each on the map-based
 	// reference): only on the plain spelling of each comparison.
@@ -206,10 +213,6 @@ func TestCountedFormulaMatchesIteration(t *testing.T) {
 		// Loops that never end.
 		{exact(0), exact(10), exact(0)},
 		{span(0, 3), exact(10), exact(-lim + 1)},
-		// The register saturates at or below the bound: endless under <=.
-		{exact(ivCap - 7), exact(ivCap + 5), exact(2)},
-		{exact(ivCap - 7), exact(ivCap), exact(2)},
-		{exact(0), exact(ivCap), exact(ivCap >> 3)},
 	}
 
 	formula := 0
@@ -227,15 +230,15 @@ func TestCountedFormulaMatchesIteration(t *testing.T) {
 					t.Fatalf("%v: counted form not recognised: %+v", sh, m)
 				}
 				dense.ind.counted = false
-				tc := treeCtx{tid: exact(0), nthreads: exact(1)}
+				tc := treeCtx{tid: interval.Exact(0), nthreads: interval.Exact(1)}
 				run := func(cg *cgraph, o operands) foldResult {
 					cg.liveIn[0], cg.liveIn[1], cg.init[0] = o.bound, o.step, o.in
 					trips, ok := cg.foldTrips(&tc)
 					return foldResult{trips, cg.ranges[0], ok}
 				}
 				reference := func(o operands) foldResult {
-					ctx := &refCtx{tid: tc.tid, nthreads: tc.nthreads, liveIn: []iv{o.bound, o.step}}
-					trips, ranges, ok := refIterateTrips(g, ctx, []iv{o.in}, nil)
+					ctx := &refCtx{tid: tc.tid, nthreads: tc.nthreads, liveIn: []interval.Interval{o.bound, o.step}}
+					trips, ranges, ok := refIterateTrips(g, ctx, []interval.Interval{o.in}, nil)
 					r := foldResult{trips: trips, ok: ok}
 					if ok {
 						r.rng = ranges[0]
@@ -248,11 +251,11 @@ func TestCountedFormulaMatchesIteration(t *testing.T) {
 				}
 				for _, o := range cases {
 					if down {
-						o = operands{neg(o.in), neg(o.bound), neg(o.step)}
+						o = operands{o.in.Neg(), o.bound.Neg(), o.step.Neg()}
 					}
 					added := o.step
 					if update == 2 {
-						o.step = neg(o.step)
+						o.step = o.step.Neg()
 					}
 					if _, _, _, applies := countedTrips(closed.ind.down, closed.ind.incl, o.in, o.bound, added); applies {
 						formula++

@@ -1,6 +1,7 @@
 package perfbound
 
 import (
+	"paravis/internal/interval"
 	"paravis/internal/ir"
 	"paravis/internal/schedule"
 )
@@ -16,10 +17,10 @@ import (
 type cop struct {
 	op      ir.Op
 	a, b, c int32
-	idx     int  // OpLiveIn / OpCarry register
-	val     iv   // OpConstInt / OpParam value
-	intRes  bool // the result is an integer: arithmetic keeps its interval
-	intArg  bool // the first operand is an integer: comparisons fold
+	idx     int               // OpLiveIn / OpCarry register
+	val     interval.Interval // OpConstInt / OpParam value
+	intRes  bool              // the result is an integer: arithmetic keeps its interval
+	intArg  bool              // the first operand is an integer: comparisons fold
 }
 
 // induction is the canonical loop the lowering emits for a minic.Counted
@@ -61,22 +62,22 @@ type cgraph struct {
 	updates            []int32 // position of CarryUpdate[carries[i]]
 	ind                *induction
 
-	trips iv // iterations per entry (top region: exactly 1)
-	entry iv // executions per parent iteration (predication: [0,1])
+	trips interval.Interval // iterations per entry (top region: exactly 1)
+	entry interval.Interval // executions per parent iteration (predication: [0,1])
 
-	vals   []iv // node values of the latest evaluation, by position
-	liveIn []iv
-	init   []iv // carry-init intervals handed down by the parent
-	ranges []iv // per carried register, its value range inside the body
-	state  []iv // carried registers entering the current trip ...
-	next   []iv // ... and the one after: the two swap, so a trip allocates nothing
+	vals   []interval.Interval // node values of the latest evaluation, by position
+	liveIn []interval.Interval
+	init   []interval.Interval // carry-init intervals handed down by the parent
+	ranges []interval.Interval // per carried register, its value range inside the body
+	state  []interval.Interval // carried registers entering the current trip ...
+	next   []interval.Interval // ... and the one after: the two swap, so a trip allocates nothing
 }
 
 // at returns n's position in the graph, -1 for nil or a foreign node.
 func (cg *cgraph) at(n *ir.Node) int32 { return cg.pos[n] - 1 }
 
 // val returns n's value in the latest evaluation.
-func (cg *cgraph) val(n *ir.Node) iv { return arg(cg.vals, cg.at(n)) }
+func (cg *cgraph) val(n *ir.Node) interval.Interval { return arg(cg.vals, cg.at(n)) }
 
 // compile builds the evaluator's form of g and, recursively, of the loops
 // nested in it.
@@ -85,11 +86,11 @@ func compile(g *ir.Graph, s *schedule.Schedule, env map[string]int64, beatBytes 
 	cg := &cgraph{
 		g: g, gs: gs, stats: statsOf(gs, beatBytes),
 		ops:    make([]cop, len(g.Nodes)),
-		vals:   make([]iv, len(g.Nodes)),
-		liveIn: make([]iv, g.NumLiveIn),
+		vals:   make([]interval.Interval, len(g.Nodes)),
+		liveIn: make([]interval.Interval, g.NumLiveIn),
 		pos:    make(map[*ir.Node]int32, len(g.Nodes)),
 	}
-	carry := make([]iv, 4*g.NumCarry)
+	carry := make([]interval.Interval, 4*g.NumCarry)
 	nc := g.NumCarry
 	cg.init, cg.ranges, cg.state, cg.next = carry[:nc:nc], carry[nc:2*nc:2*nc], carry[2*nc:3*nc:3*nc], carry[3*nc:]
 
@@ -107,10 +108,10 @@ func compile(g *ir.Graph, s *schedule.Schedule, env map[string]int64, beatBytes 
 		o.intArg = len(n.Args) > 0 && n.Args[0] != nil && n.Args[0].Kind == ir.KindInt
 		switch n.Op {
 		case ir.OpConstInt:
-			o.val = exact(n.IVal)
+			o.val = interval.Exact(n.IVal)
 		case ir.OpParam:
 			if v, ok := env[n.Name]; ok {
-				o.val = exact(v)
+				o.val = interval.Exact(v)
 			}
 		case ir.OpGt:
 			o.op, o.a, o.b = ir.OpLt, o.b, o.a
@@ -220,21 +221,21 @@ func (cg *cgraph) matchInduction(varies []bool) *induction {
 // treeCtx is the thread identity one evalTree runs under: exact for the
 // per-thread analysis, [0, NT-1] for the kernel-wide report.
 type treeCtx struct {
-	tid, nthreads iv
+	tid, nthreads interval.Interval
 }
 
-func arg(vals []iv, p int32) iv {
+func arg(vals []interval.Interval, p int32) interval.Interval {
 	if p < 0 {
-		return unknown()
+		return interval.Top()
 	}
 	return vals[p]
 }
 
 // evalAt abstractly interprets the node at position p; its operands are
 // earlier positions, already evaluated.
-func (cg *cgraph) evalAt(p int32, tc *treeCtx, carry []iv) {
+func (cg *cgraph) evalAt(p int32, tc *treeCtx, carry []interval.Interval) {
 	o, vals := &cg.ops[p], cg.vals
-	var v iv
+	var v interval.Interval
 	switch o.op {
 	case ir.OpConstInt, ir.OpParam:
 		v = o.val
@@ -257,69 +258,59 @@ func (cg *cgraph) evalAt(p int32, tc *treeCtx, carry []iv) {
 		a, b := arg(vals, o.a), arg(vals, o.b)
 		switch o.op {
 		case ir.OpAdd:
-			v = a.add(b)
+			v = a.Add(b)
 		case ir.OpSub:
-			v = a.sub(b)
+			v = a.Sub(b)
 		case ir.OpMul:
-			v = a.mul(b)
+			v = a.Mul(b)
 		case ir.OpDiv:
-			v = a.div(b)
+			v = a.Div(b)
 		case ir.OpRem:
-			v = a.rem(b)
+			v = a.Rem(b)
 		}
 	case ir.OpLt, ir.OpLe, ir.OpEq, ir.OpNe:
 		// Float compares are outside the domain.
-		v = boolIv()
+		v = interval.Range(0, 1)
 		if !o.intArg {
 			break
 		}
 		a, b := arg(vals, o.a), arg(vals, o.b)
 		switch o.op {
 		case ir.OpLt:
-			v = a.cmpLt(b)
+			v = a.Lt(b)
 		case ir.OpLe:
-			v = a.cmpLe(b)
+			v = a.Le(b)
 		case ir.OpEq:
-			v = a.cmpEq(b)
+			v = a.Eq(b)
 		case ir.OpNe:
-			if eq := a.cmpEq(b); eq.definitelyTrue() {
-				v = exact(0)
-			} else if eq.definitelyFalse() {
-				v = exact(1)
-			}
+			v = not(a.Eq(b))
 		}
 	case ir.OpAnd:
-		a, b := arg(vals, o.a), arg(vals, o.b)
-		v = boolIv()
-		if a.definitelyFalse() || b.definitelyFalse() {
-			v = exact(0)
-		} else if a.definitelyTrue() && b.definitelyTrue() {
-			v = exact(1)
+		a, b := arg(vals, o.a).Truth(), arg(vals, o.b).Truth()
+		v = interval.Range(0, 1)
+		if a < 0 || b < 0 {
+			v = interval.Exact(0)
+		} else if a > 0 && b > 0 {
+			v = interval.Exact(1)
 		}
 	case ir.OpOr:
-		a, b := arg(vals, o.a), arg(vals, o.b)
-		v = boolIv()
-		if a.definitelyTrue() || b.definitelyTrue() {
-			v = exact(1)
-		} else if a.definitelyFalse() && b.definitelyFalse() {
-			v = exact(0)
+		a, b := arg(vals, o.a).Truth(), arg(vals, o.b).Truth()
+		v = interval.Range(0, 1)
+		if a > 0 || b > 0 {
+			v = interval.Exact(1)
+		} else if a < 0 && b < 0 {
+			v = interval.Exact(0)
 		}
 	case ir.OpNot:
-		a := arg(vals, o.a)
-		v = boolIv()
-		if a.definitelyTrue() {
-			v = exact(0)
-		} else if a.definitelyFalse() {
-			v = exact(1)
-		}
+		v = not(arg(vals, o.a))
 	case ir.OpSelect:
-		switch c := arg(vals, o.a); {
-		case c.definitelyTrue():
+		switch arg(vals, o.a).Truth() {
+		case +1:
 			v = arg(vals, o.b)
-		case c.definitelyFalse():
+		case -1:
 			v = arg(vals, o.c)
 		default:
-			v = arg(vals, o.b).union(arg(vals, o.c))
+			v = arg(vals, o.b).Join(arg(vals, o.c))
 		}
 	default:
 		// Floats, conversions, vector lane ops, memory, sync, loop
@@ -328,9 +319,20 @@ func (cg *cgraph) evalAt(p int32, tc *treeCtx, carry []iv) {
 	vals[p] = v
 }
 
+// not is the interval of the logical negation of a condition.
+func not(c interval.Interval) interval.Interval {
+	switch c.Truth() {
+	case +1:
+		return interval.Exact(0)
+	case -1:
+		return interval.Exact(1)
+	}
+	return interval.Range(0, 1)
+}
+
 // evalAll evaluates every node of the graph under the given carried
 // registers. Nodes are in topological order, so one forward pass suffices.
-func (cg *cgraph) evalAll(tc *treeCtx, carry []iv) {
+func (cg *cgraph) evalAll(tc *treeCtx, carry []interval.Interval) {
 	for p := range cg.ops {
 		cg.evalAt(int32(p), tc, carry)
 	}
@@ -351,9 +353,9 @@ const iterBudget = 1 << 17
 // carried register, the union of its values over all executed iterations
 // (unknown where untracked). A counted loop whose operands are exact is
 // folded by formula instead of being run.
-func (cg *cgraph) foldTrips(tc *treeCtx) (iv, bool) {
+func (cg *cgraph) foldTrips(tc *treeCtx) (interval.Interval, bool) {
 	if len(cg.invariant)+len(cg.variant) == 0 {
-		return unknown(), false
+		return interval.Top(), false
 	}
 	for _, p := range cg.invariant {
 		cg.evalAt(p, tc, cg.init)
@@ -372,11 +374,9 @@ func (cg *cgraph) foldTrips(tc *treeCtx) (iv, bool) {
 		for _, p := range cg.variant {
 			cg.evalAt(p, tc, state)
 		}
-		c := cg.vals[cg.cond]
-		if c.definitelyFalse() {
-			return exact(trips), true
-		}
-		if !c.definitelyTrue() {
+		if t := cg.vals[cg.cond].Truth(); t < 0 {
+			return interval.Exact(trips), true
+		} else if t == 0 {
 			break
 		}
 		trips++
@@ -384,7 +384,7 @@ func (cg *cgraph) foldTrips(tc *treeCtx) (iv, bool) {
 			if trips == 1 {
 				cg.ranges[i] = state[i]
 			} else {
-				cg.ranges[i] = cg.ranges[i].union(state[i])
+				cg.ranges[i] = cg.ranges[i].Join(state[i])
 			}
 			next[i] = arg(cg.vals, cg.updates[j])
 		}
@@ -396,7 +396,7 @@ func (cg *cgraph) foldTrips(tc *treeCtx) (iv, bool) {
 		}
 	}
 	clear(cg.ranges)
-	return unknown(), false
+	return interval.Top(), false
 }
 
 // countedTrips folds the loop `for (i = in; i < bound; i += step)` (down:
@@ -405,18 +405,20 @@ func (cg *cgraph) foldTrips(tc *treeCtx) (iv, bool) {
 // produce. ok=false is that run's failure (the cond undecidable on some
 // trip, or the budget spent). applies=false means the formula is not
 // provably the iteration — an operand is unknown or inexact, or large
-// enough for the domain's saturation to take part — and the loop has to be
-// run.
-func countedTrips(down, incl bool, in, bound, step iv) (trips, rng iv, ok, applies bool) {
+// enough for the formula's own arithmetic to overflow (operands under
+// ivCap/4 keep every intermediate below ivCap, where the domain's
+// arithmetic is exact too) — and the loop has to be run.
+func countedTrips(down, incl bool, in, bound, step interval.Interval) (trips, rng interval.Interval, ok, applies bool) {
 	const limit = ivCap >> 2
 	small := func(v int64) bool { return -limit < v && v < limit }
-	if !in.Known || !bound.isExact() || !step.isExact() ||
-		!small(in.Lo) || !small(in.Hi) || !small(bound.Lo) || !small(step.Lo) {
-		return unknown(), unknown(), false, false
+	b, bExact := bound.Const()
+	s, sExact := step.Const()
+	if !in.Bounded() || !bExact || !sExact || !small(in.Lo) || !small(in.Hi) || !small(b) || !small(s) {
+		return interval.Top(), interval.Top(), false, false
 	}
 	// Count up towards an exclusive limit b: a downward loop is mirrored,
 	// an inclusive bound moved by one.
-	lo, hi, b, s := in.Lo, in.Hi, bound.Lo, step.Lo
+	lo, hi := in.Lo, in.Hi
 	if down {
 		lo, hi, b, s = -hi, -lo, -b, -s
 	}
@@ -425,23 +427,23 @@ func countedTrips(down, incl bool, in, bound, step iv) (trips, rng iv, ok, appli
 	}
 	switch {
 	case lo >= b: // definitely false on entry
-		return exact(0), unknown(), true, true
+		return interval.Exact(0), interval.Top(), true, true
 	case hi >= b: // undecidable on entry
-		return unknown(), unknown(), false, true
+		return interval.Top(), interval.Top(), false, true
 	case s <= 0: // never leaves: the budget runs out
-		return unknown(), unknown(), false, true
+		return interval.Top(), interval.Top(), false, true
 	}
 	// The cond holds for certain while hi + t*s < b; on the first trip it
 	// does not, it has to fail for certain: lo + t*s >= b.
 	t := (b - hi + s - 1) / s
 	if t > iterBudget || lo+t*s < b {
-		return unknown(), unknown(), false, true
+		return interval.Top(), interval.Top(), false, true
 	}
 	hi += (t - 1) * s
 	if down {
 		lo, hi = -hi, -lo
 	}
-	return exact(t), span(lo, hi), true, true
+	return interval.Exact(t), interval.Range(lo, hi), true, true
 }
 
 // loopTrips bounds the body iterations of one loop entry. It first
@@ -453,57 +455,63 @@ func countedTrips(down, incl bool, in, bound, step iv) (trips, rng iv, ok, appli
 // the cycle bounds simply report "unbounded". cg.ranges receives, per
 // carried register, its value range inside the body (unknown where
 // untracked).
-func (cg *cgraph) loopTrips(tc *treeCtx, hints map[string][2]int64) iv {
+func (cg *cgraph) loopTrips(tc *treeCtx, hints map[string]interval.Interval) interval.Interval {
 	if trips, ok := cg.foldTrips(tc); ok {
 		return trips
 	}
-	if trips := cg.affineTrips(tc); trips.Known {
+	if trips := cg.affineTrips(tc); trips.Bounded() {
 		return trips
 	}
 	// Externally proven bracket (abstract interpretation): weakest tier,
 	// consulted only when the folding tiers fail. Carry ranges stay
 	// unknown — the hint bounds iterations, not register values.
 	clear(cg.ranges)
-	if h, ok := hints[cg.g.Name]; ok && h[0] <= h[1] {
-		return span(h[0], h[1])
+	if h, ok := hints[cg.g.Name]; ok && h.Bounded() {
+		return h
 	}
-	return unknown()
+	return interval.Top()
 }
 
-func (cg *cgraph) affineTrips(tc *treeCtx) iv {
+// affineTrips brackets the canonical loop's trips from loop-invariant
+// intervals of its init, bound and step; a trip count without both
+// bounds is unknown.
+func (cg *cgraph) affineTrips(tc *treeCtx) interval.Interval {
 	clear(cg.ranges)
 	m := cg.ind
 	if m == nil {
-		return unknown()
+		return interval.Top()
 	}
 	// Loop-invariant view: carries unknown, live-ins from the parent.
 	cg.evalAll(tc, cg.ranges)
 	bound, step, in := arg(cg.vals, m.bound), cg.step(), cg.init[m.reg]
-	if !bound.Known || !step.Known || !in.Known {
-		return unknown()
+	// The step's sign must match the direction the loop counts in: a
+	// backward (or zero) step may never reach the bound.
+	if !bound.Bounded() || !step.Bounded() || !in.Bounded() || m.down != (step.Hi < 0) {
+		return interval.Top()
 	}
-	switch b := bound; {
-	case !m.down && step.Lo > 0: // a zero or backward step may never reach the bound
-		if m.incl {
-			b = b.add(exact(1)) // i <= B runs while i < B+1
-		}
-		cg.ranges[m.reg] = span(in.Lo, max64(in.Lo, b.Hi-1))
-		return span(ceilDiv(b.Lo-in.Hi, step.Hi), ceilDiv(b.Hi-in.Lo, step.Lo))
-	case m.down && step.Hi < 0:
-		if m.incl {
-			b = b.sub(exact(1)) // i >= B runs while i > B-1
-		}
-		cg.ranges[m.reg] = span(min64(in.Hi, b.Lo+1), in.Hi)
-		return span(ceilDiv(in.Lo-b.Hi, -step.Lo), ceilDiv(in.Hi-b.Lo, -step.Hi))
+	switch {
+	case m.incl && m.down:
+		bound = bound.Sub(interval.Exact(1)) // i >= B runs while i > B-1
+	case m.incl:
+		bound = bound.Add(interval.Exact(1)) // i <= B runs while i < B+1
 	}
-	return unknown()
+	trips := interval.Trips(in, bound, step)
+	if !trips.Bounded() {
+		return interval.Top()
+	}
+	if m.down {
+		cg.ranges[m.reg] = interval.Range(min(in.Hi, bound.Lo+1), in.Hi)
+	} else {
+		cg.ranges[m.reg] = interval.Range(in.Lo, max(in.Lo, bound.Hi-1))
+	}
+	return trips
 }
 
 // step returns the latest value of what the induction's update adds.
-func (cg *cgraph) step() iv {
+func (cg *cgraph) step() interval.Interval {
 	step := arg(cg.vals, cg.ind.step)
 	if cg.ind.sub {
-		step = exact(0).sub(step)
+		step = step.Neg()
 	}
 	return step
 }
@@ -511,10 +519,10 @@ func (cg *cgraph) step() iv {
 // evalTree evaluates the whole loop nest for one thread context, resolving
 // trip counts top-down: a child's carry-init and live-in intervals come
 // from the parent's node values.
-func (cg *cgraph) evalTree(tc *treeCtx, hints map[string][2]int64, entry iv) {
+func (cg *cgraph) evalTree(tc *treeCtx, hints map[string]interval.Interval, entry interval.Interval) {
 	cg.entry = entry
 	if cg.g.Cond == nil {
-		cg.trips = exact(1)
+		cg.trips = interval.Exact(1)
 		clear(cg.ranges)
 	} else {
 		cg.trips = cg.loopTrips(tc, hints)
@@ -530,14 +538,14 @@ func (cg *cgraph) evalTree(tc *treeCtx, hints map[string][2]int64, entry iv) {
 				kid.init[i-nl] = cg.val(a)
 			}
 		}
-		childEntry := exact(1)
+		childEntry := interval.Exact(1)
 		if pred := kid.node.Pred; pred != nil {
-			switch pv := cg.val(pred); {
-			case pv.definitelyTrue():
-			case pv.definitelyFalse():
-				childEntry = exact(0)
+			switch cg.val(pred).Truth() {
+			case +1:
+			case -1:
+				childEntry = interval.Exact(0)
 			default:
-				childEntry = span(0, 1)
+				childEntry = interval.Range(0, 1)
 			}
 		}
 		kid.evalTree(tc, hints, childEntry)

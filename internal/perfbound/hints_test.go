@@ -13,6 +13,7 @@ import (
 
 	"paravis/internal/absint"
 	"paravis/internal/core"
+	"paravis/internal/interval"
 	"paravis/internal/minic"
 	"paravis/internal/perfbound"
 	"paravis/internal/staticcheck"
@@ -20,7 +21,7 @@ import (
 
 // absintHints parses src and returns the interpreter's trip brackets
 // for the function containing the target region.
-func absintHints(t *testing.T, src string, env map[string]int64) map[string][2]int64 {
+func absintHints(t *testing.T, src string, env map[string]int64) map[string]interval.Interval {
 	t.Helper()
 	prog, err := minic.Parse(src, minic.Options{})
 	if err != nil {
@@ -57,7 +58,7 @@ func TestTripHintsBoundUnfoldableLoop(t *testing.T) {
 	hints := absintHints(t, tripSrc, map[string]int64{"N": 64})
 	if h, ok := hints[base.Loops[0].Name]; !ok {
 		t.Fatalf("no hint under the loop's join key %q: %v", base.Loops[0].Name, hints)
-	} else if h != [2]int64{16, 16} {
+	} else if h != interval.Exact(16) {
 		t.Fatalf("absint bracket = %v, want [16,16]", h)
 	}
 
@@ -84,7 +85,7 @@ func TestTripHintsDoNotOverrideFolding(t *testing.T) {
 	env := map[string]int64{"N": 64}
 	base := perfbound.Analyze(prog.Kernel, prog.Sched, env, perfbound.DefaultConfig())
 	cfg := perfbound.DefaultConfig()
-	cfg.TripHints = map[string][2]int64{base.Loops[0].Name: {1, 1}}
+	cfg.TripHints = map[string]interval.Interval{base.Loops[0].Name: interval.Exact(1)}
 	rep := perfbound.Analyze(prog.Kernel, prog.Sched, env, cfg)
 	if l := rep.Loops[0]; !l.TripsKnown || l.TripsLo != 16 || l.TripsHi != 16 {
 		t.Errorf("hint overrode folded trips: [%d,%d] known=%v", l.TripsLo, l.TripsHi, l.TripsKnown)

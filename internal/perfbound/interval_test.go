@@ -1,93 +1,12 @@
 package perfbound
 
-import "testing"
+import (
+	"math"
+	"testing"
 
-// contains checks v ∈ a for known intervals.
-func contains(a iv, v int64) bool { return a.Known && a.Lo <= v && v <= a.Hi }
-
-// TestIntervalArithmetic checks the abstract operators over-approximate
-// the concrete ones on a grid of small operand intervals: for every pair
-// of concrete points, the concrete result must fall inside the abstract
-// result. Soundness of every downstream bound rests on this.
-func TestIntervalArithmetic(t *testing.T) {
-	vals := []int64{-7, -3, -1, 0, 1, 2, 5, 9}
-	var ivs []iv
-	for i, lo := range vals {
-		for _, hi := range vals[i:] {
-			ivs = append(ivs, span(lo, hi))
-		}
-	}
-	type op struct {
-		name string
-		abs  func(a, b iv) iv
-		conc func(a, b int64) (int64, bool)
-	}
-	ops := []op{
-		{"add", iv.add, func(a, b int64) (int64, bool) { return a + b, true }},
-		{"sub", iv.sub, func(a, b int64) (int64, bool) { return a - b, true }},
-		{"mul", iv.mul, func(a, b int64) (int64, bool) { return a * b, true }},
-		{"div", iv.div, func(a, b int64) (int64, bool) {
-			if b == 0 {
-				return 0, false
-			}
-			return a / b, true
-		}},
-		{"rem", iv.rem, func(a, b int64) (int64, bool) {
-			if b <= 0 {
-				return 0, false
-			}
-			return a % b, true
-		}},
-		{"cmpLt", iv.cmpLt, func(a, b int64) (int64, bool) { return b2i(a < b), true }},
-		{"cmpLe", iv.cmpLe, func(a, b int64) (int64, bool) { return b2i(a <= b), true }},
-		{"cmpEq", iv.cmpEq, func(a, b int64) (int64, bool) { return b2i(a == b), true }},
-	}
-	for _, o := range ops {
-		for _, A := range ivs {
-			for _, B := range ivs {
-				r := o.abs(A, B)
-				for a := A.Lo; a <= A.Hi; a++ {
-					for b := B.Lo; b <= B.Hi; b++ {
-						c, ok := o.conc(a, b)
-						if !ok {
-							continue
-						}
-						if r.Known && !contains(r, c) {
-							t.Fatalf("%s(%v,%v)=%v excludes %s(%d,%d)=%d",
-								o.name, A, B, r, o.name, a, b, c)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func TestDivByIntervalWithZeroIsUnknown(t *testing.T) {
-	if r := span(10, 20).div(span(-1, 1)); r.Known {
-		t.Errorf("division by an interval containing zero must be unknown, got %v", r)
-	}
-}
-
-func TestSaturation(t *testing.T) {
-	big := span(ivCap, ivCap)
-	if r := big.mul(big); !r.Known || r.Hi != ivCap {
-		t.Errorf("saturated mul drifted: %v", r)
-	}
-	if r := big.add(big); !r.Known || r.Hi != ivCap {
-		t.Errorf("saturated add drifted: %v", r)
-	}
-	if r := big.sub(big.mul(span(2, 2))); !r.Known || r.Lo < -ivCap {
-		t.Errorf("saturated sub drifted: %v", r)
-	}
-}
+	"paravis/internal/interval"
+	"paravis/internal/ir"
+)
 
 func TestCeilDiv(t *testing.T) {
 	cases := []struct{ n, d, want int64 }{
@@ -101,17 +20,26 @@ func TestCeilDiv(t *testing.T) {
 	}
 }
 
-func TestPredicateClassification(t *testing.T) {
-	if !span(1, 5).definitelyTrue() || !span(-3, -1).definitelyTrue() {
-		t.Error("nonzero intervals must be definitely true")
+// TestOverflowDropsBound pins the lattice's one overflow rule as the
+// evaluator meets it: a bound that would overflow int64 is dropped, and a
+// trip count without both bounds is unknown, so the loop falls through
+// to the hint tier.
+func TestOverflowDropsBound(t *testing.T) {
+	if r := interval.Exact(math.MaxInt64).Add(interval.Range(0, 1)); r.HasHi || !r.HasLo || r.Lo != math.MaxInt64 {
+		t.Errorf("MaxInt64 + [0, 1] = %v, want [MaxInt64, +inf]", r)
 	}
-	if !exact(0).definitelyFalse() {
-		t.Error("exact zero must be definitely false")
+	// for (i = init; i < 10; i++) with init in [MinInt64+1, 20]: the cond
+	// is undecidable on entry, and the most trips, 10 - (MinInt64+1),
+	// overflows.
+	g, s := loopShape{cmp: ir.OpLt}.build()
+	cg := compile(g, s, nil, 64)
+	cg.liveIn[0], cg.liveIn[1], cg.init[0] = interval.Exact(10), interval.Exact(1), interval.Range(math.MinInt64+1, 20)
+	tc := treeCtx{tid: interval.Exact(0), nthreads: interval.Exact(1)}
+	if trips := cg.loopTrips(&tc, nil); trips.Bounded() {
+		t.Errorf("trips = %v, want unknown", trips)
 	}
-	if span(0, 1).definitelyTrue() || span(0, 1).definitelyFalse() {
-		t.Error("[0,1] must be undecided")
-	}
-	if unknown().definitelyTrue() || unknown().definitelyFalse() {
-		t.Error("unknown must be undecided")
+	hint := interval.Range(3, 40)
+	if trips := cg.loopTrips(&tc, map[string]interval.Interval{g.Name: hint}); trips != hint {
+		t.Errorf("hinted trips = %v, want the hint %v", trips, hint)
 	}
 }

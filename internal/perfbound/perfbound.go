@@ -19,6 +19,7 @@ import (
 
 	"paravis/internal/area"
 	"paravis/internal/depend"
+	"paravis/internal/interval"
 	"paravis/internal/ir"
 	"paravis/internal/mem"
 	"paravis/internal/profile"
@@ -42,13 +43,13 @@ type Config struct {
 	Slack       float64
 	SlackCycles int64
 	// TripHints supplies externally proven per-entry trip brackets
-	// [lo, hi] keyed by loop name ("for@line:col"), e.g. from
-	// internal/absint's Result.TripHints. They are consulted only as a
-	// fallback when neither concrete iteration nor the affine pattern
-	// bounds a loop, so a nil map leaves every report unchanged. Hints
-	// must be sound over-approximations or the cycle bounds lose their
-	// bracketing guarantee.
-	TripHints map[string][2]int64
+	// keyed by loop name ("for@line:col"), e.g. from internal/absint's
+	// Result.TripHints; a bracket without both bounds is ignored. They
+	// are consulted only as a fallback when neither concrete iteration
+	// nor the affine pattern bounds a loop, so a nil map leaves every
+	// report unchanged. Hints must be sound over-approximations or the
+	// cycle bounds lose their bracketing guarantee.
+	TripHints map[string]interval.Interval
 }
 
 // DefaultConfig mirrors sim.DefaultConfig plus the default latency table.
@@ -236,6 +237,40 @@ func checkStage(gs *schedule.GraphSched) int64 {
 	return c
 }
 
+// ivCap is the saturation bound of cycle and traffic totals. It is large
+// enough that any real cycle count fits, and small enough that sums and
+// products of saturated values stay far from int64 overflow.
+const ivCap = int64(1) << 50
+
+func clampCap(v int64) int64 {
+	if v > ivCap {
+		return ivCap
+	}
+	if v < -ivCap {
+		return -ivCap
+	}
+	return v
+}
+
+func satAdd(a, b int64) int64 { return clampCap(a + b) } // |a|,|b| <= ivCap: no overflow
+func satMul(a, b int64) int64 {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	if a > ivCap || a < -ivCap || b > ivCap || b < -ivCap {
+		a, b = clampCap(a), clampCap(b)
+	}
+	r := a * b
+	// Saturate on overflow or out-of-range results.
+	if r/b != a || r > ivCap || r < -ivCap {
+		if (a > 0) == (b > 0) {
+			return ivCap
+		}
+		return -ivCap
+	}
+	return r
+}
+
 // traffic totals accumulated over one thread's whole execution.
 type traffic struct {
 	reqsMin, reqsMax   int64
@@ -255,7 +290,7 @@ func lowerExec(cg *cgraph) int64 {
 	gs := cg.gs
 	inner := int64(gs.Depth) + 1
 	for _, kid := range cg.kids {
-		if kid.entry.Known && kid.entry.Lo >= 1 {
+		if kid.entry.Bounded() && kid.entry.Lo >= 1 {
 			if k := lowerExec(kid); k > inner {
 				inner = k
 			}
@@ -265,7 +300,7 @@ func lowerExec(cg *cgraph) int64 {
 		return inner
 	}
 	trips := int64(0)
-	if cg.trips.Known {
+	if cg.trips.Bounded() {
 		trips = cg.trips.Lo
 	}
 	return checkStage(gs) + 1 + satMul(trips, inner)
@@ -277,7 +312,7 @@ func lowerExec(cg *cgraph) int64 {
 func addTraffic(cg *cgraph, execLo, execHi int64, t *traffic) {
 	st := &cg.stats
 	tripsLo, tripsHi := int64(0), ivCap
-	if cg.trips.Known {
+	if cg.trips.Bounded() {
 		tripsLo, tripsHi = cg.trips.Lo, cg.trips.Hi
 	}
 	if cg.g.Cond == nil {
@@ -294,7 +329,7 @@ func addTraffic(cg *cgraph, execLo, execHi int64, t *traffic) {
 	t.locksMax = satAdd(t.locksMax, satMul(iterHi, st.locksMax))
 	for _, kid := range cg.kids {
 		kLo, kHi := int64(0), int64(1)
-		if kid.entry.Known {
+		if kid.entry.Bounded() {
 			kLo, kHi = kid.entry.Lo, kid.entry.Hi
 		}
 		addTraffic(kid, satMul(iterLo, kLo), satMul(iterHi, kHi), t)
@@ -322,7 +357,7 @@ func upperExec(cg *cgraph, cfg *Config, nt int64) (int64, bool) {
 			known = false
 		}
 		hi := int64(1)
-		if kid.entry.Known {
+		if kid.entry.Bounded() {
 			hi = kid.entry.Hi
 		}
 		iter = satAdd(iter, satMul(hi, ku))
@@ -330,7 +365,7 @@ func upperExec(cg *cgraph, cfg *Config, nt int64) (int64, bool) {
 	if cg.g.Cond == nil {
 		return iter, known
 	}
-	if !cg.trips.Known {
+	if !cg.trips.Bounded() {
 		return iter, false
 	}
 	return satAdd(checkStage(gs)+3, satMul(cg.trips.Hi, iter)), known
@@ -362,10 +397,10 @@ func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Confi
 	var tot traffic
 	var sumUpper int64
 	upperKnown := true
-	tc := treeCtx{nthreads: exact(nt)}
+	tc := treeCtx{nthreads: interval.Exact(nt)}
 	for t := int64(0); t < nt; t++ {
-		tc.tid = exact(t)
-		top.evalTree(&tc, cfg.TripHints, exact(1))
+		tc.tid = interval.Exact(t)
+		top.evalTree(&tc, cfg.TripHints, interval.Exact(1))
 		lb := satAdd(satMul(t, cfg.ThreadStart), lowerExec(top))
 		if lb > lower {
 			lower = lb
@@ -380,7 +415,7 @@ func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Confi
 	computeLower := lower
 	// DRAM serialization floors: 1 request accepted per cycle, BeatBytes
 	// transferred per cycle, across all threads.
-	memLower := max64(tot.reqsMin, tot.beatsMin)
+	memLower := max(tot.reqsMin, tot.beatsMin)
 	if memLower > lower {
 		lower = memLower
 	}
@@ -411,8 +446,8 @@ func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Confi
 
 	// Kernel-wide loop reports from an interval thread id (covers all
 	// threads at once).
-	tc.tid = span(0, nt-1)
-	top.evalTree(&tc, cfg.TripHints, exact(1))
+	tc.tid = interval.Range(0, nt-1)
+	top.evalTree(&tc, cfg.TripHints, interval.Exact(1))
 	var loops []LoopReport
 	var walkLoops func(cg *cgraph)
 	walkLoops = func(cg *cgraph) {
@@ -429,7 +464,7 @@ func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Confi
 	// compute time? Min-side traffic keeps the verdict sound when some
 	// trip count did not fold (max-side would saturate and always claim
 	// memory-bound).
-	memCycles := max64(tot.reqsMin, tot.beatsMin)
+	memCycles := max(tot.reqsMin, tot.beatsMin)
 	demand := 0.0
 	if computeLower > 0 {
 		demand = float64(tot.bytesMin) / float64(computeLower)
@@ -526,12 +561,12 @@ func loopReport(cg *cgraph, gd *depend.GraphDeps, cfg *Config, nt int64) LoopRep
 		Name:            cg.g.Name,
 		Depth:           gs.Depth,
 		IIThread:        int64(gs.Depth) + 1,
-		TripsKnown:      cg.trips.Known,
+		TripsKnown:      cg.trips.Bounded(),
 		ExtBytesPerIter: st.extBytesMax,
 		ExtReqsPerIter:  st.extLoadsMax + st.extStoresMax,
 		LocalPerIter:    st.localMax,
 	}
-	if cg.trips.Known {
+	if cg.trips.Bounded() {
 		r.TripsLo, r.TripsHi = cg.trips.Lo, cg.trips.Hi
 	}
 	// Best pipelined II: floored at 1, limited by single-port arrays

@@ -1,12 +1,15 @@
 package perfbound
 
 // The map-based interval evaluator perfbound ran on until the dense,
-// compiled one of eval.go replaced it: one map[*ir.Node]iv per evaluation,
-// the control slice recomputed per loop entry, every loop run trip by
-// trip. It is kept verbatim (identifiers prefixed ref) as the oracle the
-// new evaluator is checked against in equiv_test.go.
+// compiled one of eval.go replaced it: one map of node values per
+// evaluation, the control slice recomputed per loop entry, every loop run
+// trip by trip, and its own closed form for the affine fallback. It is
+// kept verbatim (identifiers prefixed ref; the values now from the shared
+// interval lattice) as the oracle the new evaluator is checked against in
+// equiv_test.go.
 
 import (
+	"paravis/internal/interval"
 	"paravis/internal/ir"
 	"paravis/internal/schedule"
 )
@@ -15,37 +18,37 @@ import (
 // (exact for per-thread analysis, [0, NT-1] for the kernel-wide report) and
 // the live-in / carried-register intervals handed down by the parent.
 type refCtx struct {
-	tid      iv
-	nthreads iv
-	liveIn   []iv
-	carry    []iv
+	tid      interval.Interval
+	nthreads interval.Interval
+	liveIn   []interval.Interval
+	carry    []interval.Interval
 }
 
 // refEvalNodes abstractly interprets a graph over the interval domain. Nodes
 // are in topological order, so one forward pass suffices. Anything the
 // domain cannot track (floats, loads, loop outputs) evaluates to unknown,
 // which poisons dependent trip counts instead of guessing.
-func refEvalNodes(g *ir.Graph, ctx *refCtx, env map[string]int64) map[*ir.Node]iv {
+func refEvalNodes(g *ir.Graph, ctx *refCtx, env map[string]int64) map[*ir.Node]interval.Interval {
 	return refEvalList(g.Nodes, ctx, env)
 }
 
 // refEvalList is refEvalNodes over an arbitrary topologically ordered subset.
-func refEvalList(nodes []*ir.Node, ctx *refCtx, env map[string]int64) map[*ir.Node]iv {
-	vals := make(map[*ir.Node]iv, len(nodes))
-	get := func(n *ir.Node) iv {
+func refEvalList(nodes []*ir.Node, ctx *refCtx, env map[string]int64) map[*ir.Node]interval.Interval {
+	vals := make(map[*ir.Node]interval.Interval, len(nodes))
+	get := func(n *ir.Node) interval.Interval {
 		if n == nil {
-			return unknown()
+			return interval.Top()
 		}
 		return vals[n]
 	}
 	for _, n := range nodes {
-		var v iv
+		var v interval.Interval
 		switch n.Op {
 		case ir.OpConstInt:
-			v = exact(n.IVal)
+			v = interval.Exact(n.IVal)
 		case ir.OpParam:
 			if val, ok := env[n.Name]; ok {
-				v = exact(val)
+				v = interval.Exact(val)
 			}
 		case ir.OpThreadID:
 			v = ctx.tid
@@ -60,70 +63,70 @@ func refEvalList(nodes []*ir.Node, ctx *refCtx, env map[string]int64) map[*ir.No
 				v = ctx.carry[n.Idx]
 			}
 		case ir.OpAdd:
-			v = refIntOnly(n, get(n.Args[0]).add(get(n.Args[1])))
+			v = refIntOnly(n, get(n.Args[0]).Add(get(n.Args[1])))
 		case ir.OpSub:
-			v = refIntOnly(n, get(n.Args[0]).sub(get(n.Args[1])))
+			v = refIntOnly(n, get(n.Args[0]).Sub(get(n.Args[1])))
 		case ir.OpMul:
-			v = refIntOnly(n, get(n.Args[0]).mul(get(n.Args[1])))
+			v = refIntOnly(n, get(n.Args[0]).Mul(get(n.Args[1])))
 		case ir.OpDiv:
-			v = refIntOnly(n, get(n.Args[0]).div(get(n.Args[1])))
+			v = refIntOnly(n, get(n.Args[0]).Div(get(n.Args[1])))
 		case ir.OpRem:
-			v = refIntOnly(n, get(n.Args[0]).rem(get(n.Args[1])))
+			v = refIntOnly(n, get(n.Args[0]).Rem(get(n.Args[1])))
 		case ir.OpLt:
-			v = refIntCmp(n, get(n.Args[0]).cmpLt(get(n.Args[1])))
+			v = refIntCmp(n, get(n.Args[0]).Lt(get(n.Args[1])))
 		case ir.OpLe:
-			v = refIntCmp(n, get(n.Args[0]).cmpLe(get(n.Args[1])))
+			v = refIntCmp(n, get(n.Args[0]).Le(get(n.Args[1])))
 		case ir.OpGt:
-			v = refIntCmp(n, get(n.Args[1]).cmpLt(get(n.Args[0])))
+			v = refIntCmp(n, get(n.Args[1]).Lt(get(n.Args[0])))
 		case ir.OpGe:
-			v = refIntCmp(n, get(n.Args[1]).cmpLe(get(n.Args[0])))
+			v = refIntCmp(n, get(n.Args[1]).Le(get(n.Args[0])))
 		case ir.OpEq:
-			v = refIntCmp(n, get(n.Args[0]).cmpEq(get(n.Args[1])))
+			v = refIntCmp(n, get(n.Args[0]).Eq(get(n.Args[1])))
 		case ir.OpNe:
-			eq := refIntCmp(n, get(n.Args[0]).cmpEq(get(n.Args[1])))
+			eq := refIntCmp(n, get(n.Args[0]).Eq(get(n.Args[1])))
 			switch {
-			case eq.definitelyTrue():
-				v = exact(0)
-			case eq.definitelyFalse():
-				v = exact(1)
+			case eq.Truth() > 0:
+				v = interval.Exact(0)
+			case eq.Truth() < 0:
+				v = interval.Exact(1)
 			default:
-				v = boolIv()
+				v = interval.Range(0, 1)
 			}
 		case ir.OpAnd, ir.OpOr, ir.OpNot:
-			v = boolIv()
-			a, b := get(n.Args[0]), iv{}
+			v = interval.Range(0, 1)
+			a, b := get(n.Args[0]), interval.Interval{}
 			if len(n.Args) > 1 {
 				b = get(n.Args[1])
 			}
 			switch n.Op {
 			case ir.OpAnd:
-				if a.definitelyFalse() || b.definitelyFalse() {
-					v = exact(0)
-				} else if a.definitelyTrue() && b.definitelyTrue() {
-					v = exact(1)
+				if a.Truth() < 0 || b.Truth() < 0 {
+					v = interval.Exact(0)
+				} else if a.Truth() > 0 && b.Truth() > 0 {
+					v = interval.Exact(1)
 				}
 			case ir.OpOr:
-				if a.definitelyTrue() || b.definitelyTrue() {
-					v = exact(1)
-				} else if a.definitelyFalse() && b.definitelyFalse() {
-					v = exact(0)
+				if a.Truth() > 0 || b.Truth() > 0 {
+					v = interval.Exact(1)
+				} else if a.Truth() < 0 && b.Truth() < 0 {
+					v = interval.Exact(0)
 				}
 			case ir.OpNot:
-				if a.definitelyTrue() {
-					v = exact(0)
-				} else if a.definitelyFalse() {
-					v = exact(1)
+				if a.Truth() > 0 {
+					v = interval.Exact(0)
+				} else if a.Truth() < 0 {
+					v = interval.Exact(1)
 				}
 			}
 		case ir.OpSelect:
 			c := get(n.Args[0])
 			switch {
-			case c.definitelyTrue():
+			case c.Truth() > 0:
 				v = get(n.Args[1])
-			case c.definitelyFalse():
+			case c.Truth() < 0:
 				v = get(n.Args[2])
 			default:
-				v = get(n.Args[1]).union(get(n.Args[2]))
+				v = get(n.Args[1]).Join(get(n.Args[2]))
 			}
 		default:
 			// Floats, conversions, vector lane ops, memory, sync, loop
@@ -135,18 +138,18 @@ func refEvalList(nodes []*ir.Node, ctx *refCtx, env map[string]int64) map[*ir.No
 }
 
 // refIntOnly keeps an interval only for integer-kinded results.
-func refIntOnly(n *ir.Node, v iv) iv {
+func refIntOnly(n *ir.Node, v interval.Interval) interval.Interval {
 	if n.Kind != ir.KindInt {
-		return unknown()
+		return interval.Top()
 	}
 	return v
 }
 
 // refIntCmp keeps a comparison interval only when both operands are integers
 // (float compares are outside the domain).
-func refIntCmp(n *ir.Node, v iv) iv {
+func refIntCmp(n *ir.Node, v interval.Interval) interval.Interval {
 	if n.Args[0].Kind != ir.KindInt {
-		return boolIv()
+		return interval.Range(0, 1)
 	}
 	return v
 }
@@ -198,14 +201,14 @@ func refCondClosure(g *ir.Graph) ([]*ir.Node, []int) {
 // undecidable or the budget runs out. The returned ranges are, per
 // carried register, the union of its values over all executed
 // iterations (the register's range inside the body).
-func refIterateTrips(g *ir.Graph, ctx *refCtx, init []iv, env map[string]int64) (iv, []iv, bool) {
+func refIterateTrips(g *ir.Graph, ctx *refCtx, init []interval.Interval, env map[string]int64) (interval.Interval, []interval.Interval, bool) {
 	nodes, carries := refCondClosure(g)
 	if len(nodes) == 0 {
-		return unknown(), nil, false
+		return interval.Top(), nil, false
 	}
-	state := make([]iv, g.NumCarry)
+	state := make([]interval.Interval, g.NumCarry)
 	copy(state, init)
-	ranges := make([]iv, g.NumCarry)
+	ranges := make([]interval.Interval, g.NumCarry)
 	hasRange := make([]bool, g.NumCarry)
 	ictx := *ctx
 	trips := int64(0)
@@ -213,17 +216,17 @@ func refIterateTrips(g *ir.Graph, ctx *refCtx, init []iv, env map[string]int64) 
 		ictx.carry = state
 		vals := refEvalList(nodes, &ictx, env)
 		c := vals[g.Cond]
-		if c.definitelyFalse() {
-			return exact(trips), ranges, true
+		if c.Truth() < 0 {
+			return interval.Exact(trips), ranges, true
 		}
-		if !c.definitelyTrue() {
-			return unknown(), nil, false
+		if c.Truth() == 0 {
+			return interval.Top(), nil, false
 		}
 		trips++
-		next := make([]iv, g.NumCarry)
+		next := make([]interval.Interval, g.NumCarry)
 		for _, i := range carries {
 			if hasRange[i] {
-				ranges[i] = ranges[i].union(state[i])
+				ranges[i] = ranges[i].Join(state[i])
 			} else {
 				ranges[i], hasRange[i] = state[i], true
 			}
@@ -231,7 +234,7 @@ func refIterateTrips(g *ir.Graph, ctx *refCtx, init []iv, env map[string]int64) 
 		}
 		state = next
 	}
-	return unknown(), nil, false
+	return interval.Top(), nil, false
 }
 
 // refLoopTrips bounds the body iterations of one loop entry. It first
@@ -243,32 +246,32 @@ func refIterateTrips(g *ir.Graph, ctx *refCtx, init []iv, env map[string]int64) 
 // the cycle bounds simply report "unbounded". The second result gives,
 // per carried register, its value range inside the body (unknown where
 // untracked).
-func refLoopTrips(g *ir.Graph, ctx *refCtx, init []iv, env map[string]int64, hints map[string][2]int64) (iv, []iv) {
+func refLoopTrips(g *ir.Graph, ctx *refCtx, init []interval.Interval, env map[string]int64, hints map[string]interval.Interval) (interval.Interval, []interval.Interval) {
 	if trips, ranges, ok := refIterateTrips(g, ctx, init, env); ok {
 		return trips, ranges
 	}
-	if trips, ranges := refAffineTrips(g, ctx, init, env); trips.Known {
+	if trips, ranges := refAffineTrips(g, ctx, init, env); trips.Bounded() {
 		return trips, ranges
 	}
 	// Externally proven bracket (abstract interpretation): weakest tier,
 	// consulted only when the folding tiers fail. Carry ranges stay
 	// unknown — the hint bounds iterations, not register values.
-	if h, ok := hints[g.Name]; ok && h[0] <= h[1] {
-		return span(h[0], h[1]), make([]iv, g.NumCarry)
+	if h, ok := hints[g.Name]; ok && h.Bounded() {
+		return h, make([]interval.Interval, g.NumCarry)
 	}
-	return unknown(), make([]iv, g.NumCarry)
+	return interval.Top(), make([]interval.Interval, g.NumCarry)
 }
 
-func refAffineTrips(g *ir.Graph, ctx *refCtx, init []iv, env map[string]int64) (iv, []iv) {
-	none := unknown()
-	noRanges := make([]iv, g.NumCarry)
+func refAffineTrips(g *ir.Graph, ctx *refCtx, init []interval.Interval, env map[string]int64) (interval.Interval, []interval.Interval) {
+	none := interval.Top()
+	noRanges := make([]interval.Interval, g.NumCarry)
 	cond := g.Cond
 	if cond == nil || len(cond.Args) != 2 {
 		return none, noRanges
 	}
 	// Loop-invariant view: carries unknown, live-ins from the parent.
 	inv := *ctx
-	inv.carry = make([]iv, g.NumCarry)
+	inv.carry = make([]interval.Interval, g.NumCarry)
 	vals := refEvalNodes(g, &inv, env)
 
 	// cmp(carry, bound) possibly with swapped operands.
@@ -295,7 +298,7 @@ func refAffineTrips(g *ir.Graph, ctx *refCtx, init []iv, env map[string]int64) (
 		return none, noRanges
 	}
 	bound := vals[boundArg]
-	if !bound.Known {
+	if !bound.Bounded() {
 		return none, noRanges
 	}
 
@@ -304,7 +307,7 @@ func refAffineTrips(g *ir.Graph, ctx *refCtx, init []iv, env map[string]int64) (
 	if upd == nil || len(upd.Args) != 2 {
 		return none, noRanges
 	}
-	var step iv
+	var step interval.Interval
 	isCarry := func(n *ir.Node) bool { return n.Op == ir.OpCarry && n.Idx == idx }
 	switch {
 	case upd.Op == ir.OpAdd && isCarry(upd.Args[0]):
@@ -312,15 +315,15 @@ func refAffineTrips(g *ir.Graph, ctx *refCtx, init []iv, env map[string]int64) (
 	case upd.Op == ir.OpAdd && isCarry(upd.Args[1]):
 		step = vals[upd.Args[0]]
 	case upd.Op == ir.OpSub && isCarry(upd.Args[0]):
-		step = exact(0).sub(vals[upd.Args[1]])
+		step = interval.Exact(0).Sub(vals[upd.Args[1]])
 	default:
 		return none, noRanges
 	}
-	if !step.Known {
+	if !step.Bounded() {
 		return none, noRanges
 	}
 	in := init[idx]
-	if !in.Known {
+	if !in.Bounded() {
 		return none, noRanges
 	}
 
@@ -331,26 +334,26 @@ func refAffineTrips(g *ir.Graph, ctx *refCtx, init []iv, env map[string]int64) (
 		}
 		b := bound
 		if op == ir.OpLe {
-			b = b.add(exact(1)) // i <= B runs while i < B+1
+			b = b.Add(interval.Exact(1)) // i <= B runs while i < B+1
 		}
 		lo := ceilDiv(b.Lo-in.Hi, step.Hi)
 		hi := ceilDiv(b.Hi-in.Lo, step.Lo)
-		rngHi := max64(in.Lo, b.Hi-1)
-		noRanges[idx] = span(in.Lo, rngHi)
-		return span(lo, hi), noRanges
+		rngHi := max(in.Lo, b.Hi-1)
+		noRanges[idx] = interval.Range(in.Lo, rngHi)
+		return interval.Range(lo, hi), noRanges
 	case ir.OpGt, ir.OpGe:
 		if step.Hi >= 0 {
 			return none, noRanges
 		}
 		b := bound
 		if op == ir.OpGe {
-			b = b.sub(exact(1)) // i >= B runs while i > B-1
+			b = b.Sub(interval.Exact(1)) // i >= B runs while i > B-1
 		}
 		lo := ceilDiv(in.Lo-b.Hi, -step.Lo)
 		hi := ceilDiv(in.Hi-b.Lo, -step.Hi)
-		rngLo := min64(in.Hi, b.Lo+1)
-		noRanges[idx] = span(rngLo, in.Hi)
-		return span(lo, hi), noRanges
+		rngLo := min(in.Hi, b.Lo+1)
+		noRanges[idx] = interval.Range(rngLo, in.Hi)
+		return interval.Range(lo, hi), noRanges
 	}
 	return none, noRanges
 }
@@ -360,29 +363,29 @@ func refAffineTrips(g *ir.Graph, ctx *refCtx, init []iv, env map[string]int64) (
 type refGraphEval struct {
 	g     *ir.Graph
 	gs    *schedule.GraphSched
-	node  *ir.Node // the LoopOp in the parent; nil for the top region
-	trips iv       // iterations per entry (top region: exactly 1)
-	entry iv       // executions per parent iteration (predication: [0,1])
-	vals  map[*ir.Node]iv
+	node  *ir.Node          // the LoopOp in the parent; nil for the top region
+	trips interval.Interval // iterations per entry (top region: exactly 1)
+	entry interval.Interval // executions per parent iteration (predication: [0,1])
+	vals  map[*ir.Node]interval.Interval
 	kids  []*refGraphEval
 }
 
 // refEvalTree evaluates the whole loop nest for one thread context, resolving
 // trip counts top-down: a child's carry-init and live-in intervals come
 // from the parent's node values.
-func refEvalTree(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, hints map[string][2]int64, tid iv) *refGraphEval {
-	nt := exact(int64(k.NumThreads))
-	var build func(g *ir.Graph, node *ir.Node, ctx refCtx, init []iv, entry iv) *refGraphEval
-	build = func(g *ir.Graph, node *ir.Node, ctx refCtx, init []iv, entry iv) *refGraphEval {
+func refEvalTree(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, hints map[string]interval.Interval, tid interval.Interval) *refGraphEval {
+	nt := interval.Exact(int64(k.NumThreads))
+	var build func(g *ir.Graph, node *ir.Node, ctx refCtx, init []interval.Interval, entry interval.Interval) *refGraphEval
+	build = func(g *ir.Graph, node *ir.Node, ctx refCtx, init []interval.Interval, entry interval.Interval) *refGraphEval {
 		ge := &refGraphEval{g: g, gs: s.ByGraph[g], node: node, entry: entry}
 		if g.Cond == nil {
-			ge.trips = exact(1)
-			ctx.carry = make([]iv, g.NumCarry)
+			ge.trips = interval.Exact(1)
+			ctx.carry = make([]interval.Interval, g.NumCarry)
 			ge.vals = refEvalNodes(g, &ctx, env)
 		} else {
 			trips, ranges := refLoopTrips(g, &ctx, init, env, hints)
 			ge.trips = trips
-			ctx.carry = make([]iv, g.NumCarry)
+			ctx.carry = make([]interval.Interval, g.NumCarry)
 			for i := 0; i < g.NumCarry && i < len(ranges); i++ {
 				ctx.carry[i] = ranges[i]
 			}
@@ -391,24 +394,24 @@ func refEvalTree(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, hints
 		for _, ln := range g.Loops {
 			sub := ln.Sub
 			childCtx := refCtx{tid: ctx.tid, nthreads: ctx.nthreads}
-			childCtx.liveIn = make([]iv, sub.NumLiveIn)
-			childInit := make([]iv, sub.NumCarry)
+			childCtx.liveIn = make([]interval.Interval, sub.NumLiveIn)
+			childInit := make([]interval.Interval, sub.NumCarry)
 			for i := 0; i < sub.NumLiveIn && i < len(ln.Args); i++ {
 				childCtx.liveIn[i] = ge.vals[ln.Args[i]]
 			}
 			for i := 0; i < sub.NumCarry && sub.NumLiveIn+i < len(ln.Args); i++ {
 				childInit[i] = ge.vals[ln.Args[sub.NumLiveIn+i]]
 			}
-			childEntry := exact(1)
+			childEntry := interval.Exact(1)
 			if ln.Pred != nil {
 				pv := ge.vals[ln.Pred]
 				switch {
-				case pv.definitelyTrue():
-					childEntry = exact(1)
-				case pv.definitelyFalse():
-					childEntry = exact(0)
+				case pv.Truth() > 0:
+					childEntry = interval.Exact(1)
+				case pv.Truth() < 0:
+					childEntry = interval.Exact(0)
 				default:
-					childEntry = span(0, 1)
+					childEntry = interval.Range(0, 1)
 				}
 			}
 			ge.kids = append(ge.kids, build(sub, ln, childCtx, childInit, childEntry))
@@ -417,5 +420,16 @@ func refEvalTree(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, hints
 	}
 	top := k.Top
 	ctx := refCtx{tid: tid, nthreads: nt}
-	return build(top, nil, ctx, nil, exact(1))
+	return build(top, nil, ctx, nil, interval.Exact(1))
+}
+
+// ceilDiv is ceiling division for positive divisors.
+func ceilDiv(n, d int64) int64 {
+	if d <= 0 {
+		return 0
+	}
+	if n <= 0 {
+		return 0
+	}
+	return (n + d - 1) / d
 }
