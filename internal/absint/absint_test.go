@@ -1,8 +1,11 @@
 package absint
 
 import (
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"paravis/internal/interval"
 	"paravis/internal/minic"
@@ -399,13 +402,8 @@ func TestUnreachableLoop(t *testing.T) {
 	}
 }
 
-// TestStatesHoldTrackedIntsOnly pins the solver's state layout and cost on
-// the naive GEMM: a flow state has one slot per tracked integer scalar —
-// not one per declared variable, most of which are pointers and floats —
-// and a whole analysis stays under its allocation ceiling (one slab backs
-// every state, so the count does not move with the layout; the bytes do).
-func TestStatesHoldTrackedIntsOnly(t *testing.T) {
-	w := workloads.Units()[0]
+func seedTarget(t testing.TB, w workloads.Unit) *minic.FuncDecl {
+	t.Helper()
 	prog, err := minic.Parse(w.Source, minic.Options{Defines: w.Defines})
 	if err != nil {
 		t.Fatal(err)
@@ -414,31 +412,178 @@ func TestStatesHoldTrackedIntsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := resolveFn(fn)
-	tracked := 0
-	for _, v := range res.vars {
-		if v.tracked {
-			if v.slot != tracked {
-				t.Errorf("%s: slot %d, want %d", v.name, v.slot, tracked)
+	return fn
+}
+
+// TestStatesHoldTrackedIntsOnly pins the solver's state layout and cost.
+// A flow state has one slot per tracked integer scalar — not one per
+// declared variable, most of which are pointers and floats. One slab
+// holds exactly one in state per block, one out state per edge a block
+// has (outN for a jump, outT and outF for a branch) and the three scratch
+// states; an edge a block does not have has no buffer and never goes
+// live. A whole analysis stays under its allocation ceiling (the slab is
+// one object, so the count does not move with the layout) and its byte
+// ceiling (which does).
+func TestStatesHoldTrackedIntsOnly(t *testing.T) {
+	for _, w := range workloads.Units() {
+		fn := seedTarget(t, w)
+		res := resolveFn(fn)
+		tracked := 0
+		for _, v := range res.vars {
+			if v.tracked {
+				if v.slot != tracked {
+					t.Errorf("%s %s: slot %d, want %d", w.Name, v.name, v.slot, tracked)
+				}
+				tracked++
 			}
-			tracked++
+		}
+		if res.slots != tracked || tracked == 0 || tracked >= len(res.vars) {
+			t.Fatalf("%s: %d slots for %d tracked of %d variables", w.Name, res.slots, tracked, len(res.vars))
+		}
+		a := newAnalysis(fn, res, w.Params, defaultWidenDelay)
+		states := []state{a.tmpIn, a.tmpOut, a.tmpEdge}
+		var absent []*edgeState
+		for i, bl := range a.g.blocks {
+			f := &a.flows[i]
+			if bl.cond != nil {
+				states = append(states, f.in.st, f.outT.st, f.outF.st)
+				absent = append(absent, &f.outN)
+			} else {
+				states = append(states, f.in.st, f.outN.st)
+				absent = append(absent, &f.outT, &f.outF)
+			}
+		}
+		// Every buffer is tracked slots long, and together they tile one
+		// slab with no gap or overlap.
+		size := uintptr(tracked) * unsafe.Sizeof(Val{})
+		addrs := make([]uintptr, len(states))
+		for i, st := range states {
+			if len(st) != tracked || cap(st) != tracked {
+				t.Fatalf("%s: a state has %d slots (cap %d), want %d", w.Name, len(st), cap(st), tracked)
+			}
+			addrs[i] = uintptr(unsafe.Pointer(&st[0]))
+		}
+		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+		for i := 1; i < len(addrs); i++ {
+			if addrs[i]-addrs[i-1] != size {
+				t.Fatalf("%s: states %d and %d are not adjacent in one slab", w.Name, i-1, i)
+			}
+		}
+		for _, e := range absent {
+			if e.st != nil {
+				t.Fatalf("%s: an edge the block does not have has a %d-slot buffer", w.Name, len(e.st))
+			}
+		}
+		if !a.solve() {
+			t.Fatalf("%s: no fixpoint", w.Name)
+		}
+		for _, e := range absent {
+			if e.live {
+				t.Fatalf("%s: an edge the block does not have went live", w.Name)
+			}
 		}
 	}
-	if res.slots != tracked || tracked == 0 || tracked >= len(res.vars) {
-		t.Fatalf("%d slots for %d tracked of %d variables", res.slots, tracked, len(res.vars))
-	}
-	a := newAnalysis(fn, res, w.Params, defaultWidenDelay)
-	states := []state{a.tmpIn, a.tmpOut, a.tmpEdge}
-	for _, f := range a.flows {
-		states = append(states, f.in.st, f.outN.st, f.outT.st, f.outF.st)
-	}
-	for _, st := range states {
-		if len(st) != tracked {
-			t.Errorf("a state has %d slots, want %d", len(st), tracked)
-		}
-	}
+
+	w := workloads.Units()[0]
+	fn := seedTarget(t, w)
 	const ceiling = 160
 	if got := testing.AllocsPerRun(5, func() { Analyze(fn, Options{Env: w.Params}) }); got > ceiling {
-		t.Errorf("absint.Analyze(gemm-naive): %.0f allocations, ceiling %d", got, ceiling)
+		t.Errorf("absint.Analyze(%s): %.0f allocations, ceiling %d", w.Name, got, ceiling)
+	}
+}
+
+// TestAnalyzeBytesCeiling: one Analyze of the double-buffered GEMM (66
+// blocks, 22 of them branches, 22 slots) under its launch env allocates
+// 207,688 bytes; with four state buffers per block it allocated 304,932.
+func TestAnalyzeBytesCeiling(t *testing.T) {
+	var w workloads.Unit
+	for _, u := range workloads.Units() {
+		if u.Name == "gemm-double-buffering" {
+			w = u
+		}
+	}
+	fn := seedTarget(t, w)
+	Analyze(fn, Options{Env: w.Params})
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		Analyze(fn, Options{Env: w.Params})
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("absint.Analyze(%s): %d bytes", w.Name, got)
+	const ceiling = 250_000
+	if got > ceiling {
+		t.Errorf("absint.Analyze(%s): %d bytes, ceiling %d", w.Name, got, ceiling)
+	}
+}
+
+// orSrc's loop and if conditions use &&, || and !=, and one disjunct is
+// an arithmetic truth test, so every transfer of their blocks runs
+// refineOr and the generic refinement.
+const orSrc = `
+void f(int n) {
+  float a[64];
+  int k = 0;
+  for (int i = 0; i < 60 && (i != n || k < 4); i++) {
+    if (i != 3 || !(k == 2) || (i % 3)) {
+      k = k + 1;
+    }
+    if (i < 5 && (k != n || i > 2)) {
+      a[i] = 1.0;
+    }
+  }
+}
+`
+
+// TestRefinementAllocatesPerAnalysis: refinement works in solver-owned
+// scratch, so a solve that takes more passes (a later widening) allocates
+// exactly as much as one that takes fewer.
+func TestRefinementAllocatesPerAnalysis(t *testing.T) {
+	prog, err := minic.Parse(orSrc, minic.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := prog.Funcs[0]
+	res := resolveFn(fn)
+	run := func(delay int) (allocs float64, passes int) {
+		allocs = testing.AllocsPerRun(5, func() {
+			a := newAnalysis(fn, res, nil, delay)
+			a.solve()
+			passes = a.passes
+		})
+		return allocs, passes
+	}
+	few, fewPasses := run(1)
+	many, manyPasses := run(12)
+	if manyPasses <= fewPasses {
+		t.Fatalf("delay 12 took %d passes, delay 1 %d: the kernel does not vary the pass count", manyPasses, fewPasses)
+	}
+	if many != few {
+		t.Errorf("%.0f allocations over %d passes, %.0f over %d", many, manyPasses, few, fewPasses)
+	}
+}
+
+// BenchmarkAnalyzeSeeds times one Analyze per seed unit, symbolic and
+// under the unit's launch env, and reports the solver's fixpoint passes
+// per op beside ns/op and B/op.
+func BenchmarkAnalyzeSeeds(b *testing.B) {
+	for _, w := range workloads.Units() {
+		fn := seedTarget(b, w)
+		for _, run := range []struct {
+			name string
+			env  map[string]int64
+		}{{"symbolic", nil}, {"env", w.Params}} {
+			b.Run(w.Name+"/"+run.name, func(b *testing.B) {
+				passes := 0
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_, a := analyze(fn, Options{Env: run.env})
+					passes += a.passes
+				}
+				b.ReportMetric(float64(passes)/float64(b.N), "passes/op")
+			})
+		}
 	}
 }

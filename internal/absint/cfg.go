@@ -30,9 +30,11 @@ type block struct {
 
 	cond     minic.Expr
 	condStmt minic.Stmt // the IfStmt/ForStmt owning cond, for reporting
-	tsucc    *block
-	fsucc    *block
-	next     *block
+	// impure: evaluating cond may change tracked state (set by wire).
+	impure bool
+	tsucc  *block
+	fsucc  *block
+	next   *block
 
 	isLoopHead bool
 	loop       *minic.ForStmt
@@ -173,12 +175,17 @@ func (bl *block) succs() []*block {
 	return nil
 }
 
-// wire fills predecessor lists and the reverse postorder.
+// wire fills predecessor lists and the reverse postorder, and classifies
+// each branch condition once for every transfer of its block.
 func (g *cfg) wire() {
 	for _, bl := range g.blocks {
 		for _, s := range bl.succs() {
 			s.preds = append(s.preds, bl)
 		}
+		if bl.cond == nil {
+			continue
+		}
+		bl.impure = impure(bl.cond)
 	}
 	seen := make([]bool, len(g.blocks))
 	var post []*block

@@ -157,28 +157,48 @@ func (r *Result) TripHints() map[string]interval.Interval {
 
 // Analyze runs the abstract interpreter over one function.
 func Analyze(fn *minic.FuncDecl, opts Options) *Result {
-	res := &Result{
+	res, _ := analyze(fn, opts)
+	return res
+}
+
+// analyze is Analyze that also returns the solved analysis, whose
+// counters the package's tests and benchmarks read (nil when fn has no
+// body).
+func analyze(fn *minic.FuncDecl, opts Options) (*Result, *analysis) {
+	if fn == nil || fn.Body == nil {
+		return newResult(0), nil
+	}
+	r := resolveFn(fn)
+	res := newResult(r.nt)
+	a := newAnalysis(fn, r, opts.Env, widenDelay(opts.WidenDelay))
+	if a.solve() {
+		a.publish(res)
+	}
+	return res, a
+}
+
+func newResult(nt int) *Result {
+	return &Result{
+		NT:     nt,
 		Loops:  map[*minic.ForStmt]*LoopFact{},
 		access: map[minic.Expr]*AccessFact{},
 	}
-	if fn == nil || fn.Body == nil {
-		return res
-	}
-	r := resolveFn(fn)
-	res.NT = r.nt
-	delay := opts.WidenDelay
-	switch {
-	case delay == 0:
-		delay = defaultWidenDelay
-	case delay < 0:
-		delay = 0
-	}
-	a := newAnalysis(fn, r, opts.Env, delay)
-	if !a.solve() {
-		return res
-	}
-	res.OK = true
+}
 
+// widenDelay maps Options.WidenDelay to the head visits before widening.
+func widenDelay(d int) int {
+	switch {
+	case d == 0:
+		return defaultWidenDelay
+	case d < 0:
+		return 0
+	}
+	return d
+}
+
+// publish collects the facts of a converged analysis into res.
+func (a *analysis) publish(res *Result) {
+	res.OK = true
 	col := &collector{
 		a:   a,
 		acc: map[minic.Expr]*accRec{},
@@ -204,7 +224,6 @@ func Analyze(fn *minic.FuncDecl, opts Options) *Result {
 	col.finishConds(res)
 	col.finishAccesses(res)
 	col.finishDivs(res)
-	return res
 }
 
 // --- collector ---
@@ -304,7 +323,7 @@ func (c *collector) finishLoops(res *Result) {
 			}
 			// First-iteration check on the per-entry preheader state.
 			pre := c.a.tmpIn
-			if c.a.inFlow(pre, head, head.latch) && !impure(st.Cond) {
+			if c.a.inFlow(pre, head, head.latch) && !head.impure {
 				ev := &evaluator{a: c.a, st: pre, inRegion: head.inRegion}
 				switch ev.expr(st.Cond).truth() {
 				case +1:
@@ -329,7 +348,7 @@ func (c *collector) finishLoops(res *Result) {
 // counted loop (minic.Counted): the induction variable stepped by an
 // invariant constant and tested against an invariant bound.
 func (c *collector) recognizedTrips(st *minic.ForStmt, head *block) (interval.Interval, bool) {
-	if impure(st.Cond) {
+	if head.impure {
 		return interval.Top(), false
 	}
 	cl := minic.Counted(st)

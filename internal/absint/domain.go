@@ -311,6 +311,9 @@ func (v Val) widen(next Val, th []int64) Val {
 }
 
 func (v Val) equal(o Val) bool {
+	if v == o {
+		return true
+	}
 	if v.isBottom() || o.isBottom() {
 		return v.isBottom() == o.isBottom()
 	}
@@ -354,7 +357,10 @@ func cmpEq(a, b Val) Val {
 	ca, oka := a.constVal()
 	cb, okb := b.constVal()
 	if oka && okb {
-		return boolVal(map[bool]int{true: 1, false: -1}[ca == cb])
+		if ca == cb {
+			return exactVal(1)
+		}
+		return exactVal(0)
 	}
 	if a.meet(b).isBottom() {
 		return exactVal(0)

@@ -3,7 +3,8 @@ package absint
 // FuzzAbsint feeds arbitrary MiniC sources through the interpreter: it
 // must never panic, and because every run computes a sound
 // over-approximation, runs at different widening aggressiveness must
-// agree — proven facts from one may not contradict the other's.
+// agree — proven facts from one may not contradict the other's — and
+// each run must match the oracle solver step for step.
 
 import (
 	"os"
@@ -16,7 +17,7 @@ import (
 func FuzzAbsint(f *testing.F) {
 	seeds := []string{
 		tripSrc, strideSrc, laneSrc, oobSrc, refineSrc, deadSrc, divSrc,
-		windowSrc, unreachableLoopSrc,
+		windowSrc, unreachableLoopSrc, ImpureCondSrc, orSrc,
 	}
 	// testdata/skipped_visit.mc: the i2 head sits clean while the i4 loop
 	// still iterates, and its trip bracket moves if those skipped visits
@@ -55,6 +56,11 @@ func FuzzAbsint(f *testing.F) {
 			precise := Analyze(fn, Options{Env: env}) // must not panic
 			coarse := Analyze(fn, Options{Env: env, WidenDelay: -1})
 			Analyze(fn, Options{}) // symbolic run must not panic either
+			for _, opts := range []Options{{Env: env}, {Env: env, WidenDelay: -1}, {}} {
+				if err := CompareWithOracle(fn, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if !precise.OK || !coarse.OK {
 				continue
 			}

@@ -172,11 +172,55 @@ func render(t *testing.T, w *bytes.Buffer, u unit) {
 		t.Fatalf("%s: %v", u.name, err)
 	}
 	for _, fn := range prog.Funcs {
-		renderResult(w, fn.Name+" symbolic", absint.Analyze(fn, absint.Options{}))
+		absint.RenderResult(w, fn.Name+" symbolic", absint.Analyze(fn, absint.Options{}))
 		if u.env != nil {
-			renderResult(w, fn.Name+" "+envString(u.env), absint.Analyze(fn, absint.Options{Env: u.env}))
+			absint.RenderResult(w, fn.Name+" "+envString(u.env), absint.Analyze(fn, absint.Options{Env: u.env}))
 		}
 	}
+}
+
+// TestSolverMatchesOracle runs the solver and the oracle (the solver
+// before each visit's state work was fused, kept in oracle_test.go) over
+// the golden corpus, benchmark/testdata and a kernel with side-effecting
+// branch conditions: symbolically and under the launch env (every scalar
+// parameter 5 where a unit has none), at the default widening delay and
+// widening at once. Each run must agree on the pass count, every block's
+// in state and reachability, every live out edge's state and the
+// published facts.
+func TestSolverMatchesOracle(t *testing.T) {
+	us := seedUnits(t)
+	for _, pattern := range []string{
+		"../../examples/*/*.mc", "../../benchmark/testdata/*.mc", "../staticcheck/testdata/*.mc", "testdata/*.mc",
+	} {
+		us = append(us, fileUnits(t, pattern)...)
+	}
+	us = append(us, unit{name: "impure-cond", src: absint.ImpureCondSrc})
+	us = append(us, searchUnits(t)...)
+	runs := 0
+	for _, u := range us {
+		prog, err := minic.Parse(u.src, u.popts)
+		if err != nil {
+			t.Fatalf("%s: %v", u.name, err)
+		}
+		for _, fn := range prog.Funcs {
+			env := u.env
+			if env == nil {
+				env = map[string]int64{}
+				for _, p := range fn.Params {
+					if !p.Type.IsPointer() {
+						env[p.Name] = 5
+					}
+				}
+			}
+			for _, opts := range []absint.Options{{}, {Env: env}, {WidenDelay: -1}, {Env: env, WidenDelay: -1}} {
+				if err := absint.CompareWithOracle(fn, opts); err != nil {
+					t.Errorf("%s (env %v, delay %d): %v", u.name, opts.Env, opts.WidenDelay, err)
+				}
+				runs++
+			}
+		}
+	}
+	t.Logf("%d runs over %d units", runs, len(us))
 }
 
 func envString(env map[string]int64) string {
@@ -193,33 +237,4 @@ func envString(env map[string]int64) string {
 		fmt.Fprintf(&sb, "%s=%d", k, env[k])
 	}
 	return sb.String()
-}
-
-func renderResult(w *bytes.Buffer, title string, r *absint.Result) {
-	fmt.Fprintf(w, "-- %s: ok=%t nt=%d\n", title, r.OK, r.NT)
-	loops := make([]*absint.LoopFact, 0, len(r.Loops))
-	for _, lf := range r.Loops {
-		loops = append(loops, lf)
-	}
-	sort.Slice(loops, func(i, j int) bool {
-		a, b := loops[i].Pos, loops[j].Pos
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Col < b.Col
-	})
-	for _, lf := range loops {
-		fmt.Fprintf(w, "loop %s reachable=%t body=%t trips=%s\n", lf.Name, lf.Reachable, lf.BodyReachable, lf.Trips)
-	}
-	for _, f := range r.Accesses {
-		fmt.Fprintf(w, "access %d:%d %s write=%t %s baddim=%d dimsize=%d index=%s elem=%s width=%d elemok=%t\n",
-			f.Pos.Line, f.Pos.Col, f.Array, f.Write, f.Verdict, f.BadDim, f.DimSize, f.Index, f.Elem, f.Width, f.ElemOK)
-	}
-	for _, d := range r.Divs {
-		fmt.Fprintf(w, "div %d:%d rem=%t divisor=%s zero=%t mayzero=%t\n",
-			d.Pos.Line, d.Pos.Col, d.IsRem, d.Divisor, d.ProvenZero, d.MayZero)
-	}
-	for _, c := range r.Conds {
-		fmt.Fprintf(w, "cond %d:%d loop=%t true=%t false=%t\n", c.Pos.Line, c.Pos.Col, c.IsLoop, c.AlwaysTrue, c.AlwaysFalse)
-	}
 }

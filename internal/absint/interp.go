@@ -14,10 +14,6 @@ import (
 // beside the buffer, in edgeState.
 type state []Val
 
-func cloneState(s state) state {
-	return append(state(nil), s...)
-}
-
 // norm maps every representation of top to the canonical one, so a
 // joined or widened slot reads like a never-assigned one.
 func norm(v Val) Val {
@@ -28,24 +24,20 @@ func norm(v Val) Val {
 }
 
 // joinStates stores in dst the pointwise join of a and b: a slot is
-// known only where it is known on both sides. dst may alias a or b.
+// known only where it is known on both sides. dst may alias a or b. A
+// slot that is the same value on both sides is its own join (every
+// stored Val is reduced and normed) and is copied as is.
 func joinStates(dst, a, b state) {
 	for k, va := range a {
-		if vb := b[k]; va.isTop() || vb.isTop() {
+		switch vb := b[k]; {
+		case va == vb:
+			dst[k] = va
+		case va.isTop() || vb.isTop():
 			dst[k] = topVal()
-		} else {
+		default:
 			dst[k] = norm(va.join(vb))
 		}
 	}
-}
-
-func equalStates(a, b state) bool {
-	for k, va := range a {
-		if !va.equal(b[k]) {
-			return false
-		}
-	}
-	return true
 }
 
 // edgeState is a state buffer, allocated once with res.slots slots and
@@ -58,8 +50,9 @@ type edgeState struct {
 }
 
 // flow is the solver's record of one block: its in state and one out
-// state per edge kind (outN the unconditional edge, outT and outF the
-// refined branch edges).
+// state per edge the block has — outN the unconditional edge of a jump
+// block, outT and outF the refined edges of a branch block. An edge the
+// block does not have has no buffer and is never live.
 type flow struct {
 	in, outN, outT, outF edgeState
 	// dirty: an in-edge state moved since the block's last visit.
@@ -76,8 +69,15 @@ type analysis struct {
 	th    []int64 // sorted widening thresholds
 	delay int     // widening delay (head visits before widening kicks in)
 	flows []flow  // indexed by block.id
-	// tmpIn, tmpOut and tmpEdge are the solver's scratch states.
+	// tmpIn, tmpOut and tmpEdge are the solver's scratch states; orTmp
+	// holds one more per nesting depth of refineOr (orDepth deep now),
+	// made on first use.
 	tmpIn, tmpOut, tmpEdge state
+	orTmp                  []state
+	orDepth                int
+	// passes counts the fixpoint sweeps of one solve (the two narrowing
+	// sweeps not included).
+	passes int
 }
 
 const (
@@ -92,9 +92,17 @@ func newAnalysis(fn *minic.FuncDecl, res *resolution, env map[string]int64, dela
 		env:   env,
 		delay: delay,
 	}
-	// One slab backs every state the solver touches.
+	// One slab backs every state the solver touches: an in state per
+	// block, an out state per edge it has, and the three scratch states.
 	n := res.slots
-	slab := make([]Val, (4*len(a.g.blocks)+3)*n)
+	states := 3
+	for _, bl := range a.g.blocks {
+		states += 2
+		if bl.cond != nil {
+			states++
+		}
+	}
+	slab := make([]Val, states*n)
 	carve := func() state {
 		st := state(slab[:n:n])
 		slab = slab[n:]
@@ -102,8 +110,14 @@ func newAnalysis(fn *minic.FuncDecl, res *resolution, env map[string]int64, dela
 	}
 	edge := func() edgeState { return edgeState{st: carve()} }
 	a.flows = make([]flow, len(a.g.blocks))
-	for i := range a.flows {
-		a.flows[i] = flow{in: edge(), outN: edge(), outT: edge(), outF: edge()}
+	for i, bl := range a.g.blocks {
+		f := &a.flows[i]
+		f.in = edge()
+		if bl.cond != nil {
+			f.outT, f.outF = edge(), edge()
+		} else {
+			f.outN = edge()
+		}
 	}
 	a.tmpIn, a.tmpOut, a.tmpEdge = carve(), carve(), carve()
 	a.th = thresholds(fn, env, res.nt)
@@ -218,23 +232,24 @@ func (a *analysis) transfer(bl *block) {
 		a.setEdge(&f.outN, out, true, bl.next)
 		return
 	}
-	ok := refine(a, a.tmpEdge, out, bl.cond, true, bl.inRegion)
-	a.setEdge(&f.outT, a.tmpEdge, ok, bl.tsucc)
-	ok = refine(a, a.tmpEdge, out, bl.cond, false, bl.inRegion)
-	a.setEdge(&f.outF, a.tmpEdge, ok, bl.fsucc)
+	a.branch(bl, out)
 }
 
 // setEdge publishes one out-edge state (live false: the edge is dead)
-// and marks the successor for a revisit when the edge moved.
+// and marks the successor for a revisit when the edge moved. It compares
+// and copies in one pass.
 func (a *analysis) setEdge(e *edgeState, st state, live bool, succ *block) {
-	if live == e.live && (!live || equalStates(e.st, st)) {
-		return
-	}
+	moved := live != e.live
 	e.live = live
 	if live {
-		copy(e.st, st)
+		for k, v := range st {
+			if !e.st[k].equal(v) {
+				e.st[k] = v
+				moved = true
+			}
+		}
 	}
-	if succ != nil {
+	if moved && succ != nil {
 		a.flows[succ.id].dirty = true
 	}
 }
@@ -247,7 +262,7 @@ func (a *analysis) setEdge(e *edgeState, st state, live bool, succ *block) {
 // only when an in-edge state moved since its last visit. A skipped visit
 // would have been a no-op: with the predecessors' outs unchanged the
 // joined in-flow is what the last visit already folded into the in state,
-// so join(in, in-flow) = in and the visit ends at the equality test.
+// so join(in, in-flow) = in and the visit's merge finds nothing moved.
 // Its one side effect, the loop-head visit count that decides on which
 // pass widening starts, is kept.
 func (a *analysis) solve() bool {
@@ -257,6 +272,7 @@ func (a *analysis) solve() bool {
 	}
 	in := a.tmpIn
 	for pass := 0; pass < maxPasses; pass++ {
+		a.passes++
 		changed := false
 		for _, bl := range a.g.rpo {
 			f := &a.flows[bl.id]
@@ -272,19 +288,18 @@ func (a *analysis) solve() bool {
 				continue
 			}
 			if f.in.live {
-				joinStates(in, f.in.st, in)
+				widen := false
 				if bl.isLoopHead {
 					visits[bl.id]++
-					if visits[bl.id] > a.delay {
-						widenStates(in, f.in.st, in, a.th)
-					}
+					widen = visits[bl.id] > a.delay
 				}
-				if equalStates(f.in.st, in) {
+				if !a.merge(f.in.st, in, widen) {
 					continue
 				}
+			} else {
+				copy(f.in.st, in)
+				f.in.live = true
 			}
-			copy(f.in.st, in)
-			f.in.live = true
 			a.transfer(bl)
 			changed = true
 		}
@@ -310,17 +325,29 @@ func (a *analysis) solve() bool {
 	return false
 }
 
-// widenStates stores in dst old widened toward next per variable. Slots
-// that went to top in next stay top. dst may alias next.
-func widenStates(dst, old, next state, th []int64) {
+// merge folds the in-flow next into a block's in state old, in one pass
+// per slot: join, widen (at a loop head past its delay) and compare. It
+// writes only the slots that moved and reports whether any did. A slot
+// whose in-flow is the old value itself is skipped: every stored Val is
+// reduced and normed, so join(x, x) and widen(x, x) are x.
+func (a *analysis) merge(old, next state, widen bool) bool {
+	moved := false
 	for k, nv := range next {
-		// A slot unknown in old is known here for the first time: keep
-		// the new value; the join already covered both inputs.
-		if ov := old[k]; !nv.isTop() && !ov.isTop() {
-			nv = norm(ov.widen(nv, th))
+		ov := old[k]
+		if nv == ov {
+			continue
 		}
-		dst[k] = nv
+		if ov.isTop() || nv.isTop() {
+			nv = topVal()
+		} else if nv = norm(ov.join(nv)); widen && !nv.isTop() {
+			nv = norm(ov.widen(nv, a.th))
+		}
+		if !ov.equal(nv) {
+			old[k] = nv
+			moved = true
+		}
 	}
+	return moved
 }
 
 // evaluator walks statements/expressions over one mutable state. The

@@ -5,21 +5,31 @@ import (
 	"paravis/internal/minic"
 )
 
-// refine stores in st the edge state for taking cond from out with the
-// given truth sense. Returns false when the edge is provably dead (the
-// refined state is bottom). The refinement only narrows identifier values —
-// everything else stays as computed by the transfer function — so it is
-// always a sound over-approximation of the concrete edge states.
-func refine(a *analysis, st, out state, cond minic.Expr, sense bool, inRegion bool) bool {
+// branch publishes the two edges of a branch block from out, the state
+// after its instructions. The refined states only narrow identifier
+// values — everything else stays as computed by the transfer function —
+// so they always soundly over-approximate the concrete edge states; an
+// edge whose refined state is bottom is dead. Whether the condition has
+// side effects was decided once, when the CFG was wired (block.impure).
+func (a *analysis) branch(bl *block, out state) {
+	f := &a.flows[bl.id]
+	st := a.tmpEdge
 	copy(st, out)
-	if impure(cond) {
+	if bl.impure {
 		// A side-effecting condition (rare): apply its effects once, keep
-		// only the truth-contradiction check, skip narrowing.
-		ev := &evaluator{a: a, st: st, inRegion: inRegion}
-		t := ev.expr(cond).truth()
-		return !((sense && t < 0) || (!sense && t > 0))
+		// only the truth-contradiction check, skip narrowing. Both edges
+		// leave with the same state.
+		ev := evaluator{a: a, st: st, inRegion: bl.inRegion}
+		t := ev.expr(bl.cond).truth()
+		a.setEdge(&f.outT, st, t >= 0, bl.tsucc)
+		a.setEdge(&f.outF, st, t <= 0, bl.fsucc)
+		return
 	}
-	return refineInto(a, st, cond, sense, inRegion)
+	ok := refineInto(a, st, bl.cond, true, bl.inRegion)
+	a.setEdge(&f.outT, st, ok, bl.tsucc)
+	copy(st, out)
+	ok = refineInto(a, st, bl.cond, false, bl.inRegion)
+	a.setEdge(&f.outF, st, ok, bl.fsucc)
 }
 
 // impure reports whether evaluating e could change tracked state.
@@ -35,7 +45,9 @@ func impure(e minic.Expr) bool {
 	return found
 }
 
-// refineInto narrows st in place; false means contradiction (dead edge).
+// refineInto narrows st in place for taking the pure condition cond with
+// the given truth sense; false means contradiction (dead edge), after
+// which st is unspecified.
 func refineInto(a *analysis, st state, cond minic.Expr, sense bool, inRegion bool) bool {
 	switch x := cond.(type) {
 	case *minic.Unary:
@@ -78,36 +90,36 @@ func refineInto(a *analysis, st state, cond minic.Expr, sense bool, inRegion boo
 		st[v.slot] = norm(nv)
 		return true
 	}
-	// Generic fallback: evaluate the condition in the current state and
-	// check for a truth contradiction.
-	ev := &evaluator{a: a, st: cloneState(st), inRegion: inRegion}
+	// Generic fallback: evaluate the condition in the current state (it is
+	// pure, so st is only read) and check for a truth contradiction.
+	ev := evaluator{a: a, st: st, inRegion: inRegion}
 	t := ev.expr(cond).truth()
-	if (sense && t < 0) || (!sense && t > 0) {
-		return false
-	}
-	return true
+	return !((sense && t < 0) || (!sense && t > 0))
 }
 
 // refineOr refines along "L(with senseL) OR R(with senseR)": the result
 // must cover both disjuncts, so each is refined independently and the
-// surviving states joined. Both dead means the edge is dead.
+// surviving states joined. Both dead means the edge is dead. L is refined
+// in the solver's scratch state for this nesting depth, R in st itself.
 func refineOr(a *analysis, st state, l minic.Expr, senseL bool, r minic.Expr, senseR bool, inRegion bool) bool {
-	ls := cloneState(st)
-	rs := cloneState(st)
+	if a.orDepth == len(a.orTmp) {
+		a.orTmp = append(a.orTmp, make(state, len(st)))
+	}
+	ls := a.orTmp[a.orDepth]
+	a.orDepth++
+	copy(ls, st)
 	lok := refineInto(a, ls, l, senseL, inRegion)
-	rok := refineInto(a, rs, r, senseR, inRegion)
+	rok := refineInto(a, st, r, senseR, inRegion)
+	a.orDepth--
 	switch {
 	case lok && rok:
-		joinStates(st, ls, rs)
-		return true
+		joinStates(st, ls, st)
 	case lok:
 		copy(st, ls)
-		return true
-	case rok:
-		copy(st, rs)
-		return true
+	case !rok:
+		return false
 	}
-	return false
+	return true
 }
 
 // excludeZero trims a zero endpoint off the interval (a full != split
@@ -157,7 +169,7 @@ func refineCmp(a *analysis, st state, x *minic.Binary, sense bool, inRegion bool
 		}
 	}
 
-	ev := &evaluator{a: a, st: st, inRegion: inRegion}
+	ev := evaluator{a: a, st: st, inRegion: inRegion}
 	lv := ev.expr(l)
 	rv := ev.expr(r)
 	if lv.isBottom() || rv.isBottom() {
