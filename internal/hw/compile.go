@@ -119,6 +119,12 @@ type CGraph struct {
 	// CheckStage-1, or -2 (matching no stage) for non-loop graphs, so the
 	// engine's per-stage test is a single comparison.
 	CheckAt int32
+	// CoastTo[s] is the furthest stage a token that has just entered stage
+	// s may reach without a step of its own: stages s+1..CoastTo[s] issue
+	// nothing and none of the moves s..CoastTo[s]-1 is the loop-exit test
+	// (CheckAt). CoastTo[s] == s means no such run. The engine narrows the
+	// bound at run time (VLO gates, tokens ahead, the sample window).
+	CoastTo []int32
 }
 
 // LoopOutRef ties a parent-graph LoopOut node to a carried register.
@@ -167,15 +173,25 @@ func Compile(k *ir.Kernel, s *schedule.Schedule) (*CKernel, error) {
 		gIndex[g] = i
 	}
 
+	// One slab holds every graph's int32 tables: LiveInPos, CarryPos and
+	// CoastTo.
+	words := 0
 	for _, g := range graphs {
 		gs := s.ByGraph[g]
 		if gs == nil {
 			return nil, fmt.Errorf("hw: graph %s has no schedule", g.Name)
 		}
-		cg, err := compileGraph(ck, g, gs, gIndex)
+		words += g.NumLiveIn + g.NumCarry + gs.Depth
+	}
+	slab := make([]int32, words)
+	for _, g := range graphs {
+		gs := s.ByGraph[g]
+		n := g.NumLiveIn + g.NumCarry + gs.Depth
+		cg, err := compileGraph(ck, g, gs, gIndex, slab[:n:n])
 		if err != nil {
 			return nil, err
 		}
+		slab = slab[n:]
 		if err := compileStages(cg); err != nil {
 			return nil, err
 		}
@@ -184,7 +200,9 @@ func Compile(k *ir.Kernel, s *schedule.Schedule) (*CKernel, error) {
 	return ck, nil
 }
 
-func compileGraph(ck *CKernel, g *ir.Graph, gs *schedule.GraphSched, gIndex map[*ir.Graph]int) (*CGraph, error) {
+// compileGraph flattens one graph; tab (NumLiveIn + NumCarry + Depth
+// words) backs its int32 tables.
+func compileGraph(ck *CKernel, g *ir.Graph, gs *schedule.GraphSched, gIndex map[*ir.Graph]int, tab []int32) (*CGraph, error) {
 	pos := make(map[*ir.Node]int32, len(g.Nodes))
 	for i, n := range g.Nodes {
 		pos[n] = int32(i)
@@ -284,8 +302,8 @@ func compileGraph(ck *CKernel, g *ir.Graph, gs *schedule.GraphSched, gIndex map[
 	}
 
 	// Index tables: live-in/carry positions and loop-out targets.
-	cg.LiveInPos = make([]int32, g.NumLiveIn)
-	cg.CarryPos = make([]int32, g.NumCarry)
+	nl, nc := g.NumLiveIn, g.NumCarry
+	cg.LiveInPos, cg.CarryPos = tab[:nl:nl], tab[nl:nl+nc:nl+nc]
 	for i := range cg.LiveInPos {
 		cg.LiveInPos[i] = -1
 	}
@@ -329,7 +347,21 @@ func compileGraph(ck *CKernel, g *ir.Graph, gs *schedule.GraphSched, gIndex map[
 	if cg.CondIdx >= 0 {
 		cg.CheckAt = cg.CheckStage - 1
 	}
+	cg.CoastTo = coastBounds(cg, tab[nl+nc:])
 	return cg, nil
+}
+
+// coastBounds fills to (Depth words) with CoastTo, backwards: a run from s
+// extends the run from s+1 unless entering s+1 issues a VLO or leaving s
+// is the loop-exit test.
+func coastBounds(cg *CGraph, to []int32) []int32 {
+	for s := cg.Depth - 1; s >= 0; s-- {
+		to[s] = int32(s)
+		if s+1 < cg.Depth && int32(s) != cg.CheckAt && len(cg.Stages[s+1].Issue) == 0 {
+			to[s] = to[s+1]
+		}
+	}
+	return to
 }
 
 // Stats describes the compiled accelerator for reporting and area modeling.

@@ -6,6 +6,7 @@ import (
 
 	"paravis/internal/ir"
 	"paravis/internal/schedule"
+	"paravis/internal/workloads"
 )
 
 const sumSrc = `
@@ -261,5 +262,38 @@ func TestCompileRejectsFloatRem(t *testing.T) {
 	want := fmt.Sprintf("hw: graph g n@%d: no stage closure for float rem", rem.ID)
 	if err == nil || err.Error() != want {
 		t.Fatalf("Compile error = %v, want %q", err, want)
+	}
+}
+
+// TestCoastBounds checks CoastTo on the seed kernels against its
+// definition: from each stage s the run reaches exactly as far as stages
+// that issue nothing go without a loop-exit move, within the graph.
+func TestCoastBounds(t *testing.T) {
+	for _, u := range workloads.Units() {
+		ck, err := compileSource(u.Source, u.Defines)
+		if err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+		runs := 0
+		for _, cg := range ck.Graphs {
+			if len(cg.CoastTo) != cg.Depth {
+				t.Fatalf("%s/%s: %d bounds for %d stages", u.Name, cg.Name, len(cg.CoastTo), cg.Depth)
+			}
+			for s := 0; s < cg.Depth; s++ {
+				want := s
+				for want+1 < cg.Depth && int32(want) != cg.CheckAt && len(cg.Stages[want+1].Issue) == 0 {
+					want++
+				}
+				if got := int(cg.CoastTo[s]); got != want {
+					t.Errorf("%s/%s: CoastTo[%d] = %d, want %d", u.Name, cg.Name, s, got, want)
+				}
+				if want > s {
+					runs++
+				}
+			}
+		}
+		if runs == 0 {
+			t.Errorf("%s: no stage can coast", u.Name)
+		}
 	}
 }

@@ -92,8 +92,9 @@ func seedUnits(tb testing.TB, dim, piSteps int) []seedUnit {
 // BenchmarkEngineSeeds measures the engine layer alone on the six seed
 // workloads (five GEMM steps at DIM=32, pi at 25 600 steps), profiling on
 // as in a CLI run: simulated Mcycles per host second, host ns per frame
-// step, and frames the scheduler examined per frame it stepped (1 when it
-// steps only what is due).
+// step, frames the scheduler examined per frame it stepped (1 when it
+// steps only what is due), and frame steps per thousand simulated cycles
+// (coasting lowers it).
 func BenchmarkEngineSeeds(b *testing.B) {
 	for _, u := range seedUnits(b, 32, 25600) {
 		b.Run(u.name, func(b *testing.B) {
@@ -113,6 +114,7 @@ func BenchmarkEngineSeeds(b *testing.B) {
 			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 			b.ReportMetric(float64(visits)/float64(steps), "visits/step")
+			b.ReportMetric(float64(steps)*1000/float64(cycles), "steps/kcycle")
 		})
 	}
 }

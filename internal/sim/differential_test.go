@@ -87,17 +87,12 @@ func runEngine(ck *hw.CKernel) diffOutcome {
 	return o
 }
 
-// FuzzEngineRun feeds arbitrary MiniC programs (seeded with the FuzzParse
-// corpus kernels) through the full compile pipeline and runs everything
-// that compiles twice. A run must not panic, and the two must agree on
-// errors, cycle counts, per-thread counters, kernel outputs and the
-// recorded trace streams — the engine is deterministic. Closure-vs-
-// interpreter equivalence is checked per node in internal/hw.
-func FuzzEngineRun(f *testing.F) {
-	seeds := []string{
-		"",
-		"void f() {}",
-		`#define N 16
+// engineRunSeeds seeds FuzzEngineRun with the FuzzParse corpus kernels;
+// TestCoastMatchesStepping runs the ones that compile.
+var engineRunSeeds = []string{
+	"",
+	"void f() {}",
+	`#define N 16
 void k(float* A, float* C) {
 #pragma omp target parallel map(to:A[0:N]) map(from:C[0:N]) num_threads(4)
   {
@@ -105,7 +100,7 @@ void k(float* A, float* C) {
     C[id] = A[id] * 2.0f;
   }
 }`,
-		`void v(float* X) {
+	`void v(float* X) {
 #pragma omp target parallel map(tofrom:X[0:64]) num_threads(2)
   {
     VECTOR a = *((VECTOR*)&X[0]);
@@ -114,7 +109,7 @@ void k(float* A, float* C) {
     #pragma omp barrier
   }
 }`,
-		`void s(float* A, float* B, int n) {
+	`void s(float* A, float* B, int n) {
 #pragma omp target parallel map(to:A[0:n]) map(from:B[0:n]) num_threads(2)
   {
     int id = omp_get_thread_num();
@@ -124,7 +119,7 @@ void k(float* A, float* C) {
     }
   }
 }`,
-		`void m(int* A, int* B, int n) {
+	`void m(int* A, int* B, int n) {
 #pragma omp target parallel map(to:A[0:n]) map(from:B[0:n]) num_threads(3)
   {
     int id = omp_get_thread_num();
@@ -133,10 +128,18 @@ void k(float* A, float* C) {
     }
   }
 }`,
-		"void f(int",
-		"#pragma omp target parallel map(",
-	}
-	for _, s := range seeds {
+	"void f(int",
+	"#pragma omp target parallel map(",
+}
+
+// FuzzEngineRun feeds arbitrary MiniC programs through the full compile
+// pipeline and runs everything that compiles twice: as compiled, and as
+// steppingCopy, which steps every stage instead of coasting. A run must
+// not panic, and the two must agree on errors, cycle counts, per-thread
+// counters, kernel outputs and the recorded trace streams. Closure-vs-
+// interpreter equivalence is checked per node in internal/hw.
+func FuzzEngineRun(f *testing.F) {
+	for _, s := range engineRunSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -145,7 +148,7 @@ void k(float* A, float* C) {
 			t.Skip()
 		}
 		first := runEngine(ck)
-		second := runEngine(ck)
+		second := runEngine(steppingCopy(ck))
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("outcome mismatch:\nfirst:  %+v\nsecond: %+v", first, second)
 		}

@@ -44,6 +44,10 @@ type engine struct {
 	nextStart   int
 	nextStartAt int64
 	nDone       int // threads whose top region has finished
+	// frames holds each thread's frame per graph, created on first use
+	// and reused (frameFor): frames[graph*len(threads) + thread]. A graph's
+	// row holds the tokens coast may have to ask where they stand.
+	frames []*frame
 	// due is the set of threads with at least one ready frame, by id;
 	// stepDue walks it once per stepped cycle. Wake paths and timed wakes
 	// that have come due add to it (readyFrame); a thread leaves it when
@@ -56,6 +60,11 @@ type engine struct {
 	// occW[graph][stage]. freeOcc wakes and clears the slot's list, so
 	// occupancy-blocked frames need not poll every cycle.
 	occW [][][]*frame
+	// stamps[graph][stage] is the last coast through each static stage (see
+	// coast); nCoast counts the frames coasting now. A stamp holds its slot
+	// only while its frame coasts, so with nCoast == 0 no stamp is read.
+	stamps [][]coastStamp
+	nCoast int
 
 	// wakes is a min-heap of timed wake-ups (pending retry, timed-VLO
 	// completion), each carrying the frame it is for; fireTimedWakes pops
@@ -87,11 +96,13 @@ type engine struct {
 
 	// Recycling pools for the hot loop: retired outstanding-VLO records,
 	// external-store payload buffers (returned once the DRAM has copied
-	// them), a BRAM transfer scratch and the profile-flush scratch.
+	// them), a BRAM transfer scratch, the profile-flush scratch and the
+	// completed profile-flush requests.
 	vloPool     []*outVLO
 	bufPool     [][]uint32
 	encScratch  []uint32
 	profScratch []uint32
+	profReqs    []*mem.Request
 	// valArena slab-allocates frame register files: frames live for the
 	// whole run, so their value storage is carved from shared blocks
 	// instead of one heap object per frame.
@@ -200,6 +211,9 @@ type frame struct {
 	// holdsOcc marks a token holding a static-stage occupancy slot, so the
 	// per-stage freeOcc call is one inlined branch in the common case.
 	holdsOcc bool
+	// coasting marks a frame asleep in coast until sleepUntil, when it
+	// lands; readyFrame ignores it until then.
+	coasting bool
 }
 
 type thread struct {
@@ -224,7 +238,6 @@ type thread struct {
 	// the thread's next walk, in issue order. A frame leaves it when it
 	// goes to sleep or finishes and re-enters it through readyFrame.
 	ready    ordSet
-	cache    []*frame
 	extRead  bool
 	extWrite bool
 
@@ -302,6 +315,15 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 	// loop name into a map).
 	e.occ = make([][]int32, len(ck.Graphs))
 	e.occW = make([][][]*frame, len(ck.Graphs))
+	e.stamps = make([][]coastStamp, len(ck.Graphs))
+	depth := 0
+	for _, cg := range ck.Graphs {
+		depth += cg.Depth
+	}
+	stamps := make([]coastStamp, depth)
+	for i := range stamps {
+		stamps[i] = noStamp
+	}
 	e.siteIDs = make([]int, len(ck.Graphs))
 	e.loopIters = make([]int64, len(ck.Graphs))
 	e.loopExecs = make([]int64, len(ck.Graphs))
@@ -312,6 +334,7 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 			e.occ[gi][s] = -1
 		}
 		e.occW[gi] = make([][]*frame, cg.Depth)
+		e.stamps[gi], stamps = stamps[:cg.Depth:cg.Depth], stamps[cg.Depth:]
 		e.siteIDs[gi] = e.prof.SiteID(cg.Name)
 	}
 
@@ -328,7 +351,6 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 		e.threads = append(e.threads, &thread{
 			id:      t,
 			startAt: int64(t) * cfg.ThreadStart,
-			cache:   make([]*frame, len(ck.Graphs)),
 			env: hw.ExecEnv{
 				Params:     e.params,
 				ThreadID:   int64(t),
@@ -337,6 +359,7 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 		})
 	}
 	e.due = make(ordSet, (n+63)/64)
+	e.frames = make([]*frame, len(ck.Graphs)*n)
 	return e, nil
 }
 
@@ -480,16 +503,25 @@ func (e *engine) flushProfile(cycle int64, bytes int) {
 	if cap(e.profScratch) < words {
 		e.profScratch = make([]uint32, words)
 	}
-	req := &mem.Request{
-		Thread:   -1,
-		Write:    true,
-		WordAddr: e.profBase + e.profOff,
-		Words:    words,
-		Data:     e.profScratch[:words],
-	}
+	req := e.profRequest()
+	req.WordAddr, req.Words, req.Data = e.profBase+e.profOff, words, e.profScratch[:words]
 	e.profOff += int64(words)
 	// Ignore submit errors: the region is pre-sized.
 	_ = e.dram.Submit(req)
+}
+
+// profRequest returns a flush write request from the free list, or a new
+// one whose completion puts it back there: the DRAM is done with a request
+// once its OnComplete has run.
+func (e *engine) profRequest() *mem.Request {
+	if n := len(e.profReqs); n > 0 {
+		req := e.profReqs[n-1]
+		e.profReqs = e.profReqs[:n-1]
+		return req
+	}
+	req := &mem.Request{Thread: -1, Write: true}
+	req.OnComplete = func(int64, []uint32) { e.profReqs = append(e.profReqs, req) }
+	return req
 }
 
 // ctxCheckMask throttles context polls in the event loop: the context is
@@ -533,8 +565,8 @@ func (e *engine) run(ctx context.Context) error {
 			}
 		}
 		e.fireTimedWakes()
-		if e.stepDue() {
-			progress = true
+		if e.stepDue() || e.nCoast > 0 {
+			progress = true // a coasting frame moves every cycle
 		}
 		if e.runErr != nil {
 			return e.runErr
@@ -597,6 +629,11 @@ func (e *engine) run(ctx context.Context) error {
 				e.cycle = next - 1
 				e.jumps++
 			}
+		} else if e.nCoast > 0 && e.due.empty() {
+			// Until the next event only coasting frames move, and they need
+			// no step: per-cycle stepping would step nothing in between and,
+			// the coasters counting as progress, jump nowhere.
+			e.cycle = e.coastIdleUntil() - 1
 		}
 		e.cycle++
 		if e.cycle > maxCycles {
@@ -723,6 +760,24 @@ func (e *engine) nextEventCycle() int64 {
 	return next
 }
 
+// coastIdleUntil returns the first cycle after this one at which anything
+// but a coasting frame can act: the wake-heap top (the earliest landing at
+// the latest), DRAM activity, the next thread start or the next
+// sample-window boundary.
+func (e *engine) coastIdleUntil() int64 {
+	next := e.wakes[0].at
+	if d := e.dram.NextEventCycle(e.cycle); d >= 0 && d < next {
+		next = d
+	}
+	if e.nextStartAt < next {
+		next = e.nextStartAt
+	}
+	if e.profNext < next {
+		next = e.profNext
+	}
+	return next
+}
+
 // timedWake is one wake-heap entry: frame f sleeps until cycle at.
 type timedWake struct {
 	at int64
@@ -730,13 +785,17 @@ type timedWake struct {
 }
 
 // fireTimedWakes pops every heap entry that has come due and readies its
-// frame. An entry is stale when its frame no longer sleeps until exactly
-// that cycle (an external wake got there first, or the frame has since
-// retired); dropping it changes nothing.
+// frame; a coasting frame lands. An entry is stale when its frame no longer
+// sleeps until exactly that cycle (an external wake got there first, or
+// the frame has since retired); dropping it changes nothing.
 func (e *engine) fireTimedWakes() {
 	for len(e.wakes) > 0 && e.wakes[0].at <= e.cycle {
 		w := e.popWake()
 		if w.f.sleepUntil == w.at {
+			if w.f.coasting {
+				w.f.coasting = false
+				e.nCoast--
+			}
 			e.readyFrame(w.f)
 		}
 	}
@@ -824,9 +883,10 @@ func (e *engine) sleepFrame(f *frame, stall bool) {
 }
 
 // readyFrame puts a sleeping frame back into its thread's ready set and the
-// thread into the due set; a frame that is already ready is left alone.
+// thread into the due set; a frame that is already ready, or coasting, is
+// left alone.
 func (e *engine) readyFrame(f *frame) {
-	if f.sleepUntil != 0 {
+	if f.sleepUntil != 0 && !f.coasting {
 		f.sleepUntil = 0
 		f.t.ready.add(int(f.ai))
 		e.due.add(f.t.id)
@@ -931,7 +991,8 @@ func (e *engine) activate(t *thread, f *frame) {
 // frameFor returns the thread's cached frame for a graph, creating it on
 // first use (hardware contexts are physical and reused across iterations).
 func (e *engine) frameFor(t *thread, gi int) *frame {
-	if f := t.cache[gi]; f != nil {
+	slot := gi*len(e.threads) + t.id
+	if f := e.frames[slot]; f != nil {
 		for _, o := range f.outstanding {
 			e.freeVLO(o)
 		}
@@ -963,7 +1024,7 @@ func (e *engine) frameFor(t *thread, gi int) *frame {
 		carries:    e.allocVals(cg.NumCarry),
 		enterCycle: e.cycle,
 	}
-	t.cache[gi] = f
+	e.frames[slot] = f
 	return f
 }
 

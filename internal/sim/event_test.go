@@ -39,6 +39,10 @@ func spinGraph(e *engine, depth int, static ...int) *hw.CGraph {
 	for _, s := range static {
 		cg.Static[s] = true
 	}
+	cg.CoastTo = make([]int32, depth)
+	for s := range cg.CoastTo {
+		cg.CoastTo[s] = int32(s) // no coasting: these tests step every stage
+	}
 	occ := make([]int32, depth)
 	for s := range occ {
 		occ[s] = -1
@@ -530,15 +534,19 @@ func TestCompactionKeepsSetMembership(t *testing.T) {
 // 6400 steps) and checks the scheduler's own work: every frame a walk
 // examines must be one it steps (a polling engine examined 3.7 frames per
 // step here), and the five counters are pinned so that a change in how much
-// the scheduler does shows up as a diff, not as a timing.
+// the scheduler does shows up as a diff, not as a timing. FailedSteps and
+// Jumps are the stepping engine's (coasting never alters a blocked step or
+// a jump); Steps, FrameVisits and ThreadVisits are what coasting leaves, and
+// pi, nearly all static runs, must take at most 10,000 steps (64,680 when
+// every stage is stepped).
 func TestSchedulerCountersOnSeeds(t *testing.T) {
 	want := map[string][5]int64{ // Steps, FailedSteps, FrameVisits, ThreadVisits, Jumps
-		"gemm-naive":                 {137676, 18218, 137676, 135492, 5019},
-		"gemm-no-critical-sections":  {86706, 11074, 86706, 86426, 5853},
-		"gemm-partial-vectorization": {56712, 6680, 56712, 55408, 5019},
-		"gemm-blocked":               {49372, 1780, 49372, 47464, 232},
-		"gemm-double-buffering":      {49222, 1638, 49222, 45816, 106},
-		"pi":                         {64680, 896, 64680, 63864, 47},
+		"gemm-naive":                 {80643, 18218, 80643, 78459, 5019},
+		"gemm-no-critical-sections":  {44890, 11074, 44890, 44610, 5853},
+		"gemm-partial-vectorization": {29115, 6680, 29115, 27811, 5019},
+		"gemm-blocked":               {25770, 1780, 25770, 24482, 232},
+		"gemm-double-buffering":      {25700, 1638, 25700, 23909, 106},
+		"pi":                         {8483, 896, 8483, 7667, 47},
 	}
 	for _, u := range seedUnits(t, 16, 6400) {
 		r, err := Run(context.Background(), u.ck, u.args(), DefaultConfig())
@@ -551,6 +559,9 @@ func TestSchedulerCountersOnSeeds(t *testing.T) {
 		}
 		if idle := r.FrameVisits - r.Steps; idle*100 > r.FrameVisits {
 			t.Errorf("%s: %d of %d frame visits stepped nothing (more than 1 %%)", u.name, idle, r.FrameVisits)
+		}
+		if u.name == "pi" && r.Steps > 10_000 {
+			t.Errorf("pi: %d steps, want at most 10,000", r.Steps)
 		}
 	}
 }

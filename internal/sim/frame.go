@@ -119,18 +119,18 @@ func (e *engine) stepFrame(t *thread, f *frame) bool {
 	var s int32
 	if f.stage < 0 {
 		// Start an iteration: enter stage 0.
-		ok, stall, occ := true, false, false
+		ok, stall, until := true, false, int64(0)
 		if len(f.outstanding) > 0 && f.minWait <= 0 {
-			ok, stall, occ = e.canEnterSlow(t, f, 0)
+			ok, stall, until = e.canEnterSlow(t, f, 0)
 		} else if f.cg.Static[0] {
-			if o := f.occ[0]; o >= 0 && o != int32(t.id) {
-				ok, stall, occ = false, true, true
+			if until = e.slotHeld(t, f, 0); until != 0 {
+				ok, stall = false, true
 			}
 		}
 		if !ok {
-			e.blockFrame(t, f, stall, !occ)
-			if occ {
-				e.waitOcc(f, 0)
+			e.blockFrame(t, f, stall, until == 0)
+			if until != 0 {
+				e.waitOcc(f, 0, until)
 			}
 			return progress
 		}
@@ -172,18 +172,18 @@ func (e *engine) stepFrame(t *thread, f *frame) bool {
 			return true
 		}
 
-		ok, stall, occ := true, false, false
+		ok, stall, until := true, false, int64(0)
 		if len(f.outstanding) > 0 && s >= f.minWait {
-			ok, stall, occ = e.canEnterSlow(t, f, s)
+			ok, stall, until = e.canEnterSlow(t, f, s)
 		} else if f.cg.Static[s] {
-			if o := f.occ[s]; o >= 0 && o != int32(t.id) {
-				ok, stall, occ = false, true, true
+			if until = e.slotHeld(t, f, s); until != 0 {
+				ok, stall = false, true
 			}
 		}
 		if !ok {
-			e.blockFrame(t, f, stall, !occ)
-			if occ {
-				e.waitOcc(f, s)
+			e.blockFrame(t, f, stall, until == 0)
+			if until != 0 {
+				e.waitOcc(f, s, until)
 			}
 			return progress
 		}
@@ -219,7 +219,151 @@ func (e *engine) stepFrame(t *thread, f *frame) bool {
 			f.pendings = append(f.pendings, pending{pos: pos, kind: kind, retryAt: e.cycle + 1})
 		}
 	}
+	if cg.CoastTo[s]-s >= minCoast && f.minWait-s > minCoast && len(f.pendings) == 0 {
+		e.coast(t, f)
+	}
 	return true
+}
+
+// minCoast is the shortest run coast takes: for fewer stages the wake-heap
+// push and pop cost more than the steps they replace. Chosen by measuring
+// the seed workloads.
+const minCoast = 3
+
+// coastStamp records a coast through a static stage: the coasting thread
+// and the cycle its token would have entered the stage under per-cycle
+// stepping. It leaves the stage at at+1, in its thread's turn.
+type coastStamp struct {
+	tid int32
+	at  int64
+}
+
+// noStamp holds no slot at any cycle the engine steps.
+var noStamp = coastStamp{tid: -1, at: -2}
+
+// wake reads the stamp for thread tid asking at cycle now, as slotHeld
+// does: the slot is held if the coaster entered it this cycle and the asker
+// steps later, or entered it last cycle and the asker steps earlier. The
+// answer is the cycle freeOcc's wake would have stepped the asker at.
+func (st coastStamp) wake(now int64, tid int32) int64 {
+	switch {
+	case now == st.at && tid > st.tid:
+		return st.at + 1
+	case now == st.at+1 && tid < st.tid:
+		return st.at + 2
+	}
+	return 0
+}
+
+// coast lets a frame that has just entered stage s skip the steps of a run
+// of stages whose path is clear, when per-cycle stepping provably moves it
+// one stage per cycle: CoastTo[s] bounds the run statically, and coast
+// narrows it to stages below the frame's first VLO gate, to entries inside
+// the current sample window (their compute counts are added now), and to
+// the stages before any other token of the graph that could stop it. The
+// frame runs the closures of s+1..z now, holds the static slots of s..z-1
+// through stamps and z for real, and sleeps on one timed wake at the cycle
+// it steps out of z. Until then it ignores every other wake and the cycle
+// counts as progress (engine.nCoast), as its steps would have.
+func (e *engine) coast(t *thread, f *frame) {
+	s := f.stage
+	z := f.cg.CoastTo[s]
+	if z >= f.minWait {
+		z = f.minWait - 1
+	}
+	room := e.profNext - e.cycle
+	if room < minCoast {
+		return
+	}
+	if room < int64(z-s) {
+		z = s + int32(room)
+	}
+	if z-s < minCoast {
+		return
+	}
+	// A token standing in the run may stay there, so the run ends one stage
+	// before it. A coasting token ahead moves on one stage per cycle until
+	// it lands, as the frame will behind it, so only its landing stage
+	// counts (with one exception below). Tokens in static stages are found
+	// by their slots (a coasting one holds its landing slot); tokens in
+	// reordering stages are not tracked, so if the run has one (s itself,
+	// or the gate stage of a retired VLO) the graph's other frames are asked.
+	cg := f.cg
+	ask := !cg.Static[s]
+	for k := s + 1; k <= z; k++ {
+		if !cg.Static[k] {
+			ask = true
+		} else if f.occ[k] >= 0 {
+			z = k - 1
+			break
+		}
+	}
+	if ask {
+		n := len(e.threads)
+		for _, g := range e.frames[int(f.gi)*n : int(f.gi+1)*n] {
+			if g == nil || g == f || g.stage < s {
+				continue
+			}
+			switch p := g.virtualStage(e.cycle); {
+			case p == s:
+				return // it may overtake the coaster
+			case p == s+1 && g.t.id > t.id:
+				// It leaves s+1 in its thread's turn, after the frame's.
+				return
+			case p > s && g.stage <= z:
+				z = g.stage - 1
+			}
+		}
+	}
+	if z-s < minCoast {
+		return
+	}
+	for _, o := range f.outstanding {
+		if o.kind == vkBarrier && !o.done {
+			return // its release is retired by a step, which sets the thread state
+		}
+	}
+
+	for k := s + 1; k <= z; k++ {
+		st := &cg.Stages[k]
+		t.pendInt += int64(st.IntOps)
+		t.pendFp += int64(st.FpLanes)
+		if st.Eval != nil {
+			st.Eval(f.vals, &t.env)
+		}
+	}
+	// Nobody has stepped since the frame took slot s, so no frame waits on
+	// it and releasing it wakes nobody.
+	if f.holdsOcc {
+		f.holdsOcc = false
+		f.occ[s] = -1
+	}
+	tid, stamps := int32(t.id), e.stamps[f.gi]
+	for k := s; k < z; k++ {
+		if cg.Static[k] {
+			stamps[k] = coastStamp{tid: tid, at: e.cycle + int64(k-s)}
+		}
+	}
+	if cg.Static[z] {
+		f.occ[z] = tid
+		f.holdsOcc = true
+	}
+	f.stage = z
+	f.coasting = true
+	e.nCoast++
+	f.sleepUntil = e.cycle + int64(z-s) + 1
+	t.ready.del(int(f.ai))
+	e.pushWake(f.sleepUntil, f)
+}
+
+// virtualStage is where the frame's token stands at cycle now under
+// per-cycle stepping: its stage, or for a coasting frame the stage it
+// entered at now on the way to its landing stage.
+func (f *frame) virtualStage(now int64) int32 {
+	if f.coasting {
+		return f.stage - int32(f.sleepUntil-1-now)
+	}
+	return f.stage
 }
 
 // addOut registers a newly issued VLO on its frame, folding its gate
@@ -262,26 +406,40 @@ func (e *engine) fail(err error) {
 
 // canEnterSlow scans the outstanding list when an undone VLO may gate
 // stage s (the inlinable fast path above rules the scan out via minWait).
-func (e *engine) canEnterSlow(t *thread, f *frame, s int32) (ok, stall, occBlock bool) {
+// until is slotHeld's answer when the stage slot is what blocks.
+func (e *engine) canEnterSlow(t *thread, f *frame, s int32) (ok, stall bool, until int64) {
 	blocked := false
 	for _, o := range f.outstanding {
 		if !o.done && o.waitStage <= s {
 			blocked = true
 			if o.kind != vkChild {
-				return false, true, false
+				return false, true, 0
 			}
 		}
 	}
 	if blocked {
-		return false, false, false
+		return false, false, 0
 	}
 	if f.cg.Static[s] {
-		occ := f.occ[s]
-		if occ >= 0 && occ != int32(t.id) {
-			return false, true, true
+		if until := e.slotHeld(t, f, s); until != 0 {
+			return false, true, until
 		}
 	}
-	return true, false, false
+	return true, false, 0
+}
+
+// slotHeld reports whether static stage s is held against thread t: 0 when
+// it is free, math.MaxInt64 when a token holds it (freeOcc wakes the
+// waiter), or, when a coasting token would be in it under per-cycle
+// stepping, the cycle freeOcc's wake would have stepped the waiter at.
+func (e *engine) slotHeld(t *thread, f *frame, s int32) int64 {
+	if o := f.occ[s]; o >= 0 && o != int32(t.id) {
+		return math.MaxInt64
+	}
+	if e.nCoast > 0 {
+		return e.stamps[f.gi][s].wake(e.cycle, int32(t.id))
+	}
+	return 0
 }
 
 // drainBlock classifies a wait on the frame's remaining outstanding VLOs
@@ -336,13 +494,23 @@ func (e *engine) freeOccSlow(t *thread, f *frame) {
 	}
 }
 
-// waitOcc registers the blocked frame as a waiter on a held slot so
-// freeOcc can wake it; until then the frame sleeps (sleepFrame arms any
-// earlier timed wake, e.g. a speculative load retiring mid-wait).
-func (e *engine) waitOcc(f *frame, s int32) {
+// waitOcc sleeps a frame blocked on a held slot (sleepFrame arms any
+// earlier timed wake, e.g. a speculative load retiring mid-wait). A token's
+// hold is released by freeOcc, which wakes the frame registered here; a
+// coast stamp's hold ends at a known cycle (until), which becomes a timed
+// wake instead.
+func (e *engine) waitOcc(f *frame, s int32, until int64) {
 	e.sleepFrame(f, true)
 	if f.sleepUntil == 0 {
 		return // still ready: it steps again next cycle
+	}
+	if until < f.sleepUntil {
+		f.sleepUntil = until
+		e.pushWake(until, f)
+		return
+	}
+	if until != math.MaxInt64 {
+		return // its own timed wake comes no later than the stamp's
 	}
 	for _, w := range f.ow[s] {
 		if w == f {

@@ -125,11 +125,9 @@ var scheduleCases = []scheduleCase{
 	{name: "siblings-tight", src: siblingsSrc, period: 16, n: 192, bufs: []string{"A", "B", "C", "S"}},
 }
 
-// runScheduleCase simulates one case with profiling on and renders every
-// pinned field of the Result, one per line, followed by the trace digest.
-func runScheduleCase(t *testing.T, c scheduleCase) string {
-	t.Helper()
-	ck := compileSrc(t, c.src, nil)
+// args builds the case's launch arguments: n, and float buffers of n
+// words ("S" is one word) with a fixed pattern.
+func (c scheduleCase) args() Args {
 	args := Args{Ints: map[string]int64{"n": int64(c.n)}, Buffers: map[string]*Buffer{}}
 	for _, name := range c.bufs {
 		words := c.n
@@ -142,9 +140,23 @@ func runScheduleCase(t *testing.T, c scheduleCase) string {
 		}
 		args.Buffers[name] = NewFloatBuffer(fs)
 	}
+	return args
+}
+
+// config is fastConfig with the case's sample period.
+func (c scheduleCase) config() Config {
 	cfg := fastConfig()
 	cfg.Profile.SamplePeriod = c.period
-	r, err := Run(context.Background(), ck, args, cfg)
+	return cfg
+}
+
+// runScheduleCase simulates one case with profiling on and renders every
+// pinned field of the Result, one per line, followed by the trace digest.
+func runScheduleCase(t *testing.T, c scheduleCase) string {
+	t.Helper()
+	ck := compileSrc(t, c.src, nil)
+	args := c.args()
+	r, err := Run(context.Background(), ck, args, c.config())
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}

@@ -591,3 +591,36 @@ func TestSimStallHotspots(t *testing.T) {
 		t.Errorf("hotspot should be a loop, got %q", best)
 	}
 }
+
+// TestProfileFlushAllocatesNothing: once the first flush requests have
+// completed, later flushes reuse them, so a profiled run's flush traffic
+// does not allocate per flush.
+func TestProfileFlushAllocatesNothing(t *testing.T) {
+	ck := compileSrc(t, `
+void one(float* A) {
+  #pragma omp target parallel map(tofrom:A[0:4]) num_threads(1)
+  {
+    A[0] = 1.0f;
+  }
+}
+`, nil)
+	e, err := newEngine(ck, Args{Buffers: map[string]*Buffer{"A": NewZeroBuffer(4)}}, fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	flush := func() {
+		e.flushProfile(e.cycle, 256)
+		e.flushProfile(e.cycle, 512)
+		for e.dram.Busy() {
+			e.cycle++
+			e.dram.Tick(e.cycle)
+		}
+	}
+	flush()
+	if got := testing.AllocsPerRun(100, flush); got != 0 {
+		t.Errorf("%.1f allocations per two flushes, want 0", got)
+	}
+	if len(e.profReqs) != 2 {
+		t.Errorf("%d requests on the free list, want the 2 the flushes share", len(e.profReqs))
+	}
+}
