@@ -2,11 +2,10 @@ package mem
 
 import "testing"
 
-// BenchmarkDRAMTickSharded drives the sharded per-bank completion heaps
-// with a steady request stream striped across all banks, measuring the
-// accept/deliver hot path (push into a bank heap, top-key refresh, min
-// merge across banks on delivery).
-func BenchmarkDRAMTickSharded(b *testing.B) {
+// BenchmarkDRAMTick drives the DRAM with a steady read stream striped
+// across all banks, measuring the accept/deliver hot path (bank timing,
+// push onto the read FIFO, the read/write head merge on delivery).
+func BenchmarkDRAMTick(b *testing.B) {
 	cfg := DefaultDRAMConfig()
 	cfg.MaxPending = 64
 	d := NewDRAM(cfg)

@@ -94,61 +94,41 @@ type completion struct {
 	seq   int64
 }
 
-// bank is one interleaved DDR bank: its recovery deadline plus its own
-// completion min-heap, ordered by (cycle, seq). Sharding the single global
-// completion heap per bank keeps each heap tiny (sift depth ~1) and, being
-// concrete-typed with reused backing storage, costs zero allocations per
-// transaction — container/heap's Push(any)/Pop() boxed every completion.
-type bank struct {
-	free int64
-	heap []completion
+// before orders completions by (cycle, seq): the order they are delivered in.
+func (c *completion) before(o *completion) bool {
+	return c.cycle < o.cycle || (c.cycle == o.cycle && c.seq < o.seq)
 }
 
-func (b *bank) push(c completion) {
-	h := append(b.heap, c)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !completionLess(h[i], h[p]) {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	b.heap = h
+// fifo is a growable ring of completions, oldest first. Zero-valued it is
+// empty; it grows by doubling and reuses its storage, so a steady stream
+// of transactions allocates nothing.
+type fifo struct {
+	buf  []completion // len is zero or a power of two
+	head int
+	n    int
 }
 
-func (b *bank) pop() completion {
-	h := b.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = completion{} // drop req/value references
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
+func (q *fifo) push(c completion) {
+	if q.n == len(q.buf) {
+		buf := make([]completion, max(8, 2*len(q.buf)))
+		for i := range q.n {
+			buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 		}
-		if r := l + 1; r < n && completionLess(h[r], h[l]) {
-			l = r
-		}
-		if !completionLess(h[l], h[i]) {
-			break
-		}
-		h[i], h[l] = h[l], h[i]
-		i = l
+		q.buf, q.head = buf, 0
 	}
-	b.heap = h
-	return top
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = c
+	q.n++
 }
 
-func completionLess(a, b completion) bool {
-	if a.cycle != b.cycle {
-		return a.cycle < b.cycle
-	}
-	return a.seq < b.seq
+// front is the oldest completion; the queue must not be empty.
+func (q *fifo) front() *completion { return &q.buf[q.head] }
+
+func (q *fifo) pop() completion {
+	c := q.buf[q.head]
+	q.buf[q.head] = completion{} // drop req/value references
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return c
 }
 
 // DRAM is the external memory model.
@@ -163,23 +143,22 @@ type DRAM struct {
 	queue   []*Request
 	qhead   int
 	busFree int64
-	banks   []bank
+	// bankFree is each interleaved bank's recovery deadline: the cycle
+	// from which it can start another transfer.
+	bankFree []int64
 
-	seq       int64
-	inFlight  int
-	valuePool [][]uint32
-	// bkCycle/bkSeq cache each bank's top completion key (MaxInt64 when
-	// the bank heap is empty), so the cross-bank min merge scans two flat
-	// arrays instead of chasing every heap's top element.
-	bkCycle []int64
-	bkSeq   []int64
-	// beatShift/bankShift/bankMask are the power-of-two fast path for the
+	// reads and writes hold the accepted transactions in completion order
+	// (see Tick): both are FIFOs, merged by (cycle, seq) on delivery.
+	reads, writes fifo
+	seq           int64
+	inFlight      int
+	valuePool     [][]uint32
+	// beatShift/bankMask are the power-of-two fast path for the
 	// per-request beat count and bank index (-1 disables it).
 	beatShift int
 	bankMask  int
-	// nextComp caches the earliest completion cycle across all bank heaps
-	// (MaxInt64 when none), so the per-cycle Tick fast path is one compare
-	// instead of a scan of bank tops.
+	// nextComp caches the earliest completion cycle (MaxInt64 when none),
+	// so the per-cycle Tick fast path is one compare.
 	nextComp int64
 
 	listeners []AccessListener
@@ -205,16 +184,10 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	}
 	d := &DRAM{
 		cfg:       cfg,
-		banks:     make([]bank, cfg.Banks),
-		bkCycle:   make([]int64, cfg.Banks),
-		bkSeq:     make([]int64, cfg.Banks),
+		bankFree:  make([]int64, cfg.Banks),
 		nextComp:  math.MaxInt64,
 		beatShift: -1,
 		bankMask:  -1,
-	}
-	for i := range d.bkCycle {
-		d.bkCycle[i] = math.MaxInt64
-		d.bkSeq[i] = math.MaxInt64
 	}
 	if cfg.BeatBytes&(cfg.BeatBytes-1) == 0 {
 		d.beatShift = bits.TrailingZeros(uint(cfg.BeatBytes))
@@ -319,35 +292,6 @@ func (d *DRAM) Submit(r *Request) error {
 	return nil
 }
 
-// minBank returns the bank whose top completion is globally earliest by
-// (cycle, seq), or -1 when every bank heap is empty. The merge across bank
-// tops preserves the exact delivery order of the old single global heap;
-// it runs over the cached key arrays (seq values are unique, so the
-// (cycle, seq) order is total and empty banks, keyed MaxInt64/MaxInt64,
-// never win against a real completion).
-func (d *DRAM) minBank() int {
-	bi := -1
-	bc, bs := int64(math.MaxInt64), int64(math.MaxInt64)
-	for i, c := range d.bkCycle {
-		if c < bc || (c == bc && d.bkSeq[i] < bs) {
-			bc, bs, bi = c, d.bkSeq[i], i
-		}
-	}
-	if bc == math.MaxInt64 {
-		return -1
-	}
-	return bi
-}
-
-// refreshKey re-caches one bank's top completion key after a push or pop.
-func (d *DRAM) refreshKey(bi int) {
-	if h := d.banks[bi].heap; len(h) > 0 {
-		d.bkCycle[bi], d.bkSeq[bi] = h[0].cycle, h[0].seq
-	} else {
-		d.bkCycle[bi], d.bkSeq[bi] = math.MaxInt64, math.MaxInt64
-	}
-}
-
 // Pending reports whether Tick(cycle) would do any work: a completion is
 // due or a request is queued. It is small enough to inline, so per-cycle
 // callers can skip the Tick call entirely on idle cycles.
@@ -356,7 +300,17 @@ func (d *DRAM) Pending(cycle int64) bool {
 }
 
 // Tick advances the memory one cycle: accepts at most one queued request
-// (if the pending window allows) and delivers due completions.
+// (if the pending window allows) and delivers due completions. Successive
+// calls must never pass a smaller cycle.
+//
+// Completions leave in accept order within each direction, which is why
+// two FIFOs replace a priority queue. A read completes at its dataReady,
+// which starts no earlier than the bus frees, i.e. than the previous
+// transaction's dataReady, and lasts at least one beat: read completions
+// strictly increase in accept order. A posted write completes one cycle
+// after its accept, and accept cycles never decrease because Tick's cycle
+// never does. Merging the two FIFO heads by (cycle, seq) therefore
+// delivers exactly in (cycle, seq) order.
 func (d *DRAM) Tick(cycle int64) {
 	if d.nextComp <= cycle {
 		d.deliver(cycle)
@@ -367,20 +321,22 @@ func (d *DRAM) Tick(cycle int64) {
 }
 
 // deliver fires every completion due at or before cycle, in (cycle, seq)
-// order across banks, and recomputes the nextComp cache.
+// order, and recomputes the nextComp cache.
 func (d *DRAM) deliver(cycle int64) {
 	for {
-		bi := d.minBank()
-		if bi < 0 {
+		q := &d.reads
+		if d.writes.n > 0 && (q.n == 0 || d.writes.front().before(q.front())) {
+			q = &d.writes
+		}
+		if q.n == 0 {
 			d.nextComp = math.MaxInt64
-			break
+			return
 		}
-		if top := d.bkCycle[bi]; top > cycle {
-			d.nextComp = top
-			break
+		if at := q.front().cycle; at > cycle {
+			d.nextComp = at
+			return
 		}
-		c := d.banks[bi].pop()
-		d.refreshKey(bi)
+		c := q.pop()
 		d.inFlight--
 		if c.req.OnComplete != nil {
 			c.req.OnComplete(c.cycle, c.value)
@@ -443,23 +399,23 @@ func (d *DRAM) accept(cycle int64, r *Request) {
 	if d.busFree > start {
 		start = d.busFree
 	}
-	b := &d.banks[bank]
-	if b.free > start {
-		start = b.free
+	if f := d.bankFree[bank]; f > start {
+		start = f
 	}
 	dataReady := start + int64(beats)
 	d.busFree = dataReady
-	b.free = dataReady + int64(d.cfg.BankRecovery)
+	d.bankFree[bank] = dataReady + int64(d.cfg.BankRecovery)
 
+	d.seq++
+	d.inFlight++
 	done := dataReady
 	if r.Write {
 		// Posted write: the datapath's store completes at acceptance.
 		done = cycle + 1
+		d.writes.push(completion{cycle: done, req: r, seq: d.seq})
+	} else {
+		d.reads.push(completion{cycle: done, req: r, value: value, seq: d.seq})
 	}
-	d.seq++
-	d.inFlight++
-	b.push(completion{cycle: done, req: r, value: value, seq: d.seq})
-	d.refreshKey(bank)
 	if done < d.nextComp {
 		d.nextComp = done
 	}

@@ -93,13 +93,14 @@ func seedUnits(tb testing.TB, dim, piSteps int) []seedUnit {
 // workloads (five GEMM steps at DIM=32, pi at 25 600 steps), profiling on
 // as in a CLI run: simulated Mcycles per host second, host ns per frame
 // step, frames the scheduler examined per frame it stepped (1 when it
-// steps only what is due), and frame steps per thousand simulated cycles
-// (coasting lowers it).
+// steps only what is due), frame steps per thousand simulated cycles
+// (coasting lowers it), and the share of steps that changed nothing
+// (anticipated waits lower it).
 func BenchmarkEngineSeeds(b *testing.B) {
 	for _, u := range seedUnits(b, 32, 25600) {
 		b.Run(u.name, func(b *testing.B) {
 			cfg := DefaultConfig()
-			var cycles, steps, visits int64
+			var cycles, steps, failed, visits int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -109,12 +110,14 @@ func BenchmarkEngineSeeds(b *testing.B) {
 				}
 				cycles += r.Cycles
 				steps += r.Steps
+				failed += r.FailedSteps
 				visits += r.FrameVisits
 			}
 			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 			b.ReportMetric(float64(visits)/float64(steps), "visits/step")
 			b.ReportMetric(float64(steps)*1000/float64(cycles), "steps/kcycle")
+			b.ReportMetric(float64(failed)/float64(steps), "failed/step")
 		})
 	}
 }

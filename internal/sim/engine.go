@@ -60,6 +60,10 @@ type engine struct {
 	// occW[graph][stage]. freeOcc wakes and clears the slot's list, so
 	// occupancy-blocked frames need not poll every cycle.
 	occW [][][]*frame
+	// coastW lists, per static slot, the coasting frames whose landing
+	// stage is the one before it: they land plainly unless the slot's
+	// holder is found stuck first (turnWatchers); coastW[graph][stage].
+	coastW [][][]*frame
 	// stamps[graph][stage] is the last coast through each static stage (see
 	// coast); nCoast counts the frames coasting now. A stamp holds its slot
 	// only while its frame coasts, so with nCoast == 0 no stamp is read.
@@ -157,10 +161,11 @@ type pending struct {
 
 type frame struct {
 	cg *hw.CGraph
-	// occ / ow alias the engine's occupancy and occupancy-waiter rows for
-	// this graph.
+	// occ / ow / cw alias the engine's occupancy, occupancy-waiter and
+	// coast-watcher rows for this graph.
 	occ []int32
 	ow  [][]*frame
+	cw  [][]*frame
 	gi  int32
 	// t is the owning thread and ai the frame's index in t.active (and so
 	// in t.ready); both are set when the frame is activated.
@@ -169,13 +174,24 @@ type frame struct {
 	vals    []hw.Value
 	carries []hw.Value
 	// stage is the token position: -1 = about to start an iteration.
+	// stageAt is the cycle the token entered it (for a coasting frame, the
+	// cycle stepping would have entered its landing stage).
+	// stuckAt is the first cycle since then at which the token was found
+	// blocked in it (a failed step, or the cycle anticipate slept it as of);
+	// below stageAt while it has not been.
 	stage       int32
+	stageAt     int64
+	stuckAt     int64
 	outstanding []*outVLO
 	// minWait lower-bounds the waitStage of every undone outstanding VLO
 	// (stale-low is allowed: externally-completed entries keep it pinned
 	// until the next retire compaction recomputes it). canEnter skips the
 	// outstanding scan whenever the target stage is below it.
 	minWait int32
+	// timedUntil is the latest doneCycle of the outstanding timed VLOs, 0
+	// when there are none (exact after every step: the retire pass
+	// recomputes it).
+	timedUntil int64
 	// pendStalls accumulates stall cycles charged to this frame's site;
 	// flushed to the profiling unit at window boundaries and when the
 	// frame retires. Equivalent to per-charge AddStallsSite calls because
@@ -211,8 +227,9 @@ type frame struct {
 	// holdsOcc marks a token holding a static-stage occupancy slot, so the
 	// per-stage freeOcc call is one inlined branch in the common case.
 	holdsOcc bool
-	// coasting marks a frame asleep in coast until sleepUntil, when it
-	// lands; readyFrame ignores it until then.
+	// coasting marks a frame asleep in coast until it lands: at sleepUntil,
+	// or in its thread's turn of stageAt (engine.land); readyFrame ignores
+	// it until then.
 	coasting bool
 }
 
@@ -237,7 +254,10 @@ type thread struct {
 	// ready is the set of indices into active of the frames that step on
 	// the thread's next walk, in issue order. A frame leaves it when it
 	// goes to sleep or finishes and re-enters it through readyFrame.
-	ready    ordSet
+	ready ordSet
+	// landing lists the frames whose coast ends in the thread's next turn
+	// (engine.land).
+	landing  []*frame
 	extRead  bool
 	extWrite bool
 
@@ -315,12 +335,14 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 	// loop name into a map).
 	e.occ = make([][]int32, len(ck.Graphs))
 	e.occW = make([][][]*frame, len(ck.Graphs))
+	e.coastW = make([][][]*frame, len(ck.Graphs))
 	e.stamps = make([][]coastStamp, len(ck.Graphs))
 	depth := 0
 	for _, cg := range ck.Graphs {
 		depth += cg.Depth
 	}
 	stamps := make([]coastStamp, depth)
+	watch := make([][]*frame, depth)
 	for i := range stamps {
 		stamps[i] = noStamp
 	}
@@ -334,6 +356,7 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 			e.occ[gi][s] = -1
 		}
 		e.occW[gi] = make([][]*frame, cg.Depth)
+		e.coastW[gi], watch = watch[:cg.Depth:cg.Depth], watch[cg.Depth:]
 		e.stamps[gi], stamps = stamps[:cg.Depth:cg.Depth], stamps[cg.Depth:]
 		e.siteIDs[gi] = e.prof.SiteID(cg.Name)
 	}
@@ -660,6 +683,15 @@ func (e *engine) run(ctx context.Context) error {
 func (e *engine) stepDue() (progress bool) {
 	for id := e.due.next(0); id >= 0; id = e.due.next(id + 1) {
 		t := e.threads[id]
+		if len(t.landing) > 0 {
+			progress = true
+			if e.land(t) {
+				if t.ready.empty() {
+					e.due.del(id)
+				}
+				continue
+			}
+		}
 		e.threadVisits++
 		// Frames spawned during the walk are ready but sit past its end,
 		// so they step next cycle. A frame that blocks or finishes takes
@@ -684,6 +716,9 @@ func (e *engine) stepDue() (progress bool) {
 				break // usual case: the innermost loop, last in issue order
 			}
 		}
+		if len(t.landing) > 0 {
+			t.readyLanded()
+		}
 		if retired {
 			t.compact()
 		}
@@ -695,6 +730,42 @@ func (e *engine) stepDue() (progress bool) {
 		}
 	}
 	return progress
+}
+
+// land ends the coasts of the thread's frames that enter their landing
+// stage this cycle, at the start of its turn: stepping would have stepped
+// them into that stage in the turn, and no other frame of the thread can
+// change what anticipate then reads (their own VLOs, and slots and holders
+// of their graph, which only other threads' frames share). A landed frame
+// that anticipate leaves awake steps next cycle: it joins the ready set
+// after the walk (readyLanded). land reports whether the thread has nothing
+// else to step, in which case the walk is skipped and the landed frames are
+// readied at once.
+func (e *engine) land(t *thread) (only bool) {
+	for _, f := range t.landing {
+		f.coasting = false
+		e.nCoast--
+		f.sleepUntil = 0
+		if f.mayWait(e.cycle) {
+			e.anticipate(f)
+		}
+	}
+	if t.ready.empty() {
+		t.readyLanded()
+		return true
+	}
+	return false
+}
+
+// readyLanded puts the landed frames that stayed awake into the ready set.
+func (t *thread) readyLanded() {
+	for i, f := range t.landing {
+		if f.sleepUntil == 0 {
+			t.ready.add(int(f.ai))
+		}
+		t.landing[i] = nil
+	}
+	t.landing = t.landing[:0]
 }
 
 // compact drops finished frames from the active list and renumbers the
@@ -785,15 +856,23 @@ type timedWake struct {
 }
 
 // fireTimedWakes pops every heap entry that has come due and readies its
-// frame; a coasting frame lands. An entry is stale when its frame no longer
-// sleeps until exactly that cycle (an external wake got there first, or
-// the frame has since retired); dropping it changes nothing.
+// frame; a coasting frame lands, or is listed to land in its thread's turn.
+// An entry is stale when its frame no longer sleeps until exactly that
+// cycle (an external wake got there first, or the frame has since
+// retired); dropping it changes nothing.
 func (e *engine) fireTimedWakes() {
 	for len(e.wakes) > 0 && e.wakes[0].at <= e.cycle {
 		w := e.popWake()
 		if w.f.sleepUntil == w.at {
-			if w.f.coasting {
-				w.f.coasting = false
+			if f := w.f; f.coasting {
+				if w.at == f.stageAt {
+					// It lands in its thread's turn (stepDue), still
+					// coasting until then.
+					f.t.landing = append(f.t.landing, f)
+					e.due.add(f.t.id)
+					continue
+				}
+				f.coasting = false
 				e.nCoast--
 			}
 			e.readyFrame(w.f)
@@ -1002,11 +1081,13 @@ func (e *engine) frameFor(t *thread, gi int) *frame {
 		f.finished = false
 		f.sleepUntil = 0
 		f.sleepFrom = -1
+		f.stuckAt = -1
 		f.sleepStall = false
 		f.stalledNow = false
 		f.portSleep = false
 		f.holdsOcc = false
 		f.minWait = math.MaxInt32
+		f.timedUntil = 0
 		f.enterCycle = e.cycle
 		return f
 	}
@@ -1015,6 +1096,7 @@ func (e *engine) frameFor(t *thread, gi int) *frame {
 		cg:         cg,
 		occ:        e.occ[gi],
 		ow:         e.occW[gi],
+		cw:         e.coastW[gi],
 		gi:         int32(gi),
 		t:          t,
 		stage:      -1,

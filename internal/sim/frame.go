@@ -49,6 +49,7 @@ func (e *engine) stepFrame(t *thread, f *frame) bool {
 	if len(f.outstanding) > 0 {
 		keep := f.outstanding[:0]
 		mw := int32(math.MaxInt32)
+		tu := int64(0)
 		for _, o := range f.outstanding {
 			if !o.done {
 				switch o.kind {
@@ -56,6 +57,8 @@ func (e *engine) stepFrame(t *thread, f *frame) bool {
 					if o.doneCycle <= e.cycle {
 						o.done = true
 						progress = true
+					} else if o.doneCycle > tu {
+						tu = o.doneCycle
 					}
 				case vkBarrier:
 					if e.barrier.Generation() > o.barrierGen {
@@ -76,6 +79,7 @@ func (e *engine) stepFrame(t *thread, f *frame) bool {
 		}
 		f.outstanding = keep
 		f.minWait = mw
+		f.timedUntil = tu
 	}
 
 	// Retry pending VLO issues (busy ports, taken locks). The token sits
@@ -199,6 +203,7 @@ func (e *engine) stepFrame(t *thread, f *frame) bool {
 		f.holdsOcc = true
 	}
 	f.stage = s
+	f.stageAt = e.cycle
 	st := &cg.Stages[s]
 	t.pendInt += int64(st.IntOps)
 	t.pendFp += int64(st.FpLanes)
@@ -221,6 +226,79 @@ func (e *engine) stepFrame(t *thread, f *frame) bool {
 	}
 	if cg.CoastTo[s]-s >= minCoast && f.minWait-s > minCoast && len(f.pendings) == 0 {
 		e.coast(t, f)
+	}
+	if !f.coasting && f.mayWait(e.cycle) {
+		e.anticipate(f)
+	}
+	return true
+}
+
+// anticipate puts a frame that has just entered its stage, in its turn of
+// this cycle, to sleep when its next step must fail for a reason only an
+// event clears, so that it is not stepped just to find that out:
+//   - every pending issue waits for a memory port (wakePort readies it);
+//   - an undone DRAM or child VLO gates the next stage (wakePort,
+//     finishGraph);
+//   - the next stage is a static slot whose holder was already found stuck
+//     there (see stuck; freeOcc wakes the frame, registered as by waitOcc).
+//     A holder not known to be stuck tends to leave in its next step, where
+//     a failed step costs less than a sleep and a wake.
+//
+// Callers test mayWait first, which rules out CheckAt, the last stage and
+// a timed VLO the next step may retire. An undone barrier VLO also keeps
+// the frame awake: the step that retires it sets the thread state. Done
+// VLOs are ignored: a landing coaster still lists the ones that completed
+// while it coasted, which the step entering its landing stage would have
+// retired.
+//
+// The sleep starts now, as if the failed step had been taken, but without
+// its stall: settlement charges the cycles from the next one to the wake's
+// minus one, which are the failed step's stall plus the ones skipped after
+// it.
+func (e *engine) anticipate(f *frame) bool {
+	s := f.stage
+	gated, stall := false, false
+	for _, o := range f.outstanding {
+		switch {
+		case o.done || o.kind == vkTimed:
+			// retired by the step a stepping engine takes now (mayWait)
+		case o.kind == vkBarrier:
+			return false
+		case o.waitStage <= s+1:
+			gated = true
+			stall = stall || o.kind != vkChild
+		}
+	}
+	slot := false
+	if len(f.pendings) > 0 {
+		for _, p := range f.pendings {
+			if p.kind != pendPort {
+				return false
+			}
+		}
+		stall = true
+	} else if !gated {
+		h := f.occ[s+1]
+		if h < 0 || !e.frames[int(f.gi)*len(e.threads)+int(h)].stuck(e.cycle, int32(f.t.id)) {
+			return false
+		}
+		slot, stall = true, true
+	}
+	f.stuckAt = e.cycle
+	if f.holdsOcc {
+		e.turnWatchers(f)
+	}
+	f.stalledNow = stall
+	f.sleepUntil = math.MaxInt64
+	f.sleepFrom = e.cycle
+	f.sleepStall = stall
+	f.t.ready.del(int(f.ai))
+	if len(f.pendings) > 0 {
+		f.portSleep = true
+		e.nPortSleep++
+	}
+	if slot {
+		e.waitSlot(f, s+1)
 	}
 	return true
 }
@@ -262,9 +340,11 @@ func (st coastStamp) wake(now int64, tid int32) int64 {
 // the current sample window (their compute counts are added now), and to
 // the stages before any other token of the graph that could stop it. The
 // frame runs the closures of s+1..z now, holds the static slots of s..z-1
-// through stamps and z for real, and sleeps on one timed wake at the cycle
-// it steps out of z. Until then it ignores every other wake and the cycle
-// counts as progress (engine.nCoast), as its steps would have.
+// through stamps and z for real, and sleeps on one timed wake: at the cycle
+// it steps out of z, or, when anticipate might sleep it in z, at the cycle
+// it enters z, to land in its thread's turn (engine.land). Until then it
+// ignores every other wake and the cycle counts as progress
+// (engine.nCoast), as its steps would have.
 func (e *engine) coast(t *thread, f *frame) {
 	s := f.stage
 	z := f.cg.CoastTo[s]
@@ -318,9 +398,13 @@ func (e *engine) coast(t *thread, f *frame) {
 	if z-s < minCoast {
 		return
 	}
+	gated := false // z+1 by a DRAM or child VLO, which may sleep the frame on landing
 	for _, o := range f.outstanding {
-		if o.kind == vkBarrier && !o.done {
-			return // its release is retired by a step, which sets the thread state
+		if !o.done {
+			if o.kind == vkBarrier {
+				return // its release is retired by a step, which sets the thread state
+			}
+			gated = gated || o.kind != vkTimed && o.waitStage <= z+1
 		}
 	}
 
@@ -349,11 +433,54 @@ func (e *engine) coast(t *thread, f *frame) {
 		f.holdsOcc = true
 	}
 	f.stage = z
+	f.stageAt = e.cycle + int64(z-s)
 	f.coasting = true
 	e.nCoast++
-	f.sleepUntil = e.cycle + int64(z-s) + 1
+	// The frame lands in its turn of stageAt (engine.land) when anticipate
+	// might sleep it there (as mayWait would test then): no timed VLO is
+	// left to retire, and a DRAM or child VLO gates z+1 or a token holds z+1
+	// that is found stuck there by then. No token can take a free z+1 first
+	// (it would have to pass the frame), so a holder not stuck yet is
+	// watched: turnWatchers moves the landing to the turn if it gets stuck.
+	// Otherwise the frame just wakes to step at the next cycle, which takes
+	// no turn.
+	f.sleepUntil = f.stageAt + 1
+	if z != cg.CheckAt && int(z)+1 < cg.Depth && f.timedUntil <= f.stageAt {
+		if h := f.occ[z+1]; gated {
+			f.sleepUntil = f.stageAt
+		} else if h >= 0 {
+			if g := e.frames[int(f.gi)*len(e.threads)+int(h)]; g.stuckAt >= g.stageAt {
+				f.sleepUntil = f.stageAt
+			} else {
+				f.cw[z+1] = append(f.cw[z+1], f)
+			}
+		}
+	}
 	t.ready.del(int(f.ai))
 	e.pushWake(f.sleepUntil, f)
+}
+
+// mayWait is anticipate's inlined first test at cycle now: the next step
+// is a stage entry (not a loop exit or wrap), it retires no timed VLO (all
+// are done by now), and a pending issue, a VLO gate or a held slot (only
+// static stages are ever held) might stop it.
+func (f *frame) mayWait(now int64) bool {
+	s := f.stage + 1
+	if int(s) >= len(f.occ) || len(f.pendings) == 0 && f.minWait > s && f.occ[s] < 0 {
+		return false
+	}
+	return f.stage != f.cg.CheckAt && f.timedUntil <= now
+}
+
+// stuck reports whether a token holding its stage has been found blocked
+// there before the turn of thread tid at cycle now: it failed a step in the
+// stage, or anticipate slept it on entering, at stuckAt, which is before
+// now or at now in an earlier thread's turn. A coasting token is not stuck
+// in its landing stage before it lands (stuckAt stays below stageAt), nor
+// is its stepping twin, which has not entered that stage yet, so the answer
+// is stepping's.
+func (f *frame) stuck(now int64, tid int32) bool {
+	return f.stuckAt >= f.stageAt && (f.stuckAt < now || f.stuckAt == now && int32(f.t.id) < tid)
 }
 
 // virtualStage is where the frame's token stands at cycle now under
@@ -361,16 +488,20 @@ func (e *engine) coast(t *thread, f *frame) {
 // entered at now on the way to its landing stage.
 func (f *frame) virtualStage(now int64) int32 {
 	if f.coasting {
-		return f.stage - int32(f.sleepUntil-1-now)
+		return f.stage - int32(f.stageAt-now)
 	}
 	return f.stage
 }
 
 // addOut registers a newly issued VLO on its frame, folding its gate
-// stage into the minWait cache.
+// stage into the minWait cache and a timed one's completion into
+// timedUntil.
 func (f *frame) addOut(o *outVLO) {
 	if o.waitStage < f.minWait {
 		f.minWait = o.waitStage
+	}
+	if o.kind == vkTimed && o.doneCycle > f.timedUntil {
+		f.timedUntil = o.doneCycle
 	}
 	f.outstanding = append(f.outstanding, o)
 }
@@ -380,6 +511,12 @@ func (f *frame) addOut(o *outVLO) {
 // Occupancy blocks (canSleep=false) are slept separately by waitOcc, which
 // also registers the thread for a freeOcc wake.
 func (e *engine) blockFrame(t *thread, f *frame, stall, canSleep bool) {
+	if f.stuckAt < f.stageAt {
+		f.stuckAt = e.cycle
+		if f.holdsOcc {
+			e.turnWatchers(f)
+		}
+	}
 	if stall {
 		f.pendStalls++
 		f.stalledNow = true
@@ -466,6 +603,34 @@ func (e *engine) beginIteration(f *frame) {
 	}
 }
 
+// turnWatchers is called when the token holding its stage's slot is first
+// found stuck there. A coaster landing right behind it that stepping would
+// ask about it (stuck's rule, for the landing cycle and the coaster's
+// thread) now lands in its turn: by a timed wake, or, when it lands this
+// cycle in a later thread's turn, through its thread's landing list.
+func (e *engine) turnWatchers(h *frame) {
+	s := h.stage
+	w := h.cw[s]
+	if len(w) == 0 {
+		return
+	}
+	for i, g := range w {
+		if g.coasting && g.stage == s-1 && g.sleepUntil == g.stageAt+1 {
+			switch {
+			case e.cycle < g.stageAt:
+				g.sleepUntil = g.stageAt
+				e.pushWake(g.stageAt, g)
+			case e.cycle == g.stageAt && h.t.id < g.t.id:
+				g.sleepUntil = g.stageAt
+				g.t.landing = append(g.t.landing, g)
+				e.due.add(g.t.id)
+			}
+		}
+		w[i] = nil
+	}
+	h.cw[s] = w[:0]
+}
+
 // freeOcc releases the token's static-stage slot and wakes the frames
 // sleeping on it. freeOcc only runs on progress paths, so waiters later in
 // the thread order still step this cycle — exactly when per-cycle polling
@@ -492,6 +657,10 @@ func (e *engine) freeOccSlow(t *thread, f *frame) {
 		}
 		f.ow[s] = w[:0]
 	}
+	if w := f.cw[s]; len(w) > 0 {
+		clear(w) // the slot stays free for them: they land plainly
+		f.cw[s] = w[:0]
+	}
 }
 
 // waitOcc sleeps a frame blocked on a held slot (sleepFrame arms any
@@ -512,6 +681,11 @@ func (e *engine) waitOcc(f *frame, s int32, until int64) {
 	if until != math.MaxInt64 {
 		return // its own timed wake comes no later than the stamp's
 	}
+	e.waitSlot(f, s)
+}
+
+// waitSlot registers a sleeping frame for freeOcc's wake on slot s.
+func (e *engine) waitSlot(f *frame, s int32) {
 	for _, w := range f.ow[s] {
 		if w == f {
 			return

@@ -18,10 +18,11 @@ import (
 	"strings"
 	"testing"
 
+	"paravis/internal/hw"
 	"paravis/internal/paraver"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/schedule.golden")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // wide96Src runs more threads than one machine word has bits: a strided
 // update, a barrier, a neighbour read and a critical-section reduction.
@@ -150,8 +151,7 @@ func (c scheduleCase) config() Config {
 	return cfg
 }
 
-// runScheduleCase simulates one case with profiling on and renders every
-// pinned field of the Result, one per line, followed by the trace digest.
+// runScheduleCase simulates one case with profiling on and renders it.
 func runScheduleCase(t *testing.T, c scheduleCase) string {
 	t.Helper()
 	ck := compileSrc(t, c.src, nil)
@@ -162,9 +162,17 @@ func runScheduleCase(t *testing.T, c scheduleCase) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s (sample period %d, n %d)\n", c.name, c.period, c.n)
-	fmt.Fprintf(&b, "cycles %d\n", r.Cycles)
+	renderRun(t, &b, ck, args, c.bufs, r)
+	return b.String()
+}
+
+// renderRun writes every pinned field of a profiled run's Result, one per
+// line, then the named buffers' digests and the trace digest.
+func renderRun(t *testing.T, b *strings.Builder, ck *hw.CKernel, args Args, bufs []string, r *Result) {
+	t.Helper()
+	fmt.Fprintf(b, "cycles %d\n", r.Cycles)
 	for i := range r.ThreadStart {
-		fmt.Fprintf(&b, "thread %d start %d end %d stalls %d int %d fp %d\n",
+		fmt.Fprintf(b, "thread %d start %d end %d stalls %d int %d fp %d\n",
 			i, r.ThreadStart[i], r.ThreadEnd[i], r.Stalls[i], r.IntOps[i], r.FpOps[i])
 	}
 	writeSorted := func(label string, m map[string]int64) {
@@ -174,27 +182,26 @@ func runScheduleCase(t *testing.T, c scheduleCase) string {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(&b, "%s %s %d\n", label, k, m[k])
+			fmt.Fprintf(b, "%s %s %d\n", label, k, m[k])
 		}
 	}
 	writeSorted("stalls", r.StallsByLoop)
 	writeSorted("iters", r.ItersByLoop)
 	writeSorted("execs", r.ExecsByLoop)
 	writeSorted("active", r.ActiveByLoop)
-	fmt.Fprintf(&b, "dram %+v\n", r.DRAM)
-	fmt.Fprintf(&b, "bram words %d port stalls %d\n", r.BRAMWordsMoved, r.BRAMPortStalls)
-	fmt.Fprintf(&b, "locks %d contended %d\n", r.LockAcquisitions, r.LockContended)
-	fmt.Fprintf(&b, "transfer to %d from %d cycles %d\n", r.TransferToDevBytes, r.TransferFromDevBytes, r.TransferCycles)
-	for _, name := range c.bufs {
+	fmt.Fprintf(b, "dram %+v\n", r.DRAM)
+	fmt.Fprintf(b, "bram words %d port stalls %d\n", r.BRAMWordsMoved, r.BRAMPortStalls)
+	fmt.Fprintf(b, "locks %d contended %d\n", r.LockAcquisitions, r.LockContended)
+	fmt.Fprintf(b, "transfer to %d from %d cycles %d\n", r.TransferToDevBytes, r.TransferFromDevBytes, r.TransferCycles)
+	for _, name := range bufs {
 		sum := sha256.Sum256(wordBytes(args.Buffers[name].Words))
-		fmt.Fprintf(&b, "buffer %s sha256 %x\n", name, sum[:8])
+		fmt.Fprintf(b, "buffer %s sha256 %x\n", name, sum[:8])
 	}
 	var prv bytes.Buffer
 	if err := paraver.StreamOf(r.Prof, ck.K.Name, r.Cycles).WritePRV(&prv); err != nil {
-		t.Fatalf("%s: render: %v", c.name, err)
+		t.Fatalf("%s: render: %v", ck.K.Name, err)
 	}
-	fmt.Fprintf(&b, "prv bytes %d sha256 %x\n", prv.Len(), sha256.Sum256(prv.Bytes()))
-	return b.String()
+	fmt.Fprintf(b, "prv bytes %d sha256 %x\n", prv.Len(), sha256.Sum256(prv.Bytes()))
 }
 
 func wordBytes(ws []uint32) []byte {
@@ -210,12 +217,48 @@ func TestEngineScheduleGolden(t *testing.T) {
 	for _, c := range scheduleCases {
 		got.WriteString(runScheduleCase(t, c))
 	}
-	const path = "testdata/schedule.golden"
+	checkGolden(t, "testdata/schedule.golden", got.String())
+}
+
+// TestSeedScheduleGolden pins the six seed units at DIM=32 (pi at 25,600
+// steps) under a 24-cycle sample period, where window settlement and
+// fast-forward jumps meet the seeds' lock, DRAM and BRAM waits on almost
+// every window: the whole Result but the step and visit counters, and the
+// .prv digest. testdata/seeds.golden was written with -update by the
+// engine of the commit before waits were anticipated (a frame stepped to
+// find each of its waits); like schedule.golden it must never be
+// regenerated to make a scheduler change pass.
+func TestSeedScheduleGolden(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Profile.SamplePeriod = 24
+	var got strings.Builder
+	for _, u := range seedUnits(t, 32, 25600) {
+		args := u.args()
+		r, err := Run(context.Background(), u.ck, args, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", u.name, err)
+		}
+		fmt.Fprintf(&got, "== %s (sample period 24, DIM 32)\n", u.name)
+		var bufs []string
+		for name := range args.Buffers {
+			bufs = append(bufs, name)
+		}
+		sort.Strings(bufs)
+		renderRun(t, &got, u.ck, args, bufs, r)
+		fmt.Fprintf(&got, "scalars %v int %v jumps %d\n", r.ScalarsOut, r.ScalarsOutInt, r.Jumps)
+	}
+	checkGolden(t, "testdata/seeds.golden", got.String())
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -224,8 +267,8 @@ func TestEngineScheduleGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != string(want) {
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
 				t.Fatalf("line %d differs from %s:\n got  %s\n want %s", i+1, path, gl[i], wl[i])

@@ -136,10 +136,11 @@ type Result struct {
 	// Steps .. Jumps count the scheduler's own work, deterministically, so
 	// a test can tell an engine that steps only what is due from one that
 	// polls: Steps is stepFrame calls and FailedSteps those that changed no
-	// state (a stage a coasting frame passes without a step is not one);
-	// FrameVisits is frames the per-thread walks examined (they see ready
-	// frames only, so it equals Steps) and ThreadVisits the walks; Jumps is
-	// fast-forwards over idle cycles. They describe the simulator, not the
+	// state. A stage a coasting frame passes is not a step, and a wait a
+	// frame sleeps through from the step that reached it (anticipated) is
+	// not a failed step. FrameVisits is frames the per-thread walks examined
+	// (they see ready frames only, so it equals Steps) and ThreadVisits the
+	// walks (at most FrameVisits); Jumps is fast-forwards over idle cycles. They describe the simulator, not the
 	// simulated hardware, and appear in no summary or report.
 	Steps, FailedSteps, FrameVisits, ThreadVisits, Jumps int64
 }
