@@ -201,6 +201,29 @@ func TestOneIntervalLattice(t *testing.T) {
 	})
 }
 
+// TestOneMachineModel keeps every static model of the simulated machine
+// on sim.Config: it fails on any struct outside internal/sim (and outside
+// the benchmark module) that declares a BRAMLatency, SpinRetry or
+// ThreadStart field, the mark of a private copy of the machine's
+// configuration.
+func TestOneMachineModel(t *testing.T) {
+	simOnly := map[string]bool{"BRAMLatency": true, "SpinRetry": true, "ThreadStart": true}
+	eachSourceFile(t, filepath.Join("internal", "sim"), func(fset *token.FileSet, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						if simOnly[name.Name] {
+							t.Errorf("%s: field %s copies the simulated machine's configuration; embed or pass sim.Config", fset.Position(name.Pos()), name.Name)
+						}
+					}
+				}
+			}
+			return true
+		})
+	})
+}
+
 // eachSourceFile parses every non-test Go file of the module outside
 // skip, the benchmark module and hidden directories, and hands it to fn.
 func eachSourceFile(t *testing.T, skip string, fn func(*token.FileSet, *ast.File)) {

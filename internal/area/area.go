@@ -89,6 +89,9 @@ func DefaultCoefficients() Coefficients {
 	}
 }
 
+// coeffs is the cost model every estimate uses.
+var coeffs = DefaultCoefficients()
+
 // Report is an estimated hardware footprint.
 type Report struct {
 	ALMs      int
@@ -128,8 +131,11 @@ func (o OverheadReport) FmaxDeltaMHz() float64 {
 }
 
 // Estimate computes the footprint of a scheduled kernel. profCfg describes
-// the profiling unit; pass Enabled=false for the baseline design.
-func Estimate(k *ir.Kernel, s *schedule.Schedule, profCfg profile.Config, c Coefficients) Report {
+// the profiling unit, read through profile.Config.WithDefaults as the
+// unit reads it; pass Enabled=false for the baseline design.
+func Estimate(k *ir.Kernel, s *schedule.Schedule, profCfg profile.Config) Report {
+	c := &coeffs
+	profCfg = profCfg.WithDefaults()
 	var r Report
 	threads := k.NumThreads
 
@@ -157,13 +163,12 @@ func Estimate(k *ir.Kernel, s *schedule.Schedule, profCfg profile.Config, c Coef
 	snooped += 2 * threads
 
 	if profCfg.Enabled {
-		// State tracking: 2 bits per thread plus record assembly.
-		stateBits := 2*threads + 32
-		r.Registers += 2*threads + stateBits
+		// State tracking: each thread's state plus record assembly.
+		r.Registers += profile.StateBits*threads + profile.StateRecordBits(threads)
 		r.ALMs += c.LogicALM * threads // change detectors
 
-		// Five event counters per thread (stalls, int, fp, read, write).
-		counters := 5 * threads
+		// The event counters of every thread.
+		counters := profile.EventCounters * threads
 		r.ALMs += counters * c.ProfCounterALM
 		r.Registers += counters * c.ProfCounterReg
 
@@ -173,10 +178,7 @@ func Estimate(k *ir.Kernel, s *schedule.Schedule, profCfg profile.Config, c Coef
 
 		// On-chip buffers.
 		lines := profCfg.StateBufferLines + profCfg.EventBufferLines
-		if lines <= 0 {
-			lines = 128
-		}
-		r.BRAMBits += int64(lines) * 512
+		r.BRAMBits += int64(lines) * profile.LineBits
 	}
 
 	logicSize := float64(r.ALMs + r.Registers)
@@ -192,7 +194,7 @@ func Estimate(k *ir.Kernel, s *schedule.Schedule, profCfg profile.Config, c Coef
 
 // addGraph accumulates one dataflow graph's operators, pipeline registers
 // and controller.
-func (r *Report) addGraph(g *ir.Graph, gs *schedule.GraphSched, threads int, c Coefficients) {
+func (r *Report) addGraph(g *ir.Graph, gs *schedule.GraphSched, threads int, c *Coefficients) {
 	// Last consumer stage per node, for pipeline-balancing registers.
 	lastUse := map[*ir.Node]int{}
 	note := func(dep *ir.Node, at int) {
@@ -306,14 +308,14 @@ func (r *Report) addGraph(g *ir.Graph, gs *schedule.GraphSched, threads int, c C
 }
 
 // Overhead estimates the design with and without profiling.
-func Overhead(k *ir.Kernel, s *schedule.Schedule, profCfg profile.Config, c Coefficients) OverheadReport {
+func Overhead(k *ir.Kernel, s *schedule.Schedule, profCfg profile.Config) OverheadReport {
 	off := profCfg
 	off.Enabled = false
 	on := profCfg
 	on.Enabled = true
 	return OverheadReport{
-		Without: Estimate(k, s, off, c),
-		With:    Estimate(k, s, on, c),
+		Without: Estimate(k, s, off),
+		With:    Estimate(k, s, on),
 	}
 }
 

@@ -30,7 +30,7 @@ func buildSched(t testing.TB, src string, defines map[string]string) (*ir.Kernel
 
 func TestEstimateBasicProperties(t *testing.T) {
 	k, s := buildSched(t, workloads.GEMMSource(workloads.GEMMNaive), workloads.GEMMDefines(workloads.GEMMNaive))
-	r := Estimate(k, s, profile.Config{Enabled: false}, DefaultCoefficients())
+	r := Estimate(k, s, profile.Config{Enabled: false})
 	if r.ALMs <= 0 || r.Registers <= 0 {
 		t.Fatalf("degenerate report %+v", r)
 	}
@@ -49,7 +49,7 @@ func TestOverheadInPaperRange(t *testing.T) {
 	var regPcts, almPcts []float64
 	for _, v := range workloads.AllGEMMVersions {
 		k, s := buildSched(t, workloads.GEMMSource(v), workloads.GEMMDefines(v))
-		o := Overhead(k, s, profile.DefaultConfig(), DefaultCoefficients())
+		o := Overhead(k, s, profile.DefaultConfig())
 		reg, alm, df := o.RegisterPct(), o.ALMPct(), o.FmaxDeltaMHz()
 		t.Logf("%-22s regs +%.2f%%  ALMs +%.2f%%  Fmax -%.1f MHz (base %.0f)",
 			v, reg, alm, df, o.Without.FmaxMHz)
@@ -76,7 +76,7 @@ func TestOverheadInPaperRange(t *testing.T) {
 
 	// Pi (§V-B study 2): smaller overhead (1.3% regs, 1.5% ALMs, -1 MHz).
 	k, s := buildSched(t, workloads.PiSource, workloads.PiDefines())
-	o := Overhead(k, s, profile.DefaultConfig(), DefaultCoefficients())
+	o := Overhead(k, s, profile.DefaultConfig())
 	t.Logf("pi: regs +%.2f%% ALMs +%.2f%% Fmax -%.1f MHz", o.RegisterPct(), o.ALMPct(), o.FmaxDeltaMHz())
 	if o.RegisterPct() > 6 || o.ALMPct() > 6 {
 		t.Errorf("pi overhead too large: %+v", o)
@@ -85,7 +85,7 @@ func TestOverheadInPaperRange(t *testing.T) {
 
 func TestProfilingAlwaysCostsSomething(t *testing.T) {
 	k, s := buildSched(t, workloads.PiSource, workloads.PiDefines())
-	o := Overhead(k, s, profile.DefaultConfig(), DefaultCoefficients())
+	o := Overhead(k, s, profile.DefaultConfig())
 	if o.With.ALMs <= o.Without.ALMs {
 		t.Error("profiling added no ALMs")
 	}
@@ -106,8 +106,8 @@ func TestBiggerBuffersCostMoreBRAM(t *testing.T) {
 	small.StateBufferLines, small.EventBufferLines = 8, 8
 	big := profile.DefaultConfig()
 	big.StateBufferLines, big.EventBufferLines = 256, 256
-	rs := Estimate(k, s, small, DefaultCoefficients())
-	rb := Estimate(k, s, big, DefaultCoefficients())
+	rs := Estimate(k, s, small)
+	rb := Estimate(k, s, big)
 	if rb.BRAMBits <= rs.BRAMBits {
 		t.Errorf("buffer scaling broken: %d vs %d", rs.BRAMBits, rb.BRAMBits)
 	}
@@ -117,8 +117,8 @@ func TestMoreComplexDesignIsBigger(t *testing.T) {
 	kn, sn := buildSched(t, workloads.GEMMSource(workloads.GEMMNaive), workloads.GEMMDefines(workloads.GEMMNaive))
 	kb, sb := buildSched(t, workloads.GEMMSource(workloads.GEMMDoubleBuffered), workloads.GEMMDefines(workloads.GEMMDoubleBuffered))
 	off := profile.Config{Enabled: false}
-	rn := Estimate(kn, sn, off, DefaultCoefficients())
-	rb := Estimate(kb, sb, off, DefaultCoefficients())
+	rn := Estimate(kn, sn, off)
+	rb := Estimate(kb, sb, off)
 	if rb.ALMs <= rn.ALMs {
 		t.Errorf("double-buffered (%d ALMs) not bigger than naive (%d)", rb.ALMs, rn.ALMs)
 	}
@@ -141,8 +141,8 @@ func TestGeoMean(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	k, s := buildSched(t, workloads.GEMMSource(workloads.GEMMBlocked), workloads.GEMMDefines(workloads.GEMMBlocked))
-	r1 := Estimate(k, s, profile.DefaultConfig(), DefaultCoefficients())
-	r2 := Estimate(k, s, profile.DefaultConfig(), DefaultCoefficients())
+	r1 := Estimate(k, s, profile.DefaultConfig())
+	r2 := Estimate(k, s, profile.DefaultConfig())
 	if r1 != r2 {
 		t.Errorf("estimates differ: %+v vs %+v", r1, r2)
 	}

@@ -233,14 +233,9 @@ func vetError(name string, p *core.Program) *staticcheck.Diagnostic {
 }
 
 // bracket runs the static first-tier cost model: perfbound with absint
-// trip hints, configured to mirror the simulator's machine model.
+// trip hints, over the machine the search simulates.
 func bracket(p *core.Program, params map[string]int64, simCfg sim.Config) perfbound.CycleBounds {
-	cfg := perfbound.DefaultConfig()
-	cfg.DRAM = simCfg.DRAM
-	cfg.BRAMLatency = simCfg.BRAMLatency
-	cfg.SpinRetry = simCfg.SpinRetry
-	cfg.ThreadStart = simCfg.ThreadStart
-	cfg.Profile = simCfg.Profile
+	cfg := perfbound.Config{Config: simCfg}
 	if ai := absint.Analyze(p.Fn, absint.Options{Env: params}); ai.OK {
 		cfg.TripHints = ai.TripHints()
 	}

@@ -78,16 +78,11 @@ func Key(src string, opts BuildOptions) string {
 		writeStr(opts.Defines[k])
 	}
 	writeStr(fmt.Sprint(opts.VectorLanes))
-	scfg := schedule.DefaultConfig()
-	if opts.Schedule != nil {
-		scfg = *opts.Schedule
-	}
-	writeStr(fmt.Sprintf("%+v", scfg))
-	coeffs := area.DefaultCoefficients()
-	if opts.Area != nil {
-		coeffs = *opts.Area
-	}
-	writeStr(fmt.Sprintf("%+v", coeffs))
+	// The schedule latencies and the area cost model are fixed, but their
+	// printed forms stay in the key so digests (and artifact stores)
+	// written by builds that could override them remain valid.
+	writeStr(fmt.Sprintf("%+v", schedule.DefaultConfig()))
+	writeStr(fmt.Sprintf("%+v", area.DefaultCoefficients()))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -97,6 +97,16 @@ func TestCacheKeyCanonical(t *testing.T) {
 	}
 }
 
+// TestKeyIsStable pins the content address of a default build: compile,
+// run and optimize digests derive from it, so a change here would orphan
+// every artifact store an older build wrote.
+func TestKeyIsStable(t *testing.T) {
+	const want = "21162fc68274927499c4d33de3c9fa765756859b6821c9a9e8c36cca32357672"
+	if got := Key("void f() {}", BuildOptions{}); got != want {
+		t.Errorf("Key = %s, want %s", got, want)
+	}
+}
+
 func TestCacheCompileErrorsAreCached(t *testing.T) {
 	c := NewCache()
 	_, _, err1 := c.Build(context.Background(), "void f() { int x = ; }", BuildOptions{})

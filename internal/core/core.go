@@ -31,10 +31,6 @@ type BuildOptions struct {
 	// VectorLanes overrides the VECTOR width (default: VECTOR_LEN define
 	// or 4).
 	VectorLanes int
-	// Schedule overrides operator latencies (default: DefaultConfig).
-	Schedule *schedule.Config
-	// Area overrides the hardware cost model coefficients.
-	Area *area.Coefficients
 }
 
 // Program is a compiled accelerator plus everything needed to simulate,
@@ -47,7 +43,6 @@ type Program struct {
 	Kernel *ir.Kernel
 	Sched  *schedule.Schedule
 	CK     *hw.CKernel
-	coeffs area.Coefficients
 }
 
 // Build compiles MiniC source through the full flow: parse, semantic
@@ -91,11 +86,7 @@ func BuildAST(ctx context.Context, src string, prog *minic.Program, opts BuildOp
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: build canceled: %w", err)
 	}
-	scfg := schedule.DefaultConfig()
-	if opts.Schedule != nil {
-		scfg = *opts.Schedule
-	}
-	s, err := schedule.Build(k, scfg)
+	s, err := schedule.Build(k, schedule.DefaultConfig())
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -106,10 +97,6 @@ func BuildAST(ctx context.Context, src string, prog *minic.Program, opts BuildOp
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	coeffs := area.DefaultCoefficients()
-	if opts.Area != nil {
-		coeffs = *opts.Area
-	}
 	return &Program{
 		Source: src,
 		AST:    prog,
@@ -118,7 +105,6 @@ func BuildAST(ctx context.Context, src string, prog *minic.Program, opts BuildOp
 		Kernel: k,
 		Sched:  s,
 		CK:     ck,
-		coeffs: coeffs,
 	}, nil
 }
 
@@ -162,7 +148,7 @@ func (p *Program) Run(ctx context.Context, args sim.Args, cfg sim.Config) (*RunO
 		return nil, err
 	}
 	out := &RunOutput{Result: res}
-	out.Area = area.Estimate(p.Kernel, p.Sched, cfg.Profile, p.coeffs)
+	out.Area = area.Estimate(p.Kernel, p.Sched, cfg.Profile)
 	out.FmaxMHz = out.Area.FmaxMHz
 	if res.Prof != nil {
 		out.Streams = paraver.StreamOf(res.Prof, p.Kernel.Name, res.Cycles)
@@ -173,7 +159,7 @@ func (p *Program) Run(ctx context.Context, args sim.Args, cfg sim.Config) (*RunO
 // AreaOverhead reproduces the paper's overhead study for this design: the
 // footprint with and without the profiling infrastructure.
 func (p *Program) AreaOverhead(profCfg profile.Config) area.OverheadReport {
-	return area.Overhead(p.Kernel, p.Sched, profCfg, p.coeffs)
+	return area.Overhead(p.Kernel, p.Sched, profCfg)
 }
 
 // Call runs the containing MiniC function end-to-end: host statements

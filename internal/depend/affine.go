@@ -76,11 +76,8 @@ func (a aff) mul(b aff) aff {
 	}
 	if len(b.coef) == 0 {
 		r := aff{ok: true, base: a.base.mul(b.base)}
-		if len(a.coef) > 0 {
-			r.coef = make(map[*loopInfo]poly, len(a.coef))
-			for l, p := range a.coef {
-				r.coef[l] = p.mul(b.base)
-			}
+		for l, p := range a.coef {
+			r = r.setCoef(l, p.mul(b.base))
 		}
 		return r
 	}

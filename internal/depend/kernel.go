@@ -78,85 +78,23 @@ func AnalyzeKernel(k *ir.Kernel, env map[string]int64, lat func(*ir.Node) int) *
 	return kd
 }
 
-// graff is an affine form in one graph's iteration counter t:
-// base + slope*t, with polynomial coefficients over the runtime
-// parameters (and opaque per-graph symbols for live-ins and carry
-// seeds, which cancel in same-graph differences).
-type graff struct {
-	ok    bool
-	base  poly
-	slope poly
-}
-
-func gBottom() graff            { return graff{} }
-func gPoly(p poly) graff        { return graff{ok: true, base: p} }
-func gConst(c int64) graff      { return gPoly(polyConst(c)) }
-func (a graff) invariant() bool { return a.ok && a.slope.isZero() }
-
-func (a graff) add(b graff) graff {
-	if !a.ok || !b.ok {
-		return gBottom()
-	}
-	return graff{ok: true, base: a.base.add(b.base), slope: a.slope.add(b.slope)}
-}
-
-func (a graff) sub(b graff) graff {
-	if !a.ok || !b.ok {
-		return gBottom()
-	}
-	return graff{ok: true, base: a.base.sub(b.base), slope: a.slope.sub(b.slope)}
-}
-
-func (a graff) mul(b graff) graff {
-	if !a.ok || !b.ok {
-		return gBottom()
-	}
-	switch {
-	case b.invariant():
-		return graff{ok: true, base: a.base.mul(b.base), slope: a.slope.mul(b.base)}
-	case a.invariant():
-		return graff{ok: true, base: b.base.mul(a.base), slope: b.slope.mul(a.base)}
-	}
-	return gBottom()
-}
-
-// divMod mirrors aff.divMod: exact only when slope and the non-constant
-// base monomials are divisible by m.
-func (a graff) divMod(m int64, mod bool) graff {
-	if !a.ok || m <= 0 || !a.slope.divisibleBy(m) {
-		return gBottom()
-	}
-	base := a.base.clone()
-	c := base[""]
-	delete(base, "")
-	if !base.divisibleBy(m) {
-		return gBottom()
-	}
-	r := c % m
-	if r < 0 {
-		r += m
-	}
-	if mod {
-		return gConst(r)
-	}
-	out := graff{ok: true, base: base.divInt(m), slope: a.slope.divInt(m)}
-	out.base[""] += (c - r) / m
-	if out.base[""] == 0 {
-		delete(out.base, "")
-	}
-	return out
-}
+// graphIter is the one loop key of the IR pass's affine forms: a
+// graph's iteration counter t, so a form is base + coef[graphIter]*t
+// with polynomial coefficients over the runtime parameters (and opaque
+// per-graph symbols for live-ins and carry seeds, which cancel in
+// same-graph differences).
+var graphIter = &loopInfo{name: "t"}
 
 type gEval struct {
 	g     *ir.Graph
 	k     *ir.Kernel
 	env   map[string]int64
 	steps map[int]poly // induction carries: per-iteration increment
-	memo  map[*ir.Node]graff
+	memo  map[*ir.Node]aff
 }
 
 func analyzeGraph(g *ir.Graph, k *ir.Kernel, env map[string]int64, lat func(*ir.Node) int, cs *cycleScratch) *GraphDeps {
-	ev := &gEval{g: g, k: k, env: env, memo: make(map[*ir.Node]graff)}
+	ev := &gEval{g: g, k: k, env: env, memo: make(map[*ir.Node]aff)}
 	ev.findInductions()
 	gd := &GraphDeps{}
 
@@ -176,7 +114,8 @@ func analyzeGraph(g *ir.Graph, k *ir.Kernel, env map[string]int64, lat func(*ir.
 	}
 	for _, st := range stores {
 		sa := ev.eval(st.Args[0])
-		if !sa.ok || sa.slope.isZero() {
+		slope := sa.coefOf(graphIter)
+		if !sa.ok || slope.isZero() {
 			continue
 		}
 		for _, ld := range loads {
@@ -184,12 +123,12 @@ func analyzeGraph(g *ir.Graph, k *ir.Kernel, env map[string]int64, lat func(*ir.
 				continue
 			}
 			la := ev.eval(ld.Args[0])
-			if !la.ok || !la.slope.equal(sa.slope) {
+			if !la.ok || !la.coefOf(graphIter).equal(slope) {
 				continue
 			}
 			// store(t) and load(t+d) touch the same element when
 			// base_S - base_L == d * slope exactly.
-			d, ok := sa.base.sub(la.base).constMultipleOf(sa.slope)
+			d, ok := sa.base.sub(la.base).constMultipleOf(slope)
 			if !ok || d < 1 {
 				continue
 			}
@@ -247,7 +186,7 @@ func (ev *gEval) findInductions() {
 			continue
 		}
 		s := ev.eval(stepArg)
-		if !s.invariant() || s.base.isZero() {
+		if !s.isInvariant() || s.base.isZero() {
 			continue
 		}
 		step := s.base
@@ -274,9 +213,9 @@ func readsAnyCarry(n *ir.Node, seen map[*ir.Node]bool) bool {
 	return false
 }
 
-func (ev *gEval) eval(n *ir.Node) graff {
+func (ev *gEval) eval(n *ir.Node) aff {
 	if n == nil {
-		return gBottom()
+		return affBottom()
 	}
 	if v, ok := ev.memo[n]; ok {
 		return v
@@ -286,31 +225,31 @@ func (ev *gEval) eval(n *ir.Node) graff {
 	return v
 }
 
-func (ev *gEval) evalRaw(n *ir.Node) graff {
+func (ev *gEval) evalRaw(n *ir.Node) aff {
 	switch n.Op {
 	case ir.OpConstInt:
-		return gConst(n.IVal)
+		return affConst(n.IVal)
 	case ir.OpParam:
 		if ev.env != nil {
 			if c, ok := ev.env[n.Name]; ok {
-				return gConst(c)
+				return affConst(c)
 			}
 		}
-		return gPoly(polySym(n.Name))
+		return affPoly(polySym(n.Name))
 	case ir.OpThreadID:
-		return gPoly(polySym(tidSym))
+		return affPoly(polySym(tidSym))
 	case ir.OpNumThreads:
-		return gConst(int64(ev.k.NumThreads))
+		return affConst(int64(ev.k.NumThreads))
 	case ir.OpLiveIn:
 		// Loop-invariant by construction; the symbol cancels whenever two
 		// accesses share it.
-		return gPoly(polySym("~li" + itoa(int64(n.Idx))))
+		return affPoly(polySym("~li" + itoa(int64(n.Idx))))
 	case ir.OpCarry:
 		step, ok := ev.steps[n.Idx]
 		if !ok {
-			return gBottom()
+			return affBottom()
 		}
-		return graff{ok: true, base: polySym("~c" + itoa(int64(n.Idx))), slope: step.clone()}
+		return affPoly(polySym("~c"+itoa(int64(n.Idx)))).setCoef(graphIter, step)
 	case ir.OpAdd:
 		return ev.eval(n.Args[0]).add(ev.eval(n.Args[1]))
 	case ir.OpSub:
@@ -318,14 +257,13 @@ func (ev *gEval) evalRaw(n *ir.Node) graff {
 	case ir.OpMul:
 		return ev.eval(n.Args[0]).mul(ev.eval(n.Args[1]))
 	case ir.OpDiv, ir.OpRem:
-		c := ev.eval(n.Args[1])
-		m, ok := c.base.constVal()
-		if !c.invariant() || !ok || m <= 0 {
-			return gBottom()
+		m, ok := ev.eval(n.Args[1]).constVal()
+		if !ok || m <= 0 {
+			return affBottom()
 		}
 		return ev.eval(n.Args[0]).divMod(m, n.Op == ir.OpRem)
 	}
-	return gBottom()
+	return affBottom()
 }
 
 // cycleScratch holds carryCycle's path state in dense slices, indexed

@@ -79,8 +79,8 @@ func loopVerdict(ld *depend.LoopDeps) string {
 // dependRows joins the three views of one workload — AST dependence
 // report, scheduled-IR recurrence floors, and the simulator's per-loop
 // iteration counters — by loop name.
-func dependRows(name string, p *core.Program, env map[string]int64, pcfg perfbound.Config, r *sim.Result) []*DependLoopRow {
-	rep := perfbound.Analyze(p.Kernel, p.Sched, env, pcfg)
+func dependRows(name string, p *core.Program, env map[string]int64, cfg sim.Config, r *sim.Result) []*DependLoopRow {
+	rep := perfbound.Analyze(p.Kernel, p.Sched, env, perfbound.Config{Config: cfg})
 	ast := depend.Analyze(p.Fn, env)
 	var rows []*DependLoopRow
 	for _, l := range rep.Loops {
@@ -110,7 +110,6 @@ func dependRows(name string, p *core.Program, env map[string]int64, pcfg perfbou
 // actually iterated, the measured II must sit at or above the statically
 // proven recurrence floor.
 func RunDepend(ctx context.Context, opts Options) (*DependResult, error) {
-	pcfg := boundConfig(opts.SimCfg)
 	res := &DependResult{}
 	for _, v := range workloads.AllGEMMVersions {
 		p, err := buildGEMM(ctx, v, opts.Threads)
@@ -122,7 +121,7 @@ func RunDepend(ctx context.Context, opts Options) (*DependResult, error) {
 			return nil, err
 		}
 		env := map[string]int64{"DIM": int64(opts.GEMMDim)}
-		res.Rows = append(res.Rows, dependRows(workloads.UnitName(v), p, env, pcfg, run.Out.Result)...)
+		res.Rows = append(res.Rows, dependRows(workloads.UnitName(v), p, env, opts.SimCfg, run.Out.Result)...)
 	}
 	p, err := buildPi(ctx)
 	if err != nil {
@@ -137,7 +136,7 @@ func RunDepend(ctx context.Context, opts Options) (*DependResult, error) {
 		return nil, err
 	}
 	env := map[string]int64{"steps": int64(steps), "threads": int64(opts.Threads)}
-	res.Rows = append(res.Rows, dependRows("pi", p, env, pcfg, pi.Runs[0].Out.Result)...)
+	res.Rows = append(res.Rows, dependRows("pi", p, env, opts.SimCfg, pi.Runs[0].Out.Result)...)
 	return res, nil
 }
 

@@ -12,32 +12,14 @@ import (
 	"paravis/internal/workloads"
 )
 
-// boundConfig derives the static model's machine description from the
-// simulator configuration, so predicted and measured cycles describe the
-// same hardware.
-func boundConfig(cfg sim.Config) perfbound.Config {
-	pc := perfbound.DefaultConfig()
-	pc.DRAM = cfg.DRAM
-	if cfg.BRAMLatency > 0 {
-		pc.BRAMLatency = cfg.BRAMLatency
-	}
-	if cfg.SpinRetry > 0 {
-		pc.SpinRetry = cfg.SpinRetry
-	}
-	if cfg.ThreadStart > 0 {
-		pc.ThreadStart = cfg.ThreadStart
-	}
-	pc.Profile = cfg.Profile
-	return pc
-}
-
-// withTripHints returns cfg with the abstract interpreter's proven trip
-// brackets for p's target function as the evaluator's folding fallback.
-// Hints are the weakest tier — workloads whose trips already fold are
-// untouched, so E10's soundness property is preserved by construction.
-func withTripHints(cfg perfbound.Config, p *core.Program, env map[string]int64) perfbound.Config {
-	cfg.TripHints = absint.Analyze(p.Fn, absint.Options{Env: env}).TripHints()
-	return cfg
+// predict runs the static model on p over the machine cfg simulates,
+// with the abstract interpreter's proven trip brackets for p's target
+// function as the evaluator's folding fallback. Hints are the weakest
+// tier — workloads whose trips already fold are untouched, so E10's
+// soundness property is preserved by construction.
+func predict(p *core.Program, env map[string]int64, cfg sim.Config) *perfbound.Report {
+	hints := absint.Analyze(p.Fn, absint.Options{Env: env}).TripHints()
+	return perfbound.Analyze(p.Kernel, p.Sched, env, perfbound.Config{Config: cfg, TripHints: hints})
 }
 
 // BoundRow cross-validates the static model on one workload: predicted
@@ -73,7 +55,6 @@ type BoundsResult struct {
 // prediction error per step. Simulations come from the shared build/run
 // paths, so measured numbers are identical to the other experiments'.
 func RunBounds(ctx context.Context, opts Options) (*BoundsResult, error) {
-	pcfg := boundConfig(opts.SimCfg)
 	res := &BoundsResult{}
 	for _, v := range workloads.AllGEMMVersions {
 		p, err := buildGEMM(ctx, v, opts.Threads)
@@ -81,7 +62,7 @@ func RunBounds(ctx context.Context, opts Options) (*BoundsResult, error) {
 			return nil, err
 		}
 		env := map[string]int64{"DIM": int64(opts.GEMMDim)}
-		rep := perfbound.Analyze(p.Kernel, p.Sched, env, withTripHints(pcfg, p, env))
+		rep := predict(p, env, opts.SimCfg)
 		run, err := RunGEMM(ctx, v, opts.GEMMDim, opts.Threads, opts.SimCfg)
 		if err != nil {
 			return nil, err
@@ -94,7 +75,7 @@ func RunBounds(ctx context.Context, opts Options) (*BoundsResult, error) {
 	}
 	steps := opts.PiSteps[0]
 	piEnv := map[string]int64{"steps": int64(steps), "threads": int64(opts.Threads)}
-	rep := perfbound.Analyze(p.Kernel, p.Sched, piEnv, withTripHints(pcfg, p, piEnv))
+	rep := predict(p, piEnv, opts.SimCfg)
 	piOpts := opts
 	piOpts.PiSteps = opts.PiSteps[:1]
 	piOpts.Quiet = true

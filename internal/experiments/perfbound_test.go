@@ -56,3 +56,24 @@ func TestBoundsDisabledProfile(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundsZeroThreadStart checks E10 under a machine whose threads all
+// start together: ThreadStart 0 is a value the simulator accepts, so the
+// static model must bracket it from the same configuration.
+func TestBoundsZeroThreadStart(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Quiet = true
+	opts.GEMMDim = 16
+	opts.PiSteps = []int{6400}
+	opts.SimCfg.ThreadStart = 0
+	res, err := RunBounds(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range res.Rows {
+		if !row.Sound {
+			t.Errorf("%s (ThreadStart 0): bounds unsound: lower=%d measured=%d upper=%d",
+				row.Name, row.Lower, row.Measured, row.Upper)
+		}
+	}
+}

@@ -88,13 +88,12 @@ type CStage struct {
 
 // CGraph is one compiled dataflow graph.
 type CGraph struct {
-	ID        int
-	Name      string
-	G         *ir.Graph
-	Nodes     []CNode
-	Stages    []CStage
-	Depth     int
-	CondStage int
+	ID     int
+	Name   string
+	G      *ir.Graph
+	Nodes  []CNode
+	Stages []CStage
+	Depth  int
 	// CondIdx is the position of the loop-continue predicate (-1 for the
 	// top region, which executes exactly once).
 	CondIdx int32
@@ -112,11 +111,8 @@ type CGraph struct {
 	// stage, mirrored out of Stages so occupancy checks on the engine's
 	// hot path load one byte instead of a CStage.
 	Static []bool
-	// CheckStage is the stage from whose end the loop-exit decision is
-	// taken (max(CondStage, 1)), precomputed for the engine.
-	CheckStage int32
 	// CheckAt is the stage whose completion triggers the loop-exit test:
-	// CheckStage-1, or -2 (matching no stage) for non-loop graphs, so the
+	// the schedule's ExitStage()-1, or -2 (matching no stage) for non-loop graphs, so the
 	// engine's per-stage test is a single comparison.
 	CheckAt int32
 	// CoastTo[s] is the furthest stage a token that has just entered stage
@@ -219,7 +215,6 @@ func compileGraph(ck *CKernel, g *ir.Graph, gs *schedule.GraphSched, gIndex map[
 		Name:      g.Name,
 		G:         g,
 		Depth:     gs.Depth,
-		CondStage: gs.CondStage,
 		CondIdx:   at(g.Cond),
 		NumCarry:  g.NumCarry,
 		NumLiveIn: g.NumLiveIn,
@@ -339,13 +334,9 @@ func compileGraph(ck *CKernel, g *ir.Graph, gs *schedule.GraphSched, gIndex map[
 			cst.Issue = append(cst.Issue, pos[n])
 		}
 	}
-	cg.CheckStage = int32(cg.CondStage)
-	if cg.CheckStage < 1 {
-		cg.CheckStage = 1
-	}
 	cg.CheckAt = -2
 	if cg.CondIdx >= 0 {
-		cg.CheckAt = cg.CheckStage - 1
+		cg.CheckAt = int32(gs.ExitStage()) - 1
 	}
 	cg.CoastTo = coastBounds(cg, tab[nl+nc:])
 	return cg, nil

@@ -72,6 +72,24 @@ func DefaultDRAMConfig() DRAMConfig {
 	}
 }
 
+// WithDefaults returns c with its zero fields filled. A non-positive
+// capacity means no DRAM was described at all, so the whole default
+// board; otherwise a non-positive bus width is 64 bytes and a
+// non-positive bank count 1. It is the DRAM's one zero-value rule: the
+// model and every static model of it read the configuration through it.
+func (c DRAMConfig) WithDefaults() DRAMConfig {
+	if c.Words <= 0 {
+		return DefaultDRAMConfig()
+	}
+	if c.BeatBytes <= 0 {
+		c.BeatBytes = 64
+	}
+	if c.Banks <= 0 {
+		c.Banks = 1
+	}
+	return c
+}
+
 // DRAMStats aggregates traffic counters.
 type DRAMStats struct {
 	Transactions    int64
@@ -173,15 +191,7 @@ var wordSlabPool sync.Pool
 
 // NewDRAM creates the external memory.
 func NewDRAM(cfg DRAMConfig) *DRAM {
-	if cfg.BeatBytes <= 0 {
-		cfg.BeatBytes = 64
-	}
-	if cfg.Banks <= 0 {
-		cfg.Banks = 1
-	}
-	if cfg.Words <= 0 {
-		cfg.Words = 1 << 20
-	}
+	cfg = cfg.WithDefaults()
 	d := &DRAM{
 		cfg:       cfg,
 		bankFree:  make([]int64, cfg.Banks),

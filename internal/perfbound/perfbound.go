@@ -24,24 +24,16 @@ import (
 	"paravis/internal/mem"
 	"paravis/internal/profile"
 	"paravis/internal/schedule"
+	"paravis/internal/sim"
 )
 
-// Config holds the machine model the bounds are computed against. It
-// mirrors sim.Config so predictions and measurements describe the same
-// hardware.
+// Config is the machine the bounds are computed against: the
+// simulator's own configuration, read through sim.Config.WithDefaults
+// exactly as the engine reads it, so a prediction and a measurement
+// describe the same hardware. Operation latencies come from the
+// schedule the kernel was built with. The promoted MaxCycles is ignored.
 type Config struct {
-	DRAM        mem.DRAMConfig
-	BRAMLatency int
-	SpinRetry   int
-	ThreadStart int64
-	Profile     profile.Config
-	Lat         schedule.Latencies
-	// Slack is the multiplicative margin of the upper bound: it absorbs
-	// second-order queueing effects (bank conflicts, accept-queue
-	// ordering, spin-retry granularity) that the per-thread charge model
-	// bounds only approximately. SlackCycles is the additive floor.
-	Slack       float64
-	SlackCycles int64
+	sim.Config
 	// TripHints supplies externally proven per-entry trip brackets
 	// keyed by loop name ("for@line:col"), e.g. from internal/absint's
 	// Result.TripHints; a bracket without both bounds is ignored. They
@@ -52,19 +44,20 @@ type Config struct {
 	TripHints map[string]interval.Interval
 }
 
-// DefaultConfig mirrors sim.DefaultConfig plus the default latency table.
-func DefaultConfig() Config {
-	return Config{
-		DRAM:        mem.DefaultDRAMConfig(),
-		BRAMLatency: 2,
-		SpinRetry:   6,
-		ThreadStart: 25000,
-		Profile:     profile.DefaultConfig(),
-		Lat:         schedule.DefaultLatencies(),
-		Slack:       1.25,
-		SlackCycles: 2048,
-	}
-}
+// DefaultConfig is the simulator's default machine without trip hints.
+func DefaultConfig() Config { return Config{Config: sim.DefaultConfig()} }
+
+// The upper bound's margins: slack is multiplicative, slackCycles
+// additive. They absorb second-order queueing effects (bank conflicts,
+// accept-queue ordering, spin-retry granularity) that the per-thread
+// charge model bounds only approximately.
+const (
+	slack       = 1.25
+	slackCycles = 2048
+)
+
+// eventRecordBytes is the size of one event sample record.
+const eventRecordBytes = profile.EventRecordBits / 8.0
 
 // CycleBounds brackets the simulator's Result.Cycles. UpperKnown is
 // false when some trip count could not be constant-folded, in which
@@ -167,15 +160,8 @@ type gstats struct {
 }
 
 func beatsOf(n *ir.Node, beatBytes int) int64 {
-	bytes := int64(n.Width) * int64(n.Arr.ElemWords) * mem.WordBytes
-	if bytes <= 0 {
-		bytes = mem.WordBytes
-	}
 	bb := int64(beatBytes)
-	if bb <= 0 {
-		bb = 64
-	}
-	return (bytes + bb - 1) / bb
+	return (bytesOf(n) + bb - 1) / bb
 }
 
 func bytesOf(n *ir.Node) int64 {
@@ -225,16 +211,6 @@ func statsOf(gs *schedule.GraphSched, beatBytes int) gstats {
 		}
 	}
 	return st
-}
-
-// checkStage is the stage at which a token of an exiting iteration
-// leaves the pipeline (mirrors sim's checkStage).
-func checkStage(gs *schedule.GraphSched) int64 {
-	c := int64(gs.CondStage)
-	if c < 1 {
-		c = 1
-	}
-	return c
 }
 
 // ivCap is the saturation bound of cycle and traffic totals. It is large
@@ -303,7 +279,7 @@ func lowerExec(cg *cgraph) int64 {
 	if cg.trips.Bounded() {
 		trips = cg.trips.Lo
 	}
-	return checkStage(gs) + 1 + satMul(trips, inner)
+	return int64(gs.ExitStage()) + 1 + satMul(trips, inner)
 }
 
 // addTraffic accumulates one thread's DRAM request/beat/byte totals over
@@ -340,7 +316,7 @@ func addTraffic(cg *cgraph, execLo, execHi int64, t *traffic) {
 // execution of this graph charges to its own thread: pipeline time plus
 // the worst-case completion of every VLO it issues, plus its children.
 // known=false when some trip count is unresolved.
-func upperExec(cg *cgraph, cfg *Config, nt int64) (int64, bool) {
+func upperExec(cg *cgraph, cfg *Config, minLock int, nt int64) (int64, bool) {
 	gs := cg.gs
 	st := &cg.stats
 	iter := int64(gs.Depth) + 3
@@ -348,11 +324,11 @@ func upperExec(cg *cgraph, cfg *Config, nt int64) (int64, bool) {
 	iter = satAdd(iter, st.extBeatsMax)
 	iter = satAdd(iter, satMul(st.extStoresMax, int64(cfg.DRAM.BankRecovery+2)))
 	iter = satAdd(iter, satMul(st.localMax, int64(cfg.BRAMLatency+1)))
-	iter = satAdd(iter, satMul(st.locksMax, int64(cfg.SpinRetry+cfg.Lat.MinLock+2)))
+	iter = satAdd(iter, satMul(st.locksMax, int64(cfg.SpinRetry+minLock+2)))
 	iter = satAdd(iter, satMul(st.barriers, satMul(nt, cfg.ThreadStart)))
 	known := true
 	for _, kid := range cg.kids {
-		ku, kk := upperExec(kid, cfg, nt)
+		ku, kk := upperExec(kid, cfg, minLock, nt)
 		if !kk {
 			known = false
 		}
@@ -368,16 +344,14 @@ func upperExec(cg *cgraph, cfg *Config, nt int64) (int64, bool) {
 	if !cg.trips.Bounded() {
 		return iter, false
 	}
-	return satAdd(checkStage(gs)+3, satMul(cg.trips.Hi, iter)), known
+	return satAdd(int64(gs.ExitStage())+3, satMul(cg.trips.Hi, iter)), known
 }
 
 // Analyze runs the full static model for one scheduled kernel under one
 // workload (env maps scalar parameter names to their values; nil means
 // fully symbolic).
 func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Config) *Report {
-	if cfg.Slack <= 0 {
-		cfg.Slack = 1
-	}
+	cfg.Config = cfg.Config.WithDefaults()
 	nt := int64(k.NumThreads)
 	top := compile(k.Top, s, env, cfg.DRAM.BeatBytes)
 
@@ -406,7 +380,7 @@ func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Confi
 			lower = lb
 		}
 		addTraffic(top, 1, 1, &tot)
-		ub, known := upperExec(top, &cfg, nt)
+		ub, known := upperExec(top, &cfg, s.Cfg.Lat.MinLock, nt)
 		if !known {
 			upperKnown = false
 		}
@@ -427,14 +401,14 @@ func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Confi
 	stateBytes := int64(0)
 	evFactor := 1.0
 	if cfg.Profile.Enabled {
-		stateRecBytes := int64((2*int(nt) + 32 + 7) / 8)
+		stateRecBytes := int64((profile.StateRecordBits(int(nt)) + 7) / 8)
 		// State records are produced at thread start/end and around each
 		// lock acquisition (Running->Spinning->Critical->Running).
 		stateBytes = satMul(stateRecBytes, satAdd(satMul(4, tot.locksMax), 4*nt))
 		upper = satAdd(upper, (stateBytes+int64(cfg.DRAM.BeatBytes)-1)/int64(cfg.DRAM.BeatBytes))
-		// Event samples: one 25-byte record per thread per sample window,
+		// Event samples: one record per thread per sample window,
 		// stealing a fixed fraction of the flush bus.
-		evBytesPerCycle := float64(nt) * 25.0 / float64(cfg.Profile.SamplePeriod)
+		evBytesPerCycle := float64(nt) * eventRecordBytes / float64(cfg.Profile.SamplePeriod)
 		share := evBytesPerCycle / float64(cfg.DRAM.BeatBytes)
 		if share < 0.9 {
 			evFactor = 1.0 / (1.0 - share)
@@ -442,7 +416,7 @@ func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Confi
 			evFactor = 10.0
 		}
 	}
-	upper = clampCap(int64(float64(upper)*evFactor*cfg.Slack)) + cfg.SlackCycles
+	upper = clampCap(int64(float64(upper)*evFactor*slack)) + slackCycles
 
 	// Kernel-wide loop reports from an interval thread id (covers all
 	// threads at once).
@@ -480,7 +454,7 @@ func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Confi
 	// Overflow: flush demand vs the bandwidth the kernel leaves free.
 	var ovf OverflowCheck
 	if cfg.Profile.Enabled {
-		ovf.EventBytesPerCycle = float64(nt) * 25.0 / float64(cfg.Profile.SamplePeriod)
+		ovf.EventBytesPerCycle = float64(nt) * eventRecordBytes / float64(cfg.Profile.SamplePeriod)
 		if lower > 0 {
 			ovf.StateBytesPerCycle = float64(stateBytes) / float64(lower)
 		}
@@ -503,7 +477,7 @@ func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Confi
 		Roofline:   roof,
 		Overflow:   ovf,
 	}
-	ar := area.Estimate(k, s, cfg.Profile, area.DefaultCoefficients())
+	ar := area.Estimate(k, s, cfg.Profile)
 	rep.FmaxMHz = ar.FmaxMHz
 	if ar.FmaxMHz > 0 {
 		rep.WallLowerUS = float64(lower) / ar.FmaxMHz

@@ -65,6 +65,41 @@ func DefaultConfig() Config {
 	}
 }
 
+// WithDefaults returns c with every non-positive size replaced by
+// DefaultConfig's. It is the unit's one zero-value rule: the unit itself
+// and every static model of it read the configuration through it.
+func (c Config) WithDefaults() Config {
+	d := DefaultConfig()
+	if c.SamplePeriod <= 0 {
+		c.SamplePeriod = d.SamplePeriod
+	}
+	if c.StateBufferLines <= 0 {
+		c.StateBufferLines = d.StateBufferLines
+	}
+	if c.EventBufferLines <= 0 {
+		c.EventBufferLines = d.EventBufferLines
+	}
+	return c
+}
+
+// The record format. Both buffers are built of LineBits-wide lines, the
+// width of one flush beat.
+const (
+	LineBits = 512
+	// StateBits is the width of one thread's ThreadState.
+	StateBits = 2
+	// EventCounters is the number of 32-bit event counters per thread:
+	// stalls, integer ops, FP ops, bytes read, bytes written.
+	EventCounters = 5
+	// EventRecordBits is the width of one event sample record: the
+	// counters, a 32-bit window stamp and an 8-bit thread id.
+	EventRecordBits = EventCounters*32 + 32 + 8
+)
+
+// StateRecordBits is the width of one state record of nThreads threads:
+// every thread's state plus a 32-bit cycle count.
+func StateRecordBits(nThreads int) int { return StateBits*nThreads + 32 }
+
 // StateRecord is one state-change record: the states of all threads plus
 // the 32-bit clock count (2*Nthreads+32 bits in hardware).
 type StateRecord struct {
@@ -165,16 +200,7 @@ func recycle[T any](s []T, n int) []T {
 // New would: the simulator pools units across design points in sweeps so
 // per-run setup is reset-not-reallocate.
 func (u *Unit) Reset(cfg Config, nThreads int, flush FlushFunc) {
-	if cfg.SamplePeriod <= 0 {
-		cfg.SamplePeriod = 1024
-	}
-	if cfg.StateBufferLines <= 0 {
-		cfg.StateBufferLines = 64
-	}
-	if cfg.EventBufferLines <= 0 {
-		cfg.EventBufferLines = 64
-	}
-	u.cfg = cfg
+	u.cfg = cfg.WithDefaults()
 	u.nThreads = nThreads
 	u.flush = flush
 	u.cur = recycle(u.cur, nThreads)
@@ -214,17 +240,9 @@ func (u *Unit) Config() Config { return u.cfg }
 // NumThreads returns the monitored thread count.
 func (u *Unit) NumThreads() int { return u.nThreads }
 
-// StateRecordBits is the width of one state record: 2 bits per thread plus
-// a 32-bit cycle count.
-func (u *Unit) StateRecordBits() int { return 2*u.nThreads + 32 }
-
-// EventRecordBits is the width of one event sample record: five 32-bit
-// counters, a 32-bit window stamp and an 8-bit thread id, rounded to bytes.
-func (u *Unit) EventRecordBits() int { return 5*32 + 32 + 8 }
-
 // stateRecordsPerBuffer returns how many records fit the state buffer.
 func (u *Unit) stateRecordsPerBuffer() int {
-	per := (u.cfg.StateBufferLines * 512) / u.StateRecordBits()
+	per := (u.cfg.StateBufferLines * LineBits) / StateRecordBits(u.nThreads)
 	if per < 1 {
 		per = 1
 	}
@@ -232,7 +250,7 @@ func (u *Unit) stateRecordsPerBuffer() int {
 }
 
 func (u *Unit) eventRecordsPerBuffer() int {
-	per := (u.cfg.EventBufferLines * 512) / u.EventRecordBits()
+	per := (u.cfg.EventBufferLines * LineBits) / EventRecordBits
 	if per < 1 {
 		per = 1
 	}
@@ -440,9 +458,9 @@ func (u *Unit) flushStates(cycle int64) {
 	if u.statesInBuf == 0 {
 		return
 	}
-	bits := u.statesInBuf * u.StateRecordBits()
-	lines := (bits + 511) / 512
-	u.emitFlush(cycle, lines*64)
+	bits := u.statesInBuf * StateRecordBits(u.nThreads)
+	lines := (bits + LineBits - 1) / LineBits
+	u.emitFlush(cycle, lines*LineBits/8)
 	u.statesInBuf = 0
 }
 
@@ -450,9 +468,9 @@ func (u *Unit) flushEvents(cycle int64) {
 	if u.eventsInBuf == 0 {
 		return
 	}
-	bits := u.eventsInBuf * u.EventRecordBits()
-	lines := (bits + 511) / 512
-	u.emitFlush(cycle, lines*64)
+	bits := u.eventsInBuf * EventRecordBits
+	lines := (bits + LineBits - 1) / LineBits
+	u.emitFlush(cycle, lines*LineBits/8)
 	u.eventsInBuf = 0
 }
 

@@ -28,12 +28,11 @@ func TestStateRecording(t *testing.T) {
 }
 
 func TestRecordWidths(t *testing.T) {
-	u := New(DefaultConfig(), 8, nil)
-	if u.StateRecordBits() != 2*8+32 {
-		t.Errorf("state record bits = %d", u.StateRecordBits())
+	if got := StateRecordBits(8); got != 2*8+32 {
+		t.Errorf("state record bits = %d", got)
 	}
-	if u.EventRecordBits() != 5*32+32+8 {
-		t.Errorf("event record bits = %d", u.EventRecordBits())
+	if EventRecordBits != 5*32+32+8 {
+		t.Errorf("event record bits = %d", EventRecordBits)
 	}
 }
 

@@ -103,6 +103,10 @@ type GraphSched struct {
 	NumReordering int
 }
 
+// ExitStage is the stage from whose end a token of an exiting iteration
+// leaves the pipeline: CondStage, but never before the end of stage 1.
+func (gs *GraphSched) ExitStage() int { return max(gs.CondStage, 1) }
+
 // Schedule is the full kernel schedule.
 type Schedule struct {
 	K       *ir.Kernel

@@ -281,15 +281,7 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 	if err := validateArgs(ck, args); err != nil {
 		return nil, err
 	}
-	if cfg.DRAM.Words == 0 {
-		cfg.DRAM = mem.DefaultDRAMConfig()
-	}
-	if cfg.BRAMLatency <= 0 {
-		cfg.BRAMLatency = 2
-	}
-	if cfg.SpinRetry <= 0 {
-		cfg.SpinRetry = 6
-	}
+	cfg = cfg.WithDefaults()
 	e := &engine{
 		ck:      ck,
 		cfg:     cfg,
@@ -554,9 +546,6 @@ const ctxCheckMask = 1<<12 - 1
 
 func (e *engine) run(ctx context.Context) error {
 	maxCycles := e.cfg.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = 4_000_000_000
-	}
 	iter := uint64(0)
 	done := ctx.Done()
 	e.profNext = e.prof.NextBoundary()

@@ -37,6 +37,30 @@ type Config struct {
 	MaxCycles int64
 }
 
+// WithDefaults returns c with its zero fields filled: the DRAM and the
+// profiling unit by their own rules (mem.DRAMConfig.WithDefaults,
+// profile.Config.WithDefaults), a non-positive BRAMLatency, SpinRetry or
+// MaxCycles by DefaultConfig's value or 4e9. ThreadStart 0 is a valid
+// machine (all threads start together) and stays 0. It is the one
+// zero-value rule of the simulated machine: the engine runs the
+// configuration it returns, and every static model of the machine reads
+// it.
+func (c Config) WithDefaults() Config {
+	d := DefaultConfig()
+	c.DRAM = c.DRAM.WithDefaults()
+	c.Profile = c.Profile.WithDefaults()
+	if c.BRAMLatency <= 0 {
+		c.BRAMLatency = d.BRAMLatency
+	}
+	if c.SpinRetry <= 0 {
+		c.SpinRetry = d.SpinRetry
+	}
+	if c.MaxCycles <= 0 {
+		c.MaxCycles = 4_000_000_000
+	}
+	return c
+}
+
 // DefaultConfig returns the configuration used by the paper-reproduction
 // experiments.
 func DefaultConfig() Config {

@@ -12,18 +12,8 @@ import (
 
 	"paravis/internal/absint"
 	"paravis/internal/depend"
+	"paravis/internal/mem"
 	"paravis/internal/minic"
-)
-
-// Bank geometry of the modeled board (mem.DefaultDRAMConfig: 4 DDR
-// banks interleaved at the 64-byte bus-beat granularity). An access
-// stream whose per-iteration stride is a multiple of Banks*BeatBytes
-// lands every request on the same bank and serializes on it.
-const (
-	dramBanks       = 4
-	dramBeatBytes   = 64
-	dramWordBytes   = 4
-	bankPeriodBytes = dramBanks * dramBeatBytes
 )
 
 // checkDepend runs the dependence analysis over the target region and
@@ -33,6 +23,8 @@ const (
 // provably disjoint accesses be discharged.
 func checkDepend(file string, fn *minic.FuncDecl, ai *absint.Result, ds *[]Diagnostic) {
 	rep := depend.AnalyzeRanges(fn, nil, ai.IndexRange)
+	dram := mem.DefaultDRAMConfig()
+	bankPeriodBytes := int64(dram.Banks * dram.BeatBytes)
 	for _, l := range rep.Loops {
 		pos := minic.Pos{Line: l.Line, Col: l.Col}
 
@@ -71,13 +63,15 @@ func checkDepend(file string, fn *minic.FuncDecl, ai *absint.Result, ds *[]Diagn
 				"provably illegal transformations for this loop: %s", strings.Join(illegal, "; ")))
 		}
 
-		// bank-conflict: a DRAM access stream whose stride is a multiple
-		// of the bank interleave period revisits one bank every iteration.
+		// bank-conflict: the modeled board interleaves its banks at
+		// bus-beat granularity, so a DRAM access stream whose stride is a
+		// multiple of Banks*BeatBytes lands every request on the same bank
+		// and serializes on it.
 		for _, a := range l.Accesses {
 			if !a.DRAM || !a.StrideKnown || a.Stride == 0 {
 				continue
 			}
-			strideBytes := a.Stride * dramWordBytes
+			strideBytes := a.Stride * mem.WordBytes
 			if strideBytes < 0 {
 				strideBytes = -strideBytes
 			}
@@ -86,7 +80,7 @@ func checkDepend(file string, fn *minic.FuncDecl, ai *absint.Result, ds *[]Diagn
 			}
 			*ds = append(*ds, diag(file, minic.Pos{Line: a.Line, Col: a.Col}, RuleBankConflict, SevInfo,
 				"every iteration of this loop hits the same DRAM bank of %q (stride %d bytes is a multiple of the %d-byte bank interleave, %d banks x %d-byte beats): requests serialize on one bank",
-				a.Array, strideBytes, bankPeriodBytes, dramBanks, dramBeatBytes))
+				a.Array, strideBytes, bankPeriodBytes, dram.Banks, dram.BeatBytes))
 		}
 	}
 }

@@ -239,13 +239,31 @@ func flattenAdd(e minic.Expr) []minic.Expr {
 	return []minic.Expr{e}
 }
 
+// foldEnv is the fold environment of fn: the launch values of the
+// parameters fn never assigns. A parameter fn writes holds its launch
+// value only up to the write, so it does not fold anywhere.
+func foldEnv(fn *minic.FuncDecl, params map[string]int64) map[string]int64 {
+	assigned := minic.Assigned(fn.Body)
+	env := make(map[string]int64, len(params))
+	for _, p := range fn.Params {
+		if v, ok := params[p.Name]; ok && !assigned[p] {
+			env[p.Name] = v
+		}
+	}
+	return env
+}
+
 // foldConst evaluates an expression to an integer constant, resolving
-// free identifiers through env (the launch parameters).
+// identifiers bound to a parameter through env (foldEnv's launch
+// values); a local that shadows a parameter does not fold.
 func foldConst(e minic.Expr, env map[string]int64) (int64, bool) {
 	switch x := e.(type) {
 	case *minic.IntLit:
 		return x.Value, true
 	case *minic.Ident:
+		if _, ok := x.Decl.(*minic.Param); !ok {
+			return 0, false
+		}
 		v, ok := env[x.Name]
 		return v, ok
 	case *minic.Unary:

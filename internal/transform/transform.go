@@ -172,7 +172,7 @@ func Analyze(src string, opts Options) (*Base, error) {
 	if rep == nil {
 		rep = LegalityReport(fn, opts.Params)
 	}
-	b.ctx = passCtx{fn: fn, rep: rep, lanes: opts.lanes(), env: opts.Params, used: usedNames(fn), readOnly: true}
+	b.ctx = passCtx{fn: fn, rep: rep, lanes: opts.lanes(), env: foldEnv(fn, opts.Params), used: usedNames(fn), readOnly: true}
 	return b, nil
 }
 
