@@ -2,15 +2,16 @@
 // family behind one HTTP/JSON service. POST /v1/compile, /v1/vet and
 // /v1/perf wrap the same library calls as nymblec, nymblevet and
 // nymbleperf and marshal the same internal/api structs, so their
-// responses are byte-identical to the CLIs' -json output. POST /v1/run
-// enqueues a full simulation as an asynchronous job on a bounded worker
-// pool; clients poll GET /v1/jobs/{id} and download the Paraver bundle
-// streamed straight from the profiling unit's record streams — the
-// exact bytes nymblesim would have written to disk. POST /v1/optimize
-// runs nymbleopt's transformation search as an asynchronous job whose
-// artifacts (the optimize report, the winning kernel source, and
-// before/after perf reports) download from
-// GET /v1/jobs/{id}/artifacts/{file}.
+// responses are byte-identical to the CLIs' -json output.
+//
+// POST /v1/run (a simulation; its Paraver bundle downloads from
+// GET /v1/jobs/{id}/trace/{file}, the exact bytes nymblesim writes) and
+// POST /v1/optimize (nymbleopt's search; its report, winning source and
+// before/after perf reports download from /v1/jobs/{id}/artifacts/{file})
+// are jobs on one lifecycle: admit, submit to the bounded worker pool,
+// work, persist to the artifact store, restore on a warm hit, serve a
+// file. A kind supplies its work function, the name of the document it
+// stores and how that document fills a job; coalescing is run-only.
 //
 // Builds are single-flighted through a content-addressed compile cache
 // (hits are reported via the X-Nymbled-Cache header so the body stays
@@ -21,8 +22,10 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -333,23 +336,43 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = api.Encode(w, v)
 }
 
-// decode parses the JSON request body; on failure it writes the 400 and
-// reports false.
+// maxBodyBytes bounds every request body. The largest a documented
+// workload sends is a /v1/run that preloads DIM=512 GEMM buffers: A and
+// B hold 2 × 512² = 524,288 float32s, at most 15 bytes each as JSON
+// ("-1.1754944e-38,"), so about 7.9 MB. The bound doubles that.
+const maxBodyBytes = 16 << 20
+
+// decode parses the JSON request body; on failure it writes the 400 (413
+// for a body over maxBodyBytes) and reports false.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := decodeJSON(r, v); err != nil {
+	err := decodeJSON(w, r, v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "too_large", err)
+	case err != nil:
 		writeError(w, http.StatusBadRequest, "bad_request", err)
-		return false
 	}
-	return true
+	return err == nil
 }
 
-func decodeJSON(r *http.Request, v any) error {
+// decodeJSON reads exactly one JSON value, with unknown fields rejected
+// so typos in request JSON surface as 400s instead of silent defaults.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	if ct := r.Header.Get("Content-Type"); ct != "" && !strings.HasPrefix(ct, "application/json") {
 		return fmt.Errorf("unsupported content type %q", ct)
 	}
-	dec := newStrictDecoder(r)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
-	return nil
+	switch _, err := dec.Token(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("bad request body: data after the JSON value")
+	default:
+		return fmt.Errorf("bad request body after the JSON value: %w", err)
+	}
 }

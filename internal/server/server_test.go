@@ -262,56 +262,48 @@ func TestAllSeedWorkloadsTraceByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCancelMidSimFreesWorkerSlot starts a simulation that would run
-// for minutes on the only worker, cancels it over the API, and then
-// proves the slot is free by completing a second job. It also checks
-// the cancellation leaks no goroutines.
-func TestCancelMidSimFreesWorkerSlot(t *testing.T) {
-	s, ts := newTestServer(t, 1)
-	before := runtime.NumGoroutine()
+// longJob is a run or a search that takes minutes uncanceled: pi at
+// half a billion steps, whose simulation notices a dead context within a
+// few thousand loop iterations.
+func longJob(kind string, timeoutMs int64) (path string, body any) {
+	if kind == "run" {
+		req := piRunRequest(500_000_000)
+		req.TimeoutMs = timeoutMs
+		return "/v1/run", req
+	}
+	return "/v1/optimize", api.OptimizeRequest{
+		SchemaVersion: api.Version,
+		Name:          "pi",
+		Source:        workloads.PiSource,
+		Defines:       workloads.PiDefines(),
+		Params:        map[string]int64{"steps": 500_000_000, "threads": 8},
+		Floats:        map[string]float64{"step": 1.0 / 500_000_000, "final_sum": 0},
+		Budget:        2,
+		MaxRounds:     1,
+		TimeoutMs:     timeoutMs,
+	}
+}
 
-	resp := postJSON(t, ts.URL+"/v1/run", piRunRequest(500_000_000))
+// postJob POSTs a job asynchronously and returns its id.
+func postJob(t *testing.T, url string, body any) string {
+	t.Helper()
+	resp := postJSON(t, url, body)
+	data := readAll(t, resp)
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST = %d: %s", resp.StatusCode, readAll(t, resp))
+		t.Fatalf("POST = %d: %s", resp.StatusCode, data)
 	}
 	var doc api.Job
-	if err := json.Unmarshal(readAll(t, resp), &doc); err != nil {
+	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	pollJob(t, ts.URL, doc.ID, api.JobRunning, time.Minute)
+	return doc.ID
+}
 
-	delReq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+doc.ID, nil)
-	delResp, err := http.DefaultClient.Do(delReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var canceled api.Job
-	if err := json.Unmarshal(readAll(t, delResp), &canceled); err != nil {
-		t.Fatal(err)
-	}
-	if canceled.State != api.JobCanceled {
-		t.Fatalf("after DELETE, state = %s", canceled.State)
-	}
-
-	// The single worker must come free: a small job has to finish.
-	small := gemmRunRequest(16)
-	small.Wait = true
-	resp = postJSON(t, ts.URL+"/v1/run", small)
-	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("follow-up job = %d: %s", resp.StatusCode, body)
-	}
-	var followUp api.Job
-	if err := json.Unmarshal(body, &followUp); err != nil {
-		t.Fatal(err)
-	}
-	if followUp.State != api.JobDone {
-		t.Fatalf("follow-up state = %s", followUp.State)
-	}
-
-	// In-flight count must return to zero and the canceled sim's
-	// goroutines must exit. Idle keep-alive connections hold their own
-	// goroutines, so they are reaped before counting.
+// waitNoLeak waits until no job holds a worker and the goroutine count
+// is back at its baseline. Idle keep-alive connections hold their own
+// goroutines, so they are reaped before counting.
+func waitNoLeak(t *testing.T, s *Server, before int) {
+	t.Helper()
 	deadline := time.Now().Add(time.Minute)
 	for s.pool.InFlight() != 0 || runtime.NumGoroutine() > before+2 {
 		if time.Now().After(deadline) {
@@ -322,6 +314,101 @@ func TestCancelMidSimFreesWorkerSlot(t *testing.T) {
 		runtime.GC()
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// TestCancelMidSimFreesWorkerSlot starts a run or a search that would
+// take minutes on the only worker, ends it by DELETE or by its
+// timeout_ms, and then proves the slot is free by completing a second
+// job. Every case, and a Shutdown with one job of each kind in flight,
+// must leave no job in flight and leak no goroutines.
+func TestCancelMidSimFreesWorkerSlot(t *testing.T) {
+	for _, kind := range []string{"run", "optimize"} {
+		for _, end := range []string{"delete", "timeout"} {
+			t.Run(kind+"/"+end, func(t *testing.T) {
+				s, ts := newTestServer(t, 1)
+				before := runtime.NumGoroutine()
+
+				var timeoutMs int64
+				if end == "timeout" {
+					timeoutMs = 300
+				}
+				path, body := longJob(kind, timeoutMs)
+				id := postJob(t, ts.URL+path, body)
+				if end == "timeout" {
+					if doc := pollJob(t, ts.URL, id, api.JobCanceled, time.Minute); doc.ErrorKind != "deadline" {
+						t.Fatalf("after timeout_ms, error kind = %q (%s)", doc.ErrorKind, doc.Error)
+					}
+				} else {
+					pollJob(t, ts.URL, id, api.JobRunning, time.Minute)
+					delReq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+					delResp, err := http.DefaultClient.Do(delReq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var canceled api.Job
+					if err := json.Unmarshal(readAll(t, delResp), &canceled); err != nil {
+						t.Fatal(err)
+					}
+					if canceled.State != api.JobCanceled {
+						t.Fatalf("after DELETE, state = %s", canceled.State)
+					}
+				}
+
+				// The single worker must come free: a small job has to finish.
+				small := gemmRunRequest(16)
+				small.Wait = true
+				resp := postJSON(t, ts.URL+"/v1/run", small)
+				data := readAll(t, resp)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("follow-up job = %d: %s", resp.StatusCode, data)
+				}
+				var followUp api.Job
+				if err := json.Unmarshal(data, &followUp); err != nil {
+					t.Fatal(err)
+				}
+				if followUp.State != api.JobDone {
+					t.Fatalf("follow-up state = %s", followUp.State)
+				}
+				waitNoLeak(t, s, before)
+			})
+		}
+	}
+
+	t.Run("shutdown", func(t *testing.T) {
+		http.DefaultClient.CloseIdleConnections()
+		before := runtime.NumGoroutine()
+		s := New(Options{Workers: 2})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		var ids []string
+		for _, kind := range []string{"run", "optimize"} {
+			path, body := longJob(kind, 0)
+			ids = append(ids, postJob(t, ts.URL+path, body))
+		}
+		for _, id := range ids {
+			pollJob(t, ts.URL, id, api.JobRunning, time.Minute)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatalf("shutdown did not drain: %v", err)
+		}
+		for _, id := range ids {
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc api.Job
+			if err := json.Unmarshal(readAll(t, resp), &doc); err != nil {
+				t.Fatal(err)
+			}
+			if doc.State != api.JobCanceled {
+				t.Errorf("job %s after shutdown: state %s", id, doc.State)
+			}
+		}
+		ts.Close()
+		waitNoLeak(t, s, before)
+	})
 }
 
 // TestWaitModeMaxCyclesMapsTo422 checks the typed *sim.ErrMaxCycles
@@ -535,6 +622,41 @@ func TestBadRequestsAndErrors(t *testing.T) {
 		t.Errorf("healthz = %d", resp.StatusCode)
 	}
 	readAll(t, resp)
+
+	// Job POSTs read one JSON value of at most maxBodyBytes: a larger body
+	// is 413 too_large, data after the value is 400 bad_request, and
+	// neither creates a job.
+	prefix, suffix := `{"version":1,"source":"`, `"}`
+	huge := prefix + strings.Repeat("a", maxBodyBytes+1-len(prefix)-len(suffix)) + suffix
+	runBody, _ := json.Marshal(gemmRunRequest(16))
+	optBody, _ := json.Marshal(gemmOptimizeRequest(2, 1))
+	for _, tc := range []struct {
+		path, body string
+		status     int
+		kind       string
+	}{
+		{"/v1/run", huge, http.StatusRequestEntityTooLarge, "too_large"},
+		{"/v1/optimize", huge, http.StatusRequestEntityTooLarge, "too_large"},
+		{"/v1/run", string(runBody) + "{}", http.StatusBadRequest, "bad_request"},
+		{"/v1/optimize", string(optBody) + " x", http.StatusBadRequest, "bad_request"},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		var e api.Error
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatalf("%s (%d bytes): %v: %.200s", tc.path, len(tc.body), err, body)
+		}
+		if resp.StatusCode != tc.status || e.Kind != tc.kind {
+			t.Errorf("%s (%d bytes) = %d %q, want %d %q: %.200s",
+				tc.path, len(tc.body), resp.StatusCode, e.Kind, tc.status, tc.kind, e.Err)
+		}
+	}
+	if got := metricValue(t, ts.URL, "nymbled_jobs_total"); got != 0 {
+		t.Errorf("rejected bodies created %d jobs", got)
+	}
 }
 
 // TestShutdownDrainsAndRejects checks graceful shutdown: jobs in

@@ -640,3 +640,81 @@ func TestStandaloneJobIDsAndHealthz(t *testing.T) {
 		t.Errorf("/healthz keys %s, want %s", got, want)
 	}
 }
+
+// TestFileRouteErrors walks both file routes through their refusals: a
+// job that is queued or running is 409 not_done, a name the job does not
+// list is 404 not_found, a run without profiling has no trace, and once
+// a finished job's store entry is evicted its files are 410 evicted —
+// run and optimize jobs alike serve from the store, not from memory.
+func TestFileRouteErrors(t *testing.T) {
+	// A one-byte budget keeps only the newest entry: each job persisted
+	// evicts the one before it.
+	st, err := store.Open(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Workers: 1, Store: st})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+
+	optReq := gemmOptimizeRequest(2, 1)
+	optReq.Wait = true
+	resp := postJSON(t, ts.URL+"/v1/optimize", optReq)
+	body := readAll(t, resp)
+	var opt api.Job
+	if err := json.Unmarshal(body, &opt); err != nil || opt.State != api.JobDone {
+		t.Fatalf("optimize job = %d: %s", resp.StatusCode, body)
+	}
+	_, run := waitRun(t, ts.URL, gemmRunRequest(16)) // evicts the search
+	quiet := gemmRunRequest(16)
+	quiet.NoProfile = true
+	_, noTrace := waitRun(t, ts.URL, quiet) // evicts the profiled run
+
+	// One worker: the long run holds it and the long search waits queued.
+	path, long := longJob("run", 0)
+	running := postJob(t, ts.URL+path, long)
+	path, long = longJob("optimize", 0)
+	queued := postJob(t, ts.URL+path, long)
+	pollJob(t, ts.URL, running, api.JobRunning, time.Minute)
+
+	for _, tc := range []struct {
+		route, id, file string
+		status          int
+		kind            string
+	}{
+		{"trace", running, "trace.prv", http.StatusConflict, "not_done"},
+		{"artifacts", queued, "optimize-report.json", http.StatusConflict, "not_done"},
+		{"trace", run.ID, "nope.prv", http.StatusNotFound, "not_found"},
+		{"artifacts", opt.ID, "nope.json", http.StatusNotFound, "not_found"},
+		{"trace", noTrace.ID, "trace.prv", http.StatusNotFound, "no_trace"},
+		{"trace", run.ID, "trace.prv", http.StatusGone, "evicted"},
+		{"artifacts", opt.ID, "optimize-report.json", http.StatusGone, "evicted"},
+	} {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + tc.id + "/" + tc.route + "/" + tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		var e api.Error
+		_ = json.Unmarshal(body, &e) // a body that is no error document leaves Kind empty
+		if resp.StatusCode != tc.status || e.Kind != tc.kind {
+			t.Errorf("GET %s/%s of %s = %d %q, want %d %q",
+				tc.route, tc.file, tc.id, resp.StatusCode, e.Kind, tc.status, tc.kind)
+		}
+	}
+	for _, id := range []string{running, queued} {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readAll(t, resp)
+	}
+}
