@@ -3,15 +3,12 @@
 // pipeline schedule and estimated hardware footprint (with and without the
 // profiling unit). The -json report uses the same versioned schema
 // (internal/api) as the nymbled daemon's /v1/compile response, so both
-// emit byte-identical JSON for the same input.
-//
-// With -vet it instead runs the compile-time diagnostics engine (OpenMP
-// race/map checks, def-use lints, stall-lint and the IR/schedule
-// verifiers) and exits 1 if any error-severity finding is reported.
+// emit byte-identical JSON for the same input. The compile-time
+// diagnostics of a kernel are nymblevet's.
 //
 // Usage:
 //
-//	nymblec [-D NAME=VALUE]... [-dump-ir] [-json] [-vet] file.mc
+//	nymblec [-D NAME=VALUE]... [-dump-ir] [-json] file.mc
 package main
 
 import (
@@ -25,7 +22,6 @@ import (
 	"paravis/internal/cli"
 	"paravis/internal/core"
 	"paravis/internal/ir"
-	"paravis/internal/staticcheck"
 )
 
 func main() {
@@ -33,36 +29,14 @@ func main() {
 	flag.Var(defines, "D", "macro definition NAME=VALUE (repeatable)")
 	dumpIR := flag.Bool("dump-ir", false, "print the dataflow IR")
 	asJSON := flag.Bool("json", false, "emit the report as JSON")
-	vet := flag.Bool("vet", false, "run compile-time diagnostics instead of building")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: nymblec [-D NAME=VALUE] [-dump-ir] [-json] [-vet] file.mc")
+		fmt.Fprintln(os.Stderr, "usage: nymblec [-D NAME=VALUE] [-dump-ir] [-json] file.mc")
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fatal(err)
-	}
-	if *vet {
-		ds := core.Vet(flag.Arg(0), string(src), core.BuildOptions{Defines: defines})
-		if *asJSON {
-			if err := api.Encode(os.Stdout, ds); err != nil {
-				fatal(err)
-			}
-		} else {
-			for _, d := range ds {
-				fmt.Println(d)
-			}
-			if len(ds) == 0 {
-				fmt.Printf("%s: no findings\n", flag.Arg(0))
-			}
-		}
-		for _, d := range ds {
-			if d.Severity == staticcheck.SevError {
-				os.Exit(1)
-			}
-		}
-		return
 	}
 	p, err := core.Build(context.Background(), string(src), core.BuildOptions{Defines: defines})
 	if err != nil {

@@ -13,14 +13,15 @@
 //
 //	nymbleopt [-D NAME=VALUE]... [-param NAME=VALUE]... [-json]
 //	          [-budget N] [-rounds N] [-o dir] file.mc|dir...
-//	nymbleopt -workloads [-json] [-budget N]
+//	nymbleopt -workloads [the same flags]
 //
 // -param supplies integer launch arguments (e.g. -param DIM=64); the
 // passes fold divisibility proofs against them and the simulator
 // receives them as scalar arguments. A directory argument optimizes
 // every *.mc file inside it. -workloads searches the built-in seed
-// kernels with their canonical defines and parameters. -o writes each
-// winning kernel to dir/<name>.opt.mc.
+// kernels with their canonical defines and parameters, which -D and
+// -param override; every other flag applies as it does to files. -o
+// writes each winning kernel to dir/<name>.opt.mc.
 package main
 
 import (
@@ -53,41 +54,23 @@ func main() {
 	flag.Parse()
 	if *wl == (flag.NArg() > 0) {
 		fmt.Fprintln(os.Stderr, "usage: nymbleopt [-D NAME=VALUE] [-param NAME=VALUE] [-json] [-budget N] [-rounds N] [-o dir] file.mc|dir...")
-		fmt.Fprintln(os.Stderr, "       nymbleopt -workloads [-json] [-budget N]")
+		fmt.Fprintln(os.Stderr, "       nymbleopt -workloads [the same flags]")
 		os.Exit(2)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var units []api.OptimizeUnit
-	if *wl {
-		for _, w := range workloads.Units() {
-			units = append(units, searchOne(ctx, w.Name, w.Source, autotune.Options{
-				Defines: w.Defines,
-				Params:  w.Params,
-				Floats:  w.Floats,
-				Budget:  autotune.Budget{Candidates: *budget},
-			}))
-		}
-	} else {
-		paths, err := cli.ExpandPaths(flag.Args())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nymbleopt:", err)
-			os.Exit(2)
-		}
-		for _, path := range paths {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nymbleopt:", err)
-				os.Exit(2)
-			}
-			units = append(units, searchOne(ctx, path, string(src), autotune.Options{
-				Defines:   defines,
-				Params:    params,
-				Budget:    autotune.Budget{Candidates: *budget},
-				MaxRounds: *rounds,
-			}))
-		}
+	list, err := cli.Units(*wl, flag.Args(), defines, params)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nymbleopt:", err)
+		os.Exit(2)
+	}
+	units := make([]api.OptimizeUnit, 0, len(list))
+	for _, u := range list {
+		res, err := autotune.Optimize(ctx, u.Name, u.Source, searchOptions(u, *budget, *rounds))
+		// A failed search is the unit's Error, so a bad file does not
+		// abort a multi-file report.
+		units = append(units, api.NewOptimizeUnit(u.Name, res, err))
 	}
 
 	failed := false
@@ -120,11 +103,16 @@ func main() {
 	}
 }
 
-// searchOne runs one search; errors become the unit's Error field so a
-// bad file does not abort a multi-file report.
-func searchOne(ctx context.Context, name, src string, opts autotune.Options) api.OptimizeUnit {
-	res, err := autotune.Optimize(ctx, name, src, opts)
-	return api.NewOptimizeUnit(name, res, err)
+// searchOptions is the search configuration of one unit: its defines
+// and launch arguments under the command line's -budget and -rounds.
+func searchOptions(u workloads.Unit, budget, rounds int) autotune.Options {
+	return autotune.Options{
+		Defines:   u.Defines,
+		Params:    u.Params,
+		Floats:    u.Floats,
+		Budget:    autotune.Budget{Candidates: budget},
+		MaxRounds: rounds,
+	}
 }
 
 // writeWinners stores each unit's winning kernel as dir/<name>.opt.mc.

@@ -11,13 +11,13 @@
 // Usage:
 //
 //	nymbleperf [-D NAME=VALUE]... [-param NAME=VALUE]... [-json] file.mc|dir...
-//	nymbleperf -workloads [-json]
+//	nymbleperf -workloads [the same flags]
 //
 // -param supplies integer launch arguments (e.g. -param DIM=64) so
 // data-dependent trip counts fold to constants. A directory argument
 // analyzes every *.mc file inside it. -workloads analyzes the
 // built-in seed kernels (GEMM versions 1-5 and pi) with their canonical
-// defines and parameters.
+// defines and parameters, which -D and -param override.
 package main
 
 import (
@@ -29,7 +29,6 @@ import (
 	"paravis/internal/api"
 	"paravis/internal/cli"
 	"paravis/internal/core"
-	"paravis/internal/workloads"
 )
 
 func main() {
@@ -42,29 +41,19 @@ func main() {
 	flag.Parse()
 	if *wl == (flag.NArg() > 0) {
 		fmt.Fprintln(os.Stderr, "usage: nymbleperf [-D NAME=VALUE] [-param NAME=VALUE] [-json] file.mc|dir...")
-		fmt.Fprintln(os.Stderr, "       nymbleperf -workloads [-json]")
+		fmt.Fprintln(os.Stderr, "       nymbleperf -workloads [the same flags]")
 		os.Exit(2)
 	}
 
-	var units []api.PerfUnit
-	if *wl {
-		for _, w := range workloads.Units() {
-			units = append(units, analyzeOne(w.Name, w.Source, w.Defines, w.Params))
-		}
-	} else {
-		paths, err := cli.ExpandPaths(flag.Args())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nymbleperf:", err)
-			os.Exit(2)
-		}
-		for _, path := range paths {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nymbleperf:", err)
-				os.Exit(2)
-			}
-			units = append(units, analyzeOne(path, string(src), defines, params))
-		}
+	list, err := cli.Units(*wl, flag.Args(), defines, params)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nymbleperf:", err)
+		os.Exit(2)
+	}
+	units := make([]api.PerfUnit, 0, len(list))
+	for _, u := range list {
+		opts := core.BuildOptions{Defines: u.Defines}
+		units = append(units, api.PerfSource(context.Background(), u.Name, u.Source, opts, u.Params))
 	}
 
 	failed := false
@@ -96,12 +85,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-func analyzeOne(name, src string, defines map[string]string, params map[string]int64) api.PerfUnit {
-	prog, err := core.Build(context.Background(), src, core.BuildOptions{Defines: defines})
-	if err != nil {
-		return api.NewPerfUnit(name, nil, nil, nil, err)
-	}
-	return api.AnalyzePerf(name, prog, params)
 }

@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/signal"
 	"sort"
@@ -81,57 +82,69 @@ func main() {
 		return
 	}
 
-	p, err := core.Build(ctx, src, core.BuildOptions{Defines: defines})
+	p, out, err := simulate(ctx, src, defines, ints, floats, bufFiles, *noProfile)
 	if err != nil {
 		fatal(err)
 	}
-	args, err := cli.MakeArgs(p, ints, floats, bufFiles)
-	if err != nil {
-		fatal(err)
-	}
-
-	cfg := sim.DefaultConfig()
-	cfg.Profile.Enabled = !*noProfile
-	out, err := p.Run(ctx, args, cfg)
-	if err != nil {
-		fatal(err)
-	}
-
-	summary, err := api.NewRunSummary(p, out)
+	// The same versioned document nymbled persists as summary.json (and
+	// serves inside the job body), byte for byte.
+	doc, err := api.NewStoredRun(p, out)
 	if err != nil {
 		fatal(err)
 	}
 	if *asJSON {
-		// The same versioned document nymbled persists as summary.json
-		// (and serves inside the job body), byte for byte; the trace list
-		// names the daemon's downloadable bundle files.
-		doc := api.StoredRun{
-			SchemaVersion: api.Version,
-			Kernel:        p.Kernel.Name,
-			Summary:       summary,
-		}
-		if out.Streams != nil {
-			doc.Trace = []string{"trace.prv", "trace.prv.gz", "trace.pcf", "trace.row"}
-		}
 		if err := api.Encode(os.Stdout, doc); err != nil {
 			fatal(err)
 		}
-		if out.Streams != nil {
-			name := *base
-			if name == "" {
-				name = p.Kernel.Name
-			}
-			write := out.WriteTrace
-			if *gz {
-				write = out.WriteTraceGz
-			}
-			if _, err := write(*outDir, name); err != nil {
-				fatal(err)
-			}
-		}
+	} else {
+		printSummary(p, out, doc.Summary)
+	}
+	if out.Streams == nil {
 		return
 	}
+	name := *base
+	if name == "" {
+		name = p.Kernel.Name
+	}
+	write := out.WriteTrace
+	if *gz {
+		write = out.WriteTraceGz
+	}
+	prv, err := write(*outDir, name)
+	if err != nil {
+		fatal(err)
+	}
+	if !*asJSON {
+		fmt.Printf("trace written to %s (+ .pcf/.row)\n", prv)
+		fmt.Println("\nadvisor findings:")
+		fmt.Print(advisor.Format(advisor.AdviseProgram(p, out)))
+	}
+}
 
+// simulate is nymblesim's one build → arguments → run path, taken by
+// the single run and by every sweep point.
+func simulate(ctx context.Context, src string, defines map[string]string,
+	ints map[string]int64, floats map[string]float64, bufFiles map[string]string, noProfile bool) (*core.Program, *core.RunOutput, error) {
+	p, err := core.Build(ctx, src, core.BuildOptions{Defines: defines})
+	if err != nil {
+		return nil, nil, err
+	}
+	args, err := cli.MakeArgs(p, ints, floats, bufFiles)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := sim.DefaultConfig()
+	cfg.Profile.Enabled = !noProfile
+	out, err := p.Run(ctx, args, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, out, nil
+}
+
+// printSummary prints the text run summary; the trace-derived lines
+// appear only when the run was profiled.
+func printSummary(p *core.Program, out *core.RunOutput, summary *api.RunSummary) {
 	r := out.Result
 	fmt.Printf("kernel %s: %d cycles (%.3f ms at %.0f MHz), %d threads\n",
 		p.Kernel.Name, r.Cycles, 1e3*out.Seconds(r.Cycles), out.FmaxMHz, p.Kernel.NumThreads)
@@ -146,21 +159,6 @@ func main() {
 		fmt.Printf("avg external bandwidth: %.3f B/cycle (%.2f GB/s)\n",
 			bw, analysis.BandwidthGBs(bw, out.FmaxMHz))
 		fmt.Printf("sustained compute: %.3f GFLOP/s\n", summary.GFlops)
-		name := *base
-		if name == "" {
-			name = p.Kernel.Name
-		}
-		write := out.WriteTrace
-		if *gz {
-			write = out.WriteTraceGz
-		}
-		prv, err := write(*outDir, name)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace written to %s (+ .pcf/.row)\n", prv)
-		fmt.Println("\nadvisor findings:")
-		fmt.Print(advisor.Format(advisor.AdviseProgram(p, out, advisor.Thresholds{})))
 	}
 }
 
@@ -175,46 +173,16 @@ func runSweep(ctx context.Context, src string, defines cli.Defines, spec string,
 	}
 	vals := strings.Split(list, ",")
 
-	type point struct {
-		cycles  int64
-		stalls  int64
-		threads int
-		bw      float64
-		gflops  float64
-		fmax    float64
-	}
-	pts := make([]point, len(vals))
+	pts := make([]*api.RunSummary, len(vals))
 	err := parallel.ForEach(workers, len(vals), func(i int) error {
-		defs := cli.Defines{}
-		for k, v := range defines {
-			defs[k] = v
-		}
+		defs := maps.Clone(defines)
 		defs[name] = vals[i]
-		p, err := core.Build(ctx, src, core.BuildOptions{Defines: defs})
+		p, out, err := simulate(ctx, src, defs, ints, floats, bufFiles, noProfile)
+		if err == nil {
+			pts[i], err = api.NewRunSummary(p, out)
+		}
 		if err != nil {
 			return fmt.Errorf("%s=%s: %w", name, vals[i], err)
-		}
-		args, err := cli.MakeArgs(p, ints, floats, bufFiles)
-		if err != nil {
-			return fmt.Errorf("%s=%s: %w", name, vals[i], err)
-		}
-		cfg := sim.DefaultConfig()
-		cfg.Profile.Enabled = !noProfile
-		out, err := p.Run(ctx, args, cfg)
-		if err != nil {
-			return fmt.Errorf("%s=%s: %w", name, vals[i], err)
-		}
-		summary, err := api.NewRunSummary(p, out)
-		if err != nil {
-			return fmt.Errorf("%s=%s: %w", name, vals[i], err)
-		}
-		pts[i] = point{
-			cycles:  out.Result.Cycles,
-			stalls:  out.Result.TotalStalls(),
-			threads: p.Kernel.NumThreads,
-			bw:      summary.BWBytesPerCycle,
-			gflops:  summary.GFlops,
-			fmax:    out.FmaxMHz,
 		}
 		return nil
 	})
@@ -226,11 +194,11 @@ func runSweep(ctx context.Context, src string, defines cli.Defines, spec string,
 		name, len(vals), parallel.Resolve(workers))
 	fmt.Printf("%-12s %10s %12s %12s %8s %10s %9s\n",
 		name, "threads", "cycles", "stalls", "speedup", "BW B/cyc", "GFLOP/s")
-	base := pts[0].cycles
+	base := pts[0].Cycles
 	for i, v := range vals {
-		sp := float64(base) / float64(pts[i].cycles)
+		sp := float64(base) / float64(pts[i].Cycles)
 		fmt.Printf("%-12s %10d %12d %12d %7.2fx %10.3f %9.3f\n",
-			v, pts[i].threads, pts[i].cycles, pts[i].stalls, sp, pts[i].bw, pts[i].gflops)
+			v, pts[i].Threads, pts[i].Cycles, pts[i].Stalls, sp, pts[i].BWBytesPerCycle, pts[i].GFlops)
 	}
 	return nil
 }

@@ -9,14 +9,15 @@
 // Usage:
 //
 //	nymblevet [-D NAME=VALUE]... [-rule ID] [-json|-sarif] file.mc|dir...
-//	nymblevet -workloads [-rule ID] [-json|-sarif]
+//	nymblevet -workloads [the same flags]
 //
 // A directory argument vets every *.mc file inside it. -workloads vets
-// the built-in seed kernels (GEMM versions 1-5 and pi)
-// with their canonical defines. -rule restricts the report to one rule
-// id (e.g. loop-carried-dep); clean/exit status then reflect only that
-// rule. The exit status is 1 if any unit reports an error-severity
-// diagnostic, 0 otherwise (warnings and infos do not fail the run).
+// the built-in seed kernels (GEMM versions 1-5 and pi) with their
+// canonical defines, which -D overrides. -rule restricts the report to
+// one rule id (e.g. loop-carried-dep); clean/exit status then reflect
+// only that rule. The exit status is 1 if any unit reports an
+// error-severity diagnostic, 0 otherwise (warnings and infos do not fail
+// the run).
 // The -json report carries a "depend" section per unit (loop-by-loop
 // dependence summary and transformation-legality verdicts) and an
 // "absint" section (the abstract interpreter's reachability, trip and
@@ -31,8 +32,6 @@ import (
 
 	"paravis/internal/api"
 	"paravis/internal/cli"
-	"paravis/internal/core"
-	"paravis/internal/minic"
 	"paravis/internal/staticcheck"
 	"paravis/internal/workloads"
 )
@@ -47,29 +46,18 @@ func main() {
 	flag.Parse()
 	if *wl == (flag.NArg() > 0) || (*asJSON && *asSarif) {
 		fmt.Fprintln(os.Stderr, "usage: nymblevet [-D NAME=VALUE] [-rule ID] [-json|-sarif] file.mc|dir...")
-		fmt.Fprintln(os.Stderr, "       nymblevet -workloads [-rule ID] [-json|-sarif]")
+		fmt.Fprintln(os.Stderr, "       nymblevet -workloads [the same flags]")
 		os.Exit(2)
 	}
 
-	var units []api.VetUnit
-	if *wl {
-		for _, w := range workloads.Units() {
-			units = append(units, vetOne(w.Name, w.Source, w.Defines, *rule))
-		}
-	} else {
-		paths, err := cli.ExpandPaths(flag.Args())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nymblevet:", err)
-			os.Exit(2)
-		}
-		for _, path := range paths {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nymblevet:", err)
-				os.Exit(2)
-			}
-			units = append(units, vetOne(path, string(src), defines, *rule))
-		}
+	list, err := cli.Units(*wl, flag.Args(), defines, nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nymblevet:", err)
+		os.Exit(2)
+	}
+	units := make([]api.VetUnit, 0, len(list))
+	for _, u := range list {
+		units = append(units, vetOne(u, *rule))
 	}
 
 	failed := false
@@ -110,18 +98,18 @@ func main() {
 	}
 }
 
-func vetOne(name, src string, defines map[string]string, rule string) api.VetUnit {
-	ds := core.Vet(name, src, core.BuildOptions{Defines: defines})
-	if rule != "" {
-		kept := []staticcheck.Diagnostic{}
-		for _, d := range ds {
-			if d.Rule == rule {
-				kept = append(kept, d)
-			}
-		}
-		ds = kept
+// vetOne vets one unit, keeping only the diagnostics of rule when one
+// is given.
+func vetOne(u workloads.Unit, rule string) api.VetUnit {
+	vu := api.Vet(u.Name, u.Source, u.Defines)
+	if rule == "" {
+		return vu
 	}
-	dep := api.ParseDependSummary(src, minic.Options{Defines: defines})
-	abs := api.ParseAbsintSummary(src, minic.Options{Defines: defines})
-	return api.NewVetUnit(name, ds, dep, abs)
+	kept := []staticcheck.Diagnostic{}
+	for _, d := range vu.Diagnostics {
+		if d.Rule == rule {
+			kept = append(kept, d)
+		}
+	}
+	return api.NewVetUnit(vu.Name, kept, vu.Depend, vu.Absint)
 }

@@ -14,7 +14,7 @@
 //   - internal/schedule — static pipeline scheduling (Nymble's synthesis step)
 //   - internal/hw       — compiled datapath representation
 //   - internal/sim      — cycle-level Nymble-MT multi-threaded execution model
-//   - internal/mem      — Avalon/DRAM/BRAM/preloader memory system
+//   - internal/mem      — Avalon/DRAM/BRAM memory system
 //   - internal/hwsem    — hardware semaphore and barrier
 //   - internal/profile  — the paper's profiling unit (states + event counters)
 //   - internal/paraver  — the streaming trace: .prv/.pcf/.row writer, scanner

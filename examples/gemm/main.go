@@ -49,7 +49,7 @@ func main() {
 
 	fmt.Println("\n== advisor: what the profile suggests for each version ==")
 	for _, run := range speed.Runs {
-		top := advisor.Top(advisor.AdviseProgram(run.Program, run.Out, advisor.Thresholds{}))
+		top := advisor.Top(advisor.AdviseProgram(run.Program, run.Out))
 		fmt.Printf("%-22s -> [%s] %s\n", run.Version, top.Severity, top.Kind)
 		fmt.Printf("%-22s    %s\n", "", top.Action())
 	}

@@ -128,54 +128,31 @@ func (f Finding) String() string {
 	return fmt.Sprintf("[%s] %s: %s -> %s", f.Severity, f.Kind, f.Evidence, f.Action())
 }
 
-// Thresholds tune the rules; zero values take defaults.
-type Thresholds struct {
-	// SpinCriticalPct flags lock serialization when spin+critical share
-	// exceeds this percentage (default 1.0 — the paper acts on ~3%).
-	SpinCriticalPct float64
-	// NarrowBytes flags scalar-grained traffic when the average accepted
-	// request moves at most this many bytes (default 8).
-	NarrowBytes float64
-	// StallFrac flags memory-boundness when stall cycles exceed this
-	// fraction of total thread cycles (default 0.4).
-	StallFrac float64
-	// OverlapFrac flags missing prefetch when load/compute overlap is
-	// below this (default 0.15) while distinct phases exist.
-	OverlapFrac float64
-	// ParallelFrac flags launch-overhead domination when the all-threads-
-	// active window is below this fraction of the run (default 0.5).
-	ParallelFrac float64
-	// ImbalanceFrac flags imbalance when the busiest thread runs this much
-	// longer than the least busy (default 0.25).
-	ImbalanceFrac float64
-}
-
-func (t Thresholds) withDefaults() Thresholds {
-	if t.SpinCriticalPct == 0 {
-		t.SpinCriticalPct = 1.0
-	}
-	if t.NarrowBytes == 0 {
-		t.NarrowBytes = 8
-	}
-	if t.StallFrac == 0 {
-		t.StallFrac = 0.4
-	}
-	if t.OverlapFrac == 0 {
-		t.OverlapFrac = 0.15
-	}
-	if t.ParallelFrac == 0 {
-		t.ParallelFrac = 0.5
-	}
-	if t.ImbalanceFrac == 0 {
-		t.ImbalanceFrac = 0.25
-	}
-	return t
-}
+// Rule thresholds.
+const (
+	// lockPctThreshold flags lock serialization when the spin+critical
+	// share of thread time exceeds this percentage (the paper acts on ~3 %).
+	lockPctThreshold = 1.0
+	// narrowBytesThreshold flags scalar-grained traffic when the average
+	// accepted request moves at most this many bytes.
+	narrowBytesThreshold = 8.0
+	// stallFracThreshold flags memory-boundness when stall cycles exceed
+	// this fraction of total thread cycles.
+	stallFracThreshold = 0.4
+	// overlapFracThreshold flags missing prefetch when load/compute
+	// overlap is below this while distinct phases exist.
+	overlapFracThreshold = 0.15
+	// parallelFracThreshold flags launch-overhead domination when the
+	// all-threads-active window is below this fraction of the run.
+	parallelFracThreshold = 0.5
+	// imbalanceFracThreshold flags imbalance when the busiest thread runs
+	// this much longer than the least busy.
+	imbalanceFracThreshold = 0.25
+)
 
 // Advise analyzes a profiled run and returns findings ordered by severity,
 // strongest first. A healthy run yields a single Info finding.
-func Advise(out *core.RunOutput, th Thresholds) []Finding {
-	th = th.withDefaults()
+func Advise(out *core.RunOutput) []Finding {
 	var findings []Finding
 	r := out.Result
 	// One fold serves every trace-derived rule: state residency, total
@@ -197,10 +174,10 @@ func Advise(out *core.RunOutput, th Thresholds) []Finding {
 	prof := ss.StateProfileTask(0)
 	spinPct := 100 * prof.TotalFraction[profile.StateSpinning]
 	critPct := 100 * prof.TotalFraction[profile.StateCritical]
-	if spinPct+critPct > th.SpinCriticalPct && r.LockAcquisitions > 0 {
+	if spinPct+critPct > lockPctThreshold && r.LockAcquisitions > 0 {
 		findings = append(findings, Finding{
 			Kind:     KindLockSerialization,
-			Severity: severityByScale(spinPct+critPct, th.SpinCriticalPct),
+			Severity: severityByScale(spinPct+critPct, lockPctThreshold),
 			Evidence: fmt.Sprintf("%.2f%% of thread time in critical sections and %.2f%% spinning (%d acquisitions, %d contended)",
 				critPct, spinPct, r.LockAcquisitions, r.LockContended),
 			Remedy: Remedy{
@@ -223,7 +200,7 @@ func Advise(out *core.RunOutput, th Thresholds) []Finding {
 	}
 	if r.DRAM.ThreadTransactions >= 64 && memIntensity > 0.01 {
 		avgBytes := float64(r.DRAM.ThreadWordsMoved*4) / float64(r.DRAM.ThreadTransactions)
-		if avgBytes <= th.NarrowBytes {
+		if avgBytes <= narrowBytesThreshold {
 			sev := Major
 			if avgBytes <= 4.5 {
 				sev = Critical
@@ -236,7 +213,7 @@ func Advise(out *core.RunOutput, th Thresholds) []Finding {
 				// compile-time prediction and this profiled diagnosis can be
 				// cross-checked verbatim.
 				Remedy: Remedy{Action: staticcheck.ActionNarrowAccesses, Pass: transform.PassVectorize},
-				Score:  th.NarrowBytes - avgBytes + 1,
+				Score:  narrowBytesThreshold - avgBytes + 1,
 			})
 		}
 	}
@@ -248,8 +225,8 @@ func Advise(out *core.RunOutput, th Thresholds) []Finding {
 	}
 	if busy > 0 {
 		stallFrac := float64(r.TotalStalls()) / float64(busy)
-		if stallFrac > th.StallFrac {
-			sev := severityByScale(100*stallFrac, 100*th.StallFrac)
+		if stallFrac > stallFracThreshold {
+			sev := severityByScale(100*stallFrac, 100*stallFracThreshold)
 			remedy := Remedy{Action: staticcheck.ActionBlockInBRAM, Pass: transform.PassBlockBRAM}
 			// If local memory already dominates the traffic, blocking is
 			// in place: the residual stalls are the block loads themselves.
@@ -270,7 +247,7 @@ func Advise(out *core.RunOutput, th Thresholds) []Finding {
 	// Rule 4: distinct load/compute phases without prefetch (Fig. 8).
 	ph := analysis.ClassifyPhases(ss.MemSeries(), ss.Series(paraver.EventFpOps), 0.05, 0.05)
 	active := ph.MemOnly + ph.ComputeOnly + ph.Both
-	if active > 10 && ph.MemOnly > active/10 && ph.Overlap() < th.OverlapFrac {
+	if active > 10 && ph.MemOnly > active/10 && ph.Overlap() < overlapFracThreshold {
 		findings = append(findings, Finding{
 			Kind:     KindDistinctPhases,
 			Severity: Major,
@@ -296,7 +273,7 @@ func Advise(out *core.RunOutput, th Thresholds) []Finding {
 		if parallel < 0 {
 			parallel = 0
 		}
-		if parallel < th.ParallelFrac {
+		if parallel < parallelFracThreshold {
 			sev := Major
 			if firstEnd <= lastStart {
 				sev = Critical
@@ -323,7 +300,7 @@ func Advise(out *core.RunOutput, th Thresholds) []Finding {
 				maxBusy = b
 			}
 		}
-		if minBusy > 0 && float64(maxBusy-minBusy)/float64(maxBusy) > th.ImbalanceFrac {
+		if minBusy > 0 && float64(maxBusy-minBusy)/float64(maxBusy) > imbalanceFracThreshold {
 			findings = append(findings, Finding{
 				Kind:     KindLoadImbalance,
 				Severity: Minor,
@@ -363,8 +340,8 @@ func Advise(out *core.RunOutput, th Thresholds) []Finding {
 // silently disappears, because the *diagnosis* (the measured bottleneck)
 // remains true even when the stock remedy is illegal. A remedy whose
 // legality could not be decided keeps its severity but is annotated.
-func AdviseProgram(p *core.Program, out *core.RunOutput, th Thresholds) []Finding {
-	findings := Advise(out, th)
+func AdviseProgram(p *core.Program, out *core.RunOutput) []Finding {
+	findings := Advise(out)
 	if p == nil || p.Fn == nil {
 		return findings
 	}

@@ -42,13 +42,13 @@ func runVersion(t *testing.T, v workloads.GEMMVersion, dim int) *core.RunOutput 
 func TestAdvisorReproducesPaperNarrative(t *testing.T) {
 	dim := 32
 	t.Run("naive -> remove critical", func(t *testing.T) {
-		f := Advise(runVersion(t, workloads.GEMMNaive, dim), Thresholds{})
+		f := Advise(runVersion(t, workloads.GEMMNaive, dim))
 		if !HasKind(f, KindLockSerialization) {
 			t.Fatalf("missing lock-serialization finding:\n%s", Format(f))
 		}
 	})
 	t.Run("no-critical -> vectorize", func(t *testing.T) {
-		f := Advise(runVersion(t, workloads.GEMMNoCritical, dim), Thresholds{})
+		f := Advise(runVersion(t, workloads.GEMMNoCritical, dim))
 		if HasKind(f, KindLockSerialization) {
 			t.Fatalf("lock finding should be gone:\n%s", Format(f))
 		}
@@ -57,19 +57,19 @@ func TestAdvisorReproducesPaperNarrative(t *testing.T) {
 		}
 	})
 	t.Run("vectorized -> block", func(t *testing.T) {
-		f := Advise(runVersion(t, workloads.GEMMPartialVec, dim), Thresholds{})
+		f := Advise(runVersion(t, workloads.GEMMPartialVec, dim))
 		if !HasKind(f, KindMemoryBound) {
 			t.Fatalf("missing memory-bound finding:\n%s", Format(f))
 		}
 	})
 	t.Run("blocked -> double buffer", func(t *testing.T) {
-		f := Advise(runVersion(t, workloads.GEMMBlocked, dim), Thresholds{})
+		f := Advise(runVersion(t, workloads.GEMMBlocked, dim))
 		if !HasKind(f, KindDistinctPhases) {
 			t.Fatalf("missing distinct-phases finding:\n%s", Format(f))
 		}
 	})
 	t.Run("double buffered -> no phase finding", func(t *testing.T) {
-		f := Advise(runVersion(t, workloads.GEMMDoubleBuffered, dim), Thresholds{})
+		f := Advise(runVersion(t, workloads.GEMMDoubleBuffered, dim))
 		if HasKind(f, KindDistinctPhases) {
 			t.Fatalf("distinct-phases finding should be gone:\n%s", Format(f))
 		}
@@ -92,7 +92,7 @@ func TestAdvisorLaunchOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Advise(out, Thresholds{})
+	f := Advise(out)
 	if !HasKind(f, KindLaunchOverhead) {
 		t.Fatalf("missing launch-overhead finding:\n%s", Format(f))
 	}
@@ -105,7 +105,7 @@ func TestAdvisorLaunchOverhead(t *testing.T) {
 }
 
 func TestAdvisorNoTrace(t *testing.T) {
-	f := Advise(&core.RunOutput{}, Thresholds{})
+	f := Advise(&core.RunOutput{})
 	if len(f) != 1 || f[0].Kind != KindHealthy {
 		t.Fatalf("findings = %+v", f)
 	}
@@ -116,7 +116,7 @@ func TestAdvisorNoTrace(t *testing.T) {
 
 func TestAdvisorOrderingAndFormat(t *testing.T) {
 	out := runVersion(t, workloads.GEMMNaive, 32)
-	f := Advise(out, Thresholds{})
+	f := Advise(out)
 	for i := 1; i < len(f); i++ {
 		if f[i].Severity > f[i-1].Severity {
 			t.Fatalf("findings not ordered by severity: %v", f)
@@ -160,7 +160,7 @@ func TestNarrowAccessesWordingCrossCheck(t *testing.T) {
 	if !strings.Contains(stallMsg, staticcheck.ActionNarrowAccesses) {
 		t.Fatalf("stall-lint message lacks the shared wording: %s", stallMsg)
 	}
-	f := Advise(runVersion(t, v, 32), Thresholds{})
+	f := Advise(runVersion(t, v, 32))
 	for _, fd := range f {
 		if fd.Kind == KindNarrowAccesses {
 			if fd.Action() != staticcheck.ActionNarrowAccesses {

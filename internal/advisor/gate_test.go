@@ -91,7 +91,7 @@ func TestAdviseProgramProvenRemedyUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := runVersion(t, v, 32)
-	for _, fd := range AdviseProgram(p, out, Thresholds{}) {
+	for _, fd := range AdviseProgram(p, out) {
 		if fd.Kind == KindNarrowAccesses {
 			if fd.Action() != staticcheck.ActionNarrowAccesses {
 				t.Fatalf("proven-legal remedy was altered:\n%s", fd.Action())
@@ -113,8 +113,8 @@ func TestAdviseProgramNeverDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := runVersion(t, v, 32)
-	plain := Advise(out, Thresholds{})
-	gated := AdviseProgram(p, out, Thresholds{})
+	plain := Advise(out)
+	gated := AdviseProgram(p, out)
 	if len(gated) != len(plain) {
 		t.Fatalf("gating changed the finding count: %d -> %d", len(plain), len(gated))
 	}

@@ -1,17 +1,17 @@
 // Package api defines the versioned request/response types of the nymble
-// tool family. The nymbled daemon and the -json modes of nymblec,
-// nymblevet and nymbleperf all marshal these exact structs through
-// Encode, so the JSON a client sees over HTTP is byte-identical to what
-// the corresponding CLI prints for the same input. Every top-level
-// response carries a schema "version" field; fields marshal in the
-// declared order and map keys sort, so reports are byte-stable across
-// runs.
+// tool family and the one composition of each operation behind them:
+// Vet, PerfSource and AnalyzePerf, NewStoredRun, RunKey and OptimizeKey.
+// The nymbled daemon and every CLI -json mode (nymblec, nymblevet,
+// nymbleperf, nymblesim, nymbleopt) call those functions and marshal
+// these exact structs through Encode, so the JSON a client sees over
+// HTTP is byte-identical to what the corresponding CLI prints for the
+// same input. Every top-level response carries a schema "version" field;
+// fields marshal in the declared order and map keys sort, so reports are
+// byte-stable across runs.
 package api
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -178,6 +178,15 @@ func NewVetUnit(name string, ds []staticcheck.Diagnostic, dep []DependLoop, abs 
 		ds = []staticcheck.Diagnostic{}
 	}
 	return VetUnit{Name: name, Clean: staticcheck.Clean(ds), Diagnostics: ds, Depend: dep, Absint: abs}
+}
+
+// Vet is the vet of one source as nymblevet and /v1/vet publish it: the
+// diagnostics of core.Vet with the source's dependence and absint
+// summaries.
+func Vet(name, src string, defines map[string]string) VetUnit {
+	ds := core.Vet(name, src, core.BuildOptions{Defines: defines})
+	opts := minic.Options{Defines: defines}
+	return NewVetUnit(name, ds, ParseDependSummary(src, opts), ParseAbsintSummary(src, opts))
 }
 
 // AbsintSummary is the wire form of the abstract interpreter's verdicts
@@ -421,6 +430,17 @@ func AnalyzePerf(name string, prog *core.Program, params map[string]int64) PerfU
 	return NewPerfUnit(name, rep, staticcheck.PerfDiagnostics(name, rep), dep, nil)
 }
 
+// PerfSource is AnalyzePerf of a source built outside any cache, as
+// nymbleperf and the optimize job's before/after reports run it; a
+// source that does not build yields a unit carrying the compile error.
+func PerfSource(ctx context.Context, name, src string, opts core.BuildOptions, params map[string]int64) PerfUnit {
+	prog, err := core.Build(ctx, src, opts)
+	if err != nil {
+		return NewPerfUnit(name, nil, nil, nil, err)
+	}
+	return AnalyzePerf(name, prog, params)
+}
+
 // PerfReport is nymbleperf's -json output and the daemon's /v1/perf
 // response.
 type PerfReport struct {
@@ -462,56 +482,19 @@ type RunRequest struct {
 // what the artifact store hashes on. Transport fields (Wait, TimeoutMs)
 // deliberately do not participate.
 func RunKey(r *RunRequest) string {
-	h := sha256.New()
-	num := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	str := func(s string) {
-		num(uint64(len(s)))
-		io.WriteString(h, s)
-	}
-	str(core.Key(r.Source, core.BuildOptions{Defines: r.Defines, VectorLanes: r.VectorLanes}))
-
-	names := make([]string, 0, len(r.Ints))
-	for k := range r.Ints {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		str(k)
-		num(uint64(r.Ints[k]))
-	}
-	names = names[:0]
-	for k := range r.Floats {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		str(k)
-		num(math.Float64bits(r.Floats[k]))
-	}
-	names = names[:0]
-	for k := range r.Buffers {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		str(k)
-		data := r.Buffers[k]
-		num(uint64(len(data)))
+	d := core.NewDigest()
+	d.Str(core.Key(r.Source, core.BuildOptions{Defines: r.Defines, VectorLanes: r.VectorLanes}))
+	core.DigestMap(d, r.Ints, func(v int64) { d.Uint(uint64(v)) })
+	core.DigestMap(d, r.Floats, func(v float64) { d.Uint(math.Float64bits(v)) })
+	core.DigestMap(d, r.Buffers, func(data []float32) {
+		d.Uint(uint64(len(data)))
 		for _, f := range data {
-			num(uint64(math.Float32bits(f)))
+			d.Uint(uint64(math.Float32bits(f)))
 		}
-	}
-	if r.NoProfile {
-		num(1)
-	} else {
-		num(0)
-	}
-	num(uint64(r.MaxCycles))
-	return hex.EncodeToString(h.Sum(nil))
+	})
+	d.Bool(r.NoProfile)
+	d.Uint(uint64(r.MaxCycles))
+	return d.Sum()
 }
 
 // StoredRun is the summary document persisted next to a run's trace
@@ -524,6 +507,29 @@ type StoredRun struct {
 	// Trace lists the bundle files stored alongside (empty when the run
 	// had profiling disabled).
 	Trace []string `json:"trace,omitempty"`
+}
+
+// The files of a run's Paraver bundle, as nymbled stores and serves them.
+const (
+	TracePRV   = "trace.prv"
+	TracePRVGz = "trace.prv.gz"
+	TracePCF   = "trace.pcf"
+	TraceROW   = "trace.row"
+)
+
+// NewStoredRun assembles the versioned document of a finished run: the
+// run summary plus the bundle files a profiled run has. It is nymblesim's
+// -json output and the summary.json nymbled persists for a run job.
+func NewStoredRun(p *core.Program, out *core.RunOutput) (StoredRun, error) {
+	sum, err := NewRunSummary(p, out)
+	if err != nil {
+		return StoredRun{}, err
+	}
+	doc := StoredRun{SchemaVersion: Version, Kernel: p.Kernel.Name, Summary: sum}
+	if out.Streams != nil {
+		doc.Trace = []string{TracePRV, TracePRVGz, TracePCF, TraceROW}
+	}
+	return doc, nil
 }
 
 // Health is the GET /healthz document: liveness plus the cache-shaped

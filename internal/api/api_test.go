@@ -61,3 +61,73 @@ func TestDependSummaryAbsentOnBadSource(t *testing.T) {
 		t.Errorf("no target region should yield nil absint summary, got %+v", abs)
 	}
 }
+
+// keyRunRequest and keyOptimizeRequest carry every field their digest
+// covers, so the pins below notice a change in any one encoding.
+func keyRunRequest() *RunRequest {
+	return &RunRequest{
+		Source:      "void f() {}",
+		Defines:     map[string]string{"N": "4", "M": "2"},
+		VectorLanes: 8,
+		Ints:        map[string]int64{"n": 64, "dim": -3},
+		Floats:      map[string]float64{"a": 2.5, "b": -0.125},
+		Buffers:     map[string][]float32{"Y": {1, 2}, "X": {0.5, -1, 3}},
+		NoProfile:   true,
+		MaxCycles:   123456,
+		TimeoutMs:   99, // transport: must not move the digest
+		Wait:        true,
+	}
+}
+
+func keyOptimizeRequest() *OptimizeRequest {
+	return &OptimizeRequest{
+		Name:        "gemm", // transport: must not move the digest
+		Source:      "void f() {}",
+		Defines:     map[string]string{"N": "4"},
+		VectorLanes: 8,
+		Params:      map[string]int64{"DIM": 16, "K": -1},
+		Floats:      map[string]float64{"step": 0.25},
+		Budget:      8,
+		MaxRounds:   2,
+		TimeoutMs:   99,
+		Wait:        true,
+	}
+}
+
+// TestRunKeyIsStable pins the run digest: the artifact store names a
+// run's directory by it, so a change would orphan every stored run.
+func TestRunKeyIsStable(t *testing.T) {
+	const want = "348197964fe1308171257e439862770e6f35485be91dcb59e26cc87f5b78a708"
+	if got := RunKey(keyRunRequest()); got != want {
+		t.Errorf("RunKey = %s, want %s", got, want)
+	}
+	bare := &RunRequest{Source: "void f() {}"}
+	const wantBare = "2ea0f4c6d406eb8b841f02297e0bfb102d8db617f90badecec3eca9bb7db2fb9"
+	if got := RunKey(bare); got != wantBare {
+		t.Errorf("RunKey(bare) = %s, want %s", got, wantBare)
+	}
+}
+
+// TestOptimizeKeyIsStable pins the search digest on the same terms as
+// TestRunKeyIsStable.
+func TestOptimizeKeyIsStable(t *testing.T) {
+	const want = "7f35bc799117585f236f9ec54ed1f58101ed4face7d091b4e27225c76a403966"
+	if got := OptimizeKey(keyOptimizeRequest()); got != want {
+		t.Errorf("OptimizeKey = %s, want %s", got, want)
+	}
+}
+
+// TestRunKeyAllocatesNothingPerValue: the digest stages values in a fixed
+// buffer, so hashing 8,184 more buffer values costs no allocation per
+// value. (The race detector adds a few allocations of its own, hence the
+// slack.)
+func TestRunKeyAllocatesNothingPerValue(t *testing.T) {
+	allocs := func(n int) float64 {
+		r := keyRunRequest()
+		r.Buffers = map[string][]float32{"X": make([]float32, n), "Y": make([]float32, n)}
+		return testing.AllocsPerRun(10, func() { RunKey(r) })
+	}
+	if short, long := allocs(4), allocs(4096); long > short+64 {
+		t.Errorf("RunKey allocates %.0f times with 2×4 floats, %.0f with 2×4096", short, long)
+	}
+}

@@ -1,12 +1,7 @@
 package api
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"io"
 	"math"
-	"sort"
 
 	"paravis/internal/autotune"
 	"paravis/internal/core"
@@ -151,37 +146,11 @@ type StoredOptimize struct {
 // what the artifact store and run coalescing hash on. Transport fields
 // (Wait, TimeoutMs, Name) deliberately do not participate.
 func OptimizeKey(r *OptimizeRequest) string {
-	h := sha256.New()
-	num := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	str := func(s string) {
-		num(uint64(len(s)))
-		io.WriteString(h, s)
-	}
-	str(core.Key(r.Source, core.BuildOptions{Defines: r.Defines, VectorLanes: r.VectorLanes}))
-
-	names := make([]string, 0, len(r.Params))
-	for k := range r.Params {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		str(k)
-		num(uint64(r.Params[k]))
-	}
-	names = names[:0]
-	for k := range r.Floats {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		str(k)
-		num(math.Float64bits(r.Floats[k]))
-	}
-	num(uint64(r.Budget))
-	num(uint64(r.MaxRounds))
-	return hex.EncodeToString(h.Sum(nil))
+	d := core.NewDigest()
+	d.Str(core.Key(r.Source, core.BuildOptions{Defines: r.Defines, VectorLanes: r.VectorLanes}))
+	core.DigestMap(d, r.Params, func(v int64) { d.Uint(uint64(v)) })
+	core.DigestMap(d, r.Floats, func(v float64) { d.Uint(math.Float64bits(v)) })
+	d.Uint(uint64(r.Budget))
+	d.Uint(uint64(r.MaxRounds))
+	return d.Sum()
 }

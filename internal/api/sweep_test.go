@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"paravis/internal/core"
-	"paravis/internal/minic"
 	"paravis/internal/perfbound"
 	"paravis/internal/staticcheck"
 	"paravis/internal/workloads"
@@ -39,11 +38,9 @@ func sweepUnits(t *testing.T) []workloads.Unit {
 // sweepUnit builds one unit's vet and perf reports with the calls
 // static_sweep makes (which are the /v1/vet and /v1/perf handlers' of the
 // commit that defined the benchmark, hint-less CheckPerf included), down
-// to the encoded bytes.
+// to the encoded bytes. Vet makes exactly static_sweep's vet calls.
 func sweepUnit(t *testing.T, u workloads.Unit) {
-	mopts := minic.Options{Defines: u.Defines}
-	ds := core.Vet(u.Name, u.Source, core.BuildOptions{Defines: u.Defines})
-	vet := NewVetUnit(u.Name, ds, ParseDependSummary(u.Source, mopts), ParseAbsintSummary(u.Source, mopts))
+	vet := Vet(u.Name, u.Source, u.Defines)
 	var buf bytes.Buffer
 	if err := Encode(&buf, VetReport{SchemaVersion: Version, Units: []VetUnit{vet}}); err != nil {
 		t.Fatal(err)

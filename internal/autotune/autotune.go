@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"paravis/internal/absint"
 	"paravis/internal/core"
@@ -58,23 +57,19 @@ const (
 	VerdictWinner        = "winner"         // improved and won its round
 )
 
-// Budget caps the expensive tier of the search. Zero values select the
-// defaults (32 simulator runs, no wall-clock cap).
+// Budget caps the expensive tier of the search. A zero Candidates
+// selects the default of 32 simulator runs.
 type Budget struct {
 	// Candidates is the total number of simulator confirmations the
 	// whole search may spend.
 	Candidates int `json:"candidates,omitempty"`
-	// Wall stops dispatching new simulations once exceeded. It is a
-	// safety valve, not a determinism boundary: runs that would make
-	// results timing-dependent should rely on Candidates instead.
-	Wall time.Duration `json:"-"`
 }
 
-// Grid is the parameter space crossed with each structural target.
-type Grid struct {
-	UnrollFactors []int64
-	TileSizes     []int64
-}
+// The parameter grid crossed with each structural target.
+var (
+	unrollFactors = []int64{2, 4}
+	tileSizes     = []int64{4, 8, 16}
+)
 
 // Options configures a search.
 type Options struct {
@@ -86,15 +81,11 @@ type Options struct {
 	Params map[string]int64
 	// Floats are float launch arguments (e.g. pi's step).
 	Floats map[string]float64
-	// SimCfg overrides the simulator/bound machine model; nil selects
-	// the default model with profiling off.
-	SimCfg *sim.Config
 	// Workers bounds the goroutines of both tiers: candidate rewriting
 	// and static ranking, then simulation (<=0: the parallel package's
 	// default). The report does not depend on it.
 	Workers   int
 	Budget    Budget
-	Grid      Grid
 	MaxRounds int
 }
 
@@ -110,26 +101,6 @@ func (o *Options) maxRounds() int {
 		return o.MaxRounds
 	}
 	return 8
-}
-
-func (o *Options) grid() Grid {
-	g := o.Grid
-	if len(g.UnrollFactors) == 0 {
-		g.UnrollFactors = []int64{2, 4}
-	}
-	if len(g.TileSizes) == 0 {
-		g.TileSizes = []int64{4, 8, 16}
-	}
-	return g
-}
-
-func (o *Options) simCfg() sim.Config {
-	if o.SimCfg != nil {
-		return *o.SimCfg
-	}
-	cfg := sim.DefaultConfig()
-	cfg.Profile.Enabled = false
-	return cfg
 }
 
 // Candidate is one explored point of the search space.
@@ -188,7 +159,7 @@ func stepName(round int, s transform.Step) string {
 }
 
 // expand crosses a structural target with its parameter grid.
-func expand(s transform.Step, g Grid) []transform.Step {
+func expand(s transform.Step) []transform.Step {
 	withParams := func(ps ...map[string]int64) []transform.Step {
 		out := make([]transform.Step, 0, len(ps))
 		for _, p := range ps {
@@ -199,19 +170,19 @@ func expand(s transform.Step, g Grid) []transform.Step {
 	switch s.Pass {
 	case transform.PassUnroll:
 		var ps []map[string]int64
-		for _, f := range g.UnrollFactors {
+		for _, f := range unrollFactors {
 			ps = append(ps, map[string]int64{"factor": f})
 		}
 		return withParams(ps...)
 	case transform.PassTile:
 		var ps []map[string]int64
-		for _, t := range g.TileSizes {
+		for _, t := range tileSizes {
 			ps = append(ps, map[string]int64{"size": t})
 		}
 		return withParams(ps...)
 	case transform.PassBlockBRAM:
 		var ps []map[string]int64
-		for _, t := range g.TileSizes {
+		for _, t := range tileSizes {
 			ps = append(ps, map[string]int64{"bs": t, "vec": 1})
 			ps = append(ps, map[string]int64{"bs": t, "vec": 0})
 		}
@@ -387,8 +358,10 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	start := time.Now()
-	simCfg := opts.simCfg()
+	// Candidates are confirmed on the default board with the profiling
+	// unit off, so measurement does not perturb the ranked quantity.
+	simCfg := sim.DefaultConfig()
+	simCfg.Profile.Enabled = false
 	topts := transform.Options{
 		Defines:     opts.Defines,
 		VectorLanes: opts.VectorLanes,
@@ -447,7 +420,7 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 		}
 		var steps []transform.Step
 		for _, target := range base.Targets() {
-			steps = append(steps, expand(target, opts.grid())...)
+			steps = append(steps, expand(target)...)
 		}
 
 		// Cheap tier: apply + build + vet + bracket every candidate. The
@@ -544,11 +517,6 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 			if res.SimsRun+len(toSim) >= budget {
 				e.cand.Verdict = VerdictBudget
 				e.cand.Note = "simulator budget exhausted"
-				continue
-			}
-			if opts.Budget.Wall > 0 && time.Since(start) > opts.Budget.Wall {
-				e.cand.Verdict = VerdictBudget
-				e.cand.Note = "wall-clock budget exhausted"
 				continue
 			}
 			toSim = append(toSim, e)

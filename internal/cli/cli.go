@@ -1,14 +1,15 @@
 // Package cli holds the argument-handling helpers shared by the nymble
 // command-line tools: the repeatable -D macro-define and -param flags,
-// name=value launch-argument parsing (with @file.f32 buffer loading) and
-// buffer construction from a compiled program's map clauses. Before this
-// package each tool carried its own copy; now they and the nymbled
-// daemon agree on one behaviour.
+// the unit list of the analysis tools (seed workloads or files), and
+// name=value launch-argument parsing with @file.f32 buffer loading,
+// whose arguments go through the same core.Program.RunArgs as the
+// nymbled daemon's.
 package cli
 
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -18,6 +19,7 @@ import (
 
 	"paravis/internal/core"
 	"paravis/internal/sim"
+	"paravis/internal/workloads"
 )
 
 // Defines is a repeatable -D NAME=VALUE flag (bare -D NAME means
@@ -104,33 +106,55 @@ func LoadF32(path string) ([]float32, error) {
 	return out, nil
 }
 
-// MakeArgs sizes zero-filled buffers from the program's map clauses and
-// fills them from @file arguments.
+// MakeArgs reads each @file argument and builds the run's arguments
+// from them through Program.RunArgs, the daemon's own argument path.
 func MakeArgs(p *core.Program, ints map[string]int64, floats map[string]float64, bufFiles map[string]string) (sim.Args, error) {
-	args, err := p.SizedArgs(ints, floats)
-	if err != nil {
-		return sim.Args{}, err
-	}
+	bufs := make(map[string][]float32, len(bufFiles))
 	for name, path := range bufFiles {
-		buf, ok := args.Buffers[name]
-		if !ok {
-			return sim.Args{}, fmt.Errorf("argument %s=@%s does not name a mapped buffer", name, path)
-		}
 		data, err := LoadF32(path)
 		if err != nil {
 			return sim.Args{}, err
 		}
-		copy(buf.Words, sim.NewFloatBuffer(data).Words)
+		bufs[name] = data
 	}
-	return args, nil
+	return p.RunArgs(ints, floats, bufs)
 }
 
-// ExpandPaths resolves the file arguments of an analysis tool: plain
+// Units returns the units an analysis tool works on: with seeds, the
+// built-in seed workloads, their canonical defines and parameters
+// overlaid by the command line's; otherwise one unit per file argument
+// (expandPaths) under the command line's defines and parameters. One
+// list serves nymblevet, nymbleperf and nymbleopt, so every flag means
+// the same on both paths.
+func Units(seeds bool, args []string, defines map[string]string, params map[string]int64) ([]workloads.Unit, error) {
+	if seeds {
+		units := workloads.Units()
+		for _, u := range units {
+			maps.Copy(u.Defines, defines)
+			maps.Copy(u.Params, params)
+		}
+		return units, nil
+	}
+	paths, err := expandPaths(args)
+	if err != nil {
+		return nil, err
+	}
+	units := make([]workloads.Unit, 0, len(paths))
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		units = append(units, workloads.Unit{Name: path, Source: string(src), Defines: defines, Params: params})
+	}
+	return units, nil
+}
+
+// expandPaths resolves the file arguments of an analysis tool: plain
 // files pass through, directory arguments expand to the *.mc files
 // inside them in sorted order (an empty directory is an error, not a
-// silent no-op). Shared by nymblevet, nymbleperf and nymbleopt so a
-// directory of kernels means the same thing to every tool.
-func ExpandPaths(args []string) ([]string, error) {
+// silent no-op).
+func expandPaths(args []string) ([]string, error) {
 	var out []string
 	for _, a := range args {
 		info, err := os.Stat(a)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -138,5 +139,57 @@ func TestCacheCanceledBuildRetries(t *testing.T) {
 	}
 	if hit {
 		t.Error("retry after canceled build reported a hit")
+	}
+}
+
+// TestCacheBoundEvictsOldestFinished: maxCacheEntries+1 distinct builds
+// leave maxCacheEntries entries, the first build is the one dropped, and
+// concurrent requests for one key still compile once.
+func TestCacheBoundEvictsOldestFinished(t *testing.T) {
+	c := NewCache()
+	src := workloads.PiSource
+	opts := func(i int) BuildOptions {
+		d := workloads.PiDefines()
+		d["PAD"] = strconv.Itoa(i)
+		return BuildOptions{Defines: d}
+	}
+	for i := 0; i <= maxCacheEntries; i++ {
+		if _, _, err := c.Build(context.Background(), src, opts(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Entries != maxCacheEntries || st.Misses != maxCacheEntries+1 {
+		t.Fatalf("after %d distinct builds: %+v, want %d entries", maxCacheEntries+1, st, maxCacheEntries)
+	}
+	if _, hit, _ := c.Build(context.Background(), src, opts(maxCacheEntries)); !hit {
+		t.Error("the newest build was evicted")
+	}
+	if _, hit, _ := c.Build(context.Background(), src, opts(0)); hit {
+		t.Error("the oldest build survived eviction")
+	}
+
+	const n = 8
+	progs := make([]*Program, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			p, _, err := c.Build(context.Background(), src, opts(-1))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			progs[i] = p
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if progs[i] != progs[0] {
+			t.Fatalf("goroutine %d got a different *Program: a full cache stopped single-flighting", i)
+		}
+	}
+	if st := c.Stats(); st.Entries != maxCacheEntries || st.Misses != maxCacheEntries+3 {
+		t.Errorf("after the burst: %+v, want %d entries and %d misses", st, maxCacheEntries, maxCacheEntries+3)
 	}
 }

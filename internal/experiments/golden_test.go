@@ -75,7 +75,7 @@ func TestTraceReportsGolden(t *testing.T) {
 
 	for _, v := range []workloads.GEMMVersion{workloads.GEMMNaive, workloads.GEMMBlocked} {
 		run := fig7.Runs[v]
-		findings := advisor.AdviseProgram(run.Program, run.Out, advisor.Thresholds{})
+		findings := advisor.AdviseProgram(run.Program, run.Out)
 		checkGolden(t, "advisor-"+v.String(), advisor.Format(findings))
 	}
 }

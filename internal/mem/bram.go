@@ -77,22 +77,3 @@ func (b *BRAM) ReadInto(cycle int64, wordAddr int64, dst []uint32) (int64, error
 	b.Reads++
 	return start + int64(b.latency), nil
 }
-
-// WriteWords fills the BRAM directly (preloader completion, tests).
-func (b *BRAM) WriteWords(wordAddr int64, data []uint32) error {
-	if wordAddr < 0 || wordAddr+int64(len(data)) > int64(len(b.words)) {
-		return fmt.Errorf("mem: BRAM direct write out of range")
-	}
-	copy(b.words[wordAddr:], data)
-	return nil
-}
-
-// ReadWords reads BRAM contents directly.
-func (b *BRAM) ReadWords(wordAddr int64, n int) ([]uint32, error) {
-	if wordAddr < 0 || wordAddr+int64(n) > int64(len(b.words)) {
-		return nil, fmt.Errorf("mem: BRAM direct read out of range")
-	}
-	out := make([]uint32, n)
-	copy(out, b.words[wordAddr:])
-	return out, nil
-}

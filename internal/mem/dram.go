@@ -1,10 +1,9 @@
 // Package mem models the accelerator's memory system: the external DRAM
 // behind the Avalon bus (512-bit data path, banked, fixed access latency,
-// one request accepted per cycle), per-thread local BRAM, and the burst
-// preloader from the paper's architecture template. Requests are accepted
-// in FIFO order, which defines the global memory order; data is mutated at
-// accept time so that program-order and lock-protected accesses behave like
-// hardware.
+// one request accepted per cycle) and per-thread local BRAM. Requests are
+// accepted in FIFO order, which defines the global memory order; data is
+// mutated at accept time so that program-order and lock-protected accesses
+// behave like hardware.
 package mem
 
 import (

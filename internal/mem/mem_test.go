@@ -280,65 +280,6 @@ func TestBRAMBounds(t *testing.T) {
 	}
 }
 
-func TestPreloader(t *testing.T) {
-	d := NewDRAM(DRAMConfig{LatencyCycles: 10, BeatBytes: 64, Banks: 2, Words: 4096})
-	src := make([]uint32, 256)
-	for i := range src {
-		src[i] = uint32(i * 3)
-	}
-	if err := d.WriteWords(128, src); err != nil {
-		t.Fatal(err)
-	}
-	b := NewBRAM(256, 2)
-	p := NewPreloader(d)
-	var doneAt int64 = -1
-	if err := p.Start(128, 0, 256, b, func(c int64) { doneAt = c }); err != nil {
-		t.Fatal(err)
-	}
-	c := int64(0)
-	for p.Busy() || d.Busy() {
-		if err := p.Tick(c); err != nil {
-			t.Fatal(err)
-		}
-		d.Tick(c)
-		c++
-		if c > 10000 {
-			t.Fatal("preload did not finish")
-		}
-	}
-	if doneAt < 0 {
-		t.Fatal("done callback never fired")
-	}
-	got, err := b.ReadWords(0, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != src[i] {
-			t.Fatalf("word %d = %d, want %d", i, got[i], src[i])
-		}
-	}
-	// 256 words = 16 chunks of 16 words: ~16 beats + latency.
-	if doneAt > 200 {
-		t.Errorf("preload took %d cycles, expected ~30", doneAt)
-	}
-	if p.WordsMoved != 256 {
-		t.Errorf("moved %d words", p.WordsMoved)
-	}
-}
-
-func TestPreloaderBusyRejectsSecondStart(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
-	b := NewBRAM(64, 2)
-	p := NewPreloader(d)
-	if err := p.Start(0, 0, 64, b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(0, 0, 64, b, nil); err == nil {
-		t.Error("expected busy error")
-	}
-}
-
 func TestFloatWordConversions(t *testing.T) {
 	fs := []float32{0, 1.5, -2.25, 3.14159}
 	ws := FloatsToWords(fs)

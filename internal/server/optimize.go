@@ -78,7 +78,7 @@ func (s *Server) runOptimize(ctx context.Context, req *api.OptimizeRequest) (*ru
 	})
 	if err == nil {
 		unit := api.NewOptimizeUnit(name, res, nil)
-		files, names := s.renderOptimizeArtifact(req, unit)
+		files, names := renderOptimizeArtifact(ctx, req, unit)
 		// The store answers every later identical request, so only a
 		// search whose context is still live — no deadline passed, no
 		// client cancel — may end done.
@@ -105,24 +105,25 @@ func (s *Server) runOptimize(ctx context.Context, req *api.OptimizeRequest) (*ru
 // report (byte-identical to nymbleopt -json for the same input), the
 // winning kernel source, and static perf reports for the baseline and
 // the winner so before/after brackets are diffable.
-func (s *Server) renderOptimizeArtifact(req *api.OptimizeRequest, unit api.OptimizeUnit) (map[string][]byte, []string) {
+func renderOptimizeArtifact(ctx context.Context, req *api.OptimizeRequest, unit api.OptimizeUnit) (map[string][]byte, []string) {
 	files := map[string][]byte{}
 	var report bytes.Buffer
 	if err := api.Encode(&report, api.OptimizeReport{SchemaVersion: api.Version, Units: []api.OptimizeUnit{unit}}); err == nil {
 		files[fileOptReport] = report.Bytes()
 	}
-	if before := s.perfReportBytes(unit.Name, req.Source, req.Defines, req.VectorLanes, req.Params); before != nil {
+	opts := core.BuildOptions{Defines: req.Defines, VectorLanes: req.VectorLanes}
+	if before := perfReportBytes(ctx, unit.Name, req.Source, opts, req.Params); before != nil {
 		files[fileOptBefore] = before
 	}
 	if unit.Source != "" {
 		files[fileOptSource] = []byte(unit.Source)
 		// The winning source is canonical: defines are folded, only the
 		// lane count matters.
-		lanes := req.VectorLanes
-		if lanes == 0 {
-			lanes = 4
+		opts = core.BuildOptions{VectorLanes: req.VectorLanes}
+		if opts.VectorLanes == 0 {
+			opts.VectorLanes = 4
 		}
-		if after := s.perfReportBytes(unit.Name+" (optimized)", unit.Source, nil, lanes, req.Params); after != nil {
+		if after := perfReportBytes(ctx, unit.Name+" (optimized)", unit.Source, opts, req.Params); after != nil {
 			files[fileOptAfter] = after
 		}
 	}
@@ -135,21 +136,18 @@ func (s *Server) renderOptimizeArtifact(req *api.OptimizeRequest, unit api.Optim
 	return files, names
 }
 
-// perfReportBytes is nymbleperf's analysis rendered to bytes (nil when
-// the source does not build — the optimize report already carries the
-// error). It builds outside the compile cache, as the search does: the
-// artifact store answers every repeat of the job, so a cached program
-// would only stay pinned for the life of the daemon.
-func (s *Server) perfReportBytes(name, src string, defines map[string]string, lanes int, params map[string]int64) []byte {
-	prog, err := core.Build(context.Background(), src, core.BuildOptions{Defines: defines, VectorLanes: lanes})
-	if err != nil {
+// perfReportBytes is nymbleperf's report of one source rendered to
+// bytes (nil when the source does not build — the optimize report
+// already carries the error). It builds outside the compile cache, as
+// the search does: the artifact store answers every repeat of the job,
+// so a cached program would only displace the daemon's hot entries.
+func perfReportBytes(ctx context.Context, name, src string, opts core.BuildOptions, params map[string]int64) []byte {
+	unit := api.PerfSource(ctx, name, src, opts, params)
+	if unit.Error != "" {
 		return nil
 	}
 	var buf bytes.Buffer
-	if err := api.Encode(&buf, api.PerfReport{
-		SchemaVersion: api.Version,
-		Units:         []api.PerfUnit{api.AnalyzePerf(name, prog, params)},
-	}); err != nil {
+	if err := api.Encode(&buf, api.PerfReport{SchemaVersion: api.Version, Units: []api.PerfUnit{unit}}); err != nil {
 		return nil
 	}
 	return buf.Bytes()

@@ -6,27 +6,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"paravis/internal/api"
 	"paravis/internal/core"
-	"paravis/internal/mem"
 	"paravis/internal/parallel"
 	"paravis/internal/sim"
 	"paravis/internal/store"
 )
 
-// Artifact file names of a finished run, as stored and as served.
-const (
-	fileTracePRV   = "trace.prv"
-	fileTracePRVGz = "trace.prv.gz"
-	fileTracePCF   = "trace.pcf"
-	fileTraceROW   = "trace.row"
-	fileSummary    = "summary.json"
-)
-
-var traceFiles = []string{fileTracePRV, fileTracePRVGz, fileTracePCF, fileTraceROW}
+// fileSummary is the store-only document of a finished run.
+const fileSummary = "summary.json"
 
 // runKind stores a run as its summary document beside the trace bundle.
 var runKind = jobKind{doc: fileSummary, restore: func(data []byte) (*runResult, error) {
@@ -63,13 +53,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	// Leader: compile synchronously (through the cache) so malformed
 	// kernels fail the POST itself rather than a queued job.
-	p, err := s.build(r.Context(), w, req.Source, buildOptions(req.Defines, req.VectorLanes))
+	p, err := s.build(r.Context(), w, req.Source, core.BuildOptions{Defines: req.Defines, VectorLanes: req.VectorLanes})
 	if err != nil {
 		f.Finish(nil, err)
 		writeBuildError(w, err)
 		return
 	}
-	args, err := makeRunArgs(p, &req)
+	args, err := p.RunArgs(req.Ints, req.Floats, req.Buffers)
 	if err != nil {
 		f.Finish(nil, err)
 		writeError(w, http.StatusUnprocessableEntity, "bad_args", err)
@@ -175,8 +165,9 @@ func runJob(ctx context.Context, p *core.Program, args sim.Args, cfg sim.Config)
 		}
 		return res, nil
 	}
+	doc, err := api.NewStoredRun(p, out)
 	var files map[string][]byte
-	if res.summary, err = api.NewRunSummary(p, out); err == nil {
+	if err == nil {
 		files, err = renderArtifact(out)
 	}
 	if err != nil {
@@ -186,16 +177,9 @@ func runJob(ctx context.Context, p *core.Program, args sim.Args, cfg sim.Config)
 		return res, nil
 	}
 	res.state = api.JobDone
-	if out.Streams != nil {
-		res.trace = traceFiles
-	}
+	res.summary, res.trace = doc.Summary, doc.Trace
 	res.art = &artifact{files: files}
-	return res, api.StoredRun{
-		SchemaVersion: api.Version,
-		Kernel:        res.kernel,
-		Summary:       res.summary,
-		Trace:         res.trace,
-	}
+	return res, doc
 }
 
 // renderArtifact writes the run's Paraver bundle into memory, using the
@@ -212,7 +196,7 @@ func renderArtifact(out *core.RunOutput) (map[string][]byte, error) {
 	if err := st.WritePRV(&prv); err != nil {
 		return nil, err
 	}
-	files[fileTracePRV] = prv.Bytes()
+	files[api.TracePRV] = prv.Bytes()
 	// BestSpeed matches the on-disk WriteBundleGz path byte for byte.
 	var gzBuf bytes.Buffer
 	gz, err := gzip.NewWriterLevel(&gzBuf, gzip.BestSpeed)
@@ -225,37 +209,16 @@ func renderArtifact(out *core.RunOutput) (map[string][]byte, error) {
 	if err := gz.Close(); err != nil {
 		return nil, err
 	}
-	files[fileTracePRVGz] = gzBuf.Bytes()
+	files[api.TracePRVGz] = gzBuf.Bytes()
 	var pcf bytes.Buffer
 	if err := st.WritePCF(&pcf); err != nil {
 		return nil, err
 	}
-	files[fileTracePCF] = pcf.Bytes()
+	files[api.TracePCF] = pcf.Bytes()
 	var row bytes.Buffer
 	if err := st.WriteROW(&row); err != nil {
 		return nil, err
 	}
-	files[fileTraceROW] = row.Bytes()
+	files[api.TraceROW] = row.Bytes()
 	return files, nil
-}
-
-// makeRunArgs sizes the kernel's buffers from its map clauses and
-// preloads any the request supplied, mirroring nymblesim's argument
-// handling.
-func makeRunArgs(p *core.Program, req *api.RunRequest) (sim.Args, error) {
-	args, err := p.SizedArgs(req.Ints, req.Floats)
-	if err != nil {
-		return sim.Args{}, err
-	}
-	for name, data := range req.Buffers {
-		buf, ok := args.Buffers[name]
-		if !ok {
-			return sim.Args{}, fmt.Errorf("buffer %q is not a mapped pointer of kernel %s", name, p.Kernel.Name)
-		}
-		if len(data) > len(buf.Words) {
-			return sim.Args{}, fmt.Errorf("buffer %q holds %d elements, got %d", name, len(buf.Words), len(data))
-		}
-		copy(buf.Words, mem.FloatsToWords(data))
-	}
-	return args, nil
 }

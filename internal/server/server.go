@@ -33,7 +33,6 @@ import (
 
 	"paravis/internal/api"
 	"paravis/internal/core"
-	"paravis/internal/minic"
 	"paravis/internal/parallel"
 	"paravis/internal/sim"
 	"paravis/internal/store"
@@ -206,11 +205,6 @@ func (s *Server) closing() bool {
 	return s.shutdown
 }
 
-// buildOptions translates the wire compile parameters into core options.
-func buildOptions(defines map[string]string, lanes int) core.BuildOptions {
-	return core.BuildOptions{Defines: defines, VectorLanes: lanes}
-}
-
 // build compiles through the content-addressed cache and records the
 // hit in the response header (never the body, so responses stay
 // byte-identical across cache states).
@@ -231,7 +225,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	p, err := s.build(r.Context(), w, req.Source, buildOptions(req.Defines, req.VectorLanes))
+	p, err := s.build(r.Context(), w, req.Source, core.BuildOptions{Defines: req.Defines, VectorLanes: req.VectorLanes})
 	if err != nil {
 		writeBuildError(w, err)
 		return
@@ -248,13 +242,9 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "<request>"
 	}
-	opts := buildOptions(req.Defines, 0)
-	ds := core.Vet(name, req.Source, opts)
-	dep := api.ParseDependSummary(req.Source, minic.Options{Defines: opts.Defines})
-	abs := api.ParseAbsintSummary(req.Source, minic.Options{Defines: opts.Defines})
 	writeJSON(w, http.StatusOK, api.VetReport{
 		SchemaVersion: api.Version,
-		Units:         []api.VetUnit{api.NewVetUnit(name, ds, dep, abs)},
+		Units:         []api.VetUnit{api.Vet(name, req.Source, req.Defines)},
 	})
 }
 
@@ -267,7 +257,7 @@ func (s *Server) handlePerf(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "<request>"
 	}
-	p, err := s.build(r.Context(), w, req.Source, buildOptions(req.Defines, 0))
+	p, err := s.build(r.Context(), w, req.Source, core.BuildOptions{Defines: req.Defines})
 	var unit api.PerfUnit
 	if err != nil {
 		if isCtxErr(err) {
