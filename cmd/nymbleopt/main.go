@@ -5,9 +5,10 @@
 // brackets and confirmed by short simulator runs. The output is the
 // winning transformation sequence, its measured cycles against the
 // baseline, and the full candidate-by-candidate exploration report.
-// The -json report shares its versioned schema (internal/api) with the
-// nymbled daemon's /v1/optimize response, so both emit byte-identical
-// JSON for the same input.
+// The -json report is the versioned api.OptimizeReport (internal/api).
+// The search runs in-process under a signal context: an interrupt
+// (SIGINT, SIGTERM) ends it, and the unit reports the interruption as its
+// error instead of a truncated candidate list.
 //
 // Usage:
 //

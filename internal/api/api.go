@@ -1,11 +1,11 @@
 // Package api defines the versioned request/response types of the nymble
 // tool family and the one composition of each operation behind them:
-// Vet, PerfSource and AnalyzePerf, NewStoredRun, RunKey and OptimizeKey.
-// The nymbled daemon and every CLI -json mode (nymblec, nymblevet,
-// nymbleperf, nymblesim, nymbleopt) call those functions and marshal
-// these exact structs through Encode, so the JSON a client sees over
-// HTTP is byte-identical to what the corresponding CLI prints for the
-// same input. Every top-level response carries a schema "version" field;
+// Vet, PerfSource and AnalyzePerf, NewStoredRun and RunKey. The nymbled
+// daemon and the CLI -json modes (nymblec, nymblevet, nymbleperf,
+// nymblesim) call those functions and marshal these exact structs
+// through Encode, so the JSON a client sees over HTTP is byte-identical
+// to what the corresponding CLI prints for the same input; nymbleopt's
+// search report (NewOptimizeUnit) is CLI-only. Every top-level response carries a schema "version" field;
 // fields marshal in the declared order and map keys sort, so reports are
 // byte-stable across runs.
 package api
@@ -37,9 +37,8 @@ import (
 // v3 added the "absint" abstract-interpretation section to VetUnit and
 // made the depend section range-refined (proven-disjoint "may"
 // dependences are discharged).
-// v4 added the optimize family (OptimizeRequest/OptimizeReport) for the
-// transformation search; the existing vet and perf sections are
-// unchanged.
+// v4 added nymbleopt's report (OptimizeReport) for the transformation
+// search; the existing vet and perf sections are unchanged.
 const Version = 4
 
 // Encode writes v as two-space-indented JSON with a trailing newline —
@@ -55,8 +54,9 @@ type Error struct {
 	SchemaVersion int    `json:"version"`
 	Err           string `json:"error"`
 	// Kind classifies the failure for programmatic handling:
-	// "bad_request", "compile_error", "max_cycles", "canceled",
-	// "deadline", "not_found", "internal".
+	// "bad_request", "too_large", "compile_error", "bad_args", "busy",
+	// "shutting_down", "canceled", "deadline", "not_found", "not_done",
+	// "no_trace", "evicted".
 	Kind string `json:"kind,omitempty"`
 }
 
@@ -412,10 +412,10 @@ func NewPerfUnit(name string, rep *perfbound.Report, ds []staticcheck.Diagnostic
 	return u
 }
 
-// AnalyzePerf is the perf analysis of one built unit as nymbleperf,
-// /v1/perf and the optimize artifacts publish it: the bound report with
-// the abstract interpreter's trip brackets as the folding fallback, the
-// perf-bound diagnostics of that same report, and the dependence summary.
+// AnalyzePerf is the perf analysis of one built unit as nymbleperf and
+// /v1/perf publish it: the bound report with the abstract interpreter's
+// trip brackets as the folding fallback, the perf-bound diagnostics of
+// that same report, and the dependence summary.
 // One abstract interpretation feeds both the trip brackets and the
 // dependence summary's index ranges.
 func AnalyzePerf(name string, prog *core.Program, params map[string]int64) PerfUnit {
@@ -431,8 +431,8 @@ func AnalyzePerf(name string, prog *core.Program, params map[string]int64) PerfU
 }
 
 // PerfSource is AnalyzePerf of a source built outside any cache, as
-// nymbleperf and the optimize job's before/after reports run it; a
-// source that does not build yields a unit carrying the compile error.
+// nymbleperf runs it; a source that does not build yields a unit
+// carrying the compile error.
 func PerfSource(ctx context.Context, name, src string, opts core.BuildOptions, params map[string]int64) PerfUnit {
 	prog, err := core.Build(ctx, src, opts)
 	if err != nil {
@@ -560,18 +560,12 @@ type Job struct {
 	Kernel        string `json:"kernel,omitempty"`
 	Error         string `json:"error,omitempty"`
 	// ErrorKind classifies failures: "compile_error", "max_cycles",
-	// "canceled", "deadline", "run_error".
+	// "busy", "canceled", "deadline", "run_error".
 	ErrorKind string      `json:"error_kind,omitempty"`
 	Summary   *RunSummary `json:"summary,omitempty"`
 	// Trace lists the downloadable bundle files once the job is done
 	// (empty when profiling was disabled).
 	Trace []string `json:"trace,omitempty"`
-	// Optimize carries the search report when the job is an optimize job
-	// (POST /v1/optimize); nil for plain runs.
-	Optimize *OptimizeUnit `json:"optimize,omitempty"`
-	// Artifacts lists the downloadable artifact files of an optimize job
-	// (GET /v1/jobs/{id}/artifacts/{file}).
-	Artifacts []string `json:"artifacts,omitempty"`
 }
 
 // RunSummary is the machine-readable form of nymblesim's run summary.

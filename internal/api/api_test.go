@@ -62,8 +62,8 @@ func TestDependSummaryAbsentOnBadSource(t *testing.T) {
 	}
 }
 
-// keyRunRequest and keyOptimizeRequest carry every field their digest
-// covers, so the pins below notice a change in any one encoding.
+// keyRunRequest carries every field RunKey covers, so the pin below
+// notices a change in any one encoding.
 func keyRunRequest() *RunRequest {
 	return &RunRequest{
 		Source:      "void f() {}",
@@ -79,21 +79,6 @@ func keyRunRequest() *RunRequest {
 	}
 }
 
-func keyOptimizeRequest() *OptimizeRequest {
-	return &OptimizeRequest{
-		Name:        "gemm", // transport: must not move the digest
-		Source:      "void f() {}",
-		Defines:     map[string]string{"N": "4"},
-		VectorLanes: 8,
-		Params:      map[string]int64{"DIM": 16, "K": -1},
-		Floats:      map[string]float64{"step": 0.25},
-		Budget:      8,
-		MaxRounds:   2,
-		TimeoutMs:   99,
-		Wait:        true,
-	}
-}
-
 // TestRunKeyIsStable pins the run digest: the artifact store names a
 // run's directory by it, so a change would orphan every stored run.
 func TestRunKeyIsStable(t *testing.T) {
@@ -105,15 +90,6 @@ func TestRunKeyIsStable(t *testing.T) {
 	const wantBare = "2ea0f4c6d406eb8b841f02297e0bfb102d8db617f90badecec3eca9bb7db2fb9"
 	if got := RunKey(bare); got != wantBare {
 		t.Errorf("RunKey(bare) = %s, want %s", got, wantBare)
-	}
-}
-
-// TestOptimizeKeyIsStable pins the search digest on the same terms as
-// TestRunKeyIsStable.
-func TestOptimizeKeyIsStable(t *testing.T) {
-	const want = "7f35bc799117585f236f9ec54ed1f58101ed4face7d091b4e27225c76a403966"
-	if got := OptimizeKey(keyOptimizeRequest()); got != want {
-		t.Errorf("OptimizeKey = %s, want %s", got, want)
 	}
 }
 

@@ -1,35 +1,9 @@
 package api
 
 import (
-	"math"
-
 	"paravis/internal/autotune"
-	"paravis/internal/core"
 	"paravis/internal/transform"
 )
-
-// OptimizeRequest asks the daemon to search the transformation space of
-// one kernel (POST /v1/optimize, schema v4). The search mirrors
-// nymbleopt: same engine, same defaults, byte-identical report.
-type OptimizeRequest struct {
-	SchemaVersion int               `json:"version"`
-	Name          string            `json:"name,omitempty"`
-	Source        string            `json:"source"`
-	Defines       map[string]string `json:"defines,omitempty"`
-	VectorLanes   int               `json:"vector_lanes,omitempty"`
-	// Params / Floats are scalar launch arguments by parameter name.
-	Params map[string]int64   `json:"params,omitempty"`
-	Floats map[string]float64 `json:"floats,omitempty"`
-	// Budget caps the simulator confirmations (0 = default 32).
-	Budget int `json:"budget,omitempty"`
-	// MaxRounds caps the greedy rounds (0 = default 8).
-	MaxRounds int `json:"max_rounds,omitempty"`
-	// TimeoutMs bounds the wall-clock search time; past it the job fails
-	// with kind "deadline".
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// Wait makes POST /v1/optimize synchronous.
-	Wait bool `json:"wait,omitempty"`
-}
 
 // OptimizeStep is the wire form of one applied transformation.
 type OptimizeStep struct {
@@ -72,14 +46,12 @@ type OptimizeUnit struct {
 	Rounds         int                 `json:"rounds"`
 	Candidates     []OptimizeCandidate `json:"candidates"`
 	// Source is the winning transformed kernel (empty when the baseline
-	// won; the CLI writes it next to the input, the daemon stores it as
-	// an artifact).
+	// won; nymbleopt -o writes it next to the input).
 	Source string `json:"source,omitempty"`
 	Error  string `json:"error,omitempty"`
 }
 
-// OptimizeReport is nymbleopt's -json output and the daemon's
-// /v1/optimize response (schema v4).
+// OptimizeReport is nymbleopt's -json output (schema v4).
 type OptimizeReport struct {
 	SchemaVersion int            `json:"version"`
 	Units         []OptimizeUnit `json:"units"`
@@ -128,29 +100,4 @@ func NewOptimizeUnit(name string, res *autotune.Result, err error) OptimizeUnit 
 		})
 	}
 	return u
-}
-
-// StoredOptimize is the summary document persisted next to an optimize
-// job's artifacts in the store; a warm hit rebuilds the job document
-// from it without re-running the search.
-type StoredOptimize struct {
-	SchemaVersion int          `json:"version"`
-	Unit          OptimizeUnit `json:"unit"`
-	Artifacts     []string     `json:"artifacts,omitempty"`
-}
-
-// OptimizeKey is the content address of a whole search: a hex SHA-256
-// over the compile key plus every request field that changes the
-// search's outcome. Two OptimizeRequests with equal keys produce
-// byte-identical reports (the search is deterministic), so the key is
-// what the artifact store and run coalescing hash on. Transport fields
-// (Wait, TimeoutMs, Name) deliberately do not participate.
-func OptimizeKey(r *OptimizeRequest) string {
-	d := core.NewDigest()
-	d.Str(core.Key(r.Source, core.BuildOptions{Defines: r.Defines, VectorLanes: r.VectorLanes}))
-	core.DigestMap(d, r.Params, func(v int64) { d.Uint(uint64(v)) })
-	core.DigestMap(d, r.Floats, func(v float64) { d.Uint(math.Float64bits(v)) })
-	d.Uint(uint64(r.Budget))
-	d.Uint(uint64(r.MaxRounds))
-	return d.Sum()
 }

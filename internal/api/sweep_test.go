@@ -103,9 +103,9 @@ void k(float* A, int n, int m) {
 `
 
 // TestAnalyzePerfDiagnosticsAgreeWithReport: the one perf analysis behind
-// nymbleperf, /v1/perf and the optimize artifacts derives its diagnostics
-// from the report it publishes, so on a loop only absint bounds the
-// roofline finding quotes the report's own cycle counts.
+// nymbleperf and /v1/perf derives its diagnostics from the report it
+// publishes, so on a loop only absint bounds the roofline finding quotes
+// the report's own cycle counts.
 func TestAnalyzePerfDiagnosticsAgreeWithReport(t *testing.T) {
 	prog, err := core.Build(context.Background(), clampSrc, core.BuildOptions{})
 	if err != nil {

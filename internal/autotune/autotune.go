@@ -73,8 +73,7 @@ var (
 
 // Options configures a search.
 type Options struct {
-	Defines     map[string]string
-	VectorLanes int
+	Defines map[string]string
 	// Params are the integer launch arguments (e.g. DIM=64): the passes
 	// fold divisibility checks against them and the simulator receives
 	// them as scalar arguments.
@@ -362,11 +361,7 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 	// unit off, so measurement does not perturb the ranked quantity.
 	simCfg := sim.DefaultConfig()
 	simCfg.Profile.Enabled = false
-	topts := transform.Options{
-		Defines:     opts.Defines,
-		VectorLanes: opts.VectorLanes,
-		Params:      opts.Params,
-	}
+	topts := transform.Options{Defines: opts.Defines, Params: opts.Params}
 
 	// The search state is always in canonical printed form so loop names
 	// are stable across rounds; the defines are folded away by it, and

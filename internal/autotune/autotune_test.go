@@ -202,6 +202,30 @@ func TestDeadlineNeverTruncates(t *testing.T) {
 	}
 }
 
+// TestOptimizeCancelMidSearch cancels a search mid-flight, as nymbleopt's
+// signal context does on an interrupt: the pi baseline at half a billion
+// steps would simulate for minutes, and the search must end promptly
+// with the context's error and no report.
+func TestOptimizeCancelMidSearch(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	timer := time.AfterFunc(200*time.Millisecond, cancel)
+	defer timer.Stop()
+	start := time.Now()
+	res, err := autotune.Optimize(ctx, "pi", workloads.PiSource, autotune.Options{
+		Defines:   workloads.PiDefines(),
+		Params:    map[string]int64{"steps": 500_000_000, "threads": 8},
+		Floats:    map[string]float64{"step": 1.0 / 500_000_000, "final_sum": 0},
+		Budget:    autotune.Budget{Candidates: 2},
+		MaxRounds: 1,
+	})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("canceled search = %v, %v; want no report and context.Canceled", res, err)
+	}
+	if took := time.Since(start); took > 30*time.Second {
+		t.Errorf("canceled search took %v to return", took)
+	}
+}
+
 // TestAllocationCeiling pins the cost of the static tier where a test,
 // not a benchmark, fails. A two-round DIM=16 search on one worker
 // allocates ~67,690 objects (a few either way from run to run, ~69,100

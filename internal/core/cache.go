@@ -84,10 +84,10 @@ func Key(src string, opts BuildOptions) string {
 }
 
 // Digest is the one encoder behind every content address of the tool
-// family (Key, api.RunKey, api.OptimizeKey): a SHA-256 over
-// little-endian 64-bit words and length-prefixed strings, with maps
-// written in sorted key order (DigestMap). Writes are staged in a fixed
-// buffer, so hashing allocates nothing per value.
+// family (Key, api.RunKey): a SHA-256 over little-endian 64-bit words
+// and length-prefixed strings, with maps written in sorted key order
+// (DigestMap). Writes are staged in a fixed buffer, so hashing
+// allocates nothing per value.
 type Digest struct {
 	h   hash.Hash
 	buf [512]byte

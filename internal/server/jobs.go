@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
@@ -38,29 +39,19 @@ func (a *artifact) readFile(name string) ([]byte, error) {
 	return data, nil
 }
 
-// runResult is the outcome of one job's work. It fills the job, and a
-// coalesced run shares it with every request attached to its flight.
+// runResult is the outcome of one run. It fills the job, and a coalesced
+// run shares it with every request attached to its flight.
 type runResult struct {
-	kernel    string
-	state     string
-	errMsg    string
-	errKind   string
-	summary   *api.RunSummary   // run jobs
-	trace     []string          // run jobs: the Paraver bundle files
-	optimize  *api.OptimizeUnit // optimize jobs: the search report
-	artifacts []string          // optimize jobs: downloadable files
-	art       *artifact
+	kernel  string
+	state   string
+	errMsg  string
+	errKind string
+	summary *api.RunSummary
+	trace   []string // the Paraver bundle files
+	art     *artifact
 }
 
-// jobKind is what one kind of job brings to the shared lifecycle besides
-// its work function: the name of the document it stores beside its
-// files, and how that document becomes a result again.
-type jobKind struct {
-	doc     string
-	restore func(doc []byte) (*runResult, error)
-}
-
-// job is one queued/running/finished run or search (or a handle on a
+// job is one queued/running/finished run (or a handle on a
 // stored/coalesced result). The job owns its context: DELETE
 // /v1/jobs/{id}, a per-request timeout and server shutdown all cancel
 // it, and the simulator's event loop notices.
@@ -94,8 +85,6 @@ func (j *job) snapshot() api.Job {
 		ErrorKind:     j.errKind,
 		Summary:       j.summary,
 		Trace:         j.trace,
-		Optimize:      j.optimize,
-		Artifacts:     j.artifacts,
 	}
 }
 
@@ -186,11 +175,11 @@ func (s *Server) writeBusy(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusTooManyRequests, "busy", err)
 }
 
-// admit is what every job POST does before its own work: refuse during
+// admit is what a run POST does before its own work: refuse during
 // shutdown, set the digest header, and answer a warm store hit — one
 // lookup replaces the whole job. It reports whether the request still
 // needs serving.
-func (s *Server) admit(w http.ResponseWriter, kind jobKind, digest string) bool {
+func (s *Server) admit(w http.ResponseWriter, digest string) bool {
 	if s.closing() {
 		writeError(w, http.StatusServiceUnavailable, "shutting_down",
 			errors.New("server is shutting down"))
@@ -201,7 +190,7 @@ func (s *Server) admit(w http.ResponseWriter, kind jobKind, digest string) bool 
 		return true
 	}
 	if ent, ok := s.cfg.Store.Get(digest); ok {
-		if j, err := s.restore(ent, kind); err == nil {
+		if j, err := s.restore(ent); err == nil {
 			w.Header().Set("X-Nymbled-Store", "hit")
 			s.metrics.runsFromStore.Add(1)
 			writeJSON(w, http.StatusOK, j.snapshot())
@@ -213,18 +202,17 @@ func (s *Server) admit(w http.ResponseWriter, kind jobKind, digest string) bool 
 	return true
 }
 
-// jobSpec is one admitted job POST as the shared lifecycle runs it.
+// jobSpec is one admitted run POST as the job lifecycle runs it.
 type jobSpec struct {
-	kind      jobKind
 	digest    string
 	kernel    string // the job's kernel name until its result names one
 	timeoutMs int64  // deadline for the work (0 = none)
 	wait      bool
 	// work runs on a pool worker under the job's context; it returns the
 	// result and, when done, the document stored beside its files.
-	work func(ctx context.Context) (*runResult, any)
-	// flight is the coalesced flight the job leads (nil for none); finish
-	// gets the job's result as it ends, or the pool's refusal.
+	work func(ctx context.Context) (*runResult, *api.StoredRun)
+	// flight is the coalesced flight the job leads; finish gets the job's
+	// result as it ends, or the pool's refusal.
 	flight *store.Flight
 	finish func(*runResult, error)
 }
@@ -245,11 +233,7 @@ func (s *Server) start(w http.ResponseWriter, r *http.Request, spec jobSpec) {
 		cancelCause(cause)
 		cancelTimer()
 	}
-	finish := spec.finish
-	if finish == nil {
-		finish = func(*runResult, error) {}
-	}
-	j := s.newJob(spec.kernel, cancel, spec.flight, spec.flight != nil)
+	j := s.newJob(spec.kernel, cancel, spec.flight, true)
 	task := func() {
 		defer close(j.done)
 		defer cancel(errors.New("job finished"))
@@ -257,14 +241,14 @@ func (s *Server) start(w http.ResponseWriter, r *http.Request, spec jobSpec) {
 		s.metrics.simsStarted.Add(1)
 		res, doc := spec.work(ctx)
 		s.metrics.simsFinished.Add(1)
-		s.persist(spec.digest, spec.kind, res, doc)
+		s.persist(spec.digest, res, doc)
 		j.fill(res)
-		finish(res, nil)
+		spec.finish(res, nil)
 	}
 	if err := s.pool.TrySubmit(task, s.cfg.MaxQueue); err != nil {
 		s.jobs.Delete(j.id)
 		cancel(err)
-		finish(nil, err)
+		spec.finish(nil, err)
 		if errors.Is(err, parallel.ErrQueueFull) {
 			s.writeBusy(w, err)
 			return
@@ -320,13 +304,12 @@ func waitStatus(doc api.Job) int {
 	}
 }
 
-// persist writes a done result's files plus its kind's document into
-// the artifact store, if any, then switches the result to the disk-backed
-// artifact: finished jobs of every kind stop pinning their bytes in
-// memory, and an eviction before a download surfaces as 410 Gone.
-// Storage failures are counted, not fatal: the in-memory artifact still
-// serves the job.
-func (s *Server) persist(digest string, kind jobKind, res *runResult, doc any) {
+// persist writes a done run's trace bundle plus its summary.json into the
+// artifact store, if any, then switches the result to the disk-backed
+// artifact: finished jobs stop pinning their bytes in memory, and an
+// eviction before a download surfaces as 410 Gone. Storage failures are
+// counted, not fatal: the in-memory artifact still serves the job.
+func (s *Server) persist(digest string, res *runResult, doc *api.StoredRun) {
 	if s.cfg.Store == nil || res.state != api.JobDone {
 		return
 	}
@@ -337,7 +320,7 @@ func (s *Server) persist(digest string, kind jobKind, res *runResult, doc any) {
 	}
 	stored := make(map[string][]byte, len(res.art.files)+1)
 	maps.Copy(stored, res.art.files)
-	stored[kind.doc] = buf.Bytes()
+	stored[fileSummary] = buf.Bytes()
 	if err := s.cfg.Store.Put(digest, stored); err != nil {
 		s.metrics.storeErrors.Add(1)
 		return
@@ -347,19 +330,19 @@ func (s *Server) persist(digest string, kind jobKind, res *runResult, doc any) {
 	}
 }
 
-// restore rebuilds a done job from a stored entry: the kind's document
-// fills the job, and its files serve straight from disk.
-func (s *Server) restore(ent store.Entry, kind jobKind) (*job, error) {
-	data, err := ent.ReadFile(kind.doc)
+// restore rebuilds a done job from a stored entry: summary.json fills
+// the job, and its trace bundle serves straight from disk.
+func (s *Server) restore(ent store.Entry) (*job, error) {
+	data, err := ent.ReadFile(fileSummary)
 	if err != nil {
 		return nil, err
 	}
-	res, err := kind.restore(data)
-	if err != nil {
+	var doc api.StoredRun
+	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, err
 	}
-	res.state = api.JobDone
-	res.art = &artifact{ent: ent, disk: true}
+	res := &runResult{kernel: doc.Kernel, state: api.JobDone, summary: doc.Summary, trace: doc.Trace,
+		art: &artifact{ent: ent, disk: true}}
 	j := s.newJob(res.kernel, nil, nil, false)
 	j.fill(res)
 	close(j.done)
@@ -392,29 +375,15 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
-// handleTrace serves one Paraver bundle file of a done run, byte-identical
-// to the files nymblesim puts on disk.
+// handleTrace serves one Paraver bundle file of a done run, out of memory
+// or the store, byte-identical to the files nymblesim puts on disk.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	s.serveFile(w, r, true)
-}
-
-// handleArtifact serves one artifact file of a done optimize job.
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	s.serveFile(w, r, false)
-}
-
-// serveFile serves one file a done job lists — from the trace bundle
-// (trace) or the optimize artifacts — out of memory or the store.
-func (s *Server) serveFile(w http.ResponseWriter, r *http.Request, trace bool) {
 	j := s.findJob(w, r)
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
-	art, state, files := j.art, j.state, j.artifacts
-	if trace {
-		files = j.trace
-	}
+	art, state, files := j.art, j.state, j.trace
 	j.mu.Unlock()
 	name := r.PathValue("file")
 	switch {
@@ -422,7 +391,7 @@ func (s *Server) serveFile(w http.ResponseWriter, r *http.Request, trace bool) {
 		writeError(w, http.StatusConflict, "not_done",
 			fmt.Errorf("job %s is %s, not done", j.id, state))
 		return
-	case trace && len(files) == 0:
+	case len(files) == 0:
 		writeError(w, http.StatusNotFound, "no_trace",
 			fmt.Errorf("job %s has no trace (profiling disabled)", j.id))
 		return
@@ -446,12 +415,8 @@ func (s *Server) serveFile(w http.ResponseWriter, r *http.Request, trace bool) {
 }
 
 func contentType(name string) string {
-	switch path.Ext(name) {
-	case ".gz":
+	if path.Ext(name) == ".gz" {
 		return "application/gzip"
-	case ".json":
-		return "application/json; charset=utf-8"
-	default:
-		return "text/plain; charset=utf-8"
 	}
+	return "text/plain; charset=utf-8"
 }

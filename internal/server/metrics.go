@@ -117,7 +117,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# TYPE nymbled_inflight_sims gauge")
 	fmt.Fprintf(w, "nymbled_inflight_sims %d\n", s.pool.InFlight())
 
-	fmt.Fprintln(w, "# HELP nymbled_jobs_total Jobs registered: run and optimize jobs, warm store hits and coalesced followers.")
+	fmt.Fprintln(w, "# HELP nymbled_jobs_total Jobs registered: run jobs, warm store hits and coalesced followers.")
 	fmt.Fprintln(w, "# TYPE nymbled_jobs_total counter")
 	fmt.Fprintf(w, "nymbled_jobs_total %d\n", s.metrics.jobsCreated.Load())
 	fmt.Fprintln(w, "# HELP nymbled_jobs_reaped_total Finished jobs dropped from the registry after JobTTL.")
@@ -128,10 +128,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# HELP nymbled_jobs_live Jobs currently held in the registry.")
 	fmt.Fprintln(w, "# TYPE nymbled_jobs_live gauge")
 	fmt.Fprintf(w, "nymbled_jobs_live %d\n", live)
-	fmt.Fprintln(w, "# HELP nymbled_sims_started_total Simulations and optimize searches handed to a worker.")
+	fmt.Fprintln(w, "# HELP nymbled_sims_started_total Simulations handed to a worker.")
 	fmt.Fprintln(w, "# TYPE nymbled_sims_started_total counter")
 	fmt.Fprintf(w, "nymbled_sims_started_total %d\n", s.metrics.simsStarted.Load())
-	fmt.Fprintln(w, "# HELP nymbled_sims_finished_total Simulations and optimize searches that returned (any outcome).")
+	fmt.Fprintln(w, "# HELP nymbled_sims_finished_total Simulations that returned (any outcome).")
 	fmt.Fprintln(w, "# TYPE nymbled_sims_finished_total counter")
 	fmt.Fprintf(w, "nymbled_sims_finished_total %d\n", s.metrics.simsFinished.Load())
 	fmt.Fprintln(w, "# HELP nymbled_trace_stream_errors_total Trace downloads aborted mid-stream.")
@@ -162,7 +162,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "# TYPE nymbled_store_errors_total counter")
 		fmt.Fprintf(w, "nymbled_store_errors_total %d\n", s.metrics.storeErrors.Load())
 	}
-	fmt.Fprintln(w, "# HELP nymbled_runs_from_store_total Run and optimize requests answered from the artifact store without running.")
+	fmt.Fprintln(w, "# HELP nymbled_runs_from_store_total Run requests answered from the artifact store without simulating.")
 	fmt.Fprintln(w, "# TYPE nymbled_runs_from_store_total counter")
 	fmt.Fprintf(w, "nymbled_runs_from_store_total %d\n", s.metrics.runsFromStore.Load())
 

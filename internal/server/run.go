@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 
@@ -18,22 +17,13 @@ import (
 // fileSummary is the store-only document of a finished run.
 const fileSummary = "summary.json"
 
-// runKind stores a run as its summary document beside the trace bundle.
-var runKind = jobKind{doc: fileSummary, restore: func(data []byte) (*runResult, error) {
-	var doc api.StoredRun
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, err
-	}
-	return &runResult{kernel: doc.Kernel, summary: doc.Summary, trace: doc.Trace}, nil
-}}
-
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req api.RunRequest
 	if !decode(w, r, &req) {
 		return
 	}
 	digest := api.RunKey(&req)
-	if !s.admit(w, runKind, digest) {
+	if !s.admit(w, digest) {
 		return
 	}
 
@@ -71,12 +61,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		cfg.MaxCycles = req.MaxCycles
 	}
 	s.start(w, r, jobSpec{
-		kind:      runKind,
 		digest:    digest,
 		kernel:    p.Kernel.Name,
 		timeoutMs: req.TimeoutMs,
 		wait:      req.Wait,
-		work: func(ctx context.Context) (*runResult, any) {
+		work: func(ctx context.Context) (*runResult, *api.StoredRun) {
 			return runJob(ctx, p, args, cfg)
 		},
 		flight: f,
@@ -142,7 +131,7 @@ func flightResult(f *store.Flight) *runResult {
 // runJob executes one simulation on a pool worker and renders its
 // Paraver bundle; a done run also returns the summary document the
 // store keeps beside the bundle.
-func runJob(ctx context.Context, p *core.Program, args sim.Args, cfg sim.Config) (*runResult, any) {
+func runJob(ctx context.Context, p *core.Program, args sim.Args, cfg sim.Config) (*runResult, *api.StoredRun) {
 	out, err := p.Run(ctx, args, cfg)
 	res := &runResult{kernel: p.Kernel.Name}
 	if err != nil {
@@ -179,7 +168,7 @@ func runJob(ctx context.Context, p *core.Program, args sim.Args, cfg sim.Config)
 	res.state = api.JobDone
 	res.summary, res.trace = doc.Summary, doc.Trace
 	res.art = &artifact{files: files}
-	return res, doc
+	return res, &doc
 }
 
 // renderArtifact writes the run's Paraver bundle into memory, using the

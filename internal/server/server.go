@@ -4,14 +4,11 @@
 // nymbleperf and marshal the same internal/api structs, so their
 // responses are byte-identical to the CLIs' -json output.
 //
-// POST /v1/run (a simulation; its Paraver bundle downloads from
-// GET /v1/jobs/{id}/trace/{file}, the exact bytes nymblesim writes) and
-// POST /v1/optimize (nymbleopt's search; its report, winning source and
-// before/after perf reports download from /v1/jobs/{id}/artifacts/{file})
-// are jobs on one lifecycle: admit, submit to the bounded worker pool,
-// work, persist to the artifact store, restore on a warm hit, serve a
-// file. A kind supplies its work function, the name of the document it
-// stores and how that document fills a job; coalescing is run-only.
+// POST /v1/run is a simulation job: admit (a warm store hit answers
+// at once), coalesce identical requests onto one flight, submit to the
+// bounded worker pool, simulate, persist the Paraver bundle and its
+// summary.json to the artifact store, and serve the bundle from
+// GET /v1/jobs/{id}/trace/{file} — the exact bytes nymblesim writes.
 //
 // Builds are single-flighted through a content-addressed compile cache
 // (hits are reported via the X-Nymbled-Cache header so the body stays
@@ -158,11 +155,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/vet", s.instrument("vet", s.handleVet))
 	mux.HandleFunc("POST /v1/perf", s.instrument("perf", s.handlePerf))
 	mux.HandleFunc("POST /v1/run", s.instrument("run", s.handleRun))
-	mux.HandleFunc("POST /v1/optimize", s.instrument("optimize", s.handleOptimize))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs", s.handleJobGet))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("jobs", s.handleJobCancel))
 	mux.HandleFunc("GET /v1/jobs/{id}/trace/{file}", s.instrument("trace", s.handleTrace))
-	mux.HandleFunc("GET /v1/jobs/{id}/artifacts/{file}", s.instrument("artifacts", s.handleArtifact))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux

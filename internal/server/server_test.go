@@ -262,26 +262,14 @@ func TestAllSeedWorkloadsTraceByteIdentical(t *testing.T) {
 	}
 }
 
-// longJob is a run or a search that takes minutes uncanceled: pi at
-// half a billion steps, whose simulation notices a dead context within a
-// few thousand loop iterations.
-func longJob(kind string, timeoutMs int64) (path string, body any) {
-	if kind == "run" {
-		req := piRunRequest(500_000_000)
-		req.TimeoutMs = timeoutMs
-		return "/v1/run", req
-	}
-	return "/v1/optimize", api.OptimizeRequest{
-		SchemaVersion: api.Version,
-		Name:          "pi",
-		Source:        workloads.PiSource,
-		Defines:       workloads.PiDefines(),
-		Params:        map[string]int64{"steps": 500_000_000, "threads": 8},
-		Floats:        map[string]float64{"step": 1.0 / 500_000_000, "final_sum": 0},
-		Budget:        2,
-		MaxRounds:     1,
-		TimeoutMs:     timeoutMs,
-	}
+// longRun is a run that takes minutes uncanceled: pi at half a billion
+// steps and more, whose simulation notices a dead context within a few
+// thousand loop iterations. Each n is a digest of its own, so long runs
+// of different n never coalesce.
+func longRun(n, timeoutMs int64) api.RunRequest {
+	req := piRunRequest(500_000_000 + 64*n)
+	req.TimeoutMs = timeoutMs
+	return req
 }
 
 // postJob POSTs a job asynchronously and returns its id.
@@ -316,62 +304,59 @@ func waitNoLeak(t *testing.T, s *Server, before int) {
 	}
 }
 
-// TestCancelMidSimFreesWorkerSlot starts a run or a search that would
-// take minutes on the only worker, ends it by DELETE or by its
-// timeout_ms, and then proves the slot is free by completing a second
-// job. Every case, and a Shutdown with one job of each kind in flight,
-// must leave no job in flight and leak no goroutines.
+// TestCancelMidSimFreesWorkerSlot starts a run that would take minutes
+// on the only worker, ends it by DELETE or by its timeout_ms, and then
+// proves the slot is free by completing a second run. Both cases, and a
+// Shutdown with two runs in flight, must leave no job in flight and leak
+// no goroutines.
 func TestCancelMidSimFreesWorkerSlot(t *testing.T) {
-	for _, kind := range []string{"run", "optimize"} {
-		for _, end := range []string{"delete", "timeout"} {
-			t.Run(kind+"/"+end, func(t *testing.T) {
-				s, ts := newTestServer(t, 1)
-				before := runtime.NumGoroutine()
+	for _, end := range []string{"delete", "timeout"} {
+		t.Run("run/"+end, func(t *testing.T) {
+			s, ts := newTestServer(t, 1)
+			before := runtime.NumGoroutine()
 
-				var timeoutMs int64
-				if end == "timeout" {
-					timeoutMs = 300
+			var timeoutMs int64
+			if end == "timeout" {
+				timeoutMs = 300
+			}
+			id := postJob(t, ts.URL+"/v1/run", longRun(0, timeoutMs))
+			if end == "timeout" {
+				if doc := pollJob(t, ts.URL, id, api.JobCanceled, time.Minute); doc.ErrorKind != "deadline" {
+					t.Fatalf("after timeout_ms, error kind = %q (%s)", doc.ErrorKind, doc.Error)
 				}
-				path, body := longJob(kind, timeoutMs)
-				id := postJob(t, ts.URL+path, body)
-				if end == "timeout" {
-					if doc := pollJob(t, ts.URL, id, api.JobCanceled, time.Minute); doc.ErrorKind != "deadline" {
-						t.Fatalf("after timeout_ms, error kind = %q (%s)", doc.ErrorKind, doc.Error)
-					}
-				} else {
-					pollJob(t, ts.URL, id, api.JobRunning, time.Minute)
-					delReq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
-					delResp, err := http.DefaultClient.Do(delReq)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var canceled api.Job
-					if err := json.Unmarshal(readAll(t, delResp), &canceled); err != nil {
-						t.Fatal(err)
-					}
-					if canceled.State != api.JobCanceled {
-						t.Fatalf("after DELETE, state = %s", canceled.State)
-					}
-				}
-
-				// The single worker must come free: a small job has to finish.
-				small := gemmRunRequest(16)
-				small.Wait = true
-				resp := postJSON(t, ts.URL+"/v1/run", small)
-				data := readAll(t, resp)
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("follow-up job = %d: %s", resp.StatusCode, data)
-				}
-				var followUp api.Job
-				if err := json.Unmarshal(data, &followUp); err != nil {
+			} else {
+				pollJob(t, ts.URL, id, api.JobRunning, time.Minute)
+				delReq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+				delResp, err := http.DefaultClient.Do(delReq)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if followUp.State != api.JobDone {
-					t.Fatalf("follow-up state = %s", followUp.State)
+				var canceled api.Job
+				if err := json.Unmarshal(readAll(t, delResp), &canceled); err != nil {
+					t.Fatal(err)
 				}
-				waitNoLeak(t, s, before)
-			})
-		}
+				if canceled.State != api.JobCanceled {
+					t.Fatalf("after DELETE, state = %s", canceled.State)
+				}
+			}
+
+			// The single worker must come free: a small job has to finish.
+			small := gemmRunRequest(16)
+			small.Wait = true
+			resp := postJSON(t, ts.URL+"/v1/run", small)
+			data := readAll(t, resp)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("follow-up job = %d: %s", resp.StatusCode, data)
+			}
+			var followUp api.Job
+			if err := json.Unmarshal(data, &followUp); err != nil {
+				t.Fatal(err)
+			}
+			if followUp.State != api.JobDone {
+				t.Fatalf("follow-up state = %s", followUp.State)
+			}
+			waitNoLeak(t, s, before)
+		})
 	}
 
 	t.Run("shutdown", func(t *testing.T) {
@@ -381,9 +366,8 @@ func TestCancelMidSimFreesWorkerSlot(t *testing.T) {
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		var ids []string
-		for _, kind := range []string{"run", "optimize"} {
-			path, body := longJob(kind, 0)
-			ids = append(ids, postJob(t, ts.URL+path, body))
+		for n := range int64(2) {
+			ids = append(ids, postJob(t, ts.URL+"/v1/run", longRun(n, 0)))
 		}
 		for _, id := range ids {
 			pollJob(t, ts.URL, id, api.JobRunning, time.Minute)
@@ -625,20 +609,20 @@ func TestBadRequestsAndErrors(t *testing.T) {
 
 	// Job POSTs read one JSON value of at most maxBodyBytes: a larger body
 	// is 413 too_large, data after the value is 400 bad_request, and
-	// neither creates a job.
+	// neither creates a job. There is no /v1/optimize: the mux answers
+	// 404 with no error document.
 	prefix, suffix := `{"version":1,"source":"`, `"}`
 	huge := prefix + strings.Repeat("a", maxBodyBytes+1-len(prefix)-len(suffix)) + suffix
 	runBody, _ := json.Marshal(gemmRunRequest(16))
-	optBody, _ := json.Marshal(gemmOptimizeRequest(2, 1))
 	for _, tc := range []struct {
 		path, body string
 		status     int
 		kind       string
 	}{
 		{"/v1/run", huge, http.StatusRequestEntityTooLarge, "too_large"},
-		{"/v1/optimize", huge, http.StatusRequestEntityTooLarge, "too_large"},
 		{"/v1/run", string(runBody) + "{}", http.StatusBadRequest, "bad_request"},
-		{"/v1/optimize", string(optBody) + " x", http.StatusBadRequest, "bad_request"},
+		{"/v1/run", string(runBody) + " x", http.StatusBadRequest, "bad_request"},
+		{"/v1/optimize", string(runBody), http.StatusNotFound, ""},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -646,7 +630,7 @@ func TestBadRequestsAndErrors(t *testing.T) {
 		}
 		body := readAll(t, resp)
 		var e api.Error
-		if err := json.Unmarshal(body, &e); err != nil {
+		if err := json.Unmarshal(body, &e); err != nil && tc.kind != "" {
 			t.Fatalf("%s (%d bytes): %v: %.200s", tc.path, len(tc.body), err, body)
 		}
 		if resp.StatusCode != tc.status || e.Kind != tc.kind {

@@ -641,11 +641,13 @@ func TestStandaloneJobIDsAndHealthz(t *testing.T) {
 	}
 }
 
-// TestFileRouteErrors walks both file routes through their refusals: a
-// job that is queued or running is 409 not_done, a name the job does not
+// TestFileRouteErrors walks the trace route through its refusals: a job
+// that is queued or running is 409 not_done, a name the job does not
 // list is 404 not_found, a run without profiling has no trace, and once
-// a finished job's store entry is evicted its files are 410 evicted —
-// run and optimize jobs alike serve from the store, not from memory.
+// a finished run's store entry is evicted its files are 410 evicted —
+// the run serves from the store, not from memory. There is no artifacts
+// route: the mux answers 404 with no error document and registers no
+// job.
 func TestFileRouteErrors(t *testing.T) {
 	// A one-byte budget keeps only the newest entry: each job persisted
 	// evicts the one before it.
@@ -664,25 +666,16 @@ func TestFileRouteErrors(t *testing.T) {
 		}
 	})
 
-	optReq := gemmOptimizeRequest(2, 1)
-	optReq.Wait = true
-	resp := postJSON(t, ts.URL+"/v1/optimize", optReq)
-	body := readAll(t, resp)
-	var opt api.Job
-	if err := json.Unmarshal(body, &opt); err != nil || opt.State != api.JobDone {
-		t.Fatalf("optimize job = %d: %s", resp.StatusCode, body)
-	}
-	_, run := waitRun(t, ts.URL, gemmRunRequest(16)) // evicts the search
+	_, run := waitRun(t, ts.URL, gemmRunRequest(16))
 	quiet := gemmRunRequest(16)
 	quiet.NoProfile = true
 	_, noTrace := waitRun(t, ts.URL, quiet) // evicts the profiled run
 
-	// One worker: the long run holds it and the long search waits queued.
-	path, long := longJob("run", 0)
-	running := postJob(t, ts.URL+path, long)
-	path, long = longJob("optimize", 0)
-	queued := postJob(t, ts.URL+path, long)
+	// One worker: the first long run holds it and the second waits queued.
+	running := postJob(t, ts.URL+"/v1/run", longRun(0, 0))
+	queued := postJob(t, ts.URL+"/v1/run", longRun(1, 0))
 	pollJob(t, ts.URL, running, api.JobRunning, time.Minute)
+	jobs := metricValue(t, ts.URL, "nymbled_jobs_total")
 
 	for _, tc := range []struct {
 		route, id, file string
@@ -690,12 +683,11 @@ func TestFileRouteErrors(t *testing.T) {
 		kind            string
 	}{
 		{"trace", running, "trace.prv", http.StatusConflict, "not_done"},
-		{"artifacts", queued, "optimize-report.json", http.StatusConflict, "not_done"},
+		{"trace", queued, "trace.prv", http.StatusConflict, "not_done"},
 		{"trace", run.ID, "nope.prv", http.StatusNotFound, "not_found"},
-		{"artifacts", opt.ID, "nope.json", http.StatusNotFound, "not_found"},
 		{"trace", noTrace.ID, "trace.prv", http.StatusNotFound, "no_trace"},
 		{"trace", run.ID, "trace.prv", http.StatusGone, "evicted"},
-		{"artifacts", opt.ID, "optimize-report.json", http.StatusGone, "evicted"},
+		{"artifacts", run.ID, "optimize-report.json", http.StatusNotFound, ""},
 	} {
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + tc.id + "/" + tc.route + "/" + tc.file)
 		if err != nil {
@@ -708,6 +700,9 @@ func TestFileRouteErrors(t *testing.T) {
 			t.Errorf("GET %s/%s of %s = %d %q, want %d %q",
 				tc.route, tc.file, tc.id, resp.StatusCode, e.Kind, tc.status, tc.kind)
 		}
+	}
+	if got := metricValue(t, ts.URL, "nymbled_jobs_total"); got != jobs {
+		t.Errorf("file GETs moved nymbled_jobs_total %d -> %d", jobs, got)
 	}
 	for _, id := range []string{running, queued} {
 		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
