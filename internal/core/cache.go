@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -74,14 +75,20 @@ func Key(src string, opts BuildOptions) string {
 	d := NewDigest()
 	d.Str(src)
 	DigestMap(d, opts.Defines, d.Str)
-	d.Str(fmt.Sprint(opts.VectorLanes))
-	// The schedule latencies and the area cost model are fixed, but their
-	// printed forms stay in the key so digests (and artifact stores)
-	// written by builds that could override them remain valid.
-	d.Str(fmt.Sprintf("%+v", schedule.DefaultConfig()))
-	d.Str(fmt.Sprintf("%+v", area.DefaultCoefficients()))
+	d.Str(strconv.Itoa(opts.VectorLanes))
+	sched, coeffs := fixedKey()
+	d.Str(sched)
+	d.Str(coeffs)
 	return d.Sum()
 }
+
+// fixedKey prints the schedule latencies and the area cost model once per
+// process. Both are fixed, but their printed forms stay in the key so
+// digests (and artifact stores) written by builds that could override
+// them remain valid.
+var fixedKey = sync.OnceValues(func() (string, string) {
+	return fmt.Sprintf("%+v", schedule.DefaultConfig()), fmt.Sprintf("%+v", area.DefaultCoefficients())
+})
 
 // Digest is the one encoder behind every content address of the tool
 // family (Key, api.RunKey): a SHA-256 over little-endian 64-bit words

@@ -108,6 +108,18 @@ func TestKeyIsStable(t *testing.T) {
 	}
 }
 
+// TestKeyAllocations bounds what one Key costs: the digest, its hash
+// state, the sorted define names and the hex sum. The printed schedule
+// and area configurations are formatted once per process, not per call.
+func TestKeyAllocations(t *testing.T) {
+	const bound = 5
+	opts := BuildOptions{Defines: map[string]string{"DIM": "64", "BS": "8"}, VectorLanes: 4}
+	Key("void f() {}", opts) // the fixed strings are printed on first use
+	if n := testing.AllocsPerRun(100, func() { Key("void f() {}", opts) }); n > bound {
+		t.Errorf("Key allocates %.0f objects per call, bound %d", n, bound)
+	}
+}
+
 func TestCacheCompileErrorsAreCached(t *testing.T) {
 	c := NewCache()
 	_, _, err1 := c.Build(context.Background(), "void f() { int x = ; }", BuildOptions{})
