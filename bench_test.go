@@ -238,17 +238,16 @@ func BenchmarkEngineStep(b *testing.B) {
 }
 
 // BenchmarkProfileTick measures the profiling unit's per-cycle cost: a
-// stall-site increment, a compute/memory event, and the Tick that closes
-// sampling windows and flushes buffers.
+// stall-counter increment, a compute/memory event, and the Tick that
+// closes sampling windows and flushes buffers.
 func BenchmarkProfileTick(b *testing.B) {
 	const threads = 8
 	u := profile.New(profile.DefaultConfig(), threads, func(cycle int64, bytes int) {})
-	site := u.SiteID("bench.loop")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := i % threads
-		u.AddStallsSite(t, site, 1)
+		u.AddStalls(t, 1)
 		u.AddCompute(t, 1, 2)
 		u.AddMem(t, 64, false)
 		u.Tick(int64(i))

@@ -7,12 +7,16 @@
 // lines and are flushed to external memory when the buffer is nearly full;
 // the flush traffic shares the memory system with the datapath, so the
 // profiling perturbation is observable exactly as on the FPGA.
+//
+// The unit keeps only what the hardware writes: the per-thread state runs
+// and event samples, plus lifetime per-thread totals. When profiling is off
+// there is no unit: New returns nil, and every method of a nil *Unit does
+// nothing (TotalsFor reads zeros).
 package profile
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ThreadState is the paper's 2-bit thread state encoding: 00 idle,
@@ -43,8 +47,9 @@ func (s ThreadState) String() string {
 
 // Config configures the profiling unit.
 type Config struct {
-	// Enabled turns the whole unit on; a disabled unit records nothing and
-	// generates no flush traffic (the "without profiling" baseline).
+	// Enabled turns the whole unit on; without it New returns no unit, so
+	// nothing is recorded and no flush traffic is generated (the "without
+	// profiling" baseline).
 	Enabled bool
 	// SamplePeriod is the event sampling period in cycles ("this period is
 	// user-adjustable"). Larger periods coarsen the trace but shrink it.
@@ -100,13 +105,6 @@ const (
 // every thread's state plus a 32-bit cycle count.
 func StateRecordBits(nThreads int) int { return StateBits*nThreads + 32 }
 
-// StateRecord is one state-change record: the states of all threads plus
-// the 32-bit clock count (2*Nthreads+32 bits in hardware).
-type StateRecord struct {
-	Cycle  int64
-	States []ThreadState
-}
-
 // StateRun is one run-length-encoded state interval [Begin, End) of a
 // single thread. The unit stores each thread's history as a run stream,
 // which is naturally sorted by construction and maps 1:1 onto Paraver
@@ -154,91 +152,41 @@ type Unit struct {
 	counters    []threadCounters
 	totals      []threadCounters
 	samples     [][]EventSample // per-thread event streams, window-ordered
-	nSamples    int
 	eventsInBuf int
 	windowStart int64
-
-	// Stall cycles are attributed to pipeline sites (the loop a token was
-	// stalled in). The hardware analogue is one counter per stage group; it
-	// enables the source-linked hotspot report. Sites are interned once via
-	// SiteID so the per-cycle hot path increments a slice slot instead of
-	// hashing a string into a map.
-	siteNames  []string
-	siteIDs    map[string]int
-	siteStalls []int64
 
 	// Stats.
 	FlushedBytes int64
 	Flushes      int64
 }
 
-// New creates a profiling unit for nThreads hardware threads. flush may be
-// nil (no memory-traffic modeling).
+// New creates a profiling unit for nThreads hardware threads, or returns
+// nil when cfg is not Enabled. flush may be nil (no memory-traffic
+// modeling).
 func New(cfg Config, nThreads int, flush FlushFunc) *Unit {
-	u := &Unit{}
-	u.Reset(cfg, nThreads, flush)
-	return u
+	if !cfg.Enabled {
+		return nil
+	}
+	return &Unit{
+		cfg:       cfg.WithDefaults(),
+		nThreads:  nThreads,
+		flush:     flush,
+		cur:       make([]ThreadState, nThreads),
+		runs:      make([][]StateRun, nThreads),
+		openStart: make([]int64, nThreads),
+		counters:  make([]threadCounters, nThreads),
+		totals:    make([]threadCounters, nThreads),
+		samples:   make([][]EventSample, nThreads),
+	}
 }
 
-// recycle returns s truncated to n zeroed elements, reusing its backing
-// array when the capacity allows.
-func recycle[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
+// NumThreads returns the monitored thread count (0 for a nil unit).
+func (u *Unit) NumThreads() int {
+	if u == nil {
+		return 0
 	}
-	s = s[:n]
-	var zero T
-	for i := range s {
-		s[i] = zero
-	}
-	return s
+	return u.nThreads
 }
-
-// Reset reinitializes the unit in place for a new run, reusing the
-// per-thread backing arrays (and the per-thread run/sample streams'
-// capacity) instead of reallocating them. It leaves the unit exactly as
-// New would: the simulator pools units across design points in sweeps so
-// per-run setup is reset-not-reallocate.
-func (u *Unit) Reset(cfg Config, nThreads int, flush FlushFunc) {
-	u.cfg = cfg.WithDefaults()
-	u.nThreads = nThreads
-	u.flush = flush
-	u.cur = recycle(u.cur, nThreads)
-	u.openStart = recycle(u.openStart, nThreads)
-	u.counters = recycle(u.counters, nThreads)
-	u.totals = recycle(u.totals, nThreads)
-	if cap(u.runs) < nThreads {
-		u.runs = make([][]StateRun, nThreads)
-	} else {
-		u.runs = u.runs[:nThreads]
-		for t := range u.runs {
-			u.runs[t] = u.runs[t][:0]
-		}
-	}
-	if cap(u.samples) < nThreads {
-		u.samples = make([][]EventSample, nThreads)
-	} else {
-		u.samples = u.samples[:nThreads]
-		for t := range u.samples {
-			u.samples[t] = u.samples[t][:0]
-		}
-	}
-	u.statesInBuf = 0
-	u.nSamples = 0
-	u.eventsInBuf = 0
-	u.windowStart = 0
-	u.siteNames = u.siteNames[:0]
-	u.siteStalls = u.siteStalls[:0]
-	clear(u.siteIDs)
-	u.FlushedBytes = 0
-	u.Flushes = 0
-}
-
-// Config returns the active configuration.
-func (u *Unit) Config() Config { return u.cfg }
-
-// NumThreads returns the monitored thread count.
-func (u *Unit) NumThreads() int { return u.nThreads }
 
 // stateRecordsPerBuffer returns how many records fit the state buffer.
 func (u *Unit) stateRecordsPerBuffer() int {
@@ -263,10 +211,7 @@ func (u *Unit) eventRecordsPerBuffer() int {
 // The host-side storage, however, is a per-thread run-length stream: one
 // closed run per actual transition of that thread.
 func (u *Unit) SetState(cycle int64, thread int, st ThreadState) {
-	if !u.cfg.Enabled {
-		return
-	}
-	if u.cur[thread] == st {
+	if u == nil || u.cur[thread] == st {
 		return
 	}
 	if cycle > u.openStart[thread] {
@@ -298,14 +243,19 @@ func (u *Unit) closeRun(thread int, cycle int64) {
 // The slice is borrowed from the unit: it stays valid until the next
 // SetState call for that thread. The run the thread is currently in is not
 // included; close it with OpenStateRun.
-func (u *Unit) StateRuns(thread int) []StateRun { return u.runs[thread] }
+func (u *Unit) StateRuns(thread int) []StateRun {
+	if u == nil {
+		return nil
+	}
+	return u.runs[thread]
+}
 
 // OpenStateRun returns thread's trailing open run closed at end, or false
 // when it would be empty (end is not past the run's begin). Note the open
 // run's state can equal the last closed run's state when a same-cycle
 // transition bounced back; stream consumers coalesce on the fly.
 func (u *Unit) OpenStateRun(thread int, end int64) (StateRun, bool) {
-	if end <= u.openStart[thread] {
+	if u == nil || end <= u.openStart[thread] {
 		return StateRun{}, false
 	}
 	return StateRun{Begin: u.openStart[thread], End: end, State: u.cur[thread]}, true
@@ -313,79 +263,26 @@ func (u *Unit) OpenStateRun(thread int, end int64) (StateRun, bool) {
 
 // ThreadSamples returns thread's event-sample stream, ordered by window
 // end. The slice is borrowed from the unit.
-func (u *Unit) ThreadSamples(thread int) []EventSample { return u.samples[thread] }
-
-// NumSamples returns the total event-sample count across threads.
-func (u *Unit) NumSamples() int { return u.nSamples }
-
-// CurrentState returns a thread's current state.
-func (u *Unit) CurrentState(thread int) ThreadState { return u.cur[thread] }
+func (u *Unit) ThreadSamples(thread int) []EventSample {
+	if u == nil {
+		return nil
+	}
+	return u.samples[thread]
+}
 
 // AddStalls accumulates stall cycles for a thread.
 func (u *Unit) AddStalls(thread int, n int64) {
-	u.AddStallsAt(thread, "", n)
-}
-
-// AddStallsAt accumulates stall cycles for a thread and attributes them to
-// a pipeline site (a loop's name, carrying its source position). Empty
-// sites count only toward the per-thread totals. Hot paths should intern
-// the site once with SiteID and use AddStallsSite instead.
-func (u *Unit) AddStallsAt(thread int, site string, n int64) {
-	if !u.cfg.Enabled || n == 0 {
-		return
-	}
-	id := -1
-	if site != "" {
-		id = u.SiteID(site)
-	}
-	u.AddStallsSite(thread, id, n)
-}
-
-// SiteID interns a pipeline site name and returns its counter index for
-// AddStallsSite. Safe to call repeatedly with the same name.
-func (u *Unit) SiteID(site string) int {
-	if id, ok := u.siteIDs[site]; ok {
-		return id
-	}
-	if u.siteIDs == nil {
-		u.siteIDs = make(map[string]int)
-	}
-	id := len(u.siteNames)
-	u.siteIDs[site] = id
-	u.siteNames = append(u.siteNames, site)
-	u.siteStalls = append(u.siteStalls, 0)
-	return id
-}
-
-// AddStallsSite accumulates stall cycles for a thread against an interned
-// site id (from SiteID); id < 0 counts only toward the per-thread totals.
-func (u *Unit) AddStallsSite(thread, id int, n int64) {
-	if !u.cfg.Enabled || n == 0 {
+	if u == nil {
 		return
 	}
 	u.counters[thread].stalls += n
 	u.totals[thread].stalls += n
-	if id >= 0 {
-		u.siteStalls[id] += n
-	}
-}
-
-// StallsBySite returns stall cycles per pipeline site (loop), the data
-// behind the hotspot report.
-func (u *Unit) StallsBySite() map[string]int64 {
-	out := make(map[string]int64, len(u.siteNames))
-	for id, name := range u.siteNames {
-		if n := u.siteStalls[id]; n != 0 {
-			out[name] = n
-		}
-	}
-	return out
 }
 
 // AddCompute accumulates arithmetic activity for a thread (integer ops and
 // FP lane-operations).
 func (u *Unit) AddCompute(thread int, intOps, fpOps int64) {
-	if !u.cfg.Enabled {
+	if u == nil {
 		return
 	}
 	u.counters[thread].intOps += intOps
@@ -398,7 +295,7 @@ func (u *Unit) AddCompute(thread int, intOps, fpOps int64) {
 // engines (thread < 0, e.g. this unit's own flushes) is ignored, as the
 // hardware counters snoop only the compute-unit ports.
 func (u *Unit) AddMem(thread int, bytes int, write bool) {
-	if !u.cfg.Enabled || thread < 0 {
+	if u == nil || thread < 0 {
 		return
 	}
 	if write {
@@ -415,7 +312,7 @@ func (u *Unit) AddMem(thread int, bytes int, write bool) {
 // window boundaries, so callers may batch and call it once per crossing of
 // NextBoundary().
 func (u *Unit) Tick(cycle int64) {
-	if !u.cfg.Enabled {
+	if u == nil {
 		return
 	}
 	for cycle >= u.windowStart+u.cfg.SamplePeriod {
@@ -424,10 +321,10 @@ func (u *Unit) Tick(cycle int64) {
 }
 
 // NextBoundary returns the first cycle at which Tick would close a sample
-// window, or math.MaxInt64 for a disabled unit. The value advances after
-// each Tick that closes a window.
+// window, or math.MaxInt64 for a nil unit. The value advances after each
+// Tick that closes a window.
 func (u *Unit) NextBoundary() int64 {
-	if !u.cfg.Enabled {
+	if u == nil {
 		return math.MaxInt64
 	}
 	return u.windowStart + u.cfg.SamplePeriod
@@ -444,7 +341,6 @@ func (u *Unit) closeWindow(end int64) {
 			Stalls: c.stalls, IntOps: c.intOps, FpOps: c.fpOps,
 			ReadBytes: c.readBytes, WriteBytes: c.writeBytes,
 		})
-		u.nSamples++
 		*c = threadCounters{}
 		u.eventsInBuf++
 	}
@@ -485,7 +381,7 @@ func (u *Unit) emitFlush(cycle int64, bytes int) {
 // Finalize closes the last sampling window and flushes all buffers. Call
 // once when the accelerator goes idle.
 func (u *Unit) Finalize(cycle int64) {
-	if !u.cfg.Enabled {
+	if u == nil {
 		return
 	}
 	u.Tick(cycle)
@@ -496,99 +392,12 @@ func (u *Unit) Finalize(cycle int64) {
 	u.flushEvents(cycle)
 }
 
-// StateRecords materializes the full-width snapshot records the hardware
-// would have written, reconstructed from the per-thread run streams (host
-// readback compatibility view). Changes of different threads at the same
-// cycle are ordered by thread index. Prefer StateRuns/OpenStateRun on hot
-// paths: this allocates one snapshot per state change.
-func (u *Unit) StateRecords() []StateRecord {
-	type changeEvt struct {
-		cycle  int64
-		thread int
-		st     ThreadState
-	}
-	var evts []changeEvt
-	for t := 0; t < u.nThreads; t++ {
-		prev := StateIdle
-		for _, r := range u.runs[t] {
-			if r.State != prev {
-				evts = append(evts, changeEvt{r.Begin, t, r.State})
-			}
-			prev = r.State
-		}
-		if u.cur[t] != prev {
-			evts = append(evts, changeEvt{u.openStart[t], t, u.cur[t]})
-		}
-	}
-	sort.SliceStable(evts, func(i, j int) bool {
-		if evts[i].cycle != evts[j].cycle {
-			return evts[i].cycle < evts[j].cycle
-		}
-		return evts[i].thread < evts[j].thread
-	})
-	states := make([]ThreadState, u.nThreads)
-	arena := make([]ThreadState, 0, len(evts)*u.nThreads)
-	out := make([]StateRecord, 0, len(evts))
-	for _, e := range evts {
-		states[e.thread] = e.st
-		n0 := len(arena)
-		arena = append(arena, states...)
-		out = append(out, StateRecord{Cycle: e.cycle, States: arena[n0:len(arena):len(arena)]})
-	}
-	return out
-}
-
-// EventSamples materializes the recorded event windows in hardware write
-// order (window-major, thread-minor), merged from the per-thread streams
-// (host readback compatibility view). Prefer ThreadSamples on hot paths.
-func (u *Unit) EventSamples() []EventSample {
-	out := make([]EventSample, 0, u.nSamples)
-	idx := make([]int, u.nThreads)
-	for len(out) < u.nSamples {
-		best := -1
-		for t := 0; t < u.nThreads; t++ {
-			if idx[t] >= len(u.samples[t]) {
-				continue
-			}
-			if best < 0 || u.samples[t][idx[t]].End < u.samples[best][idx[best]].End {
-				best = t
-			}
-		}
-		out = append(out, u.samples[best][idx[best]])
-		idx[best]++
-	}
-	return out
-}
-
-// TotalsFor returns lifetime counter totals of one thread.
+// TotalsFor returns lifetime counter totals of one thread; all zero for a
+// nil unit.
 func (u *Unit) TotalsFor(thread int) (stalls, intOps, fpOps, readBytes, writeBytes int64) {
+	if u == nil {
+		return
+	}
 	t := u.totals[thread]
 	return t.stalls, t.intOps, t.fpOps, t.readBytes, t.writeBytes
-}
-
-// StateDurations integrates the state records from cycle 0 to end and
-// returns, per thread, the cycles spent in each of the four states. It is
-// the host-side analysis the Paraver state view visualizes.
-func StateDurations(records []StateRecord, nThreads int, end int64) [][4]int64 {
-	out := make([][4]int64, nThreads)
-	prevCycle := int64(0)
-	prevStates := make([]ThreadState, nThreads) // all idle initially
-	account := func(upTo int64) {
-		d := upTo - prevCycle
-		if d <= 0 {
-			return
-		}
-		for t := 0; t < nThreads; t++ {
-			out[t][prevStates[t]] += d
-		}
-	}
-	for _, r := range records {
-		if r.Cycle > prevCycle {
-			account(r.Cycle)
-			prevCycle = r.Cycle
-		}
-		copy(prevStates, r.States)
-	}
-	account(end)
-	return out
 }

@@ -1,9 +1,36 @@
 package profile
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// runsTo returns thread's whole state history up to end: its closed runs
+// followed by the open run closed at end.
+func runsTo(u *Unit, thread int, end int64) []StateRun {
+	rs := append([]StateRun(nil), u.StateRuns(thread)...)
+	if r, ok := u.OpenStateRun(thread, end); ok {
+		rs = append(rs, r)
+	}
+	return rs
+}
+
+// durations integrates thread's runs up to end into cycles per state, and
+// reports whether the runs tile [0, end): the first begins at 0, each
+// begins where the one before it ends, and the last ends at end.
+func durations(u *Unit, thread int, end int64) (dur [4]int64, tiles bool) {
+	at := int64(0)
+	for _, r := range runsTo(u, thread, end) {
+		if r.Begin != at || r.End <= r.Begin {
+			return dur, false
+		}
+		dur[r.State] += r.End - r.Begin
+		at = r.End
+	}
+	return dur, at == end
+}
 
 func TestStateRecording(t *testing.T) {
 	u := New(DefaultConfig(), 4, nil)
@@ -11,19 +38,24 @@ func TestStateRecording(t *testing.T) {
 	u.SetState(10, 0, StateRunning) // no-op: same state
 	u.SetState(20, 1, StateRunning)
 	u.SetState(30, 0, StateSpinning)
-	recs := u.StateRecords()
-	if len(recs) != 3 {
-		t.Fatalf("records = %d, want 3", len(recs))
+	want := [][]StateRun{
+		{{0, 10, StateIdle}, {10, 30, StateRunning}, {30, 40, StateSpinning}},
+		{{0, 20, StateIdle}, {20, 40, StateRunning}},
+		{{0, 40, StateIdle}},
+		{{0, 40, StateIdle}},
 	}
-	// Each record snapshots all threads.
-	if len(recs[0].States) != 4 {
-		t.Fatalf("record width = %d", len(recs[0].States))
+	for th, w := range want {
+		if got := runsTo(u, th, 40); !reflect.DeepEqual(got, w) {
+			t.Errorf("thread %d runs = %v, want %v", th, got, w)
+		}
 	}
-	if recs[2].States[0] != StateSpinning || recs[2].States[1] != StateRunning {
-		t.Errorf("snapshot = %v", recs[2].States)
+	// The open run is the thread's current state, and closes nowhere
+	// before its begin.
+	if r, ok := u.OpenStateRun(0, 31); !ok || r.State != StateSpinning {
+		t.Errorf("open run of thread 0 = %v, %v; want Spinning from 30", r, ok)
 	}
-	if u.CurrentState(0) != StateSpinning {
-		t.Error("current state wrong")
+	if _, ok := u.OpenStateRun(0, 30); ok {
+		t.Error("open run closed at its own begin is not empty")
 	}
 }
 
@@ -48,20 +80,19 @@ func TestEventWindows(t *testing.T) {
 	u.Tick(250) // closes [100,200) and [200,250 not yet)
 	u.Finalize(250)
 
-	evs := u.EventSamples()
 	// Window 1: thread 0 (compute+read), thread 1 (write).
 	// Window 2: thread 1 stalls. Empty windows are skipped.
-	if len(evs) != 3 {
-		t.Fatalf("events = %+v", evs)
+	want := [][]EventSample{
+		{{Start: 0, End: 100, Thread: 0, IntOps: 10, FpOps: 20, ReadBytes: 64}},
+		{
+			{Start: 0, End: 100, Thread: 1, WriteBytes: 32},
+			{Start: 100, End: 200, Thread: 1, Stalls: 5},
+		},
 	}
-	if evs[0].Thread != 0 || evs[0].IntOps != 10 || evs[0].FpOps != 20 || evs[0].ReadBytes != 64 {
-		t.Errorf("window 1 thread 0 = %+v", evs[0])
-	}
-	if evs[1].Thread != 1 || evs[1].WriteBytes != 32 {
-		t.Errorf("window 1 thread 1 = %+v", evs[1])
-	}
-	if evs[2].Thread != 1 || evs[2].Stalls != 5 {
-		t.Errorf("window 2 = %+v", evs[2])
+	for th, w := range want {
+		if got := u.ThreadSamples(th); !reflect.DeepEqual(got, w) {
+			t.Errorf("thread %d samples = %+v, want %+v", th, got, w)
+		}
 	}
 }
 
@@ -108,18 +139,32 @@ func TestBufferFlush(t *testing.T) {
 	}
 }
 
+// A disabled configuration yields no unit, and every method of the nil
+// unit is a no-op: nothing recorded, no flush, zero totals.
 func TestDisabledUnit(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Enabled = false
 	u := New(cfg, 2, func(cycle int64, bytes int) { t.Error("flush from disabled unit") })
+	if u != nil {
+		t.Fatal("disabled config built a unit")
+	}
 	u.SetState(1, 0, StateRunning)
 	u.AddCompute(0, 1, 1)
 	u.AddStalls(0, 1)
 	u.AddMem(0, 64, false)
 	u.Tick(5000)
 	u.Finalize(10000)
-	if len(u.StateRecords()) != 0 || len(u.EventSamples()) != 0 {
+	if got := u.NextBoundary(); got != math.MaxInt64 {
+		t.Errorf("NextBoundary = %d, want MaxInt64", got)
+	}
+	if u.NumThreads() != 0 || len(u.StateRuns(0)) != 0 || len(u.ThreadSamples(0)) != 0 {
 		t.Error("disabled unit recorded data")
+	}
+	if _, ok := u.OpenStateRun(0, 10000); ok {
+		t.Error("disabled unit has an open state run")
+	}
+	if s, i, f, rb, wb := u.TotalsFor(0); s|i|f|rb|wb != 0 {
+		t.Errorf("disabled unit totals = %d %d %d %d %d", s, i, f, rb, wb)
 	}
 }
 
@@ -129,7 +174,14 @@ func TestStateDurations(t *testing.T) {
 	u.SetState(50, 1, StateRunning) // thread 1 starts at 50
 	u.SetState(100, 0, StateCritical)
 	u.SetState(150, 0, StateRunning)
-	dur := StateDurations(u.StateRecords(), 2, 1000)
+	var dur [2][4]int64
+	for th := range dur {
+		var tiles bool
+		// Conservation: every thread's runs tile [0, 1000).
+		if dur[th], tiles = durations(u, th, 1000); !tiles {
+			t.Errorf("thread %d runs %v do not tile [0, 1000)", th, runsTo(u, th, 1000))
+		}
+	}
 	if dur[0][StateRunning] != 100-0+1000-150 {
 		t.Errorf("thread 0 running = %d", dur[0][StateRunning])
 	}
@@ -139,19 +191,9 @@ func TestStateDurations(t *testing.T) {
 	if dur[1][StateIdle] != 50 {
 		t.Errorf("thread 1 idle = %d", dur[1][StateIdle])
 	}
-	// Conservation: every thread's durations sum to the end time.
-	for th := 0; th < 2; th++ {
-		var sum int64
-		for s := 0; s < 4; s++ {
-			sum += dur[th][s]
-		}
-		if sum != 1000 {
-			t.Errorf("thread %d durations sum to %d", th, sum)
-		}
-	}
 }
 
-// Property: duration conservation holds for arbitrary state-change
+// Property: every thread's runs tile [0, end) for arbitrary state-change
 // sequences with increasing timestamps.
 func TestStateDurationConservationProperty(t *testing.T) {
 	f := func(steps []uint8) bool {
@@ -162,13 +204,8 @@ func TestStateDurationConservationProperty(t *testing.T) {
 			u.SetState(cycle, int(s)%3, ThreadState(s%4))
 		}
 		end := cycle + 10
-		dur := StateDurations(u.StateRecords(), 3, end)
 		for th := 0; th < 3; th++ {
-			var sum int64
-			for s := 0; s < 4; s++ {
-				sum += dur[th][s]
-			}
-			if sum != end {
+			if _, tiles := durations(u, th, end); !tiles {
 				return false
 			}
 		}

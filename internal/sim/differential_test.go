@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -8,7 +9,7 @@ import (
 	"paravis/internal/hw"
 	"paravis/internal/lower"
 	"paravis/internal/minic"
-	"paravis/internal/profile"
+	"paravis/internal/paraver"
 	"paravis/internal/schedule"
 )
 
@@ -31,7 +32,8 @@ func tryCompile(src string) (*hw.CKernel, error) {
 }
 
 // diffOutcome captures everything observable about one engine run, for
-// comparing two runs of the same kernel.
+// comparing two runs of the same kernel. The recorded trace streams are
+// compared as the .prv and .pcf bytes paraver renders from them.
 type diffOutcome struct {
 	err     string
 	cycles  int64
@@ -41,8 +43,8 @@ type diffOutcome struct {
 	scalars map[string]float64
 	ints    map[string]int64
 	bufs    map[string][]uint32
-	states  []profile.StateRecord
-	samples []profile.EventSample
+	prv     []byte
+	pcf     []byte
 }
 
 // runEngine executes ck once with fresh zero buffers for every pointer
@@ -81,8 +83,15 @@ func runEngine(ck *hw.CKernel) diffOutcome {
 		o.bufs[name] = append([]uint32(nil), b.Words...)
 	}
 	if r.Prof != nil {
-		o.states = r.Prof.StateRecords()
-		o.samples = r.Prof.EventSamples()
+		st := paraver.StreamOf(r.Prof, ck.K.Name, r.Cycles)
+		var prv, pcf bytes.Buffer
+		if err := st.WritePRV(&prv); err != nil {
+			o.err = "write .prv: " + err.Error()
+		}
+		if err := st.WritePCF(&pcf); err != nil {
+			o.err = "write .pcf: " + err.Error()
+		}
+		o.prv, o.pcf = prv.Bytes(), pcf.Bytes()
 	}
 	return o
 }

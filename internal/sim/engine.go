@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"paravis/internal/hw"
 	"paravis/internal/hwsem"
@@ -86,17 +85,16 @@ type engine struct {
 	// profNext caches prof.NextBoundary() so prof.Tick is only called on
 	// sample-window crossings instead of every cycle.
 	profNext int64
-	// siteIDs maps graph index -> interned profiler stall-site id.
-	siteIDs []int
-	// loopIters counts iteration starts per graph, loopExecs completed
-	// executions (frame entry to retirement), and loopSpans the
-	// frame-active cycles, summed over all executions and threads. The
-	// iters/spans ratio is the measured per-loop initiation interval the
+	// The per-loop ledger by graph index, summed over executions and
+	// threads (finish folds it by loop name): iteration starts, completed
+	// executions (frame entry to retirement), frame-active cycles and stall
+	// cycles. iters/spans is the measured per-loop initiation interval the
 	// static RecMII floor is validated against (the recurrence only
 	// separates consecutive iterations of one execution, hence execs).
-	loopIters []int64
-	loopExecs []int64
-	loopSpans []int64
+	loopIters  []int64
+	loopExecs  []int64
+	loopSpans  []int64
+	loopStalls []int64
 
 	// Recycling pools for the hot loop: retired outstanding-VLO records,
 	// external-store payload buffers (returned once the DRAM has copied
@@ -192,10 +190,10 @@ type frame struct {
 	// when there are none (exact after every step: the retire pass
 	// recomputes it).
 	timedUntil int64
-	// pendStalls accumulates stall cycles charged to this frame's site;
-	// flushed to the profiling unit at window boundaries and when the
-	// frame retires. Equivalent to per-charge AddStallsSite calls because
-	// stall counters are only read when a window closes (or at the end).
+	// pendStalls accumulates stall cycles charged to this frame; settled
+	// (chargeStalls) at window boundaries and when the frame retires.
+	// Equivalent to per-charge settlement because stall counters are only
+	// read when a window closes (or at the end).
 	pendStalls int64
 	pendings   []pending
 	parent     *frame
@@ -293,20 +291,11 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 	}
 
 	n := ck.K.NumThreads
-	// Profiling units are the largest per-run allocation after the frame
-	// arena. When profiling is off nothing outlives the run (finish never
-	// publishes the unit in the Result), so sweeps recycle units from a
-	// pool — reset, not reallocated.
-	if !cfg.Profile.Enabled {
-		if v := unitPool.Get(); v != nil {
-			e.prof = v.(*profile.Unit)
-			e.prof.Reset(cfg.Profile, n, e.flushProfile)
-		}
+	// With profiling off there is no unit (nil): its methods do nothing.
+	e.prof = profile.New(cfg.Profile, n, e.flushProfile)
+	if e.prof != nil {
+		e.dram.AddListener(func(c int64, th int, b int, w bool) { e.prof.AddMem(th, b, w) })
 	}
-	if e.prof == nil {
-		e.prof = profile.New(cfg.Profile, n, e.flushProfile)
-	}
-	e.dram.AddListener(func(c int64, th int, b int, w bool) { e.prof.AddMem(th, b, w) })
 
 	// Hardware semaphores and barrier.
 	for i := 0; i < ck.K.NumSems; i++ {
@@ -322,9 +311,9 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 		}
 	}
 
-	// Static-stage occupancy tables and interned stall sites (one per
-	// graph, so the hot path bumps a counter slot instead of hashing the
-	// loop name into a map).
+	// Static-stage occupancy tables and the per-loop ledger (one slot per
+	// graph, so the hot path bumps a counter instead of hashing the loop
+	// name into a map).
 	e.occ = make([][]int32, len(ck.Graphs))
 	e.occW = make([][][]*frame, len(ck.Graphs))
 	e.coastW = make([][][]*frame, len(ck.Graphs))
@@ -338,10 +327,10 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 	for i := range stamps {
 		stamps[i] = noStamp
 	}
-	e.siteIDs = make([]int, len(ck.Graphs))
 	e.loopIters = make([]int64, len(ck.Graphs))
 	e.loopExecs = make([]int64, len(ck.Graphs))
 	e.loopSpans = make([]int64, len(ck.Graphs))
+	e.loopStalls = make([]int64, len(ck.Graphs))
 	for gi, cg := range ck.Graphs {
 		e.occ[gi] = make([]int32, cg.Depth)
 		for s := range e.occ[gi] {
@@ -350,7 +339,6 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 		e.occW[gi] = make([][]*frame, cg.Depth)
 		e.coastW[gi], watch = watch[:cg.Depth:cg.Depth], watch[cg.Depth:]
 		e.stamps[gi], stamps = stamps[:cg.Depth:cg.Depth], stamps[cg.Depth:]
-		e.siteIDs[gi] = e.prof.SiteID(cg.Name)
 	}
 
 	if err := e.setupMemory(); err != nil {
@@ -596,8 +584,7 @@ func (e *engine) run(ctx context.Context) error {
 						f.sleepFrom = e.cycle
 					}
 					if f.pendStalls != 0 {
-						e.prof.AddStallsSite(t.id, e.siteIDs[f.gi], f.pendStalls)
-						f.pendStalls = 0
+						e.chargeStalls(t, f)
 					}
 				}
 				if t.pendInt != 0 || t.pendFp != 0 {
@@ -615,7 +602,14 @@ func (e *engine) run(ctx context.Context) error {
 		if !progress {
 			next := e.nextEventCycle()
 			if next < 0 {
-				return fmt.Errorf("sim: deadlock at cycle %d (no progress and no pending events)", e.cycle)
+				if e.nDone == len(e.threads) && !e.dram.Busy() {
+					// This cycle's DRAM tick drained the last write (a
+					// profile flush) after every thread had finished:
+					// the run ends where the loop's exit check would end it.
+					e.cycle++
+					break
+				}
+				return &ErrDeadlock{Kernel: e.ck.K.Name, Cycle: e.cycle}
 			}
 			if next > e.cycle+1 {
 				// Per-cycle stepping charges skipped-span stalls once per
@@ -1145,20 +1139,23 @@ func (e *engine) finish() (*Result, error) {
 		r.FpOps = append(r.FpOps, fpOps)
 	}
 	r.Cycles = last
-	if e.cfg.Profile.Enabled {
-		r.Prof = e.prof
-		r.StallsByLoop = e.prof.StallsBySite()
-	}
 	r.ItersByLoop = make(map[string]int64)
 	r.ExecsByLoop = make(map[string]int64)
 	r.ActiveByLoop = make(map[string]int64)
+	if e.prof != nil {
+		r.Prof = e.prof
+		r.StallsByLoop = make(map[string]int64)
+	}
 	for gi, cg := range e.ck.Graphs {
+		if r.StallsByLoop != nil && e.loopStalls[gi] != 0 {
+			r.StallsByLoop[cg.Name] += e.loopStalls[gi]
+		}
 		if cg.CondIdx < 0 {
 			continue // top region, not a loop
 		}
-		r.ItersByLoop[cg.Name] = e.loopIters[gi]
-		r.ExecsByLoop[cg.Name] = e.loopExecs[gi]
-		r.ActiveByLoop[cg.Name] = e.loopSpans[gi]
+		r.ItersByLoop[cg.Name] += e.loopIters[gi]
+		r.ExecsByLoop[cg.Name] += e.loopExecs[gi]
+		r.ActiveByLoop[cg.Name] += e.loopSpans[gi]
 	}
 	for _, s := range e.sems {
 		r.LockAcquisitions += s.Acquisitions
@@ -1196,16 +1193,5 @@ func (e *engine) finish() (*Result, error) {
 	// Recycle the word slab only on the clean-completion path: here the
 	// DRAM is provably drained and no OnComplete callback can still fire.
 	e.dram.Release()
-	// Same for the profiling unit: r.Prof is only published when profiling
-	// is enabled, so a disabled unit has no remaining references.
-	if !e.cfg.Profile.Enabled {
-		unitPool.Put(e.prof)
-		e.prof = nil
-	}
 	return r, nil
 }
-
-// unitPool recycles disabled profiling units across runs (design-point
-// sweeps create one engine per point; Unit.Reset reuses the per-thread
-// slices instead of reallocating them).
-var unitPool sync.Pool

@@ -35,3 +35,16 @@ func (e *ErrCanceled) Error() string {
 }
 
 func (e *ErrCanceled) Unwrap() error { return e.Cause }
+
+// ErrDeadlock reports a simulation that stopped making progress with
+// threads still unfinished and no pending event left to wake them.
+type ErrDeadlock struct {
+	// Kernel is the name of the kernel that deadlocked.
+	Kernel string
+	// Cycle is the simulated cycle at which no progress was possible.
+	Cycle int64
+}
+
+func (e *ErrDeadlock) Error() string {
+	return fmt.Sprintf("sim: deadlock at cycle %d (no progress and no pending events)", e.Cycle)
+}

@@ -16,13 +16,11 @@ import (
 	"paravis/internal/hwsem"
 	"paravis/internal/ir"
 	"paravis/internal/mem"
-	"paravis/internal/profile"
 )
 
 func bareEngine(cycle int64) *engine {
 	return &engine{
 		dram:    mem.NewDRAM(mem.DRAMConfig{LatencyCycles: 5, Words: 1024}),
-		prof:    profile.New(profile.Config{}, 8, nil),
 		barrier: hwsem.NewBarrier(1),
 		cycle:   cycle,
 	}
@@ -50,10 +48,10 @@ func spinGraph(e *engine, depth int, static ...int) *hw.CGraph {
 	e.occ = append(e.occ, occ)
 	e.occW = append(e.occW, make([][]*frame, depth))
 	e.coastW = append(e.coastW, make([][]*frame, depth))
-	e.siteIDs = append(e.siteIDs, -1)
 	e.loopIters = append(e.loopIters, 0)
 	e.loopExecs = append(e.loopExecs, 0)
 	e.loopSpans = append(e.loopSpans, 0)
+	e.loopStalls = append(e.loopStalls, 0)
 	return cg
 }
 

@@ -593,6 +593,14 @@ func drainBlock(f *frame) (blocked, stall bool) {
 	return blocked, false
 }
 
+// chargeStalls settles f's owed stalls: into its loop's ledger slot and
+// into the profiling unit's counter for thread t.
+func (e *engine) chargeStalls(t *thread, f *frame) {
+	e.loopStalls[f.gi] += f.pendStalls
+	e.prof.AddStalls(t.id, f.pendStalls)
+	f.pendStalls = 0
+}
+
 // beginIteration loads carried-register values into their node slots.
 func (e *engine) beginIteration(f *frame) {
 	e.loopIters[f.gi]++
@@ -799,8 +807,7 @@ func (e *engine) finishGraph(t *thread, f *frame) {
 	if f.pendStalls != 0 {
 		// The frame leaves the active list now; flush its owed stalls into
 		// the still-open window.
-		e.prof.AddStallsSite(t.id, e.siteIDs[f.gi], f.pendStalls)
-		f.pendStalls = 0
+		e.chargeStalls(t, f)
 	}
 	e.freeOcc(t, f)
 	e.loopExecs[f.gi]++

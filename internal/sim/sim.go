@@ -141,8 +141,9 @@ type Result struct {
 	LockContended    int64
 
 	// StallsByLoop attributes stall cycles to the loop (graph) a token was
-	// stalled in; keys carry the source position (e.g. "for@12:5"). It is
-	// the data behind the hotspot report.
+	// stalled in; keys carry the source position (e.g. "for@12:5"), the
+	// top region's is "top", and only nonzero counts appear. It is the
+	// data behind the hotspot report, nil when profiling is disabled.
 	StallsByLoop map[string]int64
 
 	// ItersByLoop counts iteration starts per loop graph (all threads and
@@ -152,7 +153,9 @@ type Result struct {
 	// initiation interval the static RecMII floor brackets from below
 	// (the floor separates consecutive iterations of one execution, so
 	// only Iters-Execs pairs are constrained). Keys are loop names
-	// ("for@line:col"); recorded whether or not profiling is enabled.
+	// ("for@line:col"); the graphs an unrolled body replicates from one
+	// loop share its name and its counts. Recorded whether or not
+	// profiling is enabled.
 	ItersByLoop  map[string]int64
 	ExecsByLoop  map[string]int64
 	ActiveByLoop map[string]int64

@@ -464,15 +464,27 @@ func TestSimProfilerStates(t *testing.T) {
 	if res.Prof == nil {
 		t.Fatal("profiler missing")
 	}
-	recs := res.Prof.StateRecords()
-	if len(recs) == 0 {
-		t.Fatal("no state records")
-	}
-	dur := profile.StateDurations(recs, 8, res.Cycles)
+	dur := make([][4]int64, 8)
 	for th := 0; th < 8; th++ {
-		total := dur[th][0] + dur[th][1] + dur[th][2] + dur[th][3]
-		if total != res.Cycles {
-			t.Errorf("thread %d durations sum to %d, want %d", th, total, res.Cycles)
+		// The closed runs and the open run closed at the end tile
+		// [0, Cycles).
+		runs := res.Prof.StateRuns(th)
+		if len(runs) == 0 {
+			t.Fatalf("thread %d has no state runs", th)
+		}
+		if r, ok := res.Prof.OpenStateRun(th, res.Cycles); ok {
+			runs = append(runs[:len(runs):len(runs)], r)
+		}
+		at := int64(0)
+		for _, r := range runs {
+			if r.Begin != at || r.End <= r.Begin {
+				t.Fatalf("thread %d: run %v does not follow cycle %d", th, r, at)
+			}
+			dur[th][r.State] += r.End - r.Begin
+			at = r.End
+		}
+		if at != res.Cycles {
+			t.Errorf("thread %d runs end at %d, want %d", th, at, res.Cycles)
 		}
 		if dur[th][profile.StateCritical] == 0 {
 			t.Errorf("thread %d never in Critical state", th)
