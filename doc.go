@@ -20,7 +20,6 @@
 //   - internal/paraver  — the streaming trace: .prv/.pcf/.row writer, scanner
 //     and (in analysis) the one fold every view and statistic is read off
 //   - internal/area     — ALM/register/Fmax model for the overhead study
-//   - internal/host     — host-side interpreter for code around the region
 //   - internal/core     — the public facade tying the flow together
 //
 // See README.md for a walkthrough, DESIGN.md for the system inventory and

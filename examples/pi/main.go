@@ -1,10 +1,10 @@
-// Pi case study (paper §V-D): calls the MiniC pi() function end-to-end —
-// the host interpreter computes `step`, launches the accelerator, reduces
-// across threads through the hardware semaphore, and returns the estimate.
-// Running it at increasing iteration counts reproduces Figs. 11-13: at
-// small counts the sequential thread-start overhead dominates and threads
-// barely overlap; at large counts all eight run in parallel and the
-// sustained GFLOP/s rises accordingly.
+// Pi case study (paper §V-D): runs E8, the pi experiment paperbench's
+// `-exp pi` runs, at the given iteration counts (by default E8's, one
+// tenth of the paper's 1M/4M/10M). At small counts the sequential
+// thread-start overhead dominates and threads barely overlap; at large
+// counts all eight run in parallel and the sustained GFLOP/s rises
+// accordingly (Figs. 11-13). Exits non-zero when a run's estimate of pi
+// is wrong.
 package main
 
 import (
@@ -12,64 +12,47 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"strconv"
 	"strings"
 
-	"paravis/internal/core"
-	"paravis/internal/host"
-	"paravis/internal/paraver/analysis"
-	"paravis/internal/sim"
-	"paravis/internal/workloads"
+	"paravis/internal/experiments"
 )
 
 func main() {
-	stepsFlag := flag.String("steps", "100000,400000,1000000", "comma-separated iteration counts")
+	stepsFlag := flag.String("steps", "102400,409600,1024000", "comma-separated iteration counts")
 	traces := flag.String("traces", "", "if set, write Paraver bundles to this directory")
 	flag.Parse()
 
-	ctx := context.Background()
-	prog, err := core.Build(ctx, workloads.PiSource, core.BuildOptions{Defines: workloads.PiDefines()})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println("== pi case study: infinite series on 8 hardware threads ==")
-	fmt.Println("paper: 1M iters -> 0.146 GFLOP/s, 4M -> 0.556, 10M -> 1.507")
-	fmt.Println()
-
+	opts := experiments.DefaultOptions()
+	opts.PiSteps = nil
 	for _, f := range strings.Split(*stepsFlag, ",") {
 		steps, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || steps <= 0 {
 			log.Fatalf("bad steps %q", f)
 		}
-		// Call the MiniC function like the paper's host binary would.
-		ret, out, err := prog.Call(ctx,
-			[]host.Value{host.IntValue(int64(steps)), host.IntValue(8)},
-			nil, sim.DefaultConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
-		estimate := ret.AsFloat() / float64(steps)
-		r := out.Result
-		stats := analysis.NewStreamStats(88, 0)
-		if err := out.Streams.Scan(stats); err != nil {
-			log.Fatal(err)
-		}
-		gflops := stats.GFlops(out.FmaxMHz)
-		fmt.Printf("steps=%-9d pi=%.6f (err %.2e)  %d cycles  %.3f GFLOP/s\n",
-			steps, estimate, math.Abs(estimate-math.Pi), r.Cycles, gflops)
-		fmt.Println("  thread activity (R=Running C=Critical S=Spinning .=Idle):")
-		for _, row := range stats.TimelineTask(0) {
-			fmt.Println("    " + row)
-		}
+		opts.PiSteps = append(opts.PiSteps, steps)
+	}
+
+	fmt.Println("== pi case study: infinite series on 8 hardware threads ==")
+	fmt.Println()
+
+	res, err := experiments.RunPi(context.Background(), opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(res.Format())
+
+	for _, run := range res.Runs {
 		if *traces != "" {
-			prv, err := out.WriteTrace(*traces, fmt.Sprintf("pi_%d", steps))
+			prv, err := run.Out.WriteTrace(*traces, fmt.Sprintf("pi_%d", run.Steps))
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("  wrote %s\n", prv)
+			fmt.Printf("wrote %s\n", prv)
 		}
-		fmt.Println()
+		if !run.Correct {
+			log.Fatalf("steps=%d: pi estimate %v is wrong",
+				run.Steps, run.Out.Result.ScalarsOut["final_sum"]/float64(run.Steps))
+		}
 	}
 }

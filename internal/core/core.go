@@ -2,9 +2,10 @@
 // HLS-with-profiling flow together. Build compiles a MiniC+OpenMP source
 // into a scheduled, executable accelerator; Run simulates it with the
 // profiling unit attached and returns both the raw results and the Paraver
-// trace; Call additionally interprets the host-side code around the target
-// region, so a compiled function behaves like the paper's host binary.
-// AreaOverhead reproduces the §V-B hardware-footprint study.
+// trace, which WriteTrace writes as a bundle. The host side of a launch is
+// the arguments the caller passes to Run; its cost (map-clause transfers,
+// sequential thread starts) is modelled by the simulator. AreaOverhead
+// reproduces the §V-B hardware-footprint study.
 package core
 
 import (
@@ -12,7 +13,6 @@ import (
 	"fmt"
 
 	"paravis/internal/area"
-	"paravis/internal/host"
 	"paravis/internal/hw"
 	"paravis/internal/ir"
 	"paravis/internal/lower"
@@ -160,68 +160,6 @@ func (p *Program) Run(ctx context.Context, args sim.Args, cfg sim.Config) (*RunO
 // footprint with and without the profiling infrastructure.
 func (p *Program) AreaOverhead(profCfg profile.Config) area.OverheadReport {
 	return area.Overhead(p.Kernel, p.Sched, profCfg)
-}
-
-// Call runs the containing MiniC function end-to-end: host statements
-// before the region execute on the (interpreted) CPU, the region runs on
-// the simulated accelerator, mapped scalars flow back, and the function's
-// return value is produced. Buffers back the pointer parameters.
-func (p *Program) Call(ctx context.Context, args []host.Value, buffers map[string]*sim.Buffer, cfg sim.Config) (host.Value, *RunOutput, error) {
-	var out *RunOutput
-	launcher := host.LauncherFunc(func(ts *minic.TargetStmt, env map[string]host.Value) (map[string]host.Value, error) {
-		simArgs := sim.Args{
-			Ints:    map[string]int64{},
-			Floats:  map[string]float64{},
-			Buffers: buffers,
-		}
-		for _, prm := range p.Kernel.Params {
-			if prm.Pointer {
-				continue
-			}
-			v, ok := env[prm.Name]
-			if !ok {
-				return nil, fmt.Errorf("core: host variable %q not set before launch", prm.Name)
-			}
-			if prm.Float {
-				simArgs.Floats[prm.Name] = v.AsFloat()
-			} else {
-				simArgs.Ints[prm.Name] = v.AsInt()
-			}
-		}
-		// from/tofrom scalars need their pre-launch host values too.
-		for _, m := range p.Kernel.Maps {
-			if !m.Scalar || m.Dir == ir.MapTo {
-				continue
-			}
-			v, ok := env[m.Name]
-			if !ok {
-				return nil, fmt.Errorf("core: mapped scalar %q not set before launch", m.Name)
-			}
-			if m.Float {
-				simArgs.Floats[m.Name] = v.AsFloat()
-			} else {
-				simArgs.Ints[m.Name] = v.AsInt()
-			}
-		}
-		o, err := p.Run(ctx, simArgs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = o
-		updates := map[string]host.Value{}
-		for name, v := range o.Result.ScalarsOut {
-			updates[name] = host.FloatValue(v)
-		}
-		for name, v := range o.Result.ScalarsOutInt {
-			updates[name] = host.IntValue(v)
-		}
-		return updates, nil
-	})
-	ret, err := host.Call(p.Fn, args, launcher)
-	if err != nil {
-		return host.Value{}, nil, err
-	}
-	return ret, out, nil
 }
 
 // WriteTrace writes the run's Paraver bundle (.prv/.pcf/.row), streaming

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"paravis/internal/host"
 	"paravis/internal/paraver"
 	"paravis/internal/paraver/analysis"
 	"paravis/internal/profile"
@@ -127,32 +126,6 @@ func TestWriteTraceBundle(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, "pi"+ext)); err != nil {
 			t.Errorf("missing %s: %v", ext, err)
 		}
-	}
-}
-
-func TestCallEndToEndPi(t *testing.T) {
-	p, err := Build(context.Background(), workloads.PiSource, BuildOptions{Defines: workloads.PiDefines()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := 2048
-	ret, out, err := p.Call(context.Background(),
-		[]host.Value{host.IntValue(int64(steps)), host.IntValue(8)},
-		nil, fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The MiniC pi function returns the unscaled sum (as in the paper);
-	// scale to compare against pi.
-	got := ret.AsFloat() / float64(steps)
-	if math.Abs(got-math.Pi) > 1e-2 {
-		t.Fatalf("pi = %v", got)
-	}
-	if out == nil || out.Result == nil {
-		t.Fatal("no run output captured")
-	}
-	if out.Result.TotalFpOps() == 0 {
-		t.Error("no FLOPs recorded")
 	}
 }
 

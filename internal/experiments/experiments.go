@@ -496,9 +496,6 @@ type PiResult struct {
 	Runs []*PiRun
 }
 
-// PaperPiGFlops are the paper's measured GFLOP/s at 1M/4M/10M iterations.
-var PaperPiGFlops = []float64{0.146, 0.556, 1.507}
-
 // RunPi simulates the pi kernel for each step count. The program is
 // compiled once and shared; the step-count sweep fans out across workers.
 func RunPi(ctx context.Context, opts Options) (*PiResult, error) {

@@ -1139,15 +1139,13 @@ func (e *engine) finish() (*Result, error) {
 		r.FpOps = append(r.FpOps, fpOps)
 	}
 	r.Cycles = last
+	r.Prof = e.prof
+	r.StallsByLoop = make(map[string]int64)
 	r.ItersByLoop = make(map[string]int64)
 	r.ExecsByLoop = make(map[string]int64)
 	r.ActiveByLoop = make(map[string]int64)
-	if e.prof != nil {
-		r.Prof = e.prof
-		r.StallsByLoop = make(map[string]int64)
-	}
 	for gi, cg := range e.ck.Graphs {
-		if r.StallsByLoop != nil && e.loopStalls[gi] != 0 {
+		if e.loopStalls[gi] != 0 {
 			r.StallsByLoop[cg.Name] += e.loopStalls[gi]
 		}
 		if cg.CondIdx < 0 {

@@ -132,9 +132,11 @@ func TestDeadlockIsTyped(t *testing.T) {
 }
 
 // TestProfileOffBuildsNoUnit: with profiling off the engine has no
-// profiling unit, the Result publishes none, and a run stays under an
-// allocation ceiling a unit would break: a run measures 258 objects, and a
-// unit with its per-thread slices adds eight.
+// profiling unit and the Result publishes none, but the engine's ledger
+// still attributes the stalls it counted to their loops. A run stays under
+// an allocation ceiling a unit would break: a run measures 260 objects (two
+// of them the StallsByLoop map), and a unit with its per-thread slices adds
+// eight.
 func TestProfileOffBuildsNoUnit(t *testing.T) {
 	ck := compileSrc(t, gemmNaiveSrc, nil)
 	const dim = 4
@@ -160,11 +162,16 @@ func TestProfileOffBuildsNoUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Prof != nil || r.StallsByLoop != nil {
-		t.Errorf("profile-off Result publishes Prof %v, StallsByLoop %v", r.Prof, r.StallsByLoop)
+	if r.Prof != nil {
+		t.Errorf("profile-off Result publishes Prof %v", r.Prof)
 	}
-	if r.TotalStalls() != 0 {
-		t.Errorf("profile-off run counted %d stalls", r.TotalStalls())
+	if len(r.StallsByLoop) == 0 || r.TotalStalls() == 0 {
+		t.Errorf("profile-off run published no stalls: StallsByLoop %v", r.StallsByLoop)
+	}
+	for th, n := range r.Stalls {
+		if n != 0 {
+			t.Errorf("thread %d: profile-off run counted %d stalls in a unit it has not", th, n)
+		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := Run(context.Background(), ck, a, cfg); err != nil {
@@ -174,5 +181,24 @@ func TestProfileOffBuildsNoUnit(t *testing.T) {
 	const ceiling = 262
 	if allocs > ceiling {
 		t.Errorf("profile-off Run allocated %.0f objects, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestLedgerStallsMatchUnit: with profiling on, the engine's per-loop
+// ledger and the profiling unit's per-thread counters see the same stall
+// cycles, so TotalStalls reads the same whichever of the two it sums.
+func TestLedgerStallsMatchUnit(t *testing.T) {
+	for _, u := range seedUnits(t, 16, 6400) {
+		r, err := Run(context.Background(), u.ck, u.args(), DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", u.name, err)
+		}
+		var unit int64
+		for _, n := range r.Stalls {
+			unit += n
+		}
+		if unit == 0 || r.TotalStalls() != unit {
+			t.Errorf("%s: ledger stalls %d, unit stalls %d", u.name, r.TotalStalls(), unit)
+		}
 	}
 }

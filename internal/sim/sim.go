@@ -111,8 +111,9 @@ type Result struct {
 	// ThreadStart / ThreadEnd are per-thread activity windows.
 	ThreadStart []int64
 	ThreadEnd   []int64
-	// Stalls / IntOps / FpOps are per-thread lifetime totals (FpOps counts
-	// FP lane-operations, i.e. FLOPs).
+	// Stalls / IntOps / FpOps are the profiling unit's per-thread lifetime
+	// counters (FpOps counts FP lane-operations, i.e. FLOPs); they read 0
+	// when profiling is disabled.
 	Stalls []int64
 	IntOps []int64
 	FpOps  []int64
@@ -143,7 +144,8 @@ type Result struct {
 	// StallsByLoop attributes stall cycles to the loop (graph) a token was
 	// stalled in; keys carry the source position (e.g. "for@12:5"), the
 	// top region's is "top", and only nonzero counts appear. It is the
-	// data behind the hotspot report, nil when profiling is disabled.
+	// data behind the hotspot report and TotalStalls, recorded whether or
+	// not profiling is enabled.
 	StallsByLoop map[string]int64
 
 	// ItersByLoop counts iteration starts per loop graph (all threads and
@@ -181,10 +183,11 @@ func (r *Result) TotalFpOps() int64 {
 	return s
 }
 
-// TotalStalls sums stall cycles across threads.
+// TotalStalls sums the stall cycles of every loop in StallsByLoop. With
+// profiling enabled it equals the sum of the per-thread Stalls.
 func (r *Result) TotalStalls() int64 {
 	var s int64
-	for _, v := range r.Stalls {
+	for _, v := range r.StallsByLoop {
 		s += v
 	}
 	return s

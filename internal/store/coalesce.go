@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"time"
@@ -22,9 +21,8 @@ var ErrSaturated = errors.New("store: too many requests coalesced on one flight"
 // Failed flights never linger: the error is shared with the requests
 // already attached, then the key is forgotten so the next joiner retries.
 //
-// The split Join/Finish API (instead of a blocking Do) lets an async
-// server attach a job to an in-flight execution and return immediately;
-// Do wraps the pair for synchronous callers.
+// The split Join/Finish API lets an async server attach a job to an
+// in-flight execution and return immediately.
 type Coalescer struct {
 	// Window is how long a successful result stays joinable after the
 	// flight finishes (0 = flights are dropped at completion).
@@ -60,7 +58,7 @@ type CoalesceStats struct {
 
 // Join attaches the caller to key's flight. leader reports whether the
 // caller must execute the work and call Finish; otherwise the caller
-// waits on the returned flight (Wait, or Done for async completion).
+// waits on the returned flight's Done, then reads its Result.
 // ErrSaturated means the flight's size window is full.
 func (c *Coalescer) Join(key string) (f *Flight, leader bool, err error) {
 	c.mu.Lock()
@@ -125,33 +123,6 @@ func (f *Flight) Done() <-chan struct{} { return f.done }
 
 // Result returns the published result; valid only after Done is closed.
 func (f *Flight) Result() (any, error) { return f.val, f.err }
-
-// Wait blocks until the flight finishes or ctx expires.
-func (f *Flight) Wait(ctx context.Context) (any, error) {
-	select {
-	case <-f.done:
-		return f.val, f.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Do returns fn's result for key, executing fn at most once across all
-// concurrent (and Window-recent) callers of the same key. shared reports
-// whether the result came from another caller's execution.
-func (c *Coalescer) Do(ctx context.Context, key string, fn func() (any, error)) (v any, shared bool, err error) {
-	f, leader, err := c.Join(key)
-	if err != nil {
-		return nil, false, err
-	}
-	if !leader {
-		v, err = f.Wait(ctx)
-		return v, true, err
-	}
-	v, err = fn()
-	f.Finish(v, err)
-	return v, false, err
-}
 
 // forget drops the flight, unless a newer one already took the key.
 func (c *Coalescer) forget(key string, f *Flight) {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -201,28 +200,35 @@ func TestPutExistingRefreshesRecency(t *testing.T) {
 	}
 }
 
+// TestCoalescerSingleExecution: concurrent joins of one key elect one
+// leader, and every follower reads the leader's result once Done closes.
 func TestCoalescerSingleExecution(t *testing.T) {
 	var c Coalescer
-	var execs atomic.Int64
+	var execs, followers atomic.Int64
 	var wg sync.WaitGroup
 	release := make(chan struct{})
 	const n = 16
 	results := make([]any, n)
-	sharedCount := atomic.Int64{}
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, shared, err := c.Do(context.Background(), "k", func() (any, error) {
-				execs.Add(1)
-				<-release
-				return "result", nil
-			})
+			f, leader, err := c.Join("k")
 			if err != nil {
 				t.Error(err)
+				return
 			}
-			if shared {
-				sharedCount.Add(1)
+			if leader {
+				execs.Add(1)
+				<-release
+				f.Finish("result", nil)
+			} else {
+				followers.Add(1)
+			}
+			<-f.Done()
+			v, err := f.Result()
+			if err != nil {
+				t.Error(err)
 			}
 			results[i] = v
 		}(i)
@@ -234,10 +240,10 @@ func TestCoalescerSingleExecution(t *testing.T) {
 	close(release)
 	wg.Wait()
 	if got := execs.Load(); got != 1 {
-		t.Errorf("fn executed %d times, want 1", got)
+		t.Errorf("%d leaders, want 1", got)
 	}
-	if sharedCount.Load() != n-1 {
-		t.Errorf("shared = %d, want %d", sharedCount.Load(), n-1)
+	if followers.Load() != n-1 {
+		t.Errorf("followers = %d, want %d", followers.Load(), n-1)
 	}
 	for i, v := range results {
 		if v != "result" {
@@ -246,34 +252,58 @@ func TestCoalescerSingleExecution(t *testing.T) {
 	}
 }
 
+// finished reports whether f's result is published, without blocking.
+func finished(f *Flight) bool {
+	select {
+	case <-f.Done():
+		return true
+	default:
+		return false
+	}
+}
+
 func TestCoalescerWindowLingers(t *testing.T) {
 	c := Coalescer{Window: time.Hour}
-	v, shared, err := c.Do(context.Background(), "k", func() (any, error) { return 1, nil })
-	if v != 1 || shared || err != nil {
-		t.Fatalf("leader: %v %v %v", v, shared, err)
+	f, leader, err := c.Join("k")
+	if !leader || err != nil {
+		t.Fatalf("leader join: %v %v", leader, err)
 	}
+	f.Finish(1, nil)
 	// Within the window the finished flight is still joinable: no re-run.
-	v, shared, err = c.Do(context.Background(), "k", func() (any, error) {
-		t.Fatal("re-executed inside window")
-		return nil, nil
-	})
-	if v != 1 || !shared || err != nil {
-		t.Fatalf("window join: %v %v %v", v, shared, err)
+	g, leader, err := c.Join("k")
+	if leader || err != nil || g != f {
+		t.Fatalf("window join: leader=%v err=%v same flight=%v", leader, err, g == f)
+	}
+	if !finished(g) {
+		t.Fatal("lingering flight not done")
+	}
+	if v, err := g.Result(); v != 1 || err != nil {
+		t.Fatalf("window join result: %v %v", v, err)
 	}
 }
 
 func TestCoalescerErrorsDoNotLinger(t *testing.T) {
 	c := Coalescer{Window: time.Hour}
 	boom := errors.New("boom")
-	if _, _, err := c.Do(context.Background(), "k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
+	f, leader, err := c.Join("k")
+	if !leader || err != nil {
+		t.Fatalf("leader join: %v %v", leader, err)
 	}
-	ran := false
-	if _, _, err := c.Do(context.Background(), "k", func() (any, error) { ran = true; return nil, nil }); err != nil {
+	g, _, err := c.Join("k")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !ran {
-		t.Error("failed flight lingered; retry did not execute")
+	f.Finish(nil, boom)
+	// The attached follower shares the error...
+	if !finished(g) {
+		t.Fatal("failed flight not done")
+	}
+	if _, err := g.Result(); !errors.Is(err, boom) {
+		t.Fatalf("follower err = %v", err)
+	}
+	// ...but the next joiner leads a retry.
+	if _, leader, err := c.Join("k"); !leader || err != nil {
+		t.Errorf("failed flight lingered: leader=%v err=%v", leader, err)
 	}
 }
 
@@ -295,24 +325,6 @@ func TestCoalescerSaturation(t *testing.T) {
 	f.Finish(nil, nil)
 }
 
-func TestCoalescerContextCancel(t *testing.T) {
-	var c Coalescer
-	f, leader, err := c.Join("k")
-	if !leader || err != nil {
-		t.Fatal("expected leadership")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	g, l, err := c.Join("k")
-	if l || err != nil {
-		t.Fatal("expected follower")
-	}
-	if _, err := g.Wait(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("Wait = %v", err)
-	}
-	f.Finish(nil, nil)
-}
-
 // TestCoalescerFinishedFlightIgnoresMaxWaiters: once a flight has
 // finished, serving its lingering result is free, so the size window no
 // longer applies — a hot digest must not 429 on joins that cost nothing.
@@ -328,7 +340,10 @@ func TestCoalescerFinishedFlightIgnoresMaxWaiters(t *testing.T) {
 		if l || err != nil {
 			t.Fatalf("post-finish join %d: leader=%v err=%v", i, l, err)
 		}
-		if v, err := g.Wait(context.Background()); v != 42 || err != nil {
+		if !finished(g) {
+			t.Fatalf("post-finish join %d: flight not done", i)
+		}
+		if v, err := g.Result(); v != 42 || err != nil {
 			t.Fatalf("post-finish join %d: result %v %v", i, v, err)
 		}
 	}
