@@ -140,7 +140,7 @@ func TestCountedLoopForms(t *testing.T) {
 //   - a string literal that formats or matches the "for@line:col" loop
 //     key (minic.LoopName and minic.ParseLoopName are the only codec);
 //   - an identifier that belonged to one of the deleted lexical-scope
-//     stacks or induction-variable recognisers.
+//     stacks, induction-variable recognisers or read/write classifiers.
 func TestOneASTFrontEnd(t *testing.T) {
 	banned := map[string]string{
 		"scopes":            "a lexical scope stack (sema binds every Ident and MapClause to its Decl)",
@@ -155,6 +155,8 @@ func TestOneASTFrontEnd(t *testing.T) {
 		"recognizeBound":    "a loop-bound matcher (use minic.Counted and ExclusiveBound)",
 		"condTests":         "an induction-variable recogniser (use minic.Counted)",
 		"condMentions":      "an induction-variable recogniser (use minic.Counted)",
+		"rwState":           "a private read/write classifier (use minic.Accesses)",
+		"walkSubscripts":    "a private read/write classifier (use minic.Accesses)",
 	}
 	eachSourceFile(t, filepath.Join("internal", "minic"), func(fset *token.FileSet, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {

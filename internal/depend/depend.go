@@ -8,6 +8,12 @@
 // touch the same element in different iterations — a loop-carried
 // dependence — and at what constant distance where derivable.
 //
+// The accesses are minic.Accesses' in evaluation order. Covered shapes:
+// element reads and writes (`op=` and `++`/`--` read before they write),
+// vector loads and stores, lane stores into a VECTOR array element (a
+// write of the whole element), and integer scalars bound by `=`, by
+// `op=` (the old value op the right-hand side) and by `++`/`--`.
+//
 // The dependence tests form a small lattice, tried in order of
 // precision (see solve.go): exact strong-SIV distance folding, a
 // symbolic Banerjee-style interval test over polynomial bounds, and a

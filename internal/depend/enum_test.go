@@ -242,7 +242,7 @@ func (in *interp) exec(e minic.Expr) {
 			in.recordVecEv(lhs, true)
 		case *minic.VecElem:
 			in.eval(x.RHS)
-			in.eval(lhs.Idx)
+			in.laneStore(lhs)
 		default:
 			in.aborted = true
 		}
@@ -260,12 +260,25 @@ func (in *interp) exec(e minic.Expr) {
 		case *minic.Index:
 			in.recordIndexEv(t, false)
 			in.recordIndexEv(t, true)
+		case *minic.VecElem:
+			in.laneStore(t)
 		default:
 			in.aborted = true
 		}
 	default:
 		in.eval(e)
 	}
+}
+
+// laneStore runs a store into one lane. The lane belongs to a vector, and
+// when that vector is an array element the store rewrites the element:
+// it is read and written whole.
+func (in *interp) laneStore(x *minic.VecElem) {
+	if ix, ok := x.Vec.(*minic.Index); ok {
+		in.recordIndexEv(ix, false)
+		in.recordIndexEv(ix, true)
+	}
+	in.eval(x.Idx)
 }
 
 // eval evaluates an integer expression; array reads are recorded as
@@ -682,6 +695,36 @@ void tc(float* A, float* B, int n) {
 }
 `
 
+// laneStoreSrc stores into one lane of a VECTOR array element: the
+// element is written, and iteration i reads what i-1 wrote.
+const laneStoreSrc = `
+void ls(int n) {
+  #pragma omp target parallel num_threads(1)
+  {
+    VECTOR buf[16];
+    for (int i = 1; i < n; ++i) {
+      buf[i][0] = buf[i-1][0] + 1.0f;
+    }
+  }
+}
+`
+
+// compoundScalarSrc folds a compound assignment into a subscript: j is
+// 5, so the loop reads s[i+39], what the previous iteration wrote.
+const compoundScalarSrc = `
+void cs(int n) {
+  #pragma omp target parallel num_threads(1)
+  {
+    float s[64];
+    int j = 2;
+    j += 3;
+    for (int i = 0; i < n; ++i) {
+      s[i+40] = s[i+20*j-61];
+    }
+  }
+}
+`
+
 func TestEnumerationSoundness(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -700,6 +743,8 @@ func TestEnumerationSoundness(t *testing.T) {
 		{"strided", stridedSrc, nil, map[string]int64{"n": 8}},
 		{"dist3", dist3Src, nil, map[string]int64{"n": 12}},
 		{"predicated", predicatedSrc, nil, map[string]int64{"n": 7}},
+		{"lane-store", laneStoreSrc, nil, map[string]int64{"n": 12}},
+		{"compound-scalar", compoundScalarSrc, nil, map[string]int64{"n": 8}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

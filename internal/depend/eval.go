@@ -54,21 +54,7 @@ func (w *walker) evalAff(e minic.Expr) aff {
 		}
 		return affBottom()
 	case *minic.Binary:
-		switch x.Op {
-		case minic.OpAdd:
-			return w.evalAff(x.L).add(w.evalAff(x.R))
-		case minic.OpSub:
-			return w.evalAff(x.L).sub(w.evalAff(x.R))
-		case minic.OpMul:
-			return w.evalAff(x.L).mul(w.evalAff(x.R))
-		case minic.OpDiv, minic.OpRem:
-			c, ok := w.evalAff(x.R).constVal()
-			if !ok || c <= 0 {
-				return affBottom()
-			}
-			return w.evalAff(x.L).divMod(c, x.Op == minic.OpRem)
-		}
-		return affBottom()
+		return binop(x.Op, w.evalAff(x.L), w.evalAff(x.R))
 	case *minic.Call:
 		switch x.Name {
 		case "omp_get_thread_num":
@@ -81,75 +67,64 @@ func (w *walker) evalAff(e minic.Expr) aff {
 	return affBottom()
 }
 
+// binop applies an arithmetic operator to two affine values; division
+// and remainder need a positive constant divisor.
+func binop(op minic.BinOp, l, r aff) aff {
+	switch op {
+	case minic.OpAdd:
+		return l.add(r)
+	case minic.OpSub:
+		return l.sub(r)
+	case minic.OpMul:
+		return l.mul(r)
+	case minic.OpDiv, minic.OpRem:
+		if c, ok := r.constVal(); ok && c > 0 {
+			return l.divMod(c, op == minic.OpRem)
+		}
+	}
+	return affBottom()
+}
+
 // expr walks an expression for its array accesses and scalar binding
-// effects.
+// effects, in evaluation order.
 func (w *walker) expr(e minic.Expr) {
-	switch x := e.(type) {
-	case *minic.AssignExpr:
-		w.assign(x)
-	case *minic.IncDec:
-		switch t := x.X.(type) {
-		case *minic.Ident:
-			cur := w.lookup(t.Decl)
-			if w.predDepth > 0 || !cur.ok {
-				w.syms[t.Decl] = affBottom()
-			} else {
-				d := int64(1)
-				if !x.Inc {
-					d = -1
-				}
-				w.syms[t.Decl] = cur.add(affConst(d))
-			}
+	minic.Accesses(e, func(a minic.Access) {
+		if id, ok := a.Node.(*minic.Ident); ok && a.Write {
+			w.bind(id.Decl, a.By)
+		}
+		switch x := a.Holder().(type) {
 		case *minic.Index:
-			w.walkSubscripts(t)
-			w.recordIndex(t, false)
-			w.recordIndex(t, true)
+			w.recordIndex(x, a.Write)
+		case *minic.VecLoad:
+			w.recordVec(x, a.Write)
 		}
-	case *minic.Index:
-		w.walkSubscripts(x)
-		w.recordIndex(x, false)
-	case *minic.VecLoad:
-		w.expr(x.Idx)
-		w.recordVec(x, false)
-	default:
-		// Everything else only holds subexpressions.
-		minic.EachChild(e, func(c minic.Node) { w.expr(c.(minic.Expr)) })
-	}
+	})
 }
 
-func (w *walker) assign(x *minic.AssignExpr) {
-	w.expr(x.RHS)
-	switch lhs := x.LHS.(type) {
-	case *minic.Ident:
-		if w.predDepth > 0 {
-			w.syms[lhs.Decl] = affBottom()
-		} else {
-			w.syms[lhs.Decl] = w.evalAff(x.RHS)
-		}
-	case *minic.Index:
-		w.walkSubscripts(lhs)
-		if x.Op != nil {
-			w.recordIndex(lhs, false)
-		}
-		w.recordIndex(lhs, true)
-	case *minic.VecLoad:
-		w.expr(lhs.Idx)
-		if x.Op != nil {
-			w.recordVec(lhs, false)
-		}
-		w.recordVec(lhs, true)
-	case *minic.VecElem:
-		w.expr(lhs.Vec)
-		w.expr(lhs.Idx)
+// bind gives a scalar the affine value the assignment or step by stores:
+// `v = e` binds e, `v op= e` the old value op e, and ++/-- add ±1. A store
+// under a predicate may not happen, so it leaves v unknown. So does the
+// step of the innermost loop's induction variable (minic.Counted lets
+// nothing else write it): the next iteration's binding replaces it, and
+// past the loop it is unknown anyway.
+func (w *walker) bind(d minic.Decl, by minic.Expr) {
+	if w.predDepth > 0 || len(w.loops) > 0 && w.loops[len(w.loops)-1].iv == d {
+		w.syms[d] = affBottom()
+		return
 	}
-}
-
-func (w *walker) walkSubscripts(x *minic.Index) {
-	for _, idx := range x.Idx {
-		w.expr(idx)
-	}
-	if _, ok := x.Base.(*minic.Ident); !ok {
-		w.expr(x.Base)
+	switch x := by.(type) {
+	case *minic.AssignExpr:
+		v := w.evalAff(x.RHS)
+		if x.Op != nil {
+			v = binop(*x.Op, w.lookup(d), v)
+		}
+		w.syms[d] = v
+	case *minic.IncDec:
+		step := int64(-1)
+		if x.Inc {
+			step = 1
+		}
+		w.syms[d] = w.lookup(d).add(affConst(step))
 	}
 }
 

@@ -482,6 +482,8 @@ func oracleCorpus(t *testing.T) []oracleProgram {
 		{"dist3", dist3Src, nil, map[string]int64{"n": 12}},
 		{"predicated", predicatedSrc, nil, map[string]int64{"n": 7}},
 		{"disjoint", disjointSrc, nil, map[string]int64{"n": 16}},
+		{"lane-store", laneStoreSrc, nil, map[string]int64{"n": 12}},
+		{"compound-scalar", compoundScalarSrc, nil, map[string]int64{"n": 8}},
 	}...)
 	var out []oracleProgram
 	for _, s := range srcs {

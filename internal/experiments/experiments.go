@@ -8,6 +8,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"paravis/internal/area"
@@ -496,9 +497,28 @@ type PiResult struct {
 	Runs []*PiRun
 }
 
-// RunPi simulates the pi kernel for each step count. The program is
-// compiled once and shared; the step-count sweep fans out across workers.
+// piNT and piBS are NT and BS_compute of workloads.PiSource: each thread
+// sums steps/piNT terms in blocks of piBS, so a step count that is not a
+// multiple of piNT*piBS sums overlapping and out-of-range terms.
+const piNT, piBS = 8, 8
+
+// piStepsErr refuses a step count the kernel does not sum exactly.
+func piStepsErr(steps int) error {
+	if steps <= 0 || steps%(piNT*piBS) != 0 {
+		return fmt.Errorf("pi: %d steps is not a positive multiple of %d (NT x BS_compute)", steps, piNT*piBS)
+	}
+	return nil
+}
+
+// RunPi simulates the pi kernel for each step count and judges each sum
+// against the host reference. The program is compiled once and shared;
+// the step-count sweep fans out across workers.
 func RunPi(ctx context.Context, opts Options) (*PiResult, error) {
+	for _, steps := range opts.PiSteps {
+		if err := piStepsErr(steps); err != nil {
+			return nil, err
+		}
+	}
 	p, err := buildPi(ctx)
 	if err != nil {
 		return nil, err
@@ -536,8 +556,8 @@ func RunPi(ctx context.Context, opts Options) (*PiResult, error) {
 		if overlap := firstEnd - lastStart; overlap > 0 && r.Cycles > 0 {
 			run.ParallelFraction = float64(overlap) / float64(r.Cycles)
 		}
-		got := r.ScalarsOut["final_sum"] / float64(steps)
-		run.Correct = got > 3.13 && got < 3.15
+		want := float64(workloads.PiRefSum(steps, piNT))
+		run.Correct = math.Abs(r.ScalarsOut["final_sum"]-want) <= 1e-3*want
 		res.Runs[i] = run
 		return nil
 	})

@@ -119,6 +119,34 @@ func TestPhaseShapeHolds(t *testing.T) {
 	}
 }
 
+// TestPiStepCounts: the pi kernel sums the series exactly only for step
+// counts that are multiples of NT x BS_compute = 64. Any other count is
+// refused before a simulation runs; 6400 and 12800 run and match the
+// host reference, and E8's default sizes are accepted.
+func TestPiStepCounts(t *testing.T) {
+	opts := testOpts()
+	opts.PiSteps = []int{6_400, 100_000}
+	if _, err := RunPi(context.Background(), opts); err == nil || !strings.Contains(err.Error(), "multiple of 64") {
+		t.Errorf("RunPi(100000 steps) error = %v, want one naming the multiple 64", err)
+	}
+	for _, steps := range DefaultOptions().PiSteps {
+		if err := piStepsErr(steps); err != nil {
+			t.Errorf("E8 size %d refused: %v", steps, err)
+		}
+	}
+	opts.PiSteps = []int{6_400, 12_800}
+	r, err := RunPi(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range r.Runs {
+		if !run.Correct {
+			t.Errorf("steps=%d: final_sum %g, want %g within 1e-3", run.Steps,
+				run.Out.Result.ScalarsOut["final_sum"], workloads.PiRefSum(run.Steps, piNT))
+		}
+	}
+}
+
 func TestPiShapeHolds(t *testing.T) {
 	r, err := RunPi(context.Background(), testOpts())
 	if err != nil {

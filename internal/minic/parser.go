@@ -356,20 +356,28 @@ func (p *parser) parseConstIntExpr() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	v, ok := foldInt(e)
+	v, ok := FoldInt(e, nil)
 	if !ok {
 		return 0, &ParseError{Pos: tok.Pos, Msg: "expression is not a compile-time integer constant"}
 	}
 	return int(v), nil
 }
 
-// foldInt constant-folds an expression to an integer if possible.
-func foldInt(e Expr) (int64, bool) {
+// FoldInt constant-folds an integer expression. An identifier folds only
+// when sema bound it to a *Param whose value env holds; a pre-sema parse
+// has no bindings, so the parser passes no env.
+func FoldInt(e Expr, env map[string]int64) (int64, bool) {
 	switch x := e.(type) {
 	case *IntLit:
 		return x.Value, true
+	case *Ident:
+		if _, ok := x.Decl.(*Param); !ok {
+			return 0, false
+		}
+		v, ok := env[x.Name]
+		return v, ok
 	case *Unary:
-		v, ok := foldInt(x.X)
+		v, ok := FoldInt(x.X, env)
 		if !ok {
 			return 0, false
 		}
@@ -381,8 +389,8 @@ func foldInt(e Expr) (int64, bool) {
 		}
 		return 0, true
 	case *Binary:
-		l, ok1 := foldInt(x.L)
-		r, ok2 := foldInt(x.R)
+		l, ok1 := FoldInt(x.L, env)
+		r, ok2 := FoldInt(x.R, env)
 		if !ok1 || !ok2 {
 			return 0, false
 		}
@@ -404,7 +412,6 @@ func foldInt(e Expr) (int64, bool) {
 			}
 			return l % r, true
 		}
-		return 0, false
 	}
 	return 0, false
 }

@@ -180,7 +180,7 @@ func (p *parser) pragmaConstInt(text string, pos Pos) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	v, ok := foldInt(e)
+	v, ok := FoldInt(e, nil)
 	if !ok {
 		return 0, &ParseError{Pos: pos, Msg: "pragma argument is not a constant: " + text}
 	}

@@ -148,3 +148,99 @@ func assignedDecl(n Node) Decl {
 	}
 	return declOf(target)
 }
+
+// Access is one read or write of a variable that Accesses reports.
+type Access struct {
+	// Decl is the variable read or written: the identifier's, or the
+	// array's for an element access.
+	Decl Decl
+	// Node is an *Ident (the whole variable), an *Index (one element),
+	// a *VecLoad (a vector of elements) or, for a lane store, the
+	// *VecElem whose holder (see Holder) is written.
+	Node  Expr
+	Write bool
+	// By is the *AssignExpr or *IncDec whose target Node is, nil for a
+	// plain read.
+	By Expr
+}
+
+// Holder is the variable or element the access touches: Node itself, or
+// for a lane store the vector that holds the lane.
+func (a Access) Holder() Expr {
+	if ve, ok := a.Node.(*VecElem); ok {
+		return ve.Vec
+	}
+	return a.Node
+}
+
+// Accesses calls f for each variable read or written under e, in
+// evaluation order: the right-hand side, then the target's subscripts,
+// are read before the store, and `op=`, `++` and `--` read their target
+// just before writing it. A lane store v[l] = e or B[i][l] = e writes the
+// vector that holds the lane, a variable or an array element; a lane
+// read reads its holder. Element accesses report the array, not its
+// name as a separate read. It allocates nothing per access.
+func Accesses(e Expr, f func(Access)) {
+	switch x := e.(type) {
+	case nil:
+	case *Ident:
+		f(Access{Decl: x.Decl, Node: x})
+	case *Index, *VecLoad:
+		if d := operands(x, f); d != nil {
+			f(Access{Decl: d, Node: x})
+		}
+	case *AssignExpr:
+		Accesses(x.RHS, f)
+		store(x.LHS, x, x.Op != nil, f)
+	case *IncDec:
+		store(x.X, x, true, f)
+	default:
+		EachChild(e, func(c Node) { Accesses(c.(Expr), f) })
+	}
+}
+
+// store reports a write of target by the assignment or step by, after
+// the reads that locate the target and, when rmw, the read of its old
+// value.
+func store(target, by Expr, rmw bool, f func(Access)) {
+	d := operands(target, f)
+	if d == nil {
+		return
+	}
+	if rmw {
+		f(Access{Decl: d, Node: target, By: by})
+	}
+	f(Access{Decl: d, Node: target, Write: true, By: by})
+}
+
+// operands reports the reads that locate an access node (subscripts, a
+// base that is not a variable) and returns the variable the node
+// touches, or nil when it is not one: such a node is read as a whole.
+func operands(e Expr, f func(Access)) Decl {
+	switch x := e.(type) {
+	case *Ident:
+		return x.Decl
+	case *Index:
+		for _, i := range x.Idx {
+			Accesses(i, f)
+		}
+		return baseDecl(x.Base, f)
+	case *VecLoad:
+		Accesses(x.Idx, f)
+		return baseDecl(x.Base, f)
+	case *VecElem:
+		d := operands(x.Vec, f)
+		Accesses(x.Idx, f)
+		return d
+	}
+	Accesses(e, f)
+	return nil
+}
+
+func baseDecl(base Expr, f func(Access)) Decl {
+	if id, ok := base.(*Ident); ok {
+		return id.Decl
+	}
+	Accesses(base, f)
+	return nil
+}

@@ -324,6 +324,60 @@ func TestAssigned(t *testing.T) {
 	}
 }
 
+// TestAccesses lists, per assignment form, what Accesses reports in
+// order: "r" or "w", the variable, the node type and, for a target, the
+// statement that writes it. Every walk must allocate nothing.
+func TestAccesses(t *testing.T) {
+	for _, row := range []struct {
+		stmt string
+		want []string
+	}{
+		{"v = w", []string{"r w Ident", "w v Ident by AssignExpr"}},
+		{"v += w", []string{"r w Ident", "r v Ident by AssignExpr", "w v Ident by AssignExpr"}},
+		{"++i", []string{"r i Ident by IncDec", "w i Ident by IncDec"}},
+		{"A[i] = w", []string{"r w Ident", "r i Ident", "w A Index by AssignExpr"}},
+		{"A[i] += w", []string{"r w Ident", "r i Ident", "r A Index by AssignExpr", "w A Index by AssignExpr"}},
+		{"*((VECTOR*)&A[i]) = u", []string{"r u Ident", "r i Ident", "w A VecLoad by AssignExpr"}},
+		{"u[l] = w", []string{"r w Ident", "r l Ident", "w u VecElem by AssignExpr"}},
+		{"B[i][l] = w", []string{"r w Ident", "r i Ident", "r l Ident", "w B VecElem by AssignExpr"}},
+		{"B[i][l]++", []string{"r i Ident", "r l Ident", "r B VecElem by IncDec", "w B VecElem by IncDec"}},
+		{"v = A[i]", []string{"r i Ident", "r A Index", "w v Ident by AssignExpr"}},
+		{"u = *((VECTOR*)&A[i])", []string{"r i Ident", "r A VecLoad", "w u Ident by AssignExpr"}},
+		{"v = u[l]", []string{"r u Ident", "r l Ident", "w v Ident by AssignExpr"}},
+		{"v = B[i][l]", []string{"r i Ident", "r B Index", "r l Ident", "w v Ident by AssignExpr"}},
+	} {
+		prog, err := Parse("void k(float *A, int i, int l, float w) {\n"+
+			"float v = 0.0f; VECTOR u = {0.0f}; VECTOR B[4];\n"+row.stmt+";\n}\n", Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", row.stmt, err)
+		}
+		e := prog.Funcs[0].Body.Stmts[3].(*ExprStmt).X
+		var got []string
+		Accesses(e, func(a Access) {
+			s := "r "
+			if a.Write {
+				s = "w "
+			}
+			s += a.Decl.DeclName() + " " + reflect.TypeOf(a.Node).Elem().Name()
+			if a.By != nil {
+				if a.By != e {
+					t.Errorf("%s: access by %T, not the statement", row.stmt, a.By)
+				}
+				s += " by " + reflect.TypeOf(a.By).Elem().Name()
+			}
+			got = append(got, s)
+		})
+		if !reflect.DeepEqual(got, row.want) {
+			t.Errorf("%s: Accesses =\n  %q\nwant\n  %q", row.stmt, got, row.want)
+		}
+		n := 0
+		count := func(Access) { n++ }
+		if allocs := testing.AllocsPerRun(10, func() { Accesses(e, count) }); allocs != 0 {
+			t.Errorf("%s: Accesses allocates %.0f objects, want 0", row.stmt, allocs)
+		}
+	}
+}
+
 // TestCountedAllocatesNothing: recognising a counted loop, including the
 // walk that checks nothing else in it assigns the induction variable,
 // builds no assigned set and leaves the result on the caller's stack.

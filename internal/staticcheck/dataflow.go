@@ -34,71 +34,21 @@ func checkUninit(file string, res *resolution, ds *[]Diagnostic) {
 		return c
 	}
 
-	var readExpr func(e minic.Expr)
-	markInit := func(d *declInfo) {
-		if d != nil {
-			delete(maybe, d)
-		}
-	}
-	report := func(id *minic.Ident, d *declInfo) {
-		if maybe[d] && !reported[d] {
-			reported[d] = true
-			*ds = append(*ds, diag(file, id.Pos, RuleUseBeforeInit, SevWarning,
-				"%q may be read before it is initialized", d.DeclName()))
-		}
-	}
-	readExpr = func(e minic.Expr) {
-		switch x := e.(type) {
-		case nil:
-			return
-		case *minic.Ident:
-			report(x, res.info[x.Decl])
-		case *minic.AssignExpr:
-			readExpr(x.RHS)
-			// Index/lane expressions on the target are reads.
-			switch t := x.LHS.(type) {
-			case *minic.Ident:
-				if x.Op != nil {
-					report(t, res.info[t.Decl])
-				}
-				markInit(res.info[t.Decl])
-			case *minic.Index:
-				for _, ix := range t.Idx {
-					readExpr(ix)
-				}
-				if _, ok := t.Base.(*minic.Ident); !ok {
-					readExpr(t.Base)
-				}
-			case *minic.VecElem:
-				readExpr(t.Idx)
-				// A lane write initializes the vector for our purposes
-				// (lane-by-lane fill is a common idiom).
-				if v, ok := t.Vec.(*minic.Ident); ok {
-					if x.Op != nil {
-						report(v, res.info[v.Decl])
-					}
-					markInit(res.info[v.Decl])
-				} else {
-					readExpr(t.Vec)
-				}
-			case *minic.VecLoad:
-				readExpr(t.Idx)
-				if _, ok := t.Base.(*minic.Ident); !ok {
-					readExpr(t.Base)
-				}
-			default:
-				readExpr(t)
+	// A store initializes its variable; a lane store counts (lane-by-lane
+	// fill is a common idiom).
+	readExpr := func(e minic.Expr) {
+		minic.Accesses(e, func(a minic.Access) {
+			d := res.info[a.Decl]
+			switch {
+			case d == nil:
+			case a.Write:
+				delete(maybe, d)
+			case maybe[d] && !reported[d]:
+				reported[d] = true
+				*ds = append(*ds, diag(file, minic.ExprPos(a.Holder()), RuleUseBeforeInit, SevWarning,
+					"%q may be read before it is initialized", d.DeclName()))
 			}
-		case *minic.IncDec:
-			if id, ok := x.X.(*minic.Ident); ok {
-				report(id, res.info[id.Decl])
-				markInit(res.info[id.Decl])
-			} else {
-				readExpr(x.X)
-			}
-		default:
-			minic.EachChild(e, func(sub minic.Node) { readExpr(sub.(minic.Expr)) })
-		}
+		})
 	}
 
 	var doStmt func(s minic.Stmt)

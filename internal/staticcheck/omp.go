@@ -3,136 +3,54 @@ package staticcheck
 import "paravis/internal/minic"
 
 // access is one read or write of a resolved variable inside the target
-// region. idx is nil for whole-object (scalar) accesses and holds the
-// subscript expressions for array-element accesses.
+// region, with its position and critical-section context.
 type access struct {
+	minic.Access
 	d      *declInfo
 	pos    minic.Pos
-	write  bool
-	idx    []minic.Expr
 	inCrit bool
 }
 
+// whole reports whether the access touches a variable rather than an
+// element of an array.
+func (a access) whole() bool {
+	_, ok := a.Holder().(*minic.Ident)
+	return ok
+}
+
 // collectAccesses walks the target region and records every variable
-// access with its write/critical context.
+// access with its write/critical context. A store is placed at its
+// assignment.
 func collectAccesses(res *resolution, ts *minic.TargetStmt) []access {
 	var out []access
-	record := func(id *minic.Ident, pos minic.Pos, write bool, idx []minic.Expr, crit bool) {
-		if d := res.info[id.Decl]; d != nil {
-			out = append(out, access{d: d, pos: pos, write: write, idx: idx, inCrit: crit})
+	crit := false
+	record := func(a minic.Access) {
+		if d := res.info[a.Decl]; d != nil {
+			at := a.Node
+			if a.By != nil {
+				at = a.By
+			}
+			out = append(out, access{Access: a, d: d, pos: minic.ExprPos(at), inCrit: crit})
 		}
 	}
-
-	var readExpr func(e minic.Expr, crit bool)
-	var assign func(lhs minic.Expr, pos minic.Pos, compound bool, crit bool)
-	readExpr = func(e minic.Expr, crit bool) {
-		switch x := e.(type) {
-		case nil:
-			return
-		case *minic.Ident:
-			record(x, x.Pos, false, nil, crit)
-		case *minic.Index:
-			if b, ok := x.Base.(*minic.Ident); ok {
-				record(b, x.Pos, false, x.Idx, crit)
-			} else {
-				readExpr(x.Base, crit)
-			}
-			for _, ix := range x.Idx {
-				readExpr(ix, crit)
-			}
-		case *minic.VecLoad:
-			if b, ok := x.Base.(*minic.Ident); ok {
-				record(b, x.Pos, false, []minic.Expr{x.Idx}, crit)
-			} else {
-				readExpr(x.Base, crit)
-			}
-			readExpr(x.Idx, crit)
-		case *minic.AssignExpr:
-			readExpr(x.RHS, crit)
-			assign(x.LHS, x.Pos, x.Op != nil, crit)
-		case *minic.IncDec:
-			assign(x.X, x.Pos, true, crit)
-		default:
-			minic.EachChild(e, func(sub minic.Node) { readExpr(sub.(minic.Expr), crit) })
-		}
-	}
-	assign = func(lhs minic.Expr, pos minic.Pos, compound bool, crit bool) {
-		switch t := lhs.(type) {
-		case *minic.Ident:
-			record(t, pos, true, nil, crit)
-			if compound {
-				record(t, pos, false, nil, crit)
-			}
-		case *minic.Index:
-			if b, ok := t.Base.(*minic.Ident); ok {
-				record(b, pos, true, t.Idx, crit)
-				if compound {
-					record(b, pos, false, t.Idx, crit)
-				}
-			} else {
-				readExpr(t.Base, crit)
-			}
-			for _, ix := range t.Idx {
-				readExpr(ix, crit)
-			}
-		case *minic.VecElem:
-			switch v := t.Vec.(type) {
-			case *minic.Ident:
-				// Lane write into a vector variable: a read-modify-write of
-				// the whole register.
-				record(v, pos, true, nil, crit)
-				if compound {
-					record(v, pos, false, nil, crit)
-				}
-			case *minic.Index:
-				if b, ok := v.Base.(*minic.Ident); ok {
-					idx := append(append([]minic.Expr{}, v.Idx...), t.Idx)
-					record(b, pos, true, idx, crit)
-					if compound {
-						record(b, pos, false, idx, crit)
-					}
-				} else {
-					readExpr(v.Base, crit)
-				}
-				for _, ix := range v.Idx {
-					readExpr(ix, crit)
-				}
-			default:
-				readExpr(t.Vec, crit)
-			}
-			readExpr(t.Idx, crit)
-		case *minic.VecLoad:
-			if b, ok := t.Base.(*minic.Ident); ok {
-				record(b, pos, true, []minic.Expr{t.Idx}, crit)
-				if compound {
-					record(b, pos, false, []minic.Expr{t.Idx}, crit)
-				}
-			} else {
-				readExpr(t.Base, crit)
-			}
-			readExpr(t.Idx, crit)
-		default:
-			readExpr(lhs, crit)
-		}
-	}
-
-	// Statements only carry the critical-section context down to their
-	// top-level expressions; readExpr classifies from there.
-	var walkS func(root minic.Node, crit bool)
-	walkS = func(root minic.Node, crit bool) {
+	var walk func(root minic.Node)
+	walk = func(root minic.Node) {
 		minic.Inspect(root, func(n minic.Node) bool {
 			switch x := n.(type) {
 			case *minic.CriticalStmt:
-				walkS(x.Body, true)
+				outer := crit
+				crit = true
+				walk(x.Body)
+				crit = outer
 				return false
 			case minic.Expr:
-				readExpr(x, crit)
+				minic.Accesses(x, record)
 				return false
 			}
 			return true
 		})
 	}
-	walkS(ts.Body, false)
+	walk(ts.Body)
 	return out
 }
 
@@ -222,15 +140,6 @@ func checkOMP(file string, res *resolution, ts *minic.TargetStmt, ds *[]Diagnost
 	taint := threadTaint(res, ts)
 	local := regionLocals(res, ts)
 
-	idxTainted := func(idx []minic.Expr) bool {
-		for _, e := range idx {
-			if tainted(res, taint, e) {
-				return true
-			}
-		}
-		return false
-	}
-
 	// omp-map: unmapped references and direction mismatches.
 	type varState struct {
 		written  bool
@@ -251,7 +160,7 @@ func checkOMP(file string, res *resolution, ts *minic.TargetStmt, ds *[]Diagnost
 			continue
 		}
 		vs := st(d)
-		if a.write {
+		if a.Write {
 			vs.written = true
 		}
 		if d.inMap {
@@ -263,7 +172,7 @@ func checkOMP(file string, res *resolution, ts *minic.TargetStmt, ds *[]Diagnost
 		switch {
 		case d.isParam() && (d.DeclType().IsScalar() || d.DeclType().IsVector()):
 			// Implicitly firstprivate; reads are fine, writes are lost.
-			if a.write {
+			if a.Write {
 				vs.reported = true
 				*ds = append(*ds, diag(file, a.pos, RuleOMPMap, SevError,
 					"scalar %q is written in the target region but is firstprivate (map(to:) or implicit); the host never sees the write — map it tofrom", d.DeclName()))
@@ -310,7 +219,7 @@ func checkOMP(file string, res *resolution, ts *minic.TargetStmt, ds *[]Diagnost
 	raceReported := map[*declInfo]bool{}
 	for _, a := range accs {
 		d := a.d
-		if !a.write || a.inCrit || local[d] || raceReported[d] {
+		if !a.Write || a.inCrit || local[d] || raceReported[d] {
 			continue
 		}
 		mc := mapClauseOf(res, ts, d)
@@ -320,11 +229,11 @@ func checkOMP(file string, res *resolution, ts *minic.TargetStmt, ds *[]Diagnost
 		scalarShared := mc.Low == nil && mc.Dir != minic.MapTo
 		arrayShared := mc.Low != nil
 		switch {
-		case scalarShared && a.idx == nil:
+		case scalarShared && a.whole():
 			raceReported[d] = true
 			*ds = append(*ds, diag(file, a.pos, RuleOMPRace, SevError,
 				"unprotected write to shared scalar %q in a %d-thread region; wrap it in '#pragma omp critical'", d.DeclName(), ts.NumThreads))
-		case arrayShared && a.idx != nil && !idxTainted(a.idx):
+		case arrayShared && !a.whole() && !tainted(res, taint, a.Node):
 			raceReported[d] = true
 			*ds = append(*ds, diag(file, a.pos, RuleOMPRace, SevError,
 				"unprotected write to shared array %q with a thread-invariant index; all %d threads store to the same element — derive the index from omp_get_thread_num() or wrap the write in '#pragma omp critical'", d.DeclName(), ts.NumThreads))

@@ -21,83 +21,36 @@ type dbufMatch struct {
 	bufs     map[string]bool
 }
 
-// rwState accumulates the free-variable reads and writes of a statement
-// sequence. Names declared inside the sequence are phase-local and
+// phaseRW computes the free reads and writes of a statement sequence,
+// by name. Variables declared inside the sequence are phase-local and
 // excluded from both sets.
-type rwState struct {
-	reads, writes map[string]bool
-	local         map[string]bool
-}
-
-func newRW() *rwState {
-	return &rwState{reads: map[string]bool{}, writes: map[string]bool{}, local: map[string]bool{}}
-}
-
-func (rw *rwState) read(name string) {
-	if !rw.local[name] {
-		rw.reads[name] = true
-	}
-}
-
-func (rw *rwState) write(name string) {
-	if !rw.local[name] {
-		rw.writes[name] = true
-	}
-}
-
-// lvalue records a store through an lvalue expression: the root array or
-// scalar is written, subscripts are read, and compound assignments also
-// read the target.
-func (rw *rwState) lvalue(e minic.Expr, compound bool) {
-	switch x := e.(type) {
-	case *minic.Ident:
-		rw.write(x.Name)
-		if compound {
-			rw.read(x.Name)
-		}
-	case *minic.Index:
-		for _, i := range x.Idx {
-			rw.node(i)
-		}
-		rw.lvalue(x.Base, compound)
-	case *minic.VecElem:
-		rw.node(x.Idx)
-		rw.lvalue(x.Vec, compound)
-	case *minic.VecLoad:
-		rw.node(x.Idx)
-		rw.lvalue(x.Base, compound)
-	default:
-		rw.node(e)
-	}
-}
-
-// node classifies the accesses under one statement or expression. Only
-// identifiers, stores and declarations mean something here; every other
-// node just holds children.
-func (rw *rwState) node(n minic.Node) {
-	switch x := n.(type) {
-	case *minic.Ident:
-		rw.read(x.Name)
-	case *minic.AssignExpr:
-		rw.node(x.RHS)
-		rw.lvalue(x.LHS, x.Op != nil)
-	case *minic.IncDec:
-		rw.lvalue(x.X, true)
-	case *minic.DeclStmt:
-		rw.node(x.Init)
-		rw.local[x.Name] = true
-	default:
-		minic.EachChild(n, rw.node)
-	}
-}
-
-// phaseRW computes the free reads and writes of a statement sequence.
 func phaseRW(stmts []minic.Stmt) (reads, writes map[string]bool) {
-	rw := newRW()
-	for _, st := range stmts {
-		rw.node(st)
+	reads, writes = map[string]bool{}, map[string]bool{}
+	local := map[minic.Decl]bool{}
+	record := func(a minic.Access) {
+		switch {
+		case local[a.Decl]:
+		case a.Write:
+			writes[a.Decl.DeclName()] = true
+		default:
+			reads[a.Decl.DeclName()] = true
+		}
 	}
-	return rw.reads, rw.writes
+	for _, st := range stmts {
+		minic.Inspect(st, func(n minic.Node) bool {
+			switch x := n.(type) {
+			case *minic.DeclStmt:
+				minic.Accesses(x.Init, record)
+				local[x] = true
+				return false
+			case minic.Expr:
+				minic.Accesses(x, record)
+				return false
+			}
+			return true
+		})
+	}
+	return reads, writes
 }
 
 func intersects(a, b map[string]bool) bool {
@@ -122,11 +75,11 @@ func matchDoubleBuffer(c *passCtx, st *minic.ForStmt) (*dbufMatch, error) {
 	if !ok || step < 1 {
 		return fail("loop stride does not fold to a positive constant")
 	}
-	c0, ok := foldConst(sh.init, c.env)
+	c0, ok := minic.FoldInt(sh.init, c.env)
 	if !ok {
 		return fail("loop start does not fold to a constant")
 	}
-	dim, ok := foldConst(sh.bound, c.env)
+	dim, ok := minic.FoldInt(sh.bound, c.env)
 	if !ok {
 		return fail("loop bound does not fold against the launch parameters")
 	}

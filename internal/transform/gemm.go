@@ -80,7 +80,7 @@ func matchBlockBRAM(c *passCtx, st *minic.ForStmt) (*gemmNest, error) {
 	if s, ok := jSh.stepConst(c.env); !ok || s != 1 {
 		return fail("middle loop stride is not 1")
 	}
-	if v, ok := foldConst(jSh.init, c.env); !ok || v != 0 {
+	if v, ok := minic.FoldInt(jSh.init, c.env); !ok || v != 0 {
 		return fail("middle loop does not start at 0")
 	}
 	if len(jLoop.Body.Stmts) != 3 {
@@ -101,7 +101,7 @@ func matchBlockBRAM(c *passCtx, st *minic.ForStmt) (*gemmNest, error) {
 	if s, ok := kSh.stepConst(c.env); !ok || s != 1 {
 		return fail("inner loop stride is not 1")
 	}
-	if v, ok := foldConst(kSh.init, c.env); !ok || v != 0 {
+	if v, ok := minic.FoldInt(kSh.init, c.env); !ok || v != 0 {
 		return fail("inner loop does not start at 0")
 	}
 	// The i loop is plain (from 0, stride 1) or thread-strided; either
@@ -110,7 +110,7 @@ func matchBlockBRAM(c *passCtx, st *minic.ForStmt) (*gemmNest, error) {
 		if s != 1 {
 			return fail("outer loop stride is not 1")
 		}
-		if v, ok := foldConst(iSh.init, c.env); !ok || v != 0 {
+		if v, ok := minic.FoldInt(iSh.init, c.env); !ok || v != 0 {
 			return fail("outer loop does not start at 0")
 		}
 	} else {
@@ -123,7 +123,7 @@ func matchBlockBRAM(c *passCtx, st *minic.ForStmt) (*gemmNest, error) {
 	if !exprEq(iSh.bound, jSh.bound) || !exprEq(jSh.bound, kSh.bound) {
 		return fail("loop bounds differ: not a square matmul nest")
 	}
-	dim, ok := foldConst(iSh.bound, c.env)
+	dim, ok := minic.FoldInt(iSh.bound, c.env)
 	if !ok {
 		return fail("loop bound does not fold against the launch parameters")
 	}

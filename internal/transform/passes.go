@@ -37,7 +37,7 @@ func (sh *loopShape) stepConst(env map[string]int64) (int64, bool) {
 	if sh.step == nil {
 		return 1, true
 	}
-	return foldConst(sh.step, env)
+	return minic.FoldInt(sh.step, env)
 }
 
 // setHeader rewrites the loop header in place, keeping the variable name.
@@ -101,10 +101,10 @@ func matchTile(c *passCtx, st *minic.ForStmt) error {
 	if ld == nil || ld.ThreadLoop {
 		return notApplicable(PassTile, name, "loop is thread-distributed")
 	}
-	if _, ok := foldConst(sh.init, c.env); !ok {
+	if _, ok := minic.FoldInt(sh.init, c.env); !ok {
 		return notApplicable(PassTile, name, "loop start does not fold to a constant")
 	}
-	if _, ok := foldConst(sh.bound, c.env); !ok {
+	if _, ok := minic.FoldInt(sh.bound, c.env); !ok {
 		return notApplicable(PassTile, name, "loop bound does not fold against the launch parameters")
 	}
 	return nil
@@ -125,8 +125,8 @@ func tile(c *passCtx, st *minic.ForStmt, size int64) error {
 	}
 	sh := shapeOf(st)
 	step, _ := sh.stepConst(c.env)
-	c0, _ := foldConst(sh.init, c.env)
-	bound, _ := foldConst(sh.bound, c.env)
+	c0, _ := minic.FoldInt(sh.init, c.env)
+	bound, _ := minic.FoldInt(sh.bound, c.env)
 	span := bound - c0
 	if span <= 0 || span%(size*step) != 0 {
 		return notApplicable(PassTile, name, "iteration span %d is not a multiple of tile %d*%d", span, size, step)
@@ -388,11 +388,11 @@ func matchVectorize(c *passCtx, st *minic.ForStmt) (*vecMatch, error) {
 	if identNames(m.other)[acc.Name] {
 		return nil, notApplicable(PassVectorize, name, "second factor reads the accumulator")
 	}
-	c0, ok := foldConst(sh.init, c.env)
+	c0, ok := minic.FoldInt(sh.init, c.env)
 	if !ok || c0%lanes != 0 {
 		return nil, notApplicable(PassVectorize, name, "loop start is not a lane-aligned constant")
 	}
-	d, ok := foldConst(sh.bound, c.env)
+	d, ok := minic.FoldInt(sh.bound, c.env)
 	if !ok || (d-c0)%lanes != 0 {
 		return nil, notApplicable(PassVectorize, name, "trip count is not a multiple of the lane count")
 	}
@@ -433,14 +433,14 @@ func unitStrideAligned(idx minic.Expr, v string, lanes int64, env map[string]int
 // termDivisible proves one addend is a multiple of lanes: a constant
 // multiple, or a product with a constant factor that is.
 func termDivisible(t minic.Expr, lanes int64, env map[string]int64) bool {
-	if v, ok := foldConst(t, env); ok {
+	if v, ok := minic.FoldInt(t, env); ok {
 		return v%lanes == 0
 	}
 	if b, ok := t.(*minic.Binary); ok && b.Op == minic.OpMul {
-		if v, ok := foldConst(b.L, env); ok && v%lanes == 0 {
+		if v, ok := minic.FoldInt(b.L, env); ok && v%lanes == 0 {
 			return true
 		}
-		if v, ok := foldConst(b.R, env); ok && v%lanes == 0 {
+		if v, ok := minic.FoldInt(b.R, env); ok && v%lanes == 0 {
 			return true
 		}
 		return termDivisible(b.L, lanes, env) || termDivisible(b.R, lanes, env)

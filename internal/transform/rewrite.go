@@ -253,59 +253,6 @@ func foldEnv(fn *minic.FuncDecl, params map[string]int64) map[string]int64 {
 	return env
 }
 
-// foldConst evaluates an expression to an integer constant, resolving
-// identifiers bound to a parameter through env (foldEnv's launch
-// values); a local that shadows a parameter does not fold.
-func foldConst(e minic.Expr, env map[string]int64) (int64, bool) {
-	switch x := e.(type) {
-	case *minic.IntLit:
-		return x.Value, true
-	case *minic.Ident:
-		if _, ok := x.Decl.(*minic.Param); !ok {
-			return 0, false
-		}
-		v, ok := env[x.Name]
-		return v, ok
-	case *minic.Unary:
-		v, ok := foldConst(x.X, env)
-		if !ok {
-			return 0, false
-		}
-		if x.Neg {
-			return -v, true
-		}
-		if v == 0 {
-			return 1, true
-		}
-		return 0, true
-	case *minic.Binary:
-		l, ok1 := foldConst(x.L, env)
-		r, ok2 := foldConst(x.R, env)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		switch x.Op {
-		case minic.OpAdd:
-			return l + r, true
-		case minic.OpSub:
-			return l - r, true
-		case minic.OpMul:
-			return l * r, true
-		case minic.OpDiv:
-			if r == 0 {
-				return 0, false
-			}
-			return l / r, true
-		case minic.OpRem:
-			if r == 0 {
-				return 0, false
-			}
-			return l % r, true
-		}
-	}
-	return 0, false
-}
-
 // isZeroLit recognizes the zero initializers of the seed kernels: 0,
 // 0.0f, and the (float)0 coercion sema inserts.
 func isZeroLit(e minic.Expr) bool {
