@@ -1,11 +1,13 @@
 package paravis
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -224,6 +226,76 @@ func TestOneMachineModel(t *testing.T) {
 			return true
 		})
 	})
+}
+
+// TestNodeTablesNotMaps keeps the compile back end on dense tables: it
+// fails on a map type keyed by *ir.Node, *ir.Graph, *Node or *Graph in the
+// non-test Go of internal/ir, schedule, hw, perfbound and area, where
+// per-node facts live in slices indexed by the kernel-dense Node.ID and
+// per-graph ones by Graph.ID. depend's memo of the affine forms it has
+// derived per IR node is out of scope: it is an analysis cache, not a
+// back-end table.
+func TestNodeTablesNotMaps(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"ir", "schedule", "hw", "perfbound", "area"} {
+		paths, err := filepath.Glob(filepath.Join("internal", dir, "*.go"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("internal/%s: no Go files (%v)", dir, err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				m, ok := n.(*ast.MapType)
+				if !ok {
+					return true
+				}
+				key := ""
+				if star, ok := m.Key.(*ast.StarExpr); ok {
+					switch x := star.X.(type) {
+					case *ast.Ident:
+						key = x.Name
+					case *ast.SelectorExpr:
+						if pkg, ok := x.X.(*ast.Ident); ok && pkg.Name == "ir" {
+							key = x.Sel.Name
+						}
+					}
+				}
+				if key == "Node" || key == "Graph" {
+					t.Errorf("%s: a map keyed by *%s; per-node facts live in ID-indexed tables", fset.Position(m.Pos()), key)
+				}
+				return true
+			})
+		}
+	}
+}
+
+// TestBenchmarkKernelsMatchExamples: the benchmark module embeds copies of
+// three example kernels (go:embed cannot reach outside its directory);
+// each must stay byte-equal to its original.
+func TestBenchmarkKernelsMatchExamples(t *testing.T) {
+	for copied, orig := range map[string]string{
+		"benchmark/testdata/dotprod.mc": "examples/kernels/dotprod.mc",
+		"benchmark/testdata/saxpy.mc":   "examples/kernels/saxpy.mc",
+		"benchmark/testdata/gemm.mc":    "examples/gemm/gemm.mc",
+	} {
+		got, err := os.ReadFile(copied)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from %s; copy the example over it", copied, orig)
+		}
+	}
 }
 
 // eachSourceFile parses every non-test Go file of the module outside

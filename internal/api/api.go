@@ -128,7 +128,7 @@ func NewCompileReport(p *core.Program) CompileReport {
 		rep.Locals = append(rep.Locals, fmt.Sprintf("%s[%d elems x %dB]", l.Name, l.NumElems, l.ElemWords*4))
 	}
 	for _, g := range p.Kernel.CollectGraphs() {
-		gs := p.Sched.ByGraph[g]
+		gs := p.Sched.Graph(g)
 		rep.Graphs = append(rep.Graphs, GraphReport{
 			Name: g.Name, Nodes: len(g.Nodes), Depth: gs.Depth,
 			CondStage: gs.CondStage, Reordering: gs.NumReordering,

@@ -149,12 +149,10 @@ func Estimate(k *ir.Kernel, s *schedule.Schedule, profCfg profile.Config) Report
 	}
 
 	snooped := 0
+	lastUse := make([]int, k.NumNodes()) // addGraph's, by node ID
 	for _, g := range k.CollectGraphs() {
-		gs := s.ByGraph[g]
-		if gs == nil {
-			continue
-		}
-		r.addGraph(g, gs, threads, c)
+		gs := s.Graph(g)
+		r.addGraph(s, gs, lastUse, threads, c)
 		snooped += gs.Depth * threads
 	}
 
@@ -193,29 +191,28 @@ func Estimate(k *ir.Kernel, s *schedule.Schedule, profCfg profile.Config) Report
 }
 
 // addGraph accumulates one dataflow graph's operators, pipeline registers
-// and controller.
-func (r *Report) addGraph(g *ir.Graph, gs *schedule.GraphSched, threads int, c *Coefficients) {
+// and controller. lastUse, by node ID and zero for the graph's nodes,
+// receives each node's last consumer stage.
+func (r *Report) addGraph(s *schedule.Schedule, gs *schedule.GraphSched, lastUse []int, threads int, c *Coefficients) {
+	g, live, start := gs.G, s.Live, s.Start
 	// Last consumer stage per node, for pipeline-balancing registers.
-	lastUse := map[*ir.Node]int{}
 	note := func(dep *ir.Node, at int) {
-		if at > lastUse[dep] {
-			lastUse[dep] = at
-		}
+		lastUse[dep.ID] = max(lastUse[dep.ID], at)
 	}
 	for _, n := range g.Nodes {
-		if !gs.Live[n] {
+		if !live[n.ID] {
 			continue
 		}
 		for _, a := range n.Args {
-			note(a, gs.Start[n])
+			note(a, start[n.ID])
 		}
 		if n.Pred != nil {
-			note(n.Pred, gs.Start[n])
+			note(n.Pred, start[n.ID])
 		}
 	}
 
 	for _, n := range g.Nodes {
-		if !gs.Live[n] {
+		if !live[n.ID] {
 			continue
 		}
 		lanes := n.Lanes
@@ -270,7 +267,7 @@ func (r *Report) addGraph(g *ir.Graph, gs *schedule.GraphSched, threads int, c *
 
 		// Pipeline-balance registers: the value is carried from its ready
 		// stage to its last consumer.
-		if span := lastUse[n] - (gs.Start[n] + gs.Lat[n]); span > 0 {
+		if span := lastUse[n.ID] - (start[n.ID] + s.Lat[n.ID]); span > 0 {
 			bits := 32 * lanes
 			if n.Kind == ir.KindNone {
 				bits = 0
@@ -290,11 +287,11 @@ func (r *Report) addGraph(g *ir.Graph, gs *schedule.GraphSched, threads int, c *
 		}
 		ctxBits := 0
 		for _, n := range g.Nodes {
-			if !gs.Live[n] || n.Kind == ir.KindNone {
+			if !live[n.ID] || n.Kind == ir.KindNone {
 				continue
 			}
-			ready := gs.Start[n] + gs.Lat[n]
-			if ready <= si && lastUse[n] > si {
+			ready := start[n.ID] + s.Lat[n.ID]
+			if ready <= si && lastUse[n.ID] > si {
 				lanes := n.Lanes
 				if lanes < 1 {
 					lanes = 1

@@ -80,9 +80,6 @@ func BuildAST(ctx context.Context, src string, prog *minic.Program, opts BuildOp
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if err := ir.Validate(k); err != nil {
-		return nil, fmt.Errorf("core: post-lower verification: %w", err)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: build canceled: %w", err)
 	}

@@ -11,7 +11,6 @@ package depend
 
 import (
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -580,11 +579,7 @@ func TestRecurrencesMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
-		lats := map[*ir.Node]int{}
-		for _, gs := range s.ByGraph {
-			maps.Copy(lats, gs.Lat)
-		}
-		lat := func(n *ir.Node) int { return lats[n] }
+		lat := func(n *ir.Node) int { return s.Lat[n.ID] }
 		kd := AnalyzeKernel(k, p.env, lat)
 		for _, g := range k.CollectGraphs() {
 			var want []ScalarRec

@@ -28,6 +28,8 @@ import (
 type Options struct {
 	GEMMDim int
 	PiSteps []int
+	// Threads is the GEMM studies' thread count. The pi kernel fixes its
+	// own (NT = 8), so RunPi ignores it.
 	Threads int
 	SimCfg  sim.Config
 	// Quiet suppresses ASCII view rendering.
@@ -527,7 +529,7 @@ func RunPi(ctx context.Context, opts Options) (*PiResult, error) {
 	err = parallel.ForEach(opts.Workers, len(opts.PiSteps), func(i int) error {
 		steps := opts.PiSteps[i]
 		out, err := p.Run(ctx, sim.Args{
-			Ints:   map[string]int64{"steps": int64(steps), "threads": int64(opts.Threads)},
+			Ints:   map[string]int64{"steps": int64(steps), "threads": piNT},
 			Floats: map[string]float64{"step": 1.0 / float64(steps), "final_sum": 0},
 		}, opts.SimCfg)
 		if err != nil {

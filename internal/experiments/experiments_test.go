@@ -147,6 +147,23 @@ func TestPiStepCounts(t *testing.T) {
 	}
 }
 
+// TestPiIgnoresThreads: the pi kernel runs num_threads(NT) with NT fixed
+// at 8, so Options.Threads, the GEMM studies' thread count, changes
+// nothing: 6400 steps with Threads 4 is the 8-thread run.
+func TestPiIgnoresThreads(t *testing.T) {
+	opts := DefaultOptions()
+	opts.PiSteps, opts.Threads, opts.Quiet = []int{6_400}, 4, true
+	r, err := RunPi(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := r.Runs[0].Out.Result
+	if res.Cycles != 183_254 || len(res.ThreadStart) != 8 || !r.Runs[0].Correct {
+		t.Errorf("Threads 4: %d cycles, %d threads started, final_sum %g; want 183254, 8 and %g",
+			res.Cycles, len(res.ThreadStart), res.ScalarsOut["final_sum"], workloads.PiRefSum(6_400, piNT))
+	}
+}
+
 func TestPiShapeHolds(t *testing.T) {
 	r, err := RunPi(context.Background(), testOpts())
 	if err != nil {

@@ -151,7 +151,8 @@ func (ck *CKernel) GlobalIndex(name string) int {
 	return -1
 }
 
-// Compile flattens a scheduled kernel.
+// Compile flattens a scheduled kernel of validated IR (lower.Lower's
+// output).
 func Compile(k *ir.Kernel, s *schedule.Schedule) (*CKernel, error) {
 	ck := &CKernel{K: k, Sched: s, Lanes: k.VectorLanes}
 	if ck.Lanes <= 0 {
@@ -163,32 +164,26 @@ func Compile(k *ir.Kernel, s *schedule.Schedule) (*CKernel, error) {
 		}
 	}
 
+	// One slab holds every graph's int32 tables (tableWords); validated IR
+	// numbers graphs by their position in CollectGraphs, which is
+	// ck.Graphs' order, so a loop's SubGraph is its body's Graph.ID.
 	graphs := k.CollectGraphs()
-	gIndex := make(map[*ir.Graph]int, len(graphs))
-	for i, g := range graphs {
-		gIndex[g] = i
-	}
-
-	// One slab holds every graph's int32 tables: LiveInPos, CarryPos and
-	// CoastTo.
 	words := 0
 	for _, g := range graphs {
-		gs := s.ByGraph[g]
-		if gs == nil {
-			return nil, fmt.Errorf("hw: graph %s has no schedule", g.Name)
-		}
-		words += g.NumLiveIn + g.NumCarry + gs.Depth
+		words += tableWords(g, s.Graph(g))
 	}
 	slab := make([]int32, words)
+	ck.Graphs = make([]*CGraph, 0, len(graphs))
+	var fns []PureFn // closure scratch, reused across stages and graphs
 	for _, g := range graphs {
-		gs := s.ByGraph[g]
-		n := g.NumLiveIn + g.NumCarry + gs.Depth
-		cg, err := compileGraph(ck, g, gs, gIndex, slab[:n:n])
+		gs := s.Graph(g)
+		n := tableWords(g, gs)
+		cg, err := compileGraph(ck, g, s, slab[:n:n])
 		if err != nil {
 			return nil, err
 		}
 		slab = slab[n:]
-		if err := compileStages(cg); err != nil {
+		if fns, err = compileStages(cg, fns); err != nil {
 			return nil, err
 		}
 		ck.Graphs = append(ck.Graphs, cg)
@@ -196,18 +191,30 @@ func Compile(k *ir.Kernel, s *schedule.Schedule) (*CKernel, error) {
 	return ck, nil
 }
 
-// compileGraph flattens one graph; tab (NumLiveIn + NumCarry + Depth
-// words) backs its int32 tables.
-func compileGraph(ck *CKernel, g *ir.Graph, gs *schedule.GraphSched, gIndex map[*ir.Graph]int, tab []int32) (*CGraph, error) {
-	pos := make(map[*ir.Node]int32, len(g.Nodes))
-	for i, n := range g.Nodes {
-		pos[n] = int32(i)
+// tableWords is the int32 words of g's tables: LiveInPos, CarryPos,
+// CarryUpdates, CoastTo, the stages' Pure and Issue positions and the
+// loops' argument positions.
+func tableWords(g *ir.Graph, gs *schedule.GraphSched) int {
+	n := g.NumLiveIn + 2*g.NumCarry + gs.Depth
+	for i := range gs.Stages {
+		n += len(gs.Stages[i].Pure) + len(gs.Stages[i].Issue)
 	}
-	at := func(n *ir.Node) int32 {
-		if n == nil {
-			return -1
-		}
-		return pos[n]
+	for _, lp := range g.Loops {
+		n += len(lp.Args)
+	}
+	return n
+}
+
+// compileGraph flattens one graph; tab (tableWords) backs its int32
+// tables.
+func compileGraph(ck *CKernel, g *ir.Graph, s *schedule.Schedule, tab []int32) (*CGraph, error) {
+	gs := s.Graph(g)
+	at := func(n *ir.Node) int32 { return int32(g.Index(n)) }
+	// take carves the next n words off tab.
+	take := func(n int) []int32 {
+		t := tab[:n:n]
+		tab = tab[n:]
+		return t
 	}
 
 	cg := &CGraph{
@@ -221,8 +228,9 @@ func compileGraph(ck *CKernel, g *ir.Graph, gs *schedule.GraphSched, gIndex map[
 		Nodes:     make([]CNode, len(g.Nodes)),
 		Stages:    make([]CStage, gs.Depth),
 	}
-	for _, u := range g.CarryUpdate {
-		cg.CarryUpdates = append(cg.CarryUpdates, at(u))
+	cg.CarryUpdates = take(g.NumCarry)
+	for i, u := range g.CarryUpdate {
+		cg.CarryUpdates[i] = at(u)
 	}
 
 	for i, n := range g.Nodes {
@@ -247,15 +255,11 @@ func compileGraph(ck *CKernel, g *ir.Graph, gs *schedule.GraphSched, gIndex map[
 			cn.A2 = at(n.Args[2])
 		}
 		if n.Op == ir.OpLoopOp {
-			cn.Args = make([]int32, len(n.Args))
+			cn.Args = take(len(n.Args))
 			for j, a := range n.Args {
 				cn.Args[j] = at(a)
 			}
-			sub, ok := gIndex[n.Sub]
-			if !ok {
-				return nil, fmt.Errorf("hw: loop n%d references unknown graph", n.ID)
-			}
-			cn.SubGraph = int32(sub)
+			cn.SubGraph = int32(n.Sub.ID)
 		}
 		if n.Op == ir.OpParam {
 			idx := -1
@@ -286,19 +290,18 @@ func compileGraph(ck *CKernel, g *ir.Graph, gs *schedule.GraphSched, gIndex map[
 				cn.LocalID = -1
 			}
 		}
-		cn.Live = gs.Live[n]
+		cn.Live = s.Live[n.ID]
 		if cn.Live {
-			cn.Stage = int32(gs.Start[n])
+			cn.Stage = int32(s.Start[n.ID])
 			if n.Op.IsVLO() {
-				cn.WaitStage = int32(gs.WaitStage[n])
+				cn.WaitStage = int32(s.WaitStage[n.ID])
 				cg.HasVLO = true
 			}
 		}
 	}
 
 	// Index tables: live-in/carry positions and loop-out targets.
-	nl, nc := g.NumLiveIn, g.NumCarry
-	cg.LiveInPos, cg.CarryPos = tab[:nl:nl], tab[nl:nl+nc:nl+nc]
+	cg.LiveInPos, cg.CarryPos = take(g.NumLiveIn), take(g.NumCarry)
 	for i := range cg.LiveInPos {
 		cg.LiveInPos[i] = -1
 	}
@@ -312,7 +315,7 @@ func compileGraph(ck *CKernel, g *ir.Graph, gs *schedule.GraphSched, gIndex map[
 		case ir.OpCarry:
 			cg.CarryPos[n.Idx] = int32(i)
 		case ir.OpLoopOut:
-			lp := pos[n.Args[0]]
+			lp := at(n.Args[0])
 			cg.Nodes[lp].Outs = append(cg.Nodes[lp].Outs, LoopOutRef{Pos: int32(i), Carry: int32(n.Idx)})
 		}
 	}
@@ -327,18 +330,19 @@ func compileGraph(ck *CKernel, g *ir.Graph, gs *schedule.GraphSched, gIndex map[
 		cst.FpLanes = st.FpLanes
 		cst.Reordering = st.Reordering
 		cg.Static[si] = !st.Reordering
-		for _, n := range st.Pure {
-			cst.Pure = append(cst.Pure, pos[n])
+		cst.Pure, cst.Issue = take(len(st.Pure)), take(len(st.Issue))
+		for j, n := range st.Pure {
+			cst.Pure[j] = at(n)
 		}
-		for _, n := range st.Issue {
-			cst.Issue = append(cst.Issue, pos[n])
+		for j, n := range st.Issue {
+			cst.Issue[j] = at(n)
 		}
 	}
 	cg.CheckAt = -2
 	if cg.CondIdx >= 0 {
 		cg.CheckAt = int32(gs.ExitStage()) - 1
 	}
-	cg.CoastTo = coastBounds(cg, tab[nl+nc:])
+	cg.CoastTo = coastBounds(cg, take(gs.Depth))
 	return cg, nil
 }
 

@@ -167,13 +167,16 @@ func keepLive(b *ir.Builder, vals ...*ir.Node) {
 	}
 }
 
-// scheduleHandGraph wraps a single hand-built top graph in a kernel and
-// schedules it.
+// scheduleHandGraph wraps a single hand-built top graph in a kernel,
+// validates it and schedules it.
 func scheduleHandGraph(t *testing.T, b *ir.Builder) (*ir.Kernel, *schedule.Schedule) {
 	t.Helper()
 	k := &ir.Kernel{
 		Name: "t", NumThreads: 1, Top: b.Graph(),
 		Locals: []ir.LocalArray{{Name: "sink", ElemWords: 1, NumElems: 1}},
+	}
+	if err := ir.Validate(k); err != nil {
+		t.Fatal(err)
 	}
 	s, err := schedule.Build(k, schedule.DefaultConfig())
 	if err != nil {
@@ -184,8 +187,8 @@ func scheduleHandGraph(t *testing.T, b *ir.Builder) (*ir.Kernel, *schedule.Sched
 
 func TestEvalPureOps(t *testing.T) {
 	// Build a tiny graph by hand to exercise the stage closures.
-	nextID := 0
-	b := ir.NewBuilder(0, "g", &nextID)
+	var nodes ir.Alloc
+	b := ir.NewBuilder(0, "g", &nodes)
 	ci := b.ConstInt(7)
 	cf := b.ConstFloat(2.5)
 	cj := b.ConstInt(3)
@@ -248,12 +251,12 @@ func TestEvalPureOps(t *testing.T) {
 	}
 }
 
-// Float modulo has no closure. ir.Validate (run by schedule.Build) rejects
-// it, so the test flips an int remainder to float after scheduling; Compile
-// must fail naming graph and node.
+// Float modulo has no closure. ir.Validate (run by scheduleHandGraph)
+// rejects it, so the test flips an int remainder to float after
+// scheduling; Compile must fail naming graph and node.
 func TestCompileRejectsFloatRem(t *testing.T) {
-	nextID := 0
-	b := ir.NewBuilder(0, "g", &nextID)
+	var nodes ir.Alloc
+	b := ir.NewBuilder(0, "g", &nodes)
 	rem := b.Bin(ir.OpRem, b.ConstInt(7), b.ConstInt(2))
 	keepLive(b, rem)
 	k, s := scheduleHandGraph(t, b)

@@ -29,11 +29,12 @@ type ExecEnv struct {
 // and destination slots are captured at compile time.
 type PureFn func(vals []Value, env *ExecEnv)
 
-// compileStages sets Eval on every stage of cg. The only pure ops without
-// a closure are float and vector modulo, which sema and ir.Validate already
-// reject, so a failure here means a hand-built or corrupted graph.
-func compileStages(cg *CGraph) error {
-	var fns []PureFn // scratch, reused across stages
+// compileStages sets Eval on every stage of cg, collecting each stage's
+// closures in fns, a scratch it returns for the next graph. The only pure
+// ops without a closure are float and vector modulo, which sema and
+// ir.Validate already reject, so a failure here means a hand-built or
+// corrupted graph.
+func compileStages(cg *CGraph, fns []PureFn) ([]PureFn, error) {
 	for si := range cg.Stages {
 		st := &cg.Stages[si]
 		fns = fns[:0]
@@ -41,7 +42,7 @@ func compileStages(cg *CGraph) error {
 			fn, ok := specializeNode(cg, pos)
 			if !ok {
 				n := &cg.Nodes[pos]
-				return fmt.Errorf("hw: graph %s n@%d: no stage closure for %s %s", cg.Name, pos, n.Kind, n.Op)
+				return fns, fmt.Errorf("hw: graph %s n@%d: no stage closure for %s %s", cg.Name, pos, n.Kind, n.Op)
 			}
 			if fn != nil {
 				fns = append(fns, fn)
@@ -49,7 +50,7 @@ func compileStages(cg *CGraph) error {
 		}
 		st.Eval = fuse(fns)
 	}
-	return nil
+	return fns, nil
 }
 
 // fuse folds a stage's closure list into a single call, keeping schedule

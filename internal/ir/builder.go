@@ -5,61 +5,96 @@ import (
 	"strings"
 )
 
+// Alloc hands out one kernel's nodes: IDs from 0 in creation order, the
+// Node values and their Args slices carved from chunked slabs, so that
+// building a kernel allocates per chunk rather than per node. Every
+// builder of a kernel shares one Alloc; the zero value is ready to use.
+type Alloc struct {
+	next  int
+	nodes []Node
+	args  []*Node
+}
+
+// slabChunk is the smallest chunk; a chunk is as large as the nodes handed
+// out so far, so a kernel of N nodes takes O(log N) node chunks.
+const slabChunk = 64
+
+func (a *Alloc) node(n Node) *Node {
+	if len(a.nodes) == cap(a.nodes) {
+		a.nodes = make([]Node, 0, max(slabChunk, a.next))
+	}
+	n.ID = a.next
+	a.next++
+	a.nodes = append(a.nodes, n)
+	return &a.nodes[len(a.nodes)-1]
+}
+
+// list copies ns into the args slab. The result has cap == len, so an
+// append to it reallocates instead of overwriting its neighbour.
+func (a *Alloc) list(ns ...*Node) []*Node {
+	if len(ns) > cap(a.args)-len(a.args) {
+		a.args = make([]*Node, 0, max(2*slabChunk, len(ns), a.next))
+	}
+	i := len(a.args)
+	a.args = append(a.args, ns...)
+	return a.args[i:len(a.args):len(a.args)]
+}
+
 // Builder incrementally constructs a Graph in topological order. The
 // lowering pass and tests use it; it assigns node IDs and keeps the node
 // list consistent.
 type Builder struct {
-	g      *Graph
-	nextID *int
+	g Graph
+	a *Alloc
 }
 
-// NewBuilder returns a builder for a fresh graph. nextID is shared across
-// all builders of a kernel so node IDs are unique kernel-wide.
-func NewBuilder(id int, name string, nextID *int) *Builder {
-	return &Builder{g: &Graph{ID: id, Name: name}, nextID: nextID}
+// NewBuilder returns a builder for a fresh graph whose nodes come from a,
+// which every builder of the kernel shares so node IDs are dense
+// kernel-wide and ascend within each graph.
+func NewBuilder(id int, name string, a *Alloc) *Builder {
+	return &Builder{g: Graph{ID: id, Name: name}, a: a}
 }
 
 // Graph returns the graph under construction.
-func (b *Builder) Graph() *Graph { return b.g }
+func (b *Builder) Graph() *Graph { return &b.g }
 
-// Add appends a node, assigning its ID, and returns it.
-func (b *Builder) Add(n *Node) *Node {
-	n.ID = *b.nextID
-	*b.nextID++
-	b.g.Nodes = append(b.g.Nodes, n)
-	if n.Op == OpLoopOp {
-		b.g.Loops = append(b.g.Loops, n)
+// add appends a node, assigning its ID, and returns it.
+func (b *Builder) add(n Node) *Node {
+	p := b.a.node(n)
+	b.g.Nodes = append(b.g.Nodes, p)
+	if p.Op == OpLoopOp {
+		b.g.Loops = append(b.g.Loops, p)
 	}
-	return n
+	return p
 }
 
 // ConstInt appends an integer constant.
 func (b *Builder) ConstInt(v int64) *Node {
-	return b.Add(&Node{Op: OpConstInt, Kind: KindInt, IVal: v})
+	return b.add(Node{Op: OpConstInt, Kind: KindInt, IVal: v})
 }
 
 // ConstFloat appends a float constant.
 func (b *Builder) ConstFloat(v float64) *Node {
-	return b.Add(&Node{Op: OpConstFloat, Kind: KindFloat, FVal: v})
+	return b.add(Node{Op: OpConstFloat, Kind: KindFloat, FVal: v})
 }
 
 // Param appends a scalar parameter read.
 func (b *Builder) Param(name string, kind ValKind) *Node {
-	return b.Add(&Node{Op: OpParam, Kind: kind, Name: name})
+	return b.add(Node{Op: OpParam, Kind: kind, Name: name})
 }
 
 // ThreadID appends omp_get_thread_num().
-func (b *Builder) ThreadID() *Node { return b.Add(&Node{Op: OpThreadID, Kind: KindInt}) }
+func (b *Builder) ThreadID() *Node { return b.add(Node{Op: OpThreadID, Kind: KindInt}) }
 
 // NumThreads appends omp_get_num_threads().
-func (b *Builder) NumThreads() *Node { return b.Add(&Node{Op: OpNumThreads, Kind: KindInt}) }
+func (b *Builder) NumThreads() *Node { return b.add(Node{Op: OpNumThreads, Kind: KindInt}) }
 
 // LiveIn appends a live-in value reference.
 func (b *Builder) LiveIn(idx int, kind ValKind, lanes int) *Node {
 	if idx >= b.g.NumLiveIn {
 		b.g.NumLiveIn = idx + 1
 	}
-	return b.Add(&Node{Op: OpLiveIn, Kind: kind, Lanes: lanes, Idx: idx})
+	return b.add(Node{Op: OpLiveIn, Kind: kind, Lanes: lanes, Idx: idx})
 }
 
 // Carry appends a carried-register read.
@@ -67,7 +102,7 @@ func (b *Builder) Carry(idx int, kind ValKind, lanes int) *Node {
 	if idx >= b.g.NumCarry {
 		b.g.NumCarry = idx + 1
 	}
-	return b.Add(&Node{Op: OpCarry, Kind: kind, Lanes: lanes, Idx: idx})
+	return b.add(Node{Op: OpCarry, Kind: kind, Lanes: lanes, Idx: idx})
 }
 
 // Bin appends a binary arithmetic/compare node. Result kind follows the
@@ -79,75 +114,75 @@ func (b *Builder) Bin(op Op, l, r *Node) *Node {
 	case OpLt, OpLe, OpGt, OpGe, OpEq, OpNe, OpAnd, OpOr:
 		kind, lanes = KindInt, 0
 	}
-	return b.Add(&Node{Op: op, Kind: kind, Lanes: lanes, Args: []*Node{l, r}})
+	return b.add(Node{Op: op, Kind: kind, Lanes: lanes, Args: b.a.list(l, r)})
 }
 
 // Not appends logical negation.
 func (b *Builder) Not(x *Node) *Node {
-	return b.Add(&Node{Op: OpNot, Kind: KindInt, Args: []*Node{x}})
+	return b.add(Node{Op: OpNot, Kind: KindInt, Args: b.a.list(x)})
 }
 
 // Select appends c ? a : b.
 func (b *Builder) Select(c, a, x *Node) *Node {
-	return b.Add(&Node{Op: OpSelect, Kind: a.Kind, Lanes: a.Lanes, Args: []*Node{c, a, x}})
+	return b.add(Node{Op: OpSelect, Kind: a.Kind, Lanes: a.Lanes, Args: b.a.list(c, a, x)})
 }
 
 // IntToFloat appends an int->float conversion.
 func (b *Builder) IntToFloat(x *Node) *Node {
-	return b.Add(&Node{Op: OpIntToFloat, Kind: KindFloat, Args: []*Node{x}})
+	return b.add(Node{Op: OpIntToFloat, Kind: KindFloat, Args: b.a.list(x)})
 }
 
 // FloatToInt appends a float->int conversion.
 func (b *Builder) FloatToInt(x *Node) *Node {
-	return b.Add(&Node{Op: OpFloatToInt, Kind: KindInt, Args: []*Node{x}})
+	return b.add(Node{Op: OpFloatToInt, Kind: KindInt, Args: b.a.list(x)})
 }
 
 // Splat broadcasts a scalar float into a vector.
 func (b *Builder) Splat(x *Node, lanes int) *Node {
-	return b.Add(&Node{Op: OpSplat, Kind: KindVec, Lanes: lanes, Args: []*Node{x}})
+	return b.add(Node{Op: OpSplat, Kind: KindVec, Lanes: lanes, Args: b.a.list(x)})
 }
 
 // Extract reads one lane of a vector.
 func (b *Builder) Extract(v, lane *Node) *Node {
-	return b.Add(&Node{Op: OpExtract, Kind: KindFloat, Args: []*Node{v, lane}})
+	return b.add(Node{Op: OpExtract, Kind: KindFloat, Args: b.a.list(v, lane)})
 }
 
 // Insert writes one lane of a vector, producing a new vector value.
 func (b *Builder) Insert(v, lane, s *Node) *Node {
-	return b.Add(&Node{Op: OpInsert, Kind: KindVec, Lanes: v.Lanes, Args: []*Node{v, lane, s}})
+	return b.add(Node{Op: OpInsert, Kind: KindVec, Lanes: v.Lanes, Args: b.a.list(v, lane, s)})
 }
 
 // Load appends a memory load.
 func (b *Builder) Load(arr *ArrayRef, idx *Node, kind ValKind, lanes, width int) *Node {
-	return b.Add(&Node{Op: OpLoad, Kind: kind, Lanes: lanes, Args: []*Node{idx}, Arr: arr, Width: width})
+	return b.add(Node{Op: OpLoad, Kind: kind, Lanes: lanes, Args: b.a.list(idx), Arr: arr, Width: width})
 }
 
 // Store appends a memory store.
 func (b *Builder) Store(arr *ArrayRef, idx, val *Node, width int) *Node {
-	return b.Add(&Node{Op: OpStore, Kind: KindNone, Args: []*Node{idx, val}, Arr: arr, Width: width})
+	return b.add(Node{Op: OpStore, Kind: KindNone, Args: b.a.list(idx, val), Arr: arr, Width: width})
 }
 
 // Lock appends a semaphore acquire.
 func (b *Builder) Lock(sem int) *Node {
-	return b.Add(&Node{Op: OpLock, Kind: KindNone, SemID: sem})
+	return b.add(Node{Op: OpLock, Kind: KindNone, SemID: sem})
 }
 
 // Unlock appends a semaphore release.
 func (b *Builder) Unlock(sem int) *Node {
-	return b.Add(&Node{Op: OpUnlock, Kind: KindNone, SemID: sem})
+	return b.add(Node{Op: OpUnlock, Kind: KindNone, SemID: sem})
 }
 
 // Barrier appends an all-thread barrier.
-func (b *Builder) Barrier() *Node { return b.Add(&Node{Op: OpBarrier, Kind: KindNone}) }
+func (b *Builder) Barrier() *Node { return b.add(Node{Op: OpBarrier, Kind: KindNone}) }
 
 // Loop appends a nested-loop node whose body is sub.
 func (b *Builder) Loop(sub *Graph, args ...*Node) *Node {
-	return b.Add(&Node{Op: OpLoopOp, Kind: KindNone, Args: args, Sub: sub})
+	return b.add(Node{Op: OpLoopOp, Kind: KindNone, Args: b.a.list(args...), Sub: sub})
 }
 
 // LoopOut reads carried register idx of a finished loop.
 func (b *Builder) LoopOut(loop *Node, idx int, kind ValKind, lanes int) *Node {
-	return b.Add(&Node{Op: OpLoopOut, Kind: kind, Lanes: lanes, Args: []*Node{loop}, Idx: idx})
+	return b.add(Node{Op: OpLoopOut, Kind: kind, Lanes: lanes, Args: b.a.list(loop), Idx: idx})
 }
 
 // Dump renders a kernel as text for debugging and golden tests.

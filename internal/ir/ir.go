@@ -7,7 +7,11 @@
 // loop as a single operation node with statically unknown delay").
 package ir
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // ValKind is the runtime kind of a value.
 type ValKind int
@@ -238,6 +242,20 @@ type Graph struct {
 
 	// Loops lists the nested LoopOp nodes (in Nodes as well).
 	Loops []*Node
+}
+
+// Index returns n's position in g.Nodes, or -1 when n is nil or not a node
+// of g. It searches by ID, so it relies on the ascending IDs Validate
+// checks.
+func (g *Graph) Index(n *Node) int {
+	if n == nil {
+		return -1
+	}
+	i, ok := slices.BinarySearchFunc(g.Nodes, n.ID, func(m *Node, id int) int { return cmp.Compare(m.ID, id) })
+	if !ok || g.Nodes[i] != n {
+		return -1
+	}
+	return i
 }
 
 // LocalArray describes a per-thread BRAM buffer.

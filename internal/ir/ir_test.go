@@ -9,7 +9,7 @@ import (
 // buildMiniKernel constructs a small valid kernel by hand: a top graph with
 // one loop that sums a global array.
 func buildMiniKernel() *Kernel {
-	nextID := 0
+	var nodes Alloc
 	k := &Kernel{
 		Name:        "mini",
 		NumThreads:  2,
@@ -25,7 +25,7 @@ func buildMiniKernel() *Kernel {
 	arrA := &ArrayRef{Space: SpaceExternal, Name: "A", ElemWords: 1}
 
 	// Loop body: i < n; s += A[i]; i++
-	lb := NewBuilder(1, "loop", &nextID)
+	lb := NewBuilder(1, "loop", &nodes)
 	i := lb.Carry(0, KindInt, 0)
 	s := lb.Carry(1, KindFloat, 0)
 	n := lb.Param("n", KindInt)
@@ -38,7 +38,7 @@ func buildMiniKernel() *Kernel {
 	loopG.Cond = cond
 	loopG.CarryUpdate = []*Node{i2, s2}
 
-	tb := NewBuilder(0, "top", &nextID)
+	tb := NewBuilder(0, "top", &nodes)
 	zero := tb.ConstInt(0)
 	fzero := tb.ConstFloat(0)
 	loop := tb.Loop(loopG, zero, fzero)
@@ -138,14 +138,76 @@ func TestValidateRejectsBadKernels(t *testing.T) {
 	})
 	t.Run("sem out of range", func(t *testing.T) {
 		k := buildMiniKernel()
-		nextID := k.NumNodes() + 10
-		b := NewBuilder(9, "x", &nextID)
+		nodes := Alloc{next: k.NumNodes()}
+		b := NewBuilder(9, "x", &nodes)
 		lk := b.Lock(3)
 		k.Top.Nodes = append(k.Top.Nodes, lk)
-		if err := Validate(k); err == nil {
-			t.Fatal("expected error")
+		if err := Validate(k); err == nil || !strings.Contains(err.Error(), "semaphore 3") {
+			t.Fatalf("got %v", err)
 		}
 	})
+	t.Run("node id outside the kernel", func(t *testing.T) {
+		k := buildMiniKernel()
+		k.Top.Nodes[len(k.Top.Nodes)-1].ID = k.NumNodes()
+		if err := Validate(k); err == nil || !strings.Contains(err.Error(), "outside [0,") {
+			t.Fatalf("got %v", err)
+		}
+	})
+	t.Run("ids descend", func(t *testing.T) {
+		k := buildMiniKernel()
+		top := k.Top.Nodes
+		top[0].ID, top[1].ID = top[1].ID, top[0].ID
+		if err := Validate(k); err == nil || !strings.Contains(err.Error(), "IDs must ascend") {
+			t.Fatalf("got %v", err)
+		}
+	})
+	t.Run("graph id not its pre-order position", func(t *testing.T) {
+		k := buildMiniKernel()
+		k.CollectGraphs()[1].ID = 2
+		if err := Validate(k); err == nil || !strings.Contains(err.Error(), "pre-order position 1") {
+			t.Fatalf("got %v", err)
+		}
+	})
+}
+
+// TestBuilderSlabs: nodes and argument lists come from the kernel's slabs,
+// IDs count up across builders, and an append to one node's Args never
+// writes into its neighbour's.
+func TestBuilderSlabs(t *testing.T) {
+	var nodes Alloc
+	b1, b2 := NewBuilder(0, "a", &nodes), NewBuilder(1, "b", &nodes)
+	x, y := b1.ConstInt(1), b2.ConstInt(2)
+	sum := b1.Bin(OpAdd, x, x)
+	diff := b1.Bin(OpSub, x, x)
+	if x.ID != 0 || y.ID != 1 || sum.ID != 2 || diff.ID != 3 {
+		t.Fatalf("ids %d %d %d %d, want 0..3", x.ID, y.ID, sum.ID, diff.ID)
+	}
+	if cap(sum.Args) != len(sum.Args) {
+		t.Fatalf("Args cap %d, len %d", cap(sum.Args), len(sum.Args))
+	}
+	sum.Args = append(sum.Args, y)
+	if diff.Args[0] != x || diff.Args[1] != x {
+		t.Fatal("an append to one node's Args overwrote its neighbour's")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b1.Bin(OpMul, x, x) }); allocs != 0 {
+		t.Errorf("a node costs %.0f allocations, want less than one (its share of a slab)", allocs)
+	}
+}
+
+func TestGraphIndex(t *testing.T) {
+	k := buildMiniKernel()
+	loop := k.CollectGraphs()[1]
+	for i, n := range k.Top.Nodes {
+		if got := k.Top.Index(n); got != i {
+			t.Errorf("Index(n%d) = %d, want %d", n.ID, got, i)
+		}
+		if got := loop.Index(n); got != -1 {
+			t.Errorf("loop graph Index(n%d) = %d, want -1 (a node of another graph)", n.ID, got)
+		}
+	}
+	if got := k.Top.Index(nil); got != -1 {
+		t.Errorf("Index(nil) = %d", got)
+	}
 }
 
 func TestScalarExprs(t *testing.T) {

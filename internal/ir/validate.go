@@ -7,7 +7,9 @@ import "fmt"
 //   - params, maps and locals are mutually consistent (no duplicate
 //     parameter names, every map backed by a parameter, local array
 //     metadata well-formed);
-//   - node IDs are unique kernel-wide and graph IDs unique per kernel;
+//   - graph IDs are the graphs' pre-order positions (CollectGraphs) and
+//     node IDs are 0..NumNodes()-1, each used once, ascending within
+//     each graph — the dense IDs the back end indexes its tables by;
 //   - every graph's nodes are in topological order (args, effect deps and
 //     predicates refer to earlier nodes in the same graph — SSA-ish
 //     def-before-use);
@@ -33,26 +35,31 @@ func Validate(k *Kernel) error {
 	if err := validateDecls(k); err != nil {
 		return fmt.Errorf("ir: kernel %s: %w", k.Name, err)
 	}
-	graphIDs := map[int]bool{}
-	nodeIDs := map[int]*Graph{}
-	for _, g := range k.CollectGraphs() {
-		if graphIDs[g.ID] {
-			return fmt.Errorf("ir: kernel %s: duplicate graph id #%d", k.Name, g.ID)
+	graphs := k.CollectGraphs()
+	numNodes := k.NumNodes()
+	// owner[id] is the pre-order position + 1 of the graph holding node id.
+	owner := make([]int32, numNodes)
+	for i, g := range graphs {
+		if g.ID != i {
+			return fmt.Errorf("ir: kernel %s: graph %s has id #%d at pre-order position %d", k.Name, g.Name, g.ID, i)
 		}
-		graphIDs[g.ID] = true
 		for _, n := range g.Nodes {
 			if n == nil {
 				continue // reported by validateGraph with an index
 			}
-			if other, dup := nodeIDs[n.ID]; dup {
-				return fmt.Errorf("ir: kernel %s: node id n%d used in both graph #%d and graph #%d",
-					k.Name, n.ID, other.ID, g.ID)
+			if n.ID < 0 || n.ID >= numNodes {
+				return fmt.Errorf("ir: kernel %s: node id n%d outside [0,%d)", k.Name, n.ID, numNodes)
 			}
-			nodeIDs[n.ID] = g
+			if o := owner[n.ID]; o != 0 {
+				return fmt.Errorf("ir: kernel %s: node id n%d used in both graph #%d and graph #%d",
+					k.Name, n.ID, graphs[o-1].ID, g.ID)
+			}
+			owner[n.ID] = int32(i + 1)
 		}
 	}
-	for _, g := range k.CollectGraphs() {
-		if err := validateGraph(k, g); err != nil {
+	listed := make([]bool, numNodes) // by node ID: named in its graph's Loops
+	for _, g := range graphs {
+		if err := validateGraph(k, g, listed); err != nil {
 			return fmt.Errorf("ir: kernel %s graph %s(#%d): %w", k.Name, g.Name, g.ID, err)
 		}
 	}
@@ -101,23 +108,21 @@ func validateDecls(k *Kernel) error {
 	return nil
 }
 
-func validateGraph(k *Kernel, g *Graph) error {
-	pos := make(map[*Node]int, len(g.Nodes))
+func validateGraph(k *Kernel, g *Graph, listed []bool) error {
 	for i, n := range g.Nodes {
 		if n == nil {
 			return fmt.Errorf("node %d is nil", i)
 		}
-		if _, dup := pos[n]; dup {
-			return fmt.Errorf("node n%d appears twice", n.ID)
+		if i > 0 && n.ID <= g.Nodes[i-1].ID {
+			return fmt.Errorf("node n%d follows n%d (IDs must ascend)", n.ID, g.Nodes[i-1].ID)
 		}
-		pos[n] = i
 	}
+	// IDs ascend, so they order the graph as positions do.
 	before := func(user *Node, dep *Node) error {
-		di, ok := pos[dep]
-		if !ok {
+		if g.Index(dep) < 0 {
 			return fmt.Errorf("n%d references node n%d outside this graph", user.ID, dep.ID)
 		}
-		if di >= pos[user] {
+		if dep.ID >= user.ID {
 			return fmt.Errorf("n%d references later node n%d (not topological)", user.ID, dep.ID)
 		}
 		return nil
@@ -146,7 +151,7 @@ func validateGraph(k *Kernel, g *Graph) error {
 		}
 	}
 	if g.Cond != nil {
-		if _, ok := pos[g.Cond]; !ok {
+		if g.Index(g.Cond) < 0 {
 			return fmt.Errorf("cond node n%d not in graph", g.Cond.ID)
 		}
 		if g.Cond.Kind != KindInt {
@@ -160,7 +165,7 @@ func validateGraph(k *Kernel, g *Graph) error {
 		if u == nil {
 			return fmt.Errorf("carry %d has no update", i)
 		}
-		if _, ok := pos[u]; !ok {
+		if g.Index(u) < 0 {
 			return fmt.Errorf("carry %d update n%d not in graph", i, u.ID)
 		}
 	}
@@ -175,21 +180,20 @@ func validateGraph(k *Kernel, g *Graph) error {
 		}
 	}
 	// Graph.Loops must mirror exactly the LoopOp nodes of the graph.
-	inLoops := make(map[*Node]bool, len(g.Loops))
 	for _, lp := range g.Loops {
 		if lp == nil || lp.Op != OpLoopOp {
 			return fmt.Errorf("Loops list contains a non-loop node")
 		}
-		if _, ok := pos[lp]; !ok {
+		if g.Index(lp) < 0 {
 			return fmt.Errorf("Loops list references n%d outside this graph", lp.ID)
 		}
-		if inLoops[lp] {
+		if listed[lp.ID] {
 			return fmt.Errorf("loop n%d listed twice in Loops", lp.ID)
 		}
-		inLoops[lp] = true
+		listed[lp.ID] = true
 	}
 	for _, n := range g.Nodes {
-		if n.Op == OpLoopOp && !inLoops[n] {
+		if n.Op == OpLoopOp && !listed[n.ID] {
 			return fmt.Errorf("loop n%d missing from Loops list", n.ID)
 		}
 	}

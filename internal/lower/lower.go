@@ -24,6 +24,8 @@ type Error struct {
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
 // Lower finds the unique target region in prog and lowers it to a kernel.
+// It validates the kernel it returns (ir.Validate): the build path's one
+// IR check, which schedule.Build and hw.Compile rely on.
 func Lower(prog *minic.Program) (*ir.Kernel, error) {
 	fn, ts, err := minic.FindTarget(prog)
 	if err != nil {
@@ -39,6 +41,7 @@ func Lower(prog *minic.Program) (*ir.Kernel, error) {
 		},
 		slots:       make(map[minic.Decl]*slot),
 		localByDecl: make(map[*minic.DeclStmt]*ir.ArrayRef),
+		nodes:       new(ir.Alloc),
 	}
 	if lw.k.NumThreads == 0 {
 		lw.k.NumThreads = 1
@@ -154,7 +157,8 @@ type lowerer struct {
 	ts   *minic.TargetStmt
 	k    *ir.Kernel
 
-	nextNodeID  int
+	// nodes outlives the lowerer: every graph's builder keeps it.
+	nodes       *ir.Alloc
 	nextGraphID int
 
 	// slots binds each declaration sema resolved an identifier or map
@@ -183,7 +187,7 @@ func (lw *lowerer) run() error {
 }
 
 func (lw *lowerer) newGctx(parent *gctx, name string) *gctx {
-	b := ir.NewBuilder(lw.nextGraphID, name, &lw.nextNodeID)
+	b := ir.NewBuilder(lw.nextGraphID, name, lw.nodes)
 	lw.nextGraphID++
 	return &gctx{
 		parent: parent,

@@ -126,8 +126,8 @@ func (sh loopShape) String() string {
 }
 
 func (sh loopShape) build() (*ir.Graph, *schedule.Schedule) {
-	id := 0
-	b := ir.NewBuilder(1, "for@1:1", &id)
+	var nodes ir.Alloc
+	b := ir.NewBuilder(0, "for@1:1", &nodes)
 	bound, step := b.LiveIn(0, ir.KindInt, 0), b.LiveIn(1, ir.KindInt, 0)
 	carry := b.Carry(0, ir.KindInt, 0)
 	g := b.Graph()
@@ -144,7 +144,11 @@ func (sh loopShape) build() (*ir.Graph, *schedule.Schedule) {
 	default:
 		g.CarryUpdate = []*ir.Node{b.Bin(ir.OpSub, carry, step)}
 	}
-	return g, &schedule.Schedule{ByGraph: map[*ir.Graph]*schedule.GraphSched{g: {G: g}}}
+	s, err := schedule.Build(&ir.Kernel{Name: "shape", NumThreads: 1, Top: g}, schedule.DefaultConfig())
+	if err != nil {
+		panic(err)
+	}
+	return g, s
 }
 
 type foldResult struct {
@@ -319,5 +323,33 @@ void k(float* A, int N) {
 	got := counted(strided)
 	if want := map[string]bool{"for@7:5": true, "for@11:5": false}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("counted loops = %v, want %v", got, want)
+	}
+}
+
+// TestAtRejectsForeignNodes: a compiled graph places its own nodes and
+// answers -1 for nil and for every node of another graph, so a slice walk
+// that strays across a loop boundary stops there.
+func TestAtRejectsForeignNodes(t *testing.T) {
+	k, s := schedule1(t, workloads.Units()[0])
+	top := compile(k.Top, s, nil, 64)
+	if len(top.kids) == 0 {
+		t.Fatal("the kernel has no loop")
+	}
+	kid := top.kids[0]
+	for i, n := range kid.g.Nodes {
+		if got := kid.at(n); got != int32(i) {
+			t.Errorf("at(n%d) = %d in its own graph, want %d", n.ID, got, i)
+		}
+		if got := top.at(n); got != -1 {
+			t.Errorf("at(n%d) = %d in the parent graph, want -1", n.ID, got)
+		}
+	}
+	for _, n := range k.Top.Nodes {
+		if got := kid.at(n); got != -1 {
+			t.Errorf("at(n%d) = %d in a child graph, want -1", n.ID, got)
+		}
+	}
+	if got := top.at(nil); got != -1 {
+		t.Errorf("at(nil) = %d, want -1", got)
 	}
 }

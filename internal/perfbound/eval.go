@@ -47,8 +47,7 @@ type cgraph struct {
 	gs    *schedule.GraphSched
 	node  *ir.Node // the LoopOp in the parent; nil for the top region
 	stats gstats
-	ops   []cop              // one per g.Nodes, in the same (topological) order
-	pos   map[*ir.Node]int32 // position + 1, so that a miss reads as at's -1
+	ops   []cop // one per g.Nodes, in the same (topological) order
 	kids  []*cgraph
 
 	// Control slice of a loop graph: the positions the loop-continue
@@ -74,7 +73,7 @@ type cgraph struct {
 }
 
 // at returns n's position in the graph, -1 for nil or a foreign node.
-func (cg *cgraph) at(n *ir.Node) int32 { return cg.pos[n] - 1 }
+func (cg *cgraph) at(n *ir.Node) int32 { return int32(cg.g.Index(n)) }
 
 // val returns n's value in the latest evaluation.
 func (cg *cgraph) val(n *ir.Node) interval.Interval { return arg(cg.vals, cg.at(n)) }
@@ -82,21 +81,17 @@ func (cg *cgraph) val(n *ir.Node) interval.Interval { return arg(cg.vals, cg.at(
 // compile builds the evaluator's form of g and, recursively, of the loops
 // nested in it.
 func compile(g *ir.Graph, s *schedule.Schedule, env map[string]int64, beatBytes int) *cgraph {
-	gs := s.ByGraph[g]
+	gs := s.Graph(g)
 	cg := &cgraph{
-		g: g, gs: gs, stats: statsOf(gs, beatBytes),
+		g: g, gs: gs, stats: statsOf(s, gs, beatBytes),
 		ops:    make([]cop, len(g.Nodes)),
 		vals:   make([]interval.Interval, len(g.Nodes)),
 		liveIn: make([]interval.Interval, g.NumLiveIn),
-		pos:    make(map[*ir.Node]int32, len(g.Nodes)),
 	}
 	carry := make([]interval.Interval, 4*g.NumCarry)
 	nc := g.NumCarry
 	cg.init, cg.ranges, cg.state, cg.next = carry[:nc:nc], carry[nc:2*nc:2*nc], carry[2*nc:3*nc:3*nc], carry[3*nc:]
 
-	for i, n := range g.Nodes {
-		cg.pos[n] = int32(i) + 1
-	}
 	for i, n := range g.Nodes {
 		args := [3]int32{-1, -1, -1}
 		for j, a := range n.Args {

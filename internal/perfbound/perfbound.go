@@ -172,10 +172,10 @@ func bytesOf(n *ir.Node) int64 {
 	return b
 }
 
-func statsOf(gs *schedule.GraphSched, beatBytes int) gstats {
+func statsOf(s *schedule.Schedule, gs *schedule.GraphSched, beatBytes int) gstats {
 	st := gstats{perArray: map[string]int64{}, localArrays: map[string]bool{}}
 	for _, n := range gs.G.Nodes {
-		if !gs.Live[n] {
+		if !s.Live[n.ID] {
 			continue
 		}
 		switch n.Op {
@@ -357,13 +357,7 @@ func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Confi
 
 	// Proven dependence recurrences (per graph), with the schedule's own
 	// latency table so RecMII and the pipeline agree on operation cost.
-	latAll := make(map[*ir.Node]int)
-	for _, gs := range s.ByGraph {
-		for n, l := range gs.Lat {
-			latAll[n] = l
-		}
-	}
-	deps := depend.AnalyzeKernel(k, env, func(n *ir.Node) int { return latAll[n] })
+	deps := depend.AnalyzeKernel(k, env, func(n *ir.Node) int { return s.Lat[n.ID] })
 
 	// Per-thread evaluation with exact thread ids: compute the lower
 	// bound and total traffic.

@@ -377,7 +377,7 @@ func refEvalTree(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, hints
 	nt := interval.Exact(int64(k.NumThreads))
 	var build func(g *ir.Graph, node *ir.Node, ctx refCtx, init []interval.Interval, entry interval.Interval) *refGraphEval
 	build = func(g *ir.Graph, node *ir.Node, ctx refCtx, init []interval.Interval, entry interval.Interval) *refGraphEval {
-		ge := &refGraphEval{g: g, gs: s.ByGraph[g], node: node, entry: entry}
+		ge := &refGraphEval{g: g, gs: s.Graph(g), node: node, entry: entry}
 		if g.Cond == nil {
 			ge.trips = interval.Exact(1)
 			ctx.carry = make([]interval.Interval, g.NumCarry)

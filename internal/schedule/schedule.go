@@ -9,7 +9,6 @@ package schedule
 
 import (
 	"fmt"
-	"sort"
 
 	"paravis/internal/ir"
 )
@@ -84,17 +83,7 @@ type StageInfo struct {
 // GraphSched is the schedule of one dataflow graph.
 type GraphSched struct {
 	G     *ir.Graph
-	Live  map[*ir.Node]bool
-	Start map[*ir.Node]int
-	Lat   map[*ir.Node]int
-	// WaitStage maps each VLO to the first stage a token may not enter
-	// until the VLO has completed: the earliest stage of any consumer of
-	// its value or of any operation ordered after it. VLOs nobody waits on
-	// within the iteration gate only the iteration end (Depth-1) — this is
-	// what lets an independent prefetch loop overlap a compute loop
-	// (double buffering, Fig. 9).
-	WaitStage map[*ir.Node]int
-	Depth     int
+	Depth int
 	// CondStage is the stage at which the loop-continue decision is known
 	// (tokens of exiting iterations leave the pipeline there).
 	CondStage int
@@ -107,34 +96,58 @@ type GraphSched struct {
 // leaves the pipeline: CondStage, but never before the end of stage 1.
 func (gs *GraphSched) ExitStage() int { return max(gs.CondStage, 1) }
 
-// Schedule is the full kernel schedule.
+// Schedule is the full kernel schedule. Its per-node facts are
+// kernel-wide tables indexed by ir.Node.ID; a dead node reads false or 0
+// in every one of them.
 type Schedule struct {
-	K       *ir.Kernel
-	Cfg     Config
-	ByGraph map[*ir.Graph]*GraphSched
+	K   *ir.Kernel
+	Cfg Config
+	// Live marks the nodes that execute.
+	Live []bool
+	// Start is each live node's start stage, Lat its pipeline latency.
+	Start []int
+	Lat   []int
+	// WaitStage is, for each live VLO, the first stage a token may not
+	// enter until the VLO has completed: the earliest stage of any
+	// consumer of its value or of any operation ordered after it. VLOs
+	// nobody waits on within the iteration gate only the iteration end
+	// (Depth-1) — this is what lets an independent prefetch loop overlap a
+	// compute loop (double buffering, Fig. 9).
+	WaitStage []int
+
+	graphs []GraphSched // by ir.Graph.ID
 }
+
+// Graph returns the schedule of one of the kernel's graphs.
+func (s *Schedule) Graph(g *ir.Graph) *GraphSched { return &s.graphs[g.ID] }
 
 // TotalStages sums pipeline depths across all graphs.
 func (s *Schedule) TotalStages() int {
 	n := 0
-	for _, gs := range s.ByGraph {
-		n += gs.Depth
+	for i := range s.graphs {
+		n += s.graphs[i].Depth
 	}
 	return n
 }
 
-// Build computes the schedule of every graph in the kernel.
+// Build computes the schedule of every graph in the kernel. k must be
+// validated IR, as lower.Lower returns it: its dense node and graph IDs
+// index the schedule's tables, and its ascending node IDs order the stage
+// lists. Build itself reports no error on such IR.
 func Build(k *ir.Kernel, cfg Config) (*Schedule, error) {
-	if err := ir.Validate(k); err != nil {
-		return nil, fmt.Errorf("schedule: %w", err)
+	graphs := k.CollectGraphs()
+	n := k.NumNodes()
+	ints := make([]int, 3*n)
+	s := &Schedule{
+		K: k, Cfg: cfg,
+		Live:      make([]bool, n),
+		Start:     ints[:n:n],
+		Lat:       ints[n : 2*n : 2*n],
+		WaitStage: ints[2*n:],
+		graphs:    make([]GraphSched, len(graphs)),
 	}
-	s := &Schedule{K: k, Cfg: cfg, ByGraph: make(map[*ir.Graph]*GraphSched)}
-	for _, g := range k.CollectGraphs() {
-		gs, err := buildGraph(g, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("schedule: graph %s(#%d): %w", g.Name, g.ID, err)
-		}
-		s.ByGraph[g] = gs
+	for _, g := range graphs {
+		s.buildGraph(g, s.Graph(g))
 	}
 	return s, nil
 }
@@ -189,37 +202,34 @@ func latency(n *ir.Node, lat Latencies) int {
 	return 1
 }
 
-// liveNodes marks the nodes that must execute: side-effecting VLOs, the
+// markLive marks the nodes that must execute: side-effecting VLOs, the
 // loop condition, carry updates, and everything they transitively depend
 // on. Dead pure nodes (e.g. unused loop outputs) consume no stage, no
 // hardware and no interpreter time.
-func liveNodes(g *ir.Graph) map[*ir.Node]bool {
-	live := make(map[*ir.Node]bool)
-	var mark func(n *ir.Node)
-	mark = func(n *ir.Node) {
-		if n == nil || live[n] {
-			return
-		}
-		live[n] = true
-		for _, a := range n.Args {
-			mark(a)
-		}
-		for _, d := range n.EffectDeps {
-			mark(d)
-		}
-		mark(n.Pred)
-	}
+func markLive(live []bool, g *ir.Graph) {
 	for _, n := range g.Nodes {
-		switch n.Op {
-		case ir.OpStore, ir.OpLock, ir.OpUnlock, ir.OpBarrier, ir.OpLoopOp:
-			mark(n)
+		if hasSideEffect(n.Op) {
+			mark(live, n)
 		}
 	}
-	mark(g.Cond)
+	mark(live, g.Cond)
 	for _, u := range g.CarryUpdate {
-		mark(u)
+		mark(live, u)
 	}
-	return live
+}
+
+func mark(live []bool, n *ir.Node) {
+	if n == nil || live[n.ID] {
+		return
+	}
+	live[n.ID] = true
+	for _, a := range n.Args {
+		mark(live, a)
+	}
+	for _, d := range n.EffectDeps {
+		mark(live, d)
+	}
+	mark(live, n.Pred)
 }
 
 // hasSideEffect reports whether an op mutates architectural state and must
@@ -233,197 +243,196 @@ func hasSideEffect(o ir.Op) bool {
 	return false
 }
 
-func buildGraph(g *ir.Graph, cfg Config) (*GraphSched, error) {
-	live := liveNodes(g)
-	lats := make(map[*ir.Node]int, len(g.Nodes))
+// computeStarts places g's live nodes ASAP, with an extra floor for
+// side-effecting ops: they may not start before the loop-continue
+// decision is known (minEffect), so an exiting iteration never mutates
+// state. It returns the pipeline depth and the cond stage.
+func (s *Schedule) computeStarts(g *ir.Graph, minEffect int) (depth, condStage int) {
+	live, start, lat := s.Live, s.Start, s.Lat
+	ready := func(d *ir.Node) int { return start[d.ID] + lat[d.ID] }
+	depth = 1
 	for _, n := range g.Nodes {
-		if live[n] {
-			lats[n] = latency(n, cfg.Lat)
+		if !live[n.ID] {
+			continue
 		}
-	}
-
-	// ASAP scheduling with an extra floor for side-effecting ops: they may
-	// not start before the loop-continue decision is known (minEffect),
-	// so an exiting iteration never mutates state.
-	computeStarts := func(minEffect int) (map[*ir.Node]int, int, int) {
-		start := make(map[*ir.Node]int, len(g.Nodes))
-		depth := 1
-		for _, n := range g.Nodes {
-			if !live[n] {
-				continue
+		st := 0
+		for _, a := range n.Args {
+			st = max(st, ready(a))
+		}
+		for _, d := range n.EffectDeps {
+			// Dead effect deps (dropped speculative loads) impose no
+			// ordering.
+			if live[d.ID] {
+				st = max(st, ready(d))
 			}
-			st := 0
-			ready := func(d *ir.Node) int { return start[d] + lats[d] }
+		}
+		if n.Pred != nil {
+			st = max(st, ready(n.Pred))
+		}
+		if hasSideEffect(n.Op) && st < minEffect {
+			st = minEffect
+		}
+		start[n.ID] = st
+		// Zero-latency nodes (e.g. LoopOut wires) still occupy a stage
+		// slot.
+		depth = max(depth, st+lat[n.ID], st+1)
+	}
+	if g.Cond != nil {
+		condStage = ready(g.Cond)
+		depth = max(depth, condStage+1)
+	}
+	return depth, condStage
+}
+
+// noteWait records in wait (by node ID: the earliest waiting stage + 1, 0
+// for none) that a node starting at stage at consumes dep. A LoopOut is a
+// zero-latency wire off its loop's result registers: it forwards the
+// loop's completion requirement.
+func noteWait(wait []int, dep *ir.Node, at int) {
+	if dep.Op == ir.OpLoopOut {
+		dep = dep.Args[0]
+	} else if !dep.Op.IsVLO() {
+		return
+	}
+	if w := wait[dep.ID]; w == 0 || at < w-1 {
+		wait[dep.ID] = at + 1
+	}
+}
+
+// noteWaits records the waits of g's live nodes, the earliest stage of
+// any node that consumes a VLO's value, is predicated on it, or is
+// effect-ordered after it.
+func noteWaits(wait []int, g *ir.Graph, live []bool, start []int) {
+	for _, n := range g.Nodes {
+		if !live[n.ID] {
+			continue
+		}
+		at := start[n.ID]
+		if n.Op != ir.OpLoopOut {
+			// A LoopOut's own consumers impose its waits (noteWait).
 			for _, a := range n.Args {
-				if r := ready(a); r > st {
-					st = r
-				}
-			}
-			for _, d := range n.EffectDeps {
-				if !live[d] {
-					// Dead effect deps (dropped speculative loads) impose
-					// no ordering.
-					continue
-				}
-				if r := ready(d); r > st {
-					st = r
-				}
-			}
-			if n.Pred != nil {
-				if r := ready(n.Pred); r > st {
-					st = r
-				}
-			}
-			if hasSideEffect(n.Op) && st < minEffect {
-				st = minEffect
-			}
-			start[n] = st
-			if st+lats[n] > depth {
-				depth = st + lats[n]
-			}
-			// Zero-latency nodes (e.g. LoopOut wires) still occupy a
-			// stage slot.
-			if st >= depth {
-				depth = st + 1
+				noteWait(wait, a, at)
 			}
 		}
-		condStage := 0
-		if g.Cond != nil {
-			condStage = start[g.Cond] + lats[g.Cond]
-			if condStage >= depth {
-				depth = condStage + 1
+		if n.Pred != nil {
+			noteWait(wait, n.Pred, at)
+		}
+		for _, d := range n.EffectDeps {
+			if live[d.ID] {
+				noteWait(wait, d, at)
 			}
 		}
-		return start, depth, condStage
+	}
+}
+
+func (s *Schedule) buildGraph(g *ir.Graph, gs *GraphSched) {
+	live, start, lat := s.Live, s.Start, s.Lat
+	markLive(live, g)
+	for _, n := range g.Nodes {
+		if live[n.ID] {
+			lat[n.ID] = latency(n, s.Cfg.Lat)
+		}
 	}
 
-	start, depth, condStage := computeStarts(0)
+	depth, condStage := s.computeStarts(g, 0)
 	if g.Cond != nil {
 		// Fixed point: the floor can move downstream ops, which normally
 		// leaves the pure cond chain untouched; iterate defensively for
 		// conds that read memory.
 		for i := 0; i < 5; i++ {
-			s2, d2, c2 := computeStarts(condStage)
+			d2, c2 := s.computeStarts(g, condStage)
 			stable := c2 == condStage
-			start, depth, condStage = s2, d2, c2
+			depth, condStage = d2, c2
 			if stable {
 				break
 			}
 		}
 	}
+	*gs = GraphSched{G: g, Depth: depth, CondStage: condStage, Stages: make([]StageInfo, depth)}
 
-	gs := &GraphSched{
-		G:         g,
-		Live:      live,
-		Start:     start,
-		Lat:       lats,
-		WaitStage: make(map[*ir.Node]int),
-		Depth:     depth,
-		CondStage: condStage,
-		Stages:    make([]StageInfo, depth),
-	}
-
-	// Wait stages: the earliest stage of any node that consumes a VLO's
-	// value, is predicated on it, or is effect-ordered after it. LoopOut
-	// nodes are zero-latency readers, so their own consumers matter.
-	wait := make(map[*ir.Node]int, 8)
-	noteWait := func(dep *ir.Node, at int) {
-		if !dep.Op.IsVLO() {
-			// A LoopOut forwards its loop's completion requirement.
-			if dep.Op == ir.OpLoopOut {
-				lp := dep.Args[0]
-				if w, ok := wait[lp]; !ok || at < w {
-					wait[lp] = at
-				}
-			}
-			return
-		}
-		if w, ok := wait[dep]; !ok || at < w {
-			wait[dep] = at
-		}
-	}
+	// WaitStage first collects the waits (noteWait's encoding), then
+	// holds each VLO's settled wait stage.
+	wait := s.WaitStage
+	noteWaits(wait, g, live, start)
+	// counts[3*st+i]: stage st's Pure (i=0), Issue (1) and WaitBefore (2)
+	// lengths, so that the three lists are carved from one slice.
+	counts := make([]int, 3*depth)
+	total := 0
 	for _, n := range g.Nodes {
-		if !live[n] {
+		if !live[n.ID] {
 			continue
 		}
-		if n.Op != ir.OpLoopOut {
-			// LoopOut is a zero-latency wire off the loop's result
-			// registers; only its own consumers impose waits (forwarded
-			// through noteWait above).
-			for _, a := range n.Args {
-				noteWait(a, start[n])
-			}
-		}
-		if n.Pred != nil {
-			noteWait(n.Pred, start[n])
-		}
-		for _, d := range n.EffectDeps {
-			if live[d] {
-				noteWait(d, start[n])
-			}
-		}
-	}
-
-	for _, n := range g.Nodes {
-		if !live[n] {
+		st := start[n.ID]
+		if !n.Op.IsVLO() {
+			counts[3*st]++
+			total++
 			continue
 		}
-		st := start[n]
-		info := &gs.Stages[st]
+		waitAt := wait[n.ID] - 1
+		if waitAt < 0 || waitAt > depth-1 {
+			waitAt = depth - 1
+		}
+		if waitAt <= st {
+			waitAt = min(st+1, depth-1)
+		}
+		wait[n.ID] = waitAt
+		counts[3*st+1]++
+		counts[3*waitAt+2]++
+		total += 2
+	}
+	slab := make([]*ir.Node, total)
+	for i := range gs.Stages {
+		info := &gs.Stages[i]
+		info.Pure, slab = carve(slab, counts[3*i])
+		info.Issue, slab = carve(slab, counts[3*i+1])
+		info.WaitBefore, slab = carve(slab, counts[3*i+2])
+	}
+
+	// Node order is ID order, so every list comes out sorted by ID.
+	for _, n := range g.Nodes {
+		if !live[n.ID] {
+			continue
+		}
+		info := &gs.Stages[start[n.ID]]
 		if n.Op.IsVLO() {
 			info.Issue = append(info.Issue, n)
 			info.Reordering = true
-			waitAt, ok := wait[n]
-			if !ok || waitAt > depth-1 {
-				waitAt = depth - 1
-			}
-			if waitAt <= st {
-				waitAt = st + 1
-				if waitAt > depth-1 {
-					waitAt = depth - 1
-				}
-			}
-			gs.WaitStage[n] = waitAt
-			ws := &gs.Stages[waitAt]
+			ws := &gs.Stages[wait[n.ID]]
 			ws.WaitBefore = append(ws.WaitBefore, n)
-		} else {
-			info.Pure = append(info.Pure, n)
-			switch {
-			case n.Op.IsFloatArith() && (n.Kind == ir.KindFloat || n.Kind == ir.KindVec):
-				info.FpOps++
-				if n.Kind == ir.KindVec {
-					info.FpLanes += n.Lanes
-				} else {
-					info.FpLanes++
-				}
-			case n.Op.IsIntArith() && n.Kind == ir.KindInt:
-				info.IntOps++
+			continue
+		}
+		info.Pure = append(info.Pure, n)
+		switch {
+		case n.Op.IsFloatArith() && (n.Kind == ir.KindFloat || n.Kind == ir.KindVec):
+			info.FpOps++
+			if n.Kind == ir.KindVec {
+				info.FpLanes += n.Lanes
+			} else {
+				info.FpLanes++
 			}
+		case n.Op.IsIntArith() && n.Kind == ir.KindInt:
+			info.IntOps++
 		}
 	}
 	for i := range gs.Stages {
-		sortNodes(gs.Stages[i].Pure)
-		sortNodes(gs.Stages[i].Issue)
-		sortNodes(gs.Stages[i].WaitBefore)
 		if gs.Stages[i].Reordering || len(gs.Stages[i].WaitBefore) > 0 {
 			gs.Stages[i].Reordering = true
 			gs.NumReordering++
 		}
 	}
-	return gs, nil
 }
 
-// sortNodes orders nodes by ID for determinism (map iteration above is
-// already avoided, but builder order plus ID sort keeps goldens stable).
-func sortNodes(ns []*ir.Node) {
-	sort.Slice(ns, func(i, j int) bool { return ns[i].ID < ns[j].ID })
+// carve splits an empty list of capacity n off the front of slab.
+func carve(slab []*ir.Node, n int) (list, rest []*ir.Node) {
+	return slab[:0:n], slab[n:]
 }
 
 // Validate checks schedule invariants:
 //
-//   - every graph of the kernel has a schedule, and every live node is
-//     placed in exactly one stage slot (Pure or Issue) at its start stage
-//     within the pipeline depth;
+//   - every graph of the kernel has a schedule, the node tables cover
+//     the kernel, and every live node is placed in exactly one stage slot
+//     (Pure or Issue) at its start stage within the pipeline depth;
+//   - each stage lists its pure ops in ID (topological) order;
 //   - def-before-use across stages: args, predicates and effect deps of a
 //     node complete no later than the node's start stage;
 //   - VLO wait barriers are ordered (issue stage <= wait stage < depth),
@@ -438,32 +447,51 @@ func sortNodes(ns []*ir.Node) {
 //     effect-ordered into distinct stages).
 func (s *Schedule) Validate() error {
 	for _, g := range s.K.CollectGraphs() {
-		if s.ByGraph[g] == nil {
+		if g.ID < 0 || g.ID >= len(s.graphs) || s.graphs[g.ID].G != g {
 			return fmt.Errorf("schedule: graph %s(#%d) has no schedule", g.Name, g.ID)
 		}
 	}
-	for _, gs := range s.ByGraph {
-		// Where each live node was placed by the stage lists.
-		placedAt := map[*ir.Node]int{}
+	nn := s.K.NumNodes()
+	if len(s.Live) != nn || len(s.Start) != nn || len(s.Lat) != nn || len(s.WaitStage) != nn {
+		return fmt.Errorf("schedule: node tables do not cover the kernel's %d nodes", nn)
+	}
+	// By node ID: the stage + 1 each live node was placed in by the stage
+	// lists, and the earliest stage + 1 anything waits on it (noteWait).
+	scratch := make([]int, 2*nn)
+	placedAt, minWait := scratch[:nn], scratch[nn:]
+	place := func(n *ir.Node, i int) error {
+		if n.ID < 0 || n.ID >= nn {
+			return fmt.Errorf("schedule: stage %d lists n%d, which is not a node of the kernel", i, n.ID)
+		}
+		if placedAt[n.ID] != 0 {
+			return fmt.Errorf("schedule: n%d placed in two stages", n.ID)
+		}
+		placedAt[n.ID] = i + 1
+		return nil
+	}
+	for gi := range s.graphs {
+		gs := &s.graphs[gi]
 		for i := range gs.Stages {
 			info := &gs.Stages[i]
-			for _, n := range info.Pure {
+			for j, n := range info.Pure {
 				if n.Op.IsVLO() {
 					return fmt.Errorf("schedule: VLO n%d listed as pure in stage %d", n.ID, i)
 				}
-				if _, dup := placedAt[n]; dup {
-					return fmt.Errorf("schedule: n%d placed in two stages", n.ID)
+				// The engine evaluates a stage's pure ops in list order.
+				if j > 0 && info.Pure[j-1].ID >= n.ID {
+					return fmt.Errorf("schedule: stage %d evaluates n%d after n%d", i, n.ID, info.Pure[j-1].ID)
 				}
-				placedAt[n] = i
+				if err := place(n, i); err != nil {
+					return err
+				}
 			}
 			for _, n := range info.Issue {
 				if !n.Op.IsVLO() {
 					return fmt.Errorf("schedule: non-VLO n%d in issue list of stage %d", n.ID, i)
 				}
-				if _, dup := placedAt[n]; dup {
-					return fmt.Errorf("schedule: n%d placed in two stages", n.ID)
+				if err := place(n, i); err != nil {
+					return err
 				}
-				placedAt[n] = i
 			}
 			wantReorder := len(info.Issue) > 0 || len(info.WaitBefore) > 0
 			if info.Reordering != wantReorder {
@@ -495,73 +523,42 @@ func (s *Schedule) Validate() error {
 				}
 			}
 		}
-		// Recompute, exactly as buildGraph does, the earliest stage at
-		// which anything depends on each VLO having completed.
-		minWait := map[*ir.Node]int{}
-		noteWait := func(dep *ir.Node, at int) {
-			if !dep.Op.IsVLO() {
-				if dep.Op == ir.OpLoopOut {
-					lp := dep.Args[0]
-					if w, ok := minWait[lp]; !ok || at < w {
-						minWait[lp] = at
-					}
-				}
-				return
-			}
-			if w, ok := minWait[dep]; !ok || at < w {
-				minWait[dep] = at
-			}
-		}
+		// Recompute the earliest stage at which anything depends on each
+		// VLO having completed, with buildGraph's own noteWaits.
+		noteWaits(minWait, gs.G, s.Live, s.Start)
+		ready := func(d *ir.Node) int { return s.Start[d.ID] + s.Lat[d.ID] }
 		for _, n := range gs.G.Nodes {
-			if !gs.Live[n] {
+			if !s.Live[n.ID] {
 				continue
 			}
-			if n.Op != ir.OpLoopOut {
-				for _, a := range n.Args {
-					noteWait(a, gs.Start[n])
-				}
-			}
-			if n.Pred != nil {
-				noteWait(n.Pred, gs.Start[n])
-			}
-			for _, d := range n.EffectDeps {
-				if gs.Live[d] {
-					noteWait(d, gs.Start[n])
-				}
-			}
-		}
-		for _, n := range gs.G.Nodes {
-			if !gs.Live[n] {
-				continue
-			}
-			st := gs.Start[n]
+			st := s.Start[n.ID]
 			if st < 0 || st >= gs.Depth {
 				return fmt.Errorf("schedule: n%d stage %d beyond depth %d", n.ID, st, gs.Depth)
 			}
-			if at, ok := placedAt[n]; !ok {
+			if at := placedAt[n.ID]; at == 0 {
 				return fmt.Errorf("schedule: live node n%d missing from every stage", n.ID)
-			} else if at != st {
-				return fmt.Errorf("schedule: n%d starts at stage %d but is listed in stage %d", n.ID, st, at)
+			} else if at-1 != st {
+				return fmt.Errorf("schedule: n%d starts at stage %d but is listed in stage %d", n.ID, st, at-1)
 			}
 			for _, a := range n.Args {
-				if gs.Start[a]+gs.Lat[a] > st {
+				if ready(a) > st {
 					return fmt.Errorf("schedule: n%d at stage %d before arg n%d ready (%d)",
-						n.ID, st, a.ID, gs.Start[a]+gs.Lat[a])
+						n.ID, st, a.ID, ready(a))
 				}
 			}
 			if p := n.Pred; p != nil {
-				if gs.Start[p]+gs.Lat[p] > st {
+				if ready(p) > st {
 					return fmt.Errorf("schedule: n%d at stage %d before predicate n%d ready (%d)",
-						n.ID, st, p.ID, gs.Start[p]+gs.Lat[p])
+						n.ID, st, p.ID, ready(p))
 				}
 			}
 			for _, d := range n.EffectDeps {
-				if !gs.Live[d] {
+				if !s.Live[d.ID] {
 					continue
 				}
-				if gs.Start[d]+gs.Lat[d] > st {
+				if ready(d) > st {
 					return fmt.Errorf("schedule: n%d at stage %d before effect dep n%d done (%d)",
-						n.ID, st, d.ID, gs.Start[d]+gs.Lat[d])
+						n.ID, st, d.ID, ready(d))
 				}
 			}
 			if gs.G.Cond != nil && hasSideEffect(n.Op) && st < gs.CondStage {
@@ -571,10 +568,7 @@ func (s *Schedule) Validate() error {
 			if !n.Op.IsVLO() {
 				continue
 			}
-			ws, ok := gs.WaitStage[n]
-			if !ok {
-				return fmt.Errorf("schedule: VLO n%d has no wait stage", n.ID)
-			}
+			ws := s.WaitStage[n.ID]
 			if ws < st || ws > gs.Depth-1 {
 				return fmt.Errorf("schedule: VLO n%d issued at stage %d waits at stage %d (depth %d)",
 					n.ID, st, ws, gs.Depth)
@@ -588,9 +582,9 @@ func (s *Schedule) Validate() error {
 			if found != 1 {
 				return fmt.Errorf("schedule: VLO n%d appears %d times in WaitBefore of stage %d", n.ID, found, ws)
 			}
-			if mw, ok := minWait[n]; ok && ws > mw {
+			if mw := minWait[n.ID]; mw != 0 && ws > mw-1 {
 				return fmt.Errorf("schedule: VLO n%d wait stage %d is after its first consumer (stage %d)",
-					n.ID, ws, mw)
+					n.ID, ws, mw-1)
 			}
 		}
 		if gs.G.Cond != nil && gs.CondStage >= gs.Depth {

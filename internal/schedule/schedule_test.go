@@ -55,13 +55,14 @@ func TestScheduleGEMM(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.ByGraph) != 4 {
-		t.Fatalf("scheduled graphs = %d, want 4", len(s.ByGraph))
+	if len(k.CollectGraphs()) != 4 {
+		t.Fatalf("scheduled graphs = %d, want 4", len(k.CollectGraphs()))
 	}
 	// The innermost loop (with two external loads and an FP multiply-add
 	// chain) must be deeper than the minimum external latency.
 	var inner *GraphSched
-	for _, gs := range s.ByGraph {
+	for _, g := range k.CollectGraphs() {
+		gs := s.Graph(g)
 		hasLoad := false
 		for _, n := range gs.G.Nodes {
 			if n.Op == ir.OpLoad {
@@ -97,7 +98,8 @@ func TestScheduleCondStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, gs := range s.ByGraph {
+	for _, g := range k.CollectGraphs() {
+		gs := s.Graph(g)
 		if gs.G.Cond == nil {
 			if gs.CondStage != 0 {
 				t.Errorf("top graph cond stage = %d", gs.CondStage)
@@ -131,10 +133,9 @@ void f(float* A, int n) {
 	}
 	// The loop's carried `i` is read by cond -> live; its LoopOut in top
 	// is dead and must not be scheduled.
-	top := s.ByGraph[k.Top]
 	deadOuts := 0
 	for _, n := range k.Top.Nodes {
-		if n.Op == ir.OpLoopOut && !top.Live[n] {
+		if n.Op == ir.OpLoopOut && !s.Live[n.ID] {
 			deadOuts++
 		}
 	}
@@ -159,7 +160,6 @@ void f(float* A) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs := s.ByGraph[k.Top]
 	var store0, load *ir.Node
 	for _, n := range k.Top.Nodes {
 		if n.Op == ir.OpStore && store0 == nil {
@@ -169,9 +169,9 @@ void f(float* A) {
 			load = n
 		}
 	}
-	if gs.Start[load] < gs.Start[store0]+gs.Lat[store0] {
+	if s.Start[load.ID] < s.Start[store0.ID]+s.Lat[store0.ID] {
 		t.Errorf("load scheduled at %d before store completes at %d",
-			gs.Start[load], gs.Start[store0]+gs.Lat[store0])
+			s.Start[load.ID], s.Start[store0.ID]+s.Lat[store0.ID])
 	}
 }
 
@@ -215,15 +215,15 @@ func TestScheduleDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for g, g1 := range s1.ByGraph {
-		g2 := s2.ByGraph[g]
+	for _, g := range k.CollectGraphs() {
+		g1, g2 := s1.Graph(g), s2.Graph(g)
 		if g1.Depth != g2.Depth || g1.CondStage != g2.CondStage {
 			t.Fatalf("nondeterministic schedule for %s", g.Name)
 		}
-		for n, st := range g1.Start {
-			if g2.Start[n] != st {
-				t.Fatalf("node n%d scheduled at %d then %d", n.ID, st, g2.Start[n])
-			}
+	}
+	for id, st := range s1.Start {
+		if s2.Start[id] != st || s2.Live[id] != s1.Live[id] || s2.WaitStage[id] != s1.WaitStage[id] {
+			t.Fatalf("node n%d scheduled at %d then %d", id, st, s2.Start[id])
 		}
 	}
 }
@@ -235,8 +235,8 @@ func TestTotalStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := 0
-	for _, gs := range s.ByGraph {
-		sum += gs.Depth
+	for _, g := range k.CollectGraphs() {
+		sum += s.Graph(g).Depth
 	}
 	if s.TotalStages() != sum {
 		t.Errorf("TotalStages = %d, want %d", s.TotalStages(), sum)

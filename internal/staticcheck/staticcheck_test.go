@@ -298,10 +298,11 @@ func TestCheckKernelCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gs := s.ByGraph[k.Top]
-		for n := range gs.Start {
-			gs.Start[n] = gs.Depth + 3
-			break
+		for _, n := range k.Top.Nodes {
+			if s.Live[n.ID] {
+				s.Start[n.ID] = s.Graph(k.Top).Depth + 3
+				break
+			}
 		}
 		ds := CheckKernel("tiny", nil, s)
 		if !HasRule(ds, RuleIRVerify) {
