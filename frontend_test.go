@@ -275,6 +275,54 @@ func TestNodeTablesNotMaps(t *testing.T) {
 	}
 }
 
+// TestDeclTablesNotMaps: the front half keeps its per-declaration and
+// per-loop facts in tables indexed by sema's dense IDs (Decl.DeclID,
+// ForStmt.ID), as the back end indexes by Node.ID. No non-test file of
+// the ported packages declares a map keyed by a declaration, a loop or a
+// lowering slot.
+func TestDeclTablesNotMaps(t *testing.T) {
+	banned := map[string]bool{"Decl": true, "*ForStmt": true, "*DeclStmt": true, "*slot": true}
+	fset := token.NewFileSet()
+	for _, dir := range []string{"minic", "absint", "lower", "depend", "staticcheck"} {
+		paths, err := filepath.Glob(filepath.Join("internal", dir, "*.go"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("internal/%s: no Go files (%v)", dir, err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				m, ok := n.(*ast.MapType)
+				if !ok {
+					return true
+				}
+				key, star := m.Key, ""
+				if s, ok := key.(*ast.StarExpr); ok {
+					key, star = s.X, "*"
+				}
+				name := ""
+				switch x := key.(type) {
+				case *ast.Ident:
+					name = x.Name
+				case *ast.SelectorExpr:
+					if pkg, ok := x.X.(*ast.Ident); ok && pkg.Name == "minic" {
+						name = x.Sel.Name
+					}
+				}
+				if banned[star+name] {
+					t.Errorf("%s: a map keyed by %s%s; per-declaration facts live in Decl-ID tables", fset.Position(m.Pos()), star, name)
+				}
+				return true
+			})
+		}
+	}
+}
+
 // TestBenchmarkKernelsMatchExamples: the benchmark module embeds copies of
 // three example kernels (go:embed cannot reach outside its directory);
 // each must stay byte-equal to its original.

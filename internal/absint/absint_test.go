@@ -587,3 +587,38 @@ func BenchmarkAnalyzeSeeds(b *testing.B) {
 		}
 	}
 }
+
+// TestAnalyzeAllocs pins what one Analyze allocates per seed unit,
+// symbolic and under the launch env. Each ceiling is the count measured
+// when the CFG, the variable table and the loop facts moved onto slabs
+// and DeclID/loop-ID tables, plus 5 % (before: 131 to 589 per run).
+func TestAnalyzeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	ceilings := map[string][2]float64{
+		"gemm-naive":                 {54, 57},   // 51, 54
+		"gemm-no-critical-sections":  {54, 57},   // 51, 54
+		"gemm-partial-vectorization": {59, 59},   // 56, 56
+		"gemm-blocked":               {117, 117}, // 111, 111
+		"gemm-double-buffering":      {185, 193}, // 176, 183
+		"pi":                         {57, 57},   // 54, 54
+	}
+	for _, w := range workloads.Units() {
+		fn := seedTarget(t, w)
+		var got [2]float64
+		for i, env := range []map[string]int64{nil, w.Params} {
+			got[i] = testing.AllocsPerRun(5, func() { Analyze(fn, Options{Env: env}) })
+		}
+		t.Logf("%-28s symbolic %4.0f  env %4.0f", w.Name, got[0], got[1])
+		c, ok := ceilings[w.Name]
+		if !ok {
+			t.Errorf("%s: no ceiling", w.Name)
+		}
+		for i, name := range []string{"symbolic", "env"} {
+			if got[i] > c[i] {
+				t.Errorf("%s %s: Analyze allocates %.0f objects, ceiling %.0f", w.Name, name, got[i], c[i])
+			}
+		}
+	}
+}

@@ -1,6 +1,11 @@
 package absint
 
-import "paravis/internal/minic"
+import (
+	"slices"
+
+	"paravis/internal/minic"
+	"paravis/internal/slab"
+)
 
 // This file lowers the structured statement AST to an explicit control
 // flow graph the worklist solver iterates over. MiniC has no break,
@@ -49,30 +54,61 @@ type cfg struct {
 	entry  *block
 	blocks []*block
 	rpo    []*block
-	heads  map[*minic.ForStmt]*block
+	heads  []*block // indexed by ForStmt.ID
 }
 
+// cfgBuilder carves the blocks from a slab and gathers every block's
+// instructions on one list, which done splits into per-block slices of
+// one array.
 type cfgBuilder struct {
 	g        *cfg
 	inRegion bool
+	slab     slab.Of[block]
+	instrs   []blockInstr
+}
+
+type blockInstr struct {
+	bl *block
+	in instr
 }
 
 func (b *cfgBuilder) newBlock() *block {
-	bl := &block{id: len(b.g.blocks), inRegion: b.inRegion}
+	bl := b.slab.New(block{id: len(b.g.blocks), inRegion: b.inRegion})
 	b.g.blocks = append(b.g.blocks, bl)
 	return bl
+}
+
+func (b *cfgBuilder) add(bl *block, in instr) {
+	b.instrs = append(b.instrs, blockInstr{bl, in})
+}
+
+// done gives each block its instructions, in order.
+func (b *cfgBuilder) done() {
+	counts := make([]int, len(b.g.blocks))
+	for _, bi := range b.instrs {
+		counts[bi.bl.id]++
+	}
+	all := make([]instr, len(b.instrs))
+	for _, bl := range b.g.blocks {
+		n := counts[bl.id]
+		bl.instrs, all = all[:0:n], all[n:]
+	}
+	for _, bi := range b.instrs {
+		bi.bl.instrs = append(bi.bl.instrs, bi.in)
+	}
 }
 
 // buildCFG lowers the function body. Unreachable trailing code (after a
 // return) still gets blocks; they simply never receive a flow state.
 func buildCFG(fn *minic.FuncDecl) *cfg {
-	g := &cfg{heads: map[*minic.ForStmt]*block{}}
+	g := &cfg{heads: make([]*block, fn.NumLoops)}
 	b := &cfgBuilder{g: g}
 	g.entry = b.newBlock()
 	end := b.stmt(g.entry, fn.Body)
 	if end != nil {
 		end.next = nil
 	}
+	b.done()
 	g.wire()
 	return g
 }
@@ -92,10 +128,10 @@ func (b *cfgBuilder) stmt(cur *block, s minic.Stmt) *block {
 		}
 		return cur
 	case *minic.DeclStmt, *minic.ExprStmt, *minic.BarrierStmt:
-		cur.instrs = append(cur.instrs, instr{kind: ikStmt, s: s})
+		b.add(cur, instr{kind: ikStmt, s: s})
 		return cur
 	case *minic.ReturnStmt:
-		cur.instrs = append(cur.instrs, instr{kind: ikStmt, s: s})
+		b.add(cur, instr{kind: ikStmt, s: s})
 		cur.next = nil
 		return nil
 	case *minic.CriticalStmt:
@@ -125,7 +161,9 @@ func (b *cfgBuilder) stmt(cur *block, s minic.Stmt) *block {
 		head := b.newBlock()
 		head.isLoopHead = true
 		head.loop = st
-		b.g.heads[st] = head
+		if id := st.ID(); id >= 0 && id < len(b.g.heads) {
+			b.g.heads[id] = head
+		}
 		cur.next = head
 		body := b.newBlock()
 		after := b.newBlock()
@@ -145,7 +183,7 @@ func (b *cfgBuilder) stmt(cur *block, s minic.Stmt) *block {
 		}
 		return after
 	case *minic.TargetStmt:
-		cur.instrs = append(cur.instrs, instr{kind: ikTargetEnter, s: st, ts: st})
+		b.add(cur, instr{kind: ikTargetEnter, s: st, ts: st})
 		saved := b.inRegion
 		b.inRegion = true
 		bodyB := b.newBlock()
@@ -156,54 +194,70 @@ func (b *cfgBuilder) stmt(cur *block, s minic.Stmt) *block {
 		if end != nil {
 			end.next = after
 		}
-		after.instrs = append(after.instrs, instr{kind: ikTargetExit, s: st, ts: st})
+		b.add(after, instr{kind: ikTargetExit, s: st, ts: st})
 		return after
 	}
 	return cur
 }
 
-func (bl *block) succs() []*block {
-	if bl.cond != nil {
-		if bl.tsucc == bl.fsucc {
-			return []*block{bl.tsucc}
-		}
-		return []*block{bl.tsucc, bl.fsucc}
+// succs returns bl's successors, stored in buf.
+func (bl *block) succs(buf *[2]*block) []*block {
+	switch {
+	case bl.cond != nil && bl.tsucc != bl.fsucc:
+		buf[0], buf[1] = bl.tsucc, bl.fsucc
+		return buf[:2]
+	case bl.cond != nil:
+		buf[0] = bl.tsucc
+	case bl.next != nil:
+		buf[0] = bl.next
+	default:
+		return buf[:0]
 	}
-	if bl.next != nil {
-		return []*block{bl.next}
-	}
-	return nil
+	return buf[:1]
 }
 
-// wire fills predecessor lists and the reverse postorder, and classifies
-// each branch condition once for every transfer of its block.
+// wire fills predecessor lists, carved from one array, and the reverse
+// postorder, and classifies each branch condition once for every
+// transfer of its block.
 func (g *cfg) wire() {
+	var buf [2]*block
+	counts := make([]int, len(g.blocks))
+	edges := 0
 	for _, bl := range g.blocks {
-		for _, s := range bl.succs() {
+		for _, s := range bl.succs(&buf) {
+			counts[s.id]++
+			edges++
+		}
+		if bl.cond != nil {
+			bl.impure = impure(bl.cond)
+		}
+	}
+	preds := make([]*block, edges)
+	for _, bl := range g.blocks {
+		bl.preds, preds = preds[:0:counts[bl.id]], preds[counts[bl.id]:]
+	}
+	for _, bl := range g.blocks {
+		for _, s := range bl.succs(&buf) {
 			s.preds = append(s.preds, bl)
 		}
-		if bl.cond == nil {
-			continue
-		}
-		bl.impure = impure(bl.cond)
 	}
-	seen := make([]bool, len(g.blocks))
-	var post []*block
-	var dfs func(bl *block)
-	dfs = func(bl *block) {
-		if seen[bl.id] {
-			return
-		}
-		seen[bl.id] = true
-		for _, s := range bl.succs() {
-			dfs(s)
-		}
-		post = append(post, bl)
+	g.rpo = g.postorder(g.entry, make([]bool, len(g.blocks)), make([]*block, 0, len(g.blocks)))
+	slices.Reverse(g.rpo)
+	for i, bl := range g.rpo {
+		bl.order = i
 	}
-	dfs(g.entry)
-	for i := len(post) - 1; i >= 0; i-- {
-		bl := post[i]
-		bl.order = len(g.rpo)
-		g.rpo = append(g.rpo, bl)
+}
+
+// postorder appends the blocks reachable from bl to post in depth-first
+// postorder.
+func (g *cfg) postorder(bl *block, seen []bool, post []*block) []*block {
+	if seen[bl.id] {
+		return post
 	}
+	seen[bl.id] = true
+	var buf [2]*block
+	for _, s := range bl.succs(&buf) {
+		post = g.postorder(s, seen, post)
+	}
+	return append(post, bl)
 }

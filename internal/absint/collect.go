@@ -99,7 +99,7 @@ type CondFact struct {
 type Result struct {
 	OK       bool
 	NT       int
-	Loops    map[*minic.ForStmt]*LoopFact
+	Loops    []*LoopFact // indexed by ForStmt.ID
 	Accesses []*AccessFact
 	Divs     []*DivFact
 	Conds    []*CondFact
@@ -109,10 +109,10 @@ type Result struct {
 
 // Loop returns the fact for st, or nil.
 func (r *Result) Loop(st *minic.ForStmt) *LoopFact {
-	if r == nil || !r.OK {
+	if r == nil || !r.OK || st.ID() < 0 || st.ID() >= len(r.Loops) {
 		return nil
 	}
-	return r.Loops[st]
+	return r.Loops[st.ID()]
 }
 
 // Access returns the fact for an access node, or nil.
@@ -141,6 +141,9 @@ func (r *Result) TripHints() map[string]interval.Interval {
 	}
 	h := map[string]interval.Interval{}
 	for _, lf := range r.Loops {
+		if lf == nil {
+			continue
+		}
 		if !lf.Reachable {
 			h[lf.Name] = interval.Exact(0)
 			continue
@@ -180,7 +183,6 @@ func analyze(fn *minic.FuncDecl, opts Options) (*Result, *analysis) {
 func newResult(nt int) *Result {
 	return &Result{
 		NT:     nt,
-		Loops:  map[*minic.ForStmt]*LoopFact{},
 		access: map[minic.Expr]*AccessFact{},
 	}
 }
@@ -203,7 +205,7 @@ func (a *analysis) publish(res *Result) {
 		a:   a,
 		acc: map[minic.Expr]*accRec{},
 		div: map[*minic.Binary]Val{},
-		win: map[minic.Decl]*winRec{},
+		win: make([]winRec, len(a.res.vars)),
 	}
 	for _, bl := range a.g.rpo {
 		f := &a.flows[bl.id]
@@ -235,6 +237,7 @@ type accRec struct {
 }
 
 type winRec struct {
+	set bool
 	low Val
 	len Val
 }
@@ -243,7 +246,7 @@ type collector struct {
 	a   *analysis
 	acc map[minic.Expr]*accRec
 	div map[*minic.Binary]Val
-	win map[minic.Decl]*winRec
+	win []winRec // indexed by DeclID
 }
 
 func (c *collector) record(node minic.Expr, vals []Val, write bool) {
@@ -283,23 +286,31 @@ func (c *collector) division(x *minic.Binary, d Val) {
 }
 
 func (c *collector) mapWindow(mc *minic.MapClause, low, length Val) {
-	if mc.Low == nil {
+	id := mc.Decl.DeclID()
+	if mc.Low == nil || id < 0 {
 		return
 	}
-	if w, ok := c.win[mc.Decl]; ok {
+	if w := &c.win[id]; w.set {
 		w.low = w.low.join(low)
 		w.len = w.len.join(length)
 	} else {
-		c.win[mc.Decl] = &winRec{low: low, len: length}
+		*w = winRec{set: true, low: low, len: length}
 	}
 }
 
 // --- loops ---
 
 func (c *collector) finishLoops(res *Result) {
-	for st, head := range c.a.g.heads {
-		lf := &LoopFact{Loop: st, Name: minic.LoopName(st), Pos: st.Pos}
-		res.Loops[st] = lf
+	res.Loops = make([]*LoopFact, len(c.a.g.heads))
+	facts := make([]LoopFact, len(c.a.g.heads))
+	for id, head := range c.a.g.heads {
+		if head == nil {
+			continue
+		}
+		st := head.loop
+		lf := &facts[id]
+		*lf = LoopFact{Loop: st, Name: minic.LoopName(st), Pos: st.Pos}
+		res.Loops[id] = lf
 		hf := &c.a.flows[head.id]
 		if !hf.in.live {
 			lf.Trips = interval.Exact(0)
@@ -356,7 +367,7 @@ func (c *collector) recognizedTrips(st *minic.ForStmt, head *block) (interval.In
 		return interval.Top(), false
 	}
 	// The induction variable must be an analyzable scalar.
-	iv := c.a.res.byDecl[cl.IV]
+	iv := c.a.res.byDecl(cl.IV)
 	if iv == nil || !iv.tracked || (iv.sharedMut && head.inRegion) {
 		return interval.Top(), false
 	}
@@ -391,13 +402,13 @@ func (c *collector) recognizedTrips(st *minic.ForStmt, head *block) (interval.In
 // invariant reports whether e evaluates to the same value on every
 // iteration: all free identifiers unmutated in the loop and (inside a
 // region) not shared-mutable, and all calls the omp builtins.
-func (c *collector) invariant(e minic.Expr, mut map[minic.Decl]bool, inRegion bool) bool {
+func (c *collector) invariant(e minic.Expr, mut minic.DeclSet, inRegion bool) bool {
 	ok := true
 	minic.Inspect(e, func(n minic.Node) bool {
 		switch x := n.(type) {
 		case *minic.Ident:
-			v := c.a.res.byDecl[x.Decl]
-			ok = ok && !mut[x.Decl] && !(v != nil && v.sharedMut && inRegion)
+			v := c.a.res.byDecl(x.Decl)
+			ok = ok && !mut.Has(x.Decl) && !(v != nil && v.sharedMut && inRegion)
 		case *minic.Call:
 			ok = ok && (x.Name == "omp_get_thread_num" || x.Name == "omp_get_num_threads")
 		case *minic.AssignExpr, *minic.IncDec:
@@ -496,7 +507,7 @@ func (c *collector) finalizeAccess(node minic.Expr, rec *accRec) *AccessFact {
 			return f
 		}
 		f.Array = id.Name
-		v := c.a.res.byDecl[id.Decl]
+		v := c.a.res.byDecl(id.Decl)
 		if v == nil {
 			f.Verdict = Unchecked
 			return f
@@ -530,7 +541,7 @@ func (c *collector) finalizeIndex(x *minic.Index, rec *accRec) *AccessFact {
 		return f
 	}
 	f.Array = id.Name
-	v := c.a.res.byDecl[id.Decl]
+	v := c.a.res.byDecl(id.Decl)
 	if v == nil {
 		f.Verdict = Unchecked
 		return f
@@ -627,10 +638,11 @@ func linearizeVals(vals []Val, dims []int, lanes int64) Val {
 // window returns the mapped DRAM window [lo, hi] for a pointer
 // parameter when the map clause extent was a compile-time constant.
 func (c *collector) window(d minic.Decl) (lo, hi int64, ok bool) {
-	w, found := c.win[d]
-	if !found {
+	id := d.DeclID()
+	if id < 0 || !c.win[id].set {
 		return 0, 0, false
 	}
+	w := &c.win[id]
 	l, okL := w.low.constVal()
 	n, okN := w.len.constVal()
 	if !okL || !okN || n <= 0 {

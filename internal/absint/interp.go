@@ -371,7 +371,7 @@ func (ev *evaluator) instr(ins instr) {
 			} else {
 				v = topVal()
 			}
-			if vr := ev.a.res.byDecl[st]; vr != nil && vr.tracked {
+			if vr := ev.a.res.byDecl(st); vr != nil && vr.tracked {
 				ev.set(vr, v)
 			}
 		case *minic.ExprStmt:
@@ -408,7 +408,7 @@ func (ev *evaluator) instr(ins instr) {
 			if mc.Dir == minic.MapTo {
 				continue
 			}
-			if v := ev.a.res.byDecl[mc.Decl]; v != nil && v.tracked {
+			if v := ev.a.res.byDecl(mc.Decl); v != nil && v.tracked {
 				ev.st[v.slot] = topVal()
 			}
 		}
@@ -444,7 +444,7 @@ func (ev *evaluator) expr(e minic.Expr) Val {
 	case *minic.FloatLit:
 		return topVal()
 	case *minic.Ident:
-		return ev.get(ev.a.res.byDecl[x.Decl])
+		return ev.get(ev.a.res.byDecl(x.Decl))
 	case *minic.Call:
 		for _, arg := range x.Args {
 			ev.expr(arg)
@@ -510,7 +510,7 @@ func (ev *evaluator) expr(e minic.Expr) Val {
 			return topVal()
 		}
 		if id, ok := x.X.(*minic.Ident); ok {
-			v := ev.a.res.byDecl[id.Decl]
+			v := ev.a.res.byDecl(id.Decl)
 			cur := ev.get(v)
 			d := exactVal(1)
 			if !x.Inc {
@@ -647,7 +647,7 @@ func (ev *evaluator) assign(x *minic.AssignExpr) Val {
 	rhs := ev.expr(x.RHS)
 	switch lhs := x.LHS.(type) {
 	case *minic.Ident:
-		v := ev.a.res.byDecl[lhs.Decl]
+		v := ev.a.res.byDecl(lhs.Decl)
 		nv := rhs
 		if x.Op != nil {
 			cur := ev.get(v)

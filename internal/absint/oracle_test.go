@@ -204,7 +204,7 @@ func oracleRefineInto(a *analysis, st state, cond minic.Expr, sense bool, inRegi
 			return oracleRefineCmp(a, st, x, sense, inRegion)
 		}
 	case *minic.Ident:
-		v := a.res.byDecl[x.Decl]
+		v := a.res.byDecl(x.Decl)
 		if v == nil || !v.tracked || (v.sharedMut && inRegion) {
 			return true
 		}

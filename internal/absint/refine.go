@@ -73,7 +73,7 @@ func refineInto(a *analysis, st state, cond minic.Expr, sense bool, inRegion boo
 		}
 	case *minic.Ident:
 		// `if (x)` — true excludes 0, false pins to 0.
-		v := a.res.byDecl[x.Decl]
+		v := a.res.byDecl(x.Decl)
 		if v == nil || !v.tracked || (v.sharedMut && inRegion) {
 			return true
 		}
@@ -225,7 +225,7 @@ func refinable(a *analysis, e minic.Expr, inRegion bool) *variable {
 	if !ok {
 		return nil
 	}
-	v := a.res.byDecl[id.Decl]
+	v := a.res.byDecl(id.Decl)
 	if v == nil || !v.tracked || (v.sharedMut && inRegion) {
 		return nil
 	}

@@ -23,22 +23,38 @@ type variable struct {
 	dims  []int
 }
 
-// resolution is the per-function variable table, keyed by the
-// declaration sema bound every identifier and map clause to. Nodes sema
-// never saw (none in parsed programs) look up nil and evaluate to top.
+// resolution is the per-function variable table, indexed by the DeclID
+// of the declaration sema bound every identifier and map clause to.
+// Nodes sema never numbered (none in parsed programs) look up nil and
+// evaluate to top.
 type resolution struct {
-	vars   []*variable
-	byDecl map[minic.Decl]*variable
-	slots  int // tracked variables: the length of a flow state
-	nt     int // omp thread count (1 when no target or unspecified)
+	vars  []variable
+	slots int // tracked variables: the length of a flow state
+	nt    int // omp thread count (1 when no target or unspecified)
+}
+
+func (r *resolution) byDecl(d minic.Decl) *variable {
+	if id := minic.DeclIndex(d, len(r.vars)); id >= 0 {
+		return &r.vars[id]
+	}
+	return nil
 }
 
 func resolveFn(fn *minic.FuncDecl) *resolution {
-	r := &resolution{byDecl: map[minic.Decl]*variable{}, nt: 1}
+	r := &resolution{vars: make([]variable, fn.NumDecls), nt: 1}
+	target := minic.TargetOf(fn)
+	var mut minic.DeclSet // written in the region
+	if target != nil {
+		mut = minic.Assigned(target.Body)
+	}
 	declare := func(d minic.Decl) {
+		v := r.byDecl(d)
+		if v == nil {
+			return
+		}
 		typ := d.DeclType()
 		_, isParam := d.(*minic.Param)
-		v := &variable{name: d.DeclName(), typ: typ, isParam: isParam}
+		*v = variable{name: d.DeclName(), typ: typ, isParam: isParam, sharedMut: mut.Has(d)}
 		if v.tracked = typ.IsScalar() && typ.Basic == minic.Int; v.tracked {
 			v.slot = r.slots
 			r.slots++
@@ -53,8 +69,6 @@ func resolveFn(fn *minic.FuncDecl) *resolution {
 				v.lanes = typ.Elem.Lanes
 			}
 		}
-		r.vars = append(r.vars, v)
-		r.byDecl[d] = v
 	}
 	for _, p := range fn.Params {
 		declare(p)
@@ -65,7 +79,6 @@ func resolveFn(fn *minic.FuncDecl) *resolution {
 		}
 		return true
 	})
-	target := minic.TargetOf(fn)
 	if target == nil {
 		return r
 	}
@@ -74,14 +87,11 @@ func resolveFn(fn *minic.FuncDecl) *resolution {
 	}
 	minic.Inspect(target.Body, func(n minic.Node) bool {
 		if d, ok := n.(*minic.DeclStmt); ok {
-			r.byDecl[d].declaredInRegion = true
+			if v := r.byDecl(d); v != nil {
+				v.declaredInRegion, v.sharedMut = true, false
+			}
 		}
 		return true
 	})
-	for d := range minic.Assigned(target.Body) {
-		if v := r.byDecl[d]; v != nil && !v.declaredInRegion {
-			v.sharedMut = true
-		}
-	}
 	return r
 }

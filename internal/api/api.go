@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"paravis/internal/absint"
 	"paravis/internal/area"
@@ -251,18 +250,8 @@ func NewAbsintSummary(fn *minic.FuncDecl, env map[string]int64) *AbsintSummary {
 	if !ai.OK {
 		return sum
 	}
-	loops := make([]*absint.LoopFact, 0, len(ai.Loops))
+	// Loop IDs number the loops in source order.
 	for _, lf := range ai.Loops {
-		loops = append(loops, lf)
-	}
-	sort.Slice(loops, func(i, j int) bool {
-		a, b := loops[i].Pos, loops[j].Pos
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Col < b.Col
-	})
-	for _, lf := range loops {
 		trips := lf.Trips.String()
 		if !lf.Reachable {
 			trips = "0"

@@ -65,12 +65,14 @@ func seedCompiles(tb testing.TB) []*seedCompile {
 // over the six seed units. Each ceiling is the count measured when the
 // back end moved its per-node facts into ID-indexed tables, plus 5 %:
 // parse 2,026, lower 2,874, schedule 174, hw 1,438 (before: 2,026, 4,984,
-// 2,574 and 2,390).
+// 2,574 and 2,390). The parse and lower ceilings were then set from the
+// counts measured when the front half moved onto per-parse slabs and
+// DeclID/loop-ID tables: parse 394, lower 1,572.
 func TestCompileAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
 	}
-	ceilings := []float64{2127, 3018, 183, 1510}
+	ceilings := []float64{414, 1651, 183, 1510}
 	var total [4]float64
 	for _, c := range seedCompiles(t) {
 		var row [4]float64

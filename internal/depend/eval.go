@@ -14,18 +14,18 @@ func (w *walker) lookup(d minic.Decl) aff {
 	// own step).
 	for i := len(w.loops) - 1; i >= 0; i-- {
 		if l := w.loops[i]; l.hasIV && l.iv == d {
-			if a, ok := w.syms[d]; ok {
+			if a, ok := w.sym(d); ok {
 				return a
 			}
 			break
 		}
 	}
 	for _, l := range w.loops {
-		if l.assigned[d] {
+		if d != l.iv && l.assigned.Has(d) {
 			return affBottom()
 		}
 	}
-	if a, ok := w.syms[d]; ok {
+	if a, ok := w.sym(d); ok {
 		return a
 	}
 	if d == nil {
@@ -109,7 +109,7 @@ func (w *walker) expr(e minic.Expr) {
 // past the loop it is unknown anyway.
 func (w *walker) bind(d minic.Decl, by minic.Expr) {
 	if w.predDepth > 0 || len(w.loops) > 0 && w.loops[len(w.loops)-1].iv == d {
-		w.syms[d] = affBottom()
+		w.bindSym(d, affBottom())
 		return
 	}
 	switch x := by.(type) {
@@ -118,13 +118,13 @@ func (w *walker) bind(d minic.Decl, by minic.Expr) {
 		if x.Op != nil {
 			v = binop(*x.Op, w.lookup(d), v)
 		}
-		w.syms[d] = v
+		w.bindSym(d, v)
 	case *minic.IncDec:
 		step := int64(-1)
 		if x.Inc {
 			step = 1
 		}
-		w.syms[d] = w.lookup(d).add(affConst(step))
+		w.bindSym(d, w.lookup(d).add(affConst(step)))
 	}
 }
 
@@ -136,8 +136,8 @@ func (w *walker) recordIndex(x *minic.Index, write bool) {
 	if !ok {
 		return
 	}
-	arr, ok := w.arrays[id.Decl]
-	if !ok {
+	arr := w.array(id.Decl)
+	if arr == nil {
 		return
 	}
 	a := &access{arr: arr, write: write, pos: x.Pos, width: 1, sub: affBottom(), node: x}
@@ -168,8 +168,8 @@ func (w *walker) recordVec(x *minic.VecLoad, write bool) {
 	if !ok {
 		return
 	}
-	arr, ok := w.arrays[id.Decl]
-	if !ok {
+	arr := w.array(id.Decl)
+	if arr == nil {
 		return
 	}
 	width := int64(1)

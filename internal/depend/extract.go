@@ -25,10 +25,10 @@ type loopInfo struct {
 
 	threadLoop bool
 	// assigned collects scalars written anywhere in the condition, body
-	// or post clauses (except the iv itself): inside the loop their value
+	// or post clauses (lookup skips the iv itself): inside the loop their value
 	// varies per iteration in ways the affine domain does not track, so
 	// references evaluate to bottom.
-	assigned map[minic.Decl]bool
+	assigned minic.DeclSet
 }
 
 // iterLast returns a polynomial upper bound U on the loop's last
@@ -107,14 +107,16 @@ type access struct {
 }
 
 // walker binds scalars and arrays by declaration, so C scoping needs no
-// bookkeeping here: a shadowing declaration is simply a different key.
+// bookkeeping here: a shadowing declaration is simply a different index.
+// arrays and syms are indexed by DeclID; bound marks the bound syms.
 type walker struct {
 	nt     int
 	env    map[string]int64
 	ranges RangeFn
 
-	arrays map[minic.Decl]*arrayInfo
-	syms   map[minic.Decl]aff
+	arrays []*arrayInfo
+	syms   []aff
+	bound  []bool
 
 	loops    []*loopInfo
 	allLoops []*loopInfo
@@ -131,17 +133,39 @@ func newWalker(fn *minic.FuncDecl, nt int, env map[string]int64) *walker {
 	w := &walker{
 		nt:     nt,
 		env:    env,
-		arrays: map[minic.Decl]*arrayInfo{},
-		syms:   map[minic.Decl]aff{},
+		arrays: make([]*arrayInfo, fn.NumDecls),
+		syms:   make([]aff, fn.NumDecls),
+		bound:  make([]bool, fn.NumDecls),
 		lo:     poly{},
 		hi:     poly{},
 	}
 	for _, p := range fn.Params {
-		if p.Type.IsPointer() {
-			w.arrays[p] = &arrayInfo{name: p.Name, dram: true, lanes: 1}
+		if id := minic.DeclIndex(p, len(w.arrays)); id >= 0 && p.Type.IsPointer() {
+			w.arrays[id] = &arrayInfo{name: p.Name, dram: true, lanes: 1}
 		}
 	}
 	return w
+}
+
+// sym returns d's binding; ok is false when d has none.
+func (w *walker) sym(d minic.Decl) (a aff, ok bool) {
+	if id := minic.DeclIndex(d, len(w.syms)); id >= 0 && w.bound[id] {
+		return w.syms[id], true
+	}
+	return aff{}, false
+}
+
+func (w *walker) bindSym(d minic.Decl, a aff) {
+	if id := minic.DeclIndex(d, len(w.syms)); id >= 0 {
+		w.syms[id], w.bound[id] = a, true
+	}
+}
+
+func (w *walker) array(d minic.Decl) *arrayInfo {
+	if id := minic.DeclIndex(d, len(w.arrays)); id >= 0 {
+		return w.arrays[id]
+	}
+	return nil
 }
 
 func (w *walker) block(b *minic.BlockStmt) {
@@ -190,14 +214,16 @@ func (w *walker) decl(st *minic.DeclStmt) {
 		} else if st.Typ.Lanes > 1 {
 			lanes = st.Typ.Lanes
 		}
-		w.arrays[st] = &arrayInfo{name: st.Name, dims: st.Typ.Dims, lanes: lanes}
+		if id := minic.DeclIndex(st, len(w.arrays)); id >= 0 {
+			w.arrays[id] = &arrayInfo{name: st.Name, dims: st.Typ.Dims, lanes: lanes}
+		}
 		return
 	}
 	if st.Init != nil {
 		w.expr(st.Init)
-		w.syms[st] = w.evalAff(st.Init)
+		w.bindSym(st, w.evalAff(st.Init))
 	} else {
-		w.syms[st] = affBottom()
+		w.bindSym(st, affBottom())
 	}
 }
 
@@ -241,7 +267,7 @@ func (w *walker) forStmt(st *minic.ForStmt) {
 		if as, ok := es.X.(*minic.AssignExpr); ok && as.Op == nil {
 			if id, ok := as.LHS.(*minic.Ident); ok {
 				w.expr(as.RHS)
-				w.syms[id.Decl] = w.evalAff(as.RHS)
+				w.bindSym(id.Decl, w.evalAff(as.RHS))
 				if w.predDepth > 0 {
 					predInit = append(predInit, id.Decl)
 				}
@@ -254,7 +280,7 @@ func (w *walker) forStmt(st *minic.ForStmt) {
 		l.iv, l.hasIV, l.step = cl.IV, true, step
 		// The init clause walk (or an earlier statement, for
 		// `for (; i < n;)` forms) bound the iv's starting value.
-		if v, ok := w.syms[l.iv]; ok {
+		if v, ok := w.sym(l.iv); ok {
 			l.init = v
 		} else {
 			l.init = affBottom()
@@ -271,7 +297,6 @@ func (w *walker) forStmt(st *minic.ForStmt) {
 	l.last, l.lastOK = l.iterLast()
 	// Scalars mutated in the loop vary per iteration.
 	l.assigned = minic.LoopAssigned(st)
-	delete(l.assigned, l.iv)
 
 	w.loops = append(w.loops, l)
 	w.allLoops = append(w.allLoops, l)
@@ -280,7 +305,7 @@ func (w *walker) forStmt(st *minic.ForStmt) {
 		if iv.ok {
 			iv = iv.add(aff{ok: true}.setCoef(l, polyConst(l.step)))
 		}
-		w.syms[l.iv] = iv
+		w.bindSym(l.iv, iv)
 	}
 	if st.Cond != nil {
 		w.expr(st.Cond)
@@ -294,14 +319,14 @@ func (w *walker) forStmt(st *minic.ForStmt) {
 	w.loops = w.loops[:len(w.loops)-1]
 	// Any binding still referencing the exited loop's iteration var is
 	// a loop-exit value the affine domain cannot express.
-	for d, a := range w.syms {
-		if a.ok {
+	for id, a := range w.syms {
+		if w.bound[id] && a.ok {
 			if _, refs := a.coef[l]; refs {
-				w.syms[d] = affBottom()
+				w.syms[id] = affBottom()
 			}
 		}
 	}
 	for _, d := range predInit {
-		w.syms[d] = affBottom()
+		w.bindSym(d, affBottom())
 	}
 }

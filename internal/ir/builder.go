@@ -3,6 +3,8 @@ package ir
 import (
 	"fmt"
 	"strings"
+
+	"paravis/internal/slab"
 )
 
 // Alloc hands out one kernel's nodes: IDs from 0 in creation order, the
@@ -11,34 +13,18 @@ import (
 // builder of a kernel shares one Alloc; the zero value is ready to use.
 type Alloc struct {
 	next  int
-	nodes []Node
-	args  []*Node
+	nodes slab.Of[Node]
+	args  slab.Lists[*Node]
 }
-
-// slabChunk is the smallest chunk; a chunk is as large as the nodes handed
-// out so far, so a kernel of N nodes takes O(log N) node chunks.
-const slabChunk = 64
 
 func (a *Alloc) node(n Node) *Node {
-	if len(a.nodes) == cap(a.nodes) {
-		a.nodes = make([]Node, 0, max(slabChunk, a.next))
-	}
 	n.ID = a.next
 	a.next++
-	a.nodes = append(a.nodes, n)
-	return &a.nodes[len(a.nodes)-1]
+	return a.nodes.New(n)
 }
 
-// list copies ns into the args slab. The result has cap == len, so an
-// append to it reallocates instead of overwriting its neighbour.
-func (a *Alloc) list(ns ...*Node) []*Node {
-	if len(ns) > cap(a.args)-len(a.args) {
-		a.args = make([]*Node, 0, max(2*slabChunk, len(ns), a.next))
-	}
-	i := len(a.args)
-	a.args = append(a.args, ns...)
-	return a.args[i:len(a.args):len(a.args)]
-}
+// list copies ns into the args slab (cap == len).
+func (a *Alloc) list(ns ...*Node) []*Node { return a.args.Carve(ns) }
 
 // Builder incrementally constructs a Graph in topological order. The
 // lowering pass and tests use it; it assigns node IDs and keeps the node
@@ -52,7 +38,8 @@ type Builder struct {
 // which every builder of the kernel shares so node IDs are dense
 // kernel-wide and ascend within each graph.
 func NewBuilder(id int, name string, a *Alloc) *Builder {
-	return &Builder{g: Graph{ID: id, Name: name}, a: a}
+	// Most graphs the lowering builds hold a few dozen nodes.
+	return &Builder{g: Graph{ID: id, Name: name, Nodes: make([]*Node, 0, 32)}, a: a}
 }
 
 // Graph returns the graph under construction.

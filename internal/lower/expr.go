@@ -126,7 +126,7 @@ func (lw *lowerer) lowerExpr(g *gctx, e minic.Expr) (*ir.Node, error) {
 
 // lowerIdentRead reads a variable according to its storage class.
 func (lw *lowerer) lowerIdentRead(g *gctx, x *minic.Ident) (*ir.Node, error) {
-	sl := lw.slots[x.Decl]
+	sl := lw.slot(x.Decl)
 	if sl == nil {
 		return nil, lw.errf(x.Pos, "internal: unresolved identifier %s", x.Name)
 	}
@@ -226,7 +226,7 @@ func (lw *lowerer) resolveArrayAccess(g *gctx, x *minic.Index) (*slot, *ir.Node,
 	if !ok {
 		return nil, nil, lw.errf(x.Pos, "array base must be a variable")
 	}
-	sl := lw.slots[id.Decl]
+	sl := lw.slot(id.Decl)
 	if sl == nil {
 		return nil, nil, lw.errf(x.Pos, "internal: unresolved array %s", id.Name)
 	}
@@ -281,7 +281,7 @@ func (lw *lowerer) lowerVecLoad(g *gctx, x *minic.VecLoad) (*ir.Node, error) {
 	if !ok {
 		return nil, lw.errf(x.Pos, "vector load base must be a variable")
 	}
-	sl := lw.slots[id.Decl]
+	sl := lw.slot(id.Decl)
 	if sl == nil || sl.st != stGlobalArr {
 		return nil, lw.errf(x.Pos, "vector load base %s must be a mapped global array", id.Name)
 	}
@@ -333,7 +333,7 @@ func (lw *lowerer) lowerAssign(g *gctx, x *minic.AssignExpr) (*ir.Node, error) {
 
 	switch lhs := x.LHS.(type) {
 	case *minic.Ident:
-		sl := lw.slots[lhs.Decl]
+		sl := lw.slot(lhs.Decl)
 		if sl == nil {
 			return nil, lw.errf(x.Pos, "internal: unresolved %s", lhs.Name)
 		}
@@ -404,7 +404,7 @@ func (lw *lowerer) lowerAssign(g *gctx, x *minic.AssignExpr) (*ir.Node, error) {
 		// sum[i] op= v  =>  sum = insert(sum, i, extract(sum,i) op v)
 		vecIdent, ok := lhs.Vec.(*minic.Ident)
 		if ok {
-			sl := lw.slots[vecIdent.Decl]
+			sl := lw.slot(vecIdent.Decl)
 			if sl != nil && sl.st == stSSA {
 				vec, err := g.read(sl)
 				if err != nil {
@@ -464,7 +464,7 @@ func (lw *lowerer) lowerAssign(g *gctx, x *minic.AssignExpr) (*ir.Node, error) {
 		if !ok {
 			return nil, lw.errf(x.Pos, "vector store base must be a variable")
 		}
-		sl := lw.slots[id.Decl]
+		sl := lw.slot(id.Decl)
 		if sl == nil || sl.st != stGlobalArr {
 			return nil, lw.errf(x.Pos, "vector store base %s must be a mapped global array", id.Name)
 		}

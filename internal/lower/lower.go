@@ -10,9 +10,12 @@ package lower
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"paravis/internal/ir"
 	"paravis/internal/minic"
+	"paravis/internal/slab"
 )
 
 // Error is a lowering error.
@@ -39,9 +42,9 @@ func Lower(prog *minic.Program) (*ir.Kernel, error) {
 			Name:       fn.Name,
 			NumThreads: ts.NumThreads,
 		},
-		slots:       make(map[minic.Decl]*slot),
-		localByDecl: make(map[*minic.DeclStmt]*ir.ArrayRef),
-		nodes:       new(ir.Alloc),
+		slots:   make([]*slot, fn.NumDecls),
+		localBy: make([]*ir.ArrayRef, fn.NumDecls),
+		nodes:   new(ir.Alloc),
 	}
 	if lw.k.NumThreads == 0 {
 		lw.k.NumThreads = 1
@@ -66,36 +69,46 @@ const (
 	stScalarParam                 // to-mapped or firstprivate scalar: kernel argument
 )
 
-// slot is one resolved variable.
+// slot is one resolved variable; idx indexes gctx.local.
 type slot struct {
 	name string
 	typ  *minic.Type
 	st   storage
 	arr  *ir.ArrayRef // arrays and scalar globals
+	idx  int
 }
 
-// effState tracks memory/synchronization ordering within one graph.
+// effState tracks memory/synchronization ordering within one graph. Its
+// per-array tables are indexed by the lowerer's array ID (lw.arrays).
 type effState struct {
 	lastFence  *ir.Node
-	lastStore  map[string]*ir.Node
-	loadsSince map[string][]*ir.Node
+	lastStore  []*ir.Node
+	loadsSince [][]*ir.Node
 	sinceFence []*ir.Node
 }
 
-func newEffState() *effState {
-	return &effState{
-		lastStore:  make(map[string]*ir.Node),
-		loadsSince: make(map[string][]*ir.Node),
+// at grows the per-array tables to cover array a and returns it.
+func (e *effState) at(a int) int {
+	e.lastStore, e.loadsSince = grown(e.lastStore, a+1), grown(e.loadsSince, a+1)
+	return a
+}
+
+// grown returns s with zero values appended to at least n entries.
+func grown[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
 	}
+	return append(s, make([]T, max(n, 2*len(s)+8)-len(s))...)
 }
 
 // gctx is the lowering context of one graph (loop body or top region).
 type gctx struct {
 	parent *gctx
 	b      *ir.Builder
-	// local maps slots to their current SSA node within this graph
-	// (carry reads at entry, live-in reads on demand, updated on writes).
-	local map[*slot]*ir.Node
+	// local holds each slot's current SSA node within this graph, nil
+	// for none (carry reads at entry, live-in reads on demand, updated
+	// on writes), indexed by slot.idx.
+	local []*ir.Node
 	// liveArgs are the parent-graph nodes feeding this graph's live-ins,
 	// in live-in index order.
 	liveArgs []*ir.Node
@@ -108,13 +121,32 @@ type gctx struct {
 	// writes journals slot writes, in order, while a branch is being
 	// lowered (nil otherwise).
 	writes []*slot
-	eff    *effState
+	eff    effState
+	// reads, stores and sync summarize the graph, nested loops
+	// included: the arrays (by ID) it loads and stores, and whether it
+	// synchronizes. attachLoop orders the graph's loop node by them.
+	reads, stores []bool
+	sync          bool
+}
+
+// nodeAt is vals' entry for s, nil when it has none.
+func nodeAt(vals []*ir.Node, s *slot) *ir.Node {
+	if s.idx < len(vals) {
+		return vals[s.idx]
+	}
+	return nil
+}
+
+// mark adds array a to set.
+func mark(set *[]bool, a int) {
+	*set = grown(*set, a+1)
+	(*set)[a] = true
 }
 
 // read returns the current value of an SSA slot in this graph,
 // materializing live-in chains through parent graphs on demand.
 func (g *gctx) read(s *slot) (*ir.Node, error) {
-	if n, ok := g.local[s]; ok {
+	if n := nodeAt(g.local, s); n != nil {
 		return n, nil
 	}
 	if g.parent == nil {
@@ -127,13 +159,18 @@ func (g *gctx) read(s *slot) (*ir.Node, error) {
 	kind, lanes := irKind(s.typ)
 	li := g.b.LiveIn(len(g.liveArgs), kind, lanes)
 	g.liveArgs = append(g.liveArgs, pn)
-	g.local[s] = li
+	g.set(s, li)
 	return li, nil
+}
+
+func (g *gctx) set(s *slot, n *ir.Node) {
+	g.local = grown(g.local, s.idx+1)
+	g.local[s.idx] = n
 }
 
 // write updates the SSA value of a slot in this graph.
 func (g *gctx) write(s *slot, n *ir.Node) {
-	g.local[s] = n
+	g.set(s, n)
 	if g.writes != nil {
 		g.writes = append(g.writes, s)
 	}
@@ -162,10 +199,50 @@ type lowerer struct {
 	nextGraphID int
 
 	// slots binds each declaration sema resolved an identifier or map
-	// clause to. A declaration lowered again (an unrolled replica of a
-	// loop body) is rebound to a fresh slot.
-	slots       map[minic.Decl]*slot
-	localByDecl map[*minic.DeclStmt]*ir.ArrayRef
+	// clause to, indexed by DeclID. A declaration lowered again (an
+	// unrolled replica of a loop body) is rebound to a fresh slot.
+	// localBy is a local array declaration's BRAM buffer.
+	slots    []*slot
+	localBy  []*ir.ArrayRef
+	slotSlab slab.Of[slot]
+	nslots   int
+	free     []minic.Decl // lowerFor's scratch
+
+	// arrays are the kernel's arrays by ID, keys their effect-ordering
+	// keys and byKey the IDs in key order.
+	arrays []*ir.ArrayRef
+	keys   []string
+	byKey  []int
+}
+
+// slot returns d's slot, nil when d has none.
+func (lw *lowerer) slot(d minic.Decl) *slot {
+	if id := minic.DeclIndex(d, len(lw.slots)); id >= 0 {
+		return lw.slots[id]
+	}
+	return nil
+}
+
+// bind gives d a fresh slot.
+func (lw *lowerer) bind(d minic.Decl, name string, typ *minic.Type, st storage, arr *ir.ArrayRef) *slot {
+	sl := lw.slotSlab.New(slot{name: name, typ: typ, st: st, arr: arr, idx: lw.nslots})
+	lw.nslots++
+	if id := minic.DeclIndex(d, len(lw.slots)); id >= 0 {
+		lw.slots[id] = sl
+	}
+	return sl
+}
+
+// newArray registers an array under the next array ID.
+func (lw *lowerer) newArray(a *ir.ArrayRef) *ir.ArrayRef {
+	key := "ext:" + a.Name
+	if a.Space == ir.SpaceLocal {
+		key = fmt.Sprintf("local:%d", a.LocalID)
+	}
+	at, _ := slices.BinarySearchFunc(lw.byKey, key, func(id int, k string) int { return strings.Compare(lw.keys[id], k) })
+	lw.byKey = slices.Insert(lw.byKey, at, len(lw.arrays))
+	lw.arrays, lw.keys = append(lw.arrays, a), append(lw.keys, key)
+	return a
 }
 
 func (lw *lowerer) errf(p minic.Pos, format string, args ...any) error {
@@ -189,12 +266,7 @@ func (lw *lowerer) run() error {
 func (lw *lowerer) newGctx(parent *gctx, name string) *gctx {
 	b := ir.NewBuilder(lw.nextGraphID, name, lw.nodes)
 	lw.nextGraphID++
-	return &gctx{
-		parent: parent,
-		b:      b,
-		local:  make(map[*slot]*ir.Node),
-		eff:    newEffState(),
-	}
+	return &gctx{parent: parent, b: b}
 }
 
 // bindParamsAndMaps resolves the kernel interface: function parameters, map
@@ -202,23 +274,23 @@ func (lw *lowerer) newGctx(parent *gctx, name string) *gctx {
 func (lw *lowerer) bindParamsAndMaps() error {
 	lw.k.VectorLanes = lw.vectorLanes()
 
-	mapped := make(map[minic.Decl]*minic.MapClause)
+	mapped := make([]*minic.MapClause, len(lw.slots))
 	for i := range lw.ts.Maps {
 		mc := &lw.ts.Maps[i]
-		if mc.Decl == nil {
+		if minic.DeclIndex(mc.Decl, len(lw.slots)) < 0 {
 			return lw.errf(mc.Pos, "mapped variable %s is not visible at the target region", mc.Name)
 		}
-		if _, dup := mapped[mc.Decl]; dup {
+		if mapped[mc.Decl.DeclID()] != nil {
 			return lw.errf(mc.Pos, "variable %s mapped twice", mc.Name)
 		}
-		mapped[mc.Decl] = mc
+		mapped[mc.Decl.DeclID()] = mc
 	}
 
 	// Pointer parameters must be mapped.
 	for _, prm := range lw.fn.Params {
 		if prm.Type.IsPointer() {
-			mc, ok := mapped[prm]
-			if !ok {
+			mc := mapped[prm.DeclID()]
+			if mc == nil {
 				// Unmapped pointers are simply not available in the region.
 				continue
 			}
@@ -237,15 +309,15 @@ func (lw *lowerer) bindParamsAndMaps() error {
 			lw.k.Params = append(lw.k.Params, ir.Param{Name: prm.Name, Pointer: true})
 			lw.k.Maps = append(lw.k.Maps, ir.Map{Dir: dir, Name: prm.Name, Low: low, Len: length})
 			elemWords := 1
-			arr := &ir.ArrayRef{Space: ir.SpaceExternal, Name: prm.Name, ElemWords: elemWords}
-			lw.slots[prm] = &slot{name: prm.Name, typ: prm.Type, st: stGlobalArr, arr: arr}
+			arr := lw.newArray(&ir.ArrayRef{Space: ir.SpaceExternal, Name: prm.Name, ElemWords: elemWords})
+			lw.bind(prm, prm.Name, prm.Type, stGlobalArr, arr)
 		}
 	}
 
 	// Remaining map clauses are scalars (host locals or scalar params).
 	for i := range lw.ts.Maps {
 		mc := &lw.ts.Maps[i]
-		if lw.slots[mc.Decl] != nil {
+		if lw.slot(mc.Decl) != nil {
 			continue // a pointer parameter, bound above
 		}
 		name, t := mc.Name, mc.Decl.DeclType()
@@ -261,14 +333,14 @@ func (lw *lowerer) bindParamsAndMaps() error {
 			// Firstprivate-style: a scalar kernel argument.
 			lw.k.Params = append(lw.k.Params, ir.Param{Name: name, Float: isFloat})
 			lw.k.Maps = append(lw.k.Maps, ir.Map{Dir: dir, Name: name, Scalar: true, Float: isFloat})
-			lw.slots[mc.Decl] = &slot{name: name, typ: t, st: stScalarParam}
+			lw.bind(mc.Decl, name, t, stScalarParam, nil)
 		} else {
 			// from/tofrom scalars live in a one-element DRAM buffer so all
 			// threads share them and the host reads the result back.
-			arr := &ir.ArrayRef{Space: ir.SpaceExternal, Name: name, ElemWords: 1}
+			arr := lw.newArray(&ir.ArrayRef{Space: ir.SpaceExternal, Name: name, ElemWords: 1})
 			lw.k.Params = append(lw.k.Params, ir.Param{Name: name, Pointer: true})
 			lw.k.Maps = append(lw.k.Maps, ir.Map{Dir: dir, Name: name, Scalar: true, Float: isFloat})
-			lw.slots[mc.Decl] = &slot{name: name, typ: t, st: stScalarGlobal, arr: arr}
+			lw.bind(mc.Decl, name, t, stScalarGlobal, arr)
 		}
 	}
 
@@ -283,7 +355,7 @@ func (lw *lowerer) bindParamsAndMaps() error {
 	for _, prm := range lw.fn.Params {
 		if prm.Type.IsScalar() && !taken[prm.Name] {
 			lw.k.Params = append(lw.k.Params, ir.Param{Name: prm.Name, Float: prm.Type.Basic == minic.Float})
-			lw.slots[prm] = &slot{name: prm.Name, typ: prm.Type, st: stScalarParam}
+			lw.bind(prm, prm.Name, prm.Type, stScalarParam, nil)
 		}
 	}
 	return nil

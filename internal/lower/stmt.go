@@ -48,11 +48,15 @@ func (lw *lowerer) lowerStmt(g *gctx, s minic.Stmt) error {
 }
 
 func (lw *lowerer) lowerDecl(g *gctx, st *minic.DeclStmt) error {
+	id := minic.DeclIndex(st, len(lw.slots))
+	if id < 0 {
+		return lw.errf(st.Pos, "internal: unresolved declaration %s", st.Name)
+	}
 	if st.Typ.IsArray() {
 		// Per-thread BRAM buffer. The same declaration site always refers
 		// to the same physical BRAM (loop bodies re-enter the same block).
-		arr, ok := lw.localByDecl[st]
-		if !ok {
+		arr := lw.localBy[id]
+		if arr == nil {
 			elemWords := st.Typ.Elem.ScalarWords()
 			n := 1
 			for _, d := range st.Typ.Dims {
@@ -65,13 +69,12 @@ func (lw *lowerer) lowerDecl(g *gctx, st *minic.DeclStmt) error {
 				NumElems:  n,
 			}
 			lw.k.Locals = append(lw.k.Locals, la)
-			arr = &ir.ArrayRef{Space: ir.SpaceLocal, Name: st.Name, LocalID: la.ID, ElemWords: elemWords}
-			lw.localByDecl[st] = arr
+			arr = lw.newArray(&ir.ArrayRef{Space: ir.SpaceLocal, Name: st.Name, LocalID: la.ID, ElemWords: elemWords})
+			lw.localBy[id] = arr
 		}
-		lw.slots[st] = &slot{name: st.Name, typ: st.Typ, st: stLocalArr, arr: arr}
+		lw.bind(st, st.Name, st.Typ, stLocalArr, arr)
 		return nil
 	}
-	sl := &slot{name: st.Name, typ: st.Typ, st: stSSA}
 	var val *ir.Node
 	var err error
 	if st.Init != nil {
@@ -90,14 +93,14 @@ func (lw *lowerer) lowerDecl(g *gctx, st *minic.DeclStmt) error {
 			val = g.b.ConstInt(0)
 		}
 	}
-	g.local[sl] = val
-	lw.slots[st] = sl
+	g.set(lw.bind(st, st.Name, st.Typ, stSSA, nil), val)
 	return nil
 }
 
 // lowerFor lowers a for loop: init statements run in the parent graph, the
 // body+cond+post become a new graph embedded as a LoopOp node.
 func (lw *lowerer) lowerFor(g *gctx, st *minic.ForStmt) error {
+	name := minic.LoopName(st)
 	if st.Unroll > 1 {
 		un, err := unrollFor(st)
 		if err != nil {
@@ -114,10 +117,12 @@ func (lw *lowerer) lowerFor(g *gctx, st *minic.ForStmt) error {
 
 	// Determine carried slots: free variables assigned inside body/post
 	// that resolve to SSA slots declared outside the loop graph.
-	sub := lw.newGctx(g, minic.LoopName(st))
-	var carrySlots []*slot
-	for _, d := range assignedFreeVars(st) {
-		sl := lw.slots[d]
+	sub := lw.newGctx(g, name)
+	lw.free = assignedFreeVars(st, lw.free[:0]) // consumed before the body lowers
+	carrySlots := make([]*slot, 0, len(lw.free))
+	sub.carryInits = make([]*ir.Node, 0, len(lw.free))
+	for _, d := range lw.free {
+		sl := lw.slot(d)
 		if sl == nil || sl.st != stSSA {
 			continue
 		}
@@ -131,7 +136,7 @@ func (lw *lowerer) lowerFor(g *gctx, st *minic.ForStmt) error {
 		}
 		sub.carryInits = append(sub.carryInits, init)
 		kind, lanes := irKind(sl.typ)
-		sub.local[sl] = sub.b.Carry(i, kind, lanes)
+		sub.set(sl, sub.b.Carry(i, kind, lanes))
 	}
 
 	// Loop-continue condition, evaluated at the top of each iteration.
@@ -165,10 +170,10 @@ func (lw *lowerer) lowerFor(g *gctx, st *minic.ForStmt) error {
 	}
 
 	// Embed the loop in the parent graph.
-	args := append(append([]*ir.Node{}, sub.liveArgs...), sub.carryInits...)
+	args := append(append(make([]*ir.Node, 0, len(sub.liveArgs)+len(sub.carryInits)), sub.liveArgs...), sub.carryInits...)
 	loopNode := g.b.Loop(subGraph, args...)
 	loopNode.Pred = g.pred
-	lw.attachLoop(g, loopNode, subGraph)
+	lw.attachLoop(g, loopNode, sub)
 
 	// After the loop the parent sees the final carried values.
 	for i, sl := range carrySlots {
@@ -194,8 +199,8 @@ func unrollFor(st *minic.ForStmt) (*minic.ForStmt, error) {
 		return nil, &Error{Pos: st.Pos, Msg: "#pragma unroll requires a loop condition"}
 	}
 	replica := func(inner []minic.Stmt) []minic.Stmt {
-		stmts := append([]minic.Stmt{}, st.Body.Stmts...)
-		stmts = append(stmts, st.Post...)
+		stmts := make([]minic.Stmt, 0, len(st.Body.Stmts)+len(st.Post)+1)
+		stmts = append(append(stmts, st.Body.Stmts...), st.Post...)
 		if inner != nil {
 			stmts = append(stmts, &minic.IfStmt{
 				Cond: st.Cond,
@@ -222,14 +227,12 @@ func unrollFor(st *minic.ForStmt) (*minic.ForStmt, error) {
 // mutates: the declarations its body and post clauses write but do not
 // declare, in first-write order. A lane store v[i] = e writes v, since
 // lowering makes it a new SSA value of the whole vector; element and wide
-// stores write memory, not a variable.
-func assignedFreeVars(st *minic.ForStmt) []minic.Decl {
-	declared := map[minic.Decl]bool{}
-	written := map[minic.Decl]bool{}
-	var order []minic.Decl
+// stores write memory, not a variable. It appends them to order.
+func assignedFreeVars(st *minic.ForStmt, order []minic.Decl) []minic.Decl {
+	var declared, written minic.DeclSet
 	visit := func(n minic.Node) bool {
 		if d, ok := n.(*minic.DeclStmt); ok {
-			declared[d] = true
+			declared.Add(d)
 		}
 		var target minic.Expr
 		if as, ok := n.(*minic.AssignExpr); ok {
@@ -240,8 +243,8 @@ func assignedFreeVars(st *minic.ForStmt) []minic.Decl {
 		if lane, ok := target.(*minic.VecElem); ok {
 			target = lane.Vec
 		}
-		if id, ok := target.(*minic.Ident); ok && !written[id.Decl] {
-			written[id.Decl] = true
+		if id, ok := target.(*minic.Ident); ok && !written.Has(id.Decl) {
+			written.Add(id.Decl)
 			order = append(order, id.Decl)
 		}
 		return true
@@ -250,7 +253,7 @@ func assignedFreeVars(st *minic.ForStmt) []minic.Decl {
 	for _, p := range st.Post {
 		minic.Inspect(p, visit)
 	}
-	return slices.DeleteFunc(order, func(d minic.Decl) bool { return declared[d] })
+	return slices.DeleteFunc(order, func(d minic.Decl) bool { return declared.Has(d) })
 }
 
 // lowerIf if-converts a conditional: both branches are lowered inline with
@@ -273,32 +276,30 @@ func (lw *lowerer) lowerIf(g *gctx, st *minic.IfStmt) error {
 	// Snapshot the SSA state: any slot legally writable here already has a
 	// value in g.local (declared in this graph, or installed as a carry at
 	// graph entry).
-	pre := make(map[*slot]*ir.Node, len(g.local))
-	for sl, v := range g.local {
-		pre[sl] = v
-	}
+	pre := slices.Clone(g.local)
 
 	// branch lowers one arm under predicate p and returns the values it
 	// leaves in the slots that existed before it, restoring those; merged
 	// collects the slots in first-write order, so the selects below are
 	// emitted in a fixed order.
-	var merged []*slot
-	branch := func(b *minic.BlockStmt, p *ir.Node) (map[*slot]*ir.Node, error) {
+	merged := make([]*slot, 0, 8)
+	branch := func(b *minic.BlockStmt, p *ir.Node) ([]*ir.Node, error) {
 		g.writes = []*slot{}
 		g.pred = p
 		if err := lw.lowerBlock(g, b); err != nil {
 			return nil, err
 		}
-		vals := make(map[*slot]*ir.Node, len(g.writes))
+		vals := make([]*ir.Node, len(pre))
 		for _, sl := range g.writes {
-			prev, ok := pre[sl]
-			if _, done := vals[sl]; !ok || done {
-				// Not ok: declared within the branch (e.g. a loop counter),
-				// it dies with the branch scope and needs no merge.
+			prev := nodeAt(pre, sl)
+			if prev == nil || vals[sl.idx] != nil {
+				// No prev: declared within the branch (e.g. a loop
+				// counter), it dies with the branch scope and needs no
+				// merge.
 				continue
 			}
-			vals[sl] = g.local[sl]
-			g.local[sl] = prev
+			vals[sl.idx] = g.local[sl.idx]
+			g.local[sl.idx] = prev
 			if !slices.Contains(merged, sl) {
 				merged = append(merged, sl)
 			}
@@ -309,7 +310,7 @@ func (lw *lowerer) lowerIf(g *gctx, st *minic.IfStmt) error {
 	if err != nil {
 		return err
 	}
-	elseVals := map[*slot]*ir.Node{}
+	var elseVals []*ir.Node
 	if st.Else != nil {
 		if elseVals, err = branch(st.Else, andPred(g.b.Not(cond))); err != nil {
 			return err
@@ -321,13 +322,13 @@ func (lw *lowerer) lowerIf(g *gctx, st *minic.IfStmt) error {
 
 	// Merge: slot -> select(cond, thenVal|pre, elseVal|pre).
 	for _, sl := range merged {
-		tv, ok := thenVals[sl]
-		if !ok {
-			tv = pre[sl]
+		tv := nodeAt(thenVals, sl)
+		if tv == nil {
+			tv = pre[sl.idx]
 		}
-		ev, ok := elseVals[sl]
-		if !ok {
-			ev = pre[sl]
+		ev := nodeAt(elseVals, sl)
+		if ev == nil {
+			ev = pre[sl.idx]
 		}
 		if tv == ev {
 			continue
@@ -363,24 +364,25 @@ func (lw *lowerer) lowerCritical(g *gctx, st *minic.CriticalStmt) error {
 // stores wait for all prior accesses to the same array; loads wait for the
 // last prior store to the same array. Everything waits for the last fence.
 func (lw *lowerer) attachMem(g *gctx, n *ir.Node, isStore bool) {
-	key := arrayKey(n.Arr)
-	e := g.eff
+	e := &g.eff
+	a := e.at(slices.Index(lw.arrays, n.Arr))
 	add := func(d *ir.Node) {
 		if d != nil && d != n {
 			n.EffectDeps = append(n.EffectDeps, d)
 		}
 	}
 	add(e.lastFence)
+	add(e.lastStore[a])
 	if isStore {
-		add(e.lastStore[key])
-		for _, ld := range e.loadsSince[key] {
+		for _, ld := range e.loadsSince[a] {
 			add(ld)
 		}
-		e.lastStore[key] = n
-		e.loadsSince[key] = nil
+		e.lastStore[a] = n
+		e.loadsSince[a] = e.loadsSince[a][:0]
+		mark(&g.stores, a)
 	} else {
-		add(e.lastStore[key])
-		e.loadsSince[key] = append(e.loadsSince[key], n)
+		e.loadsSince[a] = append(e.loadsSince[a], n)
+		mark(&g.reads, a)
 	}
 	e.sinceFence = append(e.sinceFence, n)
 }
@@ -388,87 +390,64 @@ func (lw *lowerer) attachMem(g *gctx, n *ir.Node, isStore bool) {
 // attachFence orders a lock/unlock/barrier after every effectful operation
 // issued since the previous fence and makes later effects wait for it.
 func (lw *lowerer) attachFence(g *gctx, n *ir.Node) {
-	e := g.eff
+	e := &g.eff
 	if e.lastFence != nil {
 		n.EffectDeps = append(n.EffectDeps, e.lastFence)
 	}
 	n.EffectDeps = append(n.EffectDeps, e.sinceFence...)
 	e.lastFence = n
-	e.sinceFence = nil
-	e.lastStore = make(map[string]*ir.Node)
-	e.loadsSince = make(map[string][]*ir.Node)
+	e.sinceFence = e.sinceFence[:0]
+	clear(e.lastStore)
+	for a := range e.loadsSince {
+		e.loadsSince[a] = e.loadsSince[a][:0]
+	}
+	g.sync = true
 }
 
 // attachLoop orders a nested loop like a combined access to every array its
-// body touches; bodies containing synchronization act as fences.
-func (lw *lowerer) attachLoop(g *gctx, n *ir.Node, sub *ir.Graph) {
-	reads, writes, hasSync := summarizeGraph(sub)
-	if hasSync {
+// body touches; bodies containing synchronization act as fences. The loop's
+// summary joins g's.
+func (lw *lowerer) attachLoop(g *gctx, n *ir.Node, sub *gctx) {
+	for a := range sub.reads {
+		if sub.reads[a] {
+			mark(&g.reads, a)
+		}
+	}
+	for a := range sub.stores {
+		if sub.stores[a] {
+			mark(&g.stores, a)
+		}
+	}
+	if sub.sync {
 		lw.attachFence(g, n)
 		return
 	}
-	e := g.eff
+	e := &g.eff
 	add := func(d *ir.Node) {
 		if d != nil && d != n {
 			n.EffectDeps = append(n.EffectDeps, d)
 		}
 	}
 	add(e.lastFence)
-	// Sorted keys give the dependences a fixed order.
-	for _, key := range sortedKeys(writes) {
-		add(e.lastStore[key])
-		for _, ld := range e.loadsSince[key] {
-			add(ld)
-		}
-		e.lastStore[key] = n
-		e.loadsSince[key] = nil
-	}
-	for _, key := range sortedKeys(reads) {
-		if writes[key] {
+	// Key order gives the dependences a fixed order.
+	has := func(set []bool, a int) bool { return a < len(set) && set[a] }
+	for _, a := range lw.byKey {
+		if !has(sub.stores, a) {
 			continue
 		}
-		add(e.lastStore[key])
-		e.loadsSince[key] = append(e.loadsSince[key], n)
+		add(e.lastStore[e.at(a)])
+		for _, ld := range e.loadsSince[a] {
+			add(ld)
+		}
+		e.lastStore[a] = n
+		e.loadsSince[a] = e.loadsSince[a][:0]
+	}
+	for _, a := range lw.byKey {
+		if !has(sub.reads, a) || has(sub.stores, a) {
+			continue
+		}
+		add(e.lastStore[e.at(a)])
+		e.loadsSince[a] = append(e.loadsSince[a], n)
 	}
 	e.sinceFence = append(e.sinceFence, n)
-}
-
-func sortedKeys(set map[string]bool) []string {
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-func arrayKey(a *ir.ArrayRef) string {
-	if a.Space == ir.SpaceLocal {
-		return fmt.Sprintf("local:%d", a.LocalID)
-	}
-	return "ext:" + a.Name
-}
-
-// summarizeGraph walks a graph (and nested loops) and reports the arrays it
-// reads and writes and whether it synchronizes.
-func summarizeGraph(g *ir.Graph) (reads, writes map[string]bool, hasSync bool) {
-	reads = map[string]bool{}
-	writes = map[string]bool{}
-	var walk func(gr *ir.Graph)
-	walk = func(gr *ir.Graph) {
-		for _, n := range gr.Nodes {
-			switch n.Op {
-			case ir.OpLoad:
-				reads[arrayKey(n.Arr)] = true
-			case ir.OpStore:
-				writes[arrayKey(n.Arr)] = true
-			case ir.OpLock, ir.OpUnlock, ir.OpBarrier:
-				hasSync = true
-			case ir.OpLoopOp:
-				walk(n.Sub)
-			}
-		}
-	}
-	walk(g)
-	return reads, writes, hasSync
 }

@@ -24,6 +24,10 @@ type FuncDecl struct {
 	Params []*Param
 	Body   *BlockStmt
 	Pos    Pos
+	// NumDecls and NumLoops, set by sema, bound the function's
+	// declaration IDs (Decl.DeclID) and loop IDs (ForStmt.ID).
+	NumDecls int
+	NumLoops int
 }
 
 // Param is a function parameter.
@@ -31,24 +35,43 @@ type Param struct {
 	Name string
 	Type *Type
 	Pos  Pos
+	id   int // DeclID + 1; 0 until sema numbers it
 }
 
 // Decl is what an identifier binds to: a *Param or a *DeclStmt. Semantic
 // analysis records the binding on every Ident and MapClause, so consumers
 // key per-variable facts by declaration and never re-derive C scoping.
+//
+// DeclID is the declaration's dense index within its function: sema
+// numbers the parameters first, then every DeclStmt in source order, so
+// a shadowing declaration gets an ID of its own. Per-declaration facts
+// live in tables indexed by it. A declaration sema never numbered (one
+// built outside Parse) reports -1, which every table reads as a miss.
 type Decl interface {
 	DeclName() string
 	DeclType() *Type
 	DeclPos() Pos
+	DeclID() int
 }
 
 func (p *Param) DeclName() string { return p.Name }
 func (p *Param) DeclType() *Type  { return p.Type }
 func (p *Param) DeclPos() Pos     { return p.Pos }
+func (p *Param) DeclID() int      { return p.id - 1 }
 
 func (d *DeclStmt) DeclName() string { return d.Name }
 func (d *DeclStmt) DeclType() *Type  { return d.Typ }
 func (d *DeclStmt) DeclPos() Pos     { return d.Pos }
+func (d *DeclStmt) DeclID() int      { return d.id - 1 }
+
+// DeclIndex is d's DeclID when it indexes a table of n entries (any
+// number when n < 0), else -1: d is nil, unnumbered, or past the table.
+func DeclIndex(d Decl, n int) int {
+	if d == nil || n >= 0 && d.DeclID() >= n {
+		return -1
+	}
+	return d.DeclID()
+}
 
 // Stmt is implemented by all statement nodes.
 type Stmt interface{ stmtNode() }
@@ -81,6 +104,7 @@ type DeclStmt struct {
 	Typ  *Type
 	Init Expr // nil for arrays and uninitialized scalars
 	Pos  Pos
+	id   int // DeclID + 1; 0 until sema numbers it
 }
 
 // ExprStmt evaluates an expression for its side effects (assignment, call).
@@ -99,7 +123,14 @@ type ForStmt struct {
 	Body   *BlockStmt
 	Unroll int
 	Pos    Pos
+	id     int    // ID + 1; 0 until sema numbers it
+	name   string // LoopName, set by the parser
 }
+
+// ID is the loop's dense index within its function, in source
+// pre-order; per-loop facts live in tables indexed by it. A loop sema
+// never numbered (one built outside Parse) reports -1.
+func (f *ForStmt) ID() int { return f.id - 1 }
 
 // IfStmt is an if/else statement.
 type IfStmt struct {

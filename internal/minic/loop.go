@@ -9,7 +9,16 @@ import (
 // "for@line:col": the lowered IR's loop graphs, the dependence and
 // abstract-interpretation reports, perfbound's trip hints, the
 // simulator's per-loop counters and the transformation steps all use it.
-func LoopName(st *ForStmt) string { return "for@" + st.Pos.String() }
+// The parser computes it once per loop; a loop built outside Parse gets
+// it computed on each call.
+func LoopName(st *ForStmt) string {
+	if st.name != "" {
+		return st.name
+	}
+	return loopName(st.Pos)
+}
+
+func loopName(p Pos) string { return string(p.append(append(make([]byte, 0, 28), "for@"...))) }
 
 // ParseLoopName recovers the source position from a LoopName.
 func ParseLoopName(name string) (Pos, bool) {
@@ -93,12 +102,14 @@ func counted(st *ForStmt, c *CountedLoop) bool {
 
 // LoopAssigned is Assigned over the part of a loop that runs once per
 // iteration: condition, body and post clauses, but not the init clauses.
-func LoopAssigned(st *ForStmt) map[Decl]bool {
-	roots := []Node{st.Cond, st.Body}
+func LoopAssigned(st *ForStmt) DeclSet {
+	var s DeclSet
+	s.addAssigned(st.Cond)
+	s.addAssigned(st.Body)
 	for _, p := range st.Post {
-		roots = append(roots, p)
+		s.addAssigned(p)
 	}
-	return Assigned(roots...)
+	return s
 }
 
 // ExclusiveBound normalises the condition for a loop whose folded step is

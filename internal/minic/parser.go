@@ -41,12 +41,14 @@ func Parse(src string, opts Options) (*Program, error) {
 	if lanes == 0 {
 		lanes = 4
 	}
-	p := &parser{toks: toks, defines: allDefines, lanes: lanes}
+	a := new(arena)
+	a.stmtStack, a.exprStack = a.stmtBuf[:0], a.exprBuf[:0]
+	p := &parser{toks: toks, defines: allDefines, lanes: lanes, a: a}
 	prog, err := p.parseProgram()
 	if err != nil {
 		return nil, err
 	}
-	if err := Analyze(prog, lanes); err != nil {
+	if err := analyze(prog, lanes, p.a); err != nil {
 		return nil, err
 	}
 	return prog, nil
@@ -58,6 +60,7 @@ type parser struct {
 	defines map[string]string
 	lanes   int
 	depth   int
+	a       *arena // this parse's own
 }
 
 // maxNestDepth bounds statement/expression nesting so that adversarial
@@ -135,7 +138,7 @@ func (p *parser) parseBaseType() (*Type, error) {
 		t = TypeFloat()
 	case p.at(IDENT) && p.cur().Text == "VECTOR":
 		p.next()
-		t = TypeVector(p.lanes)
+		t = p.a.vector(p.lanes)
 	default:
 		return nil, p.errf("expected type, found %s", p.cur())
 	}
@@ -158,7 +161,7 @@ func (p *parser) parseFunc() (*FuncDecl, error) {
 	if _, err := p.expect(LParen); err != nil {
 		return nil, err
 	}
-	var params []*Param
+	params := make([]*Param, 0, 8)
 	if !p.at(RParen) {
 		for {
 			pt, err := p.parseBaseType()
@@ -169,7 +172,7 @@ func (p *parser) parseFunc() (*FuncDecl, error) {
 			if err != nil {
 				return nil, err
 			}
-			params = append(params, &Param{Name: pn.Text, Type: pt, Pos: pn.Pos})
+			params = append(params, p.a.params.New(Param{Name: pn.Text, Type: pt, Pos: pn.Pos}))
 			if !p.accept(Comma) {
 				break
 			}
@@ -192,7 +195,7 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	blk := &BlockStmt{Pos: lb.Pos}
+	mark := len(p.a.stmtStack)
 	for !p.at(RBrace) {
 		if p.at(EOF) {
 			return nil, p.errf("unexpected end of file in block")
@@ -202,11 +205,11 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 			return nil, err
 		}
 		if s != nil {
-			blk.Stmts = append(blk.Stmts, s)
+			p.a.stmtStack = append(p.a.stmtStack, s)
 		}
 	}
 	p.next() // RBrace
-	return blk, nil
+	return p.a.blocks.New(BlockStmt{Stmts: p.a.stmtList(mark), Pos: lb.Pos}), nil
 }
 
 func (p *parser) parseStmt() (Stmt, error) {
@@ -250,9 +253,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if len(decls) == 1 {
 			return decls[0], nil
 		}
-		blkLike := &BlockStmt{Pos: declPos(decls[0])}
-		blkLike.Stmts = decls
-		return blkLike, nil
+		return p.a.blocks.New(BlockStmt{Stmts: decls, Pos: declPos(decls[0])}), nil
 	default:
 		tok := p.cur()
 		x, err := p.parseExpr()
@@ -262,7 +263,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(Semicolon); err != nil {
 			return nil, err
 		}
-		return &ExprStmt{X: x, Pos: tok.Pos}, nil
+		return p.a.exprStmts.New(ExprStmt{X: x, Pos: tok.Pos}), nil
 	}
 }
 
@@ -281,7 +282,7 @@ func (p *parser) parseDecls() ([]Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Stmt
+	mark := len(p.a.stmtStack)
 	for {
 		nameTok, err := p.expect(IDENT)
 		if err != nil {
@@ -317,9 +318,9 @@ func (p *parser) parseDecls() ([]Stmt, error) {
 				return nil, err
 			}
 		}
-		out = append(out, &DeclStmt{Name: nameTok.Text, Typ: typ, Init: init, Pos: nameTok.Pos})
+		p.a.stmtStack = append(p.a.stmtStack, p.a.decls.New(DeclStmt{Name: nameTok.Text, Typ: typ, Init: init, Pos: nameTok.Pos}))
 		if !p.accept(Comma) {
-			return out, nil
+			return p.a.stmtList(mark), nil
 		}
 	}
 }
@@ -424,7 +425,7 @@ func (p *parser) parseFor(unroll int) (Stmt, error) {
 	if _, err := p.expect(LParen); err != nil {
 		return nil, err
 	}
-	f := &ForStmt{Pos: forTok.Pos, Unroll: unroll}
+	f := p.a.fors.New(ForStmt{Pos: forTok.Pos, Unroll: unroll, name: loopName(forTok.Pos)})
 	// Init clause.
 	if !p.at(Semicolon) {
 		if p.isTypeStart() {
@@ -434,16 +435,8 @@ func (p *parser) parseFor(unroll int) (Stmt, error) {
 			}
 			f.Init = decls
 		} else {
-			for {
-				tok := p.cur()
-				x, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				f.Init = append(f.Init, &ExprStmt{X: x, Pos: tok.Pos})
-				if !p.accept(Comma) {
-					break
-				}
+			if f.Init, err = p.parseExprStmts(); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -462,16 +455,8 @@ func (p *parser) parseFor(unroll int) (Stmt, error) {
 	}
 	// Post clause(s), comma-separated.
 	if !p.at(RParen) {
-		for {
-			tok := p.cur()
-			x, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			f.Post = append(f.Post, &ExprStmt{X: x, Pos: tok.Pos})
-			if !p.accept(Comma) {
-				break
-			}
+		if f.Post, err = p.parseExprStmts(); err != nil {
+			return nil, err
 		}
 	}
 	if _, err := p.expect(RParen); err != nil {
@@ -485,6 +470,23 @@ func (p *parser) parseFor(unroll int) (Stmt, error) {
 	return f, nil
 }
 
+// parseExprStmts parses a comma-separated list of expression statements
+// (a for loop's init or post clauses).
+func (p *parser) parseExprStmts() ([]Stmt, error) {
+	mark := len(p.a.stmtStack)
+	for {
+		tok := p.cur()
+		x, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		p.a.stmtStack = append(p.a.stmtStack, p.a.exprStmts.New(ExprStmt{X: x, Pos: tok.Pos}))
+		if !p.accept(Comma) {
+			return p.a.stmtList(mark), nil
+		}
+	}
+}
+
 // parseStmtAsBlock parses a statement and wraps a non-block statement into
 // a single-statement block (loop/if bodies).
 func (p *parser) parseStmtAsBlock() (*BlockStmt, error) {
@@ -496,9 +498,9 @@ func (p *parser) parseStmtAsBlock() (*BlockStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	blk := &BlockStmt{Pos: pos}
+	blk := p.a.blocks.New(BlockStmt{Pos: pos})
 	if s != nil {
-		blk.Stmts = append(blk.Stmts, s)
+		blk.Stmts = p.a.stmts.Carve([]Stmt{s})
 	}
 	return blk, nil
 }
@@ -522,7 +524,7 @@ func (p *parser) parseIf() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &IfStmt{Cond: cond, Then: then, Pos: ifTok.Pos}
+	st := p.a.ifs.New(IfStmt{Cond: cond, Then: then, Pos: ifTok.Pos})
 	if p.accept(KwElse) {
 		st.Else, err = p.parseStmtAsBlock()
 		if err != nil {
@@ -549,17 +551,13 @@ func (p *parser) parseAssignExpr() (Expr, error) {
 	switch p.cur().Kind {
 	case Assign:
 	case PlusAssign:
-		op := OpAdd
-		compound = &op
+		compound = &compoundOps[0]
 	case MinusAssign:
-		op := OpSub
-		compound = &op
+		compound = &compoundOps[1]
 	case StarAssign:
-		op := OpMul
-		compound = &op
+		compound = &compoundOps[2]
 	case SlashAssign:
-		op := OpDiv
-		compound = &op
+		compound = &compoundOps[3]
 	default:
 		return lhs, nil
 	}
@@ -568,8 +566,11 @@ func (p *parser) parseAssignExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &AssignExpr{LHS: lhs, Op: compound, RHS: rhs, Pos: tok.Pos}, nil
+	return p.a.assigns.New(AssignExpr{LHS: lhs, Op: compound, RHS: rhs, Pos: tok.Pos}), nil
 }
+
+// compoundOps back every AssignExpr.Op; no pass writes through one.
+var compoundOps = [...]BinOp{OpAdd, OpSub, OpMul, OpDiv}
 
 func (p *parser) parseCondExpr() (Expr, error) {
 	c, err := p.parseBinary(0)
@@ -624,7 +625,7 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				lhs = &Binary{Op: cand.op, L: lhs, R: rhs, Pos: tok.Pos}
+				lhs = p.a.binaries.New(Binary{Op: cand.op, L: lhs, R: rhs, Pos: tok.Pos})
 				matched = true
 				break
 			}
@@ -671,21 +672,21 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Neg: true, X: x, Pos: tok.Pos}, nil
+		return p.a.unaries.New(Unary{Neg: true, X: x, Pos: tok.Pos}), nil
 	case Not:
 		p.next()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Neg: false, X: x, Pos: tok.Pos}, nil
+		return p.a.unaries.New(Unary{Neg: false, X: x, Pos: tok.Pos}), nil
 	case Inc, Dec:
 		p.next()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &IncDec{X: x, Inc: tok.Kind == Inc, Pos: tok.Pos}, nil
+		return p.a.incDecs.New(IncDec{X: x, Inc: tok.Kind == Inc, Pos: tok.Pos}), nil
 	case Amp:
 		p.next()
 		x, err := p.parseUnary()
@@ -751,23 +752,22 @@ func (p *parser) parsePostfix() (Expr, error) {
 	for {
 		switch p.cur().Kind {
 		case LBracket:
-			idx := x
-			var indices []Expr
+			mark := len(p.a.exprStack)
 			for p.at(LBracket) {
 				p.next()
 				e, err := p.parseExpr()
 				if err != nil {
 					return nil, err
 				}
-				indices = append(indices, e)
+				p.a.exprStack = append(p.a.exprStack, e)
 				if _, err := p.expect(RBracket); err != nil {
 					return nil, err
 				}
 			}
-			x = &Index{Base: idx, Idx: indices, Pos: p.cur().Pos}
+			x = p.a.indexes.New(Index{Base: x, Idx: p.a.exprList(mark), Pos: p.cur().Pos})
 		case Inc, Dec:
 			tok := p.next()
-			x = &IncDec{X: x, Inc: tok.Kind == Inc, Pos: tok.Pos}
+			x = p.a.incDecs.New(IncDec{X: x, Inc: tok.Kind == Inc, Pos: tok.Pos})
 		default:
 			return x, nil
 		}
@@ -783,26 +783,26 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, &ParseError{Pos: tok.Pos, Msg: "bad integer literal: " + tok.Text}
 		}
-		return &IntLit{Value: v, Pos: tok.Pos}, nil
+		return p.a.ints.New(IntLit{Value: v, Pos: tok.Pos}), nil
 	case FLOATLIT:
 		p.next()
 		v, err := strconv.ParseFloat(tok.Text, 64)
 		if err != nil {
 			return nil, &ParseError{Pos: tok.Pos, Msg: "bad float literal: " + tok.Text}
 		}
-		return &FloatLit{Value: v, Pos: tok.Pos}, nil
+		return p.a.floats.New(FloatLit{Value: v, Pos: tok.Pos}), nil
 	case IDENT:
 		p.next()
 		if p.at(LParen) {
 			p.next()
-			call := &Call{Name: tok.Text, Pos: tok.Pos}
+			mark := len(p.a.exprStack)
 			if !p.at(RParen) {
 				for {
 					a, err := p.parseAssignExpr()
 					if err != nil {
 						return nil, err
 					}
-					call.Args = append(call.Args, a)
+					p.a.exprStack = append(p.a.exprStack, a)
 					if !p.accept(Comma) {
 						break
 					}
@@ -811,9 +811,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if _, err := p.expect(RParen); err != nil {
 				return nil, err
 			}
-			return call, nil
+			return p.a.calls.New(Call{Name: tok.Text, Args: p.a.exprList(mark), Pos: tok.Pos}), nil
 		}
-		return &Ident{Name: tok.Text, Pos: tok.Pos}, nil
+		return p.a.idents.New(Ident{Name: tok.Text, Pos: tok.Pos}), nil
 	case LParen:
 		p.next()
 		x, err := p.parseExpr()

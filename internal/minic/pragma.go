@@ -9,15 +9,15 @@ import (
 // token and parses the statement the pragma applies to.
 func (p *parser) parsePragmaStmt() (Stmt, error) {
 	tok := p.next() // PRAGMA
-	fields := strings.Fields(tok.Text)
-	if len(fields) == 0 {
+	head, rest := cutField(tok.Text)
+	if head == "" {
 		return nil, &ParseError{Pos: tok.Pos, Msg: "empty #pragma"}
 	}
-	switch fields[0] {
+	switch head {
 	case "unroll":
 		factor := 0
-		if len(fields) >= 2 {
-			n, err := p.pragmaConstInt(strings.Join(fields[1:], " "), tok.Pos)
+		if args := strings.Fields(rest); len(args) > 0 {
+			n, err := p.pragmaConstInt(strings.Join(args, " "), tok.Pos)
 			if err != nil {
 				return nil, err
 			}
@@ -31,17 +31,18 @@ func (p *parser) parsePragmaStmt() (Stmt, error) {
 		}
 		return p.parseFor(factor)
 	case "omp":
-		return p.parseOMPPragma(tok, fields[1:])
+		return p.parseOMPPragma(tok, rest)
 	default:
-		return nil, &ParseError{Pos: tok.Pos, Msg: "unsupported #pragma " + fields[0]}
+		return nil, &ParseError{Pos: tok.Pos, Msg: "unsupported #pragma " + head}
 	}
 }
 
-func (p *parser) parseOMPPragma(tok Token, fields []string) (Stmt, error) {
-	if len(fields) == 0 {
+func (p *parser) parseOMPPragma(tok Token, rest string) (Stmt, error) {
+	construct, _ := cutField(rest)
+	if construct == "" {
 		return nil, &ParseError{Pos: tok.Pos, Msg: "bare #pragma omp"}
 	}
-	switch fields[0] {
+	switch construct {
 	case "critical":
 		body, err := p.parseStmtAsBlock()
 		if err != nil {
@@ -68,7 +69,7 @@ func (p *parser) parseOMPPragma(tok Token, fields []string) (Stmt, error) {
 		ts.Body = body
 		return ts, nil
 	default:
-		return nil, &ParseError{Pos: tok.Pos, Msg: "unsupported #pragma omp " + fields[0]}
+		return nil, &ParseError{Pos: tok.Pos, Msg: "unsupported #pragma omp " + construct}
 	}
 }
 
@@ -125,7 +126,9 @@ func (p *parser) parseMapClause(ts *TargetStmt, arg string, pos Pos) error {
 	default:
 		return &ParseError{Pos: pos, Msg: "unknown map direction " + arg[:colon]}
 	}
-	for _, item := range splitTopLevel(arg[colon+1:], ',') {
+	for items, more := arg[colon+1:], true; more; {
+		var item string
+		item, items, more = cutTopLevel(items, ',')
 		item = strings.TrimSpace(item)
 		if item == "" {
 			continue
@@ -135,15 +138,15 @@ func (p *parser) parseMapClause(ts *TargetStmt, arg string, pos Pos) error {
 			mc.Name = strings.TrimSpace(item[:lb])
 			inner := strings.TrimSuffix(strings.TrimSpace(item[lb:]), "]")
 			inner = strings.TrimPrefix(inner, "[")
-			parts := splitTopLevel(inner, ':')
-			if len(parts) != 2 {
+			lowText, lenText, ok := cutTopLevel(inner, ':')
+			if _, _, extra := cutTopLevel(lenText, ':'); !ok || extra {
 				return &ParseError{Pos: pos, Msg: "array section must be [low:len]: " + item}
 			}
-			low, err := p.pragmaExpr(parts[0], pos)
+			low, err := p.pragmaExpr(lowText, pos)
 			if err != nil {
 				return err
 			}
-			length, err := p.pragmaExpr(parts[1], pos)
+			length, err := p.pragmaExpr(lenText, pos)
 			if err != nil {
 				return err
 			}
@@ -159,16 +162,21 @@ func (p *parser) parseMapClause(ts *TargetStmt, arg string, pos Pos) error {
 // pragmaExpr parses an expression embedded in a pragma (e.g. DIM*DIM) with
 // the translation unit's defines in scope.
 func (p *parser) pragmaExpr(text string, pos Pos) (Expr, error) {
-	toks, err := Lex(text, p.defines)
+	toks, _, err := p.a.lexer.lex(p.a.toks[:0], text, p.defines)
 	if err != nil {
 		return nil, &ParseError{Pos: pos, Msg: fmt.Sprintf("in pragma expression %q: %v", text, err)}
 	}
-	sub := &parser{toks: toks, defines: p.defines, lanes: p.lanes}
-	e, err := sub.parseExpr()
+	// Parse the pragma's tokens as a fresh parser would, then resume.
+	p.a.toks = toks
+	outer, at, depth := p.toks, p.pos, p.depth
+	p.toks, p.pos, p.depth = toks, 0, 0
+	e, err := p.parseExpr()
+	trailing := err == nil && !p.at(EOF)
+	p.toks, p.pos, p.depth = outer, at, depth
 	if err != nil {
 		return nil, err
 	}
-	if !sub.at(EOF) {
+	if trailing {
 		return nil, &ParseError{Pos: pos, Msg: "trailing tokens in pragma expression: " + text}
 	}
 	return e, nil
@@ -187,12 +195,10 @@ func (p *parser) pragmaConstInt(text string, pos Pos) (int, error) {
 	return int(v), nil
 }
 
-// splitTopLevel splits s on sep, ignoring separators inside parentheses or
-// brackets.
-func splitTopLevel(s string, sep byte) []string {
-	var parts []string
+// cutTopLevel slices s around its first sep outside parentheses and
+// brackets; found is false, and before all of s, when it has none.
+func cutTopLevel(s string, sep byte) (before, after string, found bool) {
 	depth := 0
-	last := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '(', '[':
@@ -201,13 +207,11 @@ func splitTopLevel(s string, sep byte) []string {
 			depth--
 		case sep:
 			if depth == 0 {
-				parts = append(parts, s[last:i])
-				last = i + 1
+				return s[:i], s[i+1:], true
 			}
 		}
 	}
-	parts = append(parts, s[last:])
-	return parts
+	return s, "", false
 }
 
 // clauseScanner scans "name(arg) name(arg) ..." clause lists.

@@ -77,96 +77,92 @@ func typeName(t *Type) string {
 	return "void"
 }
 
-func declString(name string, t *Type) string {
+// decl writes a declarator, with its initializer when init is not nil.
+func (b *printer) decl(name string, t *Type, init Expr) {
 	s := typeName(t)
+	b.raw(s)
 	if !strings.HasSuffix(s, "*") {
-		s += " "
+		b.raw(" ")
 	}
-	s += name
+	b.raw(name)
 	if t != nil && t.IsArray() {
 		for _, d := range t.Dims {
-			s += fmt.Sprintf("[%d]", d)
+			b.raw("[" + strconv.Itoa(d) + "]")
 		}
 	}
-	return s
+	if init != nil {
+		b.raw(" = ")
+		b.expr(init, precNone)
+	}
 }
 
 func (b *printer) fun(f *FuncDecl) {
-	var ps []string
-	for _, p := range f.Params {
-		ps = append(ps, declString(p.Name, p.Type))
+	b.pad()
+	b.decl(f.Name, f.Ret, nil)
+	b.raw("(")
+	for i, p := range f.Params {
+		if i > 0 {
+			b.raw(", ")
+		}
+		b.decl(p.Name, p.Type, nil)
 	}
-	b.line(fmt.Sprintf("%s(%s) {", declString(f.Name, f.Ret), strings.Join(ps, ", ")))
+	b.raw(") {\n")
+	b.block(f.Body.Stmts)
+	b.line("}")
+}
+
+// block writes stmts one indent deeper.
+func (b *printer) block(stmts []Stmt) {
 	b.indent++
-	for _, s := range f.Body.Stmts {
+	for _, s := range stmts {
 		b.stmt(s)
 	}
 	b.indent--
-	b.line("}")
 }
 
 func (b *printer) stmt(s Stmt) {
 	switch st := s.(type) {
 	case *BlockStmt:
 		b.line("{")
-		b.indent++
-		for _, in := range st.Stmts {
-			b.stmt(in)
-		}
-		b.indent--
+		b.block(st.Stmts)
 		b.line("}")
-	case *DeclStmt:
-		d := declString(st.Name, st.Typ)
-		if st.Init != nil {
-			d += " = " + PrintExpr(st.Init)
-		}
-		b.line(d + ";")
-	case *ExprStmt:
-		b.line(PrintExpr(st.X) + ";")
+	case *DeclStmt, *ExprStmt:
+		b.pad()
+		b.clauses([]Stmt{s})
+		b.raw(";\n")
 	case *ReturnStmt:
+		b.pad()
+		b.raw("return")
 		if st.X != nil {
-			b.line("return " + PrintExpr(st.X) + ";")
-		} else {
-			b.line("return;")
+			b.raw(" ")
+			b.expr(st.X, precNone)
 		}
+		b.raw(";\n")
 	case *ForStmt:
 		if st.Unroll > 0 {
-			b.line(fmt.Sprintf("#pragma unroll %d", st.Unroll))
+			b.line("#pragma unroll " + strconv.Itoa(st.Unroll))
 		}
-		var inits []string
-		for _, in := range st.Init {
-			inits = append(inits, b.forClause(in))
-		}
-		cond := ""
+		b.pad()
+		b.raw("for (")
+		b.clauses(st.Init)
+		b.raw("; ")
 		if st.Cond != nil {
-			cond = PrintExpr(st.Cond)
+			b.expr(st.Cond, precNone)
 		}
-		var posts []string
-		for _, ps := range st.Post {
-			posts = append(posts, b.forClause(ps))
-		}
-		b.line(fmt.Sprintf("for (%s; %s; %s) {",
-			strings.Join(inits, ", "), cond, strings.Join(posts, ", ")))
-		b.indent++
-		for _, in := range st.Body.Stmts {
-			b.stmt(in)
-		}
-		b.indent--
+		b.raw("; ")
+		b.clauses(st.Post)
+		b.raw(") {\n")
+		b.block(st.Body.Stmts)
 		b.line("}")
 	case *IfStmt:
-		b.line("if (" + PrintExpr(st.Cond) + ") {")
-		b.indent++
-		for _, in := range st.Then.Stmts {
-			b.stmt(in)
-		}
-		b.indent--
+		b.pad()
+		b.raw("if (")
+		b.expr(st.Cond, precNone)
+		b.raw(") {\n")
+		b.block(st.Then.Stmts)
 		if st.Else != nil {
 			b.line("} else {")
-			b.indent++
-			for _, in := range st.Else.Stmts {
-				b.stmt(in)
-			}
-			b.indent--
+			b.block(st.Else.Stmts)
 		}
 		b.line("}")
 	case *CriticalStmt:
@@ -175,52 +171,67 @@ func (b *printer) stmt(s Stmt) {
 	case *BarrierStmt:
 		b.line("#pragma omp barrier")
 	case *TargetStmt:
-		b.line("#pragma omp target parallel " + targetClauses(st))
+		b.pad()
+		b.raw("#pragma omp target parallel ")
+		b.targetClauses(st)
+		b.raw("\n")
 		b.stmt(st.Body)
 	default:
 		b.line(fmt.Sprintf("/* unprintable %T */", s))
 	}
 }
 
-// forClause renders a for-header init/post entry without the trailing
-// semicolon (declarations and expressions both appear there).
-func (b *printer) forClause(s Stmt) string {
-	switch st := s.(type) {
-	case *DeclStmt:
-		d := declString(st.Name, st.Typ)
-		if st.Init != nil {
-			d += " = " + PrintExpr(st.Init)
+// clauses writes for-header init/post entries, comma-separated, without
+// the trailing semicolon (declarations and expressions both appear
+// there).
+func (b *printer) clauses(ss []Stmt) {
+	for i, s := range ss {
+		if i > 0 {
+			b.raw(", ")
 		}
-		return d
-	case *ExprStmt:
-		return PrintExpr(st.X)
+		switch st := s.(type) {
+		case *DeclStmt:
+			b.decl(st.Name, st.Typ, st.Init)
+		case *ExprStmt:
+			b.expr(st.X, precNone)
+		default:
+			b.raw(fmt.Sprintf("/* unprintable %T */", s))
+		}
 	}
-	return fmt.Sprintf("/* unprintable %T */", s)
 }
 
-func targetClauses(st *TargetStmt) string {
-	var parts []string
-	// Consecutive clauses of one direction collapse into a single map()
-	// group, matching the hand-written sources' style.
+// targetClauses collapses consecutive map clauses of one direction into a
+// single map() group, matching the hand-written sources' style.
+func (b *printer) targetClauses(st *TargetStmt) {
 	for i := 0; i < len(st.Maps); {
-		j := i
-		var items []string
-		for j < len(st.Maps) && st.Maps[j].Dir == st.Maps[i].Dir {
-			mc := st.Maps[j]
-			item := mc.Name
-			if mc.Low != nil || mc.Len != nil {
-				item += "[" + PrintExpr(mc.Low) + ":" + PrintExpr(mc.Len) + "]"
-			}
-			items = append(items, item)
-			j++
+		if i > 0 {
+			b.raw(" ")
 		}
-		parts = append(parts, fmt.Sprintf("map(%s: %s)", st.Maps[i].Dir, strings.Join(items, ", ")))
+		b.raw("map(" + st.Maps[i].Dir.String() + ": ")
+		j := i
+		for ; j < len(st.Maps) && st.Maps[j].Dir == st.Maps[i].Dir; j++ {
+			if j > i {
+				b.raw(", ")
+			}
+			mc := &st.Maps[j]
+			b.raw(mc.Name)
+			if mc.Low != nil || mc.Len != nil {
+				b.raw("[")
+				b.expr(mc.Low, precNone)
+				b.raw(":")
+				b.expr(mc.Len, precNone)
+				b.raw("]")
+			}
+		}
+		b.raw(")")
 		i = j
 	}
 	if st.NumThreads > 0 {
-		parts = append(parts, fmt.Sprintf("num_threads(%d)", st.NumThreads))
+		if len(st.Maps) > 0 {
+			b.raw(" ")
+		}
+		b.raw("num_threads(" + strconv.Itoa(st.NumThreads) + ")")
 	}
-	return strings.Join(parts, " ")
 }
 
 // Operator precedence tiers for minimal re-parenthesization. Higher binds
@@ -270,7 +281,9 @@ func (b *printer) expr(e Expr, ctx int) {
 		p := binPrec(x.Op)
 		b.paren(p < ctx, func() {
 			b.expr(x.L, p)
-			b.raw(" " + x.Op.String() + " ")
+			b.raw(" ")
+			b.raw(x.Op.String())
+			b.raw(" ")
 			b.expr(x.R, p+1)
 		})
 	case *Unary:

@@ -17,12 +17,14 @@ var builtinFuncs = map[string]*Type{
 	"omp_get_num_threads": TypeInt(),
 }
 
-// Analyze type-checks the program in place, resolves identifier types,
+// analyze type-checks the program in place, resolves identifier types,
 // rewrites vector lane accesses, inserts implicit int<->float conversions,
 // and enforces the structural constraints of the offload model (one target
-// region; critical/barrier only inside it).
-func Analyze(prog *Program, lanes int) error {
-	a := &analyzer{lanes: lanes}
+// region; critical/barrier only inside it). It numbers each function's
+// declarations (Decl.DeclID) and loops (ForStmt.ID), and carves the nodes
+// it adds (conversions, lane accesses) from the parse's arena.
+func analyze(prog *Program, lanes int, ar *arena) error {
+	a := &analyzer{lanes: lanes, ar: ar}
 	for _, f := range prog.Funcs {
 		if err := a.checkFunc(f); err != nil {
 			return err
@@ -33,30 +35,45 @@ func Analyze(prog *Program, lanes int) error {
 
 // scope is the one implementation of C block scoping: every identifier
 // and map clause leaves analysis pointing at the declaration found here.
+// It is a stack of the declarations in view, innermost last; marks holds
+// where each open scope's own declarations start.
 type scope struct {
-	vars   map[string]Decl
-	parent *scope
+	decls []Decl
+	marks []int
+}
+
+func (s *scope) open() { s.marks = append(s.marks, len(s.decls)) }
+
+func (s *scope) close() {
+	m := s.marks[len(s.marks)-1]
+	s.marks = s.marks[:len(s.marks)-1]
+	clear(s.decls[m:])
+	s.decls = s.decls[:m]
 }
 
 func (s *scope) lookup(name string) Decl {
-	for c := s; c != nil; c = c.parent {
-		if d, ok := c.vars[name]; ok {
-			return d
+	for i := len(s.decls) - 1; i >= 0; i-- {
+		if s.decls[i].DeclName() == name {
+			return s.decls[i]
 		}
 	}
 	return nil
 }
 
 func (s *scope) declare(d Decl) bool {
-	if _, exists := s.vars[d.DeclName()]; exists {
-		return false
+	for _, o := range s.decls[s.marks[len(s.marks)-1]:] {
+		if o.DeclName() == d.DeclName() {
+			return false
+		}
 	}
-	s.vars[d.DeclName()] = d
+	s.decls = append(s.decls, d)
 	return true
 }
 
 type analyzer struct {
 	lanes     int
+	ar        *arena
+	scope     scope
 	fn        *FuncDecl
 	inTarget  bool
 	sawTarget bool
@@ -68,7 +85,10 @@ func (a *analyzer) errf(p Pos, format string, args ...any) error {
 
 func (a *analyzer) checkFunc(f *FuncDecl) error {
 	a.fn = f
-	sc := &scope{vars: map[string]Decl{}}
+	f.NumDecls, f.NumLoops = 0, 0
+	sc := &a.scope
+	sc.decls, sc.marks = a.ar.declBuf[:0], a.ar.markBuf[:0]
+	sc.open()
 	for _, prm := range f.Params {
 		if prm.Type.Basic == Void && !prm.Type.Ptr {
 			return a.errf(prm.Pos, "parameter %s has void type", prm.Name)
@@ -76,17 +96,20 @@ func (a *analyzer) checkFunc(f *FuncDecl) error {
 		if !sc.declare(prm) {
 			return a.errf(prm.Pos, "duplicate parameter %s", prm.Name)
 		}
+		f.NumDecls++
+		prm.id = f.NumDecls
 	}
 	return a.checkBlock(f.Body, sc)
 }
 
-func (a *analyzer) checkBlock(b *BlockStmt, parent *scope) error {
-	sc := &scope{vars: map[string]Decl{}, parent: parent}
+func (a *analyzer) checkBlock(b *BlockStmt, sc *scope) error {
+	sc.open()
 	for _, s := range b.Stmts {
 		if err := a.checkStmt(s, sc); err != nil {
 			return err
 		}
 	}
+	sc.close()
 	return nil
 }
 
@@ -109,14 +132,16 @@ func (a *analyzer) checkStmt(s Stmt, sc *scope) error {
 		st.X = x
 		return nil
 	case *ForStmt:
-		inner := &scope{vars: map[string]Decl{}, parent: sc}
+		a.fn.NumLoops++
+		st.id = a.fn.NumLoops
+		sc.open()
 		for _, is := range st.Init {
-			if err := a.checkStmt(is, inner); err != nil {
+			if err := a.checkStmt(is, sc); err != nil {
 				return err
 			}
 		}
 		if st.Cond != nil {
-			c, err := a.checkExpr(st.Cond, inner)
+			c, err := a.checkExpr(st.Cond, sc)
 			if err != nil {
 				return err
 			}
@@ -126,11 +151,15 @@ func (a *analyzer) checkStmt(s Stmt, sc *scope) error {
 			st.Cond = c
 		}
 		for _, ps := range st.Post {
-			if err := a.checkStmt(ps, inner); err != nil {
+			if err := a.checkStmt(ps, sc); err != nil {
 				return err
 			}
 		}
-		return a.checkBlock(st.Body, inner)
+		if err := a.checkBlock(st.Body, sc); err != nil {
+			return err
+		}
+		sc.close()
+		return nil
 	case *IfStmt:
 		c, err := a.checkExpr(st.Cond, sc)
 		if err != nil {
@@ -227,6 +256,8 @@ func (a *analyzer) checkDecl(st *DeclStmt, sc *scope) error {
 	if !sc.declare(st) {
 		return a.errf(st.Pos, "redeclaration of %s in the same scope", st.Name)
 	}
+	a.fn.NumDecls++
+	st.id = a.fn.NumDecls
 	return nil
 }
 
@@ -264,7 +295,7 @@ func (a *analyzer) convertTo(x Expr, want *Type) Expr {
 		return x
 	}
 	if have.IsScalar() && want.IsScalar() {
-		c := &Cast{To: want, X: x, Pos: ExprPos(x)}
+		c := a.ar.casts.New(Cast{To: want, X: x, Pos: ExprPos(x)})
 		c.SetType(want)
 		return c
 	}
@@ -342,7 +373,7 @@ func (a *analyzer) checkExpr(e Expr, sc *scope) (Expr, error) {
 			return nil, err
 		}
 		x.Base, x.Idx = base, a.convertTo(idx, TypeInt())
-		x.SetType(TypeVector(a.lanes))
+		x.SetType(a.ar.vector(a.lanes))
 		return x, nil
 	case *AssignExpr:
 		return a.checkAssign(x, sc)
@@ -459,7 +490,9 @@ func (a *analyzer) commonType(l, r *Type, p Pos) (*Type, error) {
 
 // checkIndex types a subscript chain. Subscripts first peel array
 // dimensions or a pointer, and a final extra subscript on a vector value
-// becomes a VecElem lane access.
+// becomes a VecElem lane access. The first subscript that peels a base
+// which is not itself an Index reuses x, whose list it refills in place:
+// each write lands on a subscript already read.
 func (a *analyzer) checkIndex(x *Index, sc *scope) (Expr, error) {
 	base, err := a.checkExpr(x.Base, sc)
 	if err != nil {
@@ -483,12 +516,12 @@ func (a *analyzer) checkIndex(x *Index, sc *scope) (Expr, error) {
 				ix.SetType(et)
 				cur = ix
 			} else {
-				nx := &Index{Base: cur, Idx: []Expr{ie}, Pos: x.Pos}
-				nx.SetType(et)
-				cur = nx
+				x.Base, x.Idx = cur, append(x.Idx[:0], ie)
+				x.SetType(et)
+				cur = x
 			}
 		case bt.IsVector():
-			ve := &VecElem{Vec: cur, Idx: ie, Pos: x.Pos}
+			ve := a.ar.vecElems.New(VecElem{Vec: cur, Idx: ie, Pos: x.Pos})
 			ve.SetType(TypeFloat())
 			cur = ve
 		default:

@@ -4,7 +4,10 @@
 // (unroll), mirroring the input language of the paper's Nymble compiler.
 package minic
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Kind enumerates lexical token kinds.
 type Kind int
@@ -97,7 +100,13 @@ type Pos struct {
 	Col  int
 }
 
-func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
+func (p Pos) String() string { return string(p.append(make([]byte, 0, 24))) }
+
+// append appends "line:col" to b.
+func (p Pos) append(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(p.Line), 10)
+	return strconv.AppendInt(append(b, ':'), int64(p.Col), 10)
+}
 
 // Token is a single lexical token.
 type Token struct {

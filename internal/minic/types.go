@@ -40,10 +40,13 @@ type Type struct {
 }
 
 // A Type is never modified once built, so the two scalar types every
-// parse, sema pass and lowering asks for are shared values.
+// parse, sema pass and lowering asks for, and pointers to them, are
+// shared values.
 var (
-	typeInt   = &Type{Basic: Int}
-	typeFloat = &Type{Basic: Float}
+	typeInt      = &Type{Basic: Int}
+	typeFloat    = &Type{Basic: Float}
+	typeIntPtr   = &Type{Ptr: true, Elem: typeInt}
+	typeFloatPtr = &Type{Ptr: true, Elem: typeFloat}
 )
 
 // Convenience constructors.
@@ -55,7 +58,15 @@ func TypeFloat() *Type { return typeFloat }
 func TypeVector(lanes int) *Type { return &Type{Basic: Float, Lanes: lanes} }
 
 // TypePointer returns a pointer to elem.
-func TypePointer(elem *Type) *Type { return &Type{Ptr: true, Elem: elem} }
+func TypePointer(elem *Type) *Type {
+	switch elem {
+	case typeInt:
+		return typeIntPtr
+	case typeFloat:
+		return typeFloatPtr
+	}
+	return &Type{Ptr: true, Elem: elem}
+}
 
 // TypeArray returns an array of elem with the given dimensions.
 func TypeArray(elem *Type, dims ...int) *Type {

@@ -110,17 +110,58 @@ func block(f func(Node), b *BlockStmt) {
 // (`v = e`, `v op= e`, `++v`, `--v`) anywhere under the given roots.
 // Element and lane stores do not count: they change an array's or a
 // vector's contents, not which value a scalar name holds.
-func Assigned(roots ...Node) map[Decl]bool {
-	out := map[Decl]bool{}
+func Assigned(roots ...Node) DeclSet {
+	var s DeclSet
 	for _, r := range roots {
-		Inspect(r, func(n Node) bool {
-			if d := assignedDecl(n); d != nil {
-				out[d] = true
-			}
-			return true
-		})
+		s.addAssigned(r)
 	}
-	return out
+	return s
+}
+
+func (s *DeclSet) addAssigned(root Node) {
+	Inspect(root, func(n Node) bool {
+		if d := assignedDecl(n); d != nil {
+			s.Add(d)
+		}
+		return true
+	})
+}
+
+// DeclSet is a set of one function's declarations, a bitset indexed by
+// DeclID; IDs below 64 need no allocation. A declaration sema never
+// numbered is never a member.
+type DeclSet struct {
+	lo uint64   // IDs 0..63
+	hi []uint64 // IDs 64 and up
+}
+
+// word returns the word holding d's bit (nil when d is unnumbered or,
+// unless grow, beyond the stored words) and the bit's mask.
+func (s *DeclSet) word(d Decl, grow bool) (*uint64, uint64) {
+	id := DeclIndex(d, -1)
+	for grow && id >= 64 && len(s.hi) < id/64 {
+		s.hi = append(s.hi, 0)
+	}
+	switch {
+	case id < 0 || id/64 > len(s.hi):
+		return nil, 0
+	case id < 64:
+		return &s.lo, 1 << id
+	}
+	return &s.hi[id/64-1], 1 << (id % 64)
+}
+
+// Add puts d into the set.
+func (s *DeclSet) Add(d Decl) {
+	if w, m := s.word(d, true); w != nil {
+		*w |= m
+	}
+}
+
+// Has reports whether d is in the set.
+func (s *DeclSet) Has(d Decl) bool {
+	w, m := s.word(d, false)
+	return w != nil && *w&m != 0
 }
 
 // assigns reports whether any root writes d the way Assigned counts,

@@ -305,10 +305,22 @@ func TestAssigned(t *testing.T) {
 	}
 	body := prog.Funcs[0].Body
 	loop := body.Stmts[4].(*ForStmt)
-	names := func(m map[Decl]bool) []string {
+	var decls []Decl
+	for _, p := range prog.Funcs[0].Params {
+		decls = append(decls, p)
+	}
+	Inspect(body, func(n Node) bool {
+		if d, ok := n.(*DeclStmt); ok {
+			decls = append(decls, d)
+		}
+		return true
+	})
+	names := func(s DeclSet) []string {
 		var out []string
-		for d := range m {
-			out = append(out, d.DeclName()+"@"+d.DeclPos().String())
+		for _, d := range decls {
+			if s.Has(d) {
+				out = append(out, d.DeclName()+"@"+d.DeclPos().String())
+			}
 		}
 		sort.Strings(out)
 		return out

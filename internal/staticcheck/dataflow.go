@@ -8,8 +8,8 @@ import (
 // checkUnused reports locals that are never referenced. Parameters are
 // exempt (they document the call signature even when ignored).
 func checkUnused(file string, res *resolution, ds *[]Diagnostic) {
-	for _, d := range res.decls {
-		if !d.isParam() && d.uses == 0 {
+	for i := range res.decls {
+		if d := &res.decls[i]; !d.isParam() && d.uses == 0 {
 			*ds = append(*ds, diag(file, d.DeclPos(), RuleUnusedVar, SevWarning,
 				"%q is declared but never used", d.DeclName()))
 		}
@@ -38,7 +38,7 @@ func checkUninit(file string, res *resolution, ds *[]Diagnostic) {
 	// fill is a common idiom).
 	readExpr := func(e minic.Expr) {
 		minic.Accesses(e, func(a minic.Access) {
-			d := res.info[a.Decl]
+			d := res.info(a.Decl)
 			switch {
 			case d == nil:
 			case a.Write:
@@ -60,7 +60,7 @@ func checkUninit(file string, res *resolution, ds *[]Diagnostic) {
 			}
 		case *minic.DeclStmt:
 			readExpr(st.Init)
-			if d := res.info[st]; d != nil && d.trackedScalar() {
+			if d := res.info(st); d != nil && d.trackedScalar() {
 				if st.Init != nil {
 					delete(maybe, d)
 				} else {
@@ -136,7 +136,7 @@ func checkDeadStores(file string, res *resolution, ai *absint.Result, ds *[]Diag
 	addUses := func(n minic.Node, live set) {
 		minic.Inspect(n, func(x minic.Node) bool {
 			if id, ok := x.(*minic.Ident); ok {
-				if d := res.info[id.Decl]; d != nil {
+				if d := res.info(id.Decl); d != nil {
 					live[d] = true
 				}
 			}
@@ -152,7 +152,7 @@ func checkDeadStores(file string, res *resolution, ai *absint.Result, ds *[]Diag
 			return
 		}
 		if t, ok := as.LHS.(*minic.Ident); ok {
-			d := res.info[t.Decl]
+			d := res.info(t.Decl)
 			if d != nil && as.Op == nil && !exempt(d) && !live[d] {
 				*ds = append(*ds, diag(file, as.Pos, RuleDeadStore, SevWarning,
 					"value assigned to %q is never used", d.DeclName()))
@@ -178,7 +178,7 @@ func checkDeadStores(file string, res *resolution, ai *absint.Result, ds *[]Diag
 				back(st.Stmts[i], live)
 			}
 		case *minic.DeclStmt:
-			if d := res.info[st]; d != nil {
+			if d := res.info(st); d != nil {
 				delete(live, d)
 			}
 			addUses(st.Init, live)

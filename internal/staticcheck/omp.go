@@ -25,7 +25,7 @@ func collectAccesses(res *resolution, ts *minic.TargetStmt) []access {
 	var out []access
 	crit := false
 	record := func(a minic.Access) {
-		if d := res.info[a.Decl]; d != nil {
+		if d := res.info(a.Decl); d != nil {
 			at := a.Node
 			if a.By != nil {
 				at = a.By
@@ -63,7 +63,7 @@ func tainted(res *resolution, taint map[*declInfo]bool, e minic.Expr) bool {
 		case *minic.Call:
 			hit = hit || v.Name == "omp_get_thread_num"
 		case *minic.Ident:
-			hit = hit || taint[res.info[v.Decl]]
+			hit = hit || taint[res.info(v.Decl)]
 		}
 		return !hit
 	})
@@ -92,15 +92,15 @@ func threadTaint(res *resolution, ts *minic.TargetStmt) map[*declInfo]bool {
 				}
 				switch t := x.LHS.(type) {
 				case *minic.Ident:
-					mark(res.info[t.Decl])
+					mark(res.info(t.Decl))
 				case *minic.VecElem:
 					if v, ok := t.Vec.(*minic.Ident); ok {
-						mark(res.info[v.Decl])
+						mark(res.info(v.Decl))
 					}
 				}
 			case *minic.DeclStmt:
 				if tainted(res, taint, x.Init) {
-					mark(res.info[x])
+					mark(res.info(x))
 				}
 			}
 			return true
@@ -117,7 +117,7 @@ func regionLocals(res *resolution, ts *minic.TargetStmt) map[*declInfo]bool {
 	local := map[*declInfo]bool{}
 	minic.Inspect(ts.Body, func(n minic.Node) bool {
 		if st, ok := n.(*minic.DeclStmt); ok {
-			local[res.info[st]] = true
+			local[res.info(st)] = true
 		}
 		return true
 	})
@@ -127,7 +127,7 @@ func regionLocals(res *resolution, ts *minic.TargetStmt) map[*declInfo]bool {
 // mapClauseOf returns the map clause naming d, or nil.
 func mapClauseOf(res *resolution, ts *minic.TargetStmt, d *declInfo) *minic.MapClause {
 	for i := range ts.Maps {
-		if res.info[ts.Maps[i].Decl] == d {
+		if res.info(ts.Maps[i].Decl) == d {
 			return &ts.Maps[i]
 		}
 	}
@@ -189,7 +189,7 @@ func checkOMP(file string, res *resolution, ts *minic.TargetStmt, ds *[]Diagnost
 	}
 	for i := range ts.Maps {
 		mc := &ts.Maps[i]
-		d := res.info[mc.Decl]
+		d := res.info(mc.Decl)
 		if d == nil {
 			continue
 		}

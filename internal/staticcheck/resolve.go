@@ -22,20 +22,27 @@ func (d *declInfo) trackedScalar() bool {
 	return !d.isParam() && (d.DeclType().IsScalar() || d.DeclType().IsVector())
 }
 
-// resolution is the attribute table of one function, keyed by the
-// declaration sema bound each identifier and map clause to.
+// resolution is the attribute table of one function, indexed by the
+// DeclID of the declaration sema bound each identifier and map clause to.
 type resolution struct {
 	fn    *minic.FuncDecl
-	decls []*declInfo // parameters, then locals in source order
-	info  map[minic.Decl]*declInfo
+	decls []declInfo // parameters, then locals in source order
+}
+
+// info returns d's attributes, nil for a declaration sema never numbered.
+func (r *resolution) info(d minic.Decl) *declInfo {
+	if id := minic.DeclIndex(d, len(r.decls)); id >= 0 {
+		return &r.decls[id]
+	}
+	return nil
 }
 
 func resolve(fn *minic.FuncDecl) *resolution {
-	r := &resolution{fn: fn, info: map[minic.Decl]*declInfo{}}
+	r := &resolution{fn: fn, decls: make([]declInfo, fn.NumDecls)}
 	declare := func(d minic.Decl) {
-		di := &declInfo{Decl: d}
-		r.decls = append(r.decls, di)
-		r.info[d] = di
+		if di := r.info(d); di != nil {
+			di.Decl = d
+		}
 	}
 	for _, p := range fn.Params {
 		declare(p)
@@ -45,12 +52,12 @@ func resolve(fn *minic.FuncDecl) *resolution {
 		case *minic.DeclStmt:
 			declare(x)
 		case *minic.Ident:
-			if d := r.info[x.Decl]; d != nil {
+			if d := r.info(x.Decl); d != nil {
 				d.uses++
 			}
 		case *minic.TargetStmt:
 			for i := range x.Maps {
-				if d := r.info[x.Maps[i].Decl]; d != nil {
+				if d := r.info(x.Maps[i].Decl); d != nil {
 					d.uses++
 					d.inMap = true
 				}

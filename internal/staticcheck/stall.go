@@ -24,7 +24,7 @@ func checkStalls(file string, res *resolution, ts *minic.TargetStmt, ds *[]Diagn
 			if !ok {
 				return true
 			}
-			d := res.info[b.Decl]
+			d := res.info(b.Decl)
 			if !mappedArray(d) || seen[d] {
 				return true
 			}

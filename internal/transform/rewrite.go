@@ -246,7 +246,7 @@ func foldEnv(fn *minic.FuncDecl, params map[string]int64) map[string]int64 {
 	assigned := minic.Assigned(fn.Body)
 	env := make(map[string]int64, len(params))
 	for _, p := range fn.Params {
-		if v, ok := params[p.Name]; ok && !assigned[p] {
+		if v, ok := params[p.Name]; ok && !assigned.Has(p) {
 			env[p.Name] = v
 		}
 	}
