@@ -232,9 +232,8 @@ func TestOneMachineModel(t *testing.T) {
 // fails on a map type keyed by *ir.Node, *ir.Graph, *Node or *Graph in the
 // non-test Go of internal/ir, schedule, hw, perfbound and area, where
 // per-node facts live in slices indexed by the kernel-dense Node.ID and
-// per-graph ones by Graph.ID. depend's memo of the affine forms it has
-// derived per IR node is out of scope: it is an analysis cache, not a
-// back-end table.
+// per-graph ones by Graph.ID. internal/depend's IR pass is held to the
+// same by TestDependAlgebraNotMaps.
 func TestNodeTablesNotMaps(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, dir := range []string{"ir", "schedule", "hw", "perfbound", "area"} {
@@ -272,6 +271,61 @@ func TestNodeTablesNotMaps(t *testing.T) {
 				return true
 			})
 		}
+	}
+}
+
+// TestDependAlgebraNotMaps keeps the dependence analysis on its
+// per-run algebra: no non-test file of internal/depend declares a map
+// type (a polynomial is a sorted term slice over interned monomials), a
+// map keyed by one of the analysis' own records (*loopInfo, *access,
+// *arrayInfo: affine coefficients are indexed by loop ID) or by *ir.Node
+// (the IR pass's per-node facts are a Node.ID table), or a
+// map[string]int64 other than the parameter environment env.
+func TestDependAlgebraNotMaps(t *testing.T) {
+	fset := token.NewFileSet()
+	paths, err := filepath.Glob(filepath.Join("internal", "depend", "*.go"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("internal/depend: no Go files (%v)", err)
+	}
+	banned := map[string]bool{"loopInfo": true, "access": true, "arrayInfo": true, "Node": true}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.TypeSpec:
+				if _, ok := x.Type.(*ast.MapType); ok {
+					t.Errorf("%s: type %s is a map", fset.Position(x.Pos()), x.Name.Name)
+				}
+			case *ast.Field:
+				if len(x.Names) == 1 && x.Names[0].Name == "env" {
+					return false
+				}
+			case *ast.MapType:
+				key, star := x.Key, false
+				if s, ok := key.(*ast.StarExpr); ok {
+					key, star = s.X, true
+				}
+				if sel, ok := key.(*ast.SelectorExpr); ok {
+					key = sel.Sel
+				}
+				id, _ := key.(*ast.Ident)
+				val, _ := x.Value.(*ast.Ident)
+				switch {
+				case id == nil:
+				case star && banned[id.Name]:
+					t.Errorf("%s: a map keyed by *%s; per-loop and per-node facts live in ID-indexed tables", fset.Position(x.Pos()), id.Name)
+				case id.Name == "string" && val != nil && val.Name == "int64":
+					t.Errorf("%s: a map[string]int64 that is not the parameter environment", fset.Position(x.Pos()))
+				}
+			}
+			return true
+		})
 	}
 }
 

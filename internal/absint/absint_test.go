@@ -590,19 +590,22 @@ func BenchmarkAnalyzeSeeds(b *testing.B) {
 
 // TestAnalyzeAllocs pins what one Analyze allocates per seed unit,
 // symbolic and under the launch env. Each ceiling is the count measured
-// when the CFG, the variable table and the loop facts moved onto slabs
-// and DeclID/loop-ID tables, plus 5 % (before: 131 to 589 per run).
+// when the collector kept its records in order and carved them and its
+// facts from slabs, and the CFG lists started at a seed kernel's size,
+// plus 5 % (before: 51 to 183 per run, and 131 to 589 before the CFG,
+// the variable table and the loop facts moved onto slabs and
+// DeclID/loop-ID tables).
 func TestAnalyzeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
 	}
 	ceilings := map[string][2]float64{
-		"gemm-naive":                 {54, 57},   // 51, 54
-		"gemm-no-critical-sections":  {54, 57},   // 51, 54
-		"gemm-partial-vectorization": {59, 59},   // 56, 56
-		"gemm-blocked":               {117, 117}, // 111, 111
-		"gemm-double-buffering":      {185, 193}, // 176, 183
-		"pi":                         {57, 57},   // 54, 54
+		"gemm-naive":                 {28, 28}, // 26, 26
+		"gemm-no-critical-sections":  {28, 28}, // 26, 26
+		"gemm-partial-vectorization": {28, 28}, // 26, 26
+		"gemm-blocked":               {40, 41}, // 38, 39
+		"gemm-double-buffering":      {48, 51}, // 45, 48
+		"pi":                         {33, 33}, // 31, 31
 	}
 	for _, w := range workloads.Units() {
 		fn := seedTarget(t, w)

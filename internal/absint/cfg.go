@@ -101,8 +101,9 @@ func (b *cfgBuilder) done() {
 // buildCFG lowers the function body. Unreachable trailing code (after a
 // return) still gets blocks; they simply never receive a flow state.
 func buildCFG(fn *minic.FuncDecl) *cfg {
-	g := &cfg{heads: make([]*block, fn.NumLoops)}
-	b := &cfgBuilder{g: g}
+	// The lists start at sizes that hold a seed kernel's CFG.
+	g := &cfg{heads: make([]*block, fn.NumLoops), blocks: make([]*block, 0, 32)}
+	b := &cfgBuilder{g: g, instrs: make([]blockInstr, 0, 64)}
 	g.entry = b.newBlock()
 	end := b.stmt(g.entry, fn.Body)
 	if end != nil {

@@ -1,10 +1,12 @@
 package absint
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"paravis/internal/interval"
 	"paravis/internal/minic"
+	"paravis/internal/slab"
 )
 
 // Options configures one Analyze run.
@@ -97,14 +99,14 @@ type CondFact struct {
 // Result is the published analysis of one function. When OK is false
 // the solver did not converge within budget and no facts are claimed.
 type Result struct {
-	OK       bool
-	NT       int
-	Loops    []*LoopFact // indexed by ForStmt.ID
+	OK    bool
+	NT    int
+	Loops []*LoopFact // indexed by ForStmt.ID
+	// Accesses are sorted by position (then array, reads first), which
+	// Access searches by.
 	Accesses []*AccessFact
 	Divs     []*DivFact
 	Conds    []*CondFact
-
-	access map[minic.Expr]*AccessFact
 }
 
 // Loop returns the fact for st, or nil.
@@ -120,7 +122,14 @@ func (r *Result) Access(e minic.Expr) *AccessFact {
 	if r == nil || !r.OK {
 		return nil
 	}
-	return r.access[e]
+	pos := minic.ExprPos(e)
+	i, _ := slices.BinarySearchFunc(r.Accesses, pos, func(f *AccessFact, p minic.Pos) int { return cmpPos(f.Pos, p) })
+	for ; i < len(r.Accesses) && r.Accesses[i].Pos == pos; i++ {
+		if r.Accesses[i].Node == e {
+			return r.Accesses[i]
+		}
+	}
+	return nil
 }
 
 // IndexRange reports the proven flattened first-element index range of
@@ -180,12 +189,7 @@ func analyze(fn *minic.FuncDecl, opts Options) (*Result, *analysis) {
 	return res, a
 }
 
-func newResult(nt int) *Result {
-	return &Result{
-		NT:     nt,
-		access: map[minic.Expr]*AccessFact{},
-	}
-}
+func newResult(nt int) *Result { return &Result{NT: nt} }
 
 // widenDelay maps Options.WidenDelay to the head visits before widening.
 func widenDelay(d int) int {
@@ -201,12 +205,7 @@ func widenDelay(d int) int {
 // publish collects the facts of a converged analysis into res.
 func (a *analysis) publish(res *Result) {
 	res.OK = true
-	col := &collector{
-		a:   a,
-		acc: map[minic.Expr]*accRec{},
-		div: map[*minic.Binary]Val{},
-		win: make([]winRec, len(a.res.vars)),
-	}
+	col := &collector{a: a, acc: make([]accRec, 0, 32), win: make([]winRec, len(a.res.vars))}
 	for _, bl := range a.g.rpo {
 		f := &a.flows[bl.id]
 		if !f.in.live {
@@ -236,33 +235,46 @@ type accRec struct {
 	vals  []Val // joined per subscript position (lane last where present)
 }
 
+type divRec struct {
+	node *minic.Binary
+	d    Val
+}
+
 type winRec struct {
 	set bool
 	low Val
 	len Val
 }
 
+// collector gathers the facts of one converged analysis. Its access and
+// division records are kept in first-record order; a node evaluated
+// again (the read and the write of `A[i] op= e`) is found by a search
+// from the newest record back. Record values and facts come from slabs.
 type collector struct {
-	a   *analysis
-	acc map[minic.Expr]*accRec
-	div map[*minic.Binary]Val
-	win []winRec // indexed by DeclID
+	a        *analysis
+	acc      []accRec
+	div      []divRec
+	win      []winRec // indexed by DeclID
+	vals     slab.Lists[Val]
+	facts    slab.Of[AccessFact]
+	divFacts slab.Of[DivFact]
 }
 
 func (c *collector) record(node minic.Expr, vals []Val, write bool) {
-	rec, ok := c.acc[node]
-	if !ok {
-		cp := make([]Val, len(vals))
-		copy(cp, vals)
-		c.acc[node] = &accRec{node: node, vals: cp, write: write}
+	for i := len(c.acc) - 1; i >= 0; i-- {
+		rec := &c.acc[i]
+		if rec.node != node {
+			continue
+		}
+		rec.write = rec.write || write
+		for i := range rec.vals {
+			if i < len(vals) {
+				rec.vals[i] = rec.vals[i].join(vals[i])
+			}
+		}
 		return
 	}
-	rec.write = rec.write || write
-	for i := range rec.vals {
-		if i < len(vals) {
-			rec.vals[i] = rec.vals[i].join(vals[i])
-		}
-	}
+	c.acc = append(c.acc, accRec{node: node, vals: c.vals.Carve(vals), write: write})
 }
 
 func (c *collector) access(x *minic.Index, vals []Val, write bool) {
@@ -278,11 +290,13 @@ func (c *collector) vecAccess(x *minic.VecLoad, val Val, write bool) {
 }
 
 func (c *collector) division(x *minic.Binary, d Val) {
-	if cur, ok := c.div[x]; ok {
-		c.div[x] = cur.join(d)
-	} else {
-		c.div[x] = d
+	for i := len(c.div) - 1; i >= 0; i-- {
+		if c.div[i].node == x {
+			c.div[i].d = c.div[i].d.join(d)
+			return
+		}
 	}
+	c.div = append(c.div, divRec{x, d})
 }
 
 func (c *collector) mapWindow(mc *minic.MapClause, low, length Val) {
@@ -443,37 +457,37 @@ func (c *collector) finishConds(res *Result) {
 		}
 		res.Conds = append(res.Conds, cf)
 	}
-	sort.Slice(res.Conds, func(i, j int) bool { return posLess(res.Conds[i].Pos, res.Conds[j].Pos) })
+	slices.SortFunc(res.Conds, func(a, b *CondFact) int { return cmpPos(a.Pos, b.Pos) })
 }
 
-func posLess(a, b minic.Pos) bool {
-	if a.Line != b.Line {
-		return a.Line < b.Line
-	}
-	return a.Col < b.Col
+func cmpPos(a, b minic.Pos) int {
+	return cmp.Or(cmp.Compare(a.Line, b.Line), cmp.Compare(a.Col, b.Col))
 }
 
 // --- accesses ---
 
+// finishAccesses publishes one fact per recorded access, sorted as
+// Result.Access expects.
 func (c *collector) finishAccesses(res *Result) {
-	for node, rec := range c.acc {
-		f := c.finalizeAccess(node, rec)
-		if f == nil {
-			continue
-		}
-		res.Accesses = append(res.Accesses, f)
-		res.access[node] = f
+	if len(c.acc) == 0 {
+		return
 	}
-	sort.Slice(res.Accesses, func(i, j int) bool {
-		a, b := res.Accesses[i], res.Accesses[j]
-		if a.Pos != b.Pos {
-			return posLess(a.Pos, b.Pos)
+	res.Accesses = make([]*AccessFact, 0, len(c.acc))
+	for i := range c.acc {
+		if f := c.finalizeAccess(c.acc[i].node, &c.acc[i]); f != nil {
+			res.Accesses = append(res.Accesses, f)
 		}
-		if a.Array != b.Array {
-			return a.Array < b.Array
-		}
-		return !a.Write && b.Write
+	}
+	slices.SortStableFunc(res.Accesses, func(a, b *AccessFact) int {
+		return cmp.Or(cmpPos(a.Pos, b.Pos), cmp.Compare(a.Array, b.Array), cmp.Compare(b2i(a.Write), b2i(b.Write)))
 	})
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func (c *collector) finalizeAccess(node minic.Expr, rec *accRec) *AccessFact {
@@ -481,7 +495,7 @@ func (c *collector) finalizeAccess(node minic.Expr, rec *accRec) *AccessFact {
 	case *minic.Index:
 		return c.finalizeIndex(x, rec)
 	case *minic.VecElem:
-		f := &AccessFact{Node: x, Pos: x.Pos, Write: rec.write, Width: 1}
+		f := c.facts.New(AccessFact{Node: x, Pos: x.Pos, Write: rec.write, Width: 1})
 		if id, ok := x.Vec.(*minic.Ident); ok {
 			f.Array = id.Name
 		}
@@ -497,7 +511,7 @@ func (c *collector) finalizeAccess(node minic.Expr, rec *accRec) *AccessFact {
 		f.BadDim, f.DimSize = 0, int64(lanes)
 		return f
 	case *minic.VecLoad:
-		f := &AccessFact{Node: x, Pos: x.Pos, Write: rec.write, Width: 1}
+		f := c.facts.New(AccessFact{Node: x, Pos: x.Pos, Write: rec.write, Width: 1})
 		if t := x.Type(); t != nil && t.Lanes > 1 {
 			f.Width = int64(t.Lanes)
 		}
@@ -534,7 +548,7 @@ func (c *collector) finalizeAccess(node minic.Expr, rec *accRec) *AccessFact {
 }
 
 func (c *collector) finalizeIndex(x *minic.Index, rec *accRec) *AccessFact {
-	f := &AccessFact{Node: x, Pos: x.Pos, Write: rec.write, Width: 1, BadDim: -1}
+	f := c.facts.New(AccessFact{Node: x, Pos: x.Pos, Write: rec.write, Width: 1, BadDim: -1})
 	id, ok := x.Base.(*minic.Ident)
 	if !ok {
 		f.Verdict = Unchecked
@@ -658,14 +672,14 @@ func (c *collector) window(d minic.Decl) (lo, hi int64, ok bool) {
 // --- divisions ---
 
 func (c *collector) finishDivs(res *Result) {
-	for node, d := range c.div {
-		f := &DivFact{Node: node, Pos: node.Pos, IsRem: node.Op == minic.OpRem, Divisor: d.I}
-		if cv, ok := d.constVal(); ok && cv == 0 {
+	for _, r := range c.div {
+		f := c.divFacts.New(DivFact{Node: r.node, Pos: r.node.Pos, IsRem: r.node.Op == minic.OpRem, Divisor: r.d.I})
+		if cv, ok := r.d.constVal(); ok && cv == 0 {
 			f.ProvenZero = true
-		} else if d.I.Bounded() && d.I.Contains(0) && d.C.member(0) {
+		} else if r.d.I.Bounded() && r.d.I.Contains(0) && r.d.C.member(0) {
 			f.MayZero = true
 		}
 		res.Divs = append(res.Divs, f)
 	}
-	sort.Slice(res.Divs, func(i, j int) bool { return posLess(res.Divs[i].Pos, res.Divs[j].Pos) })
+	slices.SortStableFunc(res.Divs, func(a, b *DivFact) int { return cmpPos(a.Pos, b.Pos) })
 }

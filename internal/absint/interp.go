@@ -1,7 +1,7 @@
 package absint
 
 import (
-	"sort"
+	"slices"
 
 	"paravis/internal/interval"
 	"paravis/internal/minic"
@@ -129,14 +129,14 @@ func newAnalysis(fn *minic.FuncDecl, res *resolution, env map[string]int64, dela
 // exclusive/inclusive bounds both land), array dimensions, parameter
 // values, the thread count, and the usual suspects around zero.
 func thresholds(fn *minic.FuncDecl, env map[string]int64, nt int) []int64 {
-	set := map[int64]bool{-1: true, 0: true, 1: true, int64(nt): true, int64(nt) - 1: true}
+	out := append(make([]int64, 0, 64), -1, 0, 1, int64(nt), int64(nt)-1)
 	addC := func(v int64) {
-		set[v] = true
+		out = append(out, v)
 		if v > -1<<62 {
-			set[v-1] = true
+			out = append(out, v-1)
 		}
 		if v < 1<<62 {
-			set[v+1] = true
+			out = append(out, v+1)
 		}
 	}
 	for _, v := range env {
@@ -153,12 +153,8 @@ func thresholds(fn *minic.FuncDecl, env map[string]int64, nt int) []int64 {
 		}
 		return true
 	})
-	out := make([]int64, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // entryState seeds dst with the function entry: known parameter values,
@@ -541,10 +537,8 @@ func (ev *evaluator) expr(e minic.Expr) Val {
 
 // index evaluates an Index node's subscripts and records the access.
 func (ev *evaluator) index(x *minic.Index, write bool) {
-	var vals []Val
-	if ev.col != nil { // the solver only needs the subscripts' side effects
-		vals = make([]Val, 0, len(x.Idx))
-	}
+	var buf [4]Val // the collector copies what it keeps
+	vals := buf[:0]
 	for _, ix := range x.Idx {
 		if v := ev.expr(ix); ev.col != nil {
 			vals = append(vals, v)

@@ -69,12 +69,19 @@ func sweepUnit(t *testing.T, u workloads.Unit) {
 // pair, carrying loop, free loop); with the intervals built in scratch,
 // allocation-free child walks and counted-loop tests, and a per-kernel
 // recurrence scratch it read about 53.6 k (budget 55 k), and 40,083 once
-// the compile back end used ID-indexed tables. With the AST carved from
-// per-parse slabs and the front half's facts in DeclID/loop-ID tables it
-// reads 22,337; the budget is that plus 5 %.
+// the compile back end used ID-indexed tables, then 22,337 with the AST
+// carved from per-parse slabs and the front half's facts in
+// DeclID/loop-ID tables. With the dependence analysis on term-slice
+// polynomials and one arena per run, and absint's collector on ordered
+// records, it reads 13,589; the budget is that plus 5 %. The race
+// detector's instrumentation adds about 950 of its own, more than that
+// margin, so the pin is skipped under -race like the per-layer ones.
 func TestStaticSweepAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
 	us := sweepUnits(t)
-	const budget = 23_454
+	const budget = 14_269
 	got := testing.AllocsPerRun(2, func() {
 		for _, u := range us {
 			sweepUnit(t, u)

@@ -1,104 +1,35 @@
 package depend
 
 // aff is an affine function of loop ITERATION indices with polynomial
-// coefficients: Base + sum(Coef[L] * t_L), where t_L counts executions
+// coefficients: base + sum(coef[L] * t_L), where t_L counts executions
 // of loop L's body (t_L = 0 on the first iteration). Working in
 // iteration space rather than induction-variable value space makes
 // dependence distances iteration distances directly, and makes the
-// div/mod folding rule (see evalAff) a plain divisibility check.
+// div/mod folding rule (see divMod) a plain divisibility check.
+//
+// coef is indexed by the loop's dense ID (its index in the walker's loop
+// table; the IR level has the one loop graphIter) and ends at the last
+// nonzero coefficient, so a loop-invariant form has none. Tables are
+// carved from the algebra and, like polys, never written once handed
+// out.
 //
 // ok == false is bottom: the expression is not affine (or not provably
 // so), and every dependence question involving it must answer "may".
 type aff struct {
 	ok   bool
 	base poly
-	coef map[*loopInfo]poly
+	coef []poly
 }
 
 func affBottom() aff { return aff{} }
 
 func affPoly(p poly) aff { return aff{ok: true, base: p} }
 
-func affConst(c int64) aff { return affPoly(polyConst(c)) }
-
-func (a aff) clone() aff {
-	if !a.ok {
-		return a
+func (a aff) coefOf(id int) poly {
+	if id < len(a.coef) {
+		return a.coef[id]
 	}
-	b := aff{ok: true, base: a.base.clone()}
-	if len(a.coef) > 0 {
-		b.coef = make(map[*loopInfo]poly, len(a.coef))
-		for l, p := range a.coef {
-			b.coef[l] = p.clone()
-		}
-	}
-	return b
-}
-
-func (a aff) add(b aff) aff {
-	if !a.ok || !b.ok {
-		return affBottom()
-	}
-	r := aff{ok: true, base: a.base.add(b.base)}
-	if len(a.coef)+len(b.coef) > 0 {
-		r.coef = make(map[*loopInfo]poly, len(a.coef)+len(b.coef))
-		for l, p := range a.coef {
-			r.coef[l] = p
-		}
-		for l, p := range b.coef {
-			r = r.setCoef(l, r.coefOf(l).add(p))
-		}
-	}
-	return r
-}
-
-func (a aff) sub(b aff) aff { return a.add(b.negate()) }
-
-func (a aff) negate() aff {
-	if !a.ok {
-		return a
-	}
-	r := aff{ok: true, base: a.base.negate()}
-	if len(a.coef) > 0 {
-		r.coef = make(map[*loopInfo]poly, len(a.coef))
-		for l, p := range a.coef {
-			r.coef[l] = p.negate()
-		}
-	}
-	return r
-}
-
-// mul multiplies two affine forms; defined only when at least one side
-// is loop-invariant (a pure polynomial). iv*iv products are not affine.
-func (a aff) mul(b aff) aff {
-	if !a.ok || !b.ok {
-		return affBottom()
-	}
-	if len(b.coef) == 0 {
-		r := aff{ok: true, base: a.base.mul(b.base)}
-		for l, p := range a.coef {
-			r = r.setCoef(l, p.mul(b.base))
-		}
-		return r
-	}
-	if len(a.coef) == 0 {
-		return b.mul(a)
-	}
-	return affBottom()
-}
-
-func (a aff) coefOf(l *loopInfo) poly { return a.coef[l] }
-
-func (a aff) setCoef(l *loopInfo, p poly) aff {
-	if p.isZero() {
-		delete(a.coef, l)
-		return a
-	}
-	if a.coef == nil {
-		a.coef = make(map[*loopInfo]poly)
-	}
-	a.coef[l] = p
-	return a
+	return nil
 }
 
 // isInvariant reports that a does not vary with any loop.
@@ -112,6 +43,70 @@ func (a aff) constVal() (int64, bool) {
 	return a.base.constVal()
 }
 
+func (al *algebra) affConst(c int64) aff { return affPoly(al.constant(c)) }
+
+// iterAff is the form p*t_id.
+func (al *algebra) iterAff(base poly, id int, p poly) aff {
+	tab := al.pbuf[:0]
+	for range id {
+		tab = append(tab, nil)
+	}
+	return al.affOf(base, append(tab, p))
+}
+
+// affOf makes a form from base and the coefficient table in al.pbuf
+// (or a prefix of it), trimming trailing zero coefficients.
+func (al *algebra) affOf(base poly, tab []poly) aff {
+	n := len(tab)
+	for n > 0 && tab[n-1].isZero() {
+		n--
+	}
+	al.pbuf = tab
+	return aff{ok: true, base: base, coef: al.coefs.Carve(tab[:n])}
+}
+
+// affLin returns a + s*b.
+func (al *algebra) affLin(a, b aff, s int64) aff {
+	if !a.ok || !b.ok {
+		return affBottom()
+	}
+	base := al.lin(a.base, b.base, s)
+	if len(b.coef) == 0 {
+		return aff{ok: true, base: base, coef: a.coef}
+	}
+	tab := al.pbuf[:0]
+	for id := range max(len(a.coef), len(b.coef)) {
+		tab = append(tab, al.lin(a.coefOf(id), b.coefOf(id), s))
+	}
+	return al.affOf(base, tab)
+}
+
+func (al *algebra) affAdd(a, b aff) aff { return al.affLin(a, b, 1) }
+
+func (al *algebra) affSub(a, b aff) aff { return al.affLin(a, b, -1) }
+
+func (al *algebra) affNeg(a aff) aff { return al.affLin(aff{ok: true}, a, -1) }
+
+// affMul multiplies two affine forms; defined only when at least one side
+// is loop-invariant (a pure polynomial). iv*iv products are not affine.
+func (al *algebra) affMul(a, b aff) aff {
+	if !a.ok || !b.ok {
+		return affBottom()
+	}
+	if len(b.coef) > 0 {
+		if len(a.coef) > 0 {
+			return affBottom()
+		}
+		a, b = b, a
+	}
+	base := al.mul(a.base, b.base)
+	tab := al.pbuf[:0]
+	for _, p := range a.coef {
+		tab = append(tab, al.mul(p, b.base))
+	}
+	return al.affOf(base, tab)
+}
+
 // divMod folds (a div m) or (a mod m) for a literal m > 0. The result
 // is affine exactly when every iteration coefficient and every
 // non-constant base monomial is divisible by m: then a = m*q + r with r
@@ -120,7 +115,7 @@ func (a aff) constVal() (int64, bool) {
 // iteration coefficient is step*1 = 4 — while `v%VECTOR_LEN` with a
 // unit step stays non-affine and poisons the access, which is the sound
 // answer.)
-func (a aff) divMod(m int64, mod bool) aff {
+func (al *algebra) divMod(a aff, m int64, mod bool) aff {
 	if !a.ok || m <= 0 {
 		return affBottom()
 	}
@@ -129,10 +124,11 @@ func (a aff) divMod(m int64, mod bool) aff {
 			return affBottom()
 		}
 	}
-	base := a.base.clone()
-	c := base[""]
-	delete(base, "")
-	if !base.divisibleBy(m) {
+	c, rest := int64(0), a.base
+	if len(rest) > 0 && rest[0].m == 0 {
+		c, rest = rest[0].c, rest[1:]
+	}
+	if !rest.divisibleBy(m) {
 		return affBottom()
 	}
 	// Remainder of the constant term; C semantics on negative operands
@@ -143,20 +139,14 @@ func (a aff) divMod(m int64, mod bool) aff {
 		r += m
 	}
 	if mod {
-		return affConst(r)
+		return al.affConst(r)
 	}
-	out := aff{ok: true, base: base.divInt(m)}
-	out.base[""] += (c - r) / m
-	if len(out.base) > 0 && out.base[""] == 0 {
-		delete(out.base, "")
+	base := al.add(al.divInt(rest, m), al.constant((c-r)/m))
+	tab := al.pbuf[:0]
+	for _, p := range a.coef {
+		tab = append(tab, al.divInt(p, m))
 	}
-	if len(a.coef) > 0 {
-		out.coef = make(map[*loopInfo]poly, len(a.coef))
-		for l, p := range a.coef {
-			out.coef[l] = p.divInt(m)
-		}
-	}
-	return out
+	return al.affOf(base, tab)
 }
 
 // interval is a pair of polynomial bounds lo <= x <= hi (inclusive),
@@ -164,24 +154,4 @@ func (a aff) divMod(m int64, mod bool) aff {
 type interval struct {
 	ok     bool
 	lo, hi poly
-}
-
-// provablyBelow reports x < y for all x <= iv.hi when the gap y - hi is
-// provably >= 1.
-func provablyBelow(hi, y poly) bool { return y.sub(hi).sub(polyConst(1)).isNonNeg() }
-
-// containsZero reports whether 0 may lie in the interval: it returns
-// false only when the interval is provably strictly positive or
-// strictly negative.
-func (iv interval) containsZero() bool {
-	if !iv.ok {
-		return true
-	}
-	if iv.lo.sub(polyConst(1)).isNonNeg() { // lo >= 1
-		return false
-	}
-	if iv.hi.negate().sub(polyConst(1)).isNonNeg() { // hi <= -1
-		return false
-	}
-	return true
 }

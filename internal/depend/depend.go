@@ -30,8 +30,9 @@
 package depend
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
+	"strconv"
 
 	"paravis/internal/minic"
 )
@@ -204,11 +205,15 @@ func AnalyzeRanges(fn *minic.FuncDecl, env map[string]int64, ranges RangeFn) *Re
 	return w.assemble()
 }
 
-// assemble builds the per-loop report from the collected accesses.
+// assemble builds the per-loop report from the collected accesses. The
+// loop entries share one backing array, their access lists another.
 func (w *walker) assemble() *Report {
-	rep := &Report{}
-	for _, l := range w.allLoops {
-		ld := &LoopDeps{
+	rep := &Report{Loops: slices.Grow([]*LoopDeps(nil), len(w.allLoops))}
+	lds := make([]LoopDeps, len(w.allLoops))
+	all := make([]Access, 0, len(w.accs))
+	for i, l := range w.allLoops {
+		ld := &lds[i]
+		*ld = LoopDeps{
 			Name:       l.name,
 			Line:       l.pos.Line,
 			Col:        l.pos.Col,
@@ -219,6 +224,7 @@ func (w *walker) assemble() *Report {
 		}
 		// Accesses whose innermost loop is l, with their per-iteration
 		// stride.
+		start := len(all)
 		for _, a := range w.accs {
 			if len(a.loops) == 0 || a.loops[len(a.loops)-1] != l {
 				continue
@@ -229,11 +235,14 @@ func (w *walker) assemble() *Report {
 				Line: a.pos.Line, Col: a.pos.Col,
 			}
 			if a.sub.ok {
-				if c, ok := a.sub.coefOf(l).constVal(); ok {
+				if c, ok := a.sub.coefOf(l.id).constVal(); ok {
 					acc.Stride, acc.StrideKnown = c, true
 				}
 			}
-			ld.Accesses = append(ld.Accesses, acc)
+			all = append(all, acc)
+		}
+		if len(all) > start {
+			ld.Accesses = all[start:len(all):len(all)]
 		}
 		under := w.accessesUnder(l)
 		for _, a := range under {
@@ -245,26 +254,22 @@ func (w *walker) assemble() *Report {
 		ld.Legal = legality(ld)
 		rep.Loops = append(rep.Loops, ld)
 	}
-	sort.SliceStable(rep.Loops, func(i, j int) bool {
-		a, b := rep.Loops[i], rep.Loops[j]
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Col < b.Col
+	slices.SortStableFunc(rep.Loops, func(a, b *LoopDeps) int {
+		return cmp.Or(cmp.Compare(a.Line, b.Line), cmp.Compare(a.Col, b.Col))
 	})
 	return rep
 }
 
+// accessesUnder lists the accesses l encloses, in the walker's scratch:
+// the list is valid until the next call.
 func (w *walker) accessesUnder(l *loopInfo) []*access {
-	var out []*access
+	out := slices.Grow(w.under[:0], len(w.accs))
 	for _, a := range w.accs {
-		for _, al := range a.loops {
-			if al == l {
-				out = append(out, a)
-				break
-			}
+		if slices.Contains(a.loops, l) {
+			out = append(out, a)
 		}
 	}
+	w.under = out
 	return out
 }
 
@@ -272,7 +277,7 @@ func (w *walker) accessesUnder(l *loopInfo) []*access {
 // under l, and the cross-thread test when l distributes iterations over
 // omp threads.
 func (w *walker) loopDeps(l *loopInfo, under []*access) []Dep {
-	var deps []Dep
+	deps := w.deps[:0]
 	// Position and the all-iterations flag do not make a dependence new.
 	key := func(d Dep) Dep { d.AllIterations, d.Line, d.Col = false, 0, 0; return d }
 	addDep := func(d Dep) {
@@ -303,20 +308,20 @@ func (w *walker) loopDeps(l *loopInfo, under []*access) []Dep {
 			}
 		}
 	}
-	sort.SliceStable(deps, func(i, j int) bool {
-		a, b := deps[i], deps[j]
-		if a.Array != b.Array {
-			return a.Array < b.Array
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
+	slices.SortStableFunc(deps, func(a, b Dep) int {
+		if c := cmp.Or(cmp.Compare(a.Array, b.Array), cmp.Compare(a.Kind, b.Kind)); c != 0 {
+			return c
 		}
 		if a.CrossThread != b.CrossThread {
-			return !a.CrossThread
+			if a.CrossThread {
+				return 1
+			}
+			return -1
 		}
-		return a.Distance < b.Distance
+		return cmp.Compare(a.Distance, b.Distance)
 	})
-	return deps
+	w.deps = deps
+	return w.depLists.Carve(deps)
 }
 
 // refineMay flips a "may" verdict to proven-independent when the range
@@ -443,7 +448,13 @@ func legality(ld *LoopDeps) Legality {
 		if !d.Carried || d.CrossThread {
 			continue
 		}
-		blocker := describeDep(d)
+		var blocker string // rendered once, if it is some verdict's reason
+		why := func() string {
+			if blocker == "" {
+				blocker = describeDep(d)
+			}
+			return blocker
+		}
 		// Unroll: any carried dependence blocks; proven ones prove
 		// illegality.
 		v := Unknown
@@ -451,7 +462,7 @@ func legality(ld *LoopDeps) Legality {
 			v = Illegal
 		}
 		if nv := worse(lg.Unroll, v); nv != lg.Unroll {
-			lg.Unroll, lg.UnrollWhy = nv, blocker
+			lg.Unroll, lg.UnrollWhy = nv, why()
 		}
 		// Tile: a carried dependence with a known constant distance
 		// still admits tiling; unknown or all-iteration distances block.
@@ -461,7 +472,7 @@ func legality(ld *LoopDeps) Legality {
 				tv = Illegal
 			}
 			if nv := worse(lg.Tile, tv); nv != lg.Tile {
-				lg.Tile, lg.TileWhy = nv, blocker
+				lg.Tile, lg.TileWhy = nv, why()
 			}
 		}
 		// Double buffering: only flow dependences block.
@@ -471,7 +482,7 @@ func legality(ld *LoopDeps) Legality {
 				dv = Illegal
 			}
 			if nv := worse(lg.DoubleBuffer, dv); nv != lg.DoubleBuffer {
-				lg.DoubleBuffer, lg.DoubleBufferWhy = nv, blocker
+				lg.DoubleBuffer, lg.DoubleBufferWhy = nv, why()
 			}
 		}
 	}
@@ -489,17 +500,16 @@ func describeDep(d Dep) string {
 	if kind == "flow?" {
 		kind = "flow-or-anti"
 	}
-	var detail string
+	detail := "unknown distance"
 	switch {
 	case d.DistKnown:
-		detail = fmt.Sprintf("distance %d", d.Distance)
+		detail = "distance " + strconv.FormatInt(d.Distance, 10)
 	case d.AllIterations:
 		detail = "all iterations"
-	default:
-		detail = "unknown distance"
 	}
+	prefix := "loop-carried "
 	if !d.Proven {
-		return fmt.Sprintf("possible loop-carried %s dependence on %s (%s)", kind, d.Array, detail)
+		prefix = "possible loop-carried "
 	}
-	return fmt.Sprintf("loop-carried %s dependence on %s (%s)", kind, d.Array, detail)
+	return prefix + kind + " dependence on " + d.Array + " (" + detail + ")"
 }

@@ -32,10 +32,10 @@ func (w *walker) lookup(d minic.Decl) aff {
 		return affBottom()
 	}
 	if v, ok := w.env[d.DeclName()]; ok {
-		return affConst(v)
+		return w.al.affConst(v)
 	}
 	if _, isParam := d.(*minic.Param); isParam {
-		return affPoly(polySym(d.DeclName()))
+		return affPoly(w.al.sym(symbol{name: d.DeclName()}))
 	}
 	return affBottom()
 }
@@ -45,22 +45,22 @@ func (w *walker) lookup(d minic.Decl) aff {
 func (w *walker) evalAff(e minic.Expr) aff {
 	switch x := e.(type) {
 	case *minic.IntLit:
-		return affConst(x.Value)
+		return w.al.affConst(x.Value)
 	case *minic.Ident:
 		return w.lookup(x.Decl)
 	case *minic.Unary:
 		if x.Neg {
-			return w.evalAff(x.X).negate()
+			return w.al.affNeg(w.evalAff(x.X))
 		}
 		return affBottom()
 	case *minic.Binary:
-		return binop(x.Op, w.evalAff(x.L), w.evalAff(x.R))
+		return w.al.binop(x.Op, w.evalAff(x.L), w.evalAff(x.R))
 	case *minic.Call:
 		switch x.Name {
 		case "omp_get_thread_num":
-			return affPoly(polySym(tidSym))
+			return affPoly(w.al.sym(symbol{name: tidSym}))
 		case "omp_get_num_threads":
-			return affConst(int64(w.nt))
+			return w.al.affConst(int64(w.nt))
 		}
 		return affBottom()
 	}
@@ -69,17 +69,17 @@ func (w *walker) evalAff(e minic.Expr) aff {
 
 // binop applies an arithmetic operator to two affine values; division
 // and remainder need a positive constant divisor.
-func binop(op minic.BinOp, l, r aff) aff {
+func (al *algebra) binop(op minic.BinOp, l, r aff) aff {
 	switch op {
 	case minic.OpAdd:
-		return l.add(r)
+		return al.affAdd(l, r)
 	case minic.OpSub:
-		return l.sub(r)
+		return al.affSub(l, r)
 	case minic.OpMul:
-		return l.mul(r)
+		return al.affMul(l, r)
 	case minic.OpDiv, minic.OpRem:
 		if c, ok := r.constVal(); ok && c > 0 {
-			return l.divMod(c, op == minic.OpRem)
+			return al.divMod(l, c, op == minic.OpRem)
 		}
 	}
 	return affBottom()
@@ -116,7 +116,7 @@ func (w *walker) bind(d minic.Decl, by minic.Expr) {
 	case *minic.AssignExpr:
 		v := w.evalAff(x.RHS)
 		if x.Op != nil {
-			v = binop(*x.Op, w.lookup(d), v)
+			v = w.al.binop(*x.Op, w.lookup(d), v)
 		}
 		w.bindSym(d, v)
 	case *minic.IncDec:
@@ -124,7 +124,7 @@ func (w *walker) bind(d minic.Decl, by minic.Expr) {
 		if x.Inc {
 			step = 1
 		}
-		w.bindSym(d, w.lookup(d).add(affConst(step)))
+		w.bindSym(d, w.al.affAdd(w.lookup(d), w.al.affConst(step)))
 	}
 }
 
@@ -140,7 +140,7 @@ func (w *walker) recordIndex(x *minic.Index, write bool) {
 	if arr == nil {
 		return
 	}
-	a := &access{arr: arr, write: write, pos: x.Pos, width: 1, sub: affBottom(), node: x}
+	a := access{arr: arr, write: write, pos: x.Pos, width: 1, sub: affBottom(), node: x}
 	switch {
 	case arr.dram && len(x.Idx) == 1:
 		a.sub = w.evalAff(x.Idx[0])
@@ -150,7 +150,7 @@ func (w *walker) recordIndex(x *minic.Index, write bool) {
 	case len(x.Idx) == len(arr.dims)+1 && arr.lanes > 1:
 		// Lane access into a vector-element array.
 		elem := w.linearize(x.Idx[:len(x.Idx)-1], arr)
-		a.sub = elem.add(w.evalAff(x.Idx[len(x.Idx)-1]))
+		a.sub = w.al.affAdd(elem, w.evalAff(x.Idx[len(x.Idx)-1]))
 	}
 	w.push(a)
 }
@@ -158,9 +158,9 @@ func (w *walker) recordIndex(x *minic.Index, write bool) {
 func (w *walker) linearize(idx []minic.Expr, arr *arrayInfo) aff {
 	acc := w.evalAff(idx[0])
 	for i := 1; i < len(idx); i++ {
-		acc = acc.mul(affConst(int64(arr.dims[i]))).add(w.evalAff(idx[i]))
+		acc = w.al.affAdd(w.al.affMul(acc, w.al.affConst(int64(arr.dims[i]))), w.evalAff(idx[i]))
 	}
-	return acc.mul(affConst(int64(arr.lanes)))
+	return w.al.affMul(acc, w.al.affConst(int64(arr.lanes)))
 }
 
 func (w *walker) recordVec(x *minic.VecLoad, write bool) {
@@ -176,15 +176,15 @@ func (w *walker) recordVec(x *minic.VecLoad, write bool) {
 	if t := x.Type(); t != nil && t.Lanes > 1 {
 		width = int64(t.Lanes)
 	}
-	w.push(&access{arr: arr, write: write, pos: x.Pos, width: width, sub: w.evalAff(x.Idx), node: x})
+	w.push(access{arr: arr, write: write, pos: x.Pos, width: width, sub: w.evalAff(x.Idx), node: x})
 }
 
-func (w *walker) push(a *access) {
+func (w *walker) push(a access) {
 	if a.sub.ok {
-		a.rest, a.tid, a.tidOK = a.sub.base.tidSplit()
+		a.rest, a.tid, a.tidOK = w.al.tidSplit(a.sub.base)
 	}
-	a.loops = append([]*loopInfo(nil), w.loops...)
+	a.loops = w.chains.Carve(w.loops)
 	a.pred = w.predDepth > 0
 	a.critical = w.critDepth > 0
-	w.accs = append(w.accs, a)
+	w.accs = append(w.accs, w.accSlab.New(a))
 }

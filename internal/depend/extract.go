@@ -1,12 +1,16 @@
 package depend
 
-import "paravis/internal/minic"
+import (
+	"paravis/internal/minic"
+	"paravis/internal/slab"
+)
 
 // loopInfo is one ForStmt in the target region with its recognized
 // induction variable. Loops whose induction pattern is not recognized
 // are still registered (so accesses under them poison conservatively);
 // hasIV is false and every reference to the iv evaluates to bottom.
 type loopInfo struct {
+	id     int // the loop's index in walker.allLoops: its coefficient slot
 	name   string
 	pos    minic.Pos
 	depth  int
@@ -35,20 +39,20 @@ type loopInfo struct {
 // iteration index (t <= U). It is exact for unit steps and conservative
 // (value-span based) otherwise, which is sound: a larger iteration
 // range only widens intervals.
-func (l *loopInfo) iterLast() (poly, bool) {
+func (al *algebra) iterLast(l *loopInfo) (poly, bool) {
 	if !l.hasIV || !l.hasBnd || !l.init.isInvariant() || !l.bound.isInvariant() {
 		return nil, false
 	}
-	span := l.bound.base.sub(l.init.base).sub(polyConst(1))
+	span := al.sub(al.sub(l.bound.base, l.init.base), al.constant(1))
 	if l.step < 0 {
-		span = l.init.base.sub(l.bound.base).sub(polyConst(1))
+		span = al.sub(al.sub(l.init.base, l.bound.base), al.constant(1))
 	}
 	// The tid pseudo-symbol in a bound would make the span per-thread;
 	// substitute its worst case (tid >= 0 keeps the span an upper
 	// bound when the tid coefficient is <= 0, i.e. "start at my_id").
-	if span.hasTid() {
-		rest, tidCoef, ok := span.tidSplit()
-		if !ok || !tidCoef.negate().isNonNeg() {
+	if al.hasTid(span) {
+		rest, tidCoef, ok := al.tidSplit(span)
+		if !ok || !tidCoef.nonNegTimes(-1) {
 			return nil, false
 		}
 		span = rest // tid term <= 0: dropping it can only increase span
@@ -59,9 +63,9 @@ func (l *loopInfo) iterLast() (poly, bool) {
 	}
 	if step > 1 {
 		if span.divisibleBy(step) {
-			span = span.divInt(step)
+			span = al.divInt(span, step)
 		} else if c, ok := span.constVal(); ok {
-			span = polyConst(c / step)
+			span = al.constant(c / step)
 		}
 		// Otherwise keep the value span: t <= span since step >= 1.
 	}
@@ -108,40 +112,58 @@ type access struct {
 
 // walker binds scalars and arrays by declaration, so C scoping needs no
 // bookkeeping here: a shadowing declaration is simply a different index.
-// arrays and syms are indexed by DeclID; bound marks the bound syms.
+// decls is indexed by DeclID. Everything one analysis builds is carved
+// from the walker's algebra and slabs, which live as long as it does.
 type walker struct {
+	al     algebra
 	nt     int
 	env    map[string]int64
 	ranges RangeFn
 
-	arrays []*arrayInfo
-	syms   []aff
-	bound  []bool
+	decls []declFact
 
-	loops    []*loopInfo
-	allLoops []*loopInfo
+	loops    []*loopInfo // the enclosing loops, outermost first
+	allLoops []*loopInfo // every loop, indexed by loopInfo.id
 	accs     []*access
 
 	predDepth int
 	critDepth int
 
-	// lo and hi are carriedAt's scratch overlap interval.
-	lo, hi poly
+	loopSlab slab.Of[loopInfo]
+	accSlab  slab.Of[access]
+	arrSlab  slab.Of[arrayInfo]
+	chains   slab.Lists[*loopInfo]
+	depLists slab.Lists[Dep]
+
+	// lo and hi are carriedAt's scratch overlap interval, dists its
+	// solver's surviving distances, under and deps assemble's per-loop
+	// lists before they are carved.
+	lo, hi []term
+	dists  []int64
+	under  []*access
+	deps   []Dep
+}
+
+// declFact is what the walker knows of one declaration: the array it
+// declares, or the affine value its scalar is bound to.
+type declFact struct {
+	arr   *arrayInfo
+	val   aff
+	bound bool
 }
 
 func newWalker(fn *minic.FuncDecl, nt int, env map[string]int64) *walker {
 	w := &walker{
-		nt:     nt,
-		env:    env,
-		arrays: make([]*arrayInfo, fn.NumDecls),
-		syms:   make([]aff, fn.NumDecls),
-		bound:  make([]bool, fn.NumDecls),
-		lo:     poly{},
-		hi:     poly{},
+		nt:       nt,
+		env:      env,
+		decls:    make([]declFact, fn.NumDecls),
+		loops:    make([]*loopInfo, 0, 8),
+		allLoops: make([]*loopInfo, 0, fn.NumLoops),
 	}
+	w.al.init()
 	for _, p := range fn.Params {
-		if id := minic.DeclIndex(p, len(w.arrays)); id >= 0 && p.Type.IsPointer() {
-			w.arrays[id] = &arrayInfo{name: p.Name, dram: true, lanes: 1}
+		if id := minic.DeclIndex(p, len(w.decls)); id >= 0 && p.Type.IsPointer() {
+			w.decls[id].arr = w.arrSlab.New(arrayInfo{name: p.Name, dram: true, lanes: 1})
 		}
 	}
 	return w
@@ -149,21 +171,21 @@ func newWalker(fn *minic.FuncDecl, nt int, env map[string]int64) *walker {
 
 // sym returns d's binding; ok is false when d has none.
 func (w *walker) sym(d minic.Decl) (a aff, ok bool) {
-	if id := minic.DeclIndex(d, len(w.syms)); id >= 0 && w.bound[id] {
-		return w.syms[id], true
+	if id := minic.DeclIndex(d, len(w.decls)); id >= 0 && w.decls[id].bound {
+		return w.decls[id].val, true
 	}
 	return aff{}, false
 }
 
 func (w *walker) bindSym(d minic.Decl, a aff) {
-	if id := minic.DeclIndex(d, len(w.syms)); id >= 0 {
-		w.syms[id], w.bound[id] = a, true
+	if id := minic.DeclIndex(d, len(w.decls)); id >= 0 {
+		w.decls[id].val, w.decls[id].bound = a, true
 	}
 }
 
 func (w *walker) array(d minic.Decl) *arrayInfo {
-	if id := minic.DeclIndex(d, len(w.arrays)); id >= 0 {
-		return w.arrays[id]
+	if id := minic.DeclIndex(d, len(w.decls)); id >= 0 {
+		return w.decls[id].arr
 	}
 	return nil
 }
@@ -214,8 +236,8 @@ func (w *walker) decl(st *minic.DeclStmt) {
 		} else if st.Typ.Lanes > 1 {
 			lanes = st.Typ.Lanes
 		}
-		if id := minic.DeclIndex(st, len(w.arrays)); id >= 0 {
-			w.arrays[id] = &arrayInfo{name: st.Name, dims: st.Typ.Dims, lanes: lanes}
+		if id := minic.DeclIndex(st, len(w.decls)); id >= 0 {
+			w.decls[id].arr = w.arrSlab.New(arrayInfo{name: st.Name, dims: st.Typ.Dims, lanes: lanes})
 		}
 		return
 	}
@@ -230,12 +252,12 @@ func (w *walker) decl(st *minic.DeclStmt) {
 // forStmt recognizes the induction pattern, registers the loop, and
 // walks init/cond/body/post.
 func (w *walker) forStmt(st *minic.ForStmt) {
-	l := &loopInfo{
+	l := w.loopSlab.New(loopInfo{
 		name:   minic.LoopName(st),
 		pos:    st.Pos,
 		depth:  len(w.loops) + 1,
 		unroll: st.Unroll,
-	}
+	})
 	if len(w.loops) > 0 {
 		l.parent = w.loops[len(w.loops)-1]
 	}
@@ -285,25 +307,26 @@ func (w *walker) forStmt(st *minic.ForStmt) {
 		} else {
 			l.init = affBottom()
 		}
-		if l.init.ok && l.init.base.hasTid() {
+		if l.init.ok && w.al.hasTid(l.init.base) {
 			l.threadLoop = true
 		}
 		if adj, ok := cl.ExclusiveBound(l.step); ok {
 			if b := w.evalAff(cl.Bound); b.ok {
-				l.bound, l.hasBnd = b.add(affConst(adj)), true
+				l.bound, l.hasBnd = w.al.affAdd(b, w.al.affConst(adj)), true
 			}
 		}
 	}
-	l.last, l.lastOK = l.iterLast()
+	l.last, l.lastOK = w.al.iterLast(l)
 	// Scalars mutated in the loop vary per iteration.
 	l.assigned = minic.LoopAssigned(st)
 
+	l.id = len(w.allLoops)
 	w.loops = append(w.loops, l)
 	w.allLoops = append(w.allLoops, l)
 	if l.hasIV {
-		iv := l.init.clone()
+		iv := l.init
 		if iv.ok {
-			iv = iv.add(aff{ok: true}.setCoef(l, polyConst(l.step)))
+			iv = w.al.affAdd(iv, w.al.iterAff(nil, l.id, w.al.constant(l.step)))
 		}
 		w.bindSym(l.iv, iv)
 	}
@@ -319,11 +342,9 @@ func (w *walker) forStmt(st *minic.ForStmt) {
 	w.loops = w.loops[:len(w.loops)-1]
 	// Any binding still referencing the exited loop's iteration var is
 	// a loop-exit value the affine domain cannot express.
-	for id, a := range w.syms {
-		if w.bound[id] && a.ok {
-			if _, refs := a.coef[l]; refs {
-				w.syms[id] = affBottom()
-			}
+	for id := range w.decls {
+		if b := &w.decls[id]; b.bound && !b.val.coefOf(l.id).isZero() {
+			b.val = affBottom()
 		}
 	}
 	for _, d := range predInit {

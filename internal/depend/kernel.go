@@ -23,10 +23,10 @@ package depend
 // op may not execute, breaking the chain in some iterations.
 
 import (
-	"math"
 	"slices"
 
 	"paravis/internal/ir"
+	"paravis/internal/slab"
 )
 
 // MemRec is a proven loop-carried flow dependence inside one graph.
@@ -70,37 +70,77 @@ func AnalyzeKernel(k *ir.Kernel, env map[string]int64, lat func(*ir.Node) int) *
 	if lat == nil {
 		lat = func(*ir.Node) int { return 0 }
 	}
-	kd := &KernelDeps{ByGraph: make(map[*ir.Graph]*GraphDeps)}
-	var cs cycleScratch
-	for _, g := range k.CollectGraphs() {
-		kd.ByGraph[g] = analyzeGraph(g, k, env, lat, &cs)
+	graphs := k.CollectGraphs()
+	kd := &KernelDeps{ByGraph: make(map[*ir.Graph]*GraphDeps, len(graphs))}
+	ev := newGEval(k, env)
+	gds := make([]GraphDeps, len(graphs))
+	for i, g := range graphs {
+		ev.analyzeGraph(g, &gds[i], lat)
+		kd.ByGraph[g] = &gds[i]
 	}
 	return kd
 }
 
-// graphIter is the one loop key of the IR pass's affine forms: a
+// graphIter is the one loop slot of the IR pass's affine forms: a
 // graph's iteration counter t, so a form is base + coef[graphIter]*t
 // with polynomial coefficients over the runtime parameters (and opaque
 // per-graph symbols for live-ins and carry seeds, which cancel in
 // same-graph differences).
-var graphIter = &loopInfo{name: "t"}
+const graphIter = 0
 
+// gEval evaluates one kernel's graphs to affine forms. Its per-node
+// facts are one table indexed by Node.ID, which a validated kernel
+// numbers densely and uniquely; a graph's arguments and carry updates
+// are its own nodes, so each graph reads and writes only its own
+// entries.
 type gEval struct {
-	g     *ir.Graph
+	al    algebra
 	k     *ir.Kernel
 	env   map[string]int64
-	steps map[int]poly // induction carries: per-iteration increment
-	memo  map[*ir.Node]aff
+	nodes []nodeFact
+	vals  []aff  // the current graph's forms, in evaluation order
+	steps []poly // per carry of the current graph: its induction step, nil if none
+
+	loads, stores, path []*ir.Node
+	scalar              []ScalarRec
+	scalars             slab.Lists[ScalarRec]
+	paths               slab.Lists[*ir.Node]
 }
 
-func analyzeGraph(g *ir.Graph, k *ir.Kernel, env map[string]int64, lat func(*ir.Node) int, cs *cycleScratch) *GraphDeps {
-	ev := &gEval{g: g, k: k, env: env, memo: make(map[*ir.Node]aff)}
-	ev.findInductions()
-	gd := &GraphDeps{}
+// nodeFact is what the IR pass knows of one node: 1 + the index of its
+// form in vals (0 until evaluated in this graph), whether it
+// transitively reads a carried register, and carryCycle's longest-path
+// state, reset per carry (the longest latency from the carry's read, -1
+// when none, and the argument it came through).
+type nodeFact struct {
+	val   int32
+	reads bool
+	dist  int
+	from  *ir.Node
+}
+
+func newGEval(k *ir.Kernel, env map[string]int64) *gEval {
+	n := 0
+	for _, g := range k.CollectGraphs() {
+		for _, nd := range g.Nodes {
+			n = max(n, nd.ID+1)
+		}
+	}
+	ev := &gEval{k: k, env: env, nodes: make([]nodeFact, n), vals: make([]aff, 0, 32)}
+	ev.al.init()
+	return ev
+}
+
+func (ev *gEval) analyzeGraph(g *ir.Graph, gd *GraphDeps, lat func(*ir.Node) int) {
+	for _, n := range g.Nodes {
+		ev.nodes[n.ID].val = 0
+	}
+	ev.vals = ev.vals[:0]
+	ev.findInductions(g)
 
 	// Memory recurrences: unpredicated store -> unpredicated load, same
 	// array, pairwise.
-	var loads, stores []*ir.Node
+	loads, stores := ev.loads[:0], ev.stores[:0]
 	for _, n := range g.Nodes {
 		if n.Pred != nil {
 			continue
@@ -112,6 +152,7 @@ func analyzeGraph(g *ir.Graph, k *ir.Kernel, env map[string]int64, lat func(*ir.
 			stores = append(stores, n)
 		}
 	}
+	ev.loads, ev.stores = loads, stores
 	for _, st := range stores {
 		sa := ev.eval(st.Args[0])
 		slope := sa.coefOf(graphIter)
@@ -128,7 +169,7 @@ func analyzeGraph(g *ir.Graph, k *ir.Kernel, env map[string]int64, lat func(*ir.
 			}
 			// store(t) and load(t+d) touch the same element when
 			// base_S - base_L == d * slope exactly.
-			d, ok := sa.base.sub(la.base).constMultipleOf(slope)
+			d, ok := ev.al.sub(sa.base, la.base).constMultipleOf(slope)
 			if !ok || d < 1 {
 				continue
 			}
@@ -144,15 +185,16 @@ func analyzeGraph(g *ir.Graph, k *ir.Kernel, env map[string]int64, lat func(*ir.
 
 	// Scalar recurrences: longest-latency path from each carry to its
 	// own update through nodes that transitively use it.
+	scalar := ev.scalar[:0]
 	for i, upd := range g.CarryUpdate {
 		if upd == nil {
 			continue
 		}
-		if rec, ok := cs.carryCycle(g, i, upd, lat); ok {
-			gd.Scalar = append(gd.Scalar, rec)
+		if rec, ok := ev.carryCycle(g, i, upd, lat); ok {
+			scalar = append(scalar, rec)
 		}
 	}
-	return gd
+	ev.scalar, gd.Scalar = scalar, ev.scalars.Carve(scalar)
 }
 
 func sameArray(a, b *ir.ArrayRef) bool {
@@ -165,9 +207,17 @@ func sameArray(a, b *ir.ArrayRef) bool {
 // findInductions recognizes carries updated as carry +/- invariant. The
 // step operand must not itself read any carried register: the increment
 // has to be the same every iteration for the slope to be linear.
-func (ev *gEval) findInductions() {
-	ev.steps = make(map[int]poly)
-	for i, upd := range ev.g.CarryUpdate {
+func (ev *gEval) findInductions(g *ir.Graph) {
+	for _, n := range g.Nodes { // topological order
+		r := n.Op == ir.OpCarry
+		for _, a := range n.Args {
+			r = r || ev.nodes[a.ID].reads
+		}
+		ev.nodes[n.ID].reads = r
+	}
+	ev.steps = slices.Grow(ev.steps[:0], len(g.CarryUpdate))[:len(g.CarryUpdate)]
+	clear(ev.steps)
+	for i, upd := range g.CarryUpdate {
 		if upd == nil || (upd.Op != ir.OpAdd && upd.Op != ir.OpSub) || len(upd.Args) != 2 {
 			continue
 		}
@@ -182,7 +232,7 @@ func (ev *gEval) findInductions() {
 		default:
 			continue
 		}
-		if readsAnyCarry(stepArg, make(map[*ir.Node]bool)) {
+		if stepArg == nil || ev.nodes[stepArg.ID].reads {
 			continue
 		}
 		s := ev.eval(stepArg)
@@ -191,134 +241,99 @@ func (ev *gEval) findInductions() {
 		}
 		step := s.base
 		if neg {
-			step = step.negate()
+			step = ev.al.negate(step)
 		}
 		ev.steps[i] = step
 	}
-}
-
-func readsAnyCarry(n *ir.Node, seen map[*ir.Node]bool) bool {
-	if n == nil || seen[n] {
-		return false
-	}
-	seen[n] = true
-	if n.Op == ir.OpCarry {
-		return true
-	}
-	for _, a := range n.Args {
-		if readsAnyCarry(a, seen) {
-			return true
-		}
-	}
-	return false
 }
 
 func (ev *gEval) eval(n *ir.Node) aff {
 	if n == nil {
 		return affBottom()
 	}
-	if v, ok := ev.memo[n]; ok {
-		return v
+	if i := ev.nodes[n.ID].val; i > 0 {
+		return ev.vals[i-1]
 	}
 	v := ev.evalRaw(n)
-	ev.memo[n] = v
+	ev.vals = append(ev.vals, v)
+	ev.nodes[n.ID].val = int32(len(ev.vals))
 	return v
 }
 
 func (ev *gEval) evalRaw(n *ir.Node) aff {
+	al := &ev.al
 	switch n.Op {
 	case ir.OpConstInt:
-		return affConst(n.IVal)
+		return al.affConst(n.IVal)
 	case ir.OpParam:
 		if ev.env != nil {
 			if c, ok := ev.env[n.Name]; ok {
-				return affConst(c)
+				return al.affConst(c)
 			}
 		}
-		return affPoly(polySym(n.Name))
+		return affPoly(al.sym(symbol{name: n.Name}))
 	case ir.OpThreadID:
-		return affPoly(polySym(tidSym))
+		return affPoly(al.sym(symbol{name: tidSym}))
 	case ir.OpNumThreads:
-		return affConst(int64(ev.k.NumThreads))
+		return al.affConst(int64(ev.k.NumThreads))
 	case ir.OpLiveIn:
 		// Loop-invariant by construction; the symbol cancels whenever two
 		// accesses share it.
-		return affPoly(polySym("~li" + itoa(int64(n.Idx))))
+		return affPoly(al.sym(symbol{name: "~li", idx: n.Idx}))
 	case ir.OpCarry:
-		step, ok := ev.steps[n.Idx]
-		if !ok {
+		if n.Idx >= len(ev.steps) || ev.steps[n.Idx] == nil {
 			return affBottom()
 		}
-		return affPoly(polySym("~c"+itoa(int64(n.Idx)))).setCoef(graphIter, step)
+		return al.iterAff(al.sym(symbol{name: "~c", idx: n.Idx}), graphIter, ev.steps[n.Idx])
 	case ir.OpAdd:
-		return ev.eval(n.Args[0]).add(ev.eval(n.Args[1]))
+		return al.affAdd(ev.eval(n.Args[0]), ev.eval(n.Args[1]))
 	case ir.OpSub:
-		return ev.eval(n.Args[0]).sub(ev.eval(n.Args[1]))
+		return al.affSub(ev.eval(n.Args[0]), ev.eval(n.Args[1]))
 	case ir.OpMul:
-		return ev.eval(n.Args[0]).mul(ev.eval(n.Args[1]))
+		return al.affMul(ev.eval(n.Args[0]), ev.eval(n.Args[1]))
 	case ir.OpDiv, ir.OpRem:
 		m, ok := ev.eval(n.Args[1]).constVal()
 		if !ok || m <= 0 {
 			return affBottom()
 		}
-		return ev.eval(n.Args[0]).divMod(m, n.Op == ir.OpRem)
+		return al.divMod(ev.eval(n.Args[0]), m, n.Op == ir.OpRem)
 	}
 	return affBottom()
-}
-
-// cycleScratch holds carryCycle's path state in dense slices, indexed
-// by node ID minus the graph's lowest ID and reused for every carry of a
-// kernel. IDs are unique per kernel, and a validated graph's arguments
-// and carry updates are its own nodes.
-type cycleScratch struct {
-	lo   int
-	dist []int // longest latency from the carry's read; -1 when none
-	from []*ir.Node
 }
 
 // carryCycle finds the longest-latency path from carry i's reads to its
 // update node through nodes that transitively depend on the carry.
 // Latencies are never negative, so a node depends on the carry exactly
 // when the longest-path pass reaches it.
-func (cs *cycleScratch) carryCycle(g *ir.Graph, i int, upd *ir.Node, lat func(*ir.Node) int) (ScalarRec, bool) {
-	cs.lo = math.MaxInt
-	hi := 0
+func (ev *gEval) carryCycle(g *ir.Graph, i int, upd *ir.Node, lat func(*ir.Node) int) (ScalarRec, bool) {
+	at := ev.nodes
 	for _, n := range g.Nodes {
-		cs.lo, hi = min(cs.lo, n.ID), max(hi, n.ID+1)
+		at[n.ID].dist, at[n.ID].from = -1, nil
 	}
-	cs.dist = slices.Grow(cs.dist[:0], hi-cs.lo)[:hi-cs.lo]
-	cs.from = slices.Grow(cs.from[:0], hi-cs.lo)[:hi-cs.lo]
-	for k := range cs.dist {
-		cs.dist[k], cs.from[k] = -1, nil
-	}
-	at := func(n *ir.Node) int { return n.ID - cs.lo }
 	for _, n := range g.Nodes { // topological order; carry reads cost 0
 		if n.Op == ir.OpCarry && n.Idx == i {
-			cs.dist[at(n)] = 0
+			at[n.ID].dist = 0
 			continue
 		}
 		best, bestFrom := -1, (*ir.Node)(nil)
 		for _, a := range n.Args {
-			if d := cs.dist[at(a)]; d > best {
+			if d := at[a.ID].dist; d > best {
 				best, bestFrom = d, a
 			}
 		}
 		if best >= 0 {
-			cs.dist[at(n)], cs.from[at(n)] = best+lat(n), bestFrom
+			at[n.ID].dist, at[n.ID].from = best+lat(n), bestFrom
 		}
 	}
-	total := cs.dist[at(upd)]
+	total := at[upd.ID].dist
 	if total <= 0 {
 		return ScalarRec{}, false
 	}
-	n := 0
-	for x := upd; x != nil; x = cs.from[at(x)] {
-		n++
+	path := ev.path[:0]
+	for x := upd; x != nil; x = at[x.ID].from {
+		path = append(path, x)
 	}
-	path := make([]*ir.Node, n)
-	for x := upd; x != nil; x = cs.from[at(x)] {
-		n--
-		path[n] = x
-	}
-	return ScalarRec{Carry: i, Lat: total, Path: path}, true
+	slices.Reverse(path)
+	ev.path = path
+	return ScalarRec{Carry: i, Lat: total, Path: ev.paths.Carve(path)}, true
 }

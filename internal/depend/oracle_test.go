@@ -1,10 +1,14 @@
 package depend
 
-// The solver as it stood before the scratch interval, kept verbatim as
-// the oracle the production solver is held against: carriedAt and
-// iterLast materialised every intermediate polynomial (an ancestor map
-// per call, an iteration bound per free loop and pair, cloned interval
-// sums), and assemble/loopDeps drove them with a formatted dedup key.
+// The solver as it stood before the scratch interval, kept as the oracle
+// the production solver is held against: carriedAt and iterLast
+// materialised every intermediate polynomial (an ancestor map per call,
+// an iteration bound per free loop and pair, cloned interval sums), and
+// assemble/loopDeps drove them with a formatted dedup key. When
+// polynomials became term slices over a per-run algebra the oracle was
+// ported onto them operation for operation (each map method became the
+// algebra's method of the same name); it still builds every sum and
+// difference the production solver only reads through comb.
 // TestSolverMatchesOracle and FuzzDepend check that every (pair, loop,
 // thread variant) verdict and every whole report agree. The IR front
 // end's carryCycle is held the same way against its map-based self.
@@ -25,16 +29,17 @@ import (
 	"paravis/internal/workloads"
 )
 
-// oracleCarriedAt runs the test for the pair (f, g) at loop L. thread selects
-// the cross-thread variant; nt is the omp thread count.
-func oracleCarriedAt(f, g *access, L *loopInfo, thread bool, nt int) solveRes {
+// oracleCarriedAt runs the test for the pair (f, g) at loop L of w's
+// walk. thread selects the cross-thread variant.
+func oracleCarriedAt(w *walker, f, g *access, L *loopInfo, thread bool) solveRes {
+	al, nt := &w.al, w.nt
 	may := solveRes{verdict: vMay}
 	if !f.sub.ok || !g.sub.ok {
 		return may
 	}
-	anc := map[*loopInfo]bool{}
+	anc := map[int]bool{}
 	for p := L.parent; p != nil; p = p.parent {
-		anc[p] = true
+		anc[p.id] = true
 	}
 	// Ancestor loops hold the same iteration on both sides: their terms
 	// cancel only when the coefficients agree.
@@ -43,17 +48,17 @@ func oracleCarriedAt(f, g *access, L *loopInfo, thread bool, nt int) solveRes {
 			return may
 		}
 	}
-	A := f.sub.coefOf(L)
-	if !A.equal(g.sub.coefOf(L)) {
+	A := f.sub.coefOf(L.id)
+	if !A.equal(g.sub.coefOf(L.id)) {
 		return may
 	}
-	fRest, fTid, ok1 := f.sub.base.tidSplit()
-	gRest, gTid, ok2 := g.sub.base.tidSplit()
+	fRest, fTid, ok1 := al.tidSplit(f.sub.base)
+	gRest, gTid, ok2 := al.tidSplit(g.sub.base)
 	if !ok1 || !ok2 || !fTid.equal(gTid) {
 		return may
 	}
 	Atid := fTid
-	D0 := fRest.sub(gRest)
+	D0 := al.sub(fRest, gRest)
 
 	// Free variables: loops below L or in disjoint subtrees; each index
 	// ranges over [0, iterLast].
@@ -61,21 +66,21 @@ func oracleCarriedAt(f, g *access, L *loopInfo, thread bool, nt int) solveRes {
 	nFree := 0
 	addFree := func(sub aff, negate bool) bool {
 		for l2, c := range sub.coef {
-			if l2 == L || anc[l2] {
+			if c.isZero() || l2 == L.id || anc[l2] {
 				continue
 			}
-			u, ok := oracleIterLast(l2)
+			u, ok := oracleIterLast(al, w.allLoops[l2])
 			if !ok {
 				return false
 			}
 			if negate {
-				c = c.negate()
+				c = al.negate(c)
 			}
-			term := interval{ok: true, hi: u}.mulPoly(c)
+			term := oracleMulPoly(al, interval{ok: true, hi: u}, c)
 			if !term.ok {
 				return false
 			}
-			free = free.add(term)
+			free = oracleAdd(al, free, term)
 			nFree++
 		}
 		return true
@@ -87,22 +92,22 @@ func oracleCarriedAt(f, g *access, L *loopInfo, thread bool, nt int) solveRes {
 	// Overlap of [addr_f, addr_f+wf-1] and [addr_g, addr_g+wg-1], after
 	// substituting t_g = t_f + X and tau_g = tau_f + sigma:
 	//   A*X + Atid*sigma  in  D0 + free + [-(wf-1), wg-1]  =: I
-	I := intervalPoint(D0).add(free).widen(-(f.width - 1), g.width-1)
+	I := oracleWiden(al, oracleAdd(al, intervalPoint(D0), free), -(f.width - 1), g.width-1)
 	pointI := nFree == 0 && f.width == 1 && g.width == 1
 
 	if !thread {
 		if A.isZero() {
-			return oracleZivAt(I, D0, pointI)
+			return oracleZivAt(al, I, D0, pointI)
 		}
-		return oracleSolveExist(A, I, pointI, D0, func(y int64) bool { return y != 0 })
+		return oracleSolveExist(al, A, I, pointI, D0, func(y int64) bool { return y != 0 })
 	}
 	// Cross-thread: sigma != 0, X free.
 	if Atid.isZero() {
 		if A.isZero() {
-			return oracleZivAt(I, D0, pointI)
+			return oracleZivAt(al, I, D0, pointI)
 		}
 		// Any X, including 0, collides two distinct threads.
-		return oracleSolveExist(A, I, pointI, D0, func(y int64) bool { return true })
+		return oracleSolveExist(al, A, I, pointI, D0, func(y int64) bool { return true })
 	}
 	var s int64
 	if !A.isZero() {
@@ -112,7 +117,7 @@ func oracleCarriedAt(f, g *access, L *loopInfo, thread bool, nt int) solveRes {
 		}
 		s = k
 	}
-	res := oracleSolveExist(Atid, I, pointI, D0, func(y int64) bool { return tidAdmissible(y, s, nt) })
+	res := oracleSolveExist(al, Atid, I, pointI, D0, func(y int64) bool { return tidAdmissible(y, s, nt) })
 	res.dists = nil // Y mixes sigma and X; no iteration distance to report
 	return res
 }
@@ -120,8 +125,8 @@ func oracleCarriedAt(f, g *access, L *loopInfo, thread bool, nt int) solveRes {
 // oracleZivAt handles an address that does not vary with the carried
 // variable: the dependence exists iff the residual can be zero, and
 // when the residual is exactly zero every iteration pair collides.
-func oracleZivAt(I interval, D0 poly, pointI bool) solveRes {
-	if !I.containsZero() {
+func oracleZivAt(al *algebra, I interval, D0 poly, pointI bool) solveRes {
+	if !oracleContainsZero(al, I) {
 		return solveRes{verdict: vNone}
 	}
 	if pointI {
@@ -138,11 +143,11 @@ func oracleZivAt(I interval, D0 poly, pointI bool) solveRes {
 // oracleSolveExist decides existence of an admissible Y with coef*Y in I.
 // pointI marks I as the exact point D0 (no free terms, scalar widths),
 // where membership is symbolic equality and survivors are proven.
-func oracleSolveExist(coef poly, I interval, pointI bool, D0 poly, admissible func(int64) bool) solveRes {
+func oracleSolveExist(al *algebra, coef poly, I interval, pointI bool, D0 poly, admissible func(int64) bool) solveRes {
 	may := solveRes{verdict: vMay}
 	neg := false
 	if !coef.isNonNeg() {
-		if !coef.negate().isNonNeg() {
+		if !al.negate(coef).isNonNeg() {
 			return may // mixed-sign coefficient: magnitude unprovable
 		}
 		neg = true
@@ -150,14 +155,14 @@ func oracleSolveExist(coef poly, I interval, pointI bool, D0 poly, admissible fu
 	pos := coef
 	if neg {
 		// coef*Y in I  <=>  |coef|*Y in -I; Y's sign flips back below.
-		pos = coef.negate()
-		I = interval{ok: I.ok, lo: I.hi.negate(), hi: I.lo.negate()}
-		D0 = D0.negate()
+		pos = al.negate(coef)
+		I = interval{ok: I.ok, lo: al.negate(I.hi), hi: al.negate(I.lo)}
+		D0 = al.negate(D0)
 	}
 	beta := int64(-1)
 	for b := int64(0); b <= maxBeta; b++ {
-		m := pos.mulInt(b + 1)
-		if provablyBelow(I.hi, m) && provablyBelow(m.negate(), I.lo) {
+		m := al.mulInt(pos, b+1)
+		if oracleBelow(al, I.hi, m) && oracleBelow(al, al.negate(m), I.lo) {
 			beta = b
 			break
 		}
@@ -175,7 +180,7 @@ func oracleSolveExist(coef poly, I interval, pointI bool, D0 poly, admissible fu
 		if !admissible(yy) {
 			continue
 		}
-		m := pos.mulInt(y)
+		m := al.mulInt(pos, y)
 		if pointI {
 			if m.equal(D0) {
 				sols = append(sols, yy)
@@ -183,7 +188,7 @@ func oracleSolveExist(coef poly, I interval, pointI bool, D0 poly, admissible fu
 			continue
 		}
 		// Keep y unless provably outside I.
-		if provablyBelow(m, I.lo) || provablyBelow(I.hi, m) {
+		if oracleBelow(al, m, I.lo) || oracleBelow(al, I.hi, m) {
 			continue
 		}
 		sols = append(sols, yy)
@@ -205,24 +210,46 @@ func oracleSolveExist(coef poly, I interval, pointI bool, D0 poly, admissible fu
 	return solveRes{verdict: vMay, dists: sols}
 }
 
+// oracleBelow reports x < y for all x <= hi when the gap y - hi is
+// provably >= 1.
+func oracleBelow(al *algebra, hi, y poly) bool {
+	return al.sub(al.sub(y, hi), al.constant(1)).isNonNeg()
+}
+
+// oracleContainsZero reports whether 0 may lie in the interval: it
+// returns false only when the interval is provably strictly positive or
+// strictly negative.
+func oracleContainsZero(al *algebra, iv interval) bool {
+	if !iv.ok {
+		return true
+	}
+	if al.sub(iv.lo, al.constant(1)).isNonNeg() { // lo >= 1
+		return false
+	}
+	if al.sub(al.negate(iv.hi), al.constant(1)).isNonNeg() { // hi <= -1
+		return false
+	}
+	return true
+}
+
 // oracleIterLast returns a polynomial upper bound U on the loop's last
 // iteration index (t <= U). It is exact for unit steps and conservative
 // (value-span based) otherwise, which is sound: a larger iteration
 // range only widens intervals.
-func oracleIterLast(l *loopInfo) (poly, bool) {
+func oracleIterLast(al *algebra, l *loopInfo) (poly, bool) {
 	if !l.hasIV || !l.hasBnd || !l.init.isInvariant() || !l.bound.isInvariant() {
 		return nil, false
 	}
-	span := l.bound.base.sub(l.init.base).sub(polyConst(1))
+	span := al.sub(al.sub(l.bound.base, l.init.base), al.constant(1))
 	if l.step < 0 {
-		span = l.init.base.sub(l.bound.base).sub(polyConst(1))
+		span = al.sub(al.sub(l.init.base, l.bound.base), al.constant(1))
 	}
 	// The tid pseudo-symbol in a bound would make the span per-thread;
 	// substitute its worst case (tid >= 0 keeps the span an upper
 	// bound when the tid coefficient is <= 0, i.e. "start at my_id").
-	if span.hasTid() {
-		rest, tidCoef, ok := span.tidSplit()
-		if !ok || !tidCoef.negate().isNonNeg() {
+	if al.hasTid(span) {
+		rest, tidCoef, ok := al.tidSplit(span)
+		if !ok || !al.negate(tidCoef).isNonNeg() {
 			return nil, false
 		}
 		span = rest // tid term <= 0: dropping it can only increase span
@@ -233,9 +260,9 @@ func oracleIterLast(l *loopInfo) (poly, bool) {
 	}
 	if step > 1 {
 		if span.divisibleBy(step) {
-			span = span.divInt(step)
+			span = al.divInt(span, step)
 		} else if c, ok := span.constVal(); ok {
-			span = polyConst(c / step)
+			span = al.constant(c / step)
 		}
 		// Otherwise keep the value span: t <= span since step >= 1.
 	}
@@ -244,30 +271,30 @@ func oracleIterLast(l *loopInfo) (poly, bool) {
 
 func intervalPoint(p poly) interval { return interval{ok: true, lo: p, hi: p} }
 
-func (iv interval) add(o interval) interval {
+func oracleAdd(al *algebra, iv, o interval) interval {
 	if !iv.ok || !o.ok {
 		return interval{}
 	}
-	return interval{ok: true, lo: iv.lo.add(o.lo), hi: iv.hi.add(o.hi)}
+	return interval{ok: true, lo: al.add(iv.lo, o.lo), hi: al.add(iv.hi, o.hi)}
 }
 
-func (iv interval) widen(loExtra, hiExtra int64) interval {
+func oracleWiden(al *algebra, iv interval, loExtra, hiExtra int64) interval {
 	if !iv.ok {
 		return iv
 	}
-	return interval{ok: true, lo: iv.lo.add(polyConst(loExtra)), hi: iv.hi.add(polyConst(hiExtra))}
+	return interval{ok: true, lo: al.add(iv.lo, al.constant(loExtra)), hi: al.add(iv.hi, al.constant(hiExtra))}
 }
 
-// mulPoly scales an interval by a polynomial of known sign.
-func (iv interval) mulPoly(p poly) interval {
+// oracleMulPoly scales an interval by a polynomial of known sign.
+func oracleMulPoly(al *algebra, iv interval, p poly) interval {
 	if !iv.ok {
 		return iv
 	}
 	switch {
 	case p.isNonNeg():
-		return interval{ok: true, lo: iv.lo.mul(p), hi: iv.hi.mul(p)}
-	case p.negate().isNonNeg():
-		return interval{ok: true, lo: iv.hi.mul(p), hi: iv.lo.mul(p)}
+		return interval{ok: true, lo: al.mul(iv.lo, p), hi: al.mul(iv.hi, p)}
+	case al.negate(p).isNonNeg():
+		return interval{ok: true, lo: al.mul(iv.hi, p), hi: al.mul(iv.lo, p)}
 	}
 	return interval{}
 }
@@ -297,7 +324,7 @@ func oracleAssemble(w *walker) *Report {
 				Line: a.pos.Line, Col: a.pos.Col,
 			}
 			if a.sub.ok {
-				if c, ok := a.sub.coefOf(l).constVal(); ok {
+				if c, ok := a.sub.coefOf(l.id).constVal(); ok {
 					acc.Stride, acc.StrideKnown = c, true
 				}
 			}
@@ -342,7 +369,7 @@ func oracleLoopDeps(w *walker, l *loopInfo, under []*access) []Dep {
 			if f.arr != g.arr || (!f.write && !g.write) {
 				continue
 			}
-			if d, ok := classify(f, g, w.refineMay(f, g, oracleCarriedAt(f, g, l, false, w.nt)), false); ok {
+			if d, ok := classify(f, g, w.refineMay(f, g, oracleCarriedAt(w, f, g, l, false)), false); ok {
 				addDep(d)
 			}
 			// Cross-thread: only mapped DRAM arrays are shared between
@@ -350,7 +377,7 @@ func oracleLoopDeps(w *walker, l *loopInfo, under []*access) []Dep {
 			// a critical section are mutex-ordered — the race checker
 			// owns those.
 			if l.threadLoop && f.arr.dram && !(f.critical && g.critical) {
-				if d, ok := classify(f, g, w.refineMay(f, g, oracleCarriedAt(f, g, l, true, w.nt)), true); ok {
+				if d, ok := classify(f, g, w.refineMay(f, g, oracleCarriedAt(w, f, g, l, true)), true); ok {
 					addDep(d)
 				}
 			}
@@ -391,7 +418,7 @@ func compareOracle(t *testing.T, label string, fn *minic.FuncDecl, env map[strin
 			for _, g := range under {
 				for _, thread := range []bool{false, true} {
 					got := w.carriedAt(f, g, l, thread)
-					want := oracleCarriedAt(f, g, l, thread, w.nt)
+					want := oracleCarriedAt(w, f, g, l, thread)
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: %s: %s@%s vs %s@%s thread=%v: solver %+v, oracle %+v",
 							label, l.name, f.arr.name, f.pos, g.arr.name, g.pos, thread, got, want)
@@ -429,7 +456,7 @@ func checkSmallConsts(t *testing.T) {
 	t.Helper()
 	for i, p := range smallConsts {
 		c := int64(i - 16)
-		if (c == 0 && p != nil) || (c != 0 && (len(p) != 1 || p[""] != c)) {
+		if (c == 0 && p != nil) || (c != 0 && !p.equal(poly{{0, c}})) {
 			t.Fatalf("shared constant %d now reads %v", c, p)
 		}
 	}

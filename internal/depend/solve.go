@@ -53,8 +53,9 @@ const maxBeta = 64
 
 // carriedAt runs the test for the pair (f, g) at loop L. thread selects
 // the cross-thread variant. The overlap interval I is built in the
-// walker's two scratch polys, cleared per call: no test keeps it past
-// its return, so one pair of maps serves every pair of the nest.
+// walker's two scratch term lists, cleared per call, and the solver's
+// surviving distances in its scratch dists: no test keeps either past
+// the next call, so one set of buffers serves every pair of the nest.
 func (w *walker) carriedAt(f, g *access, L *loopInfo, thread bool) solveRes {
 	may := solveRes{verdict: vMay}
 	if !f.sub.ok || !g.sub.ok {
@@ -63,12 +64,12 @@ func (w *walker) carriedAt(f, g *access, L *loopInfo, thread bool) solveRes {
 	// Ancestor loops hold the same iteration on both sides: their terms
 	// cancel only when the coefficients agree.
 	for p := L.parent; p != nil; p = p.parent {
-		if !f.sub.coefOf(p).equal(g.sub.coefOf(p)) {
+		if !f.sub.coefOf(p.id).equal(g.sub.coefOf(p.id)) {
 			return may
 		}
 	}
-	A := f.sub.coefOf(L)
-	if !A.equal(g.sub.coefOf(L)) {
+	A := f.sub.coefOf(L.id)
+	if !A.equal(g.sub.coefOf(L.id)) {
 		return may
 	}
 	if !f.tidOK || !g.tidOK || !f.tid.equal(g.tid) {
@@ -80,24 +81,20 @@ func (w *walker) carriedAt(f, g *access, L *loopInfo, thread bool) solveRes {
 	// substituting t_g = t_f + X and tau_g = tau_f + sigma:
 	//   A*X + Atid*sigma  in  D0 + free + [-(wf-1), wg-1]  =: I
 	// with D0 the tid-free base difference.
-	I := interval{ok: true, lo: w.lo, hi: w.hi}
-	clear(I.lo)
-	clear(I.hi)
-	I.lo.addScaled(f.rest, 1)
-	I.lo.addScaled(g.rest, -1)
-	I.hi.addScaled(I.lo, 1)
-	nf, ok := addFree(I, f.sub, 1, L)
+	lo := appendScaled(appendScaled(w.lo[:0], f.rest, 1), g.rest, -1)
+	hi := append(w.hi[:0], lo...)
+	nf, ok := w.addFree(&lo, &hi, f.sub, 1, L)
 	if !ok {
 		return may
 	}
-	ng, ok := addFree(I, g.sub, -1, L)
+	ng, ok := w.addFree(&lo, &hi, g.sub, -1, L)
 	if !ok {
 		return may
 	}
-	I.lo[""] -= f.width - 1
-	I.hi[""] += g.width - 1
-	I.lo.dropZeros()
-	I.hi.dropZeros()
+	lo = append(lo, term{0, -(f.width - 1)})
+	hi = append(hi, term{0, g.width - 1})
+	w.lo, w.hi = lo, hi
+	I := interval{ok: true, lo: normalize(lo), hi: normalize(hi)}
 	// A point interval is D0 itself: the tests below read it as I.lo.
 	pointI := nf+ng == 0 && f.width == 1 && g.width == 1
 
@@ -105,7 +102,7 @@ func (w *walker) carriedAt(f, g *access, L *loopInfo, thread bool) solveRes {
 		if A.isZero() {
 			return zivAt(I, pointI)
 		}
-		return solveExist(A, I, pointI, func(y int64) bool { return y != 0 })
+		return w.solveExist(A, I, pointI, func(y int64) bool { return y != 0 })
 	}
 	// Cross-thread: sigma != 0, X free.
 	if Atid.isZero() {
@@ -113,7 +110,7 @@ func (w *walker) carriedAt(f, g *access, L *loopInfo, thread bool) solveRes {
 			return zivAt(I, pointI)
 		}
 		// Any X, including 0, collides two distinct threads.
-		return solveExist(A, I, pointI, func(y int64) bool { return true })
+		return w.solveExist(A, I, pointI, func(y int64) bool { return true })
 	}
 	var s int64
 	if !A.isZero() {
@@ -123,27 +120,29 @@ func (w *walker) carriedAt(f, g *access, L *loopInfo, thread bool) solveRes {
 		}
 		s = k
 	}
-	res := solveExist(Atid, I, pointI, func(y int64) bool { return tidAdmissible(y, s, w.nt) })
+	res := w.solveExist(Atid, I, pointI, func(y int64) bool { return tidAdmissible(y, s, w.nt) })
 	res.dists = nil // Y mixes sigma and X; no iteration distance to report
 	return res
 }
 
-// addFree adds sign*sub's free terms to I and counts them. A free loop's
-// index ranges over [0, last], so its term sign*c*[0, last] lands on hi
-// when sign*c is non-negative and on lo when it is non-positive; a loop
-// without a bound or a coefficient of mixed sign fails the test.
-func addFree(I interval, sub aff, sign int64, L *loopInfo) (int, bool) {
+// addFree appends sign*sub's free terms to the interval under
+// construction and counts them. A free loop's index ranges over
+// [0, last], so its term sign*c*[0, last] lands on hi when sign*c is
+// non-negative and on lo when it is non-positive; a loop without a
+// bound or a coefficient of mixed sign fails the test.
+func (w *walker) addFree(lo, hi *[]term, sub aff, sign int64, L *loopInfo) (int, bool) {
 	n := 0
-	for l, c := range sub.coef {
+	for id, c := range sub.coef {
+		l := w.allLoops[id]
 		switch {
-		case l.encloses(L):
+		case c.isZero() || l.encloses(L):
 			continue
 		case !l.lastOK:
 			return 0, false
 		case c.nonNegTimes(sign):
-			I.hi.addProduct(l.last, c, sign)
+			*hi = w.al.appendProduct(*hi, l.last, c, sign)
 		case c.nonNegTimes(-sign):
-			I.lo.addProduct(l.last, c, sign)
+			*lo = w.al.appendProduct(*lo, l.last, c, sign)
 		default:
 			return 0, false
 		}
@@ -156,7 +155,9 @@ func addFree(I interval, sub aff, sign int64, L *loopInfo) (int, bool) {
 // variable: the dependence exists iff the residual can be zero, and
 // when the residual is exactly zero every iteration pair collides.
 func zivAt(I interval, pointI bool) solveRes {
-	if !I.containsZero() {
+	positive, _ := comb(I.lo, 1, nil, 0, -1)  // lo >= 1
+	negative, _ := comb(I.hi, -1, nil, 0, -1) // hi <= -1
+	if positive || negative {
 		return solveRes{verdict: vNone}
 	}
 	if pointI && I.lo.isZero() {
@@ -192,26 +193,33 @@ func tidAdmissible(y, s int64, nt int) bool {
 // solveExist decides existence of an admissible Y with coef*Y in I.
 // pointI marks I as the exact point D0 = I.lo = I.hi (no free terms,
 // scalar widths), where membership is symbolic equality and survivors
-// are proven.
-func solveExist(coef poly, I interval, pointI bool, admissible func(int64) bool) solveRes {
+// are proven. Every test is a sign or zero check of a combination of
+// coef and one end of I, walked by comb without building it; the
+// surviving distances are w.dists, valid until the next call.
+func (w *walker) solveExist(coef poly, I interval, pointI bool, admissible func(int64) bool) solveRes {
 	may := solveRes{verdict: vMay}
-	neg := false
+	// With sg the sign that makes pos = sg*coef non-negative,
+	// coef*Y in I  <=>  pos*Y in sg*I = [sg*lo, sg*hi], where
+	// lo, hi = I.lo, I.hi (sg = 1) or I.hi, I.lo (sg = -1); Y's sign
+	// flips back below.
+	sg := int64(1)
 	if !coef.isNonNeg() {
-		if !coef.negate().isNonNeg() {
+		if !coef.nonNegTimes(-1) {
 			return may // mixed-sign coefficient: magnitude unprovable
 		}
-		neg = true
+		sg = -1
 	}
-	pos := coef
-	if neg {
-		// coef*Y in I  <=>  |coef|*Y in -I; Y's sign flips back below.
-		pos = coef.negate()
-		I = interval{ok: I.ok, lo: I.hi.negate(), hi: I.lo.negate()}
+	lo, hi := I.lo, I.hi
+	if sg < 0 {
+		lo, hi = hi, lo
 	}
+	// below(x, y) is "x < y provably": y - x - 1 >= 0.
 	beta := int64(-1)
 	for b := int64(0); b <= maxBeta; b++ {
-		m := pos.mulInt(b + 1)
-		if provablyBelow(I.hi, m) && provablyBelow(m.negate(), I.lo) {
+		k := sg * (b + 1)                      // pos*(b+1) = k*coef
+		above, _ := comb(coef, k, hi, -sg, -1) // sg*hi < pos*(b+1)
+		below, _ := comb(coef, k, lo, sg, -1)  // -pos*(b+1) < sg*lo
+		if above && below {
 			beta = b
 			break
 		}
@@ -219,37 +227,39 @@ func solveExist(coef poly, I interval, pointI bool, admissible func(int64) bool)
 	if beta < 0 {
 		return may
 	}
-	var sols []int64
+	cc, coefConst := coef.constVal()
+	lc, loConst := lo.constVal()
+	hc, hiConst := hi.constVal()
+	sols := w.dists[:0]
 	exact := true
 	for y := -beta; y <= beta; y++ {
-		yy := y
-		if neg {
-			yy = -y
-		}
+		yy := sg * y
 		if !admissible(yy) {
 			continue
 		}
-		m := pos.mulInt(y)
+		k := sg * y // m = pos*y = k*coef
 		if pointI {
-			if m.equal(I.lo) {
+			if _, eq := comb(coef, k, lo, -sg, 0); eq {
 				sols = append(sols, yy)
 			}
 			continue
 		}
 		// Keep y unless provably outside I.
-		if provablyBelow(m, I.lo) || provablyBelow(I.hi, m) {
+		if out, _ := comb(coef, -k, lo, sg, -1); out { // m < sg*lo
+			continue
+		}
+		if out, _ := comb(coef, k, hi, -sg, -1); out { // sg*hi < m
 			continue
 		}
 		sols = append(sols, yy)
 		// Membership (not just non-exclusion) is decidable when
 		// everything folds to numbers.
-		mc, ok1 := m.constVal()
-		lc, ok2 := I.lo.constVal()
-		hc, ok3 := I.hi.constVal()
-		if !(ok1 && ok2 && ok3 && lc <= mc && mc <= hc) {
+		mc, mConst := k*cc, coefConst || y == 0
+		if !(mConst && loConst && hiConst && sg*lc <= mc && mc <= sg*hc) {
 			exact = false
 		}
 	}
+	w.dists = sols
 	if len(sols) == 0 {
 		return solveRes{verdict: vNone}
 	}

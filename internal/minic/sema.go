@@ -492,41 +492,46 @@ func (a *analyzer) commonType(l, r *Type, p Pos) (*Type, error) {
 // dimensions or a pointer, and a final extra subscript on a vector value
 // becomes a VecElem lane access. The first subscript that peels a base
 // which is not itself an Index reuses x, whose list it refills in place:
-// each write lands on a subscript already read.
+// each write lands on a subscript already read. bt is cur's type less
+// the peeled dimensions, so the array type of a partial subscript is
+// built once, at the end, and a full one builds none.
 func (a *analyzer) checkIndex(x *Index, sc *scope) (Expr, error) {
 	base, err := a.checkExpr(x.Base, sc)
 	if err != nil {
 		return nil, err
 	}
 	var cur Expr = base
+	bt, peeled := base.Type(), 0
 	for _, rawIdx := range x.Idx {
 		ie, err := a.checkExpr(rawIdx, sc)
 		if err != nil {
 			return nil, err
 		}
 		ie = a.convertTo(ie, TypeInt())
-		bt := cur.Type()
 		switch {
 		case bt.IsPointer() || bt.IsArray():
-			et := bt.ElemType()
-			ix, ok := cur.(*Index)
-			if ok {
+			if ix, ok := cur.(*Index); ok {
 				// Extend existing index node with one more subscript.
 				ix.Idx = append(ix.Idx, ie)
-				ix.SetType(et)
-				cur = ix
 			} else {
 				x.Base, x.Idx = cur, append(x.Idx[:0], ie)
-				x.SetType(et)
 				cur = x
 			}
+			if peeled++; bt.IsArray() && peeled < len(bt.Dims) {
+				continue
+			}
+			bt, peeled = bt.Elem, 0
+			cur.SetType(bt)
 		case bt.IsVector():
 			ve := a.ar.vecElems.New(VecElem{Vec: cur, Idx: ie, Pos: x.Pos})
 			ve.SetType(TypeFloat())
-			cur = ve
+			cur, bt = ve, ve.Type()
 		default:
 			return nil, a.errf(x.Pos, "cannot subscript value of type %s", bt)
 		}
+	}
+	if peeled > 0 {
+		cur.SetType(&Type{Dims: bt.Dims[peeled:], Elem: bt.Elem})
 	}
 	return cur, nil
 }
