@@ -28,7 +28,7 @@ func benchOpts(dim int) experiments.Options {
 // all six designs with and without the profiling unit.
 func BenchmarkOverheadGEMM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunOverhead(context.Background(), 8, 0)
+		r, err := experiments.RunOverhead(context.Background(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

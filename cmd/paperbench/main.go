@@ -82,7 +82,7 @@ func main() {
 	}
 
 	run("overhead", func(o experiments.Options) (string, error) {
-		r, err := experiments.RunOverhead(ctx, o.Threads, o.Workers)
+		r, err := experiments.RunOverhead(ctx, o.Workers)
 		if err != nil {
 			return "", err
 		}

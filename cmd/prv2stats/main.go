@@ -41,49 +41,26 @@ func main() {
 	if err := r.Close(); err != nil {
 		fatal(err)
 	}
-	tasks := st.Hdr.Tasks
+	fmt.Printf("trace: 1 task(s) x %d threads, %d cycles\n\n", st.Hdr.NumThreads, st.Hdr.EndTime)
 
-	fmt.Printf("trace: %d task(s) x %d threads, %d cycles\n\n", tasks, st.Hdr.NumThreads, st.Hdr.EndTime)
-
-	if tasks > 1 {
-		for task := 0; task < tasks; task++ {
-			p := st.StateProfileTask(task)
-			fmt.Printf("task %d (FPGA %d): %.1f%% running, %.1f%% idle\n",
-				task+1, task+1, 100*p.TotalFraction[1], 100*p.TotalFraction[0])
-		}
-		if st.CommCount > 0 {
-			fmt.Printf("communication: %d records, %d bytes, max latency %d cycles\n",
-				st.CommCount, st.CommBytes, st.CommMaxLatency)
-		}
-		fmt.Println()
+	prof := st.StateProfile()
+	fmt.Println("state residency (% of execution time):")
+	fmt.Printf("%-8s %10s %10s %10s %10s\n", "thread", "Idle", "Running", "Critical", "Spinning")
+	for t := 0; t < prof.NumThreads; t++ {
+		fmt.Printf("T%-7d %9.2f%% %9.2f%% %9.2f%% %9.2f%%\n", t,
+			100*prof.Fraction[t][0], 100*prof.Fraction[t][1],
+			100*prof.Fraction[t][2], 100*prof.Fraction[t][3])
 	}
-
-	if tasks == 1 {
-		prof := st.StateProfileTask(0)
-		fmt.Println("state residency (% of execution time):")
-		fmt.Printf("%-8s %10s %10s %10s %10s\n", "thread", "Idle", "Running", "Critical", "Spinning")
-		for t := 0; t < prof.NumThreads; t++ {
-			fmt.Printf("T%-7d %9.2f%% %9.2f%% %9.2f%% %9.2f%%\n", t,
-				100*prof.Fraction[t][0], 100*prof.Fraction[t][1],
-				100*prof.Fraction[t][2], 100*prof.Fraction[t][3])
-		}
-		fmt.Printf("%-8s %9.2f%% %9.2f%% %9.2f%% %9.2f%%\n\n", "all",
-			100*prof.TotalFraction[0], 100*prof.TotalFraction[1],
-			100*prof.TotalFraction[2], 100*prof.TotalFraction[3])
-	}
+	fmt.Printf("%-8s %9.2f%% %9.2f%% %9.2f%% %9.2f%%\n\n", "all",
+		100*prof.TotalFraction[0], 100*prof.TotalFraction[1],
+		100*prof.TotalFraction[2], 100*prof.TotalFraction[3])
 
 	if *timeline {
-		for task := 0; task < tasks; task++ {
-			if tasks > 1 {
-				fmt.Printf("state timeline, FPGA %d (R=Running C=Critical S=Spinning .=Idle):\n", task+1)
-			} else {
-				fmt.Println("state timeline (R=Running C=Critical S=Spinning .=Idle):")
-			}
-			for _, row := range st.TimelineTask(task) {
-				fmt.Println("  " + row)
-			}
-			fmt.Println()
+		fmt.Println("state timeline (R=Running C=Critical S=Spinning .=Idle):")
+		for _, row := range st.Timeline() {
+			fmt.Println("  " + row)
 		}
+		fmt.Println()
 	}
 
 	fmt.Printf("memory throughput |%s|\n", analysis.RenderSeries(st.MemSeries(), *bins))

@@ -79,7 +79,7 @@ func main() {
 	bw := stats.AvgBandwidthBytesPerCycle()
 	fmt.Printf("memory: %.3f B/cycle (%.2f GB/s)\n", bw, analysis.BandwidthGBs(bw, out.FmaxMHz))
 	fmt.Println("state timeline (R=Running .=Idle):")
-	for _, row := range stats.TimelineTask(0) {
+	for _, row := range stats.Timeline() {
 		fmt.Println("  " + row)
 	}
 

@@ -171,7 +171,7 @@ func Advise(out *core.RunOutput) []Finding {
 	}
 
 	// Rule 1: serialization through the hardware semaphore (Fig. 6).
-	prof := ss.StateProfileTask(0)
+	prof := ss.StateProfile()
 	spinPct := 100 * prof.TotalFraction[profile.StateSpinning]
 	critPct := 100 * prof.TotalFraction[profile.StateCritical]
 	if spinPct+critPct > lockPctThreshold && r.LockAcquisitions > 0 {

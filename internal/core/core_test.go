@@ -84,7 +84,7 @@ func TestTraceShowsCriticalAndSpin(t *testing.T) {
 	if err := out.Streams.Scan(stats); err != nil {
 		t.Fatal(err)
 	}
-	prof := stats.StateProfileTask(0)
+	prof := stats.StateProfile()
 	if prof.TotalFraction[profile.StateCritical] == 0 {
 		t.Error("no critical time in trace (Fig. 6 expects some)")
 	}

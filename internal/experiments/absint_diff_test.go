@@ -121,7 +121,7 @@ func TestAbsintSoundOnSeedSimulations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env := map[string]int64{"steps": 25600, "threads": int64(opts.Threads)}
+		env := map[string]int64{"steps": 25600, "threads": piNT}
 		checkAbsintAgainstSim(t, p, env, pi.Runs[0].Out.Result)
 	})
 }

@@ -112,11 +112,11 @@ func dependRows(name string, p *core.Program, env map[string]int64, cfg sim.Conf
 func RunDepend(ctx context.Context, opts Options) (*DependResult, error) {
 	res := &DependResult{}
 	for _, v := range workloads.AllGEMMVersions {
-		p, err := buildGEMM(ctx, v, opts.Threads)
+		p, err := buildGEMM(ctx, v, gemmThreads)
 		if err != nil {
 			return nil, err
 		}
-		run, err := RunGEMM(ctx, v, opts.GEMMDim, opts.Threads, opts.SimCfg)
+		run, err := RunGEMM(ctx, v, opts.GEMMDim, gemmThreads, opts.SimCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +135,7 @@ func RunDepend(ctx context.Context, opts Options) (*DependResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := map[string]int64{"steps": int64(steps), "threads": int64(opts.Threads)}
+	env := map[string]int64{"steps": int64(steps), "threads": piNT}
 	res.Rows = append(res.Rows, dependRows("pi", p, env, opts.SimCfg, pi.Runs[0].Out.Result)...)
 	return res, nil
 }

@@ -31,7 +31,7 @@ func TestParallelRunnersAreDeterministic(t *testing.T) {
 	}
 	experiments := []experiment{
 		{"overhead", func(opts Options) (string, error) {
-			r, err := RunOverhead(context.Background(), 4, opts.Workers)
+			r, err := RunOverhead(context.Background(), opts.Workers)
 			if err != nil {
 				return "", err
 			}

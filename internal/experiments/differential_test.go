@@ -20,13 +20,11 @@ type recordLog struct {
 func (l *recordLog) Header(h paraver.Header) error  { l.calls = append(l.calls, h); return nil }
 func (l *recordLog) State(s paraver.StateRec) error { l.calls = append(l.calls, s); return nil }
 func (l *recordLog) Event(e paraver.EventRec) error { l.calls = append(l.calls, e); return nil }
-func (l *recordLog) Comm(c paraver.CommRec) error   { l.calls = append(l.calls, c); return nil }
 
 // A live trace and its .prv file must read the same: StreamTrace.Scan
 // delivers, call for call, what ScanPRV delivers from the bytes WritePRV
 // wrote — for all six seed workloads. This is what lets one fold serve
-// both. The multi-task case with communication records is
-// TestGoldenRoundTripMultiTask (internal/paraver).
+// both.
 func TestScanMatchesScanPRVOnSeedWorkloads(t *testing.T) {
 	ctx := context.Background()
 	traces := map[string]*paraver.StreamTrace{}

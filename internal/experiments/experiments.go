@@ -28,9 +28,6 @@ import (
 type Options struct {
 	GEMMDim int
 	PiSteps []int
-	// Threads is the GEMM studies' thread count. The pi kernel fixes its
-	// own (NT = 8), so RunPi ignores it.
-	Threads int
 	SimCfg  sim.Config
 	// Quiet suppresses ASCII view rendering.
 	Quiet bool
@@ -51,10 +48,13 @@ func DefaultOptions() Options {
 		// threads*BS_compute=64 (the kernel, like the paper's Fig. 10,
 		// assumes divisibility).
 		PiSteps: []int{102_400, 409_600, 1_024_000},
-		Threads: 8,
 		SimCfg:  cfg,
 	}
 }
+
+// gemmThreads is the GEMM studies' hardware thread count (NT of
+// workloads.GEMMDefinesThreads). The pi kernel fixes its own, piNT.
+const gemmThreads = 8
 
 // buildCache memoizes compiles across all experiments through the
 // content-addressed core.Cache (the same cache type the nymbled daemon
@@ -162,7 +162,7 @@ type OverheadResult struct {
 // RunOverhead estimates all six designs with and without profiling. The
 // designs compile independently and fan out across workers; the reduction
 // runs in index order so the result is worker-count independent.
-func RunOverhead(ctx context.Context, threads, workers int) (*OverheadResult, error) {
+func RunOverhead(ctx context.Context, workers int) (*OverheadResult, error) {
 	n := len(workloads.AllGEMMVersions)
 	rows := make([]OverheadRow, n+1) // GEMM versions + pi
 	err := parallel.ForEach(workers, n+1, func(i int) error {
@@ -172,7 +172,7 @@ func RunOverhead(ctx context.Context, threads, workers int) (*OverheadResult, er
 		if i < n {
 			v := workloads.AllGEMMVersions[i]
 			name = v.String()
-			p, err = buildGEMM(ctx, v, threads)
+			p, err = buildGEMM(ctx, v, gemmThreads)
 		} else {
 			p, err = buildPi(ctx)
 		}
@@ -238,14 +238,14 @@ type Fig6Result struct {
 
 // RunFig6 reproduces the Fig. 6 state view.
 func RunFig6(ctx context.Context, opts Options) (*Fig6Result, error) {
-	run, err := RunGEMM(ctx, workloads.GEMMNaive, opts.GEMMDim, opts.Threads, opts.SimCfg)
+	run, err := RunGEMM(ctx, workloads.GEMMNaive, opts.GEMMDim, gemmThreads, opts.SimCfg)
 	if err != nil {
 		return nil, err
 	}
 	if run.Stats == nil {
 		return nil, fmt.Errorf("fig6 needs profiling enabled")
 	}
-	prof := run.Stats.StateProfileTask(0)
+	prof := run.Stats.StateProfile()
 	res := &Fig6Result{
 		Run:         run,
 		Profile:     prof,
@@ -253,7 +253,7 @@ func RunFig6(ctx context.Context, opts Options) (*Fig6Result, error) {
 		SpinningPct: 100 * prof.TotalFraction[profile.StateSpinning],
 	}
 	if !opts.Quiet {
-		res.Timeline = run.Stats.TimelineTask(0)
+		res.Timeline = run.Stats.Timeline()
 	}
 	// Zoom evidence: find a moment where one thread is Critical while
 	// another Spins (the paper zooms on thread 7 spinning on thread 6).
@@ -346,7 +346,7 @@ func RunSpeedups(ctx context.Context, opts Options) (*SpeedupResult, error) {
 	}
 	err := parallel.ForEach(opts.Workers, n, func(i int) error {
 		v := workloads.AllGEMMVersions[i]
-		run, err := RunGEMM(ctx, v, opts.GEMMDim, opts.Threads, opts.SimCfg)
+		run, err := RunGEMM(ctx, v, opts.GEMMDim, gemmThreads, opts.SimCfg)
 		if err != nil {
 			return err
 		}
@@ -413,7 +413,7 @@ func RunPhases(ctx context.Context, opts Options) (*PhaseResult, error) {
 	versions := []workloads.GEMMVersion{workloads.GEMMBlocked, workloads.GEMMDoubleBuffered}
 	runs := make([]*GEMMRun, len(versions))
 	err := parallel.ForEach(opts.Workers, len(versions), func(i int) error {
-		run, err := RunGEMM(ctx, versions[i], opts.GEMMDim, opts.Threads, cfg)
+		run, err := RunGEMM(ctx, versions[i], opts.GEMMDim, gemmThreads, cfg)
 		if err != nil {
 			return err
 		}
@@ -543,7 +543,7 @@ func RunPi(ctx context.Context, opts Options) (*PiResult, error) {
 			}
 			run.GFlops = ss.GFlops(out.FmaxMHz)
 			if !opts.Quiet {
-				run.Timeline = ss.TimelineTask(0)
+				run.Timeline = ss.Timeline()
 			}
 		}
 		r := out.Result

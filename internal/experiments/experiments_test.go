@@ -21,7 +21,7 @@ func testOpts() Options {
 }
 
 func TestOverheadMatchesPaperShape(t *testing.T) {
-	r, err := RunOverhead(context.Background(), 8, 0)
+	r, err := RunOverhead(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,23 +144,6 @@ func TestPiStepCounts(t *testing.T) {
 			t.Errorf("steps=%d: final_sum %g, want %g within 1e-3", run.Steps,
 				run.Out.Result.ScalarsOut["final_sum"], workloads.PiRefSum(run.Steps, piNT))
 		}
-	}
-}
-
-// TestPiIgnoresThreads: the pi kernel runs num_threads(NT) with NT fixed
-// at 8, so Options.Threads, the GEMM studies' thread count, changes
-// nothing: 6400 steps with Threads 4 is the 8-thread run.
-func TestPiIgnoresThreads(t *testing.T) {
-	opts := DefaultOptions()
-	opts.PiSteps, opts.Threads, opts.Quiet = []int{6_400}, 4, true
-	r, err := RunPi(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := r.Runs[0].Out.Result
-	if res.Cycles != 183_254 || len(res.ThreadStart) != 8 || !r.Runs[0].Correct {
-		t.Errorf("Threads 4: %d cycles, %d threads started, final_sum %g; want 183254, 8 and %g",
-			res.Cycles, len(res.ThreadStart), res.ScalarsOut["final_sum"], workloads.PiRefSum(6_400, piNT))
 	}
 }
 

@@ -43,7 +43,7 @@ func RunOptimize(ctx context.Context, opts Options, budget int) (*OptimizeResult
 		return nil, err
 	}
 	found, err := autotune.Optimize(ctx, "gemm-naive", workloads.GEMMSource(workloads.GEMMNaive), autotune.Options{
-		Defines: workloads.GEMMDefinesThreads(workloads.GEMMNaive, opts.Threads),
+		Defines: workloads.GEMMDefinesThreads(workloads.GEMMNaive, gemmThreads),
 		Params:  map[string]int64{"DIM": int64(opts.GEMMDim)},
 		Budget:  autotune.Budget{Candidates: budget},
 		Workers: opts.Workers,

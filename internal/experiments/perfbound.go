@@ -57,13 +57,13 @@ type BoundsResult struct {
 func RunBounds(ctx context.Context, opts Options) (*BoundsResult, error) {
 	res := &BoundsResult{}
 	for _, v := range workloads.AllGEMMVersions {
-		p, err := buildGEMM(ctx, v, opts.Threads)
+		p, err := buildGEMM(ctx, v, gemmThreads)
 		if err != nil {
 			return nil, err
 		}
 		env := map[string]int64{"DIM": int64(opts.GEMMDim)}
 		rep := predict(p, env, opts.SimCfg)
-		run, err := RunGEMM(ctx, v, opts.GEMMDim, opts.Threads, opts.SimCfg)
+		run, err := RunGEMM(ctx, v, opts.GEMMDim, gemmThreads, opts.SimCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -74,7 +74,7 @@ func RunBounds(ctx context.Context, opts Options) (*BoundsResult, error) {
 		return nil, err
 	}
 	steps := opts.PiSteps[0]
-	piEnv := map[string]int64{"steps": int64(steps), "threads": int64(opts.Threads)}
+	piEnv := map[string]int64{"steps": int64(steps), "threads": piNT}
 	rep := predict(p, piEnv, opts.SimCfg)
 	piOpts := opts
 	piOpts.PiSteps = opts.PiSteps[:1]

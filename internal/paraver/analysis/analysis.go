@@ -4,7 +4,8 @@
 // compute performance (Figs. 7-9). Since this reproduction has no GUI, each
 // view is a data structure (plus an ASCII rendering for the state view),
 // and every one of them is read off a single fold over the record stream:
-// StreamStats.
+// StreamStats. A trace is one accelerator, so every view is indexed by
+// hardware thread alone.
 package analysis
 
 import (

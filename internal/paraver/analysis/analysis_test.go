@@ -11,9 +11,6 @@ import (
 // fold feeds hand-written records through a StreamStats, header first.
 func fold(t *testing.T, st *StreamStats, h paraver.Header, states []paraver.StateRec, events []paraver.EventRec) *StreamStats {
 	t.Helper()
-	if h.Tasks == 0 {
-		h.Tasks = 1
-	}
 	if err := st.Header(h); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +49,7 @@ func foldSample(t *testing.T, st *StreamStats) *StreamStats {
 }
 
 func TestStateProfile(t *testing.T) {
-	p := foldSample(t, NewStreamStats(100, 10)).StateProfileTask(0)
+	p := foldSample(t, NewStreamStats(100, 10)).StateProfile()
 	if got := p.Fraction[0][3]; math.Abs(got-0.1) > 1e-9 {
 		t.Errorf("thread 0 spinning fraction = %v, want 0.1", got)
 	}
@@ -188,7 +185,7 @@ func TestPhaseStats(t *testing.T) {
 }
 
 func TestRenderStateTimeline(t *testing.T) {
-	rows := foldSample(t, NewStreamStats(100, 10)).TimelineTask(0)
+	rows := foldSample(t, NewStreamStats(100, 10)).Timeline()
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -215,41 +212,8 @@ func TestTimelineOverwriteRule(t *testing.T) {
 		{Begin: 200, End: 210, State: 3}, {Begin: 210, End: 300, State: 2}, // S survives C
 		{Begin: 300, End: 310, State: 1}, {Begin: 310, End: 400, State: 0}, // R survives Idle
 	}, nil)
-	if got := st.TimelineTask(0)[0]; got != "T0 |SCSR|" {
+	if got := st.Timeline()[0]; got != "T0 |SCSR|" {
 		t.Errorf("timeline = %q, want %q", got, "T0 |SCSR|")
-	}
-}
-
-// TestPerTaskViews checks the per-accelerator selection of a multi-task
-// trace: each task's profile and timeline cover only its own threads, and
-// communication records are counted trace-wide.
-func TestPerTaskViews(t *testing.T) {
-	st := fold(t, NewStreamStats(10, 0), paraver.Header{Tasks: 2, NumThreads: 2, EndTime: 500}, []paraver.StateRec{
-		{Task: 0, Thread: 0, Begin: 0, End: 500, State: 1},
-		{Task: 0, Thread: 1, Begin: 0, End: 400, State: 1},
-		{Task: 1, Thread: 0, Begin: 50, End: 500, State: 2},
-		{Task: 1, Thread: 1, Begin: 50, End: 450, State: 1},
-	}, nil)
-	for _, c := range []paraver.CommRec{
-		{SendTask: 0, RecvTask: 1, SendTime: 250, RecvTime: 300, Size: 16},
-		{SendTask: 1, RecvTask: 0, SendTime: 260, RecvTime: 330, Size: 8},
-	} {
-		if err := st.Comm(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p0, p1 := st.StateProfileTask(0), st.StateProfileTask(1)
-	if p0.Cycles[0][1] != 500 || p0.Cycles[1][1] != 400 || p0.Cycles[0][2] != 0 {
-		t.Errorf("task 0 cycles = %v", p0.Cycles)
-	}
-	if p1.Cycles[0][2] != 450 || p1.Cycles[1][1] != 400 || len(p1.Cycles) != 2 {
-		t.Errorf("task 1 cycles = %v", p1.Cycles)
-	}
-	if got := st.TimelineTask(1); got[0] != "T0 |.CCCCCCCCC|" || got[1] != "T1 |.RRRRRRRR.|" {
-		t.Errorf("task 1 timeline = %q", got)
-	}
-	if st.CommCount != 2 || st.CommBytes != 24 || st.CommMaxLatency != 70 {
-		t.Errorf("comm stats = %d records, %d bytes, max latency %d", st.CommCount, st.CommBytes, st.CommMaxLatency)
 	}
 }
 
@@ -276,10 +240,10 @@ func TestEmptyTrace(t *testing.T) {
 	if got := st.GFlops(100); got != 0 {
 		t.Errorf("gflops of empty trace = %v", got)
 	}
-	if p := st.StateProfileTask(0); p.NumThreads != 1 || p.TotalFraction != [4]float64{} {
+	if p := st.StateProfile(); p.NumThreads != 1 || p.TotalFraction != [4]float64{} {
 		t.Errorf("profile = %+v", p)
 	}
-	if got := st.TimelineTask(0); len(got) != 1 || got[0] != "T0 |..........|" {
+	if got := st.Timeline(); len(got) != 1 || got[0] != "T0 |..........|" {
 		t.Errorf("timeline = %q", got)
 	}
 	if s := st.MemSeries(); s.Bins() != 1 || s.Sum() != 0 {
@@ -308,10 +272,8 @@ func FuzzScanStats(f *testing.F) {
 		if err := paraver.ScanPRV(strings.NewReader(string(data)), st); err != nil {
 			return
 		}
-		for task := 0; task < st.Hdr.Tasks; task++ {
-			st.StateProfileTask(task)
-			st.TimelineTask(task)
-		}
+		st.StateProfile()
+		st.Timeline()
 		st.MemSeries()
 	})
 }

@@ -12,13 +12,12 @@ const numEventTypes = 5
 
 // StreamStats is the paraver.Visitor behind every number and view this
 // reproduction reads off a trace — state residency, ASCII timelines, binned
-// event series, totals and communication statistics — computed in a single
-// pass over the record stream into fixed-size accumulators. The same fold
-// serves a live run (StreamTrace.Scan) and a .prv file (ScanPRV); both
-// deliver only records that passed the trace invariants, so the
-// accumulators index by task and thread unchecked. Memory use is
-// O(tasks*threads*timelineWidth + bins), independent of the trace length,
-// so traces larger than RAM stream through.
+// event series and totals — computed in a single pass over the record
+// stream into fixed-size accumulators. The same fold serves a live run
+// (StreamTrace.Scan) and a .prv file (ScanPRV); both deliver only records
+// that passed the trace invariants, so the accumulators index by thread
+// unchecked. Memory use is O(threads*timelineWidth + bins), independent of
+// the trace length, so traces larger than RAM stream through.
 type StreamStats struct {
 	Hdr paraver.Header
 
@@ -27,17 +26,13 @@ type StreamStats struct {
 	binWidth      int64 // cycles per series bin
 	thread        int   // the series cover this thread only; -1 for all
 
-	cycles [][4]int64 // per (task*NumThreads+thread) slot
-	rows   []byte     // timeline rows, timelineWidth columns per slot
+	cycles [][4]int64 // per thread
+	rows   []byte     // timeline rows, timelineWidth columns per thread
 
 	// series and totals are indexed by event type - EventStalls; totals
 	// always cover every thread.
 	series [numEventTypes][]float64
 	totals [numEventTypes]int64
-
-	CommCount      int
-	CommBytes      int64
-	CommMaxLatency int64
 }
 
 // NewStreamStats builds an aggregator rendering timelines timelineWidth
@@ -65,9 +60,8 @@ func NewStreamStatsWidth(timelineWidth int, binWidth int64, thread int) *StreamS
 // Header sizes the accumulators from the trace dimensions.
 func (st *StreamStats) Header(h paraver.Header) error {
 	st.Hdr = h
-	slots := h.Tasks * h.NumThreads
-	st.cycles = make([][4]int64, slots)
-	st.rows = bytes.Repeat([]byte{'.'}, slots*st.timelineWidth)
+	st.cycles = make([][4]int64, h.NumThreads)
+	st.rows = bytes.Repeat([]byte{'.'}, h.NumThreads*st.timelineWidth)
 	if st.bins > 0 {
 		st.binWidth = h.EndTime / int64(st.bins)
 		if st.binWidth < 1 {
@@ -85,18 +79,13 @@ func (st *StreamStats) Header(h paraver.Header) error {
 	return nil
 }
 
-func (st *StreamStats) slot(task, thread int) int {
-	return task*st.Hdr.NumThreads + thread
-}
-
 // stateGlyphs renders each state as one character: Idle '.', Running 'R',
 // Critical 'C', Spinning 'S'.
 var stateGlyphs = [4]byte{'.', 'R', 'C', 'S'}
 
 // State accumulates one state interval and paints it on the timeline.
 func (st *StreamStats) State(s paraver.StateRec) error {
-	slot := st.slot(s.Task, s.Thread)
-	st.cycles[slot][s.State] += s.End - s.Begin
+	st.cycles[s.Thread][s.State] += s.End - s.Begin
 
 	width := int64(st.timelineWidth)
 	lo := int(s.Begin * width / st.Hdr.EndTime)
@@ -113,7 +102,7 @@ func (st *StreamStats) State(s paraver.StateRec) error {
 	// Later records overwrite earlier ones only with "louder" states
 	// (Spinning > Critical > Running > Idle) so short critical/spin bursts
 	// stay visible at coarse scale.
-	row := st.rows[slot*st.timelineWidth : (slot+1)*st.timelineWidth]
+	row := st.rows[s.Thread*st.timelineWidth : (s.Thread+1)*st.timelineWidth]
 	g := stateGlyphs[s.State]
 	for c := lo; c < hi; c++ {
 		cur := row[c]
@@ -143,24 +132,19 @@ func (st *StreamStats) Event(e paraver.EventRec) error {
 	return nil
 }
 
-// Comm counts one communication record.
-func (st *StreamStats) Comm(c paraver.CommRec) error {
-	st.CommCount++
-	st.CommBytes += c.Size
-	if l := c.RecvTime - c.SendTime; l > st.CommMaxLatency {
-		st.CommMaxLatency = l
-	}
-	return nil
-}
+// Comm does nothing: traces carry no communication records. It is kept
+// only because benchmark/trace_export.go still calls it, and goes when
+// that file stops doing so.
+func (st *StreamStats) Comm(paraver.CommRec) error { return nil }
 
-// StateProfileTask integrates one task's state intervals into its
-// per-thread residency profile.
-func (st *StreamStats) StateProfileTask(task int) StateProfile {
+// StateProfile integrates the state intervals into the per-thread
+// residency profile.
+func (st *StreamStats) StateProfile() StateProfile {
 	n, end := st.Hdr.NumThreads, st.Hdr.EndTime
 	p := StateProfile{
 		NumThreads: n,
 		EndTime:    end,
-		Cycles:     st.cycles[st.slot(task, 0):st.slot(task, n)],
+		Cycles:     st.cycles,
 		Fraction:   make([][4]float64, n),
 	}
 	if end > 0 {
@@ -178,12 +162,12 @@ func (st *StreamStats) StateProfileTask(task int) StateProfile {
 	return p
 }
 
-// TimelineTask renders one task's state view as ASCII art: one row per
-// thread, timelineWidth columns covering [0, EndTime).
-func (st *StreamStats) TimelineTask(task int) []string {
+// Timeline renders the state view as ASCII art: one row per thread,
+// timelineWidth columns covering [0, EndTime).
+func (st *StreamStats) Timeline() []string {
 	out := make([]string, st.Hdr.NumThreads)
 	for t := range out {
-		off := st.slot(task, t) * st.timelineWidth
+		off := t * st.timelineWidth
 		out[t] = fmt.Sprintf("T%d |%s|", t, st.rows[off:off+st.timelineWidth])
 	}
 	return out

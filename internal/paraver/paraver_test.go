@@ -118,101 +118,6 @@ func TestPCFAndROW(t *testing.T) {
 	}
 }
 
-func TestParseRejectsMalformedComm(t *testing.T) {
-	src := "#Paraver (01/01/00 at 00:00):100:1(2):1:1(2:1)\n3:1:1:1:1:0:1:1:1:0:0:0:0\n"
-	if _, err := parsePRV(strings.NewReader(src)); err == nil {
-		t.Fatal("expected error for truncated communication record")
-	}
-}
-
-func multiTaskTrace() *recTrace {
-	tr := &recTrace{
-		AppName:    "cluster",
-		Tasks:      2,
-		NumThreads: 2,
-		EndTime:    500,
-		States: []StateRec{
-			{Task: 0, Thread: 0, Begin: 0, End: 500, State: 1},
-			{Task: 0, Thread: 1, Begin: 0, End: 400, State: 1},
-			{Task: 1, Thread: 0, Begin: 50, End: 500, State: 1},
-			{Task: 1, Thread: 1, Begin: 50, End: 450, State: 1},
-		},
-		Events: []EventRec{
-			{Task: 0, Thread: 0, Time: 100, Type: EventFpOps, Value: 64},
-			{Task: 1, Thread: 1, Time: 200, Type: EventReadBytes, Value: 128},
-		},
-		Comms: []CommRec{
-			{SendTask: 0, SendThread: 0, RecvTask: 1, RecvThread: 0,
-				SendTime: 250, RecvTime: 300, Size: 16, Tag: 7},
-			{SendTask: 1, SendThread: 1, RecvTask: 0, RecvThread: 1,
-				SendTime: 260, RecvTime: 310, Size: 16, Tag: 8},
-		},
-	}
-	tr.normalize()
-	return tr
-}
-
-func TestMultiTaskRoundTrip(t *testing.T) {
-	tr := multiTaskTrace()
-	if err := tr.stream().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.stream().WritePRV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	if !strings.Contains(text, ":2(2:1,2:1)") {
-		t.Errorf("header missing two-task list: %s", strings.SplitN(text, "\n", 2)[0])
-	}
-	// CPU ids: task 1 threads map to CPUs 3 and 4.
-	if !strings.Contains(text, "1:3:1:2:1:50:500:1") {
-		t.Errorf("task-2 state record wrong:\n%s", text)
-	}
-	// Comm record present with both endpoints.
-	if !strings.Contains(text, "3:1:1:1:1:250:250:3:1:2:1:300:300:16:7") {
-		t.Errorf("comm record wrong:\n%s", text)
-	}
-	got, err := parsePRV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.numTasks() != 2 || got.NumThreads != 2 {
-		t.Fatalf("parsed %d tasks x %d threads", got.numTasks(), got.NumThreads)
-	}
-	if len(got.States) != len(tr.States) || len(got.Events) != len(tr.Events) || len(got.Comms) != len(tr.Comms) {
-		t.Fatalf("record counts: %d/%d/%d", len(got.States), len(got.Events), len(got.Comms))
-	}
-	for i := range tr.Comms {
-		if got.Comms[i] != tr.Comms[i] {
-			t.Errorf("comm %d: got %+v want %+v", i, got.Comms[i], tr.Comms[i])
-		}
-	}
-	for i := range tr.States {
-		if got.States[i] != tr.States[i] {
-			t.Errorf("state %d: got %+v want %+v", i, got.States[i], tr.States[i])
-		}
-	}
-}
-
-func TestValidateCommErrors(t *testing.T) {
-	tr := multiTaskTrace()
-	tr.Comms = append(tr.Comms, CommRec{SendTask: 0, RecvTask: 1, SendTime: 400, RecvTime: 300, Size: 8})
-	if err := tr.stream().Validate(); err == nil {
-		t.Error("expected recv-before-send error")
-	}
-	tr = multiTaskTrace()
-	tr.Comms = append(tr.Comms, CommRec{SendTask: 5, RecvTask: 1, SendTime: 10, RecvTime: 20, Size: 8})
-	if err := tr.stream().Validate(); err == nil {
-		t.Error("expected task-range error")
-	}
-	tr = multiTaskTrace()
-	tr.Comms = append(tr.Comms, CommRec{SendTask: 0, RecvTask: 1, SendTime: 10, RecvTime: 20, Size: 0})
-	if err := tr.stream().Validate(); err == nil {
-		t.Error("expected size error")
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	const hdr = "#Paraver (01/01/00 at 00:00):100:1(2):1:1(2:1)\n"
 	cases := []struct {
@@ -227,24 +132,26 @@ func TestParseErrors(t *testing.T) {
 		{hdr + "2:1:1:1:1:10:100001\n", ""}, // odd event fields
 		// Headers that used to reach a makeslice panic in the stats fold.
 		{"#Paraver (01/01/00 at 00:00):-100:1(1):1:1(1:1)\n", `bad end time "-100" in header`},
-		{"#Paraver (01/01/00 at 00:00):100:1(1):1:4000000000(4000000000:1)\n", "4000000000 tasks x 4000000000 threads"},
+		{"#Paraver (01/01/00 at 00:00):100:1(1):1:4000000000(4000000000:1)\n", "line 1: application list"},
+		{"#Paraver (01/01/00 at 00:00):100:1(1):1:1(4000000000:1)\n", "declares 4000000000 threads, more than 65536"},
 		{"#Paraver (01/01/00 at 00:00):9223372036854775807:1(1):1:1(1:1)\n", "bad end time"},
 		// 2^64+100 used to wrap to End=100 and pass as a clean interval.
 		{hdr + "1:1:1:1:1:0:18446744073709551716:1\n", "line 2: integer field overflows"},
 		{hdr + "1:1:1:1:1:0:50:1\n1:1:1:1:1:0:-9223372036854775808:1\n", "line 3: integer field overflows"},
 		// Every trace invariant fails at the offending line.
-		{hdr + "1:3:1:1:3:0:50:1\n", "line 2: state record task 0 thread 2 out of range"},
-		{hdr + "1:3:1:2:1:0:50:1\n", "line 2: state record task 1 thread 0 out of range"},
+		{hdr + "1:3:1:1:3:0:50:1\n", "line 2: state record thread 2 out of range"},
 		{hdr + "1:1:1:1:1:0:101:1\n", "line 2: bad state interval"},
 		{hdr + "1:1:1:1:1:50:50:1\n", "line 2: bad state interval"},
 		{hdr + "1:1:1:1:1:0:50:4\n", "line 2: unknown state 4"},
 		{hdr + "1:1:1:1:1:0:50:1\n1:1:1:1:1:40:60:1\n", "line 3: overlapping intervals"},
 		{hdr + "2:1:1:1:1:101:100001:5\n", "line 2: event time 101 outside"},
-		{hdr + "2:1:1:1:0:10:100001:5\n", "line 2: event task 0 thread -1 out of range"},
-		{hdr + "3:1:1:1:1:20:20:2:1:1:2:10:10:4:0\n", "line 2: comm received before sent"},
-		{hdr + "3:1:1:1:1:20:20:2:1:1:2:30:30:0:0\n", "line 2: comm with size 0"},
-		{hdr + "3:1:1:1:1:20:20:2:1:1:2:130:130:4:0\n", "line 2: comm outside trace window"},
-		{hdr + "3:1:1:1:1:20:20:5:1:3:1:30:30:4:0\n", "line 2: comm endpoint out of range"},
+		{hdr + "2:1:1:1:0:10:100001:5\n", "line 2: event thread -1 out of range"},
+		// A trace is one accelerator: one task, no communication records.
+		{"#Paraver (01/01/00 at 00:00):100:1(4):1:2(2:1,2:1)\n", "line 1: application list"},
+		{"#Paraver (01/01/00 at 00:00):100:1(4):1:1(2:1,2:1)\n", "line 1: application list"},
+		{hdr + "1:3:1:2:1:0:50:1\n", "line 2: record of task 2"},
+		{hdr + "2:3:1:2:1:10:100001:5\n", "line 2: record of task 2"},
+		{hdr + "3:1:1:1:1:20:20:2:1:1:2:30:30:4:0\n", "line 2: unknown record type 3"},
 	}
 	for _, c := range cases {
 		_, err := parsePRV(strings.NewReader(c.src))
@@ -410,7 +317,7 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 func TestGzipBundleRoundTrip(t *testing.T) {
-	tr := multiTaskTrace()
+	tr := sampleTrace()
 	dir := t.TempDir()
 	path, err := tr.stream().WriteBundleGz(dir, "z")
 	if err != nil {
@@ -430,8 +337,8 @@ func TestGzipBundleRoundTrip(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got.numTasks() != tr.numTasks() || len(got.States) != len(tr.States) ||
-		len(got.Comms) != len(tr.Comms) {
+	if got.NumThreads != tr.NumThreads || len(got.States) != len(tr.States) ||
+		len(got.Events) != len(tr.Events) {
 		t.Fatalf("round trip lost records")
 	}
 	// The companion .pcf/.row must exist uncompressed.

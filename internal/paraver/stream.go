@@ -9,23 +9,21 @@ import (
 	"paravis/internal/profile"
 )
 
-// StreamTrace is the in-memory Paraver trace: per-(task,thread) state-run
-// and event-sample streams in columnar form, each sorted by construction.
+// StreamTrace is the in-memory Paraver trace: per-thread state-run and
+// event-sample streams in columnar form, each sorted by construction.
 // WritePRV k-way-merges the streams straight into the .prv writer — no
 // record lists and no global sorts — using a strconv.AppendInt fast path
 // into a reused line buffer; Scan walks the same merge into a Visitor, so
 // an analysis reads a live run exactly as ScanPRV would read its .prv file.
 type StreamTrace struct {
 	AppName    string
-	TaskCount  int // >= 1
 	NumThreads int
 	// EndTime is the trace horizon; event times are clamped to it at
 	// emission (the profiling unit's final window can close a few cycles
 	// after the last thread finished, during the flush drain).
 	EndTime int64
-	Comms   []CommRec
 
-	threads []threadStream // task-major: threads[task*NumThreads+thread]
+	threads []threadStream // one per hardware thread
 }
 
 // threadStream holds one hardware thread's record streams, borrowed
@@ -45,7 +43,6 @@ func StreamOf(u *profile.Unit, appName string, endTime int64) *StreamTrace {
 	n := u.NumThreads()
 	st := &StreamTrace{
 		AppName:    appName,
-		TaskCount:  1,
 		NumThreads: n,
 		EndTime:    endTime,
 		threads:    make([]threadStream, n),
@@ -93,21 +90,21 @@ func (ts *threadStream) forEachRun(yield func(profile.StateRun) bool) {
 }
 
 // sampleMerge k-way-merges the per-thread sample streams by (clamped
-// time, task, thread). This is the event order of a .prv file — the one a
+// time, thread). This is the event order of a .prv file — the one a
 // global stable sort of the expanded records would produce.
 type sampleMerge struct {
 	st  *StreamTrace
-	idx []int // per thread slot: next unmerged sample
+	idx []int // per thread: next unmerged sample
 }
 
 func (st *StreamTrace) mergeSamples() sampleMerge {
 	return sampleMerge{st: st, idx: make([]int, len(st.threads))}
 }
 
-// next returns one group per (thread slot, time): the consecutive samples
-// of that thread sharing the clamped time; ok is false once every stream
-// is drained.
-func (m *sampleMerge) next() (slot int, time int64, group []profile.EventSample, ok bool) {
+// next returns one group per (thread, time): the consecutive samples of
+// that thread sharing the clamped time; ok is false once every stream is
+// drained.
+func (m *sampleMerge) next() (thread int, time int64, group []profile.EventSample, ok bool) {
 	end := m.st.EndTime
 	clamp := func(t int64) int64 {
 		if t > end {
@@ -115,27 +112,27 @@ func (m *sampleMerge) next() (slot int, time int64, group []profile.EventSample,
 		}
 		return t
 	}
-	slot = -1
+	thread = -1
 	for i := range m.idx {
 		if m.idx[i] >= len(m.st.threads[i].samples) {
 			continue
 		}
 		t := clamp(m.st.threads[i].samples[m.idx[i]].End)
-		if slot < 0 || t < time {
-			slot, time = i, t
+		if thread < 0 || t < time {
+			thread, time = i, t
 		}
 	}
-	if slot < 0 {
+	if thread < 0 {
 		return 0, 0, nil, false
 	}
-	ss := m.st.threads[slot].samples
-	j := m.idx[slot]
+	ss := m.st.threads[thread].samples
+	j := m.idx[thread]
 	k := j + 1
 	for k < len(ss) && clamp(ss[k].End) == time {
 		k++
 	}
-	m.idx[slot] = k
-	return slot, time, ss[j:k], true
+	m.idx[thread] = k
+	return thread, time, ss[j:k], true
 }
 
 // sampleValue returns the counter of the given event-type index (in
@@ -184,11 +181,11 @@ func (p *prvWriter) colInt(v int64) { p.buf = append(p.buf, ':'); p.int(v) }
 //	1:cpu:appl:task:thread:begin:end:state
 //	2:cpu:appl:task:thread:time:type:value[:type:value...]
 //
-// One node, one application, one task per accelerator of NumThreads
-// threads; thread i of task k runs on cpu k*NumThreads+i+1. The timestamp
-// in the header is fixed for reproducibility (Paraver ignores it). Write
-// errors are sticky: the first one (e.g. a full disk) aborts the walk, so
-// a truncated .prv can never be reported as success.
+// One node, one application, one task (the accelerator) of NumThreads
+// threads; thread i runs on cpu i+1. The timestamp in the header is fixed
+// for reproducibility (Paraver ignores it). Write errors are sticky: the
+// first one (e.g. a full disk) aborts the walk, so a truncated .prv can
+// never be reported as success.
 func (st *StreamTrace) WritePRV(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	p := &prvWriter{bw: bw, buf: make([]byte, 0, 256)}
@@ -196,14 +193,14 @@ func (st *StreamTrace) WritePRV(w io.Writer) error {
 	p.str("#Paraver (01/01/00 at 00:00):")
 	p.int(st.EndTime)
 	p.str(":1(")
-	p.int(int64(st.TaskCount * st.NumThreads))
-	p.str("):1:")
-	p.str(applList(st.TaskCount, st.NumThreads))
+	p.int(int64(st.NumThreads))
+	p.str("):1:1(")
+	p.int(int64(st.NumThreads))
+	p.str(":1)")
 	p.line()
 
 	st.writeStates(p)
 	st.writeEvents(p)
-	st.writeComms(p)
 
 	if p.err != nil {
 		return p.err
@@ -211,20 +208,18 @@ func (st *StreamTrace) WritePRV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeStates emits all state records. Canonical order is (task, thread,
+// writeStates emits all state records. Canonical order is (thread,
 // begin); per-thread streams are begin-sorted by construction, so plain
 // concatenation is already sorted — no merge needed.
 func (st *StreamTrace) writeStates(p *prvWriter) {
-	for ti := range st.threads {
+	for th := range st.threads {
 		if p.err != nil {
 			return
 		}
-		task, th := ti/st.NumThreads, ti%st.NumThreads
-		st.threads[ti].forEachRun(func(r profile.StateRun) bool {
+		st.threads[th].forEachRun(func(r profile.StateRun) bool {
 			p.str("1:")
-			p.int(int64(cpuID(task, th, st.NumThreads)))
-			p.str(":1")
-			p.colInt(int64(task + 1))
+			p.int(int64(th + 1))
+			p.str(":1:1")
 			p.colInt(int64(th + 1))
 			p.colInt(r.Begin)
 			p.colInt(r.End)
@@ -239,15 +234,13 @@ func (st *StreamTrace) writeStates(p *prvWriter) {
 // sample's counters in event-type order and skipping zeros.
 func (st *StreamTrace) writeEvents(p *prvWriter) {
 	for m := st.mergeSamples(); p.err == nil; {
-		slot, time, group, ok := m.next()
+		th, time, group, ok := m.next()
 		if !ok {
 			return
 		}
-		task, th := slot/st.NumThreads, slot%st.NumThreads
 		p.str("2:")
-		p.int(int64(cpuID(task, th, st.NumThreads)))
-		p.str(":1")
-		p.colInt(int64(task + 1))
+		p.int(int64(th + 1))
+		p.str(":1:1")
 		p.colInt(int64(th + 1))
 		p.colInt(time)
 		for typeIdx := 0; typeIdx < 5; typeIdx++ {
@@ -262,44 +255,18 @@ func (st *StreamTrace) writeEvents(p *prvWriter) {
 	}
 }
 
-func (st *StreamTrace) writeComms(p *prvWriter) {
-	for i := range st.Comms {
-		if p.err != nil {
-			return
-		}
-		c := &st.Comms[i]
-		p.str("3:")
-		p.int(int64(cpuID(c.SendTask, c.SendThread, st.NumThreads)))
-		p.str(":1")
-		p.colInt(int64(c.SendTask + 1))
-		p.colInt(int64(c.SendThread + 1))
-		p.colInt(c.SendTime)
-		p.colInt(c.SendTime)
-		p.colInt(int64(cpuID(c.RecvTask, c.RecvThread, st.NumThreads)))
-		p.str(":1")
-		p.colInt(int64(c.RecvTask + 1))
-		p.colInt(int64(c.RecvThread + 1))
-		p.colInt(c.RecvTime)
-		p.colInt(c.RecvTime)
-		p.colInt(c.Size)
-		p.colInt(c.Tag)
-		p.line()
-	}
-}
-
 // Scan delivers the trace to v in exactly the order WritePRV writes it and
 // ScanPRV re-reads it — header, states, merged events (one call per
-// non-zero counter), communication records — checking the trace
-// invariants on the way, so a visitor written for .prv files reads a live
-// run unchanged and a malformed merge fails at the offending record.
+// non-zero counter) — checking the trace invariants on the way, so a
+// visitor written for .prv files reads a live run unchanged and a
+// malformed merge fails at the offending record.
 func (st *StreamTrace) Scan(v Visitor) error {
-	h := Header{Tasks: st.TaskCount, NumThreads: st.NumThreads, EndTime: st.EndTime}
+	h := Header{NumThreads: st.NumThreads, EndTime: st.EndTime}
 	c := newChecker(h)
 	err := v.Header(h)
-	for ti := 0; ti < len(st.threads) && err == nil; ti++ {
-		task, th := ti/st.NumThreads, ti%st.NumThreads
-		st.threads[ti].forEachRun(func(r profile.StateRun) bool {
-			s := StateRec{Task: task, Thread: th, Begin: r.Begin, End: r.End, State: int(r.State)}
+	for th := 0; th < len(st.threads) && err == nil; th++ {
+		st.threads[th].forEachRun(func(r profile.StateRun) bool {
+			s := StateRec{Thread: th, Begin: r.Begin, End: r.End, State: int(r.State)}
 			if err = c.state(&s); err == nil {
 				err = v.State(s)
 			}
@@ -307,23 +274,17 @@ func (st *StreamTrace) Scan(v Visitor) error {
 		})
 	}
 	for m := st.mergeSamples(); err == nil; {
-		slot, time, group, ok := m.next()
+		th, time, group, ok := m.next()
 		if !ok {
 			break
 		}
-		task, th := slot/st.NumThreads, slot%st.NumThreads
-		err = c.event(task, th, time)
+		err = c.event(th, time)
 		for typeIdx := 0; typeIdx < 5; typeIdx++ {
 			for gi := 0; gi < len(group) && err == nil; gi++ {
 				if val := sampleValue(&group[gi], typeIdx); val != 0 {
-					err = v.Event(EventRec{Task: task, Thread: th, Time: time, Type: EventStalls + typeIdx, Value: val})
+					err = v.Event(EventRec{Thread: th, Time: time, Type: EventStalls + typeIdx, Value: val})
 				}
 			}
-		}
-	}
-	for i := 0; i < len(st.Comms) && err == nil; i++ {
-		if err = c.comm(&st.Comms[i]); err == nil {
-			err = v.Comm(st.Comms[i])
 		}
 	}
 	if err != nil {

@@ -89,7 +89,7 @@ func TestGoldenRoundTripSingleTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.numTasks() != tr.numTasks() || got.NumThreads != tr.NumThreads || got.EndTime != tr.EndTime {
+	if got.NumThreads != tr.NumThreads || got.EndTime != tr.EndTime {
 		t.Fatalf("header mismatch: got %+v", got)
 	}
 	if !reflect.DeepEqual(got.States, tr.States) {
@@ -97,54 +97,6 @@ func TestGoldenRoundTripSingleTask(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Events, tr.Events) {
 		t.Errorf("events differ after round trip")
-	}
-}
-
-// TestGoldenRoundTripMultiTask does the same for a multi-task trace with
-// communication records: Scan and ScanPRV of the written bytes deliver
-// the same records in the same order. It is the multi-task-plus-comms
-// case of the Scan ≡ ScanPRV check.
-func TestGoldenRoundTripMultiTask(t *testing.T) {
-	const tasks = 3
-	st := newStreamTrace("multi", tasks, 2)
-	offset := int64(0)
-	for task := 0; task < tasks; task++ {
-		u, end := fuzzUnit(100+int64(task), 2, 64)
-		st.appendProfile(task, u, offset, end)
-		offset += end + 10
-	}
-	// appendProfile leaves EndTime to the caller.
-	st.EndTime = offset
-	st.Comms = append(st.Comms,
-		CommRec{SendTask: 0, RecvTask: 1, SendTime: 5, RecvTime: 50, Size: 4, Tag: 1},
-		CommRec{SendTask: 1, RecvTask: 2, SendTime: 3, RecvTime: 40, Size: 8, Tag: 2},
-	)
-	sortCommRecs(st.Comms)
-
-	tr := &recTrace{AppName: "multi"}
-	if err := st.Scan(tr); err != nil {
-		t.Fatalf("merged trace invalid: %v", err)
-	}
-	var streamed, materialized bytes.Buffer
-	if err := st.WritePRV(&streamed); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.writePRV(&materialized); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(streamed.Bytes(), materialized.Bytes()) {
-		t.Fatal("multi-task streaming and materialized .prv bytes differ")
-	}
-
-	got := &recTrace{AppName: "multi"}
-	if err := ScanPRV(bytes.NewReader(streamed.Bytes()), got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Errorf("records differ after round trip:\ngot  %+v\nwant %+v", got, tr)
-	}
-	if got.Tasks != tasks || len(got.Comms) != 2 {
-		t.Errorf("parsed %d tasks, %d comms", got.Tasks, len(got.Comms))
 	}
 }
 
@@ -157,12 +109,9 @@ func TestNormalizeIdempotent(t *testing.T) {
 		once := &recTrace{
 			States: append([]StateRec(nil), tr.States...),
 			Events: append([]EventRec(nil), tr.Events...),
-			Comms:  append([]CommRec(nil), tr.Comms...),
 		}
 		tr.normalize()
-		if !reflect.DeepEqual(once.States, tr.States) ||
-			!reflect.DeepEqual(once.Events, tr.Events) ||
-			!reflect.DeepEqual(once.Comms, tr.Comms) {
+		if !reflect.DeepEqual(once.States, tr.States) || !reflect.DeepEqual(once.Events, tr.Events) {
 			t.Fatalf("seed %d: normalize not idempotent", seed)
 		}
 	}

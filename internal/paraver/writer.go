@@ -48,21 +48,18 @@ func (st *StreamTrace) WritePCF(w io.Writer) error {
 // WriteROW writes the Paraver label file naming CPUs, nodes and threads.
 func (st *StreamTrace) WriteROW(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	tasks, nThreads := st.TaskCount, st.NumThreads
-	total := tasks * nThreads
-	fmt.Fprintf(bw, "LEVEL CPU SIZE %d\n", total)
-	for i := 0; i < total; i++ {
-		fmt.Fprintf(bw, "CPU %d.%d\n", 1, i+1)
+	n := st.NumThreads
+	fmt.Fprintf(bw, "LEVEL CPU SIZE %d\n", n)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(bw, "CPU 1.%d\n", i+1)
 	}
 	fmt.Fprintln(bw, "")
 	fmt.Fprintln(bw, "LEVEL NODE SIZE 1")
 	fmt.Fprintln(bw, "fpga-accelerator")
 	fmt.Fprintln(bw, "")
-	fmt.Fprintf(bw, "LEVEL THREAD SIZE %d\n", total)
-	for task := 0; task < tasks; task++ {
-		for i := 0; i < nThreads; i++ {
-			fmt.Fprintf(bw, "FPGA%d HW THREAD 1.%d.%d\n", task+1, task+1, i+1)
-		}
+	fmt.Fprintf(bw, "LEVEL THREAD SIZE %d\n", n)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(bw, "FPGA1 HW THREAD 1.1.%d\n", i+1)
 	}
 	return bw.Flush()
 }
