@@ -458,13 +458,3 @@ func Top(findings []Finding) Finding {
 	}
 	return findings[0]
 }
-
-// HasKind reports whether any finding carries the kind.
-func HasKind(findings []Finding, k Kind) bool {
-	for _, f := range findings {
-		if f.Kind == k {
-			return true
-		}
-	}
-	return false
-}

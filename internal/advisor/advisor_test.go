@@ -2,6 +2,7 @@ package advisor
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,38 +40,43 @@ func runVersion(t *testing.T, v workloads.GEMMVersion, dim int) *core.RunOutput 
 
 // TestAdvisorReproducesPaperNarrative checks that each GEMM version's
 // diagnosis names the optimization the paper applies next (§V-C).
+// hasKind reports whether any finding carries the kind.
+func hasKind(findings []Finding, k Kind) bool {
+	return slices.ContainsFunc(findings, func(f Finding) bool { return f.Kind == k })
+}
+
 func TestAdvisorReproducesPaperNarrative(t *testing.T) {
 	dim := 32
 	t.Run("naive -> remove critical", func(t *testing.T) {
 		f := Advise(runVersion(t, workloads.GEMMNaive, dim))
-		if !HasKind(f, KindLockSerialization) {
+		if !hasKind(f, KindLockSerialization) {
 			t.Fatalf("missing lock-serialization finding:\n%s", Format(f))
 		}
 	})
 	t.Run("no-critical -> vectorize", func(t *testing.T) {
 		f := Advise(runVersion(t, workloads.GEMMNoCritical, dim))
-		if HasKind(f, KindLockSerialization) {
+		if hasKind(f, KindLockSerialization) {
 			t.Fatalf("lock finding should be gone:\n%s", Format(f))
 		}
-		if !HasKind(f, KindNarrowAccesses) {
+		if !hasKind(f, KindNarrowAccesses) {
 			t.Fatalf("missing narrow-accesses finding:\n%s", Format(f))
 		}
 	})
 	t.Run("vectorized -> block", func(t *testing.T) {
 		f := Advise(runVersion(t, workloads.GEMMPartialVec, dim))
-		if !HasKind(f, KindMemoryBound) {
+		if !hasKind(f, KindMemoryBound) {
 			t.Fatalf("missing memory-bound finding:\n%s", Format(f))
 		}
 	})
 	t.Run("blocked -> double buffer", func(t *testing.T) {
 		f := Advise(runVersion(t, workloads.GEMMBlocked, dim))
-		if !HasKind(f, KindDistinctPhases) {
+		if !hasKind(f, KindDistinctPhases) {
 			t.Fatalf("missing distinct-phases finding:\n%s", Format(f))
 		}
 	})
 	t.Run("double buffered -> no phase finding", func(t *testing.T) {
 		f := Advise(runVersion(t, workloads.GEMMDoubleBuffered, dim))
-		if HasKind(f, KindDistinctPhases) {
+		if hasKind(f, KindDistinctPhases) {
 			t.Fatalf("distinct-phases finding should be gone:\n%s", Format(f))
 		}
 	})
@@ -93,7 +99,7 @@ func TestAdvisorLaunchOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := Advise(out)
-	if !HasKind(f, KindLaunchOverhead) {
+	if !hasKind(f, KindLaunchOverhead) {
 		t.Fatalf("missing launch-overhead finding:\n%s", Format(f))
 	}
 	if Top(f).Kind != KindLaunchOverhead {
@@ -145,7 +151,7 @@ func TestSeverityStrings(t *testing.T) {
 // verbatim.
 func TestNarrowAccessesWordingCrossCheck(t *testing.T) {
 	v := workloads.GEMMNoCritical
-	ds := staticcheck.CheckSource("gemm-v2", workloads.GEMMSource(v),
+	ds, _ := staticcheck.CheckSource("gemm-v2", workloads.GEMMSource(v),
 		minic.Options{Defines: workloads.GEMMDefines(v)})
 	var stallMsg string
 	for _, d := range ds {

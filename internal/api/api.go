@@ -5,9 +5,13 @@
 // nymblesim) call those functions and marshal these exact structs
 // through Encode, so the JSON a client sees over HTTP is byte-identical
 // to what the corresponding CLI prints for the same input; nymbleopt's
-// search report (NewOptimizeUnit) is CLI-only. Every top-level response carries a schema "version" field;
-// fields marshal in the declared order and map keys sort, so reports are
-// byte-stable across runs.
+// search report (NewOptimizeUnit) is CLI-only. Vet parses and analyses
+// its source once, rendering the diagnostics and both summaries from one
+// staticcheck.CheckSource; AnalyzePerf feeds the trip hints and the
+// dependence summary from one abstract interpretation. Every top-level
+// response carries a schema "version" field; fields marshal in the
+// declared order and map keys sort, so reports are byte-stable across
+// runs.
 package api
 
 import (
@@ -179,13 +183,13 @@ func NewVetUnit(name string, ds []staticcheck.Diagnostic, dep []DependLoop, abs 
 	return VetUnit{Name: name, Clean: staticcheck.Clean(ds), Diagnostics: ds, Depend: dep, Absint: abs}
 }
 
-// Vet is the vet of one source as nymblevet and /v1/vet publish it: the
-// diagnostics of core.Vet with the source's dependence and absint
-// summaries.
+// Vet is the vet of one source as nymblevet and /v1/vet publish it: one
+// staticcheck.CheckSource, whose diagnostics are the unit's and whose
+// target-function facts render its dependence and absint summaries, so
+// the source is parsed and analysed once.
 func Vet(name, src string, defines map[string]string) VetUnit {
-	ds := core.Vet(name, src, core.BuildOptions{Defines: defines})
-	opts := minic.Options{Defines: defines}
-	return NewVetUnit(name, ds, ParseDependSummary(src, opts), ParseAbsintSummary(src, opts))
+	ds, f := staticcheck.CheckSource(name, src, minic.Options{Defines: defines})
+	return NewVetUnit(name, ds, dependSummary(f.Depend), absintSummary(f.Fn, f.Absint))
 }
 
 // AbsintSummary is the wire form of the abstract interpreter's verdicts
@@ -226,6 +230,9 @@ type AbsintAccess struct {
 // ParseAbsintSummary parses a source and summarizes the abstract
 // interpretation of its target function. Like ParseDependSummary it
 // returns nil when the source does not parse or lacks a target region.
+//
+// It has no product caller; kept for benchmark/static_sweep.go until the
+// benchmark's (d) in ROADMAP.md.
 func ParseAbsintSummary(src string, opts minic.Options) *AbsintSummary {
 	prog, err := minic.Parse(src, opts)
 	if err != nil {
@@ -235,17 +242,16 @@ func ParseAbsintSummary(src string, opts minic.Options) *AbsintSummary {
 	if err != nil {
 		return nil
 	}
-	return NewAbsintSummary(fn, nil)
+	return absintSummary(fn, absint.Analyze(fn, absint.Options{}))
 }
 
-// NewAbsintSummary converts fn's abstract-interpretation result, with
-// symbols bound under env, to its wire form. Loops appear in source
-// order; accesses in the interpreter's deterministic order.
-func NewAbsintSummary(fn *minic.FuncDecl, env map[string]int64) *AbsintSummary {
+// absintSummary converts the abstract-interpretation result ai of fn to
+// its wire form (nil when fn is). Loops appear in source order; accesses
+// in the interpreter's deterministic order.
+func absintSummary(fn *minic.FuncDecl, ai *absint.Result) *AbsintSummary {
 	if fn == nil {
 		return nil
 	}
-	ai := absint.Analyze(fn, absint.Options{Env: env})
 	sum := &AbsintSummary{Function: fn.Name, Converged: ai.OK}
 	if !ai.OK {
 		return sum
@@ -300,6 +306,9 @@ type DependLoop struct {
 // analysis of its target function. It returns nil when the source does
 // not parse or lacks a target region — those states already surface as
 // vet diagnostics, so the section simply stays absent.
+//
+// It has no product caller; kept for benchmark/static_sweep.go until the
+// benchmark's (d) in ROADMAP.md.
 func ParseDependSummary(src string, opts minic.Options) []DependLoop {
 	prog, err := minic.Parse(src, opts)
 	if err != nil {
@@ -317,6 +326,9 @@ func ParseDependSummary(src string, opts minic.Options) []DependLoop {
 // interpreter converges, its proven index ranges refine the analysis:
 // "may" dependences between accesses whose footprints provably never
 // overlap are discharged (schema v3).
+//
+// It has no product caller; kept for benchmark/static_sweep.go until the
+// benchmark's (d) in ROADMAP.md.
 func NewDependSummary(fn *minic.FuncDecl, env map[string]int64) []DependLoop {
 	if fn == nil {
 		return nil
@@ -324,7 +336,12 @@ func NewDependSummary(fn *minic.FuncDecl, env map[string]int64) []DependLoop {
 	return dependSummary(transform.LegalityReport(fn, env))
 }
 
+// dependSummary converts a dependence report to its wire form (nil when
+// rep is).
 func dependSummary(rep *depend.Report) []DependLoop {
+	if rep == nil {
+		return nil
+	}
 	var out []DependLoop
 	for _, l := range rep.Loops {
 		dl := DependLoop{
@@ -353,6 +370,10 @@ func dependSummary(rep *depend.Report) []DependLoop {
 // AbsintTripHints returns the abstract interpreter's proven trip
 // brackets for fn under env (nil when nothing was proven), in the form
 // perfbound.Config.TripHints consumes as a folding fallback.
+//
+// It has no product caller; kept for benchmark/static_sweep.go (and the
+// replay of benchmark/optimize_gemm.go) until the benchmark's (d) in
+// ROADMAP.md.
 func AbsintTripHints(fn *minic.FuncDecl, env map[string]int64) map[string]interval.Interval {
 	if fn == nil {
 		return nil
@@ -413,7 +434,7 @@ func AnalyzePerf(name string, prog *core.Program, params map[string]int64) PerfU
 	if prog.Fn != nil {
 		ai := absint.Analyze(prog.Fn, absint.Options{Env: params})
 		cfg.TripHints = ai.TripHints()
-		dep = dependSummary(transform.LegalityReportFrom(prog.Fn, params, ai))
+		dep = dependSummary(depend.AnalyzeRanges(prog.Fn, params, ai.IndexRange))
 	}
 	rep := perfbound.Analyze(prog.Kernel, prog.Sched, params, cfg)
 	return NewPerfUnit(name, rep, staticcheck.PerfDiagnostics(name, rep), dep, nil)

@@ -39,7 +39,7 @@ void f(float* C, int n) {
 // rule catalogue, level mapping and clamped regions all live in the
 // golden file.
 func TestSarifGolden(t *testing.T) {
-	ds := staticcheck.CheckSource("kernel.mc", sarifSrc, minic.Options{})
+	ds, _ := staticcheck.CheckSource("kernel.mc", sarifSrc, minic.Options{})
 	unit := NewVetUnit("kernel.mc", ds, nil, nil)
 	var b bytes.Buffer
 	if err := Encode(&b, NewSarif([]VetUnit{unit})); err != nil {
@@ -67,7 +67,7 @@ func TestSarifGolden(t *testing.T) {
 // golden: every result's ruleIndex resolves to its ruleId, levels come
 // from the severity ladder, and regions are 1-based.
 func TestSarifShape(t *testing.T) {
-	ds := staticcheck.CheckSource("kernel.mc", sarifSrc, minic.Options{})
+	ds, _ := staticcheck.CheckSource("kernel.mc", sarifSrc, minic.Options{})
 	if len(ds) == 0 {
 		t.Fatal("fixture produced no diagnostics")
 	}

@@ -5,10 +5,12 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"paravis/internal/core"
+	"paravis/internal/minic"
 	"paravis/internal/perfbound"
 	"paravis/internal/staticcheck"
 	"paravis/internal/workloads"
@@ -16,7 +18,7 @@ import (
 
 // sweepUnits are the nine kernels of the benchmark's static_sweep workload
 // at its sizes: the six seed units and the three example kernels.
-func sweepUnits(t *testing.T) []workloads.Unit {
+func sweepUnits(t testing.TB) []workloads.Unit {
 	us := workloads.Units()
 	for _, f := range []struct {
 		file   string
@@ -35,16 +37,30 @@ func sweepUnits(t *testing.T) []workloads.Unit {
 	return us
 }
 
+// encoded is v as Encode writes it.
+func encoded(t testing.TB, v any) []byte {
+	var buf bytes.Buffer
+	if err := Encode(&buf, v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// vetThreeParses is the vet static_sweep makes: core.Vet, then the depend
+// and absint summaries, each from a parse and analyses of its own. Vet
+// computes the same unit from one CheckSource.
+func vetThreeParses(name, src string, defines map[string]string) VetUnit {
+	ds := core.Vet(name, src, core.BuildOptions{Defines: defines})
+	opts := minic.Options{Defines: defines}
+	return NewVetUnit(name, ds, ParseDependSummary(src, opts), ParseAbsintSummary(src, opts))
+}
+
 // sweepUnit builds one unit's vet and perf reports with the calls
 // static_sweep makes (which are the /v1/vet and /v1/perf handlers' of the
 // commit that defined the benchmark, hint-less CheckPerf included), down
-// to the encoded bytes. Vet makes exactly static_sweep's vet calls.
+// to the encoded bytes.
 func sweepUnit(t *testing.T, u workloads.Unit) {
-	vet := Vet(u.Name, u.Source, u.Defines)
-	var buf bytes.Buffer
-	if err := Encode(&buf, VetReport{SchemaVersion: Version, Units: []VetUnit{vet}}); err != nil {
-		t.Fatal(err)
-	}
+	encoded(t, VetReport{SchemaVersion: Version, Units: []VetUnit{vetThreeParses(u.Name, u.Source, u.Defines)}})
 	p, err := core.Build(context.Background(), u.Source, core.BuildOptions{Defines: u.Defines})
 	if err != nil {
 		t.Fatal(err)
@@ -54,10 +70,7 @@ func sweepUnit(t *testing.T, u workloads.Unit) {
 	rep := perfbound.Analyze(p.Kernel, p.Sched, u.Params, cfg)
 	pds := staticcheck.CheckPerf(u.Name, p.Kernel, p.Sched, u.Params)
 	perf := NewPerfUnit(u.Name, rep, pds, NewDependSummary(p.Fn, u.Params), nil)
-	buf.Reset()
-	if err := Encode(&buf, PerfReport{SchemaVersion: Version, Units: []PerfUnit{perf}}); err != nil {
-		t.Fatal(err)
-	}
+	encoded(t, PerfReport{SchemaVersion: Version, Units: []PerfUnit{perf}})
 }
 
 // TestStaticSweepAllocationBudget pins the benchmark claim where tier-1
@@ -73,9 +86,11 @@ func sweepUnit(t *testing.T, u workloads.Unit) {
 // carved from per-parse slabs and the front half's facts in
 // DeclID/loop-ID tables. With the dependence analysis on term-slice
 // polynomials and one arena per run, and absint's collector on ordered
-// records, it reads 13,589; the budget is that plus 5 %. The race
-// detector's instrumentation adds about 950 of its own, more than that
-// margin, so the pin is skipped under -race like the per-layer ones.
+// records, it read 13,589; the budget is that plus 5 %. Encoding each
+// report into a buffer of its own, as static_sweep does, reads 13,599.
+// The race detector's instrumentation adds about 950 of its own, more
+// than that margin, so the pin is skipped under -race like the per-layer
+// ones.
 func TestStaticSweepAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
@@ -90,6 +105,54 @@ func TestStaticSweepAllocationBudget(t *testing.T) {
 	t.Logf("static sweep pass: %.0f allocations", got)
 	if got > budget {
 		t.Errorf("static sweep pass allocates %.0f, budget %d", got, budget)
+	}
+}
+
+// TestVetOneAnalysis: Vet parses each source once and renders its depend
+// and absint sections from the facts its own rules read. Its JSON is
+// byte-identical to the three-parse composition it replaced — on the
+// sweep kernels, a parse error, a source without a target region and one
+// whose AST rules report an error — and on the sweep kernels it
+// allocates at most 70 % of what that composition does.
+func TestVetOneAnalysis(t *testing.T) {
+	us := sweepUnits(t)
+	cases := append(slices.Clone(us),
+		workloads.Unit{Name: "parse-error.mc", Source: "void f( {"},
+		workloads.Unit{Name: "no-target.mc", Source: "void f(int n) { }"},
+		workloads.Unit{Name: "kernel.mc", Source: sarifSrc})
+	for _, u := range cases {
+		got := encoded(t, VetReport{SchemaVersion: Version, Units: []VetUnit{Vet(u.Name, u.Source, u.Defines)}})
+		want := encoded(t, VetReport{SchemaVersion: Version, Units: []VetUnit{vetThreeParses(u.Name, u.Source, u.Defines)}})
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: Vet differs from the three-parse composition\n got %s\nwant %s", u.Name, got, want)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	sweep := func(vet func(name, src string, defines map[string]string) VetUnit) float64 {
+		return testing.AllocsPerRun(2, func() {
+			for _, u := range us {
+				vet(u.Name, u.Source, u.Defines)
+			}
+		})
+	}
+	once, three := sweep(Vet), sweep(vetThreeParses)
+	t.Logf("vet of the sweep kernels: %.0f allocations, %.0f with three parses", once, three)
+	if once > 0.7*three {
+		t.Errorf("Vet allocates %.0f, more than 70 %% of the three-parse %.0f", once, three)
+	}
+}
+
+// BenchmarkVetSweep is one Vet per sweep kernel: the vet layer as /v1/vet
+// and nymblevet run it, over static_sweep's kernels.
+func BenchmarkVetSweep(b *testing.B) {
+	us := sweepUnits(b)
+	b.ReportAllocs()
+	for range b.N {
+		for _, u := range us {
+			Vet(u.Name, u.Source, u.Defines)
+		}
 	}
 }
 
@@ -156,13 +219,7 @@ func TestAnalyzePerfDiagnosticsAgreeWithReport(t *testing.T) {
 // the interpreter once for AbsintTripHints and again inside
 // NewDependSummary, and it allocates less.
 func TestAnalyzePerfOneAbsint(t *testing.T) {
-	encode := func(u PerfUnit) []byte {
-		var buf bytes.Buffer
-		if err := Encode(&buf, PerfReport{SchemaVersion: Version, Units: []PerfUnit{u}}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
+	encode := func(u PerfUnit) []byte { return encoded(t, PerfReport{SchemaVersion: Version, Units: []PerfUnit{u}}) }
 	for _, u := range sweepUnits(t) {
 		p, err := core.Build(context.Background(), u.Source, core.BuildOptions{Defines: u.Defines})
 		if err != nil {

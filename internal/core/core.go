@@ -109,11 +109,16 @@ func BuildAST(ctx context.Context, src string, prog *minic.Program, opts BuildOp
 // building an accelerator: the OpenMP race/map rules, the def-use lints,
 // stall-lint and — when the source compiles — the hardened IR/schedule
 // verifiers. file is used only to label the diagnostics.
+//
+// It has no product caller; kept for benchmark/static_sweep.go (and the
+// replay of benchmark/optimize_gemm.go) until the benchmark's (d) in
+// ROADMAP.md.
 func Vet(file, src string, opts BuildOptions) []staticcheck.Diagnostic {
-	return staticcheck.CheckSource(file, src, minic.Options{
+	ds, _ := staticcheck.CheckSource(file, src, minic.Options{
 		Defines:     opts.Defines,
 		VectorLanes: opts.VectorLanes,
 	})
+	return ds
 }
 
 // RunOutput bundles a simulation's results with its trace and reports.

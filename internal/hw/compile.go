@@ -358,39 +358,3 @@ func coastBounds(cg *CGraph, to []int32) []int32 {
 	}
 	return to
 }
-
-// Stats describes the compiled accelerator for reporting and area modeling.
-type Stats struct {
-	Graphs           int
-	TotalStages      int
-	ReorderingStages int
-	LiveNodes        int
-	IntUnits         int
-	FpUnits          int
-	MemPorts         int
-}
-
-// Statistics summarizes the compiled kernel.
-func (ck *CKernel) Statistics() Stats {
-	var st Stats
-	st.Graphs = len(ck.Graphs)
-	for _, cg := range ck.Graphs {
-		st.TotalStages += cg.Depth
-		for si := range cg.Stages {
-			if cg.Stages[si].Reordering {
-				st.ReorderingStages++
-			}
-			st.IntUnits += cg.Stages[si].IntOps
-			st.FpUnits += cg.Stages[si].FpOps
-		}
-		for i := range cg.Nodes {
-			if cg.Nodes[i].Live {
-				st.LiveNodes++
-				if cg.Nodes[i].Op.IsMemory() {
-					st.MemPorts++
-				}
-			}
-		}
-	}
-	return st
-}

@@ -136,26 +136,6 @@ func TestCompileStageTables(t *testing.T) {
 	}
 }
 
-func TestStatistics(t *testing.T) {
-	ck := compileSum(t)
-	st := ck.Statistics()
-	if st.Graphs != 2 {
-		t.Errorf("graphs = %d", st.Graphs)
-	}
-	if st.TotalStages == 0 || st.LiveNodes == 0 {
-		t.Errorf("stats = %+v", st)
-	}
-	if st.MemPorts != 2 { // load A, store out
-		t.Errorf("mem ports = %d", st.MemPorts)
-	}
-	if st.ReorderingStages == 0 {
-		t.Error("no reordering stages despite VLOs")
-	}
-	if st.FpUnits == 0 {
-		t.Error("no FP units counted")
-	}
-}
-
 // keepLive stores every given value into a local array, so the scheduler
 // places the nodes computing them in a stage instead of dropping them as
 // dead.

@@ -418,14 +418,3 @@ func (k *Kernel) NumNodes() int {
 	}
 	return n
 }
-
-// CountOps returns per-op totals across all graphs (area model input).
-func (k *Kernel) CountOps() map[Op]int {
-	counts := make(map[Op]int)
-	for _, g := range k.CollectGraphs() {
-		for _, n := range g.Nodes {
-			counts[n.Op]++
-		}
-	}
-	return counts
-}

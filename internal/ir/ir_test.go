@@ -57,7 +57,12 @@ func TestValidateMiniKernel(t *testing.T) {
 	if got := len(k.CollectGraphs()); got != 2 {
 		t.Errorf("graphs = %d", got)
 	}
-	counts := k.CountOps()
+	counts := make(map[Op]int)
+	for _, g := range k.CollectGraphs() {
+		for _, n := range g.Nodes {
+			counts[n.Op]++
+		}
+	}
 	if counts[OpLoad] != 1 || counts[OpStore] != 1 || counts[OpLoopOp] != 1 {
 		t.Errorf("counts = %v", counts)
 	}

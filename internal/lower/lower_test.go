@@ -78,7 +78,18 @@ func lowerSrc(t *testing.T, src string, defines map[string]string) *ir.Kernel {
 	return k
 }
 
-func countOp(k *ir.Kernel, op ir.Op) int { return k.CountOps()[op] }
+// countOp counts the nodes of one op across all of the kernel's graphs.
+func countOp(k *ir.Kernel, op ir.Op) int {
+	n := 0
+	for _, g := range k.CollectGraphs() {
+		for _, node := range g.Nodes {
+			if node.Op == op {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 func TestLowerGEMMNaive(t *testing.T) {
 	k := lowerSrc(t, gemmNaive, nil)

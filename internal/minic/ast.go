@@ -7,16 +7,6 @@ type Program struct {
 	Funcs []*FuncDecl
 }
 
-// Func returns the function with the given name, or nil.
-func (p *Program) Func(name string) *FuncDecl {
-	for _, f := range p.Funcs {
-		if f.Name == name {
-			return f
-		}
-	}
-	return nil
-}
-
 // FuncDecl is a function definition.
 type FuncDecl struct {
 	Name   string

@@ -42,12 +42,6 @@ type Lexer struct {
 	pendPos int
 }
 
-// Lex returns the full token stream, ending with an EOF token.
-func Lex(src string, defines map[string]string) ([]Token, error) {
-	toks, _, err := LexWithDefines(src, defines)
-	return toks, err
-}
-
 // LexWithDefines lexes src and also returns the full macro table after
 // in-source #define directives have been processed. The parser needs this
 // table to expand macros inside pragma clause expressions, which the lexer

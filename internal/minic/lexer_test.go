@@ -16,9 +16,9 @@ import (
 
 func lexAll(t *testing.T, src string, defines map[string]string) []Token {
 	t.Helper()
-	toks, err := Lex(src, defines)
+	toks, _, err := LexWithDefines(src, defines)
 	if err != nil {
-		t.Fatalf("Lex(%q): %v", src, err)
+		t.Fatalf("LexWithDefines(%q): %v", src, err)
 	}
 	return toks
 }
@@ -112,7 +112,7 @@ line */ float y;
 }
 
 func TestLexUnterminatedBlockComment(t *testing.T) {
-	if _, err := Lex("int x; /* oops", nil); err == nil {
+	if _, _, err := LexWithDefines("int x; /* oops", nil); err == nil {
 		t.Fatal("expected error for unterminated block comment")
 	}
 }
@@ -155,7 +155,7 @@ func TestLexDefineExpression(t *testing.T) {
 }
 
 func TestLexRecursiveMacro(t *testing.T) {
-	if _, err := Lex("#define A B\n#define B A\nint x = A;", nil); err == nil {
+	if _, _, err := LexWithDefines("#define A B\n#define B A\nint x = A;", nil); err == nil {
 		t.Fatal("expected recursive macro error")
 	}
 }
@@ -193,8 +193,8 @@ func TestLexPositions(t *testing.T) {
 
 func TestLexErrorsOnUnsupportedChars(t *testing.T) {
 	for _, src := range []string{"@", "$", "int x = a | b;", "#include <x>"} {
-		if _, err := Lex(src, nil); err == nil {
-			t.Errorf("Lex(%q) should fail", src)
+		if _, _, err := LexWithDefines(src, nil); err == nil {
+			t.Errorf("LexWithDefines(%q) should fail", src)
 		}
 	}
 }
@@ -222,7 +222,7 @@ func TestLexIdentifierRoundTrip(t *testing.T) {
 		if _, isKw := keywords[text]; isKw {
 			return true
 		}
-		toks, err := Lex(text, nil)
+		toks, _, err := LexWithDefines(text, nil)
 		if err != nil || len(toks) != 2 {
 			return false
 		}
@@ -237,7 +237,7 @@ func TestLexIdentifierRoundTrip(t *testing.T) {
 func TestLexIntRoundTrip(t *testing.T) {
 	f := func(v uint32) bool {
 		text := uintToString(uint64(v))
-		toks, err := Lex(text, nil)
+		toks, _, err := LexWithDefines(text, nil)
 		if err != nil || len(toks) != 2 {
 			return false
 		}
@@ -378,10 +378,10 @@ func TestLexNonASCIIPositions(t *testing.T) {
 		"// ü\n  é = $;":        {Line: 2, Col: 7},
 		"int x; /* ü */ /* 未終了": {Line: 1, Col: 16},
 	} {
-		_, err := Lex(src, nil)
+		_, _, err := LexWithDefines(src, nil)
 		var le *LexError
 		if !errors.As(err, &le) || le.Pos != want {
-			t.Errorf("Lex(%q): error %v, want a LexError at %v", src, err, want)
+			t.Errorf("LexWithDefines(%q): error %v, want a LexError at %v", src, err, want)
 		}
 	}
 }
@@ -395,9 +395,9 @@ func TestLexNestedMacroErrors(t *testing.T) {
 		"#define A B\n#define B 1 @ 2\n\n  A":               `4:3: in expansion of "A": 1:1: in expansion of "B": 1:3: unexpected character '@'`,
 		"#define A A\nint A;":                               `2:5: in expansion of "A": 1:1: recursive macro expansion of "A"`,
 	} {
-		_, err := Lex(src, nil)
+		_, _, err := LexWithDefines(src, nil)
 		if err == nil || err.Error() != want {
-			t.Errorf("Lex(%q):\n got %v\nwant %s", src, err, want)
+			t.Errorf("LexWithDefines(%q):\n got %v\nwant %s", src, err, want)
 		}
 	}
 }

@@ -73,9 +73,19 @@ func mustParse(t *testing.T, src string, opts Options) *Program {
 	return prog
 }
 
+// funcNamed returns the program's function with the given name, or nil.
+func funcNamed(p *Program, name string) *FuncDecl {
+	for _, f := range p.Funcs {
+		if f.Name == name {
+			return f
+		}
+	}
+	return nil
+}
+
 func TestParseGEMMNaive(t *testing.T) {
 	prog := mustParse(t, gemmNaive, Options{})
-	f := prog.Func("matmul")
+	f := funcNamed(prog, "matmul")
 	if f == nil {
 		t.Fatal("matmul not found")
 	}
@@ -111,7 +121,7 @@ func TestParseGEMMNaive(t *testing.T) {
 
 func TestParsePiKernel(t *testing.T) {
 	prog := mustParse(t, piKernel, Options{})
-	f := prog.Func("pi")
+	f := funcNamed(prog, "pi")
 	if f == nil {
 		t.Fatal("pi not found")
 	}

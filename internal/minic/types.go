@@ -92,23 +92,6 @@ func (t *Type) IsArray() bool { return t != nil && !t.Ptr && len(t.Dims) > 0 }
 // IsNumeric reports whether t participates in arithmetic.
 func (t *Type) IsNumeric() bool { return t.IsScalar() || t.IsVector() }
 
-// ElemType returns the element type of a pointer or array, or nil.
-func (t *Type) ElemType() *Type {
-	if t == nil {
-		return nil
-	}
-	if t.Ptr {
-		return t.Elem
-	}
-	if len(t.Dims) == 1 {
-		return t.Elem
-	}
-	if len(t.Dims) > 1 {
-		return &Type{Dims: t.Dims[1:], Elem: t.Elem}
-	}
-	return nil
-}
-
 // ScalarWords returns the number of 32-bit words a value of this type
 // occupies (scalars = 1, vectors = lane count). Pointers occupy one word of
 // address. Arrays return the total element word count.

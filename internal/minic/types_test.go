@@ -32,17 +32,10 @@ func TestTypePredicates(t *testing.T) {
 func TestTypeElemAndSize(t *testing.T) {
 	f := TypeFloat()
 	p := TypePointer(f)
-	if p.ElemType() != f {
+	if p.Elem != f {
 		t.Error("pointer elem")
 	}
 	a := TypeArray(f, 4, 8)
-	inner := a.ElemType()
-	if !inner.IsArray() || len(inner.Dims) != 1 || inner.Dims[0] != 8 {
-		t.Errorf("array elem = %s", inner)
-	}
-	if inner.ElemType() != f {
-		t.Error("inner array elem")
-	}
 	if a.ScalarWords() != 32 || a.SizeBytes() != 128 {
 		t.Errorf("array size: %d words %d bytes", a.ScalarWords(), a.SizeBytes())
 	}
@@ -59,9 +52,6 @@ func TestTypeElemAndSize(t *testing.T) {
 	av := TypeArray(TypeVector(4), 8)
 	if av.ScalarWords() != 32 {
 		t.Errorf("vector array words = %d", av.ScalarWords())
-	}
-	if TypeInt().ElemType() != nil {
-		t.Error("scalar has no elem")
 	}
 }
 

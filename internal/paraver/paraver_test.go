@@ -152,6 +152,11 @@ func TestParseErrors(t *testing.T) {
 		{hdr + "1:3:1:2:1:0:50:1\n", "line 2: record of task 2"},
 		{hdr + "2:3:1:2:1:10:100001:5\n", "line 2: record of task 2"},
 		{hdr + "3:1:1:1:1:20:20:2:1:1:2:30:30:4:0\n", "line 2: unknown record type 3"},
+		// Thread i runs on cpu i+1 of the one application.
+		{hdr + "1:2:1:1:1:0:50:1\n", "line 2: record of thread 0 on cpu 2, want cpu 1"},
+		{hdr + "1:1:1:1:1:0:50:1\n2:1:1:1:2:10:100001:5\n", "line 3: record of thread 1 on cpu 1, want cpu 2"},
+		{hdr + "1:1:2:1:1:0:50:1\n", "line 2: record of application 2"},
+		{hdr + "2:1:0:1:1:10:100001:5\n", "line 2: record of application 0"},
 	}
 	for _, c := range cases {
 		_, err := parsePRV(strings.NewReader(c.src))

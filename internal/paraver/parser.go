@@ -15,10 +15,10 @@ import (
 // ScanPRV reads a .prv stream record by record, checking the trace
 // invariants and calling the visitor for each one; grouped event lines
 // (2:...:type:value:type:value) are delivered as one Event call per
-// type/value pair. It accepts the subset this package writes — one task's
-// state and event records — and holds only the current line in memory, so
-// traces larger than RAM stream through in one pass with no per-record
-// allocations.
+// type/value pair. It accepts the subset this package writes — state and
+// event records of one application's one task, thread i on cpu i+1 — and
+// holds only the current line in memory, so traces larger than RAM stream
+// through in one pass with no per-record allocations.
 func ScanPRV(r io.Reader, v Visitor) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -55,6 +55,8 @@ func ScanPRV(r io.Reader, v Visitor) error {
 			return fmt.Errorf("paraver: line %d: malformed event record", lineNo)
 		case fields[0] != 1 && fields[0] != 2:
 			return fmt.Errorf("paraver: line %d: unknown record type %d", lineNo, fields[0])
+		case fields[2] != 1:
+			return fmt.Errorf("paraver: line %d: record of application %d in a one-application trace", lineNo, fields[2])
 		case fields[3] != 1:
 			return fmt.Errorf("paraver: line %d: record of task %d in a one-task trace", lineNo, fields[3])
 		}
@@ -62,11 +64,15 @@ func ScanPRV(r io.Reader, v Visitor) error {
 		if fields[0] == 1 {
 			s := StateRec{Thread: thread, Begin: fields[5], End: fields[6], State: int(fields[7])}
 			if err = c.state(&s); err == nil {
-				err = v.State(s)
+				if err = checkCPU(fields[1], thread); err == nil {
+					err = v.State(s)
+				}
 			}
 		} else {
 			time := fields[5]
-			err = c.event(thread, time)
+			if err = c.event(thread, time); err == nil {
+				err = checkCPU(fields[1], thread)
+			}
 			for i := 6; i+1 < len(fields) && err == nil; i += 2 {
 				err = v.Event(EventRec{Thread: thread, Time: time, Type: int(fields[i]), Value: fields[i+1]})
 			}
@@ -76,6 +82,15 @@ func ScanPRV(r io.Reader, v Visitor) error {
 		}
 	}
 	return sc.Err()
+}
+
+// checkCPU holds a record to the one placement this package writes:
+// thread i runs on cpu i+1.
+func checkCPU(cpu int64, thread int) error {
+	if cpu != int64(thread)+1 {
+		return fmt.Errorf("record of thread %d on cpu %d, want cpu %d", thread, cpu, thread+1)
+	}
+	return nil
 }
 
 // OpenPRV opens a .prv or .prv.gz trace for reading, transparently

@@ -16,12 +16,12 @@ import (
 	"paravis/internal/minic"
 )
 
-// checkDepend runs the dependence analysis over the target region and
+// checkDepend runs the dependence analysis over the target region,
 // emits the loop-carried-dep, bank-conflict and transform-legality
-// findings. The abstract-interpretation result serves as depend's range
-// oracle: proven element-index ranges let "may" dependences between
-// provably disjoint accesses be discharged.
-func checkDepend(file string, fn *minic.FuncDecl, ai *absint.Result, ds *[]Diagnostic) {
+// findings and returns the report. The abstract-interpretation result
+// serves as depend's range oracle: proven element-index ranges let "may"
+// dependences between provably disjoint accesses be discharged.
+func checkDepend(file string, fn *minic.FuncDecl, ai *absint.Result, ds *[]Diagnostic) *depend.Report {
 	rep := depend.AnalyzeRanges(fn, nil, ai.IndexRange)
 	dram := mem.DefaultDRAMConfig()
 	bankPeriodBytes := int64(dram.Banks * dram.BeatBytes)
@@ -83,4 +83,5 @@ func checkDepend(file string, fn *minic.FuncDecl, ai *absint.Result, ds *[]Diagn
 				a.Array, strideBytes, bankPeriodBytes, dram.Banks, dram.BeatBytes))
 		}
 	}
+	return rep
 }

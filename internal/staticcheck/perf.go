@@ -13,6 +13,9 @@ import (
 // leaves data-dependent loops unbounded — the structural findings still
 // fire). All findings are informational or warnings: they describe
 // performance ceilings, not defects.
+//
+// It has no product caller; kept for benchmark/static_sweep.go until the
+// benchmark's (d) in ROADMAP.md.
 func CheckPerf(file string, k *ir.Kernel, s *schedule.Schedule, env map[string]int64) []Diagnostic {
 	return PerfDiagnostics(file, perfbound.Analyze(k, s, env, perfbound.DefaultConfig()))
 }

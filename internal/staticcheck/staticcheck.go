@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"paravis/internal/absint"
+	"paravis/internal/depend"
 	"paravis/internal/ir"
 	"paravis/internal/lower"
 	"paravis/internal/minic"
@@ -185,25 +186,27 @@ func Clean(ds []Diagnostic) bool {
 	return true
 }
 
-// HasRule reports whether any diagnostic carries the given rule ID.
-func HasRule(ds []Diagnostic, rule string) bool {
-	for _, d := range ds {
-		if d.Rule == rule {
-			return true
-		}
-	}
-	return false
-}
-
 // funcFacts is what the AST-level rules read about one function: its
-// declaration table, its environment-free interpretation and its target
-// region (nil when it has none).
+// declaration table, its environment-free interpretation, its target
+// region (nil when it has none) and the dependence report of that region
+// once checkDepend has run.
 type funcFacts struct {
 	file string
 	fn   *minic.FuncDecl
 	ts   *minic.TargetStmt
 	res  *resolution
 	ai   *absint.Result
+	dep  *depend.Report
+}
+
+// Facts are the analyses of the target function (the one minic.FindTarget
+// returns) that CheckSource's rules read: its environment-free abstract
+// interpretation and its range-refined dependence report. All fields are
+// nil when the source does not parse or has no target region.
+type Facts struct {
+	Fn     *minic.FuncDecl
+	Absint *absint.Result
+	Depend *depend.Report
 }
 
 // funcRule is one AST-level check and the rule IDs it may emit.
@@ -225,7 +228,7 @@ var funcRules = []funcRule{
 	{rules: []string{RuleStallLint}, target: true,
 		check: func(f *funcFacts, ds *[]Diagnostic) { checkStalls(f.file, f.res, f.ts, ds) }},
 	{rules: []string{RuleLoopCarriedDep, RuleBankConflict, RuleTransformLegality}, target: true,
-		check: func(f *funcFacts, ds *[]Diagnostic) { checkDepend(f.file, f.fn, f.ai, ds) }},
+		check: func(f *funcFacts, ds *[]Diagnostic) { f.dep = checkDepend(f.file, f.fn, f.ai, ds) }},
 }
 
 // canError reports whether the check may emit an error: whether the
@@ -239,9 +242,11 @@ func (r funcRule) canError() bool {
 	return false
 }
 
-// runFuncRules runs the selected AST-level checks over every function.
-func runFuncRules(file string, prog *minic.Program, keep func(funcRule) bool) []Diagnostic {
+// runFuncRules runs the selected AST-level checks over every function and
+// returns the facts they read about the target function.
+func runFuncRules(file string, prog *minic.Program, keep func(funcRule) bool) ([]Diagnostic, Facts) {
 	var ds []Diagnostic
+	var target Facts
 	for _, fn := range prog.Funcs {
 		f := &funcFacts{file: file, fn: fn, ts: minic.TargetOf(fn), res: resolve(fn),
 			ai: absint.Analyze(fn, absint.Options{})}
@@ -250,16 +255,20 @@ func runFuncRules(file string, prog *minic.Program, keep func(funcRule) bool) []
 				r.check(f, &ds)
 			}
 		}
+		if f.ts != nil {
+			target = Facts{Fn: fn, Absint: f.ai, Depend: f.dep}
+		}
 	}
 	Sort(ds)
-	return ds
+	return ds, target
 }
 
 // CheckProgram runs every AST-level rule over a parsed, sema-checked
 // program: def-use dataflow lints and the abstract-interpretation rules
 // on all functions, and the OpenMP, stall and dependence rules on the
-// target region if one exists.
-func CheckProgram(file string, prog *minic.Program) []Diagnostic {
+// target region if one exists. Beside the diagnostics it returns the
+// target function's facts those rules read.
+func CheckProgram(file string, prog *minic.Program) ([]Diagnostic, Facts) {
 	return runFuncRules(file, prog, func(funcRule) bool { return true })
 }
 
@@ -268,7 +277,8 @@ func CheckProgram(file string, prog *minic.Program) []Diagnostic {
 // only asks "does anything reject this program" skips the dependence
 // analysis and the def-use lints.
 func CheckErrors(file string, prog *minic.Program) []Diagnostic {
-	return slices.DeleteFunc(runFuncRules(file, prog, funcRule.canError), func(d Diagnostic) bool {
+	ds, _ := runFuncRules(file, prog, funcRule.canError)
+	return slices.DeleteFunc(ds, func(d Diagnostic) bool {
 		return d.Severity != SevError
 	})
 }
@@ -294,22 +304,16 @@ func CheckKernel(file string, k *ir.Kernel, s *schedule.Schedule) []Diagnostic {
 // the AST rules, then — when the AST rules found no errors — lowering,
 // scheduling and the ir-verify rule. Frontend failures become a single
 // "frontend" diagnostic; lowering failures not already explained by an
-// AST-level error become a "lower" diagnostic.
-func CheckSource(file, src string, opts minic.Options) []Diagnostic {
+// AST-level error become a "lower" diagnostic. Beside the diagnostics it
+// returns CheckProgram's facts, kept even when the AST rules found errors.
+func CheckSource(file, src string, opts minic.Options) ([]Diagnostic, Facts) {
 	prog, err := minic.Parse(src, opts)
 	if err != nil {
-		return []Diagnostic{frontendDiag(file, err)}
+		return []Diagnostic{frontendDiag(file, err)}, Facts{}
 	}
-	ds := CheckProgram(file, prog)
-	hasError := false
-	for _, d := range ds {
-		if d.Severity == SevError {
-			hasError = true
-			break
-		}
-	}
-	if hasError {
-		return ds
+	ds, facts := CheckProgram(file, prog)
+	if slices.ContainsFunc(ds, func(d Diagnostic) bool { return d.Severity == SevError }) {
+		return ds, facts
 	}
 	k, err := lower.Lower(prog)
 	if err != nil {
@@ -320,17 +324,17 @@ func CheckSource(file, src string, opts minic.Options) []Diagnostic {
 		}
 		ds = append(ds, diag(file, pos, RuleLower, SevError, "%v", err))
 		Sort(ds)
-		return ds
+		return ds, facts
 	}
 	s, err := schedule.Build(k, schedule.DefaultConfig())
 	if err != nil {
 		ds = append(ds, diag(file, minic.Pos{}, RuleIRVerify, SevError, "%v", err))
 		Sort(ds)
-		return ds
+		return ds, facts
 	}
 	ds = append(ds, CheckKernel(file, k, s)...)
 	Sort(ds)
-	return ds
+	return ds, facts
 }
 
 // frontendDiag converts a lex/parse/sema error into a diagnostic,

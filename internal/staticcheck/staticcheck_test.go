@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,8 +76,8 @@ func TestFixtureGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ds := CheckSource(base, string(src), minic.Options{})
-			if !HasRule(ds, want.rule) {
+			ds, _ := CheckSource(base, string(src), minic.Options{})
+			if !hasRule(ds, want.rule) {
 				t.Errorf("expected a %s finding, got:\n%s", want.rule, render(ds))
 			}
 			for _, d := range ds {
@@ -133,7 +134,7 @@ func TestSeedWorkloadsVetClean(t *testing.T) {
 	}
 	for _, u := range units {
 		t.Run(u.name, func(t *testing.T) {
-			ds := CheckSource(u.name, u.src, minic.Options{Defines: u.defines})
+			ds, _ := CheckSource(u.name, u.src, minic.Options{Defines: u.defines})
 			if !Clean(ds) {
 				t.Errorf("seed workload is not vet-clean:\n%s", render(ds))
 			}
@@ -155,7 +156,7 @@ func TestStallLintMatchesPaperNarrative(t *testing.T) {
 		workloads.GEMMDoubleBuffered: {"C"},
 	}
 	for _, v := range workloads.AllGEMMVersions {
-		ds := CheckSource(v.String(), workloads.GEMMSource(v), minic.Options{Defines: workloads.GEMMDefines(v)})
+		ds, _ := CheckSource(v.String(), workloads.GEMMSource(v), minic.Options{Defines: workloads.GEMMDefines(v)})
 		var got []string
 		for _, d := range ds {
 			if d.Rule == RuleStallLint {
@@ -209,13 +210,19 @@ func TestCheckErrorsSkipsNoErrorRule(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, r := range funcRules {
-			for _, d := range runFuncRules(path, prog, func(o funcRule) bool { return reflect.DeepEqual(o.rules, r.rules) }) {
+			ds, _ := runFuncRules(path, prog, func(o funcRule) bool { return reflect.DeepEqual(o.rules, r.rules) })
+			for _, d := range ds {
 				if owner[d.Rule] != i {
 					t.Errorf("check %d (%v) emitted a finding of another rule: %s", i, r.rules, d)
 				}
 			}
 		}
 	}
+}
+
+// hasRule reports whether any diagnostic carries the given rule ID.
+func hasRule(ds []Diagnostic, rule string) bool {
+	return slices.ContainsFunc(ds, func(d Diagnostic) bool { return d.Rule == rule })
 }
 
 const tinySrc = `
@@ -258,7 +265,7 @@ func TestCheckKernelCorruption(t *testing.T) {
 		k := lowerTiny(t)
 		k.Top.Nodes[1].ID = k.Top.Nodes[0].ID
 		ds := CheckKernel("tiny", k, nil)
-		if !HasRule(ds, RuleIRVerify) {
+		if !hasRule(ds, RuleIRVerify) {
 			t.Fatal("duplicate node ID not detected")
 		}
 	})
@@ -266,7 +273,7 @@ func TestCheckKernelCorruption(t *testing.T) {
 		k := lowerTiny(t)
 		k.Maps = append(k.Maps, ir.Map{Name: "ghost"})
 		ds := CheckKernel("tiny", k, nil)
-		if !HasRule(ds, RuleIRVerify) {
+		if !hasRule(ds, RuleIRVerify) {
 			t.Fatal("ghost map not detected")
 		}
 	})
@@ -288,7 +295,7 @@ func TestCheckKernelCorruption(t *testing.T) {
 			t.Skip("no add node to corrupt")
 		}
 		ds := CheckKernel("tiny", k, nil)
-		if !HasRule(ds, RuleIRVerify) {
+		if !hasRule(ds, RuleIRVerify) {
 			t.Fatal("kind mismatch not detected")
 		}
 	})
@@ -305,7 +312,7 @@ func TestCheckKernelCorruption(t *testing.T) {
 			}
 		}
 		ds := CheckKernel("tiny", nil, s)
-		if !HasRule(ds, RuleIRVerify) {
+		if !hasRule(ds, RuleIRVerify) {
 			t.Fatal("out-of-range start not detected")
 		}
 	})
@@ -320,7 +327,7 @@ func TestFrontendDiagnosticPosition(t *testing.T) {
 		"void f(int n) { int n = 2; }", // sema: redeclared (if rejected) or fine
 	}
 	for _, src := range cases {
-		ds := CheckSource("bad.mc", src, minic.Options{})
+		ds, _ := CheckSource("bad.mc", src, minic.Options{})
 		for _, d := range ds {
 			if d.Rule == RuleFrontend && (d.Line <= 0 || d.Col <= 0) {
 				t.Errorf("frontend diagnostic without position for %q: %s", src, d)

@@ -356,34 +356,10 @@ func GEMMRef(a, b []float32, dim int) []float32 {
 	return c
 }
 
-// GEMMRefStrict computes the reference with the same accumulation order as
-// the kernels (plain triple loop), for bit-comparable float32 results in
-// the single-threaded versions.
-func GEMMRefStrict(a, b []float32, dim int) []float32 {
-	c := make([]float32, dim*dim)
-	for i := 0; i < dim; i++ {
-		for j := 0; j < dim; j++ {
-			var s float32
-			for k := 0; k < dim; k++ {
-				s += a[i*dim+k] * b[k*dim+j]
-			}
-			c[i*dim+j] = s
-		}
-	}
-	return c
-}
-
-// PiRef evaluates the same series on the host in float32, mirroring the
-// kernel's per-thread blocking so rounding behaviour matches closely. The
-// kernel returns the unscaled sum (as the paper's Fig. 10 does); the final
-// multiplication by step happens on the host — PiRef includes it and
-// returns the pi estimate.
-func PiRef(steps, threads int) float32 {
-	return PiRefSum(steps, threads) * (float32(1.0) / float32(steps))
-}
-
-// PiRefSum is the unscaled reduction the accelerator computes into
-// final_sum.
+// PiRefSum evaluates the pi series on the host in float32, mirroring the
+// kernel's per-thread blocking so rounding behaviour matches closely. It
+// is the unscaled reduction the accelerator computes into final_sum (as
+// the paper's Fig. 10 does); the pi estimate is the sum times 1/steps.
 func PiRefSum(steps, threads int) float32 {
 	step := float32(1.0) / float32(steps)
 	var total float32

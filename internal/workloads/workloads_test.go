@@ -149,9 +149,10 @@ func TestPiKernel(t *testing.T) {
 }
 
 func TestPiRefConverges(t *testing.T) {
-	got := float64(PiRef(1_000_000, 8))
+	const steps = 1_000_000
+	got := float64(PiRefSum(steps, 8) * (float32(1.0) / float32(steps)))
 	if math.Abs(got-math.Pi) > 1e-4 {
-		t.Fatalf("PiRef(1e6) = %v", got)
+		t.Fatalf("PiRefSum(1e6)/1e6 = %v", got)
 	}
 }
 
@@ -165,10 +166,27 @@ func TestGEMMInputsDeterministic(t *testing.T) {
 	}
 }
 
+// gemmRefStrict computes the reference with the same accumulation order
+// as the kernels (plain triple loop): the oracle GEMMRef's reordered loops
+// are checked against.
+func gemmRefStrict(a, b []float32, dim int) []float32 {
+	c := make([]float32, dim*dim)
+	for i := 0; i < dim; i++ {
+		for j := 0; j < dim; j++ {
+			var s float32
+			for k := 0; k < dim; k++ {
+				s += a[i*dim+k] * b[k*dim+j]
+			}
+			c[i*dim+j] = s
+		}
+	}
+	return c
+}
+
 func TestGEMMRefAgreement(t *testing.T) {
 	a, b := GEMMInputs(12)
 	fast := GEMMRef(a, b, 12)
-	strict := GEMMRefStrict(a, b, 12)
+	strict := gemmRefStrict(a, b, 12)
 	if d := maxAbsDiff(fast, strict); d > 1e-3 {
 		t.Fatalf("reference implementations disagree by %v", d)
 	}
