@@ -30,6 +30,7 @@ import (
 	"maps"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -150,7 +151,7 @@ func printSummary(p *core.Program, out *core.RunOutput, summary *api.RunSummary)
 		p.Kernel.Name, r.Cycles, 1e3*out.Seconds(r.Cycles), out.FmaxMHz, p.Kernel.NumThreads)
 	fmt.Printf("stalls: %d, FLOPs: %d, lock acquisitions: %d (contended %d)\n",
 		r.TotalStalls(), r.TotalFpOps(), r.LockAcquisitions, r.LockContended)
-	printStallHotspots(os.Stdout, r.StallsByLoop, r.TotalStalls())
+	printStallHotspots(os.Stdout, r.Loops, r.TotalStalls())
 	fmt.Printf("DRAM: %d transactions, %d B read, %d B written\n",
 		r.DRAM.Transactions, r.DRAM.ReadWordsMoved*4, r.DRAM.WriteWordsMoved*4)
 	printResults(os.Stdout, r.ScalarsOut, r.ScalarsOutInt)
@@ -228,26 +229,17 @@ func sortedKeys[V any](m map[string]V) []string {
 	return names
 }
 
-// printStallHotspots lists the loops that stalled, most stall cycles
-// first; loops with equal counts are ordered by name so the table does not
-// depend on map iteration.
-func printStallHotspots(w io.Writer, byLoop map[string]int64, total int64) {
-	if len(byLoop) == 0 {
+// printStallHotspots lists the ledger records that stalled, most stall
+// cycles first; records with equal counts keep the ledger's name order.
+func printStallHotspots(w io.Writer, loops []sim.LoopStats, total int64) {
+	hot := slices.DeleteFunc(slices.Clone(loops), func(l sim.LoopStats) bool { return l.Stalls == 0 })
+	if len(hot) == 0 {
 		return
 	}
 	fmt.Fprintln(w, "stall hotspots by source loop:")
-	names := make([]string, 0, len(byLoop))
-	for name := range byLoop {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if byLoop[names[i]] != byLoop[names[j]] {
-			return byLoop[names[i]] > byLoop[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	for _, name := range names {
+	sort.SliceStable(hot, func(i, j int) bool { return hot[i].Stalls > hot[j].Stalls })
+	for _, l := range hot {
 		fmt.Fprintf(w, "  %-20s %12d stall cycles (%.1f%%)\n",
-			name, byLoop[name], 100*float64(byLoop[name])/float64(total))
+			l.Name, l.Stalls, 100*float64(l.Stalls)/float64(total))
 	}
 }

@@ -473,6 +473,7 @@ func (c *collector) finishAccesses(res *Result) {
 		return
 	}
 	res.Accesses = make([]*AccessFact, 0, len(c.acc))
+	c.facts.Reserve(len(c.acc))
 	for i := range c.acc {
 		if f := c.finalizeAccess(c.acc[i].node, &c.acc[i]); f != nil {
 			res.Accesses = append(res.Accesses, f)
@@ -672,6 +673,7 @@ func (c *collector) window(d minic.Decl) (lo, hi int64, ok bool) {
 // --- divisions ---
 
 func (c *collector) finishDivs(res *Result) {
+	c.divFacts.Reserve(len(c.div))
 	for _, r := range c.div {
 		f := c.divFacts.New(DivFact{Node: r.node, Pos: r.node.Pos, IsRem: r.node.Op == minic.OpRem, Divisor: r.d.I})
 		if cv, ok := r.d.constVal(); ok && cv == 0 {

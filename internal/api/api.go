@@ -617,9 +617,14 @@ func NewRunSummary(p *core.Program, out *core.RunOutput) (*RunSummary, error) {
 		DRAMTransactions: r.DRAM.Transactions,
 		DRAMReadBytes:    r.DRAM.ReadWordsMoved * 4,
 		DRAMWriteBytes:   r.DRAM.WriteWordsMoved * 4,
-		StallsByLoop:     r.StallsByLoop,
+		StallsByLoop:     map[string]int64{},
 		ScalarsOut:       r.ScalarsOut,
 		ScalarsOutInt:    r.ScalarsOutInt,
+	}
+	for _, l := range r.Loops {
+		if l.Stalls != 0 {
+			s.StallsByLoop[l.Name] = l.Stalls
+		}
 	}
 	if out.Streams != nil {
 		ss := analysis.NewStreamStats(0, 0)

@@ -2,10 +2,14 @@ package api
 
 import (
 	"bytes"
+	"context"
+	"maps"
 	"strings"
 	"testing"
 
+	"paravis/internal/core"
 	"paravis/internal/minic"
+	"paravis/internal/sim"
 	"paravis/internal/workloads"
 )
 
@@ -105,5 +109,47 @@ func TestRunKeyAllocatesNothingPerValue(t *testing.T) {
 	}
 	if short, long := allocs(4), allocs(4096); long > short+64 {
 		t.Errorf("RunKey allocates %.0f times with 2×4 floats, %.0f with 2×4096", short, long)
+	}
+}
+
+// TestRunSummaryStallsByLoop pins the summary's per-loop stalls on a
+// profiled pi run at 6400 steps: stalls_by_loop holds the ledger records
+// that stalled, the top region's included, and keeps its JSON key and
+// encoding.
+func TestRunSummaryStallsByLoop(t *testing.T) {
+	u := workloads.Units()[5]
+	p, err := core.Build(context.Background(), u.Source, core.BuildOptions{Defines: u.Defines})
+	if err != nil {
+		t.Fatal(err)
+	}
+	args, err := p.RunArgs(map[string]int64{"steps": 6400, "threads": 8}, map[string]float64{"step": 1.0 / 6400}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.Run(context.Background(), args, sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewRunSummary(p, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled := map[string]int64{}
+	for _, l := range out.Result.Loops {
+		if l.Stalls != 0 {
+			stalled[l.Name] = l.Stalls
+		}
+	}
+	if !maps.Equal(s.StallsByLoop, stalled) {
+		t.Errorf("stalls_by_loop %v, ledger records that stalled %v", s.StallsByLoop, stalled)
+	}
+	const pinned = `
+  "stalls_by_loop": {
+    "for@25:7": 2248,
+    "top": 8
+  },
+`
+	if js := encoded(t, s); !bytes.Contains(js, []byte(pinned)) {
+		t.Errorf("summary lacks%s\ngot:\n%s", pinned, js)
 	}
 }

@@ -161,6 +161,7 @@ func newWalker(fn *minic.FuncDecl, nt int, env map[string]int64) *walker {
 		allLoops: make([]*loopInfo, 0, fn.NumLoops),
 	}
 	w.al.init()
+	w.loopSlab.Reserve(fn.NumLoops)
 	for _, p := range fn.Params {
 		if id := minic.DeclIndex(p, len(w.decls)); id >= 0 && p.Type.IsPointer() {
 			w.decls[id].arr = w.arrSlab.New(arrayInfo{name: p.Name, dram: true, lanes: 1})

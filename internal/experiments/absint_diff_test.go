@@ -19,9 +19,9 @@ import (
 )
 
 // checkAbsintAgainstSim replays one converged analysis against the
-// simulator's per-loop counters. The simulator keys ItersByLoop and
-// ExecsByLoop by the lowered graph name, which for loops is the same
-// "for@line:col" join key absint emits, so claims line up by name.
+// simulator's per-loop counters. The simulator names its ledger records
+// by the lowered graph name, which for loops is the same "for@line:col"
+// join key absint emits, so claims line up by name.
 //
 // Absint brackets source-level trips; the simulator counts lowered-graph
 // iteration starts. Lowering changes the count in two known, bounded
@@ -48,12 +48,12 @@ func checkAbsintAgainstSim(t *testing.T, p *core.Program, env map[string]int64, 
 	}
 	matched := 0
 	for _, lf := range ai.Loops {
-		iters, ok := r.ItersByLoop[lf.Name]
+		ls, ok := r.Loop(lf.Name)
 		if !ok {
 			continue // loop not lowered to its own graph (e.g. folded away)
 		}
 		matched++
-		execs := r.ExecsByLoop[lf.Name]
+		iters, execs := ls.Iters, ls.Execs
 		if !lf.Reachable {
 			if iters != 0 {
 				t.Errorf("loop %s proven unreachable but simulated %d iterations", lf.Name, iters)
@@ -70,16 +70,8 @@ func checkAbsintAgainstSim(t *testing.T, p *core.Program, env map[string]int64, 
 		}
 	}
 	if len(ai.Loops) > 0 && matched == 0 {
-		t.Errorf("no absint loop matched a simulated loop graph: join key drift? sim keys %v", keys(r.ItersByLoop))
+		t.Errorf("no absint loop matched a simulated loop graph: join key drift? sim records %v", r.Loops)
 	}
-}
-
-func keys(m map[string]int64) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }
 
 // TestAbsintSoundOnSeedSimulations runs the suite over the five GEMM

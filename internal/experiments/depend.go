@@ -17,21 +17,17 @@ import (
 // verdict against the simulator's measured initiation interval.
 type DependLoopRow struct {
 	Workload string
-	Loop     string
+	// LoopStats is the simulator's ledger record of the loop: its name,
+	// iteration starts, completed executions and frame-active cycles.
+	sim.LoopStats
 	// RecMII is the static recurrence-constrained minimum II (0 when no
 	// recurrence above the trivial floor was proven); RecWhy names the
 	// binding cycle.
 	RecMII int64
 	RecWhy string
 	// Verdict summarizes the AST-level dependence analysis of the loop.
-	Verdict string
-	// Iters / Execs / Active are the simulator's iteration-start count,
-	// completed-execution count and frame-active cycles for the loop;
-	// MeasuredII is Active/Iters.
-	Iters      int64
-	Execs      int64
-	Active     int64
-	MeasuredII float64
+	Verdict    string
+	MeasuredII float64 // Active/Iters
 	// Sound: Active >= (Iters-Execs) * RecMII. The recurrence separates
 	// consecutive iterations within one execution (each execution
 	// reloads its carries), so exactly Iters-Execs iteration pairs are
@@ -84,22 +80,19 @@ func dependRows(name string, p *core.Program, env map[string]int64, cfg sim.Conf
 	ast := depend.Analyze(p.Fn, env)
 	var rows []*DependLoopRow
 	for _, l := range rep.Loops {
-		iters := r.ItersByLoop[l.Name]
-		if iters == 0 {
+		ls, _ := r.Loop(l.Name)
+		if ls.Iters == 0 {
 			continue
 		}
 		row := &DependLoopRow{
-			Workload: name,
-			Loop:     l.Name,
-			RecMII:   l.RecMII,
-			RecWhy:   l.RecWhy,
-			Verdict:  loopVerdict(ast.Loop(l.Name)),
-			Iters:    iters,
-			Execs:    r.ExecsByLoop[l.Name],
-			Active:   r.ActiveByLoop[l.Name],
+			Workload:  name,
+			LoopStats: ls,
+			RecMII:    l.RecMII,
+			RecWhy:    l.RecWhy,
+			Verdict:   loopVerdict(ast.Loop(l.Name)),
 		}
-		row.MeasuredII = float64(row.Active) / float64(iters)
-		row.Sound = row.Active >= (iters-row.Execs)*row.RecMII
+		row.MeasuredII = float64(row.Active) / float64(row.Iters)
+		row.Sound = row.Active >= (row.Iters-row.Execs)*row.RecMII
 		rows = append(rows, row)
 	}
 	return rows
@@ -149,7 +142,7 @@ func (r *DependResult) Format() string {
 		"workload", "loop", "recMII", "iters", "execs", "measured II", "sound", "dependence verdict")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&sb, "%-28s %-12s %7d %10d %10d %12.1f %7v  %s\n",
-			row.Workload, row.Loop, row.RecMII, row.Iters, row.Execs, row.MeasuredII, row.Sound, row.Verdict)
+			row.Workload, row.Name, row.RecMII, row.Iters, row.Execs, row.MeasuredII, row.Sound, row.Verdict)
 	}
 	return sb.String()
 }

@@ -27,7 +27,7 @@ func TestDependSoundOnSeedWorkloads(t *testing.T) {
 		workloadsSeen[row.Workload] = true
 		if !row.Sound {
 			t.Errorf("%s %s: unsound recurrence floor: recMII=%d iters=%d execs=%d active=%d",
-				row.Workload, row.Loop, row.RecMII, row.Iters, row.Execs, row.Active)
+				row.Workload, row.Name, row.RecMII, row.Iters, row.Execs, row.Active)
 		}
 		if row.RecMII > 1 {
 			tight++

@@ -43,9 +43,9 @@ type coastCase struct {
 }
 
 // coastOutcome is everything a run produces apart from the scheduler's
-// step counters: the Result with Steps, FrameVisits and ThreadVisits
-// zeroed and the profiling unit replaced by the sha256 of its rendered
-// .prv and .pcf, plus the written-back buffers.
+// step counters: the Result with Steps and ThreadVisits zeroed and the
+// profiling unit replaced by the sha256 of its rendered .prv and .pcf,
+// plus the written-back buffers.
 type coastOutcome struct {
 	err      string
 	res      Result
@@ -62,7 +62,7 @@ func runCoastCase(t *testing.T, c coastCase, ck *hw.CKernel) (coastOutcome, int6
 	}
 	o := coastOutcome{res: *r, bufs: map[string][]uint32{}}
 	steps := r.Steps
-	o.res.Steps, o.res.FrameVisits, o.res.ThreadVisits = 0, 0, 0
+	o.res.Steps, o.res.ThreadVisits = 0, 0
 	if r.Prof != nil {
 		st := paraver.StreamOf(r.Prof, ck.K.Name, r.Cycles)
 		var prv, pcf bytes.Buffer

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"paravis/internal/hw"
 	"paravis/internal/hwsem"
@@ -85,16 +87,9 @@ type engine struct {
 	// profNext caches prof.NextBoundary() so prof.Tick is only called on
 	// sample-window crossings instead of every cycle.
 	profNext int64
-	// The per-loop ledger by graph index, summed over executions and
-	// threads (finish folds it by loop name): iteration starts, completed
-	// executions (frame entry to retirement), frame-active cycles and stall
-	// cycles. iters/spans is the measured per-loop initiation interval the
-	// static RecMII floor is validated against (the recurrence only
-	// separates consecutive iterations of one execution, hence execs).
-	loopIters  []int64
-	loopExecs  []int64
-	loopSpans  []int64
-	loopStalls []int64
+	// loops is the per-loop ledger by graph index, summed over executions
+	// and threads; finish folds it by loop name into Result.Loops.
+	loops []LoopStats
 
 	// Recycling pools for the hot loop: retired outstanding-VLO records,
 	// external-store payload buffers (returned once the DRAM has copied
@@ -121,7 +116,7 @@ type engine struct {
 	runErr error
 
 	// Scheduler work counters, published on the Result (see Result.Steps).
-	steps, failedSteps, frameVisits, threadVisits, jumps int64
+	steps, failedSteps, threadVisits, jumps int64
 
 	args Args
 }
@@ -327,11 +322,9 @@ func newEngine(ck *hw.CKernel, args Args, cfg Config) (*engine, error) {
 	for i := range stamps {
 		stamps[i] = noStamp
 	}
-	e.loopIters = make([]int64, len(ck.Graphs))
-	e.loopExecs = make([]int64, len(ck.Graphs))
-	e.loopSpans = make([]int64, len(ck.Graphs))
-	e.loopStalls = make([]int64, len(ck.Graphs))
+	e.loops = make([]LoopStats, len(ck.Graphs))
 	for gi, cg := range ck.Graphs {
+		e.loops[gi].Name = cg.Name
 		e.occ[gi] = make([]int32, cg.Depth)
 		for s := range e.occ[gi] {
 			e.occ[gi][s] = -1
@@ -683,7 +676,6 @@ func (e *engine) stepDue() (progress bool) {
 		retired := false
 		for i := t.ready.next(0); i >= 0 && i < n; i = t.ready.next(i + 1) {
 			f := t.active[i]
-			e.frameVisits++
 			if e.stepFrame(t, f) {
 				progress = true
 			} else {
@@ -1113,7 +1105,6 @@ func (e *engine) allocVals(n int) []hw.Value {
 
 func (e *engine) finish() (*Result, error) {
 	r := &Result{
-		Cycles:               e.cycle,
 		ScalarsOut:           map[string]float64{},
 		ScalarsOutInt:        map[string]int64{},
 		DRAM:                 e.dram.Stats(),
@@ -1122,39 +1113,29 @@ func (e *engine) finish() (*Result, error) {
 		TransferCycles:       e.transferCycles,
 		Steps:                e.steps,
 		FailedSteps:          e.failedSteps,
-		FrameVisits:          e.frameVisits,
 		ThreadVisits:         e.threadVisits,
 		Jumps:                e.jumps,
+		Prof:                 e.prof,
 	}
-	last := int64(0)
 	for _, t := range e.threads {
 		r.ThreadStart = append(r.ThreadStart, t.startAt)
 		r.ThreadEnd = append(r.ThreadEnd, t.endCycle)
-		if t.endCycle > last {
-			last = t.endCycle
-		}
+		r.Cycles = max(r.Cycles, t.endCycle)
 		stalls, intOps, fpOps, _, _ := e.prof.TotalsFor(t.id)
 		r.Stalls = append(r.Stalls, stalls)
 		r.IntOps = append(r.IntOps, intOps)
 		r.FpOps = append(r.FpOps, fpOps)
 	}
-	r.Cycles = last
-	r.Prof = e.prof
-	r.StallsByLoop = make(map[string]int64)
-	r.ItersByLoop = make(map[string]int64)
-	r.ExecsByLoop = make(map[string]int64)
-	r.ActiveByLoop = make(map[string]int64)
-	for gi, cg := range e.ck.Graphs {
-		if e.loopStalls[gi] != 0 {
-			r.StallsByLoop[cg.Name] += e.loopStalls[gi]
+	// One record per name, sorted by name: the graphs an unrolled body
+	// replicates from one loop share its name, so their counts are summed.
+	r.Loops = slices.Clone(e.loops)
+	slices.SortFunc(r.Loops, func(a, b LoopStats) int { return strings.Compare(a.Name, b.Name) })
+	for i := len(r.Loops) - 1; i > 0; i-- {
+		if p, l := &r.Loops[i-1], r.Loops[i]; p.Name == l.Name {
+			p.Iters, p.Execs, p.Active, p.Stalls = p.Iters+l.Iters, p.Execs+l.Execs, p.Active+l.Active, p.Stalls+l.Stalls
 		}
-		if cg.CondIdx < 0 {
-			continue // top region, not a loop
-		}
-		r.ItersByLoop[cg.Name] += e.loopIters[gi]
-		r.ExecsByLoop[cg.Name] += e.loopExecs[gi]
-		r.ActiveByLoop[cg.Name] += e.loopSpans[gi]
 	}
+	r.Loops = slices.CompactFunc(r.Loops, func(a, b LoopStats) bool { return a.Name == b.Name })
 	for _, s := range e.sems {
 		r.LockAcquisitions += s.Acquisitions
 		r.LockContended += s.Contended

@@ -48,10 +48,7 @@ func spinGraph(e *engine, depth int, static ...int) *hw.CGraph {
 	e.occ = append(e.occ, occ)
 	e.occW = append(e.occW, make([][]*frame, depth))
 	e.coastW = append(e.coastW, make([][]*frame, depth))
-	e.loopIters = append(e.loopIters, 0)
-	e.loopExecs = append(e.loopExecs, 0)
-	e.loopSpans = append(e.loopSpans, 0)
-	e.loopStalls = append(e.loopStalls, 0)
+	e.loops = append(e.loops, LoopStats{Name: cg.Name})
 	return cg
 }
 
@@ -530,13 +527,12 @@ func TestCompactionKeepsSetMembership(t *testing.T) {
 }
 
 // TestSchedulerCountersOnSeeds runs the six seed workloads at DIM=16 (pi at
-// 6400 steps) and checks the scheduler's own work: every frame a walk
-// examines must be one it steps (a polling engine examined 3.7 frames per
-// step here), no thread is visited without a frame to step, and the five
-// counters are pinned so that a change in how much the scheduler does
-// shows up as a diff, not as a timing. FailedSteps and Jumps are the
-// stepping engine's (coasting never alters a blocked step or a jump);
-// Steps, FrameVisits and ThreadVisits are what coasting leaves, and pi,
+// 6400 steps) and checks the scheduler's own work: no thread is visited
+// without a frame to step, and the four counters are pinned so that a
+// change in how much the scheduler does shows up as a diff, not as a
+// timing. FailedSteps and Jumps are the stepping engine's (coasting never
+// alters a blocked step or a jump); Steps and ThreadVisits are what
+// coasting leaves, and pi,
 // nearly all static runs, must take at most 10,000 steps (64,680 when
 // every stage is stepped). A frame whose next step must fail sleeps on the
 // step that put it there (anticipate), so failed steps are few where the
@@ -544,13 +540,13 @@ func TestCompactionKeepsSetMembership(t *testing.T) {
 // on the lock-serialised and narrow-access GEMMs and pi. The BRAM-resident
 // GEMMs wait mostly on timed VLOs, which anticipate leaves to stepping.
 func TestSchedulerCountersOnSeeds(t *testing.T) {
-	want := map[string][5]int64{ // Steps, FailedSteps, FrameVisits, ThreadVisits, Jumps
-		"gemm-naive":                 {64873, 2448, 64873, 64737, 5019},
-		"gemm-no-critical-sections":  {34099, 283, 34099, 34075, 5853},
-		"gemm-partial-vectorization": {22715, 280, 22715, 22691, 5019},
-		"gemm-blocked":               {25425, 1435, 25425, 24171, 232},
-		"gemm-double-buffering":      {25426, 1364, 25426, 23741, 106},
-		"pi":                         {7635, 48, 7635, 7635, 47},
+	want := map[string][4]int64{ // Steps, FailedSteps, ThreadVisits, Jumps
+		"gemm-naive":                 {64873, 2448, 64737, 5019},
+		"gemm-no-critical-sections":  {34099, 283, 34075, 5853},
+		"gemm-partial-vectorization": {22715, 280, 22691, 5019},
+		"gemm-blocked":               {25425, 1435, 24171, 232},
+		"gemm-double-buffering":      {25426, 1364, 23741, 106},
+		"pi":                         {7635, 48, 7635, 47},
 	}
 	fewFailed := map[string]bool{
 		"gemm-naive": true, "gemm-no-critical-sections": true, "gemm-partial-vectorization": true, "pi": true,
@@ -563,15 +559,12 @@ func TestSchedulerCountersOnSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", u.name, err)
 		}
-		got := [5]int64{r.Steps, r.FailedSteps, r.FrameVisits, r.ThreadVisits, r.Jumps}
+		got := [4]int64{r.Steps, r.FailedSteps, r.ThreadVisits, r.Jumps}
 		if got != want[u.name] {
-			t.Errorf("%s: steps, failed, frame visits, thread visits, jumps = %v, pinned %v", u.name, got, want[u.name])
+			t.Errorf("%s: steps, failed, thread visits, jumps = %v, pinned %v", u.name, got, want[u.name])
 		}
-		if idle := r.FrameVisits - r.Steps; idle*100 > r.FrameVisits {
-			t.Errorf("%s: %d of %d frame visits stepped nothing (more than 1 %%)", u.name, idle, r.FrameVisits)
-		}
-		if r.ThreadVisits > r.FrameVisits {
-			t.Errorf("%s: %d thread visits for %d frame visits", u.name, r.ThreadVisits, r.FrameVisits)
+		if r.ThreadVisits > r.Steps {
+			t.Errorf("%s: %d thread visits for %d steps", u.name, r.ThreadVisits, r.Steps)
 		}
 		if fewFailed[u.name] && r.FailedSteps*25 > r.Steps {
 			t.Errorf("%s: %d of %d steps failed (more than 4 %%)", u.name, r.FailedSteps, r.Steps)

@@ -596,14 +596,14 @@ func drainBlock(f *frame) (blocked, stall bool) {
 // chargeStalls settles f's owed stalls: into its loop's ledger slot and
 // into the profiling unit's counter for thread t.
 func (e *engine) chargeStalls(t *thread, f *frame) {
-	e.loopStalls[f.gi] += f.pendStalls
+	e.loops[f.gi].Stalls += f.pendStalls
 	e.prof.AddStalls(t.id, f.pendStalls)
 	f.pendStalls = 0
 }
 
 // beginIteration loads carried-register values into their node slots.
 func (e *engine) beginIteration(f *frame) {
-	e.loopIters[f.gi]++
+	e.loops[f.gi].Iters++
 	for i, pos := range f.cg.CarryPos {
 		if pos >= 0 {
 			copyVal(&f.vals[pos], &f.carries[i])
@@ -810,8 +810,8 @@ func (e *engine) finishGraph(t *thread, f *frame) {
 		e.chargeStalls(t, f)
 	}
 	e.freeOcc(t, f)
-	e.loopExecs[f.gi]++
-	e.loopSpans[f.gi] += e.cycle - f.enterCycle
+	e.loops[f.gi].Execs++
+	e.loops[f.gi].Active += e.cycle - f.enterCycle
 	f.stage = -1
 	f.finished = true
 	t.ready.del(int(f.ai))

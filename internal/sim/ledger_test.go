@@ -52,26 +52,42 @@ func TestUnrolledReplicasShareTheLedger(t *testing.T) {
 	// The rolled version blanks the pragma, keeping every line in place.
 	rolled := run(strings.Replace(unrollSrc, "#pragma unroll 2", "", 1))
 
-	for _, c := range []struct {
-		name   string
-		m      map[string]int64
-		rolled map[string]int64
-		want   int64
-	}{
-		{"ItersByLoop", unrolled.ItersByLoop, rolled.ItersByLoop, 80},
-		{"ExecsByLoop", unrolled.ExecsByLoop, rolled.ExecsByLoop, 8},
-		{"ActiveByLoop", unrolled.ActiveByLoop, nil, 4984},
-	} {
-		if got := c.m[inner]; got != c.want {
-			t.Errorf("unrolled %s[%s] = %d, want %d (%v)", c.name, inner, got, c.want, c.m)
-		}
-		if c.rolled != nil && c.rolled[inner] != c.want {
-			t.Errorf("rolled %s[%s] = %d, want %d like the unrolled version", c.name, inner, c.rolled[inner], c.want)
+	checkLedger(t, "unrolled", unrolled)
+	checkLedger(t, "rolled", rolled)
+	u, _ := unrolled.Loop(inner)
+	ro, _ := rolled.Loop(inner)
+	if u.Iters != 80 || u.Execs != 8 || u.Active != 4984 {
+		t.Errorf("unrolled %+v, want 80 iterations, 8 executions, 4984 active cycles", u)
+	}
+	if ro.Iters != u.Iters || ro.Execs != u.Execs {
+		t.Errorf("rolled %+v, want the iterations and executions of unrolled %+v", ro, u)
+	}
+	stalled := map[string]int64{}
+	for _, l := range unrolled.Loops {
+		if l.Stalls != 0 {
+			stalled[l.Name] = l.Stalls
 		}
 	}
-	if want := map[string]int64{inner: 3888, "top": 2}; !reflect.DeepEqual(unrolled.StallsByLoop, want) {
-		t.Errorf("unrolled StallsByLoop = %v, want %v", unrolled.StallsByLoop, want)
+	if want := map[string]int64{inner: 3888, "top": 2}; !reflect.DeepEqual(stalled, want) {
+		t.Errorf("unrolled stalls by loop = %v, want %v", stalled, want)
 	}
+}
+
+// checkLedger checks that r's ledger holds one record per name, sorted by
+// name, and that TotalStalls sums its stall cycles; it returns that sum.
+func checkLedger(t *testing.T, name string, r *Result) int64 {
+	t.Helper()
+	var sum int64
+	for i, l := range r.Loops {
+		if i > 0 && r.Loops[i-1].Name >= l.Name {
+			t.Errorf("%s: ledger records %q then %q, want strictly name-sorted", name, r.Loops[i-1].Name, l.Name)
+		}
+		sum += l.Stalls
+	}
+	if r.TotalStalls() != sum {
+		t.Errorf("%s: TotalStalls %d, ledger records sum to %d", name, r.TotalStalls(), sum)
+	}
+	return sum
 }
 
 // TestFlushAfterLastThreadEndsTheRun: when the last profile-flush write
@@ -134,9 +150,9 @@ func TestDeadlockIsTyped(t *testing.T) {
 // TestProfileOffBuildsNoUnit: with profiling off the engine has no
 // profiling unit and the Result publishes none, but the engine's ledger
 // still attributes the stalls it counted to their loops. A run stays under
-// an allocation ceiling a unit would break: a run measures 260 objects (two
-// of them the StallsByLoop map), and a unit with its per-thread slices adds
-// eight.
+// an allocation ceiling a unit would break: a run measures 250 objects (two
+// of them the ledger, the engine's and the Result's), and a unit with its
+// per-thread slices adds eight.
 func TestProfileOffBuildsNoUnit(t *testing.T) {
 	ck := compileSrc(t, gemmNaiveSrc, nil)
 	const dim = 4
@@ -165,8 +181,8 @@ func TestProfileOffBuildsNoUnit(t *testing.T) {
 	if r.Prof != nil {
 		t.Errorf("profile-off Result publishes Prof %v", r.Prof)
 	}
-	if len(r.StallsByLoop) == 0 || r.TotalStalls() == 0 {
-		t.Errorf("profile-off run published no stalls: StallsByLoop %v", r.StallsByLoop)
+	if r.TotalStalls() == 0 {
+		t.Errorf("profile-off run published no stalls: Loops %v", r.Loops)
 	}
 	for th, n := range r.Stalls {
 		if n != 0 {
@@ -178,7 +194,7 @@ func TestProfileOffBuildsNoUnit(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 262
+	const ceiling = 252
 	if allocs > ceiling {
 		t.Errorf("profile-off Run allocated %.0f objects, ceiling %d", allocs, ceiling)
 	}
@@ -197,8 +213,8 @@ func TestLedgerStallsMatchUnit(t *testing.T) {
 		for _, n := range r.Stalls {
 			unit += n
 		}
-		if unit == 0 || r.TotalStalls() != unit {
-			t.Errorf("%s: ledger stalls %d, unit stalls %d", u.name, r.TotalStalls(), unit)
+		if ledger := checkLedger(t, u.name, r); unit == 0 || ledger != unit {
+			t.Errorf("%s: ledger stalls %d, unit stalls %d", u.name, ledger, unit)
 		}
 	}
 }

@@ -141,37 +141,42 @@ type Result struct {
 	LockAcquisitions int64
 	LockContended    int64
 
-	// StallsByLoop attributes stall cycles to the loop (graph) a token was
-	// stalled in; keys carry the source position (e.g. "for@12:5"), the
-	// top region's is "top", and only nonzero counts appear. It is the
-	// data behind the hotspot report and TotalStalls, recorded whether or
-	// not profiling is enabled.
-	StallsByLoop map[string]int64
-
-	// ItersByLoop counts iteration starts per loop graph (all threads and
-	// executions summed), ExecsByLoop completed loop executions (one
-	// frame entry to retirement), and ActiveByLoop the cycles a frame of
-	// that loop was live. ActiveByLoop/ItersByLoop is the measured
-	// initiation interval the static RecMII floor brackets from below
-	// (the floor separates consecutive iterations of one execution, so
-	// only Iters-Execs pairs are constrained). Keys are loop names
-	// ("for@line:col"); the graphs an unrolled body replicates from one
-	// loop share its name and its counts. Recorded whether or not
-	// profiling is enabled.
-	ItersByLoop  map[string]int64
-	ExecsByLoop  map[string]int64
-	ActiveByLoop map[string]int64
+	// Loops is the per-loop ledger, recorded whether or not profiling is
+	// enabled: one record per loop name, the top region's ("top") too,
+	// sorted by name.
+	Loops []LoopStats
 
 	// Steps .. Jumps count the scheduler's own work, deterministically, so
 	// a test can tell an engine that steps only what is due from one that
 	// polls: Steps is stepFrame calls and FailedSteps those that changed no
 	// state. A stage a coasting frame passes is not a step, and a wait a
 	// frame sleeps through from the step that reached it (anticipated) is
-	// not a failed step. FrameVisits is frames the per-thread walks examined
-	// (they see ready frames only, so it equals Steps) and ThreadVisits the
-	// walks (at most FrameVisits); Jumps is fast-forwards over idle cycles. They describe the simulator, not the
-	// simulated hardware, and appear in no summary or report.
-	Steps, FailedSteps, FrameVisits, ThreadVisits, Jumps int64
+	// not a failed step. ThreadVisits is the per-thread walks (at most
+	// Steps) and Jumps the fast-forwards over idle cycles. They describe
+	// the simulator, not the simulated hardware, and appear in no summary
+	// or report.
+	Steps, FailedSteps, ThreadVisits, Jumps int64
+}
+
+// LoopStats is one loop's ledger record ("for@line:col"), summed over
+// threads, executions and the graphs an unrolled body replicates from it:
+// iteration starts, completed executions (frame entry to retirement),
+// cycles a frame of it was live and stall cycles a token spent in it.
+// Active/Iters is the measured initiation interval the static RecMII
+// floor brackets from below, over Iters-Execs iteration pairs.
+type LoopStats struct {
+	Name                         string
+	Iters, Execs, Active, Stalls int64
+}
+
+// Loop returns the ledger record named name.
+func (r *Result) Loop(name string) (LoopStats, bool) {
+	for _, l := range r.Loops {
+		if l.Name == name {
+			return l, true
+		}
+	}
+	return LoopStats{}, false
 }
 
 // TotalFpOps sums FLOPs across threads.
@@ -183,12 +188,12 @@ func (r *Result) TotalFpOps() int64 {
 	return s
 }
 
-// TotalStalls sums the stall cycles of every loop in StallsByLoop. With
+// TotalStalls sums the stall cycles of every record in Loops. With
 // profiling enabled it equals the sum of the per-thread Stalls.
 func (r *Result) TotalStalls() int64 {
 	var s int64
-	for _, v := range r.StallsByLoop {
-		s += v
+	for _, l := range r.Loops {
+		s += l.Stalls
 	}
 	return s
 }

@@ -584,20 +584,17 @@ func TestSimStallHotspots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.StallsByLoop) == 0 {
-		t.Fatal("no stall attribution")
-	}
 	// The innermost k-loop does the external loads: it must dominate.
 	var best string
 	var bestN, total int64
-	for name, n := range res.StallsByLoop {
-		total += n
-		if n > bestN {
-			best, bestN = name, n
+	for _, l := range res.Loops {
+		total += l.Stalls
+		if l.Stalls > bestN {
+			best, bestN = l.Name, l.Stalls
 		}
 	}
 	if total == 0 || bestN*2 < total {
-		t.Errorf("no dominant hotspot: %v", res.StallsByLoop)
+		t.Errorf("no dominant hotspot: %v", res.Loops)
 	}
 	if best == "top" {
 		t.Errorf("hotspot should be a loop, got %q", best)
