@@ -329,6 +329,47 @@ func TestDependAlgebraNotMaps(t *testing.T) {
 	}
 }
 
+// TestPerfboundEvalNotMaps keeps perfbound's evaluator on its per-Analyze
+// arena: internal/perfbound/eval.go declares no map type but the launch
+// environment and the trip hints it is handed (parameters env and hints),
+// and gstats keeps its per-array counts in a name-sorted slice, not in
+// name-keyed maps.
+func TestPerfboundEvalNotMaps(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(name string) *ast.File {
+		f, err := parser.ParseFile(fset, filepath.Join("internal", "perfbound", name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	banMaps := func(root ast.Node, what string) {
+		ast.Inspect(root, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.Field:
+				if len(x.Names) == 1 && (x.Names[0].Name == "env" || x.Names[0].Name == "hints") {
+					return false
+				}
+			case *ast.MapType:
+				t.Errorf("%s: a map type in %s; the evaluator's state lives in its arena", fset.Position(x.Pos()), what)
+			}
+			return true
+		})
+	}
+	banMaps(parse("eval.go"), "the evaluator")
+	found := false
+	ast.Inspect(parse("perfbound.go"), func(n ast.Node) bool {
+		if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "gstats" {
+			found = true
+			banMaps(ts, "gstats")
+		}
+		return !found
+	})
+	if !found {
+		t.Error("internal/perfbound/perfbound.go declares no gstats")
+	}
+}
+
 // TestDeclTablesNotMaps: the front half keeps its per-declaration and
 // per-loop facts in tables indexed by sema's dense IDs (Decl.DeclID,
 // ForStmt.ID), as the back end indexes by Node.ID. No non-test file of

@@ -89,7 +89,10 @@ func sweepUnit(t *testing.T, u workloads.Unit) {
 // records, it read 13,589; the budget is that plus 5 %. Encoding each
 // report into a buffer of its own, as static_sweep does, reads 13,599,
 // and 13,626 once slab chunks stopped doubling past 8 KiB and the
-// analyses reserved the facts and loops they count in advance.
+// analyses reserved the facts and loops they count in advance. With the
+// engine's datapath compiled on a program's first Run instead of by Build,
+// and perfbound's evaluator carved from one arena per Analyze, it read
+// 10,183; the budget is that plus 5 %.
 // The race detector's instrumentation adds about 950 of its own, more
 // than that margin, so the pin is skipped under -race like the per-layer
 // ones.
@@ -98,7 +101,7 @@ func TestStaticSweepAllocationBudget(t *testing.T) {
 		t.Skip("the race detector adds allocations of its own")
 	}
 	us := sweepUnits(t)
-	const budget = 14_269
+	const budget = 10_692
 	got := testing.AllocsPerRun(2, func() {
 		for _, u := range us {
 			sweepUnit(t, u)

@@ -15,6 +15,9 @@ import (
 // compileLayers are the four layers of Build's compile path, in order.
 var compileLayers = []string{"parse", "lower", "schedule", "hw"}
 
+// compileCeilings are TestCompileAllocs' per-layer ceilings.
+var compileCeilings = []float64{414, 1651, 183, 1510}
+
 // seedCompile is one seed unit carried through the four layers.
 type seedCompile struct {
 	name  string
@@ -72,7 +75,6 @@ func TestCompileAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
 	}
-	ceilings := []float64{414, 1651, 183, 1510}
 	var total [4]float64
 	for _, c := range seedCompiles(t) {
 		var row [4]float64
@@ -84,8 +86,8 @@ func TestCompileAllocs(t *testing.T) {
 	}
 	t.Logf("%-30s parse %6.0f  lower %6.0f  schedule %6.0f  hw %6.0f", "total", total[0], total[1], total[2], total[3])
 	for i, name := range compileLayers {
-		if total[i] > ceilings[i] {
-			t.Errorf("%s allocates %.0f objects over the six seeds, ceiling %.0f", name, total[i], ceilings[i])
+		if total[i] > compileCeilings[i] {
+			t.Errorf("%s allocates %.0f objects over the six seeds, ceiling %.0f", name, total[i], compileCeilings[i])
 		}
 	}
 }

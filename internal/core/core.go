@@ -11,6 +11,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"paravis/internal/area"
 	"paravis/internal/hw"
@@ -34,7 +35,9 @@ type BuildOptions struct {
 }
 
 // Program is a compiled accelerator plus everything needed to simulate,
-// profile and report on it.
+// profile and report on it. CK, the engine's datapath, is compiled once by
+// the first Run, however many run at once, so read it only after a Run; a
+// CK set before the first Run (a Program literal) is run as given.
 type Program struct {
 	Source string
 	AST    *minic.Program
@@ -43,13 +46,15 @@ type Program struct {
 	Kernel *ir.Kernel
 	Sched  *schedule.Schedule
 	CK     *hw.CKernel
+	ckOnce sync.Once
+	ckErr  error
 }
 
 // Build compiles MiniC source through the full flow: parse, semantic
-// analysis, lowering to dataflow IR, static scheduling and datapath
-// compilation. The context is consulted between compilation phases so a
-// server can abandon a build whose client has gone away; ctx may be nil,
-// meaning Background.
+// analysis, lowering to dataflow IR and static scheduling (the datapath
+// waits for the first Run). The context is consulted between compilation
+// phases so a server can abandon a build whose client has gone away; ctx
+// may be nil, meaning Background.
 func Build(ctx context.Context, src string, opts BuildOptions) (*Program, error) {
 	prog, err := minic.Parse(src, minic.Options{
 		Defines:     opts.Defines,
@@ -90,10 +95,6 @@ func BuildAST(ctx context.Context, src string, prog *minic.Program, opts BuildOp
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("core: post-schedule verification: %w", err)
 	}
-	ck, err := hw.Compile(k, s)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	return &Program{
 		Source: src,
 		AST:    prog,
@@ -101,7 +102,6 @@ func BuildAST(ctx context.Context, src string, prog *minic.Program, opts BuildOp
 		Target: ts,
 		Kernel: k,
 		Sched:  s,
-		CK:     ck,
 	}, nil
 }
 
@@ -145,6 +145,16 @@ func (o *RunOutput) Seconds(cycles int64) float64 {
 // checked inside the simulator's event loop: cancellation or a deadline
 // stops the run with a *sim.ErrCanceled, composing with cfg.MaxCycles.
 func (p *Program) Run(ctx context.Context, args sim.Args, cfg sim.Config) (*RunOutput, error) {
+	p.ckOnce.Do(func() {
+		if p.CK == nil {
+			// Cannot fail on what Build returns: ir.Validate and
+			// schedule.Validate rule each of its errors out (DESIGN §5a).
+			p.CK, p.ckErr = hw.Compile(p.Kernel, p.Sched)
+		}
+	})
+	if p.ckErr != nil {
+		return nil, fmt.Errorf("core: %w", p.ckErr)
+	}
 	res, err := sim.Run(ctx, p.CK, args, cfg)
 	if err != nil {
 		return nil, err

@@ -141,6 +141,26 @@ func TestValidateRejectsBadKernels(t *testing.T) {
 			t.Fatal("expected error")
 		}
 	})
+	// The next two are hw.Compile's own failures, which Validate rules
+	// out before the first Run compiles the datapath.
+	t.Run("param outside the interface", func(t *testing.T) {
+		k := buildMiniKernel()
+		k.Params = k.Params[:1] // drop n, which the loop bound reads
+		if err := Validate(k); err == nil || !strings.Contains(err.Error(), `param "n" not in the kernel interface`) {
+			t.Fatalf("got %v", err)
+		}
+	})
+	t.Run("arithmetic on effects", func(t *testing.T) {
+		k := buildMiniKernel()
+		nodes := Alloc{next: k.NumNodes()}
+		b := NewBuilder(9, "x", &nodes)
+		bar := b.Barrier()
+		add := b.Bin(OpAdd, bar, bar)
+		k.Top.Nodes = append(k.Top.Nodes, bar, add)
+		if err := Validate(k); err == nil || !strings.Contains(err.Error(), "add of none operands") {
+			t.Fatalf("got %v", err)
+		}
+	})
 	t.Run("sem out of range", func(t *testing.T) {
 		k := buildMiniKernel()
 		nodes := Alloc{next: k.NumNodes()}

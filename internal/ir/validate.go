@@ -21,10 +21,10 @@ import "fmt"
 //     counts, loop bodies have an exit condition, and Graph.Loops mirrors
 //     the LoopOp nodes;
 //   - value and result kinds of operands are consistent with each
-//     operation.
+//     operation, arithmetic is on values and params are declared.
 //
-// The lowering pass must produce kernels that validate; the scheduler and
-// simulator rely on these invariants.
+// The lowering pass must produce kernels that validate; the scheduler,
+// hw.Compile and the simulator rely on these invariants.
 func Validate(k *Kernel) error {
 	if k.Top == nil {
 		return fmt.Errorf("ir: kernel %s has no top-level graph", k.Name)
@@ -214,10 +214,12 @@ func validateNode(k *Kernel, g *Graph, n *Node) error {
 	case OpConstFloat:
 		return wantArgs(n, 0)
 	case OpParam:
-		if n.Name == "" {
-			return fmt.Errorf("n%d param without name", n.ID)
+		for _, p := range k.Params {
+			if p.Name == n.Name {
+				return wantArgs(n, 0)
+			}
 		}
-		return wantArgs(n, 0)
+		return fmt.Errorf("n%d param %q not in the kernel interface", n.ID, n.Name)
 	case OpThreadID, OpNumThreads:
 		return wantArgs(n, 0)
 	case OpLiveIn:
@@ -243,7 +245,10 @@ func validateNode(k *Kernel, g *Graph, n *Node) error {
 			if n.Kind != KindInt {
 				return fmt.Errorf("n%d %s must produce int, got %s", n.ID, n.Op, n.Kind)
 			}
-		default: // arithmetic follows its operands
+		default: // arithmetic follows its operands, which are values
+			if n.Kind != KindInt && n.Kind != KindFloat && n.Kind != KindVec {
+				return fmt.Errorf("n%d %s of %s operands", n.ID, n.Op, n.Kind)
+			}
 			if n.Kind != n.Args[0].Kind {
 				return fmt.Errorf("n%d %s produces %s from %s operands", n.ID, n.Op, n.Kind, n.Args[0].Kind)
 			}

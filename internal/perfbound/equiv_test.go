@@ -37,7 +37,7 @@ func equivUnits(t *testing.T) []workloads.Unit {
 	return us
 }
 
-func schedule1(t *testing.T, u workloads.Unit) (*ir.Kernel, *schedule.Schedule) {
+func schedule1(t testing.TB, u workloads.Unit) (*ir.Kernel, *schedule.Schedule) {
 	prog, err := minic.Parse(u.Source, minic.Options{Defines: u.Defines})
 	if err != nil {
 		return nil, nil
@@ -91,7 +91,7 @@ func TestDenseTreeMatchesReference(t *testing.T) {
 		}
 		for _, env := range []map[string]int64{u.Params, nil} {
 			for _, h := range []map[string]interval.Interval{nil, hints} {
-				top := compile(k.Top, s, env, 64)
+				top := &compile(k.Top, s, env, 64)[0]
 				nt := int64(k.NumThreads)
 				tids := []interval.Interval{interval.Range(0, nt-1)}
 				for id := int64(0); id < nt; id++ {
@@ -225,8 +225,8 @@ func TestCountedFormulaMatchesIteration(t *testing.T) {
 			for update := 0; update < 3; update++ {
 				sh := loopShape{cmp, carryRight, update}
 				g, s := sh.build()
-				closed := compile(g, s, nil, 64)
-				dense := compile(g, s, nil, 64)
+				closed := &compile(g, s, nil, 64)[0]
+				dense := &compile(g, s, nil, 64)[0]
 				// The loop counts down when the register is on the greater
 				// side of the comparison.
 				down := (cmp == ir.OpGt || cmp == ir.OpGe) != carryRight
@@ -301,7 +301,7 @@ func TestCountedFormRecognised(t *testing.T) {
 				walk(kid)
 			}
 		}
-		walk(compile(k.Top, s, nil, 64))
+		walk(&compile(k.Top, s, nil, 64)[0])
 		return got
 	}
 	strided := `
@@ -331,7 +331,7 @@ void k(float* A, int N) {
 // that strays across a loop boundary stops there.
 func TestAtRejectsForeignNodes(t *testing.T) {
 	k, s := schedule1(t, workloads.Units()[0])
-	top := compile(k.Top, s, nil, 64)
+	top := &compile(k.Top, s, nil, 64)[0]
 	if len(top.kids) == 0 {
 		t.Fatal("the kernel has no loop")
 	}

@@ -1,6 +1,8 @@
 package perfbound
 
 import (
+	"slices"
+
 	"paravis/internal/interval"
 	"paravis/internal/ir"
 	"paravis/internal/schedule"
@@ -15,12 +17,13 @@ import (
 // scalar parameters are already folded against the workload, and a > b is
 // compiled as b < a (>= likewise).
 type cop struct {
-	op      ir.Op
-	a, b, c int32
-	idx     int               // OpLiveIn / OpCarry register
-	val     interval.Interval // OpConstInt / OpParam value
-	intRes  bool              // the result is an integer: arithmetic keeps its interval
-	intArg  bool              // the first operand is an integer: comparisons fold
+	op              ir.Op
+	a, b, c         int32
+	intRes          bool              // the result is an integer: arithmetic keeps its interval
+	intArg          bool              // the first operand is an integer: comparisons fold
+	inSlice, varies bool              // in the loop's control slice; a carried register reaches the value
+	idx             int               // OpLiveIn / OpCarry register
+	val             interval.Interval // OpConstInt / OpParam value
 }
 
 // induction is the canonical loop the lowering emits for a minic.Counted
@@ -57,9 +60,10 @@ type cgraph struct {
 	// (evaluated once per entry) and the part re-evaluated every trip.
 	invariant, variant []int32
 	cond               int32
-	carries            []int   // tracked carried registers
-	updates            []int32 // position of CarryUpdate[carries[i]]
-	ind                *induction
+	carries            []int32    // tracked carried registers
+	updates            []int32    // position of CarryUpdate[carries[i]]
+	ind                *induction // &canon when the slice is the canonical loop, else nil
+	canon              induction
 
 	trips interval.Interval // iterations per entry (top region: exactly 1)
 	entry interval.Interval // executions per parent iteration (predication: [0,1])
@@ -78,25 +82,68 @@ func (cg *cgraph) at(n *ir.Node) int32 { return int32(cg.g.Index(n)) }
 // val returns n's value in the latest evaluation.
 func (cg *cgraph) val(n *ir.Node) interval.Interval { return arg(cg.vals, cg.at(n)) }
 
-// compile builds the evaluator's form of g and, recursively, of the loops
-// nested in it.
-func compile(g *ir.Graph, s *schedule.Schedule, env map[string]int64, beatBytes int) *cgraph {
-	gs := s.Graph(g)
-	cg := &cgraph{
-		g: g, gs: gs, stats: statsOf(s, gs, beatBytes),
-		ops:    make([]cop, len(g.Nodes)),
-		vals:   make([]interval.Interval, len(g.Nodes)),
-		liveIn: make([]interval.Interval, g.NumLiveIn),
+// arena holds the evaluator of one Analyze, never shared: one slice per
+// type, sized by a walk of the loop tree and carved graph by graph.
+type arena struct {
+	graphs []cgraph
+	kids   []*cgraph
+	ops    []cop
+	ivs    []interval.Interval
+	pos    []int32 // control slices, tracked carried registers, their updates
+	arrays []arrayUse
+}
+
+// arenaSize counts what the arena of a loop tree holds.
+type arenaSize struct{ graphs, ops, ivs, pos, arrays int }
+
+func (n *arenaSize) add(g *ir.Graph, s *schedule.Schedule) {
+	n.graphs, n.ops, n.ivs = n.graphs+1, n.ops+len(g.Nodes), n.ivs+len(g.Nodes)+g.NumLiveIn+4*g.NumCarry
+	if g.Cond != nil {
+		n.pos += 2*len(g.Nodes) + 2*g.NumCarry // either half of the control slice may hold every node
 	}
-	carry := make([]interval.Interval, 4*g.NumCarry)
-	nc := g.NumCarry
-	cg.init, cg.ranges, cg.state, cg.next = carry[:nc:nc], carry[nc:2*nc:2*nc], carry[2*nc:3*nc:3*nc], carry[3*nc:]
+	for _, nd := range g.Nodes {
+		if s.Live[nd.ID] && nd.Op.IsMemory() {
+			n.arrays++
+		}
+	}
+	for _, ln := range g.Loops {
+		n.add(ln.Sub, s)
+	}
+}
+
+// carve takes the next n elements off *s.
+func carve[T any](s *[]T, n int) []T {
+	t := (*s)[:n:n]
+	*s = (*s)[n:]
+	return t
+}
+
+// compile builds the evaluator's form of g and of the loops nested in it
+// in one arena, and returns the tree in pre-order: g first.
+func compile(g *ir.Graph, s *schedule.Schedule, env map[string]int64, beatBytes int) []cgraph {
+	var n arenaSize
+	n.add(g, s)
+	a := arena{make([]cgraph, n.graphs), make([]*cgraph, n.graphs-1), make([]cop, n.ops),
+		make([]interval.Interval, n.ivs), make([]int32, n.pos), make([]arrayUse, n.arrays)}
+	tree := a.graphs
+	a.compile(g, s, env, beatBytes)
+	return tree
+}
+
+func (a *arena) compile(g *ir.Graph, s *schedule.Schedule, env map[string]int64, beatBytes int) *cgraph {
+	gs, nc := s.Graph(g), g.NumCarry
+	cg := &carve(&a.graphs, 1)[0]
+	*cg = cgraph{
+		g: g, gs: gs, stats: statsOf(s, gs, beatBytes, a),
+		ops: carve(&a.ops, len(g.Nodes)), vals: carve(&a.ivs, len(g.Nodes)), liveIn: carve(&a.ivs, g.NumLiveIn),
+		init: carve(&a.ivs, nc), ranges: carve(&a.ivs, nc), state: carve(&a.ivs, nc), next: carve(&a.ivs, nc),
+	}
 
 	for i, n := range g.Nodes {
 		args := [3]int32{-1, -1, -1}
-		for j, a := range n.Args {
+		for j, arg := range n.Args {
 			if j < len(args) {
-				args[j] = cg.at(a)
+				args[j] = cg.at(arg)
 			}
 		}
 		o := cop{op: n.Op, a: args[0], b: args[1], c: args[2], idx: n.Idx, intRes: n.Kind == ir.KindInt}
@@ -116,83 +163,79 @@ func compile(g *ir.Graph, s *schedule.Schedule, env map[string]int64, beatBytes 
 		cg.ops[i] = o
 	}
 	if g.Cond != nil {
-		cg.compileSlice()
+		cg.compileSlice(a)
 	}
-	for _, ln := range g.Loops {
-		kid := compile(ln.Sub, s, env, beatBytes)
-		kid.node = ln
-		cg.kids = append(cg.kids, kid)
+	cg.kids = carve(&a.kids, len(g.Loops))
+	for i, ln := range g.Loops {
+		cg.kids[i] = a.compile(ln.Sub, s, env, beatBytes)
+		cg.kids[i].node = ln
 	}
 	return cg
 }
 
 // compileSlice finds the loop's control slice and recognises the counted
 // form.
-func (cg *cgraph) compileSlice() {
+func (cg *cgraph) compileSlice(a *arena) {
 	g := cg.g
-	need := make([]bool, len(g.Nodes))
-	tracked := make([]bool, g.NumCarry)
-	var visit func(n *ir.Node)
-	visit = func(n *ir.Node) {
-		p := cg.at(n)
-		if p < 0 || need[p] {
-			return
-		}
-		need[p] = true
-		for _, a := range n.Args {
-			visit(a)
-		}
-		visit(n.Pred)
-		if n.Op == ir.OpCarry && n.Idx >= 0 && n.Idx < len(g.CarryUpdate) && n.Idx < len(tracked) && !tracked[n.Idx] {
-			tracked[n.Idx] = true
-			cg.carries = append(cg.carries, n.Idx)
-			cg.updates = append(cg.updates, cg.at(g.CarryUpdate[n.Idx]))
-			visit(g.CarryUpdate[n.Idx])
-		}
-	}
-	visit(g.Cond)
+	cg.invariant, cg.variant = carve(&a.pos, len(g.Nodes))[:0], carve(&a.pos, len(g.Nodes))[:0]
+	cg.carries, cg.updates = carve(&a.pos, g.NumCarry)[:0], carve(&a.pos, g.NumCarry)[:0]
+	cg.visit(g.Cond)
 	cg.cond = cg.at(g.Cond)
-
-	// varies[p]: a carried register reaches the node's value.
-	varies := make([]bool, len(need))
-	for p := range need {
-		if !need[p] {
-			continue
-		}
+	for p := range cg.ops {
 		o := &cg.ops[p]
-		varies[p] = o.op == ir.OpCarry ||
-			(o.a >= 0 && varies[o.a]) || (o.b >= 0 && varies[o.b]) || (o.c >= 0 && varies[o.c])
-		if varies[p] {
+		o.varies = o.inSlice && (o.op == ir.OpCarry || (o.a >= 0 && cg.ops[o.a].varies) ||
+			(o.b >= 0 && cg.ops[o.b].varies) || (o.c >= 0 && cg.ops[o.c].varies))
+		if o.varies {
 			cg.variant = append(cg.variant, int32(p))
-		} else {
+		} else if o.inSlice {
 			cg.invariant = append(cg.invariant, int32(p))
 		}
 	}
-	if cg.cond >= 0 {
-		cg.ind = cg.matchInduction(varies)
+	if cg.cond >= 0 && cg.matchInduction(&cg.canon) {
+		cg.ind = &cg.canon
 	}
 }
 
-// matchInduction recognises the canonical loop in the control slice.
-func (cg *cgraph) matchInduction(varies []bool) *induction {
+// visit adds n, its operands and the updates of the carried registers it
+// reads to the control slice.
+func (cg *cgraph) visit(n *ir.Node) {
+	p := cg.at(n)
+	if p < 0 || cg.ops[p].inSlice {
+		return
+	}
+	cg.ops[p].inSlice = true
+	for _, a := range n.Args {
+		cg.visit(a)
+	}
+	cg.visit(n.Pred)
+	if i := int32(n.Idx); n.Op == ir.OpCarry && n.Idx >= 0 && n.Idx < min(len(cg.g.CarryUpdate), cg.g.NumCarry) && !slices.Contains(cg.carries, i) {
+		cg.carries = append(cg.carries, i)
+		cg.updates = append(cg.updates, cg.at(cg.g.CarryUpdate[i]))
+		cg.visit(cg.g.CarryUpdate[i])
+	}
+}
+
+// matchInduction reports whether the control slice is the canonical
+// loop, filling m in when it is.
+func (cg *cgraph) matchInduction(m *induction) bool {
 	isCarry := func(p int32) bool { return p >= 0 && cg.ops[p].op == ir.OpCarry }
 	// carry < bound, or bound < carry for a loop that counts down.
 	cond := &cg.ops[cg.cond]
-	m := &induction{bound: cond.b, incl: cond.op == ir.OpLe}
+	*m = induction{bound: cond.b, incl: cond.op == ir.OpLe}
 	c := cond.a
 	if !isCarry(c) {
 		c, m.bound, m.down = cond.b, cond.a, true
 	}
 	if (cond.op != ir.OpLt && !m.incl) || cond.b < 0 || cond.c >= 0 || !isCarry(c) || !cg.ops[c].intRes {
-		return nil
+		return false
 	}
 	if m.reg = cg.ops[c].idx; m.reg < 0 || m.reg >= len(cg.g.CarryUpdate) || m.reg >= len(cg.init) {
-		return nil
+		return false
 	}
 	// CarryUpdate[reg] = carry + step (or carry - step).
 	up := cg.at(cg.g.CarryUpdate[m.reg])
 	if up < 0 || cg.ops[up].b < 0 || cg.ops[up].c >= 0 {
-		return nil
+		return false
 	}
 	isReg := func(p int32) bool { return isCarry(p) && cg.ops[p].idx == m.reg }
 	switch u := &cg.ops[up]; {
@@ -203,14 +246,14 @@ func (cg *cgraph) matchInduction(varies []bool) *induction {
 	case u.op == ir.OpSub && isReg(u.a):
 		m.step, m.sub = u.b, true
 	default:
-		return nil
+		return false
 	}
 	m.counted = len(cg.carries) == 1 && up != cg.cond && cond.intArg && cg.ops[up].intRes &&
-		m.bound >= 0 && m.step >= 0 && !varies[m.bound] && !varies[m.step]
+		m.bound >= 0 && m.step >= 0 && !cg.ops[m.bound].varies && !cg.ops[m.step].varies
 	for _, p := range cg.variant {
 		m.counted = m.counted && (p == cg.cond || p == up || isReg(p))
 	}
-	return m
+	return true
 }
 
 // treeCtx is the thread identity one evalTree runs under: exact for the

@@ -32,7 +32,7 @@ func TestOverflowDropsBound(t *testing.T) {
 	// is undecidable on entry, and the most trips, 10 - (MinInt64+1),
 	// overflows.
 	g, s := loopShape{cmp: ir.OpLt}.build()
-	cg := compile(g, s, nil, 64)
+	cg := &compile(g, s, nil, 64)[0]
 	cg.liveIn[0], cg.liveIn[1], cg.init[0] = interval.Exact(10), interval.Exact(1), interval.Range(math.MinInt64+1, 20)
 	tc := treeCtx{tid: interval.Exact(0), nthreads: interval.Exact(1)}
 	if trips := cg.loopTrips(&tc, nil); trips.Bounded() {

@@ -14,8 +14,9 @@
 package perfbound
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"paravis/internal/area"
 	"paravis/internal/depend"
@@ -155,8 +156,14 @@ type gstats struct {
 	localMax                   int64
 	locksMax                   int64
 	barriers                   int64
-	perArray                   map[string]int64 // max accesses per iter, by array name
-	localArrays                map[string]bool
+	arrays                     []arrayUse // by name
+}
+
+// arrayUse counts the accesses per iteration to one array name.
+type arrayUse struct {
+	name     string
+	accesses int64
+	local    bool // some access is to a local array
 }
 
 func beatsOf(n *ir.Node, beatBytes int) int64 {
@@ -172,17 +179,21 @@ func bytesOf(n *ir.Node) int64 {
 	return b
 }
 
-func statsOf(s *schedule.Schedule, gs *schedule.GraphSched, beatBytes int) gstats {
-	st := gstats{perArray: map[string]int64{}, localArrays: map[string]bool{}}
+func statsOf(s *schedule.Schedule, gs *schedule.GraphSched, beatBytes int, a *arena) gstats {
+	st := gstats{arrays: a.arrays[:0]}
 	for _, n := range gs.G.Nodes {
 		if !s.Live[n.ID] {
 			continue
 		}
 		switch n.Op {
 		case ir.OpLoad, ir.OpStore:
-			st.perArray[n.Arr.Name]++
+			i, ok := slices.BinarySearchFunc(st.arrays, n.Arr.Name, func(u arrayUse, name string) int { return cmp.Compare(u.name, name) })
+			if !ok {
+				st.arrays = slices.Insert(st.arrays, i, arrayUse{name: n.Arr.Name})
+			}
+			st.arrays[i].accesses++
 			if n.Arr.Space == ir.SpaceLocal {
-				st.localArrays[n.Arr.Name] = true
+				st.arrays[i].local = true
 				st.localMax++
 				continue
 			}
@@ -210,6 +221,7 @@ func statsOf(s *schedule.Schedule, gs *schedule.GraphSched, beatBytes int) gstat
 			st.barriers++
 		}
 	}
+	st.arrays = carve(&a.arrays, len(st.arrays))
 	return st
 }
 
@@ -353,7 +365,8 @@ func upperExec(cg *cgraph, cfg *Config, minLock int, nt int64) (int64, bool) {
 func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Config) *Report {
 	cfg.Config = cfg.Config.WithDefaults()
 	nt := int64(k.NumThreads)
-	top := compile(k.Top, s, env, cfg.DRAM.BeatBytes)
+	tree := compile(k.Top, s, env, cfg.DRAM.BeatBytes)
+	top := &tree[0]
 
 	// Proven dependence recurrences (per graph), with the schedule's own
 	// latency table so RecMII and the pipeline agree on operation cost.
@@ -417,16 +430,11 @@ func Analyze(k *ir.Kernel, s *schedule.Schedule, env map[string]int64, cfg Confi
 	tc.tid = interval.Range(0, nt-1)
 	top.evalTree(&tc, cfg.TripHints, interval.Exact(1))
 	var loops []LoopReport
-	var walkLoops func(cg *cgraph)
-	walkLoops = func(cg *cgraph) {
-		if cg.g.Cond != nil {
+	for i := range tree {
+		if cg := &tree[i]; cg.g.Cond != nil {
 			loops = append(loops, loopReport(cg, deps.ByGraph[cg.g], &cfg, nt))
 		}
-		for _, kid := range cg.kids {
-			walkLoops(kid)
-		}
 	}
-	walkLoops(top)
 
 	// Roofline: does the guaranteed memory time dominate the minimum
 	// compute time? Min-side traffic keeps the verdict sound when some
@@ -542,22 +550,16 @@ func loopReport(cg *cgraph, gd *depend.GraphDeps, cfg *Config, nt int64) LoopRep
 	// (beats per iteration aggregated over all threads).
 	best := int64(1)
 	limiter := "dependencies"
-	names := make([]string, 0, len(st.perArray))
-	for name := range st.perArray {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if !st.localArrays[name] {
+	for _, u := range st.arrays {
+		if !u.local {
 			continue
 		}
-		accesses := st.perArray[name]
-		if accesses > best {
-			best = accesses
-			limiter = "port-conflict:" + name
+		if u.accesses > best {
+			best = u.accesses
+			limiter = "port-conflict:" + u.name
 		}
-		if accesses > 1 {
-			r.PortConflicts = append(r.PortConflicts, PortConflict{Array: name, Accesses: accesses})
+		if u.accesses > 1 {
+			r.PortConflicts = append(r.PortConflicts, PortConflict{Array: u.name, Accesses: u.accesses})
 		}
 	}
 	if reqs := st.extLoadsMax + st.extStoresMax; satMul(reqs, nt) > best {
